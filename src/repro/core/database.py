@@ -308,16 +308,16 @@ class Database:
         if not indexes or not refs:
             return
         # insert_many places the batch contiguously, so index upkeep is
-        # one sliced code gather + one add_many per index instead of a
-        # python loop over rows.
+        # one gather of the batch's codes + one add_many per index
+        # instead of a python loop over rows.
         is_delta, first = unpack_rowref(refs[0])
         assert is_delta, "new rows always land in the delta"
-        n = len(refs)
+        rows = np.arange(first, first + len(refs))
         delta = table.delta
         with self._index_lock:
             for column, index in indexes.items():
                 ci = table.schema.column_index(column)
-                index.on_insert_many(delta.column_codes(ci)[first : first + n], first)
+                index.on_insert_many(delta.codes_at(ci, rows), first)
 
     def _pick_index(
         self, table: Table, predicate: Optional[Predicate]

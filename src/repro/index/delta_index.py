@@ -59,27 +59,32 @@ class VolatileDeltaIndex(DeltaIndex):
         self._map[code].append(position)
 
     def add_many(self, codes: np.ndarray, first: int) -> None:
-        # Vectorized group-by-code: one stable argsort, one split. The
-        # stable sort keeps each code's positions ascending, matching
-        # what repeated add() calls would produce.
+        # Vectorized group-by-code: one stable argsort, then one list
+        # slice per distinct code (python-level work per code, not per
+        # row, and no per-group numpy call — indexed columns are often
+        # unique). The stable sort keeps each code's positions
+        # ascending, matching what repeated add() calls would produce.
         codes = np.asarray(codes)
         if codes.size == 0:
             return
         order = np.argsort(codes, kind="stable")
         sorted_codes = codes[order]
-        boundaries = np.nonzero(sorted_codes[1:] != sorted_codes[:-1])[0] + 1
-        groups = np.split(order, boundaries)
-        for group in groups:
-            code = int(codes[group[0]])
-            self._map[code].extend((group + first).tolist())
+        starts = np.flatnonzero(
+            np.r_[True, sorted_codes[1:] != sorted_codes[:-1]]
+        )
+        positions = (order + first).tolist()
+        bounds = starts.tolist() + [len(positions)]
+        for code, lo, hi in zip(
+            sorted_codes[starts].tolist(), bounds, bounds[1:]
+        ):
+            self._map[code].extend(positions[lo:hi])
 
     def lookup(self, code: int) -> np.ndarray:
         return np.asarray(self._map.get(code, ()), dtype=np.uint64)
 
     def rebuild(self, delta: DeltaPartition, col: int) -> None:
         self._map.clear()
-        for position, code in enumerate(delta.column_codes(col)):
-            self._map[int(code)].append(position)
+        self.add_many(delta.column_codes(col), 0)
 
     def entry_count(self) -> int:
         return sum(len(v) for v in self._map.values())

@@ -10,6 +10,8 @@ back to a full scan of its captured generation.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from repro.index.delta_index import (
@@ -47,7 +49,14 @@ class TableIndex:
         self.column = column
         self.group_key = group_key
         self.delta_index = delta_index
+        # Volatile delta half: every published delta row below this
+        # watermark is indexed. Rows at or above it are ones a restart
+        # forgot or whose writer has not reached ``on_insert`` yet;
+        # whichever of probe and insert needs them first indexes them,
+        # under the latch, so no row is registered twice — and a write
+        # that precedes the first read after a reopen hides nothing.
         self._delta_synced_rows = 0
+        self._delta_latch = threading.Lock()
         # Generation stamps: the partition objects this index was built
         # against. Identity comparison — partitions are replaced, never
         # mutated in place, by a merge cutover.
@@ -105,10 +114,29 @@ class TableIndex:
         """True when this index was built for exactly this pair."""
         return self.main_part is main and self.delta_part is delta
 
+    def _claim(self, first: int, count: int) -> int:
+        """Catch the volatile delta half up to ``first``, then move the
+        watermark past ``[first, first + count)``. Returns how many
+        leading rows of that range a catch-up already indexed (the
+        caller registers the rest). Latch held."""
+        if not self.delta_index.needs_rebuild_after_restart:
+            return 0
+        synced = self._delta_synced_rows
+        if synced < first:
+            delta = self.delta_part
+            col = delta.schema.column_index(self.column)
+            self.delta_index.add_many(
+                delta.codes_at(col, np.arange(synced, first)), synced
+            )
+            synced = first
+        self._delta_synced_rows = max(synced, first + count)
+        return min(synced - first, count)
+
     def on_insert(self, code: int, position: int) -> None:
         """Maintain the delta half after a row publishes."""
-        self.delta_index.add(code, position)
-        self._delta_synced_rows = max(self._delta_synced_rows, position + 1)
+        with self._delta_latch:
+            if not self._claim(position, 1):
+                self.delta_index.add(code, position)
 
     def on_insert_many(self, codes: np.ndarray, first: int) -> None:
         """Maintain the delta half for a contiguous published batch.
@@ -117,21 +145,18 @@ class TableIndex:
         ``codes[i]`` is the indexed column's code of delta row
         ``first + i``.
         """
-        n = len(codes)
-        if n == 0:
-            return
-        self.delta_index.add_many(np.asarray(codes), first)
-        self._delta_synced_rows = max(self._delta_synced_rows, first + n)
+        with self._delta_latch:
+            skip = self._claim(first, len(codes))
+            self.delta_index.add_many(np.asarray(codes)[skip:], first + skip)
 
     def ensure_delta_current(self, schema, delta: DeltaPartition) -> None:
-        """Rebuild the delta half if a restart left it stale."""
-        col = schema.column_index(self.column)
+        """Bring the delta half up to the published row count."""
         if (
             self.delta_index.needs_rebuild_after_restart
             and self._delta_synced_rows < delta.row_count
         ):
-            self.delta_index.rebuild(delta, col)
-            self._delta_synced_rows = delta.row_count
+            with self._delta_latch:
+                self._claim(delta.row_count, 0)
 
     # ------------------------------------------------------------------
     # Lookups (positions only; visibility filtering happens in the scan)

@@ -30,7 +30,7 @@ directory block so both change atomically together).
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -57,6 +57,14 @@ _OFF_DIR = 32
 
 DEFAULT_CHUNK_CAPACITY = 8192
 _INITIAL_DIR_CAPACITY = 16
+
+
+def checked_indices(indices, bound: int) -> np.ndarray:
+    """``indices`` as an intp array, every one inside ``[0, bound)``."""
+    idx = np.asarray(indices, dtype=np.intp)
+    if idx.size and not 0 <= int(idx.min()) <= int(idx.max()) < bound:
+        raise IndexError(f"gather position outside [0, {bound})")
+    return idx
 
 
 class PVector:
@@ -296,12 +304,16 @@ class PVector:
     def __getitem__(self, index: int):
         return self.get(index)
 
-    def _chunk_view(self, chunk_index: int, count: int) -> np.ndarray:
+    def _chunk_view(
+        self, chunk_index: int, count: Optional[int] = None
+    ) -> np.ndarray:
         """Read-only view of the first ``count`` elements of a chunk.
 
         The full-capacity view is created once per chunk and sliced;
         modelled read traffic is charged only for prefix growth since
         the last call, so re-reading published data costs nothing.
+        ``count=None`` is the whole chunk, uncharged: a gather accounts
+        for the elements it picks.
         """
         base = self._chunk_views.get(chunk_index)
         if base is None:
@@ -312,6 +324,8 @@ class PVector:
                 charge=False,
             )
             self._chunk_views[chunk_index] = base
+        if count is None:
+            return base
         charged = self._charged_elems.get(chunk_index, 0)
         if count > charged:
             self._pool.charge_read((count - charged) * self._itemsize)
@@ -336,3 +350,33 @@ class PVector:
         if len(parts) == 1:
             return parts[0].copy()
         return np.concatenate(parts)
+
+    def take(self, indices, limit: Optional[int] = None) -> np.ndarray:
+        """Elements at ``indices`` (any order, repeats allowed), as a copy.
+
+        Positions are checked against ``limit`` when given (an owner's
+        published length: a delta's crash-torn tails live beyond its row
+        count), else ``len(self)``. A request for a small share of the
+        vector costs, and is charged as read traffic, per element. A
+        bulk request goes through :meth:`to_numpy` like every bulk read,
+        and so does one spread over a good share of the chunks: a
+        per-chunk gather costs about what copying that chunk does.
+        """
+        size = self._size
+        idx = checked_indices(indices, size if limit is None else min(limit, size))
+        if idx.size == 0:
+            return np.empty(0, dtype=self._dtype)
+        if idx.size * 4 < size:
+            chunk_ids, slots = np.divmod(idx, self._chunk_cap)
+            first = int(chunk_ids[0])
+            if (chunk_ids == first).all():
+                self._pool.charge_read(idx.size * self._itemsize)
+                return self._chunk_view(first)[slots]
+            if idx.size * 4 < self._num_chunks:
+                self._pool.charge_read(idx.size * self._itemsize)
+                out = np.empty(idx.size, dtype=self._dtype)
+                for chunk in np.unique(chunk_ids).tolist():
+                    sel = chunk_ids == chunk
+                    out[sel] = self._chunk_view(chunk)[slots[sel]]
+                return out
+        return self.to_numpy()[idx]

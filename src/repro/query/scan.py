@@ -107,13 +107,13 @@ class ScanResult:
         col = self.table.schema.column_index(name)
         main_col = self.main_part.columns[col]
         yield (
-            main_col.codes()[self.main_positions],
+            main_col.codes_at(self.main_positions),
             main_col.dictionary,
             main_col.null_code,
             True,
         )
         yield (
-            self.delta_part.column_codes(col)[self.delta_positions],
+            self.delta_part.codes_at(col, self.delta_positions),
             self.delta_part.dictionaries[col],
             NULL_CODE,
             False,

@@ -51,21 +51,30 @@ def pack(codes: np.ndarray, bits: int) -> np.ndarray:
 
 def unpack(words: np.ndarray, bits: int, count: int) -> np.ndarray:
     """Inverse of :func:`pack`; returns a uint32 code array of ``count``."""
+    words = np.asarray(words, dtype=_U64)
+    return unpack_at(words.__getitem__, bits, np.arange(count, dtype=np.uint64))
+
+
+def unpack_at(fetch, bits: int, rows: np.ndarray) -> np.ndarray:
+    """Codes at positions ``rows`` (below the packed count) as uint32.
+
+    ``fetch(word_indices)`` returns the stream's words at those indices;
+    only the words the requested codes live in are fetched.
+    """
     if not 1 <= bits <= 32:
         raise ValueError(f"bits must be in [1, 32], got {bits}")
-    if count == 0:
+    if len(rows) == 0:
         return np.empty(0, dtype=np.uint32)
-    words = np.asarray(words, dtype=_U64)
-    positions = np.arange(count, dtype=np.uint64) * _U64(bits)
+    positions = np.asarray(rows, dtype=np.uint64) * _U64(bits)
     word_idx = positions >> _U64(6)
     offsets = positions & _U64(63)
-    low = words[word_idx] >> offsets
+    low = fetch(word_idx) >> offsets
     shift_back = _U64(64) - offsets
     # offset 0 would shift by 64 (undefined); those codes never spill.
     safe_shift = np.where(offsets == 0, _U64(1), shift_back)
     high = np.where(
         offsets + _U64(bits) > _U64(64),
-        words[word_idx + _U64(1)] << safe_shift,
+        fetch(word_idx + _U64(1)) << safe_shift,
         _U64(0),
     )
     mask = _U64((1 << bits) - 1)

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.storage.backend import Backend
-from repro.storage.dictionary import UnsortedDictionary
+from repro.storage.dictionary import UnsortedDictionary, nullable_list
 from repro.storage.mvcc import INFINITY_CID, MvccColumns, NO_TID
 from repro.storage.schema import Schema
 from repro.storage.types import NULL_CODE, Value
@@ -290,13 +290,15 @@ class DeltaPartition:
             return parts[0]
         return np.concatenate(parts)
 
+    def codes_at(self, col: int, rows: np.ndarray) -> np.ndarray:
+        """Codes of ``col`` at positions ``rows``, at a cost that follows
+        ``rows``. Checked against the *published* row count: the code
+        vectors may be longer (crash-torn tails)."""
+        return self.code_vectors[col].take(rows, limit=self.row_count)
+
     def decode_column(self, col: int, rows: Optional[np.ndarray] = None) -> list:
         """Materialise values for ``rows`` (default: all published rows)."""
-        codes = self.column_codes(col)
-        if rows is not None:
-            codes = codes[rows]
-        null_mask = codes == np.uint32(NULL_CODE)
-        return self.dictionaries[col].decode_batch(codes, null_mask)
+        return nullable_list(*self.column_array(col, rows))
 
     def column_array(
         self, col: int, rows: Optional[np.ndarray] = None
@@ -307,9 +309,9 @@ class DeltaPartition:
         int64/float64 with an undefined placeholder at NULL slots,
         string columns as object arrays with ``None`` at NULL slots.
         """
-        codes = self.column_codes(col)
-        if rows is not None:
-            codes = codes[rows]
+        codes = (
+            self.column_codes(col) if rows is None else self.codes_at(col, rows)
+        )
         null_mask = codes == np.uint32(NULL_CODE)
         values = self.dictionaries[col].decode_array(
             np.where(null_mask, 0, codes)

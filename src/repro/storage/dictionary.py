@@ -57,6 +57,16 @@ def hash_key(dtype: DataType, value) -> int:
     return int.from_bytes(digest, "little")
 
 
+def nullable_list(values: np.ndarray, null_mask: np.ndarray) -> list:
+    """A partition's ``column_array`` output as python values, ``None``
+    at NULL slots (string arrays already carry it)."""
+    out = values.tolist()
+    if values.dtype != object:
+        for i in np.flatnonzero(null_mask).tolist():
+            out[i] = None
+    return out
+
+
 class UnsortedDictionary:
     """Append-only dictionary for the delta partition.
 
@@ -82,11 +92,14 @@ class UnsortedDictionary:
         # concurrently could hand out duplicate codes for one value.
         self._insert_lock = threading.Lock()
         self._lookup: Optional[dict] = None
-        # Decode accelerators for the vectorized read path: python
-        # values in code order, grown incrementally, plus a numpy
-        # mirror (int64/float64/object) rebuilt only after growth.
-        self._decode_values: list = []
-        self._decode_arr: Optional[np.ndarray] = None
+        # STRING only: decoded values in code order, over-allocated and
+        # append-only; ``_strings_len`` entries are valid. Numeric codes
+        # decode straight from the persisted value vector instead. The
+        # latch makes "decode the new tail" one step: two readers that
+        # both see a grown dictionary must not both extend the table.
+        self._strings = np.empty(0, dtype=object)
+        self._strings_len = 0
+        self._strings_latch = threading.Lock()
 
     @classmethod
     def create(
@@ -181,43 +194,33 @@ class UnsortedDictionary:
 
     def values_list(self) -> list:
         """All values in code order (used by merge and checkpoints)."""
-        raw = self.values.to_numpy()
-        if self.dtype is DataType.STRING:
-            return [self._backend.get_str(int(h)) for h in raw]
-        if self.dtype is DataType.INT64:
-            return [int(v) for v in raw]
-        return [float(v) for v in raw]
+        return self.values_array().tolist()
 
-    def _decode_table(self) -> list:
-        """Values in code order, cached and grown incrementally."""
+    def _string_table(self) -> np.ndarray:
+        """Decoded strings in code order; only the new tail is decoded."""
         total = len(self.values)
-        cached = len(self._decode_values)
-        if cached < total:
-            for code in range(cached, total):
-                self._decode_values.append(self.value_of(code))
-            self._decode_arr = None
-        return self._decode_values
+        with self._strings_latch:
+            done = self._strings_len
+            if done < total:
+                if total > self._strings.size:
+                    grown = np.empty(max(total, 2 * done), dtype=object)
+                    grown[:done] = self._strings[:done]
+                    self._strings = grown
+                handles = self.values.take(np.arange(done, total))
+                get_str = self._backend.get_str
+                for code, handle in enumerate(handles.tolist(), start=done):
+                    self._strings[code] = get_str(handle)
+                self._strings_len = total
+            return self._strings[:total]
 
     def values_array(self) -> np.ndarray:
         """Values in code order as a numpy array (int64/float64/object).
 
-        Cached alongside :meth:`_decode_table`; rebuilt only after the
-        dictionary has grown. Callers must not mutate the result.
+        Callers must not mutate the result.
         """
-        table = self._decode_table()
-        if self._decode_arr is None:
-            if self.dtype is DataType.STRING:
-                self._decode_arr = np.asarray(table, dtype=object)
-            else:
-                self._decode_arr = np.asarray(
-                    table,
-                    dtype=(
-                        np.int64
-                        if self.dtype is DataType.INT64
-                        else np.float64
-                    ),
-                )
-        return self._decode_arr
+        if self.dtype is DataType.STRING:
+            return self._string_table()
+        return self.values.to_numpy()
 
     def decode_array(self, codes: np.ndarray) -> np.ndarray:
         """Decode an array of valid (non-NULL) codes to a values array.
@@ -225,29 +228,14 @@ class UnsortedDictionary:
         Returns a fresh, writable array; NULL handling is the caller's
         job (pre-substitute code 0 and patch afterwards).
         """
-        arr = self.values_array()
-        if arr.size == 0:
+        if len(self.values) == 0:
             # Only reachable when every incoming code was NULL.
             if self.dtype is DataType.STRING:
                 return np.full(len(codes), None, dtype=object)
-            return np.zeros(len(codes), dtype=arr.dtype)
-        return np.take(arr, np.asarray(codes, dtype=np.int64))
-
-    def decode_batch(self, codes: np.ndarray, null_mask: np.ndarray) -> list:
-        """Vectorized decode: code array + NULL mask -> python values.
-
-        One ``np.take`` over a materialized values array replaces the
-        per-code loop; NULL positions are patched afterwards.
-        """
-        if not self._decode_table():
-            # Only possible when every code is NULL.
-            return [None] * len(codes)
-        safe = np.where(null_mask, 0, codes).astype(np.int64, copy=False)
-        out = np.take(self.values_array(), safe).tolist()
-        if null_mask.any():
-            for i in np.nonzero(null_mask)[0].tolist():
-                out[i] = None
-        return out
+            return np.zeros(len(codes), dtype=_STORAGE_DTYPE[self.dtype])
+        if self.dtype is DataType.STRING:
+            return self._string_table()[np.asarray(codes, dtype=np.intp)]
+        return self.values.take(codes)
 
     # ------------------------------------------------------------------
     # Lookup / insert
@@ -421,9 +409,7 @@ class SortedDictionary:
         cache = self._materialise()
         if self.dtype is DataType.STRING:
             return list(cache)
-        if self.dtype is DataType.INT64:
-            return [int(v) for v in cache]
-        return [float(v) for v in cache]
+        return cache.tolist()
 
     def values_array(self) -> np.ndarray:
         """Values in code (= sorted) order as a numpy array.
@@ -459,13 +445,6 @@ class SortedDictionary:
                 return np.full(len(codes), None, dtype=object)
             return np.zeros(len(codes), dtype=arr.dtype)
         return np.take(arr, np.asarray(codes, dtype=np.int64))
-
-    def decode(self, codes: np.ndarray) -> list:
-        """Decode an array of codes to values (projection materialise)."""
-        if self.dtype is DataType.STRING:
-            return np.take(self.values_array(), codes).tolist()
-        # ``tolist`` yields python ints/floats, matching the scalar path.
-        return np.take(self._materialise(), codes).tolist()
 
     # ------------------------------------------------------------------
     # Order-aware lookups (power the code-space predicates)

@@ -12,9 +12,10 @@ from typing import Optional
 
 import numpy as np
 
+from repro.nvm.pvector import checked_indices
 from repro.storage import bitpack
 from repro.storage.backend import Backend
-from repro.storage.dictionary import SortedDictionary
+from repro.storage.dictionary import SortedDictionary, nullable_list
 from repro.storage.mvcc import MvccColumns
 from repro.storage.schema import Schema
 from repro.storage.types import Value
@@ -36,6 +37,7 @@ class MainColumn:
         self.bits = bits
         self._row_count = row_count
         self._codes_cache: Optional[np.ndarray] = None
+        self._positional_calls = 0
 
     @property
     def null_code(self) -> int:
@@ -49,6 +51,22 @@ class MainColumn:
                 self.words.to_numpy(), self.bits, self._row_count
             )
         return self._codes_cache
+
+    def codes_at(self, rows: np.ndarray) -> np.ndarray:
+        """Codes of ``rows``, without unpacking the column for a few.
+
+        While the column is still packed, a request for a small share of
+        it unpacks just those positions from the words: after a restart
+        a point read costs O(result), not O(main). One such call costs
+        about what unpacking 2k rows does, so once the calls add up to a
+        full unpack the column is unpacked and later requests gather.
+        """
+        if self._codes_cache is None and len(rows) * 8 < self._row_count:
+            self._positional_calls += 1
+            if self._positional_calls * 2048 < self._row_count:
+                rows = checked_indices(rows, self._row_count)
+                return bitpack.unpack_at(self.words.take, self.bits, rows)
+        return self.codes()[rows]
 
     def get_code(self, row: int) -> int:
         return int(self.codes()[row])
@@ -133,22 +151,7 @@ class MainPartition:
 
     def decode_column(self, col: int, rows: Optional[np.ndarray] = None) -> list:
         """Materialise values for ``rows`` (default: all rows)."""
-        column = self.columns[col]
-        codes = column.codes()
-        if rows is not None:
-            codes = codes[rows]
-        null_code = column.null_code
-        dictionary = column.dictionary
-        if len(dictionary) == 0:
-            return [None] * len(codes)
-        null_mask = codes == null_code
-        values = dictionary.decode(np.where(null_mask, 0, codes))
-        if null_mask.any():
-            # Patch only the NULL positions instead of re-zipping the
-            # whole column.
-            for i in np.nonzero(null_mask)[0].tolist():
-                values[i] = None
-        return values
+        return nullable_list(*self.column_array(col, rows))
 
     def column_array(
         self, col: int, rows: Optional[np.ndarray] = None
@@ -161,9 +164,7 @@ class MainPartition:
         come back as object arrays with ``None`` at NULL slots.
         """
         column = self.columns[col]
-        codes = column.codes()
-        if rows is not None:
-            codes = codes[rows]
+        codes = column.codes() if rows is None else column.codes_at(rows)
         null_mask = codes == np.uint32(column.null_code)
         values = column.dictionary.decode_array(np.where(null_mask, 0, codes))
         if values.dtype == object and null_mask.any():

@@ -3,15 +3,17 @@
 :class:`~repro.nvm.pvector.PVector` (persistent) and
 :class:`VolatileVector` (DRAM) expose the same surface —
 ``append``/``extend``/``get``/``set``/``set_range``/``__len__``/
-``to_numpy``/``iter_views`` — so partition code is written once and
-runs on either.
+``to_numpy``/``take``/``iter_views`` — so partition code is written once
+and runs on either.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Protocol, runtime_checkable
+from typing import Iterator, Optional, Protocol, runtime_checkable
 
 import numpy as np
+
+from repro.nvm.pvector import checked_indices
 
 
 @runtime_checkable
@@ -33,6 +35,8 @@ class VectorLike(Protocol):
     def __len__(self) -> int: ...
 
     def to_numpy(self) -> np.ndarray: ...
+
+    def take(self, indices, limit: Optional[int] = None) -> np.ndarray: ...
 
     def iter_views(self) -> Iterator[np.ndarray]: ...
 
@@ -117,6 +121,12 @@ class VolatileVector:
     def to_numpy(self) -> np.ndarray:
         """Copy of the live contents."""
         return self._buf[: self._size].copy()
+
+    def take(self, indices, limit: Optional[int] = None) -> np.ndarray:
+        """Same contract as :meth:`repro.nvm.pvector.PVector.take`."""
+        size = self._size  # before the buffer: growth swaps it in first
+        bound = size if limit is None else min(limit, size)
+        return self._buf[checked_indices(indices, bound)]
 
     def view(self) -> np.ndarray:
         """Zero-copy read view of the live contents (do not mutate)."""

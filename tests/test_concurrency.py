@@ -7,6 +7,7 @@ all three durability modes and all three group-commit policies.
 """
 
 import random
+import sys
 import threading
 
 import pytest
@@ -345,3 +346,65 @@ class TestShardedWriters:
         assert engine.stats()["commits"] == 2
         assert engine.query("t").count == 40
         engine.close()
+
+
+# ----------------------------------------------------------------------
+# Readers decode while a writer grows the dictionaries they decode from
+# ----------------------------------------------------------------------
+
+
+def test_concurrent_point_reads_while_dictionary_grows(tmp_path):
+    """Four readers materialise indexed point reads (INT64 + STRING
+    columns, every value distinct) beside one inserter. Nothing a reader
+    decodes through may be shared mutable state without a latch: zero
+    wrong rows, zero exceptions."""
+    preloaded, reads_each = 60_000, 200
+    db = Database(str(tmp_path / "db"), make_config(DurabilityMode.NVM))
+    db.create_table(
+        "t", {"id": DataType.INT64, "name": DataType.STRING, "qty": DataType.INT64}
+    )
+    db.create_index("t", "id")
+    db.insert_many(
+        "t", [{"id": i, "name": f"n{i}", "qty": 3 * i} for i in range(preloaded)]
+    )
+    stop = threading.Event()
+    wrong, errors = [], []
+
+    def writer():
+        i = preloaded
+        try:
+            while not stop.is_set():
+                db.insert("t", {"id": i, "name": f"n{i}", "qty": 3 * i})
+                i += 1
+        except BaseException as exc:  # noqa: BLE001 - asserted below
+            errors.append(exc)
+
+    def reader(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(reads_each):
+                k = rng.randrange(preloaded)
+                rows = db.query("t", Eq("id", k)).rows()
+                if rows != [{"id": k, "name": f"n{k}", "qty": 3 * k}]:
+                    wrong.append((k, rows))
+        except BaseException as exc:  # noqa: BLE001 - asserted below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=reader, args=(s,)) for s in range(4)]
+    inserter = threading.Thread(target=writer)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        inserter.start()
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        stop.set()
+        inserter.join(timeout=30)
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads + [inserter])
+    assert errors == []
+    assert wrong == []
+    db.close()

@@ -116,7 +116,7 @@ class TestSortedDictionary:
         import numpy as np
 
         d = self._build(backend, [5, 6, 7])
-        assert d.decode(np.array([2, 0, 1])) == [7, 5, 6]
+        assert d.decode_array(np.array([2, 0, 1])).tolist() == [7, 5, 6]
 
     def test_empty_dictionary(self, backend):
         d = self._build(backend, [])

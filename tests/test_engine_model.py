@@ -2,7 +2,11 @@
 
 Hypothesis drives random transaction streams against the engine and a
 reference model; after every commit/abort the visible state must match.
-A final restart (per mode) re-checks against the model.
+A mid-stream and a final restart (per mode) re-check against the model,
+each followed by a write *before* the first read and then asked both by
+full scan and key by key through the secondary index: the volatile half
+of an index is rebuilt lazily, and the first thing to touch it after a
+reopen may be either.
 """
 
 from __future__ import annotations
@@ -78,28 +82,53 @@ def _visible(db: Database) -> dict:
     return {row["key"]: row["payload"] for row in db.query("kv").rows()}
 
 
+def _visible_by_index(db: Database, model: dict) -> dict:
+    """The state of :func:`_visible`, asked one indexed lookup per key."""
+    out = {}
+    for key in set(model) | set(range(21)):
+        rows = db.query("kv", Eq("key", key)).rows()
+        assert len(rows) <= 1
+        if rows:
+            out[key] = rows[0]["payload"]
+    return out
+
+
+def _restart_then_write(db: Database, model: dict) -> Database:
+    """Reopen and write (a key no action uses) before anything reads."""
+    db = db.restart()
+    key = min([0, *model]) - 1
+    db.insert("kv", {"key": key, "payload": "w"})
+    model[key] = "w"
+    assert _visible_by_index(db, model) == model
+    assert _visible(db) == model
+    return db
+
+
 @pytest.mark.parametrize(
     "mode", [DurabilityMode.NVM, DurabilityMode.LOG, DurabilityMode.NONE]
 )
-@given(stream=_actions)
+@given(stream=_actions, restart_at=st.integers(0, 11))
 @settings(
     max_examples=20,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-def test_engine_matches_model(tmp_path_factory, mode, stream):
+def test_engine_matches_model(tmp_path_factory, mode, stream, restart_at):
     path = str(tmp_path_factory.mktemp("model-db"))
     db = Database(path, make_config(mode))
     db.create_table("kv", SCHEMA)
+    db.create_index("kv", "key")
     model: dict[int, str] = {}
+    durable = mode is not DurabilityMode.NONE
     try:
-        for ops, commit in stream:
+        for i, (ops, commit) in enumerate(stream):
+            if durable and i == restart_at:
+                db = _restart_then_write(db, model)
             if _apply_to_engine(db, ops, commit):
                 _apply_to_model(model, ops)
             assert _visible(db) == model
-        if mode is not DurabilityMode.NONE:
-            db = db.restart()
-            assert _visible(db) == model
+        if durable:
+            db = _restart_then_write(db, model)
     finally:
         db.close()
 
@@ -115,6 +144,7 @@ def test_engine_matches_model_with_merge(tmp_path_factory, mode, stream, merge_a
     path = str(tmp_path_factory.mktemp("model-db"))
     db = Database(path, make_config(mode))
     db.create_table("kv", SCHEMA)
+    db.create_index("kv", "key")
     model: dict[int, str] = {}
     try:
         for i, (ops, commit) in enumerate(stream):
@@ -125,7 +155,6 @@ def test_engine_matches_model_with_merge(tmp_path_factory, mode, stream, merge_a
                 _apply_to_model(model, ops)
         db.merge("kv")
         assert _visible(db) == model
-        db = db.restart()
-        assert _visible(db) == model
+        db = _restart_then_write(db, model)
     finally:
         db.close()

@@ -1,0 +1,261 @@
+"""O(result) materialisation: a positional gather equals slicing the whole.
+
+The read path decodes the rows a result names straight from the
+persistent image (``take`` on both vector kinds, positional unpack of
+bit-packed main words, per-position dictionary decode). Every one of
+those is checked here against the whole-column reference it replaces.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.core.config import DurabilityMode
+from repro.core.database import Database
+from repro.query.predicate import Eq
+from repro.storage import bitpack
+from repro.storage.backend import NvmBackend, VolatileBackend
+from repro.storage.delta import DeltaPartition
+from repro.storage.dictionary import SortedDictionary
+from repro.storage.main import MainPartition
+from repro.storage.mvcc import INFINITY_CID
+from repro.storage.schema import Schema
+from repro.storage.types import DataType
+
+from tests.conftest import make_config
+
+_FIXTURE_OK = dict(
+    deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@pytest.fixture(params=["volatile", "nvm"])
+def backend(request, pool):
+    if request.param == "volatile":
+        return VolatileBackend()
+    return NvmBackend(pool)
+
+
+# ----------------------------------------------------------------------
+# Vector.take
+# ----------------------------------------------------------------------
+
+
+@given(
+    values=st.lists(st.integers(-(2**40), 2**40), max_size=120),
+    chunk=st.integers(1, 16),
+    data=st.data(),
+)
+@settings(max_examples=60, **_FIXTURE_OK)
+def test_take_equals_indexing_the_copy(backend, values, chunk, data):
+    vec = backend.make_vector(np.int64, chunk)
+    if values:
+        vec.extend(np.asarray(values, dtype=np.int64))
+    n = len(values)
+    # Unsorted, repeated, possibly empty; any spread over the chunks.
+    idx = data.draw(st.lists(st.integers(0, n - 1), max_size=40)) if n else []
+    got = vec.take(idx)
+    assert got.dtype == vec.dtype
+    np.testing.assert_array_equal(got, vec.to_numpy()[np.asarray(idx, dtype=np.intp)])
+    for bad in ([n], [-1], [*idx, n]):
+        with pytest.raises(IndexError):
+            vec.take(bad)
+    if n:
+        # An owner's published length can be shorter than the vector.
+        np.testing.assert_array_equal(vec.take([0], limit=1), [values[0]])
+        with pytest.raises(IndexError):
+            vec.take([n - 1], limit=n - 1)
+        # ... and is never extended by a limit beyond the vector.
+        with pytest.raises(IndexError):
+            vec.take([n], limit=n + 5)
+
+
+def test_take_charges_what_it_gathers(pool):
+    """PVector: one chunk, a few chunks, most of the vector."""
+    vec = NvmBackend(pool).make_vector(np.uint32, 8)
+    vec.extend(np.arange(1000, dtype=np.uint32) * 3)
+    ref = vec.to_numpy()
+    stats = pool.stats
+    for idx in ([5], [5, 900, 17, 900]):  # same chunk / scattered
+        before = stats.bytes_read
+        np.testing.assert_array_equal(vec.take(idx), ref[idx])
+        assert stats.bytes_read - before == 4 * len(idx)
+    # A bulk request reads like every other bulk read: the published
+    # prefix was charged by the first to_numpy, so nothing more now.
+    before = stats.bytes_read
+    everything = np.arange(1000)[::-1]
+    np.testing.assert_array_equal(vec.take(everything), ref[everything])
+    assert stats.bytes_read == before
+
+
+# ----------------------------------------------------------------------
+# Positional unpack of bit-packed main columns
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bits", range(1, 33))
+def test_unpack_at_equals_unpack(bits):
+    rng = np.random.default_rng(bits)
+    count = 300
+    codes = rng.integers(0, 1 << bits, size=count, dtype=np.uint64).astype(np.uint32)
+    codes[:2] = [(1 << bits) - 1, 0]
+    words = bitpack.pack(codes, bits)
+    full = bitpack.unpack(words, bits, count)
+    np.testing.assert_array_equal(full, codes)
+    rows = rng.integers(0, count, size=80)  # unsorted, repeated
+    np.testing.assert_array_equal(
+        bitpack.unpack_at(words.__getitem__, bits, rows), full[rows]
+    )
+    # Every code whose bits cross a word boundary, asked for on its own.
+    straddlers = np.asarray(
+        [r for r in range(count) if (r * bits) % 64 + bits > 64], dtype=np.int64
+    )
+    assert straddlers.size or 64 % bits == 0
+    np.testing.assert_array_equal(
+        bitpack.unpack_at(words.__getitem__, bits, straddlers), codes[straddlers]
+    )
+    assert bitpack.unpack_at(words.__getitem__, bits, []).size == 0
+
+
+SCHEMA = Schema.of(id=DataType.INT64, name=DataType.STRING, score=DataType.FLOAT64)
+
+
+def test_main_column_gathers_before_and_after_unpacking(backend):
+    n = 7000
+    names = [f"n{i % 11}" for i in range(n)]
+    distinct = sorted(set(names))
+    dictionaries = [
+        SortedDictionary.build(DataType.INT64, backend, list(range(n))),
+        SortedDictionary.build(DataType.STRING, backend, distinct),
+        SortedDictionary.build(DataType.FLOAT64, backend, [0.5, 1.5]),
+    ]
+    codes = [
+        np.arange(n, dtype=np.uint32)[::-1].copy(),
+        np.asarray([distinct.index(v) for v in names], dtype=np.uint32),
+        np.asarray([i % 3 for i in range(n)], dtype=np.uint32),  # 2 = NULL
+    ]
+    cids = np.ones(n, dtype=np.uint64)
+    main = MainPartition.build(
+        SCHEMA, backend, dictionaries, codes, cids, cids * INFINITY_CID
+    )
+    rows = np.asarray([n - 1, 0, 7, 7, 64, 128])
+    with pytest.raises(IndexError):
+        main.decode_column(0, np.asarray([n]))
+    cold = [main.decode_column(c, rows) for c in range(3)]
+    cold_arrays = [main.column_array(c, rows) for c in range(3)]
+    # Three small requests: each answered from the packed words.
+    assert all(column._codes_cache is None for column in main.columns)
+    # Together they cost about one full unpack, so the next one unpacks
+    # the column and gathers from it (as any large request does).
+    assert main.decode_column(0, rows) == cold[0]
+    assert main.columns[0]._codes_cache is not None
+    assert main.decode_column(1, np.arange(n)) == names
+    full = [main.decode_column(c) for c in range(3)]
+    assert full[0] == list(range(n - 1, -1, -1))
+    assert full[1] == names
+    assert full[2] == [[0.5, 1.5, None][i % 3] for i in range(n)]
+    for c in range(3):
+        assert cold[c] == [full[c][r] for r in rows.tolist()]
+        assert main.decode_column(c, rows) == cold[c]
+        values, nulls = main.column_array(c, rows)
+        np.testing.assert_array_equal(nulls, cold_arrays[c][1])
+        np.testing.assert_array_equal(values[~nulls], cold_arrays[c][0][~nulls])
+        assert [None if m else v for v, m in zip(values.tolist(), nulls)] == cold[c]
+
+
+# ----------------------------------------------------------------------
+# Delta decode with and without positions
+# ----------------------------------------------------------------------
+
+_ROW = st.tuples(
+    st.none() | st.integers(-(2**62), 2**62),
+    st.none() | st.text(max_size=5),
+    st.none() | st.floats(allow_nan=False),
+)
+_ALL_NULL_NAME = st.tuples(
+    st.none() | st.integers(0, 5), st.none(), st.none() | st.floats(-1, 1)
+)
+
+
+@given(rows=st.lists(_ROW, max_size=40) | st.lists(_ALL_NULL_NAME, max_size=12),
+       data=st.data())
+@settings(max_examples=60, **_FIXTURE_OK)
+def test_delta_decode_with_and_without_positions_agree(backend, rows, data):
+    delta = DeltaPartition.create(SCHEMA, backend, chunk_capacity=4)
+    for row in rows:
+        delta.insert_row(list(row), tid=1)
+    n = len(rows)
+    picked = data.draw(st.lists(st.integers(0, n - 1), max_size=20)) if n else []
+    positions = np.asarray(picked, dtype=np.int64)
+    for col in range(3):
+        expected = [row[col] for row in rows]
+        assert delta.decode_column(col) == expected
+        assert delta.decode_column(col, positions) == [expected[i] for i in picked]
+        values, nulls = delta.column_array(col)
+        assert nulls.tolist() == [v is None for v in expected]
+        some, some_nulls = delta.column_array(col, positions)
+        np.testing.assert_array_equal(some_nulls, nulls[positions])
+        keep = ~some_nulls
+        np.testing.assert_array_equal(some[keep], values[positions][keep])
+        assert some.dtype == values.dtype
+        with pytest.raises(IndexError):
+            delta.decode_column(col, np.asarray([n]))
+
+
+def test_gather_rejects_a_crash_torn_tail(backend):
+    """Code vectors run ahead of the begin vector when an insert tore;
+    the published row count, not ``len(vector)``, bounds a gather."""
+    delta = DeltaPartition.create(SCHEMA, backend)
+    delta.insert_row([1, "a", 1.0], tid=1)
+    delta.insert_row([2, "b", 2.0], tid=1)
+    for vector in delta.code_vectors:
+        vector.extend(np.asarray([0, 0, 0], dtype=np.uint32))
+    assert delta.row_count == 2 < len(delta.code_vectors[0])
+    torn = np.asarray([delta.row_count])
+    for col in range(3):
+        with pytest.raises(IndexError):
+            delta.codes_at(col, torn)
+        with pytest.raises(IndexError):
+            delta.decode_column(col, torn)
+        with pytest.raises(IndexError):
+            delta.column_array(col, np.asarray([0, 4]))
+    assert delta.decode_column(1, np.asarray([1, 0])) == ["b", "a"]
+
+
+# ----------------------------------------------------------------------
+# After a restart the first row costs what a row costs
+# ----------------------------------------------------------------------
+
+
+def _first_row_read_bytes(path: str, n: int) -> int:
+    """Modelled NVM bytes ``rows()`` of one indexed hit reads, first
+    thing after a reopen, on a table whose ``n`` rows all sit in the
+    delta."""
+    db = Database(path, make_config(DurabilityMode.NVM))
+    db.create_table(
+        "t", {"id": DataType.INT64, "grp": DataType.STRING, "qty": DataType.INT64}
+    )
+    db.create_index("t", "id")
+    db.insert_many(
+        "t", [{"id": i, "grp": f"g{i % 7}", "qty": i % 5} for i in range(n)]
+    )
+    db = db.restart()
+    key = n // 2
+    # The probe rebuilds the volatile lookup structures (O(delta), the
+    # documented lazy cost); materialising its one row must not.
+    result = db.query("t", Eq("id", key))
+    stats = db._pool.stats
+    before = stats.bytes_read
+    assert result.rows() == [{"id": key, "grp": f"g{key % 7}", "qty": key % 5}]
+    spent = stats.bytes_read - before
+    db.close()
+    return spent
+
+
+def test_first_row_after_reopen_reads_the_same_for_any_delta_size(tmp_path):
+    small = _first_row_read_bytes(str(tmp_path / "small"), 2_000)
+    large = _first_row_read_bytes(str(tmp_path / "large"), 20_000)
+    assert small == large
+    assert small < 2_000  # a few codes, values and 7 short strings

@@ -82,6 +82,26 @@ class TestCleanRestart:
             assert db.query("items", Eq("id", 3)).count == 1
             db.close()
 
+    @pytest.mark.parametrize("mode", [DurabilityMode.NVM, DurabilityMode.LOG])
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_write_before_first_indexed_read_keeps_old_rows(
+        self, tmp_path, mode, batch
+    ):
+        """A write may precede the first indexed read after a reopen; the
+        volatile delta index must still pick up every pre-restart row."""
+        db = Database(str(tmp_path / "db"), make_config(mode))
+        _fill(db)
+        db.create_index("items", "id")
+        db = db.restart()
+        if batch:
+            db.insert_many("items", [{"id": 100, "name": "a"}, {"id": 101, "name": "b"}])
+        else:
+            db.insert("items", {"id": 100, "name": "a"})
+        assert db.query("items", Eq("id", 7)).rows() == [{"id": 7, "name": "n3"}]
+        assert db.query("items", Eq("id", 100)).rows() == [{"id": 100, "name": "a"}]
+        assert db.query("items").count == (32 if batch else 31)
+        db.close()
+
 
 class TestCrashRecovery:
     def test_nvm_committed_survive_crash(self, tmp_path):
