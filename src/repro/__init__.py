@@ -31,7 +31,7 @@ from repro.obs import (
     to_prometheus,
     trace_phase,
 )
-from repro.storage import ColumnDef, DataType, Schema
+from repro.storage import ColumnDef, DataType, Schema, SchemaError
 from repro.query import (
     And,
     Between,
@@ -85,6 +85,7 @@ __all__ = [
     "Or",
     "Predicate",
     "Schema",
+    "SchemaError",
     "ShardedEngine",
     "ShardedResult",
     "Transaction",

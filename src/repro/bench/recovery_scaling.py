@@ -1,14 +1,14 @@
-"""E16 — recovery fast path: parallel replay + incremental checkpoints.
+"""E16 — the one LOG restart path: coalesced replay + chained checkpoints.
 
 Two sweeps behind the experiment:
 
-* **Replay scaling** — restart time of a crashed LOG engine versus log
-  length and ``replay_workers``. The workload spreads multi-row
-  transactions round-robin over several tables, the shape the
-  partitioned replay exploits: per-table queues drain on a thread pool
-  and consecutive insert records coalesce into one vectorized delta
-  append per transaction (the dominant win — the serial replayer pays
-  one Python row-insert per record).
+* **Replay cost vs transaction shape** — restart time of a crashed LOG
+  engine versus log length and rows per transaction. The replayer
+  coalesces each run of consecutive insert records of one table into
+  one vectorized delta append, so a log of multi-row transactions
+  replays far cheaper *per record* than the same number of records
+  written as one-row autocommits (where every run has length one and
+  the replayer pays one Python row-insert per record).
 * **Incremental checkpoint cost** — bytes and seconds for a full chain
   link (every table dirty) versus the next link after touching a single
   table, on a multi-table database. Clean tables carry their segment
@@ -66,55 +66,51 @@ def build_replay_log(
     db.crash()
 
 
-def timed_restart(path: str, workers: int) -> dict:
+def timed_restart(path: str) -> dict:
     """Cold-open a crashed copy; report wall and replay-phase seconds."""
     start = time.perf_counter()
-    db = Database(path, _config(replay_workers=workers))
+    db = Database(path, _config())
     wall = time.perf_counter() - start
-    phases = dict(db.last_recovery.phases)
-    if workers > 1:
-        replay_s = phases["log_partition"] + phases["parallel_apply"]
-    else:
-        replay_s = phases["log_replay"]
     out = {
-        "workers": workers,
         "restart_s": wall,
-        "replay_s": replay_s,
+        "replay_s": db.last_recovery.phase_seconds("log_replay"),
         "records": db.last_recovery.log_records_replayed,
-        "rows": sum(
-            db.table(name).row_count for name in db.table_names
-        ),
+        "rows": sum(db.table(name).row_count for name in db.table_names),
     }
     db.close()
     return out
 
 
 def replay_scaling_rows(
-    record_counts: list[int], worker_counts: list[int], base_dir: str
+    record_counts: list[int], rows_per_txn: list[int], base_dir: str
 ) -> list[dict]:
-    """One row per (log length, workers) point; speedup vs serial."""
+    """One row per (log length, rows per transaction) point.
+
+    ``coalescing_gain`` is the per-record replay cost of the first
+    listed shape (list the one-row shape first) over this point's.
+    """
     rows_out = []
     for records in record_counts:
-        origin = os.path.join(base_dir, f"log-{records}")
-        build_replay_log(origin, records)
-        serial_replay = None
-        for workers in worker_counts:
-            copy = os.path.join(base_dir, f"log-{records}-w{workers}")
-            shutil.copytree(origin, copy)
-            point = timed_restart(copy, workers)
-            shutil.rmtree(copy, ignore_errors=True)
-            if serial_replay is None:
-                serial_replay = point["replay_s"]
+        baseline_us = None
+        for shape in rows_per_txn:
+            path = os.path.join(base_dir, f"log-{records}-r{shape}")
+            build_replay_log(path, records, rows_per_txn=shape)
+            point = timed_restart(path)
+            shutil.rmtree(path, ignore_errors=True)
+            us_per_record = 1e6 * point["replay_s"] / point["records"]
+            if baseline_us is None:
+                baseline_us = us_per_record
             rows_out.append(
                 {
-                    "log_records": records,
-                    "workers": workers,
+                    "log_records": point["records"],
+                    "rows_per_txn": shape,
+                    "rows": point["rows"],
                     "restart_s": point["restart_s"],
                     "replay_s": point["replay_s"],
-                    "replay_speedup": serial_replay / point["replay_s"],
+                    "us_per_record": us_per_record,
+                    "coalescing_gain": baseline_us / us_per_record,
                 }
             )
-        shutil.rmtree(origin, ignore_errors=True)
     return rows_out
 
 

@@ -96,16 +96,6 @@ class EngineConfig:
     merge_cutover_timeout_s: float = 5.0
     #: Poll interval of the background maintenance daemon.
     maintenance_interval_s: float = 0.05
-    #: Worker threads for LOG-mode recovery. ``1`` keeps the serial
-    #: replay loop (the replication follower's apply path, unchanged);
-    #: ``> 1`` partitions the log into per-table apply queues serviced
-    #: by this many workers, with a parallel index rebuild afterwards.
-    replay_workers: int = 1
-    #: LOG mode: write chained incremental checkpoints (only tables
-    #: mutated since the previous checkpoint) instead of monolithic full
-    #: snapshots. Restore composes the chain; a legacy full
-    #: ``checkpoint.ckpt`` is still honoured when no chain exists.
-    incremental_checkpoints: bool = True
     #: Trigger a background checkpoint once this many log bytes have
     #: accumulated since the last one (LOG mode; enables the
     #: maintenance daemon). None disables the byte trigger.
@@ -143,8 +133,6 @@ class EngineConfig:
             raise ValueError("merge_cutover_timeout_s must be > 0")
         if self.maintenance_interval_s <= 0:
             raise ValueError("maintenance_interval_s must be > 0")
-        if self.replay_workers < 1:
-            raise ValueError("replay_workers must be >= 1")
         if self.checkpoint_log_bytes is not None and self.checkpoint_log_bytes < 1:
             raise ValueError("checkpoint_log_bytes must be >= 1")
         if (

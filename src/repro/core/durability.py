@@ -31,7 +31,7 @@ from repro.core.config import DurabilityMode, EngineConfig
 from repro.core.nvm_catalog import NvmCatalog
 from repro.nvm.pool import PMemPool
 from repro.obs import get_registry
-from repro.recovery.log_recovery import recover_log
+from repro.recovery.log_recovery import LogReplayer, recover_log
 from repro.recovery.nvm_recovery import recover_nvm
 from repro.recovery.report import RecoveryReport
 from repro.storage.backend import NvmBackend, VolatileBackend
@@ -43,13 +43,7 @@ from repro.txn.manager import (
     VolatileTidAllocator,
 )
 from repro.txn.txn_table import VolatileTxnTable
-from repro.wal.checkpoint import (
-    CheckpointChain,
-    CheckpointData,
-    chain_dir,
-    snapshot_table,
-    write_checkpoint,
-)
+from repro.wal.checkpoint import CheckpointChain, chain_dir, snapshot_table
 from repro.wal.writer import LogWriter
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -164,10 +158,6 @@ class NvmDriver(DurabilityDriver):
         return os.path.join(self.path, "ship.log")
 
     @property
-    def ship_checkpoint_path(self) -> str:
-        return os.path.join(self.path, "ship.ckpt")
-
-    @property
     def wal(self) -> Optional[LogWriter]:
         """The shippable stream: the ship log when replication is on."""
         return self._ship_wal
@@ -175,8 +165,8 @@ class NvmDriver(DurabilityDriver):
     def attach_ship_log(self, wal: LogWriter) -> None:
         """Start mirroring every transaction into ``wal``.
 
-        The shipper calls this right after writing the ship checkpoint
-        (a physical snapshot followers bootstrap from), with the engine
+        The shipper calls this right after publishing the ship snapshot
+        (the one-link chain followers bootstrap from), with the engine
         quiescent — so the log stream begins exactly at the snapshot's
         state and every later operation is mirrored through the
         manager's WAL hook.
@@ -359,11 +349,11 @@ class LogDriver(VolatileDriver):
     def __init__(self, path: str, config: EngineConfig):
         super().__init__(path, config)
         self._wal: Optional[LogWriter] = None
-        # Incremental-checkpoint state: the chain directory, the live
-        # table_id -> segment-sequence mapping of the current manifest,
-        # and the change token each mapped table had when its segment
-        # was written (token unchanged => table clean, skip rewriting).
-        self._chain = CheckpointChain(chain_dir(self.checkpoint_path))
+        # Checkpoint state: the chain directory, the live table_id ->
+        # segment-sequence mapping of the current manifest, and the
+        # change token each mapped table had when its segment was
+        # written (token unchanged => table clean, skip rewriting).
+        self._chain = CheckpointChain(chain_dir(path))
         self._segment_map: dict[int, int] = {}
         self._clean_tokens: dict[int, tuple] = {}
         self._last_checkpoint_lsn = 0
@@ -378,10 +368,6 @@ class LogDriver(VolatileDriver):
         return self._wal
 
     @property
-    def checkpoint_path(self) -> str:
-        return os.path.join(self.path, "checkpoint.ckpt")
-
-    @property
     def meta_path(self) -> str:
         return os.path.join(self.path, "meta.json")
 
@@ -390,17 +376,13 @@ class LogDriver(VolatileDriver):
         report = RecoveryReport(mode="log")
         with report.span:
             self.backend = db.backend = VolatileBackend()
-            result = recover_log(
-                self.checkpoint_path,
-                self.log_path,
-                self.backend,
-                report=report,
-                workers=self.config.replay_workers,
+            replayed = recover_log(
+                self._chain.directory, self.log_path, self.backend, report
             )
-            for table in result.tables.values():
+            for table in replayed.tables.values():
                 db._register(table, {})
-            self._next_table_id = result.next_table_id
-            self._seed_checkpoint_state(result)
+            self._next_table_id = replayed.next_table_id
+            self._seed_checkpoint_state(replayed)
             with report.phase("log_reopen"):
                 # A real power failure can leave garbage (or a
                 # half-written record) past the last valid frame. Drop
@@ -408,7 +390,7 @@ class LogDriver(VolatileDriver):
                 # records appended after garbage would be unreachable to
                 # every future replay, silently losing the transactions
                 # they describe.
-                self._drop_torn_tail(result.end_lsn)
+                self._drop_torn_tail(replayed.lsn)
                 self._wal = LogWriter(
                     self.log_path,
                     self.config.group_commit_size,
@@ -416,8 +398,8 @@ class LogDriver(VolatileDriver):
                 )
                 db._manager = self._volatile_manager(
                     db,
-                    last_cid=result.last_cid,
-                    first_tid=result.max_tid + 1,
+                    last_cid=replayed.last_cid,
+                    first_tid=replayed.max_tid + 1,
                     wal=self._wal,
                 )
             with report.phase("index_rebuild"):
@@ -425,8 +407,8 @@ class LogDriver(VolatileDriver):
             report.tables = len(db._tables_by_id)
         return report
 
-    def _seed_checkpoint_state(self, result) -> None:
-        """Prime incremental-checkpoint dirty tracking after recovery.
+    def _seed_checkpoint_state(self, replayed: LogReplayer) -> None:
+        """Prime the checkpointer's dirty tracking after recovery.
 
         A table whose snapshot came from the chain and that no replayed
         record touched is byte-identical to its segment, so it starts
@@ -434,16 +416,15 @@ class LogDriver(VolatileDriver):
         Tables the replay touched — or that only exist in the log tail —
         are unmapped and will be rewritten by the next checkpoint.
         """
-        self._last_checkpoint_lsn = result.checkpoint_lsn
+        self._last_checkpoint_lsn = replayed.start_lsn
         self._segment_map = {}
         self._clean_tokens = {}
-        state = self._chain.state()
+        state = replayed.chain_state
         if state is None:
             return
-        touched = result.touched_table_ids
         for table_id, seg_seq in state.mapping.items():
-            table = result.tables.get(table_id)
-            if table is None or table_id in touched:
+            table = replayed.tables.get(table_id)
+            if table is None or table_id in replayed.touched:
                 continue
             self._segment_map[table_id] = seg_seq
             self._clean_tokens[table_id] = table.change_token()
@@ -464,44 +445,15 @@ class LogDriver(VolatileDriver):
                 os.fsync(f.fileno())
 
     def _rebuild_declared_indexes(self, db: "Database") -> None:
-        """Recreate the (volatile) indexes declared in meta.json.
-
-        With ``replay_workers > 1`` the index builds — independent
-        read-only scans of distinct (table, column) pairs — run on a
-        thread pool; registration into the engine's index registry stays
-        on this thread (plain dict mutation).
-        """
+        """Recreate the (volatile) indexes declared in meta.json."""
         if not os.path.exists(self.meta_path):
             return
         with open(self.meta_path) as f:
             meta = json.load(f)
-        wanted = [
-            (db.table(table_name), column)
-            for table_name, columns in meta.get("indexes", {}).items()
-            if table_name in db._tables_by_name
-            for column in columns
-        ]
-        workers = self.config.replay_workers
-        if workers > 1 and len(wanted) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            from repro.index.table_index import TableIndex
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                built = list(
-                    pool.map(
-                        lambda item: TableIndex.build(
-                            self.backend, item[0], item[1],
-                            persistent_delta=False,
-                        ),
-                        wanted,
-                    )
-                )
-            for (table, column), index in zip(wanted, built):
-                db._indexes[table.table_id][column] = index
-        else:
-            for table, column in wanted:
-                db._build_index(table, column, False)
+        for table_name, columns in meta.get("indexes", {}).items():
+            if table_name in db._tables_by_name:
+                for column in columns:
+                    db._build_index(db.table(table_name), column, False)
 
     def _save_meta(self) -> None:
         db = self._db
@@ -574,13 +526,11 @@ class LogDriver(VolatileDriver):
         return max(0, self._wal.lsn - self._last_checkpoint_lsn)
 
     def checkpoint(self) -> int:
-        """Write a checkpoint; returns bytes written.
+        """Publish one link of the chain; returns bytes written.
 
-        With ``config.incremental_checkpoints`` (the default) this
-        publishes one link of the chain: only tables whose change token
-        moved since their last segment are re-snapshotted; clean tables
-        carry their existing segment references forward through the new
-        manifest. Otherwise the legacy monolithic snapshot is written.
+        Only tables whose change token moved since their last segment
+        are re-snapshotted; clean tables carry their existing segment
+        references forward through the new manifest.
         """
         db = self._db
         if db._manager.active_count:
@@ -590,45 +540,33 @@ class LogDriver(VolatileDriver):
         lsn = self._wal.lsn
         last_cid = db._manager.last_cid
         registry = get_registry()
-        if self.config.incremental_checkpoints:
-            live = db._tables_by_id
-            dirty = [
-                table
-                for table_id, table in live.items()
-                if table_id not in self._segment_map
-                or self._clean_tokens.get(table_id) != table.change_token()
-            ]
-            dirty_ids = {t.table_id for t in dirty}
-            carry = {
-                table_id: seg
-                for table_id, seg in self._segment_map.items()
-                if table_id in live and table_id not in dirty_ids
-            }
-            state, written = self._chain.publish(
-                [snapshot_table(t) for t in dirty],
-                carry,
-                last_cid,
-                lsn,
-                self._next_table_id,
-            )
-            self._segment_map = state.mapping
-            for table in dirty:
-                self._clean_tokens[table.table_id] = table.change_token()
-            for table_id in list(self._clean_tokens):
-                if table_id not in state.mapping:
-                    del self._clean_tokens[table_id]
-            registry.counter("engine_checkpoint_tables_total").inc(len(dirty))
-        else:
-            data = CheckpointData(
-                last_cid=last_cid,
-                lsn=lsn,
-                next_table_id=self._next_table_id,
-                tables=[snapshot_table(t) for t in db._tables_by_id.values()],
-            )
-            written = write_checkpoint(data, self.checkpoint_path)
-            registry.counter("engine_checkpoint_tables_total").inc(
-                len(data.tables)
-            )
+        live = db._tables_by_id
+        dirty = [
+            table
+            for table_id, table in live.items()
+            if table_id not in self._segment_map
+            or self._clean_tokens.get(table_id) != table.change_token()
+        ]
+        dirty_ids = {t.table_id for t in dirty}
+        carry = {
+            table_id: seg
+            for table_id, seg in self._segment_map.items()
+            if table_id in live and table_id not in dirty_ids
+        }
+        state, written = self._chain.publish(
+            [snapshot_table(t) for t in dirty],
+            carry,
+            last_cid,
+            lsn,
+            self._next_table_id,
+        )
+        self._segment_map = state.mapping
+        for table in dirty:
+            self._clean_tokens[table.table_id] = table.change_token()
+        for table_id in list(self._clean_tokens):
+            if table_id not in state.mapping:
+                del self._clean_tokens[table_id]
+        registry.counter("engine_checkpoint_tables_total").inc(len(dirty))
         self._last_checkpoint_lsn = lsn
         registry.counter("engine_checkpoints_total").inc()
         registry.counter("engine_checkpoint_bytes_total").inc(written)

@@ -73,10 +73,6 @@ class SweepSettings:
     extent_size: int = SWEEP_EXTENT
     #: Ack mode for the ``replicated`` workload (async/semi_sync/quorum).
     ack_mode: str = "semi_sync"
-    #: Recovery replay workers for LOG-mode cells (1 = serial). The
-    #: crash side is identical either way; this sweeps the *recovery*
-    #: path, proving partitioned replay honours the same contract.
-    replay_workers: int = 1
 
 
 #: Key of the row the post-promotion pin writes (disjoint from any key a
@@ -135,7 +131,6 @@ class CrashSweep:
             # up quickly — points inside merge_mix steps would otherwise
             # stall for the default window on every sweep iteration.
             merge_cutover_timeout_s=1.0,
-            replay_workers=self.settings.replay_workers,
         )
 
     def _open(self, path: str) -> Engine:
@@ -730,7 +725,6 @@ class CrashSweep:
             "mode": self.settings.mode,
             "shards": self.settings.shards,
             "ack_mode": self.settings.ack_mode if self.replicated else None,
-            "replay_workers": self.settings.replay_workers,
             "survivor_fraction": self.settings.survivor_fraction,
             "seed": self.settings.seed,
             "sampled": sampled,
@@ -802,12 +796,6 @@ def main(argv: Optional[list] = None) -> int:
         help="comma list of ack modes for the replicated workload "
         "(async,semi_sync,quorum); ignored otherwise",
     )
-    parser.add_argument(
-        "--replay-workers",
-        default="1",
-        help="comma list of recovery replay worker counts; counts > 1 "
-        "apply to LOG-mode cells only (other modes do not replay a log)",
-    )
     parser.add_argument("--out", default=None, help="write the JSON report here")
     parser.add_argument(
         "--root",
@@ -821,7 +809,6 @@ def main(argv: Optional[list] = None) -> int:
     survivors = _csv(args.survivors, float)
     replicated = args.workload == "replicated"
     ack_modes = _csv(args.acks, str) if replicated else ["semi_sync"]
-    worker_counts = _csv(args.replay_workers, int)
 
     configs = []
     for mode in modes:
@@ -838,13 +825,8 @@ def main(argv: Optional[list] = None) -> int:
                     # cutover events, and a crash there loses everything
                     # regardless of survivor fraction; one cell suffices.
                     continue
-                for workers in worker_counts:
-                    if mode != "log" and workers != worker_counts[0]:
-                        # Replay workers only matter where recovery
-                        # replays a log; one cell per non-log config.
-                        continue
-                    for ack in ack_modes:
-                        configs.append((mode, shards, survivor, ack, workers))
+                for ack in ack_modes:
+                    configs.append((mode, shards, survivor, ack))
 
     if args.root is not None:
         root, cleanup = args.root, False
@@ -854,7 +836,7 @@ def main(argv: Optional[list] = None) -> int:
 
     reports = []
     try:
-        for mode, shards, survivor, ack, workers in configs:
+        for mode, shards, survivor, ack in configs:
             settings = SweepSettings(
                 workload=args.workload,
                 mode=mode,
@@ -863,18 +845,13 @@ def main(argv: Optional[list] = None) -> int:
                 sample=args.sample,
                 seed=args.seed,
                 ack_mode=ack,
-                replay_workers=workers,
             )
-            cell = os.path.join(
-                root, f"{mode}-s{shards}-f{survivor}-{ack}-w{workers}"
-            )
+            cell = os.path.join(root, f"{mode}-s{shards}-f{survivor}-{ack}")
             report = CrashSweep(cell, settings).run()
             reports.append(report)
             acks_note = f" acks={ack}" if replicated else ""
-            workers_note = f" replay_workers={workers}" if mode == "log" else ""
             print(
-                f"[{mode} shards={shards} survivor={survivor}{acks_note}"
-                f"{workers_note}] "
+                f"[{mode} shards={shards} survivor={survivor}{acks_note}] "
                 f"swept {report['points_swept']}/{report['points_total']} "
                 f"points, {len(report['violations'])} violation(s), "
                 f"{report['elapsed_seconds']:.1f}s",

@@ -7,17 +7,19 @@ The two recovery paths embody the paper's comparison:
   or forward. Work is O(in-flight transactions): *instant*, independent
   of dataset size.
 * :func:`~repro.recovery.log_recovery.recover_log` — load the last
-  checkpoint, replay the log tail, rebuild volatile lookup structures
-  and indexes. Work is O(dataset + log tail).
+  checkpoint, replay the log tail through the one
+  :class:`~repro.recovery.log_recovery.LogReplayer` (which replication
+  followers also run), rebuild volatile lookup structures and indexes.
+  Work is O(dataset + log tail).
 """
 
 from repro.recovery.report import RecoveryReport, ShardedRecoveryReport
 from repro.recovery.nvm_recovery import recover_nvm
-from repro.recovery.log_recovery import LogRecoveryResult, recover_log
+from repro.recovery.log_recovery import LogReplayer, recover_log
 from repro.recovery.validator import validate_database
 
 __all__ = [
-    "LogRecoveryResult",
+    "LogReplayer",
     "RecoveryReport",
     "ShardedRecoveryReport",
     "recover_log",

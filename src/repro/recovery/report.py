@@ -165,23 +165,3 @@ class ShardedRecoveryReport:
             out["span"] = self.span.as_dict()
         return out
 
-
-class PhaseTimer:
-    """Context-manager helper timing one phase of a report.
-
-    Back-compat shim over the span tree: entering opens a child span of
-    ``report.span`` and exiting finishes it.
-    """
-
-    def __init__(self, report: RecoveryReport, name: str):
-        self._span = Span(name)
-        report.span.children.append(self._span)
-
-    def __enter__(self) -> "PhaseTimer":
-        self._span.start()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc is not None and self._span.error is None:
-            self._span.error = f"{exc_type.__name__}: {exc}"
-        self._span.finish()

@@ -1,21 +1,21 @@
 """Read replica: a continuous apply loop over the replay machinery.
 
-A :class:`Follower` is *not* a full engine. It owns DRAM tables rebuilt
-from the primary's checkpoint and a :class:`~repro.recovery.log_recovery.
-LogReplayer` that a background thread feeds with shipped log records —
-the same REDO-only replay crash recovery runs, just never-ending. Reads
-go through the ordinary vectorized scan path at the replayer's last
-applied commit id, so a follower serves the identical query surface as
-the primary, seconds-fresh.
+A :class:`Follower` is *not* a full engine. It owns the
+:class:`~repro.recovery.log_recovery.LogReplayer` crash recovery runs —
+same class, just never finished — positioned at the primary's
+checkpoint chain and fed by a background thread with whatever shipped
+payloads its queue holds. Reads go through the ordinary vectorized scan
+path at the replayer's last applied commit id, so a follower serves the
+identical query surface as the primary, seconds-fresh.
 
 Two invariants make promotion trivial:
 
-* the follower mirrors every shipped frame into a local log file at the
-  **same byte offsets** as the primary's log (the prefix before the
-  bootstrap checkpoint is a hole — ``truncate`` extends the file
-  sparsely), so LSNs mean the same thing on both sides;
-* the bootstrap checkpoint is copied next to that log with its original
-  ``lsn`` field.
+* the follower mirrors every shipped payload, re-framed, into a local
+  log file at the **same byte offsets** as the primary's log (the prefix
+  before the bootstrap checkpoint is a hole — ``truncate`` extends the
+  file sparsely), so LSNs mean the same thing on both sides;
+* the bootstrap chain is installed under the follower's own
+  ``checkpoints/`` with its original ``lsn``.
 
 ``promote()`` therefore is exactly an instant-restart: open a
 :class:`~repro.core.database.Database` in LOG mode over the follower's
@@ -40,8 +40,8 @@ from repro.query.predicate import Predicate
 from repro.query.scan import ScanResult, scan
 from repro.recovery.log_recovery import LogReplayer
 from repro.storage.backend import VolatileBackend
-from repro.wal.checkpoint import read_checkpoint
-from repro.wal.records import LogRecord
+from repro.wal.checkpoint import CheckpointChain, chain_dir
+from repro.wal.records import frame_payload
 
 _STOP = object()  # apply-queue sentinel
 
@@ -58,7 +58,6 @@ class Follower:
         self._thread: Optional[threading.Thread] = None
         self._log_file = None
         self._applied_lsn = 0
-        self._start_lsn = 0
         self._applied_cond = threading.Condition()
         self._on_ack: Optional[Callable[[int], None]] = None
         self._promoted = False
@@ -81,59 +80,30 @@ class Follower:
     def log_path(self) -> str:
         return os.path.join(self.path, "wal.log")
 
-    @property
-    def checkpoint_path(self) -> str:
-        return os.path.join(self.path, "checkpoint.ckpt")
+    def bootstrap(self, chain_src: Optional[str], start_lsn: int) -> None:
+        """Install the primary's checkpoint chain; open the log mirror.
 
-    def bootstrap(
-        self, checkpoint_src: Optional[str], start_lsn: int
-    ) -> None:
-        """Load the primary's checkpoint; open the local log mirror.
-
-        ``checkpoint_src`` is the primary's checkpoint file (``None``
+        ``chain_src`` is the shipper's pinned chain directory (``None``
         when the primary has none — replay then starts from an empty
         database at LSN 0). ``start_lsn`` is the primary log offset the
-        stream will start at; it must equal the checkpoint's own
-        ``lsn`` so offsets stay aligned.
+        stream will start at; it must equal the chain's own ``lsn`` so
+        offsets stay aligned.
         """
         os.makedirs(self.path, exist_ok=True)
-        tables = {}
-        last_cid = 0
-        next_table_id = 1
-        if checkpoint_src is not None and os.path.exists(checkpoint_src):
-            if os.path.abspath(checkpoint_src) != os.path.abspath(
-                self.checkpoint_path
-            ):
-                shutil.copyfile(checkpoint_src, self.checkpoint_path)
-            data = read_checkpoint(self.checkpoint_path)
-            if data.lsn != start_lsn:
-                raise ValueError(
-                    f"checkpoint lsn {data.lsn} != stream start {start_lsn}"
-                )
-            from repro.wal.checkpoint import restore_table
-
-            last_cid = data.last_cid
-            next_table_id = data.next_table_id
-            for snapshot in data.tables:
-                tables[snapshot.table_id] = restore_table(
-                    snapshot, self.backend
-                )
-        elif start_lsn:
+        own_chain = chain_dir(self.path)
+        if chain_src is None or CheckpointChain(chain_src).pin(own_chain) is None:
+            shutil.rmtree(own_chain, ignore_errors=True)  # reused dir
+        self._replayer = LogReplayer(self.backend, own_chain)
+        if self._replayer.start_lsn != start_lsn:
             raise ValueError(
-                f"stream starts at {start_lsn} but there is no checkpoint"
+                f"checkpoint lsn {self._replayer.start_lsn} != "
+                f"stream start {start_lsn}"
             )
-        self._replayer = LogReplayer(
-            self.backend,
-            tables=tables,
-            last_cid=last_cid,
-            next_table_id=next_table_id,
-        )
         # Local log mirror at primary byte offsets: the pre-checkpoint
         # prefix is a sparse hole, appends start exactly at start_lsn.
         self._log_file = open(self.log_path, "wb")
         self._log_file.truncate(start_lsn)
         self._log_file.seek(start_lsn)
-        self._start_lsn = start_lsn
         self._applied_lsn = start_lsn
 
     # -- apply loop ----------------------------------------------------
@@ -146,32 +116,44 @@ class Follower:
         )
         self._thread.start()
 
-    def enqueue(self, frame: bytes, record: LogRecord, end_lsn: int) -> None:
-        """Hand one shipped frame to the apply loop (shipper thread)."""
-        self._queue.put((frame, record, end_lsn))
+    def enqueue(self, payload: bytes, end_lsn: int) -> None:
+        """Hand one shipped payload to the apply loop (shipper thread)."""
+        self._queue.put((payload, end_lsn))
 
     def _apply_loop(self) -> None:
+        replayer = self._replayer
         while True:
             item = self._queue.get()
-            if item is _STOP:
-                return
-            frame, record, end_lsn = item
-            # Mirror first, apply second: if the apply loop dies between
-            # the two, the log holds at least everything applied — the
-            # promotion replay can only know *more* than the tables do.
-            self._log_file.write(frame)
-            self._replayer.apply(record)
+            records, commits = replayer.records, replayer.commits
+            # Feed whatever has queued up (bounded), then apply it as
+            # one batch. Mirror first, apply second: if the apply loop
+            # dies between the two, the log holds at least everything
+            # applied — the promotion replay can only know *more* than
+            # the tables do.
+            while item is not _STOP:
+                payload, end_lsn = item
+                self._log_file.write(frame_payload(payload))
+                if replayer.feed(payload, end_lsn):
+                    break
+                try:
+                    item = self._queue.get_nowait()
+                except queue.Empty:
+                    break
+            replayer.drain()
             if self._instruments_generation != generation():
                 self._refresh_instruments()
-            self._applies_counter.inc()
-            if record.__class__.__name__ == "CommitRecord":
-                self._commits_counter.inc()
+            self._applies_counter.inc(replayer.records - records)
+            self._commits_counter.inc(replayer.commits - commits)
+            # Publish only now: everything up to ``replayer.lsn`` —
+            # and every commit up to ``last_cid`` — is applied.
             with self._applied_cond:
-                self._applied_lsn = end_lsn
+                self._applied_lsn = replayer.lsn
                 self._applied_cond.notify_all()
             on_ack = self._on_ack
             if on_ack is not None:
-                on_ack(end_lsn)
+                on_ack(replayer.lsn)
+            if item is _STOP:
+                return
 
     @property
     def applied_lsn(self) -> int:

@@ -2,9 +2,9 @@
 
 One :class:`WalShipper` binds to one primary engine, tails its log with
 :func:`~repro.wal.reader.tail_log` from a resumable LSN, and fans each
-framed record out to every registered :class:`~repro.replication.
-follower.Follower`'s apply queue. Acknowledgement semantics follow the
-classic durability ladder:
+CRC-checked payload — never decoded on the primary — out to every
+registered :class:`~repro.replication.follower.Follower`'s apply queue.
+Acknowledgement semantics follow the classic durability ladder:
 
 * :data:`AckMode.ASYNC` — commits never wait for followers; shipping
   trails the primary's *fsync frontier* (a follower can never be ahead
@@ -25,18 +25,23 @@ Primaries without a WAL (the NVM engine) replicate through a *ship
 log*: a secondary ``group_size=0`` :class:`~repro.wal.writer.LogWriter`
 the shipper creates and wires as the transaction manager's WAL hook, so
 every operation is mirrored into a shippable stream while the pmem pool
-remains the primary's own durability mechanism. Followers bootstrap
-from a physical checkpoint written at attach time, which is why the
-shipper requires a **quiescent** primary (no active transactions): the
-snapshot format carries no transaction ids, so an in-flight
-transaction's rows could not be resolved by the stream's later commit
-records.
+remains the primary's own durability mechanism.
+
+Followers bootstrap from a checkpoint chain in the primary's ``ship/``
+directory: a LOG primary *pins* its current chain link there at attach
+(hard links — a later checkpoint's GC cannot pull the files away), an
+NVM primary publishes its attach-time pool snapshot there as a one-link
+chain. Either way the shipper requires a **quiescent** primary (no
+active transactions): the snapshot format carries no transaction ids,
+so an in-flight transaction's rows could not be resolved by the
+stream's later commit records.
 """
 
 from __future__ import annotations
 
 import enum
 import os
+import shutil
 import threading
 import time
 from typing import Optional
@@ -45,15 +50,8 @@ from repro.core.database import Database
 from repro.core.durability import LogDriver, NvmDriver
 from repro.obs import generation, get_registry
 from repro.replication.follower import Follower
-from repro.wal.checkpoint import (
-    CheckpointData,
-    load_latest,
-    read_checkpoint,
-    snapshot_table,
-    write_checkpoint,
-)
+from repro.wal.checkpoint import CheckpointChain, snapshot_table
 from repro.wal.reader import tail_log
-from repro.wal.records import encode_record
 from repro.wal.writer import LogWriter
 
 
@@ -92,30 +90,29 @@ class WalShipper:
                 "snapshot cannot represent in-flight transactions"
             )
         driver = primary._driver
+        #: Chain directory followers bootstrap from (None: no snapshot,
+        #: the stream is the whole log from byte 0).
+        self._ship_dir: Optional[str] = os.path.join(driver.path, "ship")
         if isinstance(driver, LogDriver):
             self._wal: LogWriter = driver.wal
             self._log_path = driver.log_path
-            # Followers bootstrap from a checkpoint copy and consume
-            # the log from its recorded LSN — or the whole log from
-            # byte 0 when the primary has never checkpointed. The wire
-            # protocol ships exactly one snapshot file, so an
-            # incremental checkpoint chain is flattened into a
-            # monolithic bootstrap copy beside the legacy path.
-            data, _ = load_latest(driver.checkpoint_path)
-            self._ckpt_path: Optional[str]
-            if data is None:
-                self._ckpt_path = None
-                self.start_lsn = 0
-            elif os.path.exists(driver.checkpoint_path):
-                self._ckpt_path = driver.checkpoint_path
-                self.start_lsn = read_checkpoint(self._ckpt_path).lsn
+            pinned = driver._chain.pin(self._ship_dir)
+            if pinned is None:
+                self._ship_dir, self.start_lsn = None, 0
             else:
-                self._ckpt_path = driver.checkpoint_path + ".ship"
-                write_checkpoint(data, self._ckpt_path)
-                self.start_lsn = data.lsn
+                self.start_lsn = pinned.lsn
             self._nvm = False
         elif isinstance(driver, NvmDriver):
-            self._ckpt_path = self._write_ship_checkpoint(driver)
+            # Physical snapshot of the quiescent pool; the ship log
+            # begins exactly at its state (stream LSN 0).
+            shutil.rmtree(self._ship_dir, ignore_errors=True)
+            CheckpointChain(self._ship_dir).publish(
+                [snapshot_table(t) for t in primary._tables_by_id.values()],
+                {},
+                primary.last_cid,
+                0,
+                driver._catalog.next_table_id,
+            )
             self._log_path = driver.ship_log_path
             if os.path.exists(self._log_path):
                 os.remove(self._log_path)  # stale stream from a past attach
@@ -123,7 +120,7 @@ class WalShipper:
             # the pool already made every operation durable.
             self._wal = LogWriter(self._log_path, group_size=0)
             driver.attach_ship_log(self._wal)
-            self.start_lsn = 0  # the ship log begins at the snapshot
+            self.start_lsn = 0
             self._nvm = True
         else:
             raise RuntimeError(
@@ -159,18 +156,6 @@ class WalShipper:
         )
         self._instruments_generation = generation()
 
-    def _write_ship_checkpoint(self, driver: NvmDriver) -> str:
-        """Physical snapshot of a quiescent NVM primary (stream LSN 0)."""
-        db = driver._db
-        data = CheckpointData(
-            last_cid=db.last_cid,
-            lsn=0,
-            next_table_id=driver._catalog.next_table_id,
-            tables=[snapshot_table(t) for t in db._tables_by_id.values()],
-        )
-        write_checkpoint(data, driver.ship_checkpoint_path)
-        return driver.ship_checkpoint_path
-
     # -- membership ----------------------------------------------------
 
     def add_follower(self, follower: Follower) -> Follower:
@@ -182,7 +167,7 @@ class WalShipper:
         """
         if self._thread is not None:
             raise RuntimeError("add followers before start()")
-        follower.bootstrap(self._ckpt_path, self.start_lsn)
+        follower.bootstrap(self._ship_dir, self.start_lsn)
         follower._on_ack = lambda lsn, f=follower: self._ack(f, lsn)
         self._followers.append(follower)
         self._acked[follower.name] = self.start_lsn
@@ -235,11 +220,11 @@ class WalShipper:
             poll_interval_s=self._poll_interval_s,
             stop=self._stopped.is_set,
             frontier=self._frontier,
+            decode=False,
         )
-        for record, end_lsn in tail:
-            frame = encode_record(record)
+        for payload, end_lsn in tail:
             for follower in self._followers:
-                follower.enqueue(frame, record, end_lsn)
+                follower.enqueue(payload, end_lsn)
             self.shipped_lsn = end_lsn
             if self._instruments_generation != generation():
                 self._refresh_instruments()

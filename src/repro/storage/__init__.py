@@ -9,7 +9,7 @@ DRAM (for the log-based baseline) and on the NVM pool (for Hyrise-NV).
 """
 
 from repro.storage.types import DataType, NULL_CODE
-from repro.storage.schema import ColumnDef, Schema
+from repro.storage.schema import ColumnDef, Schema, SchemaError
 from repro.storage.vector import VectorLike, VolatileVector
 from repro.storage.backend import Backend, NvmBackend, VolatileBackend
 from repro.storage.mvcc import INFINITY_CID, NO_TID, MvccColumns
@@ -31,6 +31,7 @@ __all__ = [
     "NULL_CODE",
     "NvmBackend",
     "Schema",
+    "SchemaError",
     "SortedDictionary",
     "Table",
     "UnsortedDictionary",

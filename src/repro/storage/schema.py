@@ -13,6 +13,11 @@ from dataclasses import dataclass, field
 from repro.storage.types import DataType, Value, type_from_tag, type_tag
 
 
+class SchemaError(ValueError):
+    """A table definition rejected at the API boundary — before any
+    driver allocated, registered or logged anything for it."""
+
+
 @dataclass(frozen=True)
 class ColumnDef:
     """Name and type of one column."""
@@ -21,8 +26,14 @@ class ColumnDef:
     dtype: DataType
 
     def __post_init__(self):
-        if not self.name or not self.name.isidentifier():
-            raise ValueError(f"invalid column name {self.name!r}")
+        if not isinstance(self.name, str) or not self.name.isidentifier():
+            raise SchemaError(f"invalid column name {self.name!r}")
+        if not isinstance(self.dtype, DataType):
+            accepted = ", ".join(f"DataType.{t.name}" for t in DataType)
+            raise SchemaError(
+                f"column {self.name!r} has unknown dtype {self.dtype!r}; "
+                f"accepted types are {accepted}"
+            )
 
 
 @dataclass(frozen=True)

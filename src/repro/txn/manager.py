@@ -93,8 +93,6 @@ class WalHook(Protocol):
 
     def log_invalidate(self, tid: int, table_id: int, ref: int) -> None: ...
 
-    def log_commit(self, tid: int, cid: int) -> None: ...
-
     def append_commit(self, tid: int, cid: int) -> int: ...
 
     def commit_barrier(self, lsn: int) -> None: ...

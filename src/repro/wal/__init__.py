@@ -19,16 +19,10 @@ from repro.wal.records import (
 )
 from repro.wal.writer import LogWriter
 from repro.wal.reader import read_log
-from repro.wal.checkpoint import (
-    CheckpointData,
-    TableSnapshot,
-    read_checkpoint,
-    write_checkpoint,
-)
+from repro.wal.checkpoint import TableSnapshot
 
 __all__ = [
     "AbortRecord",
-    "CheckpointData",
     "CommitRecord",
     "CreateTableRecord",
     "InsertRecord",
@@ -38,7 +32,5 @@ __all__ = [
     "TableSnapshot",
     "decode_record",
     "encode_record",
-    "read_checkpoint",
     "read_log",
-    "write_checkpoint",
 ]

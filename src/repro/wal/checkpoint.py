@@ -1,24 +1,16 @@
-"""Checkpoints: full binary snapshots of a quiesced database.
+"""Checkpoints: chained binary snapshots of a quiesced database.
 
 A checkpoint bounds log replay: restart loads the snapshot and replays
-only the log tail past the recorded LSN. The file layout preserves the
+only the log tail past the recorded LSN. The table codec preserves the
 *physical* row placement (including uncommitted garbage rows), because
 rowrefs in post-checkpoint log records address that placement.
 
-Monolithic format (little endian)::
-
-    u64 magic | u64 last_cid | u64 lsn | u64 next_table_id
-    u64 table_count | u32 body_crc
-    table*: see ``_write_table``
-
-Written atomically via a temp file + rename.
-
-**Incremental chains** (:class:`CheckpointChain`) spread the same table
-codec across many files in a ``checkpoints/`` directory so a checkpoint
-rewrites only the tables that changed:
+The chain (:class:`CheckpointChain`, a ``checkpoints/`` directory) is
+the only on-disk snapshot format, so a checkpoint rewrites only the
+tables that changed:
 
 * ``seg-%08d.ckpt`` — a *segment* holding the snapshots of the tables
-  dirty at one checkpoint (same ``_write_table`` body, own header+CRC);
+  dirty at one checkpoint (``_write_table`` bodies under a header+CRC);
 * ``manifest-%08d.ckpt`` — the chain head: last_cid/lsn/next_table_id
   plus ``(table_id, segment_seq)`` for every live table. The manifest
   lists exactly the current tables — a table absent from it is dropped,
@@ -30,17 +22,20 @@ fsync'd first (an unreferenced segment is harmless garbage), then the
 manifest is fsync'd and renamed into place — the rename is the commit
 point. Old manifests and unreferenced segments are garbage-collected
 only after a successful publish, keeping one previous manifest as a
-fallback against a torn chain head.
+fallback against a torn chain head. Replication ships a chain by
+*pinning* it (:meth:`CheckpointChain.pin`): published files are
+immutable, so a hard link is a copy GC cannot pull away.
 """
 
 from __future__ import annotations
 
 import io
 import os
+import shutil
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -53,9 +48,6 @@ from repro.storage.mvcc import MvccColumns, NO_TID
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 from repro.storage.types import DataType
-
-_MAGIC = 0x48595243_4B505431  # "HYRCKPT1"
-
 
 @dataclass
 class MainColumnSnapshot:
@@ -87,14 +79,6 @@ class TableSnapshot:
     @property
     def schema(self) -> Schema:
         return Schema.from_bytes(self.schema_blob)
-
-
-@dataclass
-class CheckpointData:
-    last_cid: int
-    lsn: int
-    next_table_id: int
-    tables: list[TableSnapshot] = field(default_factory=list)
 
 
 # ----------------------------------------------------------------------
@@ -283,56 +267,8 @@ def _read_table(buf: memoryview, pos: int) -> tuple[TableSnapshot, int]:
     return snap, pos
 
 
-def write_checkpoint(data: CheckpointData, path: str) -> int:
-    """Atomically write a checkpoint; returns bytes written."""
-    body = io.BytesIO()
-    for snap in data.tables:
-        _write_table(body, snap)
-    body_bytes = body.getvalue()
-    header = struct.pack(
-        "<QQQQQI",
-        _MAGIC,
-        data.last_cid,
-        data.lsn,
-        data.next_table_id,
-        len(data.tables),
-        zlib.crc32(body_bytes),
-    )
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(header)
-        f.write(body_bytes)
-        f.flush()
-        # Crash-point boundary: a power failure raised here leaves only
-        # the .tmp file; the rename below never publishes it.
-        persistence_event("checkpoint_fsync")
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
-    return len(header) + len(body_bytes)
-
-
-def read_checkpoint(path: str) -> CheckpointData:
-    """Load and validate a checkpoint file."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    magic, last_cid, lsn, next_table_id, table_count, crc = struct.unpack_from(
-        "<QQQQQI", raw, 0
-    )
-    if magic != _MAGIC:
-        raise ValueError(f"{path} is not a checkpoint file")
-    body = memoryview(raw)[struct.calcsize("<QQQQQI"):]
-    if zlib.crc32(body) != crc:
-        raise ValueError(f"{path} failed CRC validation")
-    data = CheckpointData(last_cid, lsn, next_table_id)
-    pos = 0
-    for _ in range(table_count):
-        snap, pos = _read_table(body, pos)
-        data.tables.append(snap)
-    return data
-
-
 # ----------------------------------------------------------------------
-# Incremental checkpoint chains
+# The checkpoint chain
 # ----------------------------------------------------------------------
 
 _SEG_MAGIC = 0x48595243_4B534547  # "HYRCKSEG"
@@ -345,9 +281,9 @@ _MAN_ENTRY = struct.Struct("<QQ")  # table_id | segment_seq
 CHAIN_DIRNAME = "checkpoints"
 
 
-def chain_dir(checkpoint_path: str) -> str:
-    """Chain directory for a legacy checkpoint path (its sibling)."""
-    return os.path.join(os.path.dirname(checkpoint_path), CHAIN_DIRNAME)
+def chain_dir(db_path: str) -> str:
+    """Chain directory of the LOG database (or follower) at ``db_path``."""
+    return os.path.join(db_path, CHAIN_DIRNAME)
 
 
 def _seg_name(seq: int) -> str:
@@ -472,7 +408,7 @@ class ChainState:
 
 
 class CheckpointChain:
-    """One incremental-checkpoint chain directory."""
+    """One checkpoint chain directory."""
 
     def __init__(self, directory: str):
         self.directory = directory
@@ -508,50 +444,92 @@ class CheckpointChain:
                     highest = seq
         return highest + 1
 
-    def state(self) -> Optional[ChainState]:
-        """Decode the newest readable manifest (no segment I/O).
+    def _path(self, name: str) -> str:
+        return os.path.join(self.directory, name)
 
-        A torn or corrupt newest manifest falls back to the previous
-        one — the publish protocol guarantees a successfully renamed
-        older manifest still references only live segments.
+    def _manifests(self) -> Iterator[ChainState]:
+        """Readable manifests, newest first.
+
+        A torn or corrupt manifest is skipped — the publish protocol
+        guarantees a successfully renamed older manifest still
+        references only live segments.
         """
         for seq in self.manifest_seqs():
-            path = os.path.join(self.directory, _manifest_name(seq))
             try:
-                last_cid, lsn, next_table_id, mapping = read_manifest(path)
+                last_cid, lsn, next_table_id, mapping = read_manifest(
+                    self._path(_manifest_name(seq))
+                )
             except (OSError, ValueError, struct.error):
                 continue
-            return ChainState(seq, last_cid, lsn, next_table_id, mapping)
-        return None
+            yield ChainState(seq, last_cid, lsn, next_table_id, mapping)
+
+    def state(self) -> Optional[ChainState]:
+        """Decode the newest readable manifest (no segment I/O)."""
+        return next(self._manifests(), None)
 
     # -- restore -------------------------------------------------------
 
-    def load(self) -> Optional[tuple[CheckpointData, int, ChainState]]:
-        """Compose the newest complete chain into a ``CheckpointData``.
+    def load(self) -> Optional[tuple[ChainState, list[TableSnapshot], int]]:
+        """Compose the newest complete chain link.
 
-        Returns ``(data, bytes_read, state)`` or ``None`` when no
-        readable manifest exists. A manifest whose segments turn out
-        unreadable is skipped the same way a torn manifest is.
+        Returns ``(state, table snapshots, bytes_read)`` or ``None``
+        when no readable manifest exists. A manifest whose segments turn
+        out unreadable is skipped the same way a torn manifest is.
         """
-        for seq in self.manifest_seqs():
-            path = os.path.join(self.directory, _manifest_name(seq))
+        for state in self._manifests():
             try:
-                last_cid, lsn, next_table_id, mapping = read_manifest(path)
-                bytes_read = os.path.getsize(path)
+                bytes_read = os.path.getsize(
+                    self._path(_manifest_name(state.seq))
+                )
                 by_segment: dict[int, list[int]] = {}
-                for table_id, seg_seq in mapping.items():
+                for table_id, seg_seq in state.mapping.items():
                     by_segment.setdefault(seg_seq, []).append(table_id)
-                data = CheckpointData(last_cid, lsn, next_table_id)
+                snapshots: list[TableSnapshot] = []
                 for seg_seq in sorted(by_segment):
-                    seg_path = os.path.join(self.directory, _seg_name(seg_seq))
-                    snapshots = read_segment(seg_path)
+                    seg_path = self._path(_seg_name(seg_seq))
+                    segment = read_segment(seg_path)
                     bytes_read += os.path.getsize(seg_path)
-                    for table_id in by_segment[seg_seq]:
-                        data.tables.append(snapshots[table_id])
+                    snapshots += [segment[t] for t in by_segment[seg_seq]]
             except (OSError, ValueError, KeyError, struct.error):
                 continue
-            state = ChainState(seq, last_cid, lsn, next_table_id, mapping)
-            return data, bytes_read, state
+            return state, snapshots, bytes_read
+        return None
+
+    # -- ship ----------------------------------------------------------
+
+    def pin(self, dest: str) -> Optional[ChainState]:
+        """Install the newest readable link as a chain of its own.
+
+        ``dest`` is replaced by a directory holding the manifest and
+        exactly the segments it references — hard links where the
+        filesystem allows (published files are never modified, so a
+        link is a free copy that this chain's GC cannot take away), byte
+        copies otherwise. The link is assembled in a sibling temp
+        directory and swapped in whole, so ``dest`` is never left
+        half-populated. Returns the pinned manifest's state, or ``None``
+        (``dest`` untouched) when there is nothing to pin.
+        """
+        if os.path.realpath(dest) == os.path.realpath(self.directory):
+            raise ValueError(f"cannot pin chain {self.directory} onto itself")
+        staging = dest.rstrip(os.sep) + ".tmp"
+        for state in self._manifests():
+            shutil.rmtree(staging, ignore_errors=True)
+            os.makedirs(staging)
+            names = [_manifest_name(state.seq)]
+            names += [_seg_name(seq) for seq in set(state.mapping.values())]
+            try:
+                for name in names:
+                    src, dst = self._path(name), os.path.join(staging, name)
+                    try:
+                        os.link(src, dst)
+                    except OSError:
+                        shutil.copyfile(src, dst)
+            except OSError:
+                continue  # collected under us; try the next manifest
+            shutil.rmtree(dest, ignore_errors=True)
+            os.rename(staging, dest)
+            return state
+        shutil.rmtree(staging, ignore_errors=True)
         return None
 
     # -- publish -------------------------------------------------------
@@ -577,13 +555,13 @@ class CheckpointChain:
         bytes_written = 0
         mapping = dict(carry_mapping)
         if dirty_snapshots:
-            seg_path = os.path.join(self.directory, _seg_name(seq))
-            bytes_written += write_segment(seg_path, dirty_snapshots)
+            bytes_written += write_segment(
+                self._path(_seg_name(seq)), dirty_snapshots
+            )
             for snap in dirty_snapshots:
                 mapping[snap.table_id] = seq
-        man_path = os.path.join(self.directory, _manifest_name(seq))
         bytes_written += write_manifest(
-            man_path, last_cid, lsn, next_table_id, mapping
+            self._path(_manifest_name(seq)), last_cid, lsn, next_table_id, mapping
         )
         self._collect_garbage(keep_manifests=2)
         return ChainState(seq, last_cid, lsn, next_table_id, mapping), bytes_written
@@ -601,9 +579,7 @@ class CheckpointChain:
         referenced: set[int] = set()
         for seq in kept:
             try:
-                _, _, _, mapping = read_manifest(
-                    os.path.join(self.directory, _manifest_name(seq))
-                )
+                _, _, _, mapping = read_manifest(self._path(_manifest_name(seq)))
             except (OSError, ValueError, struct.error):
                 continue
             referenced.update(mapping.values())
@@ -616,23 +592,6 @@ class CheckpointChain:
         ]
         for name in doomed:
             try:
-                os.remove(os.path.join(self.directory, name))
+                os.remove(self._path(name))
             except OSError:
                 pass
-
-
-def load_latest(checkpoint_path: str) -> tuple[Optional[CheckpointData], int]:
-    """Load the newest restorable checkpoint for ``checkpoint_path``.
-
-    Resolution order: the sibling ``checkpoints/`` chain (newest
-    complete manifest wins), then the legacy monolithic file — which
-    replication followers still bootstrap from — then nothing. Returns
-    ``(data or None, bytes read)``.
-    """
-    loaded = CheckpointChain(chain_dir(checkpoint_path)).load()
-    if loaded is not None:
-        data, bytes_read, _ = loaded
-        return data, bytes_read
-    if os.path.exists(checkpoint_path):
-        return read_checkpoint(checkpoint_path), os.path.getsize(checkpoint_path)
-    return None, 0

@@ -69,10 +69,10 @@ class LogScan:
       exactly these).
 
     With ``decode=False`` iteration yields the raw (CRC-checked)
-    payload bytes instead of decoded records — the parallel-replay
-    partitioner routes payloads to per-table queues by their
+    payload bytes instead of decoded records — the replayer routes
+    payloads to per-table queues by their
     :func:`~repro.wal.records.peek_payload` header and defers the full
-    decode to its apply workers.
+    decode to its drain.
     """
 
     def __init__(self, path: str, start_lsn: int = 0, decode: bool = True):
@@ -157,6 +157,7 @@ def tail_log(
     poll_interval_s: float = 0.001,
     stop: Optional[Callable[[], bool]] = None,
     frontier: Optional[Callable[[], int]] = None,
+    decode: bool = True,
 ) -> Iterator[tuple[LogRecord, int]]:
     """Follow a live log: yield ``(record, end_lsn)`` as frames appear.
 
@@ -173,6 +174,8 @@ def tail_log(
     * ``frontier`` — optional byte-offset bound (e.g. the primary's
       durable frontier for async replication): records ending past
       ``frontier()`` are withheld until the frontier advances past them.
+    * ``decode`` — as for :class:`LogScan`: ``False`` yields the raw
+      CRC-checked payloads (what a shipper forwards).
     """
     pos = from_lsn
     while True:
@@ -181,7 +184,7 @@ def tail_log(
         limit = frontier() if frontier is not None else None
         progressed = False
         if limit is None or limit > pos:
-            scan = LogScan(path, pos)
+            scan = LogScan(path, pos, decode=decode)
             for record, end in scan:
                 if limit is not None and end > limit:
                     break

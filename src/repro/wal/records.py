@@ -305,10 +305,14 @@ def _payload(record: LogRecord) -> bytes:
     raise TypeError(f"unknown record {record!r}")
 
 
+def frame_payload(payload: bytes) -> bytes:
+    """Frame one payload for appending to a log: length, CRC, body."""
+    return struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+
+
 def encode_record(record: LogRecord) -> bytes:
     """Frame a record for appending to the log."""
-    payload = _payload(record)
-    return struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+    return frame_payload(_payload(record))
 
 
 def peek_payload(payload: bytes) -> tuple[int, int, int, int]:
@@ -316,9 +320,9 @@ def peek_payload(payload: bytes) -> tuple[int, int, int, int]:
 
     Returns ``(rtype, tid, table_id, cid)`` from the fixed-offset
     prefix every record type starts with; fields a type does not carry
-    come back 0. The parallel-replay partitioner routes raw payloads
-    into per-table queues with this, leaving the expensive value/mask
-    decoding (``decode_payload``) to the apply workers.
+    come back 0. The replayer routes raw payloads into per-table queues
+    with this, leaving the expensive value/mask decoding
+    (``decode_payload``) to its drain.
     """
     (rtype,) = struct.unpack_from("<B", payload, 0)
     if rtype in (TYPE_INSERT, TYPE_INSERT_MANY, TYPE_INVALIDATE):

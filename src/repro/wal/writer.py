@@ -20,9 +20,7 @@ records trigger an fsync according to the group-commit policy:
 
 Concurrent committers use :meth:`append_commit` (enqueue the record,
 returns its LSN) followed by :meth:`commit_barrier` (wait until the
-policy says the commit is acknowledgeable). The legacy ``log_commit``
-entry point keeps the original self-contained semantics for
-single-threaded callers.
+policy says the commit is acknowledgeable).
 """
 
 from __future__ import annotations
@@ -263,7 +261,7 @@ class LogWriter:
         * sync (``group_size == 1``): wait until ``lsn`` is durable —
           one leader fsyncs for the whole group of waiters;
         * batch (``group_size == N``): fsync only when N commits are
-          pending, like the legacy policy;
+          pending;
         * async (``group_size == 0``): return immediately — the commit
           is acked while possibly not yet durable (the gap is visible
           as acked minus durable).
@@ -341,24 +339,6 @@ class LogWriter:
 
     def log_invalidate(self, tid: int, table_id: int, ref: int) -> None:
         self._write(InvalidateRecord(tid, table_id, ref))
-
-    def log_commit(self, tid: int, cid: int) -> None:
-        """Self-contained commit append + policy sync (legacy path)."""
-        end_lsn = self._write(CommitRecord(tid, cid))
-        with self._append_lock:
-            self._pending_commits += 1
-            self._pending_commit_lsns.append(end_lsn)
-            trigger = (
-                bool(self._group_size)
-                and self._pending_commits >= self._group_size
-            )
-        if trigger:
-            self._sync_to(end_lsn)
-        replication = self._replication
-        if replication is not None:
-            replication.wait_commit(end_lsn)
-        self.commits_acked += 1
-        self._acked_counter.inc()
 
     def log_abort(self, tid: int) -> None:
         self._write(AbortRecord(tid))

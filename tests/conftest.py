@@ -32,6 +32,12 @@ def strict_pool(pool_dir):
         p.close()
 
 
+def wal_commit(writer, tid: int, cid: int) -> None:
+    """Commit the way the transaction manager does: append the commit
+    record, then wait at the barrier the writer's policy sets."""
+    writer.commit_barrier(writer.append_commit(tid, cid))
+
+
 def make_config(mode: DurabilityMode, **overrides) -> EngineConfig:
     defaults = dict(mode=mode, extent_size=SMALL_EXTENT)
     defaults.update(overrides)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.config import DurabilityMode
 from repro.core.database import Database, _coerce_schema
-from repro.storage.schema import ColumnDef, Schema
+from repro.storage.schema import ColumnDef, Schema, SchemaError
 from repro.storage.types import DataType
 from repro.txn.errors import TooManyActiveTransactions
 
@@ -23,6 +23,39 @@ class TestSchemaCoercion:
     def test_schema_passthrough(self):
         schema = Schema([ColumnDef("a", DataType.INT64)])
         assert _coerce_schema(schema) is schema
+
+
+    def test_unknown_dtype_names_column_and_accepted_types(self):
+        with pytest.raises(SchemaError) as err:
+            _coerce_schema({"ok": DataType.INT64, "price": "decimal"})
+        message = str(err.value)
+        assert "'price'" in message and "'decimal'" in message
+        for dtype in DataType:
+            assert f"DataType.{dtype.name}" in message
+        with pytest.raises(SchemaError):
+            Schema([ColumnDef("a", None)])
+
+    @pytest.mark.parametrize("mode", [DurabilityMode.NVM, DurabilityMode.LOG])
+    def test_rejected_schema_changes_nothing(self, tmp_path, mode):
+        """The typed error fires before the driver allocates or logs."""
+        path = str(tmp_path / "db")
+        db = Database(path, make_config(mode))
+        db.create_table("keep", {"a": DataType.INT64})
+        db.insert("keep", {"a": 1})
+        wal = db._driver.wal
+        records_before = wal.records_written if wal is not None else None
+        with pytest.raises(SchemaError, match="decimal"):
+            db.create_table("t", {"a": "decimal"})
+        assert db.table_names == ["keep"]
+        if wal is not None:
+            assert wal.records_written == records_before
+        db.create_table("t", {"a": DataType.FLOAT64})  # the name is still free
+        db.close()
+        db = Database(path, make_config(mode))
+        assert db.table_names == ["keep", "t"]
+        assert db.verify() == []
+        assert db.query("keep").count == 1
+        db.close()
 
 
 class TestCheckpointRules:

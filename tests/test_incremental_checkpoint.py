@@ -18,7 +18,6 @@ from repro.core.database import Database
 from repro.obs import get_registry
 from repro.query.predicate import Eq
 from repro.storage.types import DataType
-from repro.wal.checkpoint import chain_dir
 
 from tests.conftest import make_config
 
@@ -34,7 +33,7 @@ def _fill_tables(db, n_tables=10, rows=200):
 
 
 def _chain(db):
-    return chain_dir(db._driver.checkpoint_path)
+    return db._driver._chain.directory
 
 
 class TestIncrementalCost:
@@ -122,20 +121,6 @@ class TestChainComposition:
         db.crash()
         db = Database(path, cfg)
         assert sorted(db.table_names) == ["t0", "t2"]
-        db.close()
-
-    def test_legacy_monolithic_mode_still_works(self, tmp_path):
-        path = str(tmp_path / "db")
-        cfg = make_config(DurabilityMode.LOG, incremental_checkpoints=False)
-        db = Database(path, cfg)
-        _fill_tables(db, n_tables=2, rows=25)
-        db.checkpoint()
-        db.crash()
-        db = Database(path, cfg)
-        assert db.last_recovery.checkpoint_bytes > 0
-        assert db.last_recovery.log_records_replayed == 0
-        assert db.query("t0").count == 25
-        assert not os.path.exists(_chain(db))
         db.close()
 
 

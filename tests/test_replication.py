@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.core.config import DurabilityMode, EngineConfig
@@ -242,6 +244,68 @@ class TestBootstrap:
         shipper.close()
         db.close()
 
+    def test_bootstrap_from_two_link_chain_with_carried_table(self, tmp_path):
+        """The pinned link references segments of *different* ages: the
+        clean table's comes from the first checkpoint, by reference."""
+        db = _log_db(tmp_path)
+        db.create_table("t", SCHEMA)
+        db.create_table("clean", SCHEMA)
+        for i in range(6):
+            db.insert("t", {"id": i, "v": f"v{i}"})
+        db.insert("clean", {"id": 1, "v": "carried"})
+        db.checkpoint()
+        db.insert("t", {"id": 6, "v": "v6"})
+        db.checkpoint()  # rewrites t only; clean is carried
+        db.insert("t", {"id": 7, "v": "v7"})  # log tail past the chain
+        shipper, (replica,) = _replicate(tmp_path, db, AckMode.SEMI_SYNC)
+        segments = sorted(
+            name
+            for name in os.listdir(tmp_path / "replica0" / "checkpoints")
+            if name.startswith("seg-")
+        )
+        assert len(segments) == 2
+        db.insert("t", {"id": 8, "v": "v8"})
+        assert shipper.sync_followers(timeout_s=10.0)
+        assert _rows(replica) == {i: f"v{i}" for i in range(9)}
+        assert replica.query("clean").column("v") == ["carried"]
+        shipper.close()
+        db.close()
+
+    def test_checkpoint_and_gc_between_attach_and_add_follower(self, tmp_path):
+        """The shipper pinned its link at attach: later checkpoints may
+        collect every file of it from the primary's own chain."""
+        db = _log_db(tmp_path)
+        db.create_table("t", SCHEMA)
+        for i in range(5):
+            db.insert("t", {"id": i, "v": f"v{i}"})
+        db.checkpoint()
+        shipper = WalShipper(db, ack_mode=AckMode.SEMI_SYNC, ack_timeout_s=20.0)
+        pinned = set(os.listdir(tmp_path / "primary" / "ship"))
+        for i in range(5, 9):
+            db.insert("t", {"id": i, "v": f"v{i}"})
+            db.checkpoint()
+        assert not pinned & set(os.listdir(tmp_path / "primary" / "checkpoints"))
+        replica = shipper.add_follower(Follower(str(tmp_path / "replica0")))
+        shipper.start()
+        db.insert("t", {"id": 9, "v": "v9"})
+        assert shipper.sync_followers(timeout_s=10.0)
+        assert _rows(replica) == {i: f"v{i}" for i in range(10)}
+        shipper.close()
+        db.close()
+
+    def test_follower_dir_has_no_snapshot_file_outside_the_chain(self, tmp_path):
+        db = _log_db(tmp_path)
+        db.create_table("t", SCHEMA)
+        db.insert("t", {"id": 1, "v": "a"})
+        db.checkpoint()
+        shipper, (replica,) = _replicate(tmp_path, db, AckMode.ASYNC)
+        assert sorted(os.listdir(tmp_path / "replica0")) == [
+            "checkpoints",
+            "wal.log",
+        ]
+        shipper.close()
+        db.close()
+
     def test_quiescent_attach_enforced(self, tmp_path):
         db = _log_db(tmp_path)
         db.create_table("t", SCHEMA)
@@ -286,6 +350,124 @@ class TestPromotion:
         finally:
             promoted.close()
             replica.close()
+
+
+    def test_nvm_primary_promote_write_crash_restart(self, tmp_path):
+        """An NVM primary's attach-time snapshot is a one-link chain;
+        the promoted LOG engine checkpoints on top of it and survives
+        its own crash."""
+        db = Database(
+            str(tmp_path / "primary"), EngineConfig(mode=DurabilityMode.NVM)
+        )
+        db.create_table("t", SCHEMA)
+        for i in range(8):
+            db.insert("t", {"id": i, "v": f"v{i}"})
+        shipper, (replica,) = _replicate(tmp_path, db, AckMode.SEMI_SYNC)
+        db.insert("t", {"id": 8, "v": "v8"})
+        shipper.stop()
+        db.crash(seed=3)
+        cfg = EngineConfig(mode=DurabilityMode.LOG, group_commit_size=1)
+        promoted = replica.promote(cfg)
+        try:
+            assert promoted.last_recovery.checkpoint_bytes > 0
+            promoted.insert("t", {"id": 100, "v": "post-failover"})
+            promoted.checkpoint()
+            promoted.insert("t", {"id": 101, "v": "tail"})
+            promoted.crash(seed=4)
+            promoted = Database(promoted.path, cfg)
+            expected = {i: f"v{i}" for i in range(9)}
+            expected.update({100: "post-failover", 101: "tail"})
+            assert _rows(promoted) == expected
+            assert promoted.last_recovery.log_records_replayed == 2
+        finally:
+            promoted.close()
+            replica.close()
+
+    def test_promote_from_chain_then_crash_restart(self, tmp_path):
+        db = _log_db(tmp_path)
+        db.create_table("t", SCHEMA)
+        for i in range(6):
+            db.insert("t", {"id": i, "v": f"v{i}"})
+        db.checkpoint()
+        shipper, (replica,) = _replicate(tmp_path, db, AckMode.SEMI_SYNC)
+        db.insert("t", {"id": 6, "v": "v6"})
+        shipper.stop()
+        db.crash(seed=1)
+        cfg = EngineConfig(mode=DurabilityMode.LOG, group_commit_size=1)
+        promoted = replica.promote(cfg)
+        try:
+            assert promoted.last_recovery.checkpoint_bytes > 0
+            assert promoted.last_recovery.log_records_replayed == 2
+            promoted.insert("t", {"id": 7, "v": "v7"})
+            promoted.crash(seed=2)
+            promoted = Database(promoted.path, cfg)
+            assert _rows(promoted) == {i: f"v{i}" for i in range(8)}
+        finally:
+            promoted.close()
+            replica.close()
+
+
+class TestApplyLoop:
+    def test_reads_never_see_a_cid_ahead_of_its_rows(self, tmp_path):
+        """Sample the follower while batches apply: the row count at the
+        published ``last_cid`` always matches what the primary had
+        committed at that cid (one row per commit here)."""
+        from repro.query.scan import scan
+
+        db = _log_db(tmp_path)
+        db.create_table("t", SCHEMA)
+        base_cid = db.last_cid
+        shipper, (replica,) = _replicate(tmp_path, db, AckMode.ASYNC)
+        sampled = set()
+        for i in range(400):
+            db.insert("t", {"id": i, "v": "x"})
+            if i % 5 == 0 and "t" in replica.table_names():
+                cid = replica.last_cid
+                table = replica._replayer.names["t"]
+                assert scan(table, snapshot_cid=cid).count == cid - base_cid
+                sampled.add(cid)
+        assert len(sampled) > 3  # the apply loop really was mid-stream
+        assert shipper.sync_followers(timeout_s=10.0)
+        assert replica.query("t").count == 400
+        assert replica.last_cid == db.last_cid
+        shipper.close()
+        db.close()
+
+    def test_query_across_a_merge_in_the_same_batch(self, tmp_path, monkeypatch):
+        """Deletes and the merge that folds their rows away arrive in one
+        apply batch: a ``query`` issued right after the fold must already
+        be pinned past the deletes (20 rows - 5 deleted, never 20 - 5
+        folded - 0 visible-as-deleted)."""
+        from repro.recovery import log_recovery
+        from repro.wal.reader import LogScan
+
+        db = _log_db(tmp_path, checkpoint_after_merge=False)
+        db.create_table("t", SCHEMA)
+        db.bulk_insert("t", [{"id": i, "v": "x"} for i in range(20)])
+        for i in range(5):
+            with db.begin() as txn:
+                txn.delete("t", db.query("t", Eq("id", i)).refs()[0])
+        db.merge("t")
+        db.close()
+
+        replica = Follower(str(tmp_path / "replica"))
+        replica.bootstrap(None, 0)
+        seen = []
+        real_merge = log_recovery.replay_merge
+
+        def merge_then_query(*args):
+            real_merge(*args)
+            seen.append(replica.query("t").count)
+
+        monkeypatch.setattr(log_recovery, "replay_merge", merge_then_query)
+        log_path = str(tmp_path / "primary" / "wal.log")
+        for payload, end_lsn in LogScan(log_path, decode=False):
+            replica.enqueue(payload, end_lsn)  # all queued before the loop runs
+        replica.start()
+        assert replica.wait_for(end_lsn)
+        assert seen == [15]
+        assert replica.query("t").count == 15
+        replica.close()
 
 
 class TestObservability:

@@ -16,6 +16,8 @@ from repro.wal.records import (
 )
 from repro.wal.writer import LogWriter
 
+from tests.conftest import wal_commit
+
 
 RECORDS = [
     InsertRecord(1, 2, (5, "text", 2.5, None)),
@@ -63,7 +65,7 @@ class TestLogWriter:
         path = str(tmp_path / "wal.log")
         writer = LogWriter(path, group_size=1)
         writer.log_insert(1, 2, [5, "x"])
-        writer.log_commit(1, 1)
+        wal_commit(writer, 1, 1)
         writer.close()
         records = [r for r, _ in read_log(path)]
         assert records == [InsertRecord(1, 2, (5, "x")), CommitRecord(1, 1)]
@@ -72,7 +74,7 @@ class TestLogWriter:
         path = str(tmp_path / "wal.log")
         writer = LogWriter(path, group_size=1)
         for i in range(5):
-            writer.log_commit(i, i + 1)
+            wal_commit(writer, i, i + 1)
         assert writer.syncs == 5
         writer.close()
 
@@ -80,7 +82,7 @@ class TestLogWriter:
         path = str(tmp_path / "wal.log")
         writer = LogWriter(path, group_size=4)
         for i in range(8):
-            writer.log_commit(i, i + 1)
+            wal_commit(writer, i, i + 1)
         assert writer.syncs == 2
         writer.close()
 
@@ -88,7 +90,7 @@ class TestLogWriter:
         path = str(tmp_path / "wal.log")
         writer = LogWriter(path, group_size=0)
         for i in range(10):
-            writer.log_commit(i, i + 1)
+            wal_commit(writer, i, i + 1)
         assert writer.syncs == 0
         writer.close()
         assert writer.syncs == 1
@@ -96,9 +98,9 @@ class TestLogWriter:
     def test_crash_truncates_to_last_sync(self, tmp_path):
         path = str(tmp_path / "wal.log")
         writer = LogWriter(path, group_size=2)
-        writer.log_commit(1, 1)  # pending, not synced
-        writer.log_commit(2, 2)  # triggers sync — 2 commits durable
-        writer.log_commit(3, 3)  # pending again
+        wal_commit(writer, 1, 1)  # pending, not synced
+        wal_commit(writer, 2, 2)  # triggers sync — 2 commits durable
+        wal_commit(writer, 3, 3)  # pending again
         writer.crash()
         assert count_records(path) == 2
 
@@ -112,10 +114,10 @@ class TestLogWriter:
     def test_append_to_existing_log(self, tmp_path):
         path = str(tmp_path / "wal.log")
         writer = LogWriter(path, group_size=1)
-        writer.log_commit(1, 1)
+        wal_commit(writer, 1, 1)
         writer.close()
         writer = LogWriter(path, group_size=1)
-        writer.log_commit(2, 2)
+        wal_commit(writer, 2, 2)
         writer.close()
         assert count_records(path) == 2
 
@@ -130,7 +132,7 @@ class TestLogWriter:
         path = str(tmp_path / "wal.log")
         writer = LogWriter(path, group_size=1)
         assert writer.lsn == 0
-        writer.log_commit(1, 1)
+        wal_commit(writer, 1, 1)
         assert writer.lsn == os.path.getsize(path)
         writer.close()
 
@@ -146,9 +148,9 @@ class TestReader:
     def test_start_lsn_skips_prefix(self, tmp_path):
         path = str(tmp_path / "wal.log")
         writer = LogWriter(path, group_size=1)
-        writer.log_commit(1, 1)
+        wal_commit(writer, 1, 1)
         middle = writer.lsn
-        writer.log_commit(2, 2)
+        wal_commit(writer, 2, 2)
         writer.close()
         records = [r for r, _ in read_log(path, start_lsn=middle)]
         assert records == [CommitRecord(2, 2)]
@@ -156,7 +158,7 @@ class TestReader:
     def test_stops_at_torn_tail(self, tmp_path):
         path = str(tmp_path / "wal.log")
         writer = LogWriter(path, group_size=1)
-        writer.log_commit(1, 1)
+        wal_commit(writer, 1, 1)
         writer.close()
         with open(path, "ab") as f:
             f.write(b"\x50\x00\x00\x00garbage")
@@ -165,8 +167,8 @@ class TestReader:
     def test_end_lsn_usable_as_resume_point(self, tmp_path):
         path = str(tmp_path / "wal.log")
         writer = LogWriter(path, group_size=1)
-        writer.log_commit(1, 1)
-        writer.log_commit(2, 2)
+        wal_commit(writer, 1, 1)
+        wal_commit(writer, 2, 2)
         writer.close()
         pairs = list(read_log(path))
         __, first_end = pairs[0]

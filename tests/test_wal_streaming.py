@@ -15,6 +15,8 @@ from repro.wal.reader import CHUNK_SIZE, MAX_RECORD_BYTES, count_records, read_l
 from repro.wal.records import CommitRecord, InsertRecord, decode_record
 from repro.wal.writer import LogWriter
 
+from tests.conftest import wal_commit
+
 
 def _reference_read(path: str, start_lsn: int = 0) -> list:
     """The old slurp-the-whole-file decode, kept as the oracle."""
@@ -35,7 +37,7 @@ def _write_log(path: str, txns: int) -> None:
     writer = LogWriter(path, group_size=0)
     for i in range(txns):
         writer.log_insert(i, 1, [i, "x" * 200])
-        writer.log_commit(i, i + 1)
+        wal_commit(writer, i, i + 1)
     writer.close()
 
 
@@ -97,7 +99,7 @@ class TestTornTailCrash:
     def _writer_with_unsynced_tail(self, path: str) -> tuple:
         writer = LogWriter(path, group_size=0)
         writer.log_insert(1, 1, [1, "a"])
-        writer.log_commit(1, 1)
+        wal_commit(writer, 1, 1)
         writer.sync()
         synced = writer.lsn
         writer.log_insert(2, 1, [2, "b"])  # never synced
