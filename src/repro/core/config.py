@@ -53,12 +53,6 @@ class EngineConfig:
     #: waits for durability, but one leader fsync covers every commit
     #: record that reached the log by then.
     group_commit_size: int = 1
-    #: Client threads driving each shard. ``1`` keeps the serial write
-    #: path; ``> 1`` makes :class:`~repro.core.sharding.ShardedEngine`
-    #: split each shard's batch work across this many concurrent
-    #: writer transactions (the commit pipeline is thread-safe either
-    #: way — external threads may always share one Database).
-    writers_per_shard: int = 1
     #: Modelled WAL device fsync latency in seconds (LOG mode). Added
     #: to every fsync with a GIL-releasing sleep, so group commit's
     #: fsync amortisation is measurable on fast local disks (E12).
@@ -111,8 +105,6 @@ class EngineConfig:
             raise ValueError("shards must be >= 1")
         if self.group_commit_size < 0:
             raise ValueError("group_commit_size must be >= 0")
-        if self.writers_per_shard < 1:
-            raise ValueError("writers_per_shard must be >= 1")
         if self.wal_fsync_delay_s < 0:
             raise ValueError("wal_fsync_delay_s must be >= 0")
         if self.txn_slots < 1:

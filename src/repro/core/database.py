@@ -344,64 +344,36 @@ class Database:
             index=index,
         )
 
+    def _autocommit(self, op, table_name: str, payload):
+        """Run ``op(txn, table_name, payload)`` as one transaction.
+
+        Returns ``(result, commit id)``. A rejected row aborts, so the
+        slot is released and nothing of the batch stays behind. Only
+        ``Exception`` aborts: a simulated power failure must propagate
+        with nothing executed after the cut.
+        """
+        txn = self.begin()
+        try:
+            result = op(txn, table_name, payload)
+            return result, txn.commit()
+        except Exception:
+            if txn.is_active:
+                txn.abort()
+            raise
+
     def insert(self, table_name: str, row: dict) -> int:
         """Autocommit single-row insert; returns the rowref."""
-        txn = self.begin()
-        ref = txn.insert(table_name, row)
-        txn.commit()
-        return ref
+        return self._autocommit(Transaction.insert, table_name, row)[0]
 
     def insert_many(self, table_name: str, rows: Sequence[dict]) -> list[int]:
         """Autocommit batched insert (one transaction); returns rowrefs."""
-        txn = self.begin()
-        refs = txn.insert_many(table_name, rows)
-        txn.commit()
-        return refs
+        return self._autocommit(Transaction.insert_many, table_name, rows)[0]
 
-    def bulk_insert(
-        self, table_name: str, rows: Sequence[dict], _cid: Optional[int] = None
-    ) -> int:
-        """Load many rows in one committed batch (the fast loader path).
-
-        On NVM the batch publishes atomically via the begin-vector store;
-        in LOG mode every row is logged and the commit record is synced.
-        ``_cid`` lets a sharded engine impose a global commit id (it must
-        exceed this shard's ``last_cid``). Returns the commit id.
-        """
-        table = self.table(table_name)
-        if not rows:
-            return self._manager.last_cid
-        schema = table.schema
-        value_rows = [schema.validate_row(row) for row in rows]
-        # Bulk loads bypass the transaction manager, so the merge cutover
-        # cannot see them through the active-transaction check — the ops
-        # gate is what keeps a load's encode/publish/index sequence on
-        # one generation.
-        with table.ops_gate.shared():
-            columns = table.delta.encode_columns(
-                [[values[ci] for values in value_rows] for ci in range(len(schema))]
-            )
-            cid = self._manager.last_cid + 1 if _cid is None else _cid
-            self._driver.log_bulk_load(table, value_rows, cid)
-            # The commit id must be durable *before* any row publishes with
-            # it: bulk loads bypass the transaction table, so no fix-up pass
-            # can repair a crash that lands between the begin-vector publish
-            # and the counter advance — recovery would resurrect rows
-            # stamped with a commit id the engine never issued
-            # (begin_cid > last_cid). Advancing first leaves at worst a
-            # harmless cid gap when the crash hits before the publish.
-            self._manager._cids.advance(cid)
-            first = table.delta.bulk_load(columns, begin_cid=cid)
-            indexes = self._indexes.get(table.table_id)
-            if indexes:
-                with self._index_lock:
-                    for column, index in indexes.items():
-                        ci = schema.column_index(column)
-                        index.on_insert_many(
-                            np.asarray(columns[ci], dtype=np.uint32), first
-                        )
-        self._maintenance.notify({table.table_id})
-        return cid
+    def bulk_insert(self, table_name: str, rows: Sequence[dict]) -> int:
+        """``insert_many`` that returns the commit id (``last_cid`` for
+        an empty batch)."""
+        cid = self._autocommit(Transaction.insert_many, table_name, rows)[1]
+        return self.last_cid if cid is None else cid
 
     # ------------------------------------------------------------------
     # Maintenance: merge and checkpoint
@@ -410,13 +382,15 @@ class Database:
     def merge(self, table_name: str, online: bool = True) -> None:
         """Fold the delta into a new main generation.
 
-        ``online=True`` (the default) runs the incremental merge:
-        writers are paused only for the freeze and the cutover (each a
-        short critical section); the fold between them runs concurrently
-        with foreground work, yielding at every ``merge_chunk_rows``
-        boundary. ``online=False`` is the stop-the-world baseline: the
-        operations gate is held exclusively for the whole rebuild (what
-        experiment E13 compares against).
+        One sequence either way: freeze (a short exclusive window that
+        captures the watermark and the survivor plan), chunked fold,
+        then cutover once no transaction holds operations on the table.
+        ``online=True`` (the default) releases the operations gate
+        between freeze and cutover, so the fold runs concurrently with
+        foreground work and yields at every ``merge_chunk_rows``
+        boundary. ``online=False`` is the stop-the-world baseline
+        experiment E13 compares against: the same code, keeping the
+        gate for the whole rebuild.
 
         Raises ``RuntimeError`` when a transaction held operations on
         the table for longer than ``merge_cutover_timeout_s`` — the old
@@ -426,10 +400,7 @@ class Database:
         t0 = time.perf_counter()
         with self._maint_lock:
             with trace_phase("merge", table=table_name, online=online):
-                if online:
-                    self._merge_online(table)
-                else:
-                    self._merge_blocking(table)
+                self._merge_table(table, online)
         registry = get_registry()
         registry.counter("engine_merges_total").inc()
         registry.histogram("engine_merge_seconds").observe(
@@ -440,84 +411,64 @@ class Database:
         # the merge record already makes the new layout recoverable.
         self._driver.on_merge_complete(table)
 
-    # -- online-merge machinery ----------------------------------------
+    # -- merge machinery -----------------------------------------------
 
-    def _merge_online(self, table: Table) -> None:
+    def _merge_table(self, table: Table, online: bool) -> None:
         cfg = self.config
-        # Freeze: a short exclusive window to capture the watermark and
-        # the survivor plan. Writers blocked here resume as soon as the
-        # plan exists and append past the watermark while we fold.
-        self._acquire_gate(table, "freeze")
+        gate = table.ops_gate
+        # Writers blocked at the freeze resume as soon as the plan
+        # exists (online) and append past the watermark while we fold.
+        if not gate.acquire_exclusive(cfg.merge_cutover_timeout_s):
+            raise RuntimeError(
+                f"merge freeze timed out waiting for writers on {table.name!r}"
+            )
+        held = True
         try:
             with self._manager._lock:
                 plan = self._freeze_locked(table)
-        finally:
-            table.ops_gate.release_exclusive()
-        new_main = fold_generation(
-            table,
-            plan,
-            self.backend,
-            chunk_rows=cfg.merge_chunk_rows,
-            on_chunk=self._merge_chunk_yield,
-        )
-        group_keys = self._group_keys_for(table, new_main)
-        # Cutover: wait for a moment when no transaction holds
-        # operations on the table (their rowrefs would dangle across the
-        # swap), bounded by the configured timeout. Between attempts the
-        # gate is released so foreground work keeps flowing.
-        deadline = time.monotonic() + cfg.merge_cutover_timeout_s
-        pause = 0.0005
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise RuntimeError(
-                    f"merge cutover timed out on {table.name!r}: a "
-                    "transaction held operations on the table for the "
-                    "whole window; the merge was abandoned (retry later)"
-                )
-            if table.ops_gate.acquire_exclusive(remaining):
-                try:
+            if online:
+                gate.release_exclusive()
+                held = False
+            # With the gate kept nobody else can run: no yield, and no
+            # ``merge_chunk`` crash point, between chunks.
+            new_main = fold_generation(
+                table,
+                plan,
+                self.backend,
+                chunk_rows=cfg.merge_chunk_rows,
+                on_chunk=self._merge_chunk_yield if online else None,
+            )
+            group_keys = self._group_keys_for(table, new_main)
+            # Cutover: wait for a moment when no transaction holds
+            # operations on the table (their rowrefs would dangle across
+            # the swap), bounded by the configured timeout. Commit and
+            # abort never take the gate, so such a transaction can end
+            # while we wait; online, the gate is released between
+            # attempts so foreground work keeps flowing.
+            deadline = time.monotonic() + cfg.merge_cutover_timeout_s
+            pause = 0.0005
+            while True:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise RuntimeError(
+                        f"merge cutover timed out on {table.name!r}: a "
+                        "transaction held operations on the table for the "
+                        "whole window; the merge was abandoned (retry later)"
+                    )
+                if held or gate.acquire_exclusive(remaining):
+                    held = True
                     with self._manager._lock:
                         if not self._ops_on_table(table):
                             self._cutover_locked(table, plan, new_main, group_keys)
                             return
-                finally:
-                    table.ops_gate.release_exclusive()
-            time.sleep(pause)
-            pause = min(pause * 2, 0.02)
-
-    def _merge_blocking(self, table: Table) -> None:
-        """Stop-the-world merge: gate held exclusively throughout."""
-        self._acquire_gate(table, "begin")
-        try:
-            deadline = time.monotonic() + self.config.merge_cutover_timeout_s
-            while True:
-                with self._manager._lock:
-                    if not self._ops_on_table(table):
-                        plan = self._freeze_locked(table)
-                        break
-                if time.monotonic() >= deadline:
-                    raise RuntimeError(
-                        f"cannot merge {table.name!r}: a transaction held "
-                        "operations on the table for the whole window"
-                    )
-                time.sleep(0.001)
-            # With the gate held no new operation can start, so the
-            # no-ops condition above still holds at cutover.
-            new_main = fold_generation(table, plan, self.backend)
-            group_keys = self._group_keys_for(table, new_main)
-            with self._manager._lock:
-                self._cutover_locked(table, plan, new_main, group_keys)
+                    if online:
+                        gate.release_exclusive()
+                        held = False
+                time.sleep(pause)
+                pause = min(pause * 2, 0.02)
         finally:
-            table.ops_gate.release_exclusive()
-
-    def _acquire_gate(self, table: Table, what: str) -> None:
-        if not table.ops_gate.acquire_exclusive(
-            self.config.merge_cutover_timeout_s
-        ):
-            raise RuntimeError(
-                f"merge {what} timed out waiting for writers on {table.name!r}"
-            )
+            if held:
+                gate.release_exclusive()
 
     def _merge_chunk_yield(self) -> None:
         boundary.emit("merge_chunk")

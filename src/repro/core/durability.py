@@ -11,8 +11,9 @@ encapsulates *how* state survives (or doesn't survive) a restart:
 * :class:`NoneDriver` — DRAM only; nothing survives (the overhead floor).
 
 The facade calls a driver at well-defined hook points (open, DDL,
-bulk-load logging, merge publication, checkpoint, close, crash) and
-never branches on the durability mode itself. Drivers hold the mode's
+merge publication, checkpoint, close, crash) and never branches on the
+durability mode itself; row writes reach the log only through the
+transaction manager's WAL hook. Drivers hold the mode's
 resources (pool, catalog, WAL handle) and are responsible for releasing
 them — including on a *failed* open, so a corrupt directory never leaks
 mmap handles.
@@ -23,7 +24,7 @@ from __future__ import annotations
 import json
 import os
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 import time
 
@@ -110,12 +111,7 @@ class DurabilityDriver(ABC):
         """Default for new secondary indexes' delta half."""
         return False
 
-    # -- commit hooks --------------------------------------------------
-
-    def log_bulk_load(
-        self, table: Table, value_rows: Sequence[Sequence], cid: int
-    ) -> None:
-        """Make one bulk-loaded batch durable under commit id ``cid``."""
+    # -- checkpoint ----------------------------------------------------
 
     def checkpoint(self) -> int:
         """Write a full snapshot; returns bytes written (LOG only)."""
@@ -261,20 +257,6 @@ class NvmDriver(DurabilityDriver):
                 plan.main_mask,
                 plan.delta_mask,
             )
-
-    def log_bulk_load(
-        self, table: Table, value_rows: Sequence[Sequence], cid: int
-    ) -> None:
-        # Bulk loads bypass the manager's WAL hook (NVM needs no log),
-        # so mirror them into the ship log explicitly.
-        if self._ship_wal is None:
-            return
-        tid = self._db._manager._tids.next()
-        self._ship_wal.log_insert_many(
-            tid, table.table_id, list(zip(*value_rows))
-        )
-        lsn = self._ship_wal.append_commit(tid, cid)
-        self._ship_wal.commit_barrier(lsn)
 
     @property
     def persistent_delta_index(self) -> bool:
@@ -505,18 +487,6 @@ class LogDriver(VolatileDriver):
             self.checkpoint()
         except RuntimeError:
             pass
-
-    def log_bulk_load(
-        self, table: Table, value_rows: Sequence[Sequence], cid: int
-    ) -> None:
-        tid = self._db._manager._tids.next()
-        # One batched record for the whole load instead of a framed
-        # InsertRecord per row.
-        self._wal.log_insert_many(
-            tid, table.table_id, list(zip(*value_rows))
-        )
-        lsn = self._wal.append_commit(tid, cid)
-        self._wal.commit_barrier(lsn)
 
     @property
     def log_bytes_since_checkpoint(self) -> int:

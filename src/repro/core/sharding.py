@@ -17,12 +17,13 @@ What this buys per durability mode:
 * **NVM** — recovery was already O(in-flight transactions) per shard;
   sharding keeps it flat while the *contrast* with log replay sharpens.
 
-Cross-shard semantics are deliberately modest: ``bulk_insert`` publishes
-one batch per shard under a single global commit id, per-shard batches
-commit atomically but the fan-out itself is not a distributed
-transaction (a crash mid-fan-out may land some shards' sub-batches and
-not others — each shard individually stays consistent and no shard ever
-loses a committed batch). Interactive multi-statement transactions stay
+Cross-shard semantics are deliberately modest: ``insert_many`` runs one
+transaction per touched shard, each with its shard's own commit id.
+Per-shard batches commit atomically but the fan-out itself is not a
+distributed transaction (a crash mid-fan-out may land some shards'
+sub-batches and not others — each shard individually stays consistent
+and no shard ever loses a committed batch), and no reader takes a
+cross-shard snapshot. Interactive multi-statement transactions stay
 shard-local: route with :meth:`ShardedEngine.shard_for`.
 
 The shard count is fixed when the directory is first created and
@@ -175,13 +176,8 @@ class ShardedEngine:
         # See Database._close_lock: shutdown can race between a signal
         # handler and a server drain; check-and-set must be atomic.
         self._close_lock = threading.Lock()
-        # One worker per shard, times the configured client threads per
-        # shard: with writers_per_shard > 1 a single shard's batch work
-        # is split across several concurrent writer transactions, all
-        # funnelling into that shard's thread-safe commit pipeline.
         self._executor = ThreadPoolExecutor(
-            max_workers=self.num_shards * self.config.writers_per_shard,
-            thread_name_prefix="shard",
+            max_workers=self.num_shards, thread_name_prefix="shard"
         )
         shard_config = replace(self.config, shards=1)
         span = Span(f"recovery:sharded:{self.mode.value}")
@@ -202,9 +198,6 @@ class ShardedEngine:
             wall_seconds=span.duration_s,
             span=span,
         )
-        # Global commit-id horizon: every cross-shard batch gets one cid
-        # above everything any shard has committed so far.
-        self._last_cid = max(s.last_cid for s in self.shards)
 
     # ------------------------------------------------------------------
     # Manifest
@@ -336,7 +329,8 @@ class ShardedEngine:
 
     @property
     def last_cid(self) -> int:
-        return self._last_cid
+        """The highest commit id any shard has issued."""
+        return max(shard.last_cid for shard in self.shards)
 
     # ------------------------------------------------------------------
     # Writes
@@ -346,9 +340,7 @@ class ShardedEngine:
         """Autocommit single-row insert, routed by partition key."""
         key = self.partition_key(table_name)
         shard = self.shards[partition_of(row[key], self.num_shards)]
-        ref = shard.insert(table_name, row)
-        self._last_cid = max(self._last_cid, shard.last_cid)
-        return ref
+        return shard.insert(table_name, row)
 
     def _partition_rows(
         self, table_name: str, rows: Sequence[dict]
@@ -363,62 +355,26 @@ class ShardedEngine:
         return groups
 
     def insert_many(self, table_name: str, rows: Sequence[dict]) -> int:
-        """Hash-partition a batch and run transactional ``insert_many``
-        calls per touched shard in parallel.
+        """Hash-partition a batch and run one transactional
+        ``insert_many`` per touched shard, in parallel.
 
-        With ``writers_per_shard == 1`` each shard's sub-batch is one
-        transaction. With ``writers_per_shard == W`` the sub-batch is
-        further split into up to W chunks, each committed by its own
-        concurrent writer transaction on that shard — exercising (and
-        benchmarking) the thread-safe commit pipeline. Per-transaction
-        chunks commit atomically; the fan-out itself is not a
-        distributed transaction, matching ``bulk_insert``. Returns the
-        number of rows inserted.
+        Each shard's sub-batch commits atomically; the fan-out itself is
+        not a distributed transaction. Returns the number of rows
+        inserted.
         """
         if not rows:
             return 0
-        groups = self._partition_rows(table_name, rows)
-        writers = self.config.writers_per_shard
-        work: list[tuple[int, list[dict]]] = []
-        for sid, sub in groups:
-            if writers <= 1 or len(sub) < 2:
-                work.append((sid, sub))
-                continue
-            per = max(1, -(-len(sub) // writers))  # ceil division
-            work.extend(
-                (sid, sub[start : start + per])
-                for start in range(0, len(sub), per)
-            )
-
-        def run(item: tuple[int, list[dict]]) -> int:
-            sid, sub = item
-            shard = self.shards[sid]
-            shard.insert_many(table_name, sub)
-            return shard.last_cid
-
-        cids = self._fan_out(run, work, op="insert_many")
-        self._last_cid = max(self._last_cid, *cids)
+        self._fan_out(
+            lambda item: self.shards[item[0]].insert_many(table_name, item[1]),
+            self._partition_rows(table_name, rows),
+            op="insert_many",
+        )
         return len(rows)
 
     def bulk_insert(self, table_name: str, rows: Sequence[dict]) -> int:
-        """Hash-partition a batch and load every shard's slice in parallel.
-
-        All slices commit under one global commit id; each slice is
-        atomic on its shard. Returns the commit id.
-        """
-        if not rows:
-            return self._last_cid
-        groups = self._partition_rows(table_name, rows)
-        cid = self._last_cid + 1
-        self._fan_out(
-            lambda item: self.shards[item[0]].bulk_insert(
-                table_name, item[1], _cid=cid
-            ),
-            groups,
-            op="bulk_insert",
-        )
-        self._last_cid = cid
-        return cid
+        """``insert_many`` that returns ``last_cid``."""
+        self.insert_many(table_name, rows)
+        return self.last_cid
 
     # ------------------------------------------------------------------
     # Reads
@@ -511,7 +467,7 @@ class ShardedEngine:
 
         The fan-out executor is stopped *first* (pending tasks
         cancelled, running ones joined): crashing the shards while a
-        ``bulk_insert``/``insert_many`` task is still writing would let
+        ``insert_many`` task is still writing would let
         that task keep mutating — and, worse, making durable — shard
         state *after* the simulated power failure, corrupting the very
         crash state recovery is supposed to be tested against.
@@ -550,7 +506,7 @@ class ShardedEngine:
         return {
             "mode": self.mode.value,
             "shards": self.num_shards,
-            "last_cid": self._last_cid,
+            "last_cid": self.last_cid,
             "commits": sum(s["commits"] for s in per_shard),
             "aborts": sum(s["aborts"] for s in per_shard),
             "conflicts": sum(s["conflicts"] for s in per_shard),

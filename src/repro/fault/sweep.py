@@ -37,8 +37,9 @@ import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
+from repro.core import Engine, open_engine
 from repro.core.config import DurabilityMode, EngineConfig
 from repro.core.database import Database
 from repro.core.sharding import ShardedEngine, partition_of
@@ -54,8 +55,6 @@ from repro.fault.workloads import (
 from repro.nvm.pool import PMemMode
 from repro.query.predicate import Eq
 from repro.txn.errors import TransactionConflict
-
-Engine = Union[Database, ShardedEngine]
 
 #: Small extents keep per-point engine setup cheap (the default 64 MiB
 #: extent would dominate sweep runtime with file creation).
@@ -134,9 +133,7 @@ class CrashSweep:
         )
 
     def _open(self, path: str) -> Engine:
-        if self.settings.shards > 1:
-            return ShardedEngine(path, self._config())
-        return Database(path, self._config())
+        return open_engine(path, self._config())
 
     def _owner(self, engine: Engine, key: int) -> Database:
         if isinstance(engine, ShardedEngine):

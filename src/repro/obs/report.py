@@ -29,14 +29,11 @@ from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 
 def _run_workload(mode: str, rows: int, shards: int, path: str) -> dict:
     """Load → merge → restart one engine; returns report + span tree."""
-    from repro.core.config import DurabilityMode, EngineConfig
-    from repro.core.database import Database
-    from repro.core.sharding import ShardedEngine
+    from repro.core import DurabilityMode, EngineConfig, open_engine
     from repro.storage.types import DataType
 
     config = EngineConfig(mode=DurabilityMode(mode), shards=shards)
-    cls = ShardedEngine if shards > 1 else Database
-    engine = cls(path, config)
+    engine = open_engine(path, config)
     engine.create_table("items", {"id": DataType.INT64, "name": DataType.STRING})
     engine.bulk_insert(
         "items",
@@ -52,7 +49,7 @@ def _run_workload(mode: str, rows: int, shards: int, path: str) -> dict:
         engine.insert("items", {"id": rows + 100, "name": "after-ckpt"})
     engine.close()
 
-    engine = cls(path, config)
+    engine = open_engine(path, config)
     report = engine.last_recovery
     out = {
         "mode": mode,

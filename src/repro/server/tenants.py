@@ -97,7 +97,6 @@ class TenantCatalog:
         catalog_config = replace(
             self.engine_config,
             shards=1,
-            writers_per_shard=1,
             extent_size=min(self.engine_config.extent_size, 8 * 1024 * 1024),
         )
         self._db = Database(os.path.join(root, _CATALOG_DIR), catalog_config)

@@ -231,28 +231,6 @@ class DeltaPartition:
         self.mvcc.begin.extend(np.asarray(begin_cids, dtype=np.uint64))
         return first
 
-    def bulk_load(
-        self,
-        encoded_columns: list[np.ndarray],
-        begin_cid: int,
-    ) -> int:
-        """Append many already-committed rows at once (loader/merge path).
-
-        Becomes visible atomically when the begin vector publishes.
-        Returns the first new row index.
-        """
-        counts = {len(col) for col in encoded_columns}
-        if len(counts) != 1:
-            raise ValueError("ragged bulk load")
-        (n,) = counts
-        first = self.row_count
-        for vector, codes in zip(self.code_vectors, encoded_columns):
-            vector.extend(np.asarray(codes, dtype=_CODE_DTYPE))
-        self.mvcc.end.extend(np.full(n, INFINITY_CID, dtype=np.uint64))
-        self.mvcc.tid.extend(np.full(n, NO_TID, dtype=np.uint64))
-        self.mvcc.begin.extend(np.full(n, begin_cid, dtype=np.uint64))
-        return first
-
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------

@@ -62,7 +62,7 @@ class MvccColumns:
     * every in-place begin/end store goes through :meth:`set_begin` /
       :meth:`set_end` / :meth:`set_begin_range` and bumps the mutation
       count (commit and rollback fix-ups);
-    * every publish path — insert tails, bulk loads, merge builds,
+    * every publish path — insert tails, merge builds,
       checkpoint loads — grows the begin vector, changing the row count
       (delta publish appends to ``self.begin`` directly, which the
       length component still catches).

@@ -17,7 +17,12 @@ from repro.core.config import DurabilityMode, EngineConfig
 from repro.core.database import Database
 from repro.core.sharding import ShardedEngine, partition_array, partition_of
 from repro.nvm.pool import PMemMode
+from repro.query.predicate import Eq
+from repro.storage.delta import DeltaPartition
 from repro.storage.types import DataType
+from repro.txn.manager import TransactionManager
+from repro.wal.reader import read_log
+from repro.wal.records import InsertManyRecord
 
 SCHEMA = {
     "id": DataType.INT64,
@@ -115,6 +120,82 @@ def test_empty_and_single_row_batches(tmp_path, mode):
     refs = db.insert_many("t", [{"id": 1, "name": None, "score": 2.5}])
     assert len(refs) == 1
     assert db.query("t").rows() == [{"id": 1, "name": None, "score": 2.5}]
+    db.close()
+
+
+@pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
+def test_bulk_insert_is_insert_many(tmp_path, mode):
+    """The loader alias and ``insert_many`` are one path: identical row
+    placement, dictionary code order, MVCC stamps, index probes and WAL
+    record stream."""
+    rows = _random_rows(3, 64)
+    twins = []
+    for call in ("bulk_insert", "insert_many"):
+        db = Database(str(tmp_path / call), _cfg(mode))
+        db.create_table("t", SCHEMA)
+        db.create_index("t", "id")
+        db.insert("t", rows[0])
+        out = getattr(db, call)("t", rows[1:])
+        assert db.bulk_insert("t", []) == db.last_cid == 2
+        twins.append((db, out))
+    (bulk, cid), (many, refs) = twins
+    assert cid == 2 and len(refs) == len(rows) - 1
+    bt, mt = bulk.table("t").delta, many.table("t").delta
+    for ci in range(len(SCHEMA)):
+        assert bt.column_codes(ci).tolist() == mt.column_codes(ci).tolist()
+        assert (
+            bt.dictionaries[ci].values_list() == mt.dictionaries[ci].values_list()
+        )
+    for vec in ("begin", "end", "tid"):
+        assert (
+            getattr(bt.mvcc, vec).to_numpy().tolist()
+            == getattr(mt.mvcc, vec).to_numpy().tolist()
+        )
+    for row in rows[::7]:
+        probe = Eq("id", row["id"])
+        assert bulk.query("t", probe).refs() == many.query("t", probe).refs()
+    if mode is DurabilityMode.LOG:
+        kinds = [
+            [type(record) for record, _ in read_log(db._driver.log_path)]
+            for db in (bulk, many)
+        ]
+        assert kinds[0] == kinds[1]
+        assert InsertManyRecord in kinds[0]
+    for db, _ in twins:
+        assert db.verify() == []
+        db.close()
+
+
+@pytest.mark.parametrize("hook", ["publish", "commit"])
+def test_bulk_insert_is_invisible_until_it_commits(tmp_path, monkeypatch, hook):
+    """A transaction begun between a bulk load's delta publish and its
+    commit sees none of the batch for its whole life; one begun after
+    the call returns sees all of it."""
+    db = Database(str(tmp_path / "snap"), _cfg(DurabilityMode.NVM))
+    db.create_table("t", SCHEMA)
+    db.insert_many("t", _random_rows(1, 3))
+    readers = []
+    owner, name = {
+        "publish": (DeltaPartition, "insert_rows_encoded"),
+        "commit": (TransactionManager, "commit"),
+    }[hook]
+    original = getattr(owner, name)
+
+    def hooked(self, *args, **kwargs):
+        if hook == "commit":
+            readers.append(db.begin())
+        out = original(self, *args, **kwargs)
+        if hook == "publish":
+            readers.append(db.begin())
+        return out
+
+    monkeypatch.setattr(owner, name, hooked)
+    db.bulk_insert("t", _random_rows(2, 10))
+    monkeypatch.undo()
+    (reader,) = readers
+    assert reader.query("t").count == 3
+    assert db.begin().query("t").count == db.query("t").count == 13
+    assert reader.query("t").count == 3
     db.close()
 
 

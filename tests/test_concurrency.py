@@ -238,6 +238,34 @@ class TestBankTransferStress:
             db.close()
 
 
+def test_racing_bulk_and_scalar_inserts_never_share_a_commit_id(any_db):
+    """``bulk_insert`` draws its commit id under the commit lock like
+    every other transaction: 4 threads x 200 mixed calls stamp 800
+    distinct ids, and each returned id is the one its rows carry."""
+    any_db.create_table("t", {"k": DataType.INT64})
+    calls = 200
+    returned = [[] for _ in range(4)]
+
+    def writer(i):
+        for j in range(calls):
+            key = (i * calls + j) * 2
+            if j % 2:
+                any_db.insert("t", {"k": key})
+            else:
+                cid = any_db.bulk_insert("t", [{"k": key}, {"k": key + 1}])
+                returned[i].append((cid, key))
+
+    _hammer(4, writer)
+    delta = any_db.table("t").delta
+    stamps = delta.mvcc.begin.to_numpy()[: delta.row_count].tolist()
+    keys = delta.decode_column(0)
+    assert len(set(stamps)) == any_db.last_cid == 4 * calls
+    stamp_of = dict(zip(keys, stamps))
+    for cid, key in (pair for per in returned for pair in per):
+        assert stamp_of[key] == stamp_of[key + 1] == cid
+    assert any_db.verify() == []
+
+
 class TestGroupCommit:
     def test_leader_fsync_covers_followers(self, tmp_path):
         # Sync commit with a modelled 4 ms device: while the leader
@@ -313,36 +341,12 @@ class TestGroupCommit:
 
 
 class TestShardedWriters:
-    def test_writers_per_shard_splits_batches(self, tmp_path):
+    def test_one_transaction_per_touched_shard(self, tmp_path):
         engine = ShardedEngine(
-            str(tmp_path / "db"),
-            make_config(DurabilityMode.LOG, shards=2, writers_per_shard=4),
-        )
-        engine.create_table(
-            "t", {"k": DataType.INT64, "v": DataType.STRING}
-        )
-        n = engine.insert_many(
-            "t", [{"k": i, "v": f"r{i}"} for i in range(300)]
-        )
-        assert n == 300
-        assert engine.query("t").count == 300
-        stats = engine.stats()
-        # The batch was split across concurrent writer transactions,
-        # not committed as one transaction per shard.
-        assert stats["commits"] > engine.num_shards
-        assert engine.verify() == []
-        engine = engine.restart()
-        assert engine.query("t").count == 300
-        engine.close()
-
-    def test_single_writer_config_unchanged(self, tmp_path):
-        engine = ShardedEngine(
-            str(tmp_path / "db"),
-            make_config(DurabilityMode.NONE, shards=2, writers_per_shard=1),
+            str(tmp_path / "db"), make_config(DurabilityMode.NONE, shards=2)
         )
         engine.create_table("t", {"k": DataType.INT64})
         engine.insert_many("t", [{"k": i} for i in range(40)])
-        # One transaction per touched shard, exactly as before.
         assert engine.stats()["commits"] == 2
         assert engine.query("t").count == 40
         engine.close()

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.config import DurabilityMode
 from repro.core.database import Database, _coerce_schema
+from repro.fault.inject import SimulatedPowerFailure
 from repro.storage.schema import ColumnDef, Schema, SchemaError
 from repro.storage.types import DataType
 from repro.txn.errors import TooManyActiveTransactions
@@ -135,6 +136,64 @@ class TestRowValidation:
         with pytest.raises(KeyError):
             txn.insert("t", {"ghost": 1})
         txn.abort()
+
+    @pytest.mark.parametrize(
+        "method,payload",
+        [
+            ("insert", {"a": "x"}),
+            ("insert", {"nope": 1}),
+            ("insert_many", [{"a": 1}, {"a": "x"}]),
+            ("bulk_insert", [{"a": 1}, {"nope": 1}]),
+        ],
+    )
+    def test_rejected_autocommit_leaves_no_transaction(
+        self, any_db, method, payload
+    ):
+        any_db.create_table("t", {"a": DataType.INT64})
+        with pytest.raises((TypeError, KeyError)):
+            getattr(any_db, method)("t", payload)
+        assert any_db._manager.active_count == 0
+        assert any_db.query("t").count == 0
+        assert any_db.verify() == []
+
+    def test_rejected_inserts_do_not_exhaust_txn_slots(self, any_db):
+        any_db.create_table("t", {"a": DataType.INT64})
+        for _ in range(300):  # more than the default 256 txn_slots
+            with pytest.raises(TypeError):
+                any_db.insert("t", {"a": "x"})
+        any_db.insert("t", {"a": 1})
+        if any_db.mode is DurabilityMode.LOG:
+            assert any_db.checkpoint() > 0
+        assert any_db.query("t").column("a") == [1]
+
+    def test_autocommit_rolls_back_published_rows(self, any_db, monkeypatch):
+        any_db.create_table("t", {"a": DataType.INT64})
+
+        def failing(table, refs):
+            raise OSError("injected: index upkeep failed after the publish")
+
+        monkeypatch.setattr(any_db, "_index_new_rows", failing)
+        with pytest.raises(OSError, match="injected"):
+            any_db.insert_many("t", [{"a": 1}, {"a": 2}])
+        monkeypatch.undo()
+        assert (any_db._manager.active_count, any_db._manager.aborts) == (0, 1)
+        assert any_db.bulk_insert("t", [{"a": 3}]) == any_db.last_cid
+        assert any_db.query("t").column("a") == [3]
+        assert any_db.verify() == []
+
+    def test_autocommit_never_aborts_on_power_failure(self, none_db, monkeypatch):
+        """``SimulatedPowerFailure`` is a ``BaseException``: nothing —
+        not even a rollback — may execute after the cut."""
+        none_db.create_table("t", {"a": DataType.INT64})
+
+        def power_cut(ctx):
+            raise SimulatedPowerFailure("injected")
+
+        monkeypatch.setattr(none_db._manager, "commit", power_cut)
+        with pytest.raises(SimulatedPowerFailure):
+            none_db.insert("t", {"a": 1})
+        monkeypatch.undo()
+        assert (none_db._manager.active_count, none_db._manager.aborts) == (1, 0)
 
 
 class TestReopenSafety:

@@ -196,7 +196,7 @@ class TestEngineTelemetry:
         _load(engine)
         engine.query("items")
         snapshot = get_registry().snapshot()
-        for op in ("open", "bulk_insert", "query"):
+        for op in ("open", "insert_many", "query"):
             exec_h = snapshot[f'shard_fanout_exec_seconds{{op="{op}"}}']
             queue_h = snapshot[f'shard_fanout_queue_seconds{{op="{op}"}}']
             assert exec_h["count"] == 4, op

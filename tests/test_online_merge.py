@@ -190,6 +190,71 @@ class TestConcurrentWritersDuringMerge:
 # ----------------------------------------------------------------------
 
 
+class TestGateHeldOrReleased:
+    """``online`` selects only whether the gate is released between
+    freeze and cutover; everything else is one merge body."""
+
+    @pytest.mark.parametrize("online", [False, True], ids=["blocking", "online"])
+    def test_writer_started_after_freeze(self, tmp_path, monkeypatch, online):
+        from repro.core import database as database_module
+
+        db = Database(str(tmp_path / "db"), make_config(DurabilityMode.NONE))
+        committed = _build_mixed(db)
+        done = threading.Event()
+
+        def write():
+            db.insert("kv", {"key": 999, "note": "fg"})
+            done.set()
+
+        writer = threading.Thread(target=write)
+        seen = {}
+        real_fold = database_module.fold_generation
+        real_cutover = Database._cutover_locked
+
+        def fold(*args, **kwargs):
+            writer.start()
+            seen["finished_during_fold"] = done.wait(0.2 if online else 0.05)
+            return real_fold(*args, **kwargs)
+
+        def cutover(self, *args):
+            seen["finished_before_cutover"] = done.is_set()
+            return real_cutover(self, *args)
+
+        monkeypatch.setattr(database_module, "fold_generation", fold)
+        monkeypatch.setattr(Database, "_cutover_locked", cutover)
+        db.merge("kv", online=online)
+        writer.join(timeout=10.0)
+        # Blocking: the writer sits at the gate until the cutover is done.
+        assert seen == {
+            "finished_during_fold": online,
+            "finished_before_cutover": online,
+        }
+        assert done.is_set()
+        assert _snapshot(db) == {**committed, 999: "fg"}
+        assert db.verify() == []
+        db.close()
+
+    @pytest.mark.parametrize("online", [False, True], ids=["blocking", "online"])
+    def test_held_operations_time_the_merge_out(self, tmp_path, online):
+        db = Database(
+            str(tmp_path / "db"),
+            make_config(DurabilityMode.NONE, merge_cutover_timeout_s=0.05),
+        )
+        committed = _build_mixed(db)
+        holder = db.begin()
+        holder.insert("kv", {"key": 500, "note": "held"})
+        with pytest.raises(RuntimeError, match="held operations on the table"):
+            db.merge("kv", online=online)
+        assert db.table("kv").generation == 0  # old generation stays live
+        # The abandoned merge released the gate: the holder can go on.
+        assert db.table("kv").ops_gate.acquire_exclusive(0)
+        db.table("kv").ops_gate.release_exclusive()
+        holder.commit()
+        db.merge("kv", online=online)
+        assert _snapshot(db) == {**committed, 500: "held"}
+        db.close()
+
+
 class TestMergeChunkCrashSweep:
     @pytest.mark.parametrize(
         "mode",

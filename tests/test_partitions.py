@@ -104,7 +104,7 @@ class TestDeltaPartition:
         assert delta.get_value(0, 1) == 2
         assert delta.get_value(1, 1) == "b"
 
-    def test_bulk_load_visible_at_cid(self, backend):
+    def test_load_encoded_visible_at_cid(self, backend):
         delta = DeltaPartition.create(SCHEMA, backend)
         cols = [
             np.array([0, 1], dtype=np.uint32),
@@ -116,18 +116,23 @@ class TestDeltaPartition:
         delta.dictionaries[1].code_for_insert("s")
         for v in (0.5, 1.5):
             delta.dictionaries[2].code_for_insert(v)
-        first = delta.bulk_load(cols, begin_cid=3)
+        first = delta.load_encoded(
+            cols,
+            np.full(2, 3, dtype=np.uint64),
+            np.full(2, INFINITY_CID, dtype=np.uint64),
+        )
         assert first == 0
         assert delta.row_count == 2
         assert list(delta.mvcc.visible_mask(3)) == [True, True]
         assert list(delta.mvcc.visible_mask(2)) == [False, False]
 
-    def test_bulk_load_ragged_rejected(self, backend):
+    def test_load_encoded_ragged_rejected(self, backend):
         delta = DeltaPartition.create(SCHEMA, backend)
         with pytest.raises(ValueError):
-            delta.bulk_load(
+            delta.load_encoded(
                 [np.zeros(2, np.uint32), np.zeros(3, np.uint32), np.zeros(2, np.uint32)],
-                begin_cid=1,
+                np.ones(2, dtype=np.uint64),
+                np.full(2, INFINITY_CID, dtype=np.uint64),
             )
 
     def test_out_of_range_reads(self, backend):

@@ -238,6 +238,8 @@ class TestBootstrap:
         db.merge("t")
         db.bulk_insert("t", [{"id": 20 + i, "v": f"b{i}"} for i in range(4)])
         assert shipper.sync_followers(timeout_s=10.0)
+        # The load reached the ship log through the manager's WAL hook.
+        assert {20, 21, 22, 23} <= set(_rows(replica))
         assert _rows(replica) == _rows(db)
         assert replica.query("u").count == 1
         assert sorted(replica.table_names()) == ["t", "u"]

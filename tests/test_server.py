@@ -155,6 +155,24 @@ def test_malformed_body_is_bad_request(client):
     assert err.value.status is Status.BAD_REQUEST
 
 
+def test_rejected_inserts_do_not_wedge_the_tenant(client):
+    """300 malformed INSERTs (more than the 256 transaction slots) each
+    answer an error and release their transaction: the tenant still
+    accepts writes afterwards."""
+    view = seed_tenant(client, rows=0)
+    bad = (Op.INSERT, {"table": "items", "row": {"id": "x", "name": "a", "qty": 1}})
+    for _ in range(3):  # batches stay under the in-flight admission quota
+        responses = view.pipeline([bad] * 100)
+        assert [r.status for r in responses] == [Status.BAD_REQUEST] * 100
+    assert view.insert("items", {"id": 1, "name": "a", "qty": 2}) == {
+        "row": 0,
+        "delta": True,
+    }
+    stats = view.stats()
+    assert stats["aborts"] == 300
+    assert stats["tables"]["items"]["delta_rows"] == 1
+
+
 # ----------------------------------------------------------------------
 # Pipelining and concurrency
 # ----------------------------------------------------------------------

@@ -124,17 +124,6 @@ class TestRoutingAndQueries:
         assert eng.query("t", Eq("id", 5)).count == 1
         eng.close()
 
-    def test_global_cid_shared_across_shards(self, tmp_path):
-        eng = make_engine(tmp_path)
-        eng.create_table("t", SCHEMA)
-        cid1 = eng.bulk_insert("t", rows(100))
-        cid2 = eng.bulk_insert("t", rows(100, start=100))
-        assert cid2 > cid1
-        assert eng.last_cid == cid2
-        # every shard's horizon reached the global cid
-        assert all(s.last_cid == cid2 for s in eng.shards)
-        eng.close()
-
 
 class TestLifecycle:
     @pytest.mark.parametrize("mode", [DurabilityMode.NVM, DurabilityMode.LOG])
@@ -224,14 +213,14 @@ class TestCrashMidBulkInsert:
         # Fail the fan-out on one shard mid-batch: its sub-batch never
         # commits while the other shards' sub-batches do.
         victim = eng.shards[2]
-        original = Database.bulk_insert
+        original = Database.insert_many
 
-        def failing_bulk_insert(self, table_name, batch, _cid=None):
+        def failing_bulk_insert(self, table_name, batch):
             if self is victim:
                 raise OSError("injected: power lost on shard 2")
-            return original(self, table_name, batch, _cid=_cid)
+            return original(self, table_name, batch)
 
-        monkeypatch.setattr(Database, "bulk_insert", failing_bulk_insert)
+        monkeypatch.setattr(Database, "insert_many", failing_bulk_insert)
         with pytest.raises(OSError, match="injected"):
             eng.bulk_insert("t", rows(300, start=300))
         monkeypatch.undo()
