@@ -14,8 +14,7 @@ import time
 
 import pytest
 
-from repro.core.config import DurabilityMode, EngineConfig
-from repro.core.database import Database
+from repro.core import DurabilityMode, Engine, EngineConfig, open_engine
 from repro.workloads.generator import WideRowGenerator
 
 _REPORTS: list[str] = []
@@ -66,14 +65,16 @@ def build_wide_db(
     rows: int,
     checkpoint: bool = False,
     seed: int = 11,
+    crash: bool = False,
     **overrides,
 ) -> EngineConfig:
-    """Create, populate with wide rows, and cleanly close a database.
+    """Create an engine, populate it with wide rows, and close (or
+    crash) it; ``shards=N`` among the overrides makes it sharded.
 
     Returns the config to reopen it with.
     """
     cfg = config_for(mode, **overrides)
-    db = Database(path, cfg)
+    db = open_engine(path, cfg)
     gen = WideRowGenerator(seed=seed)
     schema = {col.name: col.dtype for col in gen.schema}
     db.create_table("wide", schema)
@@ -84,56 +85,16 @@ def build_wide_db(
         remaining -= batch
     if checkpoint and mode is DurabilityMode.LOG:
         db.checkpoint()
-    db.close()
+    if crash:
+        db.crash(seed=3)
+    else:
+        db.close()
     return cfg
 
 
-def time_restart(path: str, cfg: EngineConfig) -> tuple[float, Database]:
+def time_restart(path: str, cfg: EngineConfig) -> tuple[float, Engine]:
     """Wall time of a cold open (recovery included); caller closes."""
     start = time.perf_counter()
-    db = Database(path, cfg)
+    db = open_engine(path, cfg)
     elapsed = time.perf_counter() - start
     return elapsed, db
-
-
-def build_sharded_db(
-    path: str,
-    mode: DurabilityMode,
-    rows: int,
-    shards: int,
-    checkpoint: bool = False,
-    crash: bool = True,
-    seed: int = 11,
-    **overrides,
-):
-    """Create and populate a sharded engine, then crash (or close) it.
-
-    Returns the config to reopen it with.
-    """
-    from repro.core.sharding import ShardedEngine
-
-    cfg = config_for(mode, shards=shards, **overrides)
-    eng = ShardedEngine(path, cfg)
-    gen = WideRowGenerator(seed=seed)
-    eng.create_table("wide", {col.name: col.dtype for col in gen.schema})
-    remaining = rows
-    while remaining > 0:
-        eng.bulk_insert("wide", gen.rows(min(5000, remaining)))
-        remaining -= 5000
-    if checkpoint and mode is DurabilityMode.LOG:
-        eng.checkpoint()
-    if crash:
-        eng.crash(seed=3)
-    else:
-        eng.close()
-    return cfg
-
-
-def time_sharded_restart(path: str, cfg: EngineConfig):
-    """Wall time of a sharded cold open; caller closes the engine."""
-    from repro.core.sharding import ShardedEngine
-
-    start = time.perf_counter()
-    eng = ShardedEngine(path, cfg)
-    elapsed = time.perf_counter() - start
-    return elapsed, eng

@@ -26,10 +26,9 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.reporting import format_table
-from repro.core.config import DurabilityMode
-from repro.core.sharding import ShardedEngine
+from repro.core import DurabilityMode, open_engine
 
-from benchmarks.conftest import build_sharded_db, time_sharded_restart
+from benchmarks.conftest import build_wide_db, time_restart
 
 ROWS = 48_000
 SHARD_COUNTS = [1, 2, 4, 8]
@@ -46,8 +45,8 @@ def prepared(tmp_path_factory):
             ("nvm", DurabilityMode.NVM, False),
         ]:
             path = str(base / f"{tag}-{shards}")
-            cfg = build_sharded_db(
-                path, mode, ROWS, shards=shards, checkpoint=checkpoint
+            cfg = build_wide_db(
+                path, mode, ROWS, shards=shards, checkpoint=checkpoint, crash=True
             )
             points[(tag, shards)] = (path, cfg)
     return points
@@ -61,7 +60,7 @@ def test_e9_shard_recovery_sweep(prepared, experiment_report, benchmark):
         baseline = None
         for shards in SHARD_COUNTS:
             path, cfg = prepared[(tag, shards)]
-            wall, eng = time_sharded_restart(path, cfg)
+            wall, eng = time_restart(path, cfg)
             assert eng.query("wide").count == ROWS
             assert eng.verify() == []
             report = eng.last_recovery
@@ -112,5 +111,5 @@ def test_e9_shard_recovery_sweep(prepared, experiment_report, benchmark):
     # The benchmarked operation: the 4-shard NVM cold open.
     path, cfg = prepared[("nvm", 4)]
     benchmark.pedantic(
-        lambda: ShardedEngine(path, cfg).close(), rounds=5, iterations=1
+        lambda: open_engine(path, cfg).close(), rounds=5, iterations=1
     )

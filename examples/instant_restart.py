@@ -11,8 +11,8 @@ under one second. At laptop scale the absolute numbers shrink, but the
 shape — log restart grows with data, NVM restart does not — is the
 reproduced claim.
 
-A second act shards the NVM engine (``ShardedEngine``) and pulls the
-plug again: all shards recover in parallel and the restart stays flat.
+A second act shards the NVM engine (``open_engine`` with ``shards=N``)
+and pulls the plug again: all shards recover in parallel and the restart stays flat.
 
 Run with::
 
@@ -30,7 +30,7 @@ from repro import (
     DurabilityMode,
     EngineConfig,
     Eq,
-    ShardedEngine,
+    open_engine,
 )
 from repro.workloads.orders import OrderEntryWorkload
 
@@ -73,7 +73,7 @@ def sharded_demo(customers: int, shards: int) -> None:
     path = tempfile.mkdtemp(prefix="instant-restart-sharded-")
     config = EngineConfig(mode=DurabilityMode.NVM, shards=shards)
     print(f"\n[sharded]  populating {shards}-shard NVM engine ...")
-    eng = ShardedEngine(path, config)
+    eng = open_engine(path, config)
     eng.create_table(
         "customers",
         {
@@ -92,7 +92,8 @@ def sharded_demo(customers: int, shards: int) -> None:
     eng.crash(seed=7)
 
     start = time.perf_counter()
-    recovered = ShardedEngine(path, config)
+    # The default config: the directory remembers its shard count.
+    recovered = open_engine(path)
     count = recovered.query("customers").count
     elapsed = time.perf_counter() - start
     assert count == customers, count
@@ -101,8 +102,14 @@ def sharded_demo(customers: int, shards: int) -> None:
         f"[sharded]  crash -> first query in {elapsed:.4f}s "
         f"across {report.shards} shards"
     )
-    for line in report.summary_lines():
-        print(f"           {line}")
+    print(
+        f"           wall {report.total_seconds:.4f}s, serial "
+        f"{report.serial_seconds:.4f}s, parallel speedup "
+        f"{report.parallel_speedup:.2f}x"
+    )
+    for i, shard in enumerate(report.shard_reports):
+        phases = ", ".join(f"{n}={s:.4f}s" for n, s in shard.phases)
+        print(f"           shard-{i:04d}: {shard.total_seconds:.4f}s ({phases})")
     recovered.close()
     shutil.rmtree(path)
 

@@ -18,10 +18,12 @@ from repro.core import (
     Database,
     DurabilityDriver,
     DurabilityMode,
+    Engine,
     EngineConfig,
     ShardedEngine,
     ShardedResult,
     Transaction,
+    open_engine,
 )
 from repro.obs import (
     MetricsRegistry,
@@ -69,6 +71,7 @@ __all__ = [
     "Database",
     "DurabilityDriver",
     "DurabilityMode",
+    "Engine",
     "EngineConfig",
     "Eq",
     "Follower",
@@ -96,6 +99,7 @@ __all__ = [
     "anti_join",
     "get_registry",
     "hash_join",
+    "open_engine",
     "order_by",
     "scan",
     "semi_join",

@@ -22,8 +22,7 @@ import tempfile
 import time
 
 from repro.bench.reporting import format_table
-from repro.core.config import DurabilityMode, EngineConfig
-from repro.core.database import Database
+from repro.core import Database, DurabilityMode, EngineConfig, open_engine
 from repro.nvm.latency import LatencyModel
 from repro.query.predicate import Between, Eq
 from repro.workloads.generator import RowGenerator, WideRowGenerator
@@ -42,9 +41,16 @@ def _config(mode: DurabilityMode, **overrides) -> EngineConfig:
     return EngineConfig(**defaults)
 
 
-def _build_wide(path: str, mode: DurabilityMode, rows: int, checkpoint: bool):
-    cfg = _config(mode)
-    db = Database(path, cfg)
+def _build_wide(
+    path: str,
+    mode: DurabilityMode,
+    rows: int,
+    checkpoint: bool,
+    shards: int = 1,
+    crash: bool = False,
+):
+    cfg = _config(mode, shards=shards)
+    db = open_engine(path, cfg)
     gen = WideRowGenerator(seed=11)
     db.create_table("wide", {c.name: c.dtype for c in gen.schema})
     remaining = rows
@@ -53,13 +59,16 @@ def _build_wide(path: str, mode: DurabilityMode, rows: int, checkpoint: bool):
         remaining -= 5000
     if checkpoint and mode is DurabilityMode.LOG:
         db.checkpoint()
-    db.close()
+    if crash:
+        db.crash(seed=3)
+    else:
+        db.close()
     return cfg
 
 
 def _timed_open(path: str, cfg: EngineConfig):
     start = time.perf_counter()
-    db = Database(path, cfg)
+    db = open_engine(path, cfg)
     return time.perf_counter() - start, db
 
 
@@ -258,11 +267,8 @@ def run_e7(quick: bool) -> str:
 
 
 def run_e9(quick: bool) -> str:
-    from repro.core.sharding import ShardedEngine
-
     rows = 16_000 if quick else 48_000
     shard_counts = [1, 4] if quick else [1, 2, 4, 8]
-    gen_seed = 11
     rows_out = []
     for tag, mode, ckpt in [
         ("log_checkpoint", DurabilityMode.LOG, True),
@@ -272,20 +278,10 @@ def run_e9(quick: bool) -> str:
         for shards in shard_counts:
             base = tempfile.mkdtemp(prefix="e9-")
             try:
-                cfg = _config(mode, shards=shards)
-                eng = ShardedEngine(base, cfg)
-                gen = WideRowGenerator(seed=gen_seed)
-                eng.create_table("wide", {c.name: c.dtype for c in gen.schema})
-                remaining = rows
-                while remaining > 0:
-                    eng.bulk_insert("wide", gen.rows(min(5000, remaining)))
-                    remaining -= 5000
-                if ckpt:
-                    eng.checkpoint()
-                eng.crash(seed=3)
-                start = time.perf_counter()
-                eng = ShardedEngine(base, cfg)
-                wall = time.perf_counter() - start
+                cfg = _build_wide(
+                    base, mode, rows, ckpt, shards=shards, crash=True
+                )
+                wall, eng = _timed_open(base, cfg)
                 report = eng.last_recovery
                 if baseline is None:
                     baseline = wall

@@ -36,11 +36,11 @@ class EngineConfig:
     """
 
     mode: DurabilityMode = DurabilityMode.NVM
-    #: Hash-partition shard count. ``1`` = a plain single :class:`Database`
-    #: (today's on-disk layout, unchanged); ``> 1`` is consumed by
-    #: :class:`~repro.core.sharding.ShardedEngine`, which runs one engine
-    #: instance per shard under ``path/shard-NNNN/`` and recovers them in
-    #: parallel.
+    #: Hash-partition shard count for a *new* directory (an existing one
+    #: keeps the count it was created with; ``1`` also means "whatever is
+    #: there"). :func:`~repro.core.open_engine` returns a plain
+    #: :class:`Database` at ``1`` and otherwise a ``ShardedEngine`` running
+    #: one ``Database`` per shard under ``path/shard-NNNN/``.
     shards: int = 1
     #: Size of each pmem extent file (NVM mode).
     extent_size: int = 64 * 1024 * 1024

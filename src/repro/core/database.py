@@ -24,9 +24,11 @@ Typical usage::
     print(db.query("items").rows())
     db = db.restart()            # instant — survives a crash, too
 
-For hash-partitioned multi-shard deployments see
-:class:`~repro.core.sharding.ShardedEngine`, which fans out over many
-``Database`` instances (one per shard) and recovers them in parallel.
+``Database`` is also the whole :class:`~repro.core.Engine` interface at
+one shard. :class:`~repro.core.sharding.ShardedEngine` adds only routing
+and fan-out over many ``Database`` instances (one per shard, recovered
+in parallel); :func:`~repro.core.open_engine` returns whichever a
+directory calls for.
 """
 
 from __future__ import annotations
@@ -164,7 +166,7 @@ class Database:
         self.config = (config or EngineConfig()).validated()
         if self.config.shards != 1:
             raise ValueError(
-                "Database is single-shard; use repro.ShardedEngine "
+                "Database is single-shard; use repro.core.open_engine "
                 f"for shards={self.config.shards}"
             )
         self.mode = self.config.mode
@@ -235,11 +237,22 @@ class Database:
     # DDL
     # ------------------------------------------------------------------
 
-    def create_table(self, name: str, schema: SchemaLike) -> Table:
-        """Create a table; the definition is immediately durable."""
+    def create_table(
+        self, name: str, schema: SchemaLike, partition_key: Optional[str] = None
+    ) -> Table:
+        """Create a table; the definition is immediately durable.
+
+        ``partition_key`` is what a sharded engine routes rows by; one
+        shard routes nothing and only checks that it names a column.
+        """
         if name in self._tables_by_name:
             raise ValueError(f"table {name!r} already exists")
-        table = self._driver.create_table(name, _coerce_schema(schema))
+        schema = _coerce_schema(schema)
+        if partition_key is not None and partition_key not in schema.names:
+            raise ValueError(
+                f"partition key {partition_key!r} is not a column of {name!r}"
+            )
+        table = self._driver.create_table(name, schema)
         self._register(table, {})
         return table
 
@@ -286,6 +299,11 @@ class Database:
     def begin(self) -> Transaction:
         """Start a transaction."""
         return Transaction(self, self._manager.begin())
+
+    def shard_for(self, table_name: str, key_value) -> "Database":
+        """The core that owns ``key_value``'s rows: at one shard, this."""
+        self.table(table_name)  # validates the table exists
+        return self
 
     def _index_new_row(self, table: Table, ref: int) -> None:
         indexes = self._indexes.get(table.table_id)
@@ -600,7 +618,8 @@ class Database:
         )
 
     def stats(self) -> dict:
-        """Engine statistics for reports and benchmarks."""
+        """Engine statistics for reports and benchmarks (``shards`` and
+        the empty ``per_shard`` keep the key set a sharded engine's)."""
         out = {
             "mode": self.mode.value,
             "tables": {
@@ -610,6 +629,8 @@ class Database:
             "aborts": self._manager.aborts,
             "conflicts": self._manager.conflicts,
             "last_cid": self._manager.last_cid,
+            "shards": 1,
+            "per_shard": [],
         }
         out.update(self._driver.extra_stats())
         return out
@@ -621,16 +642,17 @@ class Database:
         :class:`~repro.obs.metrics.MetricsRegistry` snapshot (counters,
         gauges, histogram summaries); ``driver`` holds this database's
         own accounting (pmem pool stats on NVM, WAL stats on LOG);
-        ``recovery`` is the last recovery's span tree.
+        ``recovery`` is the last recovery's report. ``shards`` and the
+        empty ``per_shard`` keep the key set a sharded engine's.
         """
-        out = {
+        return {
             "mode": self.mode.value,
+            "shards": 1,
             "registry": get_registry().snapshot(),
             "driver": self._driver.extra_stats(),
+            "per_shard": [],
+            "recovery": self.last_recovery.as_dict(),
         }
-        if self.last_recovery is not None:
-            out["recovery"] = self.last_recovery.as_dict()
-        return out
 
     def memory_report(self) -> dict:
         """Bytes held per table, broken down by structure kind.

@@ -23,12 +23,14 @@ Per-shard batches commit atomically but the fan-out itself is not a
 distributed transaction (a crash mid-fan-out may land some shards'
 sub-batches and not others — each shard individually stays consistent
 and no shard ever loses a committed batch), and no reader takes a
-cross-shard snapshot. Interactive multi-statement transactions stay
-shard-local: route with :meth:`ShardedEngine.shard_for`.
+cross-shard snapshot. Interactive multi-statement transactions are per
+core: ``engine.shard_for(table, key).begin()``.
 
-The shard count is fixed when the directory is first created and
-recorded in ``shards.json``; ``shards=1`` gives the same behaviour as a
-plain ``Database`` (inside ``shard-0000/``).
+This module owns routing and fan-out only: every data operation is the
+single-shard core's, and both satisfy :class:`~repro.core.Engine`. The
+shard count is fixed when the directory is first created and recorded
+in ``shards.json``; :func:`~repro.core.open_engine` reads it back, and
+never builds a router for one shard.
 """
 
 from __future__ import annotations
@@ -48,23 +50,55 @@ from repro.core.config import EngineConfig
 from repro.core.database import Database, SchemaLike, _coerce_schema
 from repro.obs import get_registry
 from repro.obs.trace import Span
-from repro.query.aggregate import (
-    aggregate_partials,
-    finalize_partials,
-    merge_partials,
-)
 from repro.query.predicate import Predicate
 from repro.query.scan import ScanResult
-from repro.recovery.report import ShardedRecoveryReport
+from repro.recovery.report import RecoveryReport
 
 _MANIFEST = "shards.json"
 
 T = TypeVar("T")
 
 
+#: High-water marks, not counters: the engine-level value is the
+#: furthest any shard got, where every other number is a sum.
+_HIGH_WATER = frozenset({"last_cid", "generation", "last_lsn"})
+
+
 def shard_dir(path: str, index: int) -> str:
     """The on-disk directory of one shard."""
     return os.path.join(path, f"shard-{index:04d}")
+
+
+def _manifest_path(path: str) -> str:
+    return os.path.join(path, _MANIFEST)
+
+
+def is_sharded(path: str) -> bool:
+    """Whether ``path`` was created as a sharded engine's directory."""
+    return os.path.exists(_manifest_path(path))
+
+
+def fold_stats(per_shard: Sequence[dict]) -> dict:
+    """One engine-level dict from same-shaped per-shard ones.
+
+    Numbers add (``_HIGH_WATER`` keys take the max), nested dicts fold
+    recursively, lists fold element-wise, and anything else (names,
+    modes) is the first shard's — so the result has exactly the shape of
+    one shard's dict.
+    """
+    first = per_shard[0]
+    if isinstance(first, dict):
+        out = {}
+        for key in first:
+            # A crash mid-DDL can leave a table on some shards only.
+            values = [d[key] for d in per_shard if key in d]
+            out[key] = max(values) if key in _HIGH_WATER else fold_stats(values)
+        return out
+    if isinstance(first, list):
+        return [fold_stats(column) for column in zip(*per_shard)]
+    if isinstance(first, bool) or not isinstance(first, (int, float)):
+        return first
+    return sum(per_shard)
 
 
 def _mix_u64(x: np.ndarray) -> np.ndarray:
@@ -84,8 +118,6 @@ def partition_of(value, nshards: int) -> int:
     as the vectorized :func:`partition_array`, so the scalar and batch
     routes can never disagree.
     """
-    if nshards <= 1:
-        return 0
     if value is None:
         data = b"\x00"
     elif isinstance(value, bool):
@@ -110,16 +142,15 @@ def partition_array(values: Sequence, nshards: int) -> np.ndarray:
     pass; anything else (strings, NULLs, mixed) falls back to the
     scalar path per row. Returns an int64 shard-index array.
     """
-    n = len(values)
-    if nshards <= 1:
-        return np.zeros(n, dtype=np.int64)
     if all(type(v) is int for v in values):
         bits = np.asarray(values, dtype=np.int64).view(np.uint64)
     elif all(type(v) is float for v in values):
         bits = np.asarray(values, dtype=np.float64).view(np.uint64)
     else:
         return np.fromiter(
-            (partition_of(v, nshards) for v in values), dtype=np.int64, count=n
+            (partition_of(v, nshards) for v in values),
+            dtype=np.int64,
+            count=len(values),
         )
     return (_mix_u64(bits) % np.uint64(nshards)).astype(np.int64)
 
@@ -192,24 +223,17 @@ class ShardedEngine:
         # detached until now. Children overlap in time — the tree shows
         # per-shard wall while the root shows the parallel wall.
         span.children.extend(s.last_recovery.span for s in self.shards)
-        self.last_recovery = ShardedRecoveryReport(
-            mode=self.mode.value,
-            shard_reports=[s.last_recovery for s in self.shards],
-            wall_seconds=span.duration_s,
-            span=span,
+        self.last_recovery = RecoveryReport(
+            self.mode.value, span, shard_reports=[s.last_recovery for s in self.shards]
         )
 
     # ------------------------------------------------------------------
     # Manifest
     # ------------------------------------------------------------------
 
-    @property
-    def _manifest_path(self) -> str:
-        return os.path.join(self.path, _MANIFEST)
-
     def _load_or_create_manifest(self) -> dict:
-        if os.path.exists(self._manifest_path):
-            with open(self._manifest_path) as f:
+        if is_sharded(self.path):
+            with open(_manifest_path(self.path)) as f:
                 manifest = json.load(f)
             existing = manifest["shards"]
             if self.config.shards not in (1, existing):
@@ -229,10 +253,10 @@ class ShardedEngine:
                 "shards": self.num_shards,
                 "partition_keys": self._partition_keys,
             }
-        tmp = self._manifest_path + ".tmp"
-        with open(tmp, "w") as f:
+        path = _manifest_path(self.path)
+        with open(path + ".tmp", "w") as f:
             json.dump(manifest, f)
-        os.replace(tmp, self._manifest_path)
+        os.replace(path + ".tmp", path)
 
     # ------------------------------------------------------------------
     # Routing
@@ -250,14 +274,6 @@ class ShardedEngine:
         registry = get_registry()
         queue_h = registry.histogram("shard_fanout_queue_seconds", op=op)
         exec_h = registry.histogram("shard_fanout_exec_seconds", op=op)
-        if self.num_shards == 1:
-            out = []
-            for item in items:
-                queue_h.observe(0.0)
-                t0 = time.perf_counter()
-                out.append(fn(item))
-                exec_h.observe(time.perf_counter() - t0)
-            return out
 
         def run(item: T, submitted: float) -> T:
             t0 = time.perf_counter()
@@ -277,19 +293,16 @@ class ShardedEngine:
         try:
             return self._partition_keys[table_name]
         except KeyError:
-            raise KeyError(f"no sharded table {table_name!r}") from None
-
-    def shard_index(self, table_name: str, key_value) -> int:
-        self.partition_key(table_name)  # validates the table exists
-        return partition_of(key_value, self.num_shards)
+            raise KeyError(f"no table {table_name!r}") from None
 
     def shard_for(self, table_name: str, key_value) -> Database:
         """The shard engine that owns ``key_value``'s rows.
 
-        Multi-statement transactions are shard-local — begin them on the
+        Interactive transactions are per core — begin them on the
         database this returns.
         """
-        return self.shards[self.shard_index(table_name, key_value)]
+        self.partition_key(table_name)  # validates the table exists
+        return self.shards[partition_of(key_value, self.num_shards)]
 
     # ------------------------------------------------------------------
     # DDL (applied to every shard)
@@ -304,12 +317,8 @@ class ShardedEngine:
         """Create the table on every shard; record its partition key."""
         schema = _coerce_schema(schema)
         key = partition_key if partition_key is not None else schema.names[0]
-        if key not in schema.names:
-            raise ValueError(
-                f"partition key {key!r} is not a column of {name!r}"
-            )
         for shard in self.shards:
-            shard.create_table(name, schema)
+            shard.create_table(name, schema, partition_key=key)
         self._partition_keys[name] = key
         self._save_manifest()
 
@@ -339,7 +348,9 @@ class ShardedEngine:
     def insert(self, table_name: str, row: dict) -> int:
         """Autocommit single-row insert, routed by partition key."""
         key = self.partition_key(table_name)
-        shard = self.shards[partition_of(row[key], self.num_shards)]
+        # ``get``: a row that omits its key column is a NULL key, which
+        # the shard it hashes to accepts or rejects like any other row.
+        shard = self.shards[partition_of(row.get(key), self.num_shards)]
         return shard.insert(table_name, row)
 
     def _partition_rows(
@@ -347,7 +358,7 @@ class ShardedEngine:
     ) -> list[tuple[int, list[dict]]]:
         """Split a batch into (shard, sub-batch) groups, numpy-hashed."""
         key = self.partition_key(table_name)
-        parts = partition_array([row[key] for row in rows], self.num_shards)
+        parts = partition_array([row.get(key) for row in rows], self.num_shards)
         groups = []
         for sid in np.unique(parts).tolist():
             picked = np.nonzero(parts == sid)[0].tolist()
@@ -392,34 +403,6 @@ class ShardedEngine:
             )
         )
 
-    def aggregate(
-        self,
-        table_name: str,
-        func: str,
-        column: Optional[str] = None,
-        group_by: Optional[str] = None,
-        predicate: Optional[Predicate] = None,
-    ):
-        """Distributed aggregate: ship per-shard partials, not rows.
-
-        Each shard scans and reduces its slice locally (the vectorized
-        code-space kernels), returning ``O(groups)`` partial states;
-        the coordinator combines them under the aggregate merge laws —
-        counts add, sum/avg add ``(n, total)`` pairs, min/max take
-        extremes — and finalizes. Semantics match
-        ``aggregate(self.query(...), ...)`` exactly.
-        """
-
-        def run(shard: Database) -> dict:
-            return aggregate_partials(
-                shard.query(table_name, predicate), func, column, group_by
-            )
-
-        partials = self._fan_out(run, self.shards, op="aggregate")
-        return finalize_partials(
-            func, merge_partials(func, partials), group_by is not None
-        )
-
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
@@ -448,35 +431,38 @@ class ShardedEngine:
     def is_closed(self) -> bool:
         return self._closed
 
+    def _claim_shutdown(self) -> bool:
+        """Claim the one shutdown and stop the fan-out pool; False when
+        another caller already did.
+
+        The pool stops *before* any shard does (pending tasks cancelled,
+        running ones joined): crashing the shards while an
+        ``insert_many`` task is still writing would let that task keep
+        mutating — and, worse, making durable — shard state *after* the
+        simulated power failure, corrupting the very crash state
+        recovery is supposed to be tested against.
+        """
+        with self._close_lock:
+            if self._closed:
+                return False
+            self._closed = True
+        self._executor.shutdown(wait=True, cancel_futures=True)
+        return True
+
     def close(self) -> None:
         """Orderly shutdown of every shard.
 
         Idempotent and thread-safe, like :meth:`Database.close`: safe
         to call twice or concurrently from a signal-driven shutdown.
         """
-        with self._close_lock:
-            if self._closed:
-                return
-            self._closed = True
-        self._executor.shutdown(wait=True, cancel_futures=True)
-        for shard in self.shards:
-            shard.close()
+        if self._claim_shutdown():
+            for shard in self.shards:
+                shard.close()
 
     def crash(self, survivor_fraction: float = 0.0, seed: Optional[int] = None) -> None:
-        """Simulate a power failure hitting every shard at once.
-
-        The fan-out executor is stopped *first* (pending tasks
-        cancelled, running ones joined): crashing the shards while a
-        ``insert_many`` task is still writing would let
-        that task keep mutating — and, worse, making durable — shard
-        state *after* the simulated power failure, corrupting the very
-        crash state recovery is supposed to be tested against.
-        """
-        with self._close_lock:
-            if self._closed:
-                return
-            self._closed = True
-        self._executor.shutdown(wait=True, cancel_futures=True)
+        """Simulate a power failure hitting every shard at once."""
+        if not self._claim_shutdown():
+            return
         for index, shard in enumerate(self.shards):
             shard.crash(
                 survivor_fraction=survivor_fraction,
@@ -502,35 +488,27 @@ class ShardedEngine:
         return problems
 
     def stats(self) -> dict:
+        """:meth:`Database.stats` folded over the shards (see
+        :func:`fold_stats`); the originals ride under ``per_shard``."""
         per_shard = [shard.stats() for shard in self.shards]
+        out = fold_stats(per_shard)
+        out.update(shards=self.num_shards, per_shard=per_shard)
+        return out
+
+    def metrics_snapshot(self) -> dict:
+        """:meth:`Database.metrics_snapshot` at the engine level: the
+        process registry (which already holds the fan-out queue/exec
+        histograms), driver telemetry folded like :meth:`stats`, and
+        the parallel recovery's report."""
+        per_shard = [shard._driver.extra_stats() for shard in self.shards]
         return {
             "mode": self.mode.value,
             "shards": self.num_shards,
-            "last_cid": self.last_cid,
-            "commits": sum(s["commits"] for s in per_shard),
-            "aborts": sum(s["aborts"] for s in per_shard),
-            "conflicts": sum(s["conflicts"] for s in per_shard),
-            "per_shard": per_shard,
-        }
-
-    def metrics_snapshot(self) -> dict:
-        """Process metrics plus per-shard driver telemetry.
-
-        Mirrors :meth:`Database.metrics_snapshot` at the engine level:
-        the process registry snapshot (which already includes the
-        fan-out queue/exec histograms and persistence-event counters),
-        per-shard driver accounting, and the last parallel recovery's
-        span tree.
-        """
-        out = {
-            "mode": self.mode.value,
-            "shards": self.num_shards,
             "registry": get_registry().snapshot(),
-            "driver": [shard._driver.extra_stats() for shard in self.shards],
+            "driver": fold_stats(per_shard),
+            "per_shard": per_shard,
+            "recovery": self.last_recovery.as_dict(),
         }
-        if self.last_recovery is not None:
-            out["recovery"] = self.last_recovery.as_dict()
-        return out
 
     def logical_bytes(self) -> int:
         return sum(shard.logical_bytes() for shard in self.shards)

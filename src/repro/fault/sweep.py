@@ -39,10 +39,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core import Engine, open_engine
-from repro.core.config import DurabilityMode, EngineConfig
-from repro.core.database import Database
-from repro.core.sharding import ShardedEngine, partition_of
+from repro.core import DurabilityMode, Engine, EngineConfig, open_engine, partition_of
 from repro.fault.inject import CrashPointInjector, SimulatedPowerFailure
 from repro.fault.workloads import (
     SCHEMA,
@@ -135,16 +132,8 @@ class CrashSweep:
     def _open(self, path: str) -> Engine:
         return open_engine(path, self._config())
 
-    def _owner(self, engine: Engine, key: int) -> Database:
-        if isinstance(engine, ShardedEngine):
-            return engine.shard_for(TABLE, key)
-        return engine
-
     def _setup(self, engine: Engine) -> None:
-        if isinstance(engine, ShardedEngine):
-            engine.create_table(TABLE, SCHEMA, partition_key="key")
-        else:
-            engine.create_table(TABLE, SCHEMA)
+        engine.create_table(TABLE, SCHEMA, partition_key="key")
         engine.bulk_insert(
             TABLE, [{"key": k, "note": n} for k, n in self.workload.initial_rows]
         )
@@ -180,13 +169,13 @@ class CrashSweep:
             # No abort-on-error handling on purpose: when the power
             # fails mid-transaction the process is gone; recovery, not
             # an except-block, must clean up.
-            db = self._owner(engine, step.key)
+            db = engine.shard_for(TABLE, step.key)
             txn = db.begin()
             ref = txn.query(TABLE, Eq("key", step.key)).refs()[0]
             txn.update(TABLE, ref, {"note": step.note})
             txn.commit()
         elif step.kind == "delete":
-            db = self._owner(engine, step.key)
+            db = engine.shard_for(TABLE, step.key)
             txn = db.begin()
             ref = txn.query(TABLE, Eq("key", step.key)).refs()[0]
             txn.delete(TABLE, ref)
@@ -227,7 +216,7 @@ class CrashSweep:
 
         def run_op(key: int, note: Optional[str]) -> None:
             try:
-                db = self._owner(engine, key)
+                db = engine.shard_for(TABLE, key)
                 # A racing online-merge cutover can invalidate the refs a
                 # transaction read (retryable conflict); retry the whole
                 # transaction like a client would.
@@ -346,11 +335,7 @@ class CrashSweep:
             problems = list(recovered.verify())
             problems.extend(self._check_state(recovered, oracle))
             problems.extend(follower_problems)
-            phases: dict[str, float] = {}
-            report = recovered.last_recovery
-            if report is not None:
-                for name, seconds in report.phases:
-                    phases[name] = phases.get(name, 0.0) + seconds
+            phases = dict(recovered.last_recovery.phases)
         finally:
             recovered.close()
             shutil.rmtree(path, ignore_errors=True)
@@ -624,7 +609,7 @@ class CrashSweep:
             for p in best[1]
         ]
 
-    def _check_promoted_pin(self, promoted: Database, found: dict) -> list[str]:
+    def _check_promoted_pin(self, promoted: Engine, found: dict) -> list[str]:
         """Write on the promoted replica, crash it, recover, re-check."""
         problems: list[str] = []
         promoted.insert(TABLE, {"key": PIN_KEY, "note": "post-failover"})
@@ -632,7 +617,7 @@ class CrashSweep:
             survivor_fraction=self.settings.survivor_fraction,
             seed=self.settings.seed,
         )
-        reopened = Database(promoted.path, self._promoted_config())
+        reopened = open_engine(promoted.path, self._promoted_config())
         try:
             refound, dups = self._found_rows(reopened)
             problems.extend(f"promoted: {p}" for p in dups)
@@ -780,7 +765,7 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument(
         "--shards",
         default="1",
-        help="comma list of shard counts (1 = plain Database)",
+        help="comma list of shard counts (1 = the bare single-shard core)",
     )
     parser.add_argument(
         "--survivors",

@@ -87,7 +87,7 @@ def _print_workload_text(results: list[dict], registry, top: int) -> None:
             )
             if recovery.get(key)
         }
-        if "parallel_speedup" in recovery:
+        if recovery["shards"] > 1:
             summary["parallel_speedup"] = round(recovery["parallel_speedup"], 2)
         if summary:
             print("   " + ", ".join(f"{k}={v}" for k, v in summary.items()))

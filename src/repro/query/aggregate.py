@@ -18,11 +18,11 @@ The vectorized kernels never materialise per-row python values:
 
 Results are exposed as *partials* (:func:`aggregate_partials`) that
 merge under simple laws — count adds, sum/avg add (n, total) pairs,
-min/max take extremes — which is also how
-:meth:`~repro.core.sharding.ShardedEngine.aggregate` combines per-shard
-results without shipping rows. :func:`aggregate_scalar` keeps the
-row-at-a-time reference implementation (regression baseline, and the
-fallback for plain list-backed results).
+min/max take extremes — which is also how :func:`aggregate` combines a
+sharded result's per-shard partials without shipping rows.
+:func:`aggregate_scalar` keeps the row-at-a-time reference
+implementation (regression baseline, and the fallback for plain
+list-backed results).
 
 Group keys in a grouped result appear in partition/code order, not
 first-row order; the mapping ``{group: value}`` is identical to the

@@ -13,7 +13,7 @@ The two recovery paths embody the paper's comparison:
   Work is O(dataset + log tail).
 """
 
-from repro.recovery.report import RecoveryReport, ShardedRecoveryReport
+from repro.recovery.report import RecoveryReport
 from repro.recovery.nvm_recovery import recover_nvm
 from repro.recovery.log_recovery import LogReplayer, recover_log
 from repro.recovery.validator import validate_database
@@ -21,7 +21,6 @@ from repro.recovery.validator import validate_database
 __all__ = [
     "LogReplayer",
     "RecoveryReport",
-    "ShardedRecoveryReport",
     "recover_log",
     "recover_nvm",
     "validate_database",

@@ -14,6 +14,15 @@ from dataclasses import dataclass, field
 
 from repro.obs.trace import Span, trace_phase
 
+_COUNTERS = (
+    "rows_recovered",
+    "txns_rolled_back",
+    "txns_rolled_forward",
+    "log_records_replayed",
+    "merges_replayed",
+    "checkpoint_bytes",
+)
+
 
 @dataclass
 class RecoveryReport:
@@ -24,6 +33,14 @@ class RecoveryReport:
     span around the whole procedure, so ``total_seconds`` is the
     measured wall time of ``open`` once recovery finishes (and the sum
     of phase durations until then).
+
+    A multi-shard engine recovers its shards concurrently and reports
+    one of these too: ``shard_reports`` carries the children (empty for
+    a single-shard recovery), ``span`` is the fan-out's own span with
+    each shard's tree grafted under it — so ``total_seconds`` is the
+    *wall clock* of the parallel recovery — and the counters are sums
+    over the shards (every shard holds every table, so ``tables`` is
+    not).
     """
 
     mode: str
@@ -35,20 +52,51 @@ class RecoveryReport:
     log_records_replayed: int = 0
     merges_replayed: int = 0
     checkpoint_bytes: int = 0
+    shard_reports: list["RecoveryReport"] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.span.name == "recovery":
             self.span.name = f"recovery:{self.mode}"
+        if self.shard_reports:
+            self.tables = max(r.tables for r in self.shard_reports)
+            for name in _COUNTERS:
+                setattr(self, name, sum(getattr(r, name) for r in self.shard_reports))
+
+    @property
+    def shards(self) -> int:
+        return len(self.shard_reports) or 1
 
     @property
     def phases(self) -> list[tuple[str, float]]:
-        return self.span.phase_items()
+        """``(phase, seconds)`` pairs; a parallel recovery sums each
+        phase across its shards (first-seen order)."""
+        if not self.shard_reports:
+            return self.span.phase_items()
+        totals: dict[str, float] = {}
+        for report in self.shard_reports:
+            for name, seconds in report.phases:
+                totals[name] = totals.get(name, 0.0) + seconds
+        return list(totals.items())
 
     @property
     def total_seconds(self) -> float:
         if self.span.finished:
             return self.span.duration_s
         return self.span.child_seconds()
+
+    @property
+    def serial_seconds(self) -> float:
+        """What a one-thread recovery of the same shards would have
+        cost: the sum of per-shard totals."""
+        if not self.shard_reports:
+            return self.total_seconds
+        return sum(r.total_seconds for r in self.shard_reports)
+
+    @property
+    def parallel_speedup(self) -> float:
+        if self.total_seconds <= 0.0:
+            return 1.0
+        return self.serial_seconds / self.total_seconds
 
     def phase_seconds(self, name: str) -> float:
         return sum(seconds for phase, seconds in self.phases if phase == name)
@@ -58,110 +106,16 @@ class RecoveryReport:
         return trace_phase(name, parent=self.span, **meta)
 
     def as_dict(self) -> dict:
-        return {
+        out = {
             "mode": self.mode,
             "total_seconds": self.total_seconds,
             "phases": dict(self.phases),
             "span": self.span.as_dict(),
             "tables": self.tables,
-            "rows_recovered": self.rows_recovered,
-            "txns_rolled_back": self.txns_rolled_back,
-            "txns_rolled_forward": self.txns_rolled_forward,
-            "log_records_replayed": self.log_records_replayed,
-            "merges_replayed": self.merges_replayed,
-            "checkpoint_bytes": self.checkpoint_bytes,
-        }
-
-
-@dataclass
-class ShardedRecoveryReport:
-    """Recovery timings for a multi-shard engine.
-
-    Shards recover concurrently, so the engine-level recovery time is
-    the *wall clock* of the parallel fan-out, while ``serial_seconds``
-    (the sum of per-shard totals) is what a one-thread recovery of the
-    same shards would have cost; their ratio is the parallel speedup.
-    ``span`` (when set by the engine) is the fan-out's own span, with
-    each shard's recovery tree grafted under it.
-    """
-
-    mode: str
-    shard_reports: list = field(default_factory=list)
-    wall_seconds: float = 0.0
-    span: Span | None = None
-
-    @property
-    def shards(self) -> int:
-        return len(self.shard_reports)
-
-    @property
-    def total_seconds(self) -> float:
-        return self.wall_seconds
-
-    @property
-    def serial_seconds(self) -> float:
-        return sum(r.total_seconds for r in self.shard_reports)
-
-    @property
-    def parallel_speedup(self) -> float:
-        if self.wall_seconds <= 0.0:
-            return 1.0
-        return self.serial_seconds / self.wall_seconds
-
-    def _sum(self, attr: str) -> int:
-        return sum(getattr(r, attr) for r in self.shard_reports)
-
-    @property
-    def txns_rolled_back(self) -> int:
-        return self._sum("txns_rolled_back")
-
-    @property
-    def txns_rolled_forward(self) -> int:
-        return self._sum("txns_rolled_forward")
-
-    @property
-    def rows_recovered(self) -> int:
-        return self._sum("rows_recovered")
-
-    @property
-    def log_records_replayed(self) -> int:
-        return self._sum("log_records_replayed")
-
-    @property
-    def phases(self) -> list[tuple[str, float]]:
-        """Per-phase durations summed across shards (first-seen order)."""
-        totals: dict[str, float] = {}
-        for report in self.shard_reports:
-            for name, seconds in report.phases:
-                totals[name] = totals.get(name, 0.0) + seconds
-        return list(totals.items())
-
-    def phase_seconds(self, name: str) -> float:
-        return sum(seconds for phase, seconds in self.phases if phase == name)
-
-    def summary_lines(self) -> list[str]:
-        lines = [
-            f"{self.shards} shard(s), wall {self.wall_seconds:.4f}s "
-            f"(serial {self.serial_seconds:.4f}s)",
-            f"parallel speedup: {self.parallel_speedup:.2f}x",
-        ]
-        lines.extend(
-            f"shard-{i:04d}: {r.total_seconds:.4f}s "
-            f"({', '.join(f'{n}={s:.4f}s' for n, s in r.phases)})"
-            for i, r in enumerate(self.shard_reports)
-        )
-        return lines
-
-    def as_dict(self) -> dict:
-        out = {
-            "mode": self.mode,
             "shards": self.shards,
-            "wall_seconds": self.wall_seconds,
             "serial_seconds": self.serial_seconds,
             "parallel_speedup": self.parallel_speedup,
             "per_shard": [r.as_dict() for r in self.shard_reports],
         }
-        if self.span is not None:
-            out["span"] = self.span.as_dict()
+        out.update((name, getattr(self, name)) for name in _COUNTERS)
         return out
-

@@ -33,7 +33,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.config import DurabilityMode, EngineConfig
+from repro.core import DurabilityMode, Engine, EngineConfig
 from repro.obs import get_registry
 from repro.obs.export import to_prometheus
 from repro.query.aggregate import aggregate
@@ -358,7 +358,7 @@ class ReproServer:
             return Status.BAD_REQUEST, str(exc)
         except KeyError as exc:
             message = str(exc.args[0]) if exc.args else str(exc)
-            if "no table" in message or "no sharded table" in message:
+            if "no table" in message:
                 return Status.NO_SUCH_TABLE, message
             return Status.BAD_REQUEST, message
         except (TypeError, ValueError) as exc:
@@ -412,19 +412,14 @@ class ReproServer:
             self.catalog.release(tenant)
 
     @staticmethod
-    def _tenant_op(engine, op: Op, body: dict):
-        from repro.core.database import Database
-
+    def _tenant_op(engine: Engine, op: Op, body: dict):
         if op is Op.CREATE_TABLE:
             schema = {
                 name: DataType(dtype) for name, dtype in body["schema"]
             }
-            if isinstance(engine, Database):
-                engine.create_table(body["table"], schema)
-            else:
-                engine.create_table(
-                    body["table"], schema, partition_key=body.get("partition_key")
-                )
+            engine.create_table(
+                body["table"], schema, partition_key=body.get("partition_key")
+            )
             return {}
         if op is Op.DROP_TABLE:
             engine.drop_table(body["table"])
@@ -447,9 +442,8 @@ class ReproServer:
             rows = body["rows"]
             if not isinstance(rows, list):
                 raise ProtocolError("INSERT_MANY rows must be a list")
-            result = engine.insert_many(body["table"], rows)
-            count = len(result) if isinstance(result, list) else int(result)
-            return {"count": count}
+            engine.insert_many(body["table"], rows)
+            return {"count": len(rows)}
         if op is Op.QUERY:
             predicate = protocol.predicate_from_wire(body.get("predicate"))
             result = engine.query(body["table"], predicate)
@@ -462,18 +456,12 @@ class ReproServer:
             return {"rows": rows, "count": total}
         if op is Op.AGGREGATE:
             predicate = protocol.predicate_from_wire(body.get("predicate"))
-            func = body["func"]
-            column = body.get("column")
-            group_by = body.get("group_by")
-            if isinstance(engine, Database):
-                value = aggregate(
-                    engine.query(body["table"], predicate), func, column, group_by
-                )
-            else:
-                value = engine.aggregate(
-                    body["table"], func, column=column,
-                    group_by=group_by, predicate=predicate,
-                )
+            value = aggregate(
+                engine.query(body["table"], predicate),
+                body["func"],
+                body.get("column"),
+                body.get("group_by"),
+            )
             if isinstance(value, dict):
                 return {"groups": value}
             return {"value": value}

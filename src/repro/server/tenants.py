@@ -1,10 +1,9 @@
 """Multi-tenant namespaces: a durable catalog of per-tenant engines.
 
 Each tenant owns a private namespace directory —
-``<root>/tenants/<name>/`` — holding a full engine (a single
-:class:`~repro.core.database.Database` or a
-:class:`~repro.core.sharding.ShardedEngine`, per the tenant's recorded
-shard count). Tenants are fully isolated: separate durability state,
+``<root>/tenants/<name>/`` — holding a full
+:class:`~repro.core.Engine` with the tenant's recorded shard
+count. Tenants are fully isolated: separate durability state,
 separate table namespaces (two tenants may both have an ``orders``
 table), separate recovery.
 
@@ -209,8 +208,7 @@ class TenantCatalog:
             raise NoSuchTenant(f"no tenant {name!r}")
         engine = open_engine(tenant_dir(self.root, name), self._tenant_config(rows[0]))
         self._attached[name] = engine
-        if engine.last_recovery is not None:
-            self.recovery_reports[name] = engine.last_recovery.as_dict()
+        self.recovery_reports[name] = engine.last_recovery.as_dict()
         registry = get_registry()
         registry.counter("server_tenant_attaches_total").inc()
         registry.gauge("server_tenants_attached").set(len(self._attached))

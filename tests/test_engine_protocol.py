@@ -1,0 +1,185 @@
+"""The :class:`~repro.core.Engine` protocol, driven through
+``open_engine`` only.
+
+One body runs at every shard count and durability mode against a dict
+model: nothing here knows which class it got, which is the property the
+server, the crash sweep and the report CLI rely on.
+"""
+
+from __future__ import annotations
+
+import os
+
+import pytest
+
+from repro.core import DurabilityMode, EngineConfig, open_engine
+from repro.query import Eq, Gt, IsNull, aggregate
+from repro.storage import DataType
+
+from tests.conftest import make_config
+
+SCHEMA = {"id": DataType.INT64, "grp": DataType.STRING, "val": DataType.INT64}
+
+each_engine = pytest.mark.parametrize("shards", [1, 4])
+each_mode = pytest.mark.parametrize(
+    "mode", [DurabilityMode.NVM, DurabilityMode.LOG], ids=lambda m: m.value
+)
+
+
+def row(key, val, grp="g"):
+    return {"id": key, "grp": grp, "val": val}
+
+
+def visible(engine, table="kv") -> dict:
+    """``{id: val}`` of the committed state; ids must be unique."""
+    rows = engine.query(table).rows()
+    state = {r["id"]: r["val"] for r in rows}
+    assert len(state) == len(rows), "an id is visible twice"
+    return state
+
+
+def change(engine, key, val=None):
+    """Update (or, with no ``val``, delete) one row in a transaction on
+    the core that owns it."""
+    db = engine.shard_for("kv", key)
+    with db.begin() as txn:
+        owned = IsNull("id") if key is None else Eq("id", key)
+        (ref,) = txn.query("kv", owned).refs()
+        if val is None:
+            txn.delete("kv", ref)
+        else:
+            txn.update("kv", ref, {"val": val})
+
+
+@each_engine
+@each_mode
+def test_whole_protocol_against_a_model(tmp_path, shards, mode):
+    path = str(tmp_path / "eng")
+    engine = open_engine(path, make_config(mode, shards=shards))
+    model: dict = {}
+
+    # -- DDL, with and without a partition key ---------------------------
+    engine.create_table("kv", SCHEMA)
+    engine.create_table("by_grp", SCHEMA, partition_key="grp")
+    with pytest.raises(ValueError, match="partition key"):
+        engine.create_table("bad", SCHEMA, partition_key="nope")
+    engine.create_index("kv", "id")
+    assert engine.table_names == ["by_grp", "kv"]
+    with pytest.raises(KeyError, match="no table"):
+        engine.shard_for("missing", 1)
+
+    # -- scalar and batch writes -----------------------------------------
+    engine.insert("kv", row(1, 10))
+    model[1] = 10
+    # A row that omits its partition-key column has a NULL key.
+    engine.insert("kv", {"grp": "null-key", "val": 5})
+    model[None] = 5
+    engine.insert_many("kv", [row(k, k * 10) for k in range(2, 40)])
+    model.update({k: k * 10 for k in range(2, 40)})
+    assert engine.bulk_insert("kv", [row(k, k) for k in range(40, 60)]) == (
+        engine.last_cid
+    )
+    model.update({k: k for k in range(40, 60)})
+    engine.insert_many(
+        "by_grp", [row(k, k, grp=f"g{k % 5}") for k in range(30)] + [{"id": 99}]
+    )
+
+    # -- rejected rows are rejected alike, and leave nothing behind -------
+    with pytest.raises(KeyError, match="unknown columns"):
+        engine.insert("kv", {"id": 70, "nope": 1})
+    # One key, so one shard's sub-batch: all-or-nothing on any engine.
+    with pytest.raises(TypeError, match="expected int"):
+        engine.insert_many("kv", [row(71, 1), row(71, "not-an-int")])
+    assert visible(engine) == model
+
+    # -- interactive transactions, on the owning core ---------------------
+    change(engine, 3, -3)
+    model[3] = -3
+    change(engine, None, 6)
+    model[None] = 6
+    change(engine, 4)
+    del model[4]
+    assert visible(engine) == model
+
+    # -- reads -------------------------------------------------------------
+    assert engine.query("kv", Eq("id", 3)).rows(["val"]) == [{"val": -3}]
+    assert aggregate(engine.query("kv"), "count") == len(model)
+    positive = [v for v in model.values() if v > 0]
+    assert aggregate(engine.query("kv", Gt("val", 0)), "sum", "val") == sum(positive)
+    assert aggregate(engine.query("by_grp"), "count", group_by="grp") == {
+        **{f"g{i}": 6 for i in range(5)},
+        None: 1,
+    }
+
+    # -- maintenance -------------------------------------------------------
+    engine.merge("kv")
+    change(engine, 5, 555)
+    model[5] = 555
+    if mode is DurabilityMode.LOG:
+        assert engine.checkpoint() > 0
+    assert visible(engine) == model
+    assert engine.verify() == []
+
+    # -- crash, then reopen with the default config: the directory, not
+    # the caller, says how many shards there are ---------------------------
+    before = sorted(os.listdir(path))
+    engine.crash(seed=shards)
+    engine = open_engine(path, EngineConfig(mode=mode))
+    assert sorted(os.listdir(path)) == before
+    assert engine.verify() == []
+    assert visible(engine) == model
+    assert engine.table_names == ["by_grp", "kv"]
+    assert len(engine.query("by_grp")) == 31
+    report = engine.last_recovery
+    assert report.total_seconds > 0
+    assert report.shards == shards
+    assert report.tables == 2
+
+    # -- and it is still an engine ----------------------------------------
+    engine.insert("kv", row(80, 8))
+    model[80] = 8
+    change(engine, 80, 9)
+    model[80] = 9
+    engine = engine.restart()
+    assert visible(engine) == model
+    assert engine.verify() == []
+    engine.close()
+    engine.close()  # idempotent
+
+
+@each_mode
+def test_one_shape_at_every_shard_count(tmp_path, mode):
+    """``stats()``, ``metrics_snapshot()`` and the recovery report answer
+    in one shape; a sharded engine's numbers are its shards' summed."""
+    shapes = {}
+    for shards in (1, 4):
+        path = str(tmp_path / f"s{shards}")
+        engine = open_engine(path, make_config(mode, shards=shards))
+        engine.create_table("kv", SCHEMA)
+        engine.insert_many("kv", [row(k, k) for k in range(100)])
+        engine.insert("kv", row(100, 100))
+        engine.close()
+        engine = open_engine(path, EngineConfig(mode=mode))
+        stats = engine.stats()
+        snapshot = engine.metrics_snapshot()
+        recovery = engine.last_recovery.as_dict()
+        shapes[shards] = (
+            set(stats),
+            set(stats["tables"]["kv"]),
+            set(snapshot),
+            set(snapshot["driver"]),
+            set(recovery),
+        )
+        assert stats["shards"] == recovery["shards"] == shards
+        table = stats["tables"]["kv"]
+        assert table["main_rows"] + table["delta_rows"] == 101
+        assert snapshot["recovery"].keys() == recovery.keys()
+        if shards > 1:
+            assert len(stats["per_shard"]) == len(recovery["per_shard"]) == shards
+            assert stats["last_cid"] == max(s["last_cid"] for s in stats["per_shard"])
+            assert recovery["serial_seconds"] == pytest.approx(
+                sum(r["total_seconds"] for r in recovery["per_shard"])
+            )
+            assert set(recovery["phases"]) == set(recovery["per_shard"][0]["phases"])
+        engine.close()
+    assert shapes[1] == shapes[4]

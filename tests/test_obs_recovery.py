@@ -73,7 +73,7 @@ class TestRecoverySpans:
         assert root.name == "recovery:sharded:nvm"
         assert root.finished
         assert len(root.children) == 4
-        assert report.wall_seconds == pytest.approx(root.duration_s)
+        assert report.total_seconds == pytest.approx(root.duration_s)
         for shard_span in root.children:
             assert shard_span.name == "recovery:nvm"
             phases = {c.name for c in shard_span.children}
@@ -218,7 +218,8 @@ class TestEngineTelemetry:
         _load(engine, 20)
         snap = engine.metrics_snapshot()
         assert snap["shards"] == 2
-        assert len(snap["driver"]) == 2
+        assert len(snap["per_shard"]) == 2
+        assert snap["driver"].keys() == snap["per_shard"][0].keys()
         json.dumps(snap, sort_keys=True, default=str)
         engine.close()
 
@@ -250,6 +251,15 @@ class TestReportCLI:
         assert "pool_open" in out
         assert "log_replay" in out
         assert "== top 5 counters ==" in out
+
+    def test_workload_text_sharded(self, capsys):
+        assert report_main(["--rows", "300", "--mode", "log", "--shards", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "== log restart: 300 rows, 4 shard(s) ==" in out
+        assert out.count("recovery:log") == 4  # one tree per shard
+        # The counter summary a sharded report used to omit.
+        assert "rows_recovered=309" in out
+        assert "parallel_speedup=" in out
 
     def test_workload_json(self, capsys):
         assert (

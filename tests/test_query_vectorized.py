@@ -415,8 +415,7 @@ class TestShardedAggregate:
         shipped = aggregate_scalar(
             engine.query("t"), func, column, group_by=group_by
         )
-        assert engine.aggregate("t", func, column, group_by=group_by) == shipped
-        # The ShardedResult entry point takes the same partial path.
+        # A ShardedResult takes the partial-merge path.
         assert aggregate(
             engine.query("t"), func, column, group_by=group_by
         ) == shipped

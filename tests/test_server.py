@@ -32,8 +32,8 @@ def client(served):
         yield c
 
 
-def seed_tenant(client, tenant="acme", rows=10):
-    client.create_tenant(tenant)
+def seed_tenant(client, tenant="acme", rows=10, **layout):
+    client.create_tenant(tenant, **layout)
     view = client.for_tenant(tenant)
     view.create_table("items", SCHEMA)
     view.insert_many(
@@ -316,6 +316,28 @@ def test_restart_recovers_tenants_in_process(tmp_path):
             assert client.aggregate("items", "count", tenant="acme") == 25
             report = client.recovery_reports("acme")["acme"]
             assert report["total_seconds"] >= 0.0
+
+
+def test_sharded_tenant_reports_in_the_single_shard_shape(tmp_path):
+    """RECOVERY and STATS answer for a 4-shard tenant with the same keys
+    a single-shard one has, numbers summed over the shards."""
+    path = str(tmp_path / "data")
+    with ServerThread(path) as thread:
+        with ReproClient(HOST, thread.port) as client:
+            seed_tenant(client, rows=25, shards=4, mode="log")
+    with ServerThread(path) as thread:
+        with ReproClient(HOST, thread.port) as client:
+            view = client.for_tenant("acme")
+            assert view.aggregate("items", "count") == 25
+            report = client.recovery_reports("acme")["acme"]
+            assert report["shards"] == len(report["per_shard"]) == 4
+            assert report["total_seconds"] > 0
+            assert report["phases"]["log_replay"] > 0
+            assert report["rows_recovered"] == 25
+            stats = view.stats()
+            table = stats["tables"]["items"]
+            assert table["main_rows"] + table["delta_rows"] == 25
+            assert stats["commits"] == sum(s["commits"] for s in stats["per_shard"])
 
 
 def test_stop_is_idempotent(tmp_path):

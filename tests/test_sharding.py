@@ -6,7 +6,7 @@ from repro.core.config import DurabilityMode
 from repro.core.database import Database
 from repro.core.sharding import ShardedEngine, partition_of
 from repro.query.predicate import Between, Eq
-from repro.recovery.report import ShardedRecoveryReport
+from repro.recovery.report import RecoveryReport
 from repro.storage.types import DataType
 
 from tests.conftest import make_config
@@ -43,7 +43,7 @@ class TestPartitioning:
         assert buckets == {0, 1, 2, 3}
 
     def test_database_rejects_multi_shard_config(self, tmp_path):
-        with pytest.raises(ValueError, match="ShardedEngine"):
+        with pytest.raises(ValueError, match="open_engine"):
             Database(str(tmp_path / "db"), make_config(DurabilityMode.NVM, shards=4))
 
 
@@ -135,10 +135,14 @@ class TestLifecycle:
         assert eng.query("t").count == 400
         assert eng.verify() == []
         report = eng.last_recovery
-        assert isinstance(report, ShardedRecoveryReport)
-        assert report.shards == 4
+        assert isinstance(report, RecoveryReport)
+        assert report.shards == len(report.shard_reports) == 4
         assert report.parallel_speedup > 0
-        assert any("parallel speedup" in line for line in report.summary_lines())
+        # Counters are sums over the shards; every shard holds the table.
+        assert report.tables == 1
+        if mode is DurabilityMode.LOG:
+            assert report.rows_recovered == 400
+        assert report.span.render_tree().count(f"recovery:{mode.value}") == 4
         eng.close()
 
     @pytest.mark.parametrize("mode", [DurabilityMode.NVM, DurabilityMode.LOG])
@@ -169,7 +173,7 @@ class TestLifecycle:
         assert all(s.table("t").generation == 1 for s in eng.shards)
         eng.drop_table("t")
         assert eng.table_names == []
-        with pytest.raises(KeyError, match="no sharded table"):
+        with pytest.raises(KeyError, match="no table"):
             eng.partition_key("t")
         eng.close()
 
