@@ -1,14 +1,17 @@
-"""E16 — the one LOG restart path: coalesced replay + chained checkpoints.
+"""E16 — the one LOG restart path: REDO-only replay + chained checkpoints.
 
 Two claims, measured end to end:
 
-1. **Replay cost follows run length, not record count.** The replayer
-   coalesces each run of consecutive insert records of one table into
-   one vectorised delta append, so a log of 32-row transactions replays
-   >=1.5x cheaper *per record* than a log of one-row autocommits of the
-   same length (five runs of the 40k-record point measured 1.98-2.31x).
-   The bar needs no slow reference implementation: both points run the
-   same code, only the log's shape differs.
+1. **Replay cost is independent of transaction shape.** Records carry
+   their position and commit id, so the replayer loads each run of
+   position-adjacent insert records of one table as one vectorised
+   append whatever transactions they came from: a log of one-row
+   autocommits replays within 1.5x *per record* of a log of 32-row
+   transactions of the same length. (Until PR 17 the bar was the
+   opposite — 32-row >=1.5x cheaper, measured 1.98-2.31x — which
+   measured the per-transaction resolve cost of tid-tagged records that
+   the commit-time log removes.) Both points run the same code, only
+   the log's shape differs.
 2. **Incremental checkpoints track the dirty fraction.** After a full
    chain link, dirtying one table of ten and checkpointing again must
    write a small fraction of the full snapshot's bytes (<20%), because
@@ -37,7 +40,7 @@ def replay_rows(tmp_path_factory):
     return replay_scaling_rows(LOG_RECORDS, ROWS_PER_TXN, base)
 
 
-def test_e16_coalesced_replay(replay_rows, experiment_report, benchmark):
+def test_e16_replay_is_shape_independent(replay_rows, experiment_report, benchmark):
     experiment_report(
         format_table(
             replay_rows,
@@ -48,7 +51,7 @@ def test_e16_coalesced_replay(replay_rows, experiment_report, benchmark):
                 "restart_s",
                 "replay_s",
                 "us_per_record",
-                "coalescing_gain",
+                "one_row_ratio",
             ],
             title="E16a: replay cost vs log length x rows per transaction",
         )
@@ -57,7 +60,7 @@ def test_e16_coalesced_replay(replay_rows, experiment_report, benchmark):
         (r for r in replay_rows if r["rows_per_txn"] == 32),
         key=lambda r: r["log_records"],
     )
-    assert longest["coalescing_gain"] >= 1.5
+    assert longest["one_row_ratio"] <= 1.5
     # Benchmark the measured operation once for the timing artifact.
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 

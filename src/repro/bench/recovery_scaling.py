@@ -1,14 +1,13 @@
-"""E16 — the one LOG restart path: coalesced replay + chained checkpoints.
+"""E16 — the one LOG restart path: REDO-only replay + chained checkpoints.
 
 Two sweeps behind the experiment:
 
 * **Replay cost vs transaction shape** — restart time of a crashed LOG
-  engine versus log length and rows per transaction. The replayer
-  coalesces each run of consecutive insert records of one table into
-  one vectorized delta append, so a log of multi-row transactions
-  replays far cheaper *per record* than the same number of records
-  written as one-row autocommits (where every run has length one and
-  the replayer pays one Python row-insert per record).
+  engine versus log length and rows per transaction. Records carry
+  their position and commit id, so the replayer loads every run of
+  position-adjacent insert records of one table as one vectorized
+  append whatever transactions they came from: one-row autocommits
+  replay at about the per-record cost of multi-row transactions.
 * **Incremental checkpoint cost** — bytes and seconds for a full chain
   link (every table dirty) versus the next link after touching a single
   table, on a multi-table database. Clean tables carry their segment
@@ -86,7 +85,7 @@ def replay_scaling_rows(
 ) -> list[dict]:
     """One row per (log length, rows per transaction) point.
 
-    ``coalescing_gain`` is the per-record replay cost of the first
+    ``one_row_ratio`` is the per-record replay cost of the first
     listed shape (list the one-row shape first) over this point's.
     """
     rows_out = []
@@ -108,7 +107,7 @@ def replay_scaling_rows(
                     "restart_s": point["restart_s"],
                     "replay_s": point["replay_s"],
                     "us_per_record": us_per_record,
-                    "coalescing_gain": baseline_us / us_per_record,
+                    "one_row_ratio": baseline_us / us_per_record,
                 }
             )
     return rows_out

@@ -290,13 +290,12 @@ class VolatileDriver(DurabilityDriver):
         self,
         db: "Database",
         last_cid: int = 0,
-        first_tid: int = 1,
         wal: Optional[LogWriter] = None,
     ) -> TransactionManager:
         return TransactionManager(
             VolatileTxnTable(self.config.txn_slots),
             VolatileCidStore(last_cid),
-            VolatileTidAllocator(first_tid),
+            VolatileTidAllocator(),
             db._table_by_id,
             wal=wal,
         )
@@ -366,12 +365,12 @@ class LogDriver(VolatileDriver):
             self._next_table_id = replayed.next_table_id
             self._seed_checkpoint_state(replayed)
             with report.phase("log_reopen"):
-                # A real power failure can leave garbage (or a
-                # half-written record) past the last valid frame. Drop
-                # that torn tail before reopening the log for append:
-                # records appended after garbage would be unreachable to
-                # every future replay, silently losing the transactions
-                # they describe.
+                # A real power failure can leave garbage, a half-written
+                # record or a group without its commit record past the
+                # last complete group. Drop that torn tail before
+                # reopening the log for append: records appended after it
+                # would be unreachable to every future replay, or adopted
+                # by the dead group.
                 self._drop_torn_tail(replayed.lsn)
                 self._wal = LogWriter(
                     self.log_path,
@@ -379,10 +378,7 @@ class LogDriver(VolatileDriver):
                     fsync_delay_s=self.config.wal_fsync_delay_s,
                 )
                 db._manager = self._volatile_manager(
-                    db,
-                    last_cid=replayed.last_cid,
-                    first_tid=replayed.max_tid + 1,
-                    wal=self._wal,
+                    db, last_cid=replayed.last_cid, wal=self._wal
                 )
             with report.phase("index_rebuild"):
                 self._rebuild_declared_indexes(db)
@@ -412,7 +408,7 @@ class LogDriver(VolatileDriver):
             self._clean_tokens[table_id] = table.change_token()
 
     def _drop_torn_tail(self, end_lsn: int) -> None:
-        """Truncate the log just past its last valid record."""
+        """Truncate the log just past its last complete group."""
         if (
             os.path.exists(self.log_path)
             and os.path.getsize(self.log_path) > end_lsn

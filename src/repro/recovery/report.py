@@ -47,7 +47,7 @@ class RecoveryReport:
     span: Span = field(default_factory=lambda: Span("recovery"))
     tables: int = 0
     rows_recovered: int = 0
-    txns_rolled_back: int = 0
+    txns_rolled_back: int = 0  # NVM only: the LOG engine's replay is REDO-only
     txns_rolled_forward: int = 0
     log_records_replayed: int = 0
     merges_replayed: int = 0

@@ -19,9 +19,9 @@ Two invariants make promotion trivial:
 
 ``promote()`` therefore is exactly an instant-restart: open a
 :class:`~repro.core.database.Database` in LOG mode over the follower's
-directory — checkpoint load, log replay, torn-tail truncation and
-in-flight rollback all run the code paths the crash sweep already
-certifies.
+directory — checkpoint load, log replay and truncation of the torn tail
+(a group whose commit record never shipped included) all run the code
+paths the crash sweep already certifies.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ class Follower:
         self._applied_lsn = 0
         self._applied_cond = threading.Condition()
         self._on_ack: Optional[Callable[[int], None]] = None
-        self._promoted = False
         self._instruments_generation = -1
         self._refresh_instruments()
 
@@ -207,15 +206,14 @@ class Follower:
         Drains the apply queue, flushes the local log mirror, then runs
         the **instant-restart fix-up** over the follower directory:
         opening a LOG-mode :class:`~repro.core.database.Database` there
-        replays checkpoint + log, truncates whatever torn tail the dead
-        primary shipped, and rolls back transactions whose commit never
-        arrived. Returns the opened database.
+        replays checkpoint + log and truncates whatever torn tail the
+        dead primary shipped — a transaction whose commit record never
+        arrived is part of that tail. Returns the opened database.
         """
         self._stop_apply()
         if self._log_file is not None and not self._log_file.closed:
             self._log_file.flush()
             self._log_file.close()
-        self._promoted = True
         if config is None:
             config = EngineConfig(mode=DurabilityMode.LOG)
         elif config.mode is not DurabilityMode.LOG:

@@ -32,9 +32,10 @@ directory: a LOG primary *pins* its current chain link there at attach
 (hard links — a later checkpoint's GC cannot pull the files away), an
 NVM primary publishes its attach-time pool snapshot there as a one-link
 chain. Either way the shipper requires a **quiescent** primary (no
-active transactions): the snapshot format carries no transaction ids,
-so an in-flight transaction's rows could not be resolved by the
-stream's later commit records.
+active transactions): the snapshot is not taken at a commit boundary
+(ROADMAP 5a). An NVM primary's would be read while active transactions
+write, and what they did before the ship log attached was never staged
+— their commit would ship as a group missing those operations.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ class WalShipper:
         if primary._manager.active_count:
             raise RuntimeError(
                 "attach the shipper to a quiescent primary: the bootstrap "
-                "snapshot cannot represent in-flight transactions"
+                "snapshot is not taken at a commit boundary"
             )
         driver = primary._driver
         #: Chain directory followers bootstrap from (None: no snapshot,

@@ -71,10 +71,7 @@ class DeltaPartition:
         self.mvcc = mvcc
         # Append reservation latch: a writer holds this from reading
         # ``row_count`` through the begin-vector publish, so two
-        # transactions can never claim overlapping row ranges. The WAL
-        # op-record append rides inside the same critical section — log
-        # replay reproduces physical placement from file order, so file
-        # order must equal append order.
+        # transactions can never claim overlapping row ranges.
         self.write_lock = threading.Lock()
 
     @classmethod
@@ -153,10 +150,7 @@ class DeltaPartition:
         return encoded
 
     def insert_rows_encoded(
-        self,
-        encoded_columns: Sequence[np.ndarray],
-        tid: int,
-        tids: Optional[np.ndarray] = None,
+        self, encoded_columns: Sequence[np.ndarray], tid: int
     ) -> int:
         """Insert a pre-encoded batch as uncommitted; returns first index.
 
@@ -165,59 +159,49 @@ class DeltaPartition:
         extend each, overwriting any crash-torn tails), and the begin
         vector extend publishes every row of the batch atomically last.
         A crash before that final publish loses the entire batch.
-
-        ``tids`` optionally carries one owning transaction per row (the
-        parallel-replay coalescer batches consecutive single-row inserts
-        from *different* transactions into one vectorised insert);
-        otherwise every row belongs to ``tid``.
         """
-        counts = {len(col) for col in encoded_columns}
-        if len(counts) != 1:
-            raise ValueError("ragged batch insert")
-        (n,) = counts
-        if tids is not None and len(tids) != n:
-            raise ValueError("per-row tids disagree with row count")
-        first = self.row_count
-        for vector, codes in zip(self.code_vectors, encoded_columns):
-            _extend_or_overwrite(
-                vector, first, np.asarray(codes, dtype=_CODE_DTYPE)
-            )
-        _extend_or_overwrite(
-            self.mvcc.end, first, np.full(n, INFINITY_CID, dtype=np.uint64)
-        )
-        _extend_or_overwrite(
-            self.mvcc.tid,
-            first,
-            np.full(n, tid, dtype=np.uint64)
-            if tids is None
-            else np.asarray(tids, dtype=np.uint64),
-        )
-        # Publish point: the batch becomes real in one extend.
-        self.mvcc.begin.extend(np.full(n, INFINITY_CID, dtype=np.uint64))
-        return first
+        never = np.full(len(encoded_columns[0]), INFINITY_CID, dtype=np.uint64)
+        return self._store(self.row_count, encoded_columns, never, never, tid)
 
     def load_encoded(
         self,
-        encoded_columns: list[np.ndarray],
+        encoded_columns: Sequence[np.ndarray],
         begin_cids: np.ndarray,
         end_cids: np.ndarray,
+        first: Optional[int] = None,
     ) -> int:
-        """Append pre-encoded rows carrying explicit MVCC vectors.
+        """Store pre-encoded rows carrying explicit MVCC vectors.
 
         The merge-cutover tail path: rows written past the freeze
         watermark are re-encoded against this fresh delta with their
         begin/end state copied verbatim (tids must already be released —
         cutover requires that no transaction holds operations on the
-        table). The caller serialises; the begin extend publishes last,
-        as everywhere else. Returns the first new row index.
+        table). The caller serialises; the begin store publishes last,
+        as everywhere else. Returns the first row index.
+
+        LOG replay names ``first``, the position its record carries: a
+        gap below it is padded with dead rows (:meth:`pad_to`), and a
+        position below the row count overwrites such padding in place.
         """
+        if first is None:
+            first = self.row_count
+        self.pad_to(first)
+        return self._store(first, encoded_columns, begin_cids, end_cids, NO_TID)
+
+    def _store(
+        self,
+        first: int,
+        encoded_columns: Sequence[np.ndarray],
+        begin_cids: np.ndarray,
+        end_cids: np.ndarray,
+        tid: int,
+    ) -> int:
         counts = {len(col) for col in encoded_columns}
         if len(counts) != 1:
-            raise ValueError("ragged load")
+            raise ValueError("ragged batch")
         (n,) = counts
         if n != len(begin_cids) or n != len(end_cids):
             raise ValueError("MVCC vectors disagree with row count")
-        first = self.row_count
         for vector, codes in zip(self.code_vectors, encoded_columns):
             _extend_or_overwrite(
                 vector, first, np.asarray(codes, dtype=_CODE_DTYPE)
@@ -226,10 +210,26 @@ class DeltaPartition:
             self.mvcc.end, first, np.asarray(end_cids, dtype=np.uint64)
         )
         _extend_or_overwrite(
-            self.mvcc.tid, first, np.full(n, NO_TID, dtype=np.uint64)
+            self.mvcc.tid, first, np.full(n, tid, dtype=np.uint64)
         )
-        self.mvcc.begin.extend(np.asarray(begin_cids, dtype=np.uint64))
+        begin = np.asarray(begin_cids, dtype=np.uint64)
+        # Replay padding below the row count is stamped in place; the
+        # extend is the publish point: the batch becomes real in one.
+        overlap = min(self.row_count - first, n)
+        self.mvcc.set_begin_range(first, overlap, begin[:overlap])
+        if overlap < n:
+            self.mvcc.begin.extend(begin[overlap:])
         return first
+
+    def pad_to(self, rows: int) -> None:
+        """Grow to ``rows`` with dead rows (NULL codes, ``begin`` and
+        ``end`` at infinity, unlocked): positions whose writers aborted,
+        or commit later in the log and overwrite the padding then."""
+        gap = rows - self.row_count
+        if gap > 0:
+            never = np.full(gap, INFINITY_CID, dtype=np.uint64)
+            nulls = np.full(gap, NULL_CODE, dtype=_CODE_DTYPE)
+            self.load_encoded([nulls] * len(self.code_vectors), never, never)
 
     # ------------------------------------------------------------------
     # Reads

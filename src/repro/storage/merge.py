@@ -168,8 +168,8 @@ def plan_from_masks(
     At replay the current begin/end vectors already hold their cutover
     values (every transaction with operations on the table committed or
     aborted before the merge record — cutover guarantees it — and
-    replay applied those records first), so the plan's captured state
-    *is* the final state and no fix-up pass is needed.
+    replay applied the committed groups first), so the plan's captured
+    state *is* the final state and no fix-up pass is needed.
     """
     main, delta = table.content
     if main.row_count != main_mask.size or watermark > delta.row_count:
@@ -416,6 +416,8 @@ def replay_merge(
     delta_mask: np.ndarray,
 ) -> None:
     """Repeat a logged merge transform at its log position (LOG replay)."""
+    # Aborted rows just below the watermark were never logged.
+    table.delta.pad_to(watermark)
     plan = plan_from_masks(table, watermark, main_mask, delta_mask)
     new_main = fold_generation(table, plan, backend)
     new_delta = rebuild_tail_delta(

@@ -135,9 +135,10 @@ class MvccColumns:
     def set_tid(self, row: int, tid: int, persist: bool = True) -> None:
         self.tid.set(row, tid, persist=persist)
 
-    def set_begin_range(self, first: int, count: int, cid: int) -> None:
-        """Set ``begin_cid`` for a contiguous row range (one store per
-        touched chunk instead of a per-row loop)."""
+    def set_begin_range(self, first: int, count: int, cid: int | np.ndarray) -> None:
+        """Set ``begin_cid`` — one value, or one per row — for a
+        contiguous row range (one store per touched chunk instead of a
+        per-row loop)."""
         if count > 0:
             self.begin.set_range(first, np.full(count, cid, dtype=np.uint64))
             self._mutations += 1

@@ -75,8 +75,8 @@ class VolatileTidAllocator:
     draw the same tid.
     """
 
-    def __init__(self, start: int = 1):
-        self._counter = itertools.count(max(start, 1))
+    def __init__(self) -> None:
+        self._counter = itertools.count(1)
 
     def next(self) -> int:
         return next(self._counter)
@@ -88,7 +88,11 @@ class WalHook(Protocol):
     def log_insert(self, tid: int, table_id: int, values: Sequence[Value]) -> None: ...
 
     def log_insert_many(
-        self, tid: int, table_id: int, columns: Sequence[Sequence[Value]]
+        self,
+        tid: int,
+        table_id: int,
+        first_row: int,
+        columns: Sequence[Sequence[Value]],
     ) -> None: ...
 
     def log_invalidate(self, tid: int, table_id: int, ref: int) -> None: ...
@@ -215,18 +219,25 @@ class TransactionManager:
                         ctx.slot, OP_INSERT_MANY, table.table_id, range_ref
                     )
                     delta.insert_rows_encoded(encoded, ctx.tid)
-                    if self._wal is not None:
-                        # Inside the latch: replay reproduces placement
-                        # from file order, so file order must equal
-                        # append order.
-                        self._wal.log_insert_many(
-                            ctx.tid, table.table_id, columns
-                        )
                 # Undo bookkeeping inside the gate: once it is recorded,
                 # a cutover sees this transaction as having operations
                 # on the table and waits for commit/abort, keeping the
                 # refs below valid for the transaction's lifetime.
                 ctx.ops.append((OP_INSERT_MANY, table.table_id, range_ref))
+                if self._wal is not None:
+                    # Outside the latch: the record names its position.
+                    # A batch the log rejects (RecordTooLarge) is placed
+                    # but can never be replayed, so it must not commit:
+                    # undo this one statement (its rows stay dead, their
+                    # locks released); the transaction stays usable.
+                    try:
+                        self._wal.log_insert_many(
+                            ctx.tid, table.table_id, first, columns
+                        )
+                    except Exception:
+                        rollback_operations(self._table_lookup, [ctx.ops.pop()])
+                        self._txn_table.unrecord(ctx.slot)
+                        raise
                 ctx.note_insert_range(table.table_id, first, n)
                 ctx.note_table_generation(table)
             return [pack_rowref(True, first + i) for i in range(n)]

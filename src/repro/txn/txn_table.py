@@ -157,6 +157,15 @@ class PersistentTxnTable:
         pool.write_u64(tail + _C_COUNT, count + 1)
         pool.persist(tail + _C_COUNT, 8)
 
+    def unrecord(self, index: int) -> None:
+        """Durably drop the slot's newest operation record (a statement
+        its transaction has already undone)."""
+        with self._latch:
+            tail = self._tail_chunk[index]
+        count = self._pool.read_u64(tail + _C_COUNT)
+        self._pool.write_u64(tail + _C_COUNT, count - 1)
+        self._pool.persist(tail + _C_COUNT, 8)
+
     def _new_chunk(self) -> int:
         if self._chunk_pool:
             chunk = self._chunk_pool.pop()
@@ -268,6 +277,9 @@ class VolatileTxnTable:
 
     def record(self, index: int, kind: int, table_id: int, rowref: int) -> None:
         self._records[index].append((kind, table_id, rowref))
+
+    def unrecord(self, index: int) -> None:
+        self._records[index].pop()
 
     def set_committing(self, index: int, cid: int) -> None:
         self._cid[index] = cid

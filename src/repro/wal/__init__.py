@@ -8,7 +8,6 @@ NVM-resident storage.
 """
 
 from repro.wal.records import (
-    AbortRecord,
     CommitRecord,
     CreateTableRecord,
     InsertRecord,
@@ -22,7 +21,6 @@ from repro.wal.reader import read_log
 from repro.wal.checkpoint import TableSnapshot
 
 __all__ = [
-    "AbortRecord",
     "CommitRecord",
     "CreateTableRecord",
     "InsertRecord",

@@ -8,6 +8,11 @@ where the payload starts with a u8 record type. The CRC detects the torn
 tail a crash leaves behind; replay stops at the first bad frame. Values
 are serialised self-describingly (kind byte per value), so replay does
 not need the schema in hand to parse a record.
+
+No record names a transaction: its operation records sit in the file
+directly before its commit record (``wal/writer.py`` writes such a
+*group* whole), every insert names the delta position it occupies and
+the commit record carries the commit id.
 """
 
 from __future__ import annotations
@@ -24,7 +29,8 @@ from repro.storage.types import Value
 TYPE_INSERT = 1
 TYPE_INVALIDATE = 2
 TYPE_COMMIT = 3
-TYPE_ABORT = 4
+# 4 is unassigned: the log holds committed work only, so nothing records
+# an abort.
 TYPE_CREATE_TABLE = 5
 TYPE_DROP_TABLE = 6
 TYPE_INSERT_MANY = 7
@@ -65,10 +71,11 @@ class InsertRecord:
 class InsertManyRecord:
     """One batched insert: ``columns`` holds per-column value tuples
     (column-major), so numerics serialise as packed arrays with one
-    null bitmap per column instead of a kind byte per cell."""
+    null bitmap per column instead of a kind byte per cell. The rows
+    occupy delta positions ``first_row .. first_row + row_count``."""
 
-    tid: int
     table_id: int
+    first_row: int
     columns: tuple  # tuple[tuple[Value, ...], ...]
 
     @property
@@ -78,20 +85,15 @@ class InsertManyRecord:
 
 @dataclass(frozen=True)
 class InvalidateRecord:
-    tid: int
     table_id: int
     ref: int
 
 
 @dataclass(frozen=True)
 class CommitRecord:
-    tid: int
+    """Closes the group of operation records written just before it."""
+
     cid: int
-
-
-@dataclass(frozen=True)
-class AbortRecord:
-    tid: int
 
 
 @dataclass(frozen=True)
@@ -114,9 +116,9 @@ class MergeRecord:
     from (bit-packed on the wire); ``watermark`` is the frozen delta row
     count — rows past it were re-encoded into the fresh delta. Replay
     reaches this record with exactly the MVCC state the cutover saw
-    (every transaction with operations on the table commits or aborts
-    in the log before it), so re-running the fold from the masks
-    reproduces row placement deterministically.
+    (every transaction with operations on the table committed, so its
+    group is in the log, or aborted before it), so re-running the fold
+    from the masks reproduces row placement deterministically.
     """
 
     table_id: int
@@ -130,7 +132,6 @@ LogRecord = Union[
     InsertManyRecord,
     InvalidateRecord,
     CommitRecord,
-    AbortRecord,
     CreateTableRecord,
     DropTableRecord,
     MergeRecord,
@@ -260,8 +261,8 @@ def _payload(record: LogRecord) -> bytes:
             struct.pack(
                 "<BQQIH",
                 TYPE_INSERT_MANY,
-                record.tid,
                 record.table_id,
+                record.first_row,
                 n,
                 len(record.columns),
             )
@@ -271,12 +272,10 @@ def _payload(record: LogRecord) -> bytes:
         return b"".join(parts)
     if isinstance(record, InvalidateRecord):
         return struct.pack(
-            "<BQQQ", TYPE_INVALIDATE, record.tid, record.table_id, record.ref
+            "<BQQ", TYPE_INVALIDATE, record.table_id, record.ref
         )
     if isinstance(record, CommitRecord):
-        return struct.pack("<BQQ", TYPE_COMMIT, record.tid, record.cid)
-    if isinstance(record, AbortRecord):
-        return struct.pack("<BQ", TYPE_ABORT, record.tid)
+        return struct.pack("<BQ", TYPE_COMMIT, record.cid)
     if isinstance(record, CreateTableRecord):
         name_raw = record.name.encode("utf-8")
         return (
@@ -315,29 +314,27 @@ def encode_record(record: LogRecord) -> bytes:
     return frame_payload(_payload(record))
 
 
-def peek_payload(payload: bytes) -> tuple[int, int, int, int]:
+def peek_payload(payload: bytes) -> tuple[int, int, int]:
     """Routing header of a payload without decoding its body.
 
-    Returns ``(rtype, tid, table_id, cid)`` from the fixed-offset
-    prefix every record type starts with; fields a type does not carry
-    come back 0. The replayer routes raw payloads into per-table queues
-    with this, leaving the expensive value/mask decoding
-    (``decode_payload``) to its drain.
+    Returns ``(rtype, table_id, cid)`` from the fixed-offset prefix; the
+    field a type does not carry comes back 0. The replayer routes raw
+    payloads with this, leaving the expensive value/mask decoding
+    (``decode_payload``) to its drain. The scalar ``TYPE_INSERT`` names
+    no position, so it raises here like any unknown type.
     """
-    (rtype,) = struct.unpack_from("<B", payload, 0)
-    if rtype in (TYPE_INSERT, TYPE_INSERT_MANY, TYPE_INVALIDATE):
-        tid, table_id = struct.unpack_from("<QQ", payload, 1)
-        return rtype, tid, table_id, 0
+    rtype, word = struct.unpack_from("<BQ", payload, 0)
     if rtype == TYPE_COMMIT:
-        tid, cid = struct.unpack_from("<QQ", payload, 1)
-        return rtype, tid, 0, cid
-    if rtype == TYPE_ABORT:
-        (tid,) = struct.unpack_from("<Q", payload, 1)
-        return rtype, tid, 0, 0
-    if rtype in (TYPE_CREATE_TABLE, TYPE_DROP_TABLE, TYPE_MERGE):
-        (table_id,) = struct.unpack_from("<Q", payload, 1)
-        return rtype, 0, table_id, 0
-    raise ValueError(f"bad record type {rtype}")
+        return rtype, 0, word
+    if rtype in (
+        TYPE_INSERT_MANY,
+        TYPE_INVALIDATE,
+        TYPE_CREATE_TABLE,
+        TYPE_DROP_TABLE,
+        TYPE_MERGE,
+    ):
+        return rtype, word, 0
+    raise ValueError(f"unreplayable record type {rtype}")
 
 
 def decode_payload(payload: bytes) -> LogRecord:
@@ -348,22 +345,21 @@ def decode_payload(payload: bytes) -> LogRecord:
         values, _ = _decode_values(payload, 17)
         return InsertRecord(tid, table_id, values)
     if rtype == TYPE_INSERT_MANY:
-        tid, table_id, n, ncols = struct.unpack_from("<QQIH", payload, 1)
+        table_id, first_row, n, ncols = struct.unpack_from(
+            "<QQIH", payload, 1
+        )
         pos = 23
         columns = []
         for _ in range(ncols):
             col, pos = _decode_column(payload, pos, n)
             columns.append(col)
-        return InsertManyRecord(tid, table_id, tuple(columns))
+        return InsertManyRecord(table_id, first_row, tuple(columns))
     if rtype == TYPE_INVALIDATE:
-        tid, table_id, ref = struct.unpack_from("<QQQ", payload, 1)
-        return InvalidateRecord(tid, table_id, ref)
+        table_id, ref = struct.unpack_from("<QQ", payload, 1)
+        return InvalidateRecord(table_id, ref)
     if rtype == TYPE_COMMIT:
-        tid, cid = struct.unpack_from("<QQ", payload, 1)
-        return CommitRecord(tid, cid)
-    if rtype == TYPE_ABORT:
-        (tid,) = struct.unpack_from("<Q", payload, 1)
-        return AbortRecord(tid)
+        (cid,) = struct.unpack_from("<Q", payload, 1)
+        return CommitRecord(cid)
     if rtype == TYPE_CREATE_TABLE:
         table_id, name_len = struct.unpack_from("<QH", payload, 1)
         pos = 11

@@ -1,9 +1,12 @@
 """Log writer with cross-transaction group commit.
 
-Implements the :class:`~repro.txn.manager.WalHook` protocol. Operation
-records are buffered through normal file writes (op order = file order,
-which lets replay reproduce physical row placement exactly); commit
-records trigger an fsync according to the group-commit policy:
+Implements the :class:`~repro.txn.manager.WalHook` protocol. The log is
+REDO-only: a transaction's operation records are *staged* in memory as
+encoded frames, :meth:`LogWriter.append_commit` writes them and the
+commit record under one append-lock hold — a group is contiguous in the
+file by construction — and :meth:`LogWriter.log_abort` forgets them, so
+the file holds committed work only, in commit order. Commit records
+trigger an fsync according to the group-commit policy:
 
 * ``group_size == 1`` — synchronous commit: every transaction waits for
   its commit record to be durable before it is acknowledged. Under
@@ -18,8 +21,8 @@ records trigger an fsync according to the group-commit policy:
   on checkpoint/close. The acked-but-not-durable window is surfaced as
   ``wal_commits_acked_total`` vs ``wal_commits_durable_total``.
 
-Concurrent committers use :meth:`append_commit` (enqueue the record,
-returns its LSN) followed by :meth:`commit_barrier` (wait until the
+Concurrent committers use :meth:`append_commit` (write the group,
+returns its end LSN) followed by :meth:`commit_barrier` (wait until the
 policy says the commit is acknowledgeable).
 """
 
@@ -39,7 +42,6 @@ from repro.obs import generation, get_registry
 from repro.storage.types import Value
 from repro.wal.records import (
     MAX_RECORD_BYTES,
-    AbortRecord,
     CommitRecord,
     CreateTableRecord,
     DropTableRecord,
@@ -104,6 +106,10 @@ class LogWriter:
         # End-LSNs of commit records not yet durable, in append order —
         # drained as the frontier advances to count group sizes.
         self._pending_commit_lsns: deque[int] = deque()
+        # tid -> encoded frames of a transaction that has not ended (the
+        # tid is never serialised). Unlatched: a transaction runs on one
+        # thread at a time, and ``setdefault``/``pop`` are atomic.
+        self._staged: dict[int, list[bytes]] = {}
         self.commits_acked = 0
         self.commits_durable = 0
         self._instruments_generation = -1
@@ -159,24 +165,32 @@ class LogWriter:
 
     def _write(self, record: LogRecord) -> int:
         """Append one framed record; returns its end-LSN."""
-        return self._write_frame(encode_record(record))
-
-    def _write_frame(self, frame: bytes) -> int:
+        frame = encode_record(record)
         if len(frame) - _FRAME_HEADER > self._max_record_bytes:
             raise RecordTooLarge(
                 f"record frame of {len(frame) - _FRAME_HEADER} payload bytes "
                 f"exceeds the replayable bound of {self._max_record_bytes}; "
                 "the reader would reject it as torn-tail garbage"
             )
+        return self._append([frame])
+
+    def _append(self, frames: list[bytes], commit: bool = False) -> int:
+        """Write ``frames`` back to back under one lock hold, so nothing
+        else — a merge record, DDL, another group — lands between them;
+        returns the end-LSN of the last."""
+        nbytes = sum(map(len, frames))
         with self._append_lock:
-            self._file.write(frame)
-            self.bytes_written += len(frame)
+            self._file.writelines(frames)
+            self.bytes_written += nbytes
             end_lsn = self.bytes_written
-            self.records_written += 1
+            self.records_written += len(frames)
+            if commit:
+                self._pending_commits += 1
+                self._pending_commit_lsns.append(end_lsn)
         if self._instruments_generation != generation():
             self._refresh_instruments()
-        self._records_counter.inc()
-        self._bytes_counter.inc(len(frame))
+        self._records_counter.inc(len(frames))
+        self._bytes_counter.inc(nbytes)
         return end_lsn
 
     def sync(self) -> None:
@@ -243,17 +257,16 @@ class LogWriter:
     # ------------------------------------------------------------------
 
     def append_commit(self, tid: int, cid: int) -> int:
-        """Enqueue a commit record; returns its end-LSN.
+        """Write ``tid``'s staged frames and its commit record as one
+        contiguous group; returns the group's end-LSN.
 
-        Called inside the manager's commit critical section. The
-        durability wait happens later, outside that section, in
-        :meth:`commit_barrier`.
+        Called inside the manager's commit critical section, so groups
+        reach the file in commit-id order. The durability wait happens
+        later, outside that section, in :meth:`commit_barrier`.
         """
-        end_lsn = self._write(CommitRecord(tid, cid))
-        with self._append_lock:
-            self._pending_commits += 1
-            self._pending_commit_lsns.append(end_lsn)
-        return end_lsn
+        frames = self._staged.pop(tid, [])
+        frames.append(encode_record(CommitRecord(cid)))
+        return self._append(frames, commit=True)
 
     def commit_barrier(self, lsn: int) -> None:
         """Block until the commit at ``lsn`` is acknowledgeable.
@@ -295,53 +308,59 @@ class LogWriter:
         self._write(InsertRecord(tid, table_id, tuple(values)))
 
     def log_insert_many(
-        self, tid: int, table_id: int, columns: Sequence[Sequence[Value]]
+        self,
+        tid: int,
+        table_id: int,
+        first_row: int,
+        columns: Sequence[Sequence[Value]],
     ) -> None:
-        """One framed record for a whole batch (column-major values).
+        """Stage one framed record for a whole batch (column-major
+        values) placed at delta rows ``first_row ..``.
 
         A batch whose encoded frame would exceed the reader's
         :data:`~repro.wal.records.MAX_RECORD_BYTES` bound is split by
-        rows into several contiguous records under the same tid —
-        replay accumulates operations per transaction, so the halves
-        commit (or roll back) together. A single row too large to frame
-        at all raises :class:`~repro.wal.records.RecordTooLarge` before
-        the transaction can be acknowledged.
+        rows into several records, each naming its own first row — they
+        sit in one group, so the halves commit together. A single row
+        too large to frame at all raises
+        :class:`~repro.wal.records.RecordTooLarge` with nothing of the
+        batch staged.
         """
-        self._append_insert_many(
-            tid, table_id, tuple(tuple(c) for c in columns)
+        frames = self._frame_insert_many(
+            table_id, first_row, tuple(tuple(c) for c in columns)
         )
+        self._staged.setdefault(tid, []).extend(frames)
 
-    def _append_insert_many(
-        self, tid: int, table_id: int, columns: tuple
-    ) -> None:
-        frame = encode_record(InsertManyRecord(tid, table_id, columns))
+    def _frame_insert_many(
+        self, table_id: int, first_row: int, columns: tuple
+    ) -> list[bytes]:
+        frame = encode_record(InsertManyRecord(table_id, first_row, columns))
         if len(frame) - _FRAME_HEADER <= self._max_record_bytes:
-            self._write_frame(frame)
-            return
+            return [frame]
         rows = len(columns[0]) if columns else 0
         if rows <= 1:
             # Unsplittable: one row alone busts the frame bound. The
-            # caller still holds the append latch context, so nothing
-            # of this batch has been written — the transaction fails
-            # before its data could become unreplayable.
+            # transaction fails before its data could become
+            # unreplayable.
             raise RecordTooLarge(
                 f"a single row of table {table_id} encodes to "
                 f"{len(frame) - _FRAME_HEADER} payload bytes, beyond the "
                 f"replayable bound of {self._max_record_bytes}"
             )
         half = rows // 2
-        self._append_insert_many(
-            tid, table_id, tuple(col[:half] for col in columns)
-        )
-        self._append_insert_many(
-            tid, table_id, tuple(col[half:] for col in columns)
+        return self._frame_insert_many(
+            table_id, first_row, tuple(col[:half] for col in columns)
+        ) + self._frame_insert_many(
+            table_id, first_row + half, tuple(col[half:] for col in columns)
         )
 
     def log_invalidate(self, tid: int, table_id: int, ref: int) -> None:
-        self._write(InvalidateRecord(tid, table_id, ref))
+        self._staged.setdefault(tid, []).append(
+            encode_record(InvalidateRecord(table_id, ref))
+        )
 
     def log_abort(self, tid: int) -> None:
-        self._write(AbortRecord(tid))
+        """Forget ``tid``'s staged frames: nothing of it was written."""
+        self._staged.pop(tid, None)
 
     def log_merge(self, table_id: int, watermark: int, main_mask, delta_mask) -> None:
         """Append a merge-cutover record (no fsync: losing it just means

@@ -8,9 +8,12 @@ import pytest
 from repro.core.config import DurabilityMode
 from repro.core.database import Database, _coerce_schema
 from repro.fault.inject import SimulatedPowerFailure
+from repro.query.predicate import Eq
+from repro.replication import WalShipper
 from repro.storage.schema import ColumnDef, Schema, SchemaError
 from repro.storage.types import DataType
 from repro.txn.errors import TooManyActiveTransactions
+from repro.wal.records import RecordTooLarge
 
 from tests.conftest import make_config
 
@@ -194,6 +197,94 @@ class TestRowValidation:
             none_db.insert("t", {"a": 1})
         monkeypatch.undo()
         assert (none_db._manager.active_count, none_db._manager.aborts) == (1, 0)
+
+
+class TestRecordTooLarge:
+    """A row the log cannot frame is rejected before any ack, with not
+    one byte in the file, and leaves nothing behind that replay — which
+    never hears of it — could trip over."""
+
+    SCHEMA = {"id": DataType.INT64, "v": DataType.STRING}
+    HUGE = "x" * 4096
+
+    def _db(self, tmp_path):
+        cfg = make_config(DurabilityMode.LOG, group_commit_size=1)
+        db = Database(str(tmp_path / "db"), cfg)
+        db.create_table("t", self.SCHEMA)
+        # Shrink the bound instead of allocating 64 MiB rows.
+        db._driver._wal._max_record_bytes = 512
+        return db, cfg
+
+    def test_rejection_leaves_nothing_behind(self, tmp_path):
+        db, _ = self._db(tmp_path)
+        db.insert("t", {"id": 1, "v": "ok"})
+        size = os.path.getsize(db._driver.log_path)
+        with pytest.raises(RecordTooLarge):
+            db.insert("t", {"id": 2, "v": self.HUGE})
+        assert db.verify() == []  # no row left locked
+        assert db._manager.active_count == 0
+        assert db._driver._wal._staged == {}
+        assert db._driver._wal.flush_to_os() == size
+        assert db.query("t").column("id") == [1]
+        db.close()
+
+    def test_acked_writes_around_a_rejection_recover_exactly(self, tmp_path):
+        """The rejected row occupies a delta position the log never
+        mentions; later records name their own, so nothing shifts."""
+        db, cfg = self._db(tmp_path)
+        db.insert("t", {"id": 1, "v": "a"})
+        with pytest.raises(RecordTooLarge):
+            db.insert("t", {"id": 2, "v": self.HUGE})
+        db.insert("t", {"id": 3, "v": "c"})
+        db.insert("t", {"id": 4, "v": "d"})
+        with db.begin() as txn:
+            txn.delete("t", db.query("t", Eq("id", 3)).refs()[0])
+        live = sorted(db.query("t").column("id"))
+        assert live == [1, 4]
+        db.crash()
+        db = Database(db.path, cfg)
+        assert sorted(db.query("t").column("id")) == live
+        assert db.verify() == []
+        db.close()
+
+    def test_transaction_survives_a_rejected_statement(self, tmp_path):
+        """Only the statement is undone: the transaction commits what it
+        did before and after, live and recovered alike."""
+        db, cfg = self._db(tmp_path)
+        txn = db.begin()
+        txn.insert("t", {"id": 1, "v": "first"})
+        with pytest.raises(RecordTooLarge):
+            txn.insert("t", {"id": 2, "v": self.HUGE})
+        assert txn.is_active
+        assert sorted(txn.query("t").column("id")) == [1]
+        txn.insert("t", {"id": 3, "v": "third"})
+        txn.commit()
+        assert sorted(db.query("t").column("id")) == [1, 3]
+        assert db.verify() == []
+        db.crash()
+        db = Database(db.path, cfg)
+        assert sorted(db.query("t").column("id")) == [1, 3]
+        assert db.verify() == []
+        db.close()
+
+    def test_rejected_statement_is_unrecorded_on_nvm(self, tmp_path):
+        """An NVM primary's ship log rejects the same way; the durable
+        undo record goes too, so a crash inside the later commit cannot
+        roll the rejected rows forward."""
+        db = Database(str(tmp_path / "db"), make_config(DurabilityMode.NVM))
+        db.create_table("t", self.SCHEMA)
+        shipper = WalShipper(db)
+        db._driver.wal._max_record_bytes = 512
+        txn = db.begin()
+        txn.insert("t", {"id": 1, "v": "first"})
+        with pytest.raises(RecordTooLarge):
+            txn.insert("t", {"id": 2, "v": self.HUGE})
+        assert len(db._manager._txn_table.records(txn.ctx.slot)) == 1
+        txn.commit()
+        assert db.query("t").column("id") == [1]
+        assert db.verify() == []
+        shipper.stop()
+        db.close()
 
 
 class TestReopenSafety:

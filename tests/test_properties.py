@@ -14,6 +14,7 @@ from repro.storage.vector import VolatileVector
 from repro.wal.records import (
     CommitRecord,
     CreateTableRecord,
+    InsertManyRecord,
     InsertRecord,
     InvalidateRecord,
     decode_record,
@@ -182,6 +183,10 @@ _values = st.one_of(
 )
 
 
+# One column of a batch record holds one kind of value (or NULLs).
+_column_values = st.one_of(st.none(), st.integers(-(2**63), 2**63 - 1))
+
+
 @given(
     record=st.one_of(
         st.builds(
@@ -191,12 +196,23 @@ _values = st.one_of(
             st.lists(_values, max_size=8).map(tuple),
         ),
         st.builds(
-            InvalidateRecord,
+            InsertManyRecord,
+            st.integers(0, 2**32),
             st.integers(0, 2**63),
+            st.integers(0, 5).flatmap(
+                lambda n: st.lists(
+                    st.lists(_column_values, min_size=n, max_size=n).map(tuple),
+                    min_size=1,
+                    max_size=4,
+                ).map(tuple)
+            ),
+        ),
+        st.builds(
+            InvalidateRecord,
             st.integers(0, 2**32),
             st.integers(0, 2**64 - 1),
         ),
-        st.builds(CommitRecord, st.integers(0, 2**63), st.integers(0, 2**63)),
+        st.builds(CommitRecord, st.integers(0, 2**63)),
         st.builds(
             CreateTableRecord,
             st.integers(0, 2**32),

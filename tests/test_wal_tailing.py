@@ -11,7 +11,9 @@ crash recovery never exercised:
   appender still sees every record exactly once, in order;
 * :class:`~repro.wal.writer.LogWriter` must never emit a frame the
   reader would reject as garbage — oversized batches split by rows, an
-  unsplittable row raises before anything is acknowledged.
+  unsplittable row raises before anything is acknowledged;
+* a transaction is in the file whole or not at all, so a tailer (and a
+  follower promoted off whatever it shipped) never acts on part of one.
 """
 
 from __future__ import annotations
@@ -24,9 +26,23 @@ import pytest
 
 from repro.core.config import DurabilityMode, EngineConfig
 from repro.core.database import Database
+from repro.query.predicate import Eq
+from repro.replication import Follower
 from repro.storage.types import DataType
-from repro.wal.reader import MAX_RECORD_BYTES, count_records, read_log, tail_log
-from repro.wal.records import InsertManyRecord, RecordTooLarge
+from repro.wal.reader import (
+    MAX_RECORD_BYTES,
+    LogScan,
+    count_records,
+    read_log,
+    tail_log,
+)
+from repro.wal.records import (
+    CommitRecord,
+    InsertManyRecord,
+    InvalidateRecord,
+    RecordTooLarge,
+    encode_record,
+)
 from repro.wal.writer import LogWriter
 
 
@@ -168,24 +184,46 @@ class TestFrameBounds:
         path = str(tmp_path / "wal.log")
         writer = LogWriter(path, group_size=0, max_record_bytes=256)
         rows = [(k, f"padding-{k:04d}-" + "x" * 24) for k in range(16)]
-        writer.log_insert_many(7, 1, list(zip(*rows)))
+        writer.log_insert_many(7, 1, 40, list(zip(*rows)))
+        writer.append_commit(7, 1)
         writer.close()
-        records = [record for record, _ in read_log(path)]
+        *records, commit = [record for record, _ in read_log(path)]
         assert len(records) > 1  # actually split
         assert all(isinstance(r, InsertManyRecord) for r in records)
-        assert all(r.tid == 7 for r in records)  # halves commit together
+        assert commit == CommitRecord(1)  # one group: halves commit together
         rebuilt = []
         for r in records:
+            # Every piece names the delta position it occupies.
+            assert r.first_row == 40 + len(rebuilt)
             rebuilt.extend(zip(*r.columns))
         assert rebuilt == rows  # contiguous, order-preserving
+
+    def test_split_halves_carry_first_row_and_first_row_plus_half(self, tmp_path):
+        path = str(tmp_path / "wal.log")
+        rows = [(k, "x" * 40) for k in range(4)]
+        whole = len(
+            encode_record(InsertManyRecord(1, 100, tuple(zip(*rows))))
+        )
+        writer = LogWriter(path, group_size=0, max_record_bytes=whole - 9)
+        writer.log_insert_many(7, 1, 100, list(zip(*rows)))
+        writer.append_commit(7, 1)
+        writer.close()
+        first, second, _ = [record for record, _ in read_log(path)]
+        assert (first.first_row, first.row_count) == (100, 2)
+        assert (second.first_row, second.row_count) == (102, 2)
 
     def test_unsplittable_row_raises_and_writes_nothing(self, tmp_path):
         path = str(tmp_path / "wal.log")
         writer = LogWriter(path, group_size=0, max_record_bytes=64)
         with pytest.raises(RecordTooLarge):
-            writer.log_insert_many(7, 1, [(1,), ("y" * 200,)])
+            writer.log_insert_many(7, 1, 0, [(1,), ("y" * 200,)])
+        # A batch whose *second* half is unsplittable stages nothing
+        # either — not even the half that would have fit.
+        with pytest.raises(RecordTooLarge):
+            writer.log_insert_many(7, 1, 0, [(1, 2), ("ok", "y" * 200)])
+        writer.append_commit(7, 1)
         writer.close()
-        assert count_records(path) == 0
+        assert [r for r, _ in read_log(path)] == [CommitRecord(1)]
 
     def test_single_record_path_also_bounded(self, tmp_path):
         path = str(tmp_path / "wal.log")
@@ -225,6 +263,82 @@ class TestFrameBounds:
         ids = sorted(result.column("id"))
         assert ids == list(range(70))
         reopened.close()
+
+
+class TestGroupsInTheTail:
+    def _tail(self, writer, from_lsn=0, polls=20):
+        """Everything a shipper would see, polling ``polls`` times."""
+        budget = [polls]
+
+        def stop() -> bool:
+            budget[0] -= 1
+            return budget[0] < 0
+
+        return list(
+            tail_log(
+                writer.path,
+                from_lsn,
+                poll_interval_s=0.0001,
+                stop=stop,
+                frontier=writer.flush_to_os,
+            )
+        )
+
+    def test_tailer_sees_a_transaction_only_at_its_commit(self, tmp_path):
+        writer = LogWriter(str(tmp_path / "wal.log"), group_size=0)
+        first_end = writer.append_commit(1, 1)
+        writer.log_insert_many(2, 1, 0, [(1,), ("staged",)])
+        writer.log_invalidate(2, 1, 3)
+        assert self._tail(writer) == [(CommitRecord(1), first_end)]
+        end = writer.append_commit(2, 2)
+        shipped = self._tail(writer, first_end)
+        assert [r for r, _ in shipped] == [
+            InsertManyRecord(1, 0, ((1,), ("staged",))),
+            InvalidateRecord(1, 3),
+            CommitRecord(2),
+        ]
+        assert shipped[-1][1] == end
+        writer.close()
+
+    def test_follower_promoted_mid_group_opens_without_the_group(self, tmp_path):
+        """The shipper stops between two frames of one group: the
+        follower never publishes an LSN inside it, and promotion — an
+        ordinary LOG open — truncates the mirror to the group boundary
+        and serves exactly the transactions that arrived whole."""
+        cfg = EngineConfig(mode=DurabilityMode.LOG, group_commit_size=1)
+        db = Database(str(tmp_path / "primary"), cfg)
+        db.create_table("t", {"id": DataType.INT64, "v": DataType.STRING})
+        for i in range(5):
+            db.insert("t", {"id": i, "v": "whole"})
+        with db.begin() as txn:
+            txn.insert("t", {"id": 100, "v": "partly shipped"})
+            txn.insert("t", {"id": 101, "v": "never shipped"})
+            txn.delete("t", db.query("t", Eq("id", 0)).refs()[0])
+        db.close()
+        frames = list(LogScan(str(tmp_path / "primary" / "wal.log"), decode=False))
+        assert len(frames) == 1 + 5 * 2 + 4
+        boundary = frames[10][1]  # end of the last single-row group
+
+        replica = Follower(str(tmp_path / "replica"))
+        replica.bootstrap(None, 0)
+        for payload, end_lsn in frames[:12]:  # ...plus 1 of the group's 4
+            replica.enqueue(payload, end_lsn)
+        replica.start()
+        assert replica.wait_for(boundary)
+        promoted = replica.promote(cfg)
+        try:
+            assert replica.applied_lsn == boundary
+            assert os.path.getsize(replica.log_path) == boundary
+            assert sorted(promoted.query("t").column("id")) == [0, 1, 2, 3, 4]
+            assert promoted.verify() == []
+            assert promoted.last_recovery.txns_rolled_back == 0
+            promoted.insert("t", {"id": 7, "v": "post-failover"})
+            promoted.crash(seed=1)
+            promoted = Database(promoted.path, cfg)
+            assert sorted(promoted.query("t").column("id")) == [0, 1, 2, 3, 4, 7]
+        finally:
+            promoted.close()
+            replica.close()
 
 
 class TestReopenDurability:
