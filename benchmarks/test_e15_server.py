@@ -5,10 +5,11 @@ engine; pipelining client threads measure aggregate req/s as
 connections grow, then a loaded tenant's server is SIGKILLed and
 restarted to measure the downtime a reconnecting client actually
 observes — process start, catalog open, and tenant recovery included.
-The acceptance bar from the issue: >= 1000 req/s across >= 8
-connections on the NVM driver, and < 1 s client-observed downtime for
-a 100k-row tenant (scaled down here to keep the suite fast; the full
-sizes run via ``repro.bench.run_all``).
+The bars: >= 3000 req/s across 8 connections on the NVM driver, 16
+connections holding >= 0.7x what 2 do (requests run in per-tenant
+ticks, so more connections make bigger ticks, not a longer convoy), and
+< 1 s client-observed downtime for a 100k-row tenant (scaled down here
+to keep the suite fast; the full sizes run via ``repro.bench.run_all``).
 """
 
 from __future__ import annotations
@@ -16,14 +17,20 @@ from __future__ import annotations
 from repro.bench.reporting import format_table
 from repro.bench.server_bench import measure_restart_downtime, measure_throughput
 
-CONNECTIONS = [2, 8]
+CONNECTIONS = [2, 8, 16]
 REQUESTS_PER_CONN = 300
+#: Runs per connection count; the bars read the best one. A run lasts
+#: 0.1-1 s with the client threads on the server's core, and at 16
+#: connections half of it is the benchmark's own unindexed point query.
+REPEATS = 3
 RESTART_ROWS = 20_000
 
 
 def test_e15_throughput_scales_with_connections(experiment_report):
     rows_out = [
-        measure_throughput(n, REQUESTS_PER_CONN) for n in CONNECTIONS
+        measure_throughput(n, REQUESTS_PER_CONN)
+        for n in CONNECTIONS
+        for _ in range(REPEATS)
     ]
 
     experiment_report(
@@ -39,9 +46,14 @@ def test_e15_throughput_scales_with_connections(experiment_report):
             row["connections"] * REQUESTS_PER_CONN
         )
         assert row["requests_failed"] == 0
-    # The acceptance floor, at the >= 8 connection point.
-    wide = next(r for r in rows_out if r["connections"] >= 8)
-    assert wide["req_per_s"] >= 1000.0
+    rate = {
+        n: max(r["req_per_s"] for r in rows_out if r["connections"] == n)
+        for n in CONNECTIONS
+    }
+    # The acceptance floor, at the 8 connection point.
+    assert rate[8] >= 3000.0
+    # Adding connections no longer collapses throughput.
+    assert rate[16] >= 0.7 * rate[2]
 
 
 def test_e15_restart_downtime_under_budget(experiment_report):

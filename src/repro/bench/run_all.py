@@ -550,6 +550,7 @@ def run_e15(quick: bool) -> str:
     requests_per_conn = 400 if quick else 1500
     restart_size = 20_000 if quick else 100_000
     rows_out = throughput_rows(connection_counts, requests_per_conn)
+    rows_out += throughput_rows([2], requests_per_conn, mode="log")
     rows_out += restart_rows(restart_size)
     return _finish(
         "E15",

@@ -6,9 +6,10 @@ Two experiments over a *real* server process (spawned via
 * **throughput vs connections** — N client threads, one connection
   each, drive pipelined windows of single-row inserts mixed with point
   queries against one tenant; the figure is aggregate completed
-  requests/second as connections grow (the pipelining + worker-pool
-  story: more connections keep more workers busy until the GIL or the
-  group-commit fsync serialises them).
+  requests/second as connections grow (one tenant is one lane, so
+  more connections make its ticks bigger rather than keep more workers
+  busy; the point query has no index, so its cost grows with the rows
+  the connections have inserted).
 * **restart downtime as a client sees it** — load a tenant, SIGKILL
   the server mid-service, restart it immediately, and measure kill →
   first successful response from a reconnecting client. The paper's

@@ -61,6 +61,10 @@ class Engine(Protocol):
 
     def bulk_insert(self, table_name: str, rows: Sequence[dict]) -> int: ...
 
+    # Independent single-row inserts sharing a commit: per row, in input
+    # order, its rowref or the exception ``insert`` raises for it alone.
+    def insert_each(self, table_name: str, rows: Sequence[dict]) -> list: ...
+
     # ``repro.query.aggregate`` reduces the result, merging per-shard
     # partials when it exposes ``per_shard``.
     def query(self, table_name: str, predicate: Optional[Predicate] = None): ...

@@ -73,6 +73,18 @@ def _coerce_schema(schema: SchemaLike) -> Schema:
     return Schema([ColumnDef(name, dtype) for name, dtype in schema.items()])
 
 
+def each_outcome(fn, rows: Sequence) -> list:
+    """``fn(row)`` per row, in order: its result, or the exception it
+    raised — never one row's failure as another's."""
+    outcomes: list = []
+    for row in rows:
+        try:
+            outcomes.append(fn(row))
+        except Exception as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
 class Transaction:
     """Public transaction handle (wraps the MVCC context).
 
@@ -392,6 +404,34 @@ class Database:
         an empty batch)."""
         cid = self._autocommit(Transaction.insert_many, table_name, rows)[1]
         return self.last_cid if cid is None else cid
+
+    def insert_each(self, table_name: str, rows: Sequence[dict]) -> list:
+        """Independent single-row inserts sharing one commit.
+
+        Returns, per row in input order, its rowref or the exception
+        ``insert(row)`` raises for it alone. A row that fails validation
+        is answered without a transaction; the rest commit as one. If
+        that transaction fails it left nothing behind (see
+        :meth:`_autocommit`), so each of its rows is inserted alone.
+        """
+        try:
+            validate = self.table(table_name).schema.validate_row
+        except KeyError as exc:
+            return [exc] * len(rows)
+        outcomes = each_outcome(validate, rows)
+        accepted = [
+            i for i, outcome in enumerate(outcomes)
+            if not isinstance(outcome, Exception)
+        ]
+        if accepted:
+            batch = [rows[i] for i in accepted]
+            try:
+                refs = self.insert_many(table_name, batch)
+            except Exception:
+                refs = each_outcome(lambda row: self.insert(table_name, row), batch)
+            for i, ref in zip(accepted, refs):
+                outcomes[i] = ref
+        return outcomes
 
     # ------------------------------------------------------------------
     # Maintenance: merge and checkpoint

@@ -47,7 +47,7 @@ from typing import Callable, Optional, Sequence, TypeVar
 import numpy as np
 
 from repro.core.config import EngineConfig
-from repro.core.database import Database, SchemaLike, _coerce_schema
+from repro.core.database import Database, SchemaLike, _coerce_schema, each_outcome
 from repro.obs import get_registry
 from repro.obs.trace import Span
 from repro.query.predicate import Predicate
@@ -355,15 +355,15 @@ class ShardedEngine:
 
     def _partition_rows(
         self, table_name: str, rows: Sequence[dict]
-    ) -> list[tuple[int, list[dict]]]:
-        """Split a batch into (shard, sub-batch) groups, numpy-hashed."""
+    ) -> list[tuple[int, list[int]]]:
+        """Split a batch into (shard, positions of its rows) groups,
+        numpy-hashed."""
         key = self.partition_key(table_name)
         parts = partition_array([row.get(key) for row in rows], self.num_shards)
-        groups = []
-        for sid in np.unique(parts).tolist():
-            picked = np.nonzero(parts == sid)[0].tolist()
-            groups.append((int(sid), [rows[i] for i in picked]))
-        return groups
+        return [
+            (int(sid), np.nonzero(parts == sid)[0].tolist())
+            for sid in np.unique(parts).tolist()
+        ]
 
     def insert_many(self, table_name: str, rows: Sequence[dict]) -> int:
         """Hash-partition a batch and run one transactional
@@ -376,7 +376,9 @@ class ShardedEngine:
         if not rows:
             return 0
         self._fan_out(
-            lambda item: self.shards[item[0]].insert_many(table_name, item[1]),
+            lambda item: self.shards[item[0]].insert_many(
+                table_name, [rows[i] for i in item[1]]
+            ),
             self._partition_rows(table_name, rows),
             op="insert_many",
         )
@@ -386,6 +388,31 @@ class ShardedEngine:
         """``insert_many`` that returns ``last_cid``."""
         self.insert_many(table_name, rows)
         return self.last_cid
+
+    def insert_each(self, table_name: str, rows: Sequence[dict]) -> list:
+        """Per-row outcomes in input order, like the core's: one
+        ``insert_each`` — so one transaction — per touched shard.
+
+        When the batch cannot be partitioned (no such table, a key value
+        that does not hash, a row that is not a dict) nothing has run
+        yet, so each row goes through ``insert`` alone to its own answer.
+        """
+        try:
+            groups = self._partition_rows(table_name, rows)
+        except Exception:
+            return each_outcome(lambda row: self.insert(table_name, row), rows)
+        parts = self._fan_out(
+            lambda item: self.shards[item[0]].insert_each(
+                table_name, [rows[i] for i in item[1]]
+            ),
+            groups,
+            op="insert_each",
+        )
+        outcomes: list = [None] * len(rows)
+        for (_, picked), part in zip(groups, parts):
+            for i, outcome in zip(picked, part):
+                outcomes[i] = outcome
+        return outcomes
 
     # ------------------------------------------------------------------
     # Reads

@@ -1,22 +1,28 @@
 """Admission control: per-tenant token buckets and inflight quotas.
 
-Two independent gates run before a data-plane request reaches the
-worker pool:
+Two independent gates run before a data-plane request joins its
+tenant's lane (:mod:`repro.server.server`):
 
 * a **token bucket** per tenant (``rate`` requests/second, ``burst``
   capacity) — sustained overload is rejected with
   :data:`~repro.server.protocol.Status.RATE_LIMITED` instead of queuing
   without bound;
-* a **max-inflight quota** per tenant — a tenant may only occupy so
-  many worker slots at once, so one tenant's slow scans cannot starve
-  every other tenant's point reads
-  (:data:`~repro.server.protocol.Status.TOO_MANY_INFLIGHT`).
+* a **max-inflight quota** per tenant
+  (:data:`~repro.server.protocol.Status.TOO_MANY_INFLIGHT`). A tenant's
+  requests run in one lane, one tick at a time, so a tenant can only
+  ever occupy one worker whatever it sends; what ``max_inflight``
+  bounds is the tenant's *queued* requests — admitted and not yet
+  answered, waiting in the lane or running in its tick — and with it
+  the size of a tick and the memory a pipelining client can pin.
 
 Decisions are O(1) and run on the event loop thread; both gates ride
 on the existing :mod:`repro.obs` registry (``server_rejected_total``
 by reason, ``server_inflight`` by tenant), so rejections are visible
 in ``metrics_snapshot()`` and the Prometheus export like any other
-engine signal.
+engine signal. The server passes the tenant's *metric label* as the
+key — a name the catalog knows, or the one label every unknown name
+shares — so neither map nor the gauge family grows with names a client
+made up, and an inflight entry goes when its count returns to zero.
 """
 
 from __future__ import annotations
@@ -64,9 +70,9 @@ class AdmissionController:
     """Per-tenant admission decisions for the data plane.
 
     ``rate``/``burst`` default to None (no rate limiting);
-    ``max_inflight`` bounds concurrently executing requests per tenant
+    ``max_inflight`` bounds admitted, unanswered requests per tenant
     (None = unbounded). One controller serves every tenant — buckets
-    and inflight counts are created lazily per tenant name.
+    and inflight counts are created lazily per key.
     """
 
     def __init__(

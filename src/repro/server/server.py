@@ -1,23 +1,30 @@
 """Asyncio TCP front-end over the tenant catalog.
 
-Threading model — the part worth stating precisely:
+Threading model — the part worth stating precisely (the ordering and
+atomicity contract it keeps is in DESIGN.md, "Server and tenancy"):
 
 * the **event loop** owns sockets, framing, and admission. It never
   calls into the engine: decoding a frame, checking a token bucket,
-  and writing a response are all O(request) work.
-* every engine call (catalog attach, DDL, inserts, scans) is dispatched
-  to a **worker thread pool** via ``run_in_executor``. The engine
-  holds the GIL while encoding batches or scanning, so running it on
-  the loop would stall every connection; on a worker it only stalls
-  other workers (and the GIL arbitrates as it does for the embedded
-  multi-threaded API, which the engine already supports).
-* **pipelining**: a connection may send many requests without waiting;
-  each becomes its own task, executes on the pool, and responds when
-  done — responses carry the request id and may complete out of order.
-  A per-connection write lock keeps response frames from interleaving.
+  queueing a request and writing a response are all O(request) work.
+* every admitted request joins its tenant's **lane** (admin ops share
+  one catalog lane). A lane has at most one **tick** in flight on the
+  **worker thread pool**, and a tick is whatever arrived while the
+  previous one ran — a lone request is a tick of one. So one tenant
+  occupies one worker at a time, and ``workers`` bounds how many
+  tenants run at once.
+* **inside a tick** requests run in arrival order, except that within
+  a run of ``INSERT``/``QUERY``/``AGGREGATE`` the single-row inserts go
+  first, as one :meth:`~repro.core.Engine.insert_each` per table: they
+  share a commit, and a read sees every insert of its tick. Any other
+  op is a **barrier**, executed in place; nothing moves across it.
+* **back on the loop** admission is released and the response packed
+  per request; a connection gets its share of a tick in one socket
+  write. Its read loop awaits ``drain()`` before reading more, so a
+  client that stops reading its answers stops being read from — and
+  never stalls a lane.
 
 Shutdown is a graceful drain: stop accepting, fail new requests with
-``SHUTTING_DOWN``, wait (bounded) for in-flight requests, then close
+``SHUTTING_DOWN``, wait (bounded) for the lanes to empty, then close
 every tenant engine cleanly — which is what makes the *next* start an
 instant restart. A SIGKILL instead of a drain is the crash case the
 whole system is built for: on restart the catalog recovers first, then
@@ -31,7 +38,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.core import DurabilityMode, Engine, EngineConfig
 from repro.obs import get_registry
@@ -55,10 +62,18 @@ from repro.server.tenants import (
     TenantError,
     TenantExists,
 )
+from repro.storage.table import unpack_rowref
 from repro.storage.types import DataType
 from repro.txn.errors import TransactionConflict
 
 _READ_CHUNK = 256 * 1024
+#: The ``tenant`` metric label (and admission key) of every name the
+#: catalog does not know; "-" is a request that names no tenant. Neither
+#: is a legal tenant name, and client-chosen strings never become labels.
+_UNKNOWN_TENANT = "?"
+#: Ops a tick may reorder among themselves; every other op is a barrier.
+_COMMUTING = frozenset({Op.INSERT, Op.QUERY, Op.AGGREGATE})
+_TICK_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
 
 @dataclass
@@ -71,7 +86,7 @@ class ServerConfig:
     #: Engine config template for the catalog and every tenant (a
     #: tenant's recorded shard count / mode override it per namespace).
     engine: EngineConfig = field(default_factory=EngineConfig)
-    #: Worker threads executing engine calls.
+    #: Worker threads executing ticks: how many tenants run at once.
     workers: int = 8
     #: LRU cap on concurrently attached tenant engines (None = all).
     max_attached: Optional[int] = None
@@ -79,7 +94,7 @@ class ServerConfig:
     rate_limit: Optional[float] = None
     #: Token-bucket burst capacity (defaults to ``rate_limit``).
     burst: Optional[float] = None
-    #: Per-tenant cap on concurrently executing requests (None = off).
+    #: Per-tenant cap on admitted, unanswered requests (None = off).
     max_inflight: Optional[int] = 256
     #: How long a graceful stop waits for in-flight requests.
     drain_timeout_s: float = 5.0
@@ -88,24 +103,47 @@ class ServerConfig:
 class _Connection:
     """Per-connection session state."""
 
-    __slots__ = ("writer", "hello_done", "tasks", "write_lock", "closing")
+    __slots__ = ("writer", "hello_done", "outstanding", "idle", "closing")
 
     def __init__(self, writer: asyncio.StreamWriter):
         self.writer = writer
         self.hello_done = False
-        self.tasks: set[asyncio.Task] = set()
-        self.write_lock = asyncio.Lock()
+        #: Requests queued on a lane or running in a tick, not yet answered.
+        self.outstanding = 0
+        self.idle = asyncio.Event()
+        self.idle.set()
         self.closing = False
 
-    async def send(self, frame: bytes) -> None:
-        async with self.write_lock:
-            if self.closing:
-                return
-            self.writer.write(frame)
-            try:
-                await self.writer.drain()
-            except ConnectionError:
-                self.closing = True
+    def write(self, frames: bytes) -> None:
+        """Queue whole frames (loop thread only, so they never interleave)."""
+        if not self.closing:
+            self.writer.write(frames)
+
+    async def drain(self) -> None:
+        try:
+            await self.writer.drain()
+        except ConnectionError:
+            self.closing = True
+
+
+class _Queued(NamedTuple):
+    """One request waiting in, or running from, a lane."""
+
+    conn: _Connection
+    request: Request
+    submitted: float
+    #: Admission key to release once answered (None for admin ops).
+    admitted: Optional[str]
+
+
+class _Lane:
+    """One tenant's queue; ``task`` runs it, one tick at a time."""
+
+    __slots__ = ("pending", "task")
+
+    def __init__(self, task: asyncio.Future):
+        self.pending: list[_Queued] = []
+        self.task = task
 
 
 class ReproServer:
@@ -123,6 +161,10 @@ class ReproServer:
             max_inflight=self.config.max_inflight,
         )
         self._connections: set[_Connection] = set()
+        #: Lane key (tenant name; "" = the catalog lane) → lane. A lane
+        #: exists only while it has work, so names a client made up
+        #: leave nothing here.
+        self._lanes: dict[str, _Lane] = {}
         self._draining = False
         self._started_monotonic: Optional[float] = None
         self.recovery_reports: dict[str, dict] = {}
@@ -171,14 +213,12 @@ class ReproServer:
         await self._server.serve_forever()
 
     async def stop(self) -> None:
-        """Graceful drain: finish in-flight requests, close engines."""
+        """Graceful drain: let the lanes empty, close engines."""
         self._draining = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        pending = {
-            task for conn in list(self._connections) for task in conn.tasks
-        }
+        pending = [lane.task for lane in self._lanes.values()]
         if pending:
             done, still_pending = await asyncio.wait(
                 pending, timeout=self.config.drain_timeout_s
@@ -214,7 +254,8 @@ class ReproServer:
                     break
                 decoder.feed(data)
                 for payload in decoder.frames():
-                    await self._dispatch(conn, payload)
+                    self._dispatch(conn, payload)
+                await conn.drain()
                 if conn.closing:
                     break
         except ProtocolError:
@@ -226,47 +267,65 @@ class ReproServer:
         except ConnectionError:
             pass
         finally:
-            if conn.tasks:
-                await asyncio.wait(conn.tasks)
+            await conn.idle.wait()
             self._connections.discard(conn)
             registry.gauge("server_connections_open").add(-1)
             conn.closing = True
             writer.close()
 
-    async def _dispatch(self, conn: _Connection, payload: bytes) -> None:
+    def _dispatch(self, conn: _Connection, payload: bytes) -> None:
+        """Answer a session op or a refusal on the spot; queue the rest."""
         request = protocol.unpack_request(payload)  # ProtocolError closes
+        tenant = request.tenant
+        if not tenant:
+            label = "-"
+        elif self.catalog.exists(tenant):
+            label = tenant
+        else:
+            label = _UNKNOWN_TENANT
         get_registry().counter(
-            "server_requests_total",
-            tenant=request.tenant or "-",
-            op=request.op.name.lower(),
+            "server_requests_total", tenant=label, op=request.op.name.lower()
         ).inc()
         if request.op is Op.HELLO:
-            await conn.send(self._hello_response(conn, request))
-            return
-        if not conn.hello_done:
-            await conn.send(
-                self._error(request, Status.NEED_HELLO, "say HELLO first")
-            )
-            return
-        if request.op is Op.PING:
-            await conn.send(
+            conn.write(self._hello_response(conn, request))
+        elif not conn.hello_done:
+            conn.write(self._error(request, Status.NEED_HELLO, "say HELLO first"))
+        elif request.op is Op.PING or request.op is Op.GOODBYE:
+            conn.write(
                 protocol.pack_response(request.op, request.request_id, Status.OK, {})
             )
-            return
-        if request.op is Op.GOODBYE:
-            await conn.send(
-                protocol.pack_response(request.op, request.request_id, Status.OK, {})
-            )
-            conn.closing = True
-            return
-        if self._draining:
-            await conn.send(
+            if request.op is Op.GOODBYE:
+                conn.closing = True
+        elif self._draining:
+            conn.write(
                 self._error(request, Status.SHUTTING_DOWN, "server is draining")
             )
-            return
-        task = asyncio.ensure_future(self._run_request(conn, request))
-        conn.tasks.add(task)
-        task.add_done_callback(conn.tasks.discard)
+        elif request.op in ADMIN_OPS:
+            self._enqueue("", _Queued(conn, request, time.perf_counter(), None))
+        elif not tenant:
+            conn.write(
+                self._error(request, Status.BAD_REQUEST, "data op without a tenant")
+            )
+        else:
+            reason = self._admission.admit(label)
+            if reason is not None:
+                conn.write(self._error(request, _REJECT_STATUS[reason], reason))
+            else:
+                self._enqueue(
+                    tenant, _Queued(conn, request, time.perf_counter(), label)
+                )
+
+    def _enqueue(self, key: str, queued: _Queued) -> None:
+        queued.conn.outstanding += 1
+        queued.conn.idle.clear()
+        lane = self._lanes.get(key)
+        if lane is None:
+            # The task starts once this read chunk is dispatched, so its
+            # first tick is everything the chunk held for the lane.
+            lane = self._lanes[key] = _Lane(
+                asyncio.ensure_future(self._run_lane(key))
+            )
+        lane.pending.append(queued)
 
     def _hello_response(self, conn: _Connection, request: Request) -> bytes:
         body = request.body if isinstance(request.body, dict) else {}
@@ -296,43 +355,120 @@ class ReproServer:
     # Request execution
     # ------------------------------------------------------------------
 
-    async def _run_request(self, conn: _Connection, request: Request) -> None:
-        admitted_tenant: Optional[str] = None
-        if request.op not in ADMIN_OPS:
-            if not request.tenant:
-                await conn.send(
-                    self._error(
-                        request, Status.BAD_REQUEST, "data op without a tenant"
-                    )
-                )
-                return
-            reason = self._admission.admit(request.tenant)
-            if reason is not None:
-                await conn.send(self._error(request, _REJECT_STATUS[reason], reason))
-                return
-            admitted_tenant = request.tenant
+    async def _run_lane(self, key: str) -> None:
+        """Run the lane's ticks, one at a time, until it is empty."""
         loop = asyncio.get_running_loop()
-        submitted = time.perf_counter()
+        lane = self._lanes[key]
+        while lane.pending:
+            tick, lane.pending = lane.pending, []
+            try:
+                answers = await loop.run_in_executor(
+                    self._pool, self._run_tick, key, tick
+                )
+            except Exception as exc:  # the tick itself died unexpectedly
+                died = Status.INTERNAL, f"{type(exc).__name__}: {exc}"
+                answers = [died] * len(tick)
+            frames: dict[_Connection, list[bytes]] = {}
+            for queued, (status, body) in zip(tick, answers):
+                if queued.admitted is not None:
+                    self._admission.release(queued.admitted)
+                request = queued.request
+                try:
+                    frame = protocol.pack_response(
+                        request.op, request.request_id, status, body
+                    )
+                except ProtocolError as exc:
+                    frame = self._error(
+                        request, Status.INTERNAL, f"unencodable response: {exc}"
+                    )
+                frames.setdefault(queued.conn, []).append(frame)
+            for conn, answered in frames.items():
+                conn.write(b"".join(answered))
+                conn.outstanding -= len(answered)
+                if not conn.outstanding:
+                    conn.idle.set()
+        # No await since the loop test: nothing can have joined a lane
+        # that is about to be forgotten.
+        del self._lanes[key]
+
+    def _run_tick(self, tenant: str, tick: list[_Queued]) -> list:
+        """Worker side: one ``(status, body)`` per request, in tick order.
+
+        Requests run in arrival order, except that within a run of
+        commuting ops the coalescible inserts go first; the barrier that
+        ends a run executes after it, in place.
+        """
+        get_registry().histogram(
+            "server_tick_requests", buckets=_TICK_BUCKETS
+        ).observe(len(tick))
+        assert self.catalog is not None
         try:
-            status, body = await loop.run_in_executor(
-                self._pool, self._execute, request, submitted
-            )
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # worker died unexpectedly
-            status, body = Status.INTERNAL, f"{type(exc).__name__}: {exc}"
+            # Pinned once for the tick. The catalog lane has no engine,
+            # and a tenant that cannot be attached coalesces nothing:
+            # each request meets that failure in ``_execute``, and gets
+            # the status it would have got alone.
+            engine = self.catalog.acquire(tenant) if tenant else None
+        except Exception:
+            engine = None
+        try:
+            answers: list = [None] * len(tick)
+            start = 0
+            for end in range(len(tick) + 1):
+                if end < len(tick) and tick[end].request.op in _COMMUTING:
+                    continue
+                # tick[start:end] commute; tick[end], if there is one, is
+                # the barrier that ends the run.
+                if engine is not None:
+                    self._insert_run(engine, tick, range(start, end), answers)
+                for i in range(start, min(end + 1, len(tick))):
+                    if answers[i] is None:
+                        answers[i] = self._execute(tick[i].request, tick[i].submitted)
+                start = end + 1
+            return answers
         finally:
-            if admitted_tenant is not None:
-                self._admission.release(admitted_tenant)
-        try:
-            frame = protocol.pack_response(
-                request.op, request.request_id, status, body
+            if engine is not None:
+                self.catalog.release(tenant)
+
+    @staticmethod
+    def _insert_run(
+        engine: Engine, tick: list[_Queued], run: range, answers: list
+    ) -> None:
+        """Answer the run's single-row INSERTs: one ``insert_each`` per table.
+
+        Both per-request histograms are observed once per insert, as
+        ``_execute`` does: the queue wait up to the batch call and, as
+        exec time, the insert's share of it.
+        """
+        by_table: dict[str, list[int]] = {}
+        for i in run:
+            request = tick[i].request
+            body = request.body
+            # A malformed INSERT is left to ``_execute`` and its answer.
+            if (
+                request.op is Op.INSERT
+                and isinstance(body, dict)
+                and isinstance(body.get("table"), str)
+                and isinstance(body.get("row"), dict)
+            ):
+                by_table.setdefault(body["table"], []).append(i)
+        if not by_table:
+            return
+        registry = get_registry()
+        queue_h = registry.histogram("server_queue_seconds", op="insert")
+        exec_h = registry.histogram("server_exec_seconds", op="insert")
+        for table, positions in by_table.items():
+            t0 = time.perf_counter()
+            outcomes = engine.insert_each(
+                table, [tick[i].request.body["row"] for i in positions]
             )
-        except ProtocolError as exc:
-            frame = self._error(
-                request, Status.INTERNAL, f"unencodable response: {exc}"
-            )
-        await conn.send(frame)
+            share = (time.perf_counter() - t0) / len(positions)
+            for i, outcome in zip(positions, outcomes):
+                if isinstance(outcome, Exception):
+                    answers[i] = _failure(outcome)
+                else:
+                    answers[i] = Status.OK, _insert_body(outcome)
+                queue_h.observe(t0 - tick[i].submitted)
+                exec_h.observe(share)
 
     def _execute(self, request: Request, submitted: float):
         """Worker-side execution: returns ``(status, body)``."""
@@ -344,28 +480,8 @@ class ReproServer:
         t0 = time.perf_counter()
         try:
             return Status.OK, self._execute_op(request)
-        except (NoSuchTenant,) as exc:
-            return Status.NO_SUCH_TENANT, str(exc)
-        except TenantExists as exc:
-            return Status.TENANT_EXISTS, str(exc)
-        except InvalidTenantName as exc:
-            return Status.BAD_REQUEST, str(exc)
-        except TenantError as exc:
-            return Status.CONFLICT, str(exc)
-        except TransactionConflict as exc:
-            return Status.CONFLICT, str(exc)
-        except ProtocolError as exc:
-            return Status.BAD_REQUEST, str(exc)
-        except KeyError as exc:
-            message = str(exc.args[0]) if exc.args else str(exc)
-            if "no table" in message:
-                return Status.NO_SUCH_TABLE, message
-            return Status.BAD_REQUEST, message
-        except (TypeError, ValueError) as exc:
-            return Status.BAD_REQUEST, str(exc)
         except Exception as exc:
-            registry.counter("server_internal_errors_total").inc()
-            return Status.INTERNAL, f"{type(exc).__name__}: {exc}"
+            return _failure(exc)
         finally:
             registry.histogram("server_exec_seconds", op=op_label).observe(
                 time.perf_counter() - t0
@@ -430,14 +546,8 @@ class ReproServer:
         if op is Op.TABLES:
             return {"tables": engine.table_names}
         if op is Op.INSERT:
-            from repro.storage.table import unpack_rowref
-
-            ref = engine.insert(body["table"], body["row"])
-            # Rowrefs are uint64 with the delta bit up top — not
-            # int64-encodable and not addressable over the wire anyway;
-            # ship the unpacked position for observability.
-            is_delta, row = unpack_rowref(ref)
-            return {"row": int(row), "delta": bool(is_delta)}
+            # Only a body no tick can coalesce gets here; it fails.
+            return _insert_body(engine.insert(body["table"], body["row"]))
         if op is Op.INSERT_MANY:
             rows = body["rows"]
             if not isinstance(rows, list):
@@ -494,6 +604,38 @@ _REJECT_STATUS = {
     "rate_limited": Status.RATE_LIMITED,
     "too_many_inflight": Status.TOO_MANY_INFLIGHT,
 }
+
+
+def _insert_body(ref: int) -> dict:
+    """An INSERT's answer. Rowrefs are uint64 with the delta bit up top —
+    not int64-encodable and not addressable over the wire anyway; ship
+    the unpacked position for observability."""
+    is_delta, row = unpack_rowref(ref)
+    return {"row": int(row), "delta": bool(is_delta)}
+
+
+def _failure(exc: Exception) -> tuple[Status, str]:
+    """The one exception → ``(status, message)`` table, for an exception
+    raised under ``_execute`` or returned by ``insert_each``."""
+    if isinstance(exc, NoSuchTenant):
+        return Status.NO_SUCH_TENANT, str(exc)
+    if isinstance(exc, TenantExists):
+        return Status.TENANT_EXISTS, str(exc)
+    if isinstance(exc, InvalidTenantName):
+        return Status.BAD_REQUEST, str(exc)
+    if isinstance(exc, (TenantError, TransactionConflict)):
+        return Status.CONFLICT, str(exc)
+    if isinstance(exc, ProtocolError):
+        return Status.BAD_REQUEST, str(exc)
+    if isinstance(exc, KeyError):
+        message = str(exc.args[0]) if exc.args else str(exc)
+        if "no table" in message:
+            return Status.NO_SUCH_TABLE, message
+        return Status.BAD_REQUEST, message
+    if isinstance(exc, (TypeError, ValueError)):
+        return Status.BAD_REQUEST, str(exc)
+    get_registry().counter("server_internal_errors_total").inc()
+    return Status.INTERNAL, f"{type(exc).__name__}: {exc}"
 
 
 class ServerThread:

@@ -27,6 +27,7 @@ from typing import Optional
 from repro.query.predicate import Eq
 from repro.server.client import ReproClient, wait_for_server
 from repro.server.proc import free_port, spawn_server
+from repro.server.protocol import Op
 
 TENANTS = ("acme", "globex")
 TABLE = "orders"  # deliberately the same name in both tenants
@@ -54,18 +55,18 @@ def run_smoke(
         # cross-tenant leakage would be visible, not silent.
         for tenant in TENANTS:
             with ReproClient("127.0.0.1", port, tenant=tenant) as client:
-                count = 0
-                batch = [
+                rows = [
                     {"id": i, "item": f"{tenant}-item-{i % 7}", "qty": i % 13}
-                    for i in range(rows_per_tenant - 50)
+                    for i in range(rows_per_tenant)
                 ]
-                count += client.insert_many(TABLE, batch)
-                for i in range(rows_per_tenant - 50, rows_per_tenant):
-                    client.insert(
-                        TABLE,
-                        {"id": i, "item": f"{tenant}-item-{i % 7}", "qty": i % 13},
-                    )
-                    count += 1
+                count = client.insert_many(TABLE, rows[:-50])
+                # One pipeline, so the server coalesces the rows into
+                # ticks and the kill below follows shared commits.
+                responses = client.pipeline(
+                    [(Op.INSERT, {"table": TABLE, "row": row}) for row in rows[-50:]]
+                )
+                assert all(r.ok for r in responses), responses
+                count += len(responses)
                 assert client.aggregate(TABLE, "count") == count
                 acked[tenant] = count
         # Kill -9 mid-service and restart immediately: the measured

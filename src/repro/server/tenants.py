@@ -70,8 +70,8 @@ def tenant_dir(root: str, name: str) -> str:
 class TenantCatalog:
     """Durable tenant registry plus the LRU cache of attached engines.
 
-    Thread-safe: the server executes requests on a worker pool, so
-    every catalog operation serialises on one re-entrant lock (catalog
+    Thread-safe: the server runs each tenant's ticks on a worker pool,
+    so every catalog operation serialises on one re-entrant lock (catalog
     work is registry bookkeeping — engine calls happen outside, on the
     engine's own thread-safe paths). Requests *pin* the engine they run
     against (:meth:`acquire` / :meth:`release`); the LRU eviction never
@@ -109,6 +109,10 @@ class TenantCatalog:
                 },
             )
         self._lock = threading.RLock()
+        # The registered names, mirrored in memory: the server's event
+        # loop asks ``exists`` per request and must not run an engine
+        # query (or wait for this lock) to find out.
+        self._names = {row["name"] for row in self._db.query(_TABLE).rows()}
         self._attached: "OrderedDict[str, Engine]" = OrderedDict()
         self._pins: dict[str, int] = {}
         #: Per-tenant recovery report dicts from the last attach.
@@ -129,8 +133,7 @@ class TenantCatalog:
         return [row["name"] for row in self.tenants()]
 
     def exists(self, name: str) -> bool:
-        with self._lock:
-            return len(self._db.query(_TABLE, Eq("name", name))) > 0
+        return name in self._names
 
     def create_tenant(
         self,
@@ -161,6 +164,7 @@ class TenantCatalog:
                 _TABLE, {"name": name, "shards": shards, "mode": mode_value}
             )
             os.makedirs(tenant_dir(self.root, name), exist_ok=True)
+            self._names.add(name)
         get_registry().counter("server_tenants_created_total").inc()
         return {"name": name, "shards": shards, "mode": mode_value}
 
@@ -178,6 +182,7 @@ class TenantCatalog:
                     raise NoSuchTenant(f"no tenant {name!r}")
                 for ref in refs:
                     txn.delete(_TABLE, ref)
+            self._names.discard(name)
             engine = self._attached.pop(name, None)
             self._pins.pop(name, None)
             self.recovery_reports.pop(name, None)

@@ -71,3 +71,10 @@ def any_db(request, tmp_path):
     db = Database(str(tmp_path / "db"), make_config(request.param))
     yield db
     db.close()
+
+
+def cores_of(engine, table: str, keys=range(64)) -> list:
+    """The distinct single-shard cores behind an engine, found through
+    the protocol (``shard_for``) rather than by naming a class."""
+    cores = {id(core): core for core in (engine.shard_for(table, k) for k in keys)}
+    return list(cores.values())

@@ -15,8 +15,11 @@ import pytest
 from repro.core import DurabilityMode, EngineConfig, open_engine
 from repro.query import Eq, Gt, IsNull, aggregate
 from repro.storage import DataType
+from repro.storage.table import unpack_rowref
+from repro.txn.errors import TooManyActiveTransactions
+from repro.wal.writer import RecordTooLarge
 
-from tests.conftest import make_config
+from tests.conftest import cores_of, make_config
 
 SCHEMA = {"id": DataType.INT64, "grp": DataType.STRING, "val": DataType.INT64}
 
@@ -183,3 +186,93 @@ def test_one_shape_at_every_shard_count(tmp_path, mode):
             assert set(recovery["phases"]) == set(recovery["per_shard"][0]["phases"])
         engine.close()
     assert shapes[1] == shapes[4]
+
+
+@each_engine
+@each_mode
+def test_insert_each_against_a_model(tmp_path, shards, mode):
+    """Per-row outcomes in input order; a rejected row never drags a
+    neighbour; the accepted rows of one core share one commit; a
+    transaction that fails as a whole still answers row by row and
+    leaves nothing behind; a crash recovers exactly the accepted rows."""
+    path = str(tmp_path / "eng")
+    engine = open_engine(path, make_config(mode, shards=shards, txn_slots=2))
+    engine.create_table("kv", SCHEMA)
+    engine.create_index("kv", "id")
+    model: dict = {}
+
+    def accept(rows, outcomes):
+        assert len(outcomes) == len(rows)
+        for r, outcome in zip(rows, outcomes):
+            if not isinstance(outcome, Exception):
+                assert r.get("id") not in model
+                model[r.get("id")] = r["val"]
+        assert visible(engine) == model
+        assert engine.verify() == []
+        assert [core._manager.active_count for core in cores_of(engine, "kv")] == (
+            [0] * shards
+        )
+
+    # -- good, malformed and NULL-key rows in one call ---------------------
+    rows = [row(k, k * 10) for k in range(40)]
+    rows[5] = row("five", 5)
+    rows[9] = {"id": 9, "nope": 1}
+    rows[13] = {"grp": "null-key", "val": 13}
+    commits = engine.stats()["commits"]
+    outcomes = engine.insert_each("kv", rows)
+    assert engine.stats()["commits"] - commits == shards  # one per touched core
+    for bad in (5, 9):
+        with pytest.raises(type(outcomes[bad])) as alone:
+            engine.insert("kv", rows[bad])
+        assert str(alone.value) == str(outcomes[bad])
+    assert [k for k, o in enumerate(outcomes) if isinstance(o, Exception)] == [5, 9]
+    accept(rows, outcomes)
+    cids: dict = {}
+    for r, ref in zip(rows, outcomes):
+        if not isinstance(ref, Exception):
+            core = engine.shard_for("kv", r.get("id"))
+            is_delta, at = unpack_rowref(ref)
+            begin = int(core.table("kv").delta.mvcc.begin.to_numpy()[at])
+            cids.setdefault(id(core), set()).add(begin)
+    assert sorted(len(v) for v in cids.values()) == [1] * shards
+
+    # -- no such table: every row's answer is insert's ---------------------
+    outcomes = engine.insert_each("missing", rows[:3])
+    assert [type(o) for o in outcomes] == [KeyError] * 3
+    assert all("no table" in str(o) for o in outcomes)
+    assert engine.insert_each("kv", []) == []
+
+    # -- the transaction fails as a whole: no slot on one core -------------
+    full = engine.shard_for("kv", 100)
+    held = [full.begin() for _ in range(2)]
+    rows = [row(k, k) for k in range(100, 120)]
+    outcomes = engine.insert_each("kv", rows)
+    for r, outcome in zip(rows, outcomes):
+        refused = engine.shard_for("kv", r["id"]) is full
+        assert isinstance(outcome, TooManyActiveTransactions) == refused
+    for txn in held:
+        txn.abort()
+    accept(rows, outcomes)
+    retry = [r for r, o in zip(rows, outcomes) if isinstance(o, Exception)]
+    accept(retry, engine.insert_each("kv", retry))
+    assert set(range(100, 120)) <= set(model)
+
+    # -- ... or the log refuses the group but takes each row alone ---------
+    if mode is DurabilityMode.LOG:
+        for core in cores_of(engine, "kv"):
+            core._driver._wal._max_record_bytes = 512
+        rows = [row(k, k, grp="g" * 40) for k in range(200, 240)]
+        rows[7] = row(207, 7, grp="x" * 4096)
+        outcomes = engine.insert_each("kv", rows)
+        assert [type(o) for o in outcomes if isinstance(o, Exception)] == [
+            RecordTooLarge
+        ]
+        assert isinstance(outcomes[7], RecordTooLarge)
+        accept(rows, outcomes)
+
+    # -- crash: exactly the accepted rows ---------------------------------
+    engine.crash(seed=shards)
+    engine = open_engine(path, EngineConfig(mode=mode))
+    assert visible(engine) == model
+    assert engine.verify() == []
+    engine.close()

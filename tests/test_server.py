@@ -1,20 +1,31 @@
-"""In-process server tests: sessions, ops, pipelining, admission.
+"""Server tests: sessions, ops, pipelining, ticks, admission.
 
 These run a real asyncio server (:class:`ServerThread`) against real
-sockets, but inside the test process — crash/restart scenarios with a
-genuine process boundary live in ``tests/test_tenants.py``.
+sockets, but inside the test process — except the tick-under-SIGKILL
+test at the end, which needs a genuine process boundary (the
+multi-tenant durability oracle lives in ``tests/test_tenants.py``).
 """
 
 from __future__ import annotations
 
+import shutil
+import sys
+import tempfile
 import threading
 
 import pytest
 
+from repro.core import DurabilityMode, EngineConfig, open_engine
+from repro.obs import get_registry
 from repro.query.predicate import Between, Eq, Gt
-from repro.server.client import Rejected, ReproClient, ServerError
+from repro.server import protocol
+from repro.server.client import Rejected, ReproClient, ServerError, wait_for_server
+from repro.server.proc import free_port, spawn_server
 from repro.server.protocol import Op, PROTOCOL_VERSION, Status
 from repro.server.server import ServerConfig, ServerThread
+from repro.server.tenants import tenant_dir
+
+from tests.conftest import cores_of
 
 HOST = "127.0.0.1"
 SCHEMA = [("id", "int64"), ("name", "string"), ("qty", "int64")]
@@ -155,10 +166,21 @@ def test_malformed_body_is_bad_request(client):
     assert err.value.status is Status.BAD_REQUEST
 
 
-def test_rejected_inserts_do_not_wedge_the_tenant(client):
+def active_transactions(served, tenant="acme", table="items") -> int:
+    """Transactions still open on the tenant's engine (every core)."""
+    catalog = served.server.catalog
+    engine = catalog.acquire(tenant)
+    try:
+        return sum(c._manager.active_count for c in cores_of(engine, table))
+    finally:
+        catalog.release(tenant)
+
+
+def test_rejected_inserts_do_not_wedge_the_tenant(served, client):
     """300 malformed INSERTs (more than the 256 transaction slots) each
-    answer an error and release their transaction: the tenant still
-    accepts writes afterwards."""
+    answer an error and hold no transaction: the tenant still accepts
+    writes afterwards. A row rejected before a transaction opens aborts
+    nothing, so the abort count is only bounded."""
     view = seed_tenant(client, rows=0)
     bad = (Op.INSERT, {"table": "items", "row": {"id": "x", "name": "a", "qty": 1}})
     for _ in range(3):  # batches stay under the in-flight admission quota
@@ -169,8 +191,9 @@ def test_rejected_inserts_do_not_wedge_the_tenant(client):
         "delta": True,
     }
     stats = view.stats()
-    assert stats["aborts"] == 300
+    assert stats["aborts"] <= 300
     assert stats["tables"]["items"]["delta_rows"] == 1
+    assert active_transactions(served) == 0
 
 
 # ----------------------------------------------------------------------
@@ -241,6 +264,155 @@ def test_concurrent_clients_one_tenant(served):
             assert c.aggregate(
                 "items", "count", predicate=Eq("name", f"w{slot}")
             ) == per
+
+
+def test_concurrent_pipelines_across_tenants(served):
+    """Three tenants x three pipelining connections, more threads than
+    cores and a short switch interval: every connection gets its own
+    answers, and a read at the end of a pipeline sees every insert the
+    same connection sent before it — whichever tick each rode."""
+    tenants, per_tenant, rounds, depth = ("a", "b", "c"), 3, 8, 12
+    with ReproClient(HOST, served.port) as admin:
+        for tenant in tenants:
+            seed_tenant(admin, tenant=tenant, rows=0)
+    errors = []
+
+    def run(tenant, slot):
+        try:
+            with ReproClient(HOST, served.port, tenant=tenant) as c:
+                for n in range(rounds):
+                    rows = [
+                        {"id": (slot * rounds + n) * depth + i, "name": f"w{slot}", "qty": i}
+                        for i in range(depth)
+                    ]
+                    responses = c.pipeline(
+                        [insert_req("items", r) for r in rows]
+                        + [(Op.AGGREGATE, {"table": "items", "func": "count",
+                                           "predicate": ["eq", "name", f"w{slot}"]})]
+                    )
+                    assert all(r.ok for r in responses), responses
+                    assert responses[-1].body["value"] == (n + 1) * depth
+        except Exception as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=run, args=(tenant, slot))
+        for tenant in tenants
+        for slot in range(per_tenant)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    with ReproClient(HOST, served.port) as c:
+        for tenant in tenants:
+            assert c.aggregate("items", "count", tenant=tenant) == (
+                per_tenant * rounds * depth
+            )
+            assert active_transactions(served, tenant) == 0
+
+
+# ----------------------------------------------------------------------
+# Ticks: coalesced inserts, barriers, exact per-request outcomes
+# ----------------------------------------------------------------------
+
+
+def insert_req(table, row):
+    return (Op.INSERT, {"table": table, "row": row})
+
+
+def item(i):
+    return {"id": i, "name": f"n{i % 3}", "qty": i}
+
+
+def busy_lane(rows=3000):
+    """A barrier slow enough that what is pipelined behind it arrives
+    while its tick runs, and so shares the next one."""
+    return (Op.INSERT_MANY, {"table": "items", "rows": [item(-1 - i) for i in range(rows)]})
+
+
+def test_a_tick_answers_each_request_as_if_it_came_alone(served, client):
+    good = [insert_req("items", item(i)) for i in range(40)]
+    mixed = good[:10] + [
+        insert_req("items", {"id": "x", "name": "a", "qty": 1}),  # wrong type
+        insert_req("items", {"id": 1, "nope": 2}),  # unknown column
+        insert_req("missing", item(1)),  # unknown table
+        insert_req("items", [1, "a", 2]),  # row is not a dict
+        (Op.INSERT, {"table": "items"}),  # no row at all
+        (Op.INSERT, "not-a-dict"),
+        (Op.QUERY, {"table": "missing"}),
+    ] + good[10:]
+    for tenant in ("alone", "tick"):
+        seed_tenant(client, tenant=tenant, rows=0)
+    alone = [
+        client.pipeline([request], tenant="alone")[0] for request in [busy_lane()] + mixed
+    ][1:]
+    before = client.stats(tenant="tick")["commits"]
+    together = client.pipeline([busy_lane()] + mixed, tenant="tick")[1:]
+    # Same status and same body — error text and row position alike.
+    assert [(r.status, r.body) for r in together] == [
+        (r.status, r.body) for r in alone
+    ]
+    assert [r.status for r in together].count(Status.OK) == len(good)
+    for tenant in ("alone", "tick"):
+        rows = client.query("items", Gt("id", -1), columns=["id"], tenant=tenant)
+        assert sorted(r["id"] for r in rows) == list(range(40))
+        assert active_transactions(served, tenant) == 0
+    # ... and the 40 acks shared commits: the lane was busy when they came.
+    assert client.stats(tenant="tick")["commits"] - before < 1 + len(good)
+
+
+def test_barrier_orders_and_reads_see_their_ticks_inserts(client):
+    client.create_tenant("acme")
+    responses = client.pipeline(
+        [(Op.CREATE_TABLE, {"table": "t2", "schema": [list(c) for c in SCHEMA]})]
+        + [insert_req("t2", item(i)) for i in range(3)]
+        + [(Op.QUERY, {"table": "t2"})],
+        tenant="acme",
+    )
+    assert [r.status for r in responses] == [Status.OK] * 5
+    assert responses[-1].body["count"] == 3
+
+
+def test_pipelined_inserts_share_commits_and_fsyncs_on_a_log_tenant(client):
+    view = seed_tenant(client, rows=0, mode="log")
+    before = view.stats()
+    responses = view.pipeline([busy_lane()] + [insert_req("items", item(i)) for i in range(64)])
+    assert all(r.ok for r in responses)
+    after = view.stats()
+    # The barrier is one commit and one fsync; the 64 acks share the rest.
+    assert after["commits"] - before["commits"] < 64
+    assert after["wal"]["syncs"] - before["wal"]["syncs"] < 64
+    assert view.aggregate("items", "count", predicate=Gt("id", -1)) == 64
+
+
+def test_a_tick_on_a_sharded_tenant_matches_a_dict_model(served, client):
+    view = seed_tenant(client, rows=0, shards=4)
+    rows = [item(i) for i in range(64)]
+    rows[7] = {"id": "seven", "name": "bad", "qty": 7}  # rejected by its shard
+    rows[21] = {"name": "null-key", "qty": 21}  # NULL partition key: accepted
+    before = view.stats()["commits"]
+    responses = view.pipeline([busy_lane()] + [insert_req("items", r) for r in rows])[1:]
+    model = {}
+    for row, response in zip(rows, responses):
+        if row is rows[7]:
+            assert response.status is Status.BAD_REQUEST
+        else:
+            assert response.ok, response
+            model[row.get("id")] = row["qty"]
+    got = view.query("items", Eq("name", "null-key")) + view.query("items", Gt("id", -1))
+    assert {r["id"]: r["qty"] for r in got} == model
+    assert len(got) == len(model) == 63
+    # One transaction per tick and touched core, not one per row.
+    assert view.stats()["commits"] - before < 4 + 63
+    assert active_transactions(served) == 0
 
 
 # ----------------------------------------------------------------------
@@ -367,3 +539,107 @@ def test_server_metrics_snapshot(served, client):
     assert any(
         key.startswith("server_requests_total") for key in snapshot["registry"]
     )
+
+
+def test_unknown_tenants_leave_no_state_behind(served, client):
+    """Names a client made up never become metric labels, admission
+    entries or lanes — N requests for N unknown tenants leave the
+    server where it was."""
+    seed_tenant(client)
+    server = served.server
+
+    def state():
+        client.ping()  # answered once the loop is past the last lane's step
+        return (
+            len(get_registry().snapshot()),
+            dict(server._admission._inflight),
+            dict(server._admission._buckets),
+            set(server._lanes),
+        )
+
+    def probe(names):
+        for name in names:
+            with pytest.raises(ServerError) as err:
+                client.query("t", tenant=name)
+            assert err.value.status is Status.NO_SUCH_TENANT
+
+    probe(["nope-warm"])  # the shared series exist from here on
+    before = state()
+    probe([f"nope-{i}" for i in range(200)] + ["x" * 5000])
+    assert state() == before
+    assert 'tenant="nope-0"' not in client.metrics(format="prometheus")
+    # A known tenant is still labelled by name.
+    assert any(
+        key.startswith("server_requests_total") and 'tenant="acme"' in key
+        for key in client.metrics()
+    )
+
+
+def test_tick_size_histogram_is_exported(client):
+    view = seed_tenant(client, rows=0)
+    view.pipeline([busy_lane(500)] + [insert_req("items", item(i)) for i in range(20)])
+    ticks = client.metrics()["server_tick_requests"]
+    # Fewer ticks than requests: some tick carried several.
+    assert 0 < ticks["count"] < ticks["sum"]
+    assert "server_tick_requests_bucket" in client.metrics(format="prometheus")
+
+
+# ----------------------------------------------------------------------
+# A tick under SIGKILL (real process)
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", ["nvm", "log"])
+def test_sigkill_with_a_tick_unanswered_on_the_wire(mode):
+    """Acked rows survive; a row whose ack never came is wholly there or
+    wholly absent; the tenant's engine verifies clean afterwards."""
+    base = tempfile.mkdtemp(prefix="tick-kill-")
+    port = free_port()
+    proc = spawn_server(base, port, mode=mode)
+
+    def row(i):
+        return {"id": i, "name": f"n{i}", "qty": i * 3}
+
+    try:
+        wait_for_server(HOST, port)
+        with ReproClient(HOST, port, tenant="acme") as client:
+            seed_tenant(client, rows=0)
+            acked = client.pipeline([insert_req("items", row(i)) for i in range(64)])
+            assert all(r.ok for r in acked)
+            # 64 more in one write, then the kill: the server dies with
+            # them in a lane, in a tick, or answered but never read.
+            client._sock.sendall(
+                b"".join(
+                    protocol.pack_request(
+                        Op.INSERT, 1000 + i, "acme", {"table": "items", "row": row(i)}
+                    )
+                    for i in range(64, 128)
+                )
+            )
+            client._sock.recv(1)  # the server is working on them
+            proc.kill()
+            proc.wait(timeout=30)
+        proc = spawn_server(base, port, mode=mode)
+        wait_for_server(HOST, port, timeout=60)
+        with ReproClient(HOST, port, tenant="acme") as client:
+            got = {r["id"]: r for r in client.query("items")}
+            assert len(got) == client.aggregate("items", "count")  # no row twice
+        for i in range(64):
+            assert got.get(i) == row(i), f"acked row {i} lost or corrupted"
+        for i in range(64, 128):
+            assert got.get(i) in (None, row(i)), f"unacked row {i} recovered in part"
+        assert set(got) <= set(range(128))
+        proc.terminate()
+        proc.wait(timeout=30)
+        config = EngineConfig(mode=DurabilityMode(mode), extent_size=8 * 1024 * 1024)
+        engine = open_engine(tenant_dir(base, "acme"), config)
+        try:
+            assert engine.verify() == []
+            assert len(engine.query("items")) == len(got)
+        finally:
+            engine.close()
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=30)
+        shutil.rmtree(base, ignore_errors=True)
