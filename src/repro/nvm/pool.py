@@ -14,8 +14,9 @@ The persistence semantics mirror real hardware:
   (``drain``) has completed;
 * aligned 8-byte stores are atomic — a crash never tears them;
 * in ``STRICT`` mode the pool snapshots the pre-image of every dirtied
-  cache line and :meth:`crash` reverts lines that were never flushed,
-  which makes the engine's consistency protocol falsifiable in tests.
+  cache line, keeps it through the flush until the flushing thread
+  drains, and :meth:`crash` reverts lines that were never flushed *or
+  never fenced* — a missing flush and a missing barrier both fail tests.
 """
 
 from __future__ import annotations
@@ -114,7 +115,13 @@ class PMemPool:
         self._mode = mode
         self._maps: list[mmap] = []
         self._files: list = []
+        # STRICT bookkeeping. ``_undo``: pre-image of every dirty line.
+        # ``_parked``: pre-image of every line flushed but not yet
+        # fenced (CLWB issued, no SFENCE); ``_flushed_by`` names, per
+        # thread, the parked lines its next drain retires.
         self._undo: dict[int, bytes] = {}
+        self._parked: dict[int, bytes] = {}
+        self._flushed_by: dict[int, set[int]] = {}
         # Concurrent writers: the bump allocator's read-modify-write on
         # the persisted head, and STRICT mode's pre-image bookkeeping,
         # are the two pool-level structures shared across threads.
@@ -255,23 +262,29 @@ class PMemPool:
     def crash(self, survivor_fraction: float = 0.0, seed: Optional[int] = None) -> None:
         """Simulate a power failure.
 
-        Unflushed dirty cache lines are reverted to their last durable
-        content. ``survivor_fraction`` lets each unflushed line survive
-        independently with the given probability — real hardware may
-        write back any subset of dirty lines at any time, so recovery
-        must tolerate every value in [0, 1]. Only meaningful in
-        ``STRICT`` mode; in ``FAST`` mode every store is already treated
-        as durable (``survivor_fraction == 1.0`` behaviour).
+        Cache lines that are dirty, or flushed but not yet fenced by a
+        drain, are reverted to their last durable content.
+        ``survivor_fraction`` lets each such line survive independently
+        with the given probability — real hardware may write back any
+        subset of dirty lines at any time, so recovery must tolerate
+        every value in [0, 1]. A line flushed and then dirtied again
+        can land on any of its three states: the dirty revert restores
+        what was flushed, the unfenced revert (applied second) what was
+        durable before that. Only meaningful in ``STRICT`` mode; in
+        ``FAST`` mode every store is already treated as durable
+        (``survivor_fraction == 1.0`` behaviour).
         """
         if self._closed:
             raise PoolModeError("pool is closed")
-        if self._mode is PMemMode.STRICT and self._undo:
+        if self._mode is PMemMode.STRICT:
             rng = random.Random(seed)
-            for line_off, pre_image in self._undo.items():
-                if survivor_fraction > 0.0 and rng.random() < survivor_fraction:
-                    continue
-                self._raw_write(line_off, pre_image)
-            self._undo.clear()
+            for lost in (self._undo, self._parked):
+                for line_off, pre_image in lost.items():
+                    if survivor_fraction > 0.0 and rng.random() < survivor_fraction:
+                        continue
+                    self._raw_write(line_off, pre_image)
+                lost.clear()
+            self._flushed_by.clear()
         self.close(clean=False)
 
     @property
@@ -432,8 +445,9 @@ class PMemPool:
     def flush(self, offset: int, length: int) -> None:
         """Flush the cache lines covering ``[offset, offset+length)``.
 
-        Models CLWB: after a subsequent :meth:`drain`, the covered lines
-        are durable.
+        Models CLWB: after a subsequent :meth:`drain` *by the same
+        thread*, the covered lines are durable. Until then STRICT mode
+        keeps their pre-images, and a crash may still lose them.
         """
         if length <= 0:
             return
@@ -451,17 +465,32 @@ class PMemPool:
             _lines_flushed_inc()(n_lines)
         if self._mode is PMemMode.STRICT:
             with self._undo_lock:
-                undo = self._undo
+                undo, parked = self._undo, self._parked
+                mine = self._flushed_by.setdefault(threading.get_ident(), set())
                 for line in range(first, last + CACHE_LINE, CACHE_LINE):
-                    undo.pop(line, None)
+                    pre_image = undo.pop(line, None)
+                    if pre_image is not None:
+                        # An older parked image stays: it is the last
+                        # content known durable.
+                        parked.setdefault(line, pre_image)
+                    if line in parked:
+                        # Also when another thread parked it: a
+                        # write-back carries the whole line, so this
+                        # thread's fence makes it durable just the same.
+                        mine.add(line)
         model = self.stats.model
         if model.injected_flush_ns:
             busy_wait_ns(int(model.injected_flush_ns * model.write_multiplier))
 
     def drain(self) -> None:
-        """Persist barrier (SFENCE): order previously flushed lines."""
+        """Persist barrier (SFENCE): the calling thread's previously
+        flushed lines are durable when it returns."""
         persistence_event("drain")
         self.stats.drain_calls += 1
+        if self._mode is PMemMode.STRICT:
+            with self._undo_lock:
+                for line in self._flushed_by.pop(threading.get_ident(), ()):
+                    self._parked.pop(line, None)
         model = self.stats.model
         if model.injected_drain_ns:
             busy_wait_ns(model.injected_drain_ns)

@@ -26,6 +26,13 @@ invisible — after a crash the vector's durable prefix is exactly its
 last published size. Directory growth publishes the new directory with a
 single 8-byte ``dir_offset`` store (the capacity lives inside the
 directory block so both change atomically together).
+
+``extend``/``set``/``set_range`` take ``fence=False`` for stores whose
+durable order some *later* barrier of the same thread settles (DESIGN.md
+"Key design decisions"): every line is still flushed, no drain is
+issued. An unfenced ``extend`` may leave its size durable ahead of its
+payload, so only an owner that bounds reads by another vector's length
+(the delta, by ``begin``) may use it.
 """
 
 from __future__ import annotations
@@ -184,9 +191,11 @@ class PVector:
         slot = self._dir_offset + 8 + 8 * self._num_chunks
         pool.write_u64(slot, chunk_off)
         pool.persist(slot, 8)
-        self._num_chunks += 1
-        pool.write_u64(self.offset + _OFF_NUM_CHUNKS, self._num_chunks)
+        pool.write_u64(self.offset + _OFF_NUM_CHUNKS, self._num_chunks + 1)
         pool.persist(self.offset + _OFF_NUM_CHUNKS, 8)
+        # Volatile state last, and together: a thread that outlives a
+        # simulated power cut in here must find count and list agree.
+        self._num_chunks += 1
         self._chunks.append(chunk_off)
         return chunk_off
 
@@ -195,9 +204,11 @@ class PVector:
         slot = index % self._chunk_cap
         return self._chunks[chunk] + slot * self._itemsize
 
-    def _publish_size(self, new_size: int) -> None:
+    def _publish_size(self, new_size: int, fence: bool = True) -> None:
         self._pool.write_u64(self.offset + _OFF_SIZE, new_size)
-        self._pool.persist(self.offset + _OFF_SIZE, 8)
+        self._pool.flush(self.offset + _OFF_SIZE, 8)
+        if fence:
+            self._pool.drain()
         self._size = new_size
 
     # ------------------------------------------------------------------
@@ -216,11 +227,12 @@ class PVector:
         self._publish_size(index + 1)
         return index
 
-    def extend(self, values: np.ndarray) -> int:
+    def extend(self, values: np.ndarray, fence: bool = True) -> int:
         """Durably append a batch; returns the index of the first element.
 
         The whole batch becomes visible atomically: payload chunks are
         flushed first, then one size store publishes everything.
+        ``fence=False`` flushes payload and size and drains neither.
         """
         values = np.ascontiguousarray(values, dtype=self._dtype)
         first = self._size
@@ -240,30 +252,34 @@ class PVector:
             pool.flush(off, part.nbytes)
             cursor += int(part.size)
             remaining = remaining[room:]
-        pool.drain()
-        self._publish_size(cursor)
+        if fence:
+            pool.drain()
+        self._publish_size(cursor, fence)
         return first
 
-    def set(self, index: int, value, persist: bool = True) -> None:
+    def set(self, index: int, value, fence: bool = True) -> None:
         """Overwrite an existing element in place.
 
         For 8-byte dtypes this is a crash-atomic store (the chunks are
         cache-line aligned so 8-byte elements never straddle lines).
+        ``fence=False`` flushes the line without draining.
         """
         if index >= self._size:
             raise IndexError(f"set({index}) beyond size {self._size}")
         off = self._element_offset(index)
         self._pool.write(off, np.asarray(value, dtype=self._dtype).tobytes())
-        if persist:
-            self._pool.persist(off, self._itemsize)
+        self._pool.flush(off, self._itemsize)
+        if fence:
+            self._pool.drain()
 
     def set_range(
-        self, start: int, values: np.ndarray, persist: bool = True
+        self, start: int, values: np.ndarray, fence: bool = True
     ) -> None:
         """Overwrite a contiguous range of already-published elements.
 
         Writes are coalesced per touched chunk — one flush per chunk
-        part and a single drain — instead of one persist per element.
+        part and a single drain (none with ``fence=False``) — instead
+        of one persist per element.
         """
         values = np.ascontiguousarray(values, dtype=self._dtype)
         if start + values.size > self._size:
@@ -282,11 +298,10 @@ class PVector:
             part = remaining[:room]
             off = self._chunks[cursor // self._chunk_cap] + slot * self._itemsize
             pool.write_array(off, part)
-            if persist:
-                pool.flush(off, part.nbytes)
+            pool.flush(off, part.nbytes)
             cursor += int(part.size)
             remaining = remaining[room:]
-        if persist:
+        if fence:
             pool.drain()
 
     # ------------------------------------------------------------------

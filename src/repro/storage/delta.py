@@ -38,7 +38,7 @@ def _append_or_overwrite(vector: VectorLike, index: int, value) -> None:
 
 
 def _extend_or_overwrite(
-    vector: VectorLike, index: int, values: np.ndarray
+    vector: VectorLike, index: int, values: np.ndarray, fence: bool
 ) -> None:
     """Batch form of :func:`_append_or_overwrite`.
 
@@ -47,10 +47,10 @@ def _extend_or_overwrite(
     """
     overlap = len(vector) - index
     if overlap > 0:
-        vector.set_range(index, values[:overlap])
+        vector.set_range(index, values[:overlap], fence)
         values = values[overlap:]
     if len(values):
-        vector.extend(values)
+        vector.extend(values, fence)
 
 
 class DeltaPartition:
@@ -136,6 +136,10 @@ class DeltaPartition:
         scattered back as :data:`NULL_CODE`. Returns one uint32 code
         array per column.
         """
+        if columns and all(len(column) == 1 for column in columns):
+            # One row: a probe per column, no ``np.unique`` and scatter.
+            row = self.encode_row([column[0] for column in columns])
+            return [np.array([code], dtype=_CODE_DTYPE) for code in row]
         encoded = []
         for dictionary, column in zip(self.dictionaries, columns):
             n = len(column)
@@ -202,20 +206,25 @@ class DeltaPartition:
         (n,) = counts
         if n != len(begin_cids) or n != len(end_cids):
             raise ValueError("MVCC vectors disagree with row count")
+        # Nothing below is read before ``begin`` covers it, and a size
+        # durable ahead of its payload is a dead tail the next insert
+        # overwrites: every store is flushed and rides the drain inside
+        # the ``begin`` publish. Replay padding below the row count is
+        # stamped in place, with no such drain ahead of the stamp, so
+        # there the last store fences for all of them.
+        overlap = min(self.row_count - first, n)
         for vector, codes in zip(self.code_vectors, encoded_columns):
             _extend_or_overwrite(
-                vector, first, np.asarray(codes, dtype=_CODE_DTYPE)
+                vector, first, np.asarray(codes, dtype=_CODE_DTYPE), fence=False
             )
         _extend_or_overwrite(
-            self.mvcc.end, first, np.asarray(end_cids, dtype=np.uint64)
+            self.mvcc.end, first, np.asarray(end_cids, dtype=np.uint64), fence=False
         )
         _extend_or_overwrite(
-            self.mvcc.tid, first, np.full(n, tid, dtype=np.uint64)
+            self.mvcc.tid, first, np.full(n, tid, dtype=np.uint64), fence=overlap > 0
         )
         begin = np.asarray(begin_cids, dtype=np.uint64)
-        # Replay padding below the row count is stamped in place; the
-        # extend is the publish point: the batch becomes real in one.
-        overlap = min(self.row_count - first, n)
+        # The extend is the publish point: the batch becomes real in one.
         self.mvcc.set_begin_range(first, overlap, begin[:overlap])
         if overlap < n:
             self.mvcc.begin.extend(begin[overlap:])

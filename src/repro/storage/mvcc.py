@@ -120,33 +120,44 @@ class MvccColumns:
     # Row-level accessors
     # ------------------------------------------------------------------
 
-    def set_begin(self, row: int, cid: int, persist: bool = True) -> None:
+    # ``fence=False`` (commit's fix-ups): flushed, and made durable by
+    # a later barrier of the same thread — see ``PVector``.
+
+    def set_begin(self, row: int, cid: int, fence: bool = True) -> None:
         # Store first, bump after: a concurrent scan that misses this
         # store then carries a stale stamp and re-reads next time. The
         # reverse order could cache the pre-store arrays under the
         # post-store stamp forever.
-        self.begin.set(row, cid, persist=persist)
+        self.begin.set(row, cid, fence)
         self._mutations += 1
 
-    def set_end(self, row: int, cid: int, persist: bool = True) -> None:
-        self.end.set(row, cid, persist=persist)
+    def set_end(self, row: int, cid: int, fence: bool = True) -> None:
+        self.end.set(row, cid, fence)
         self._mutations += 1
 
-    def set_tid(self, row: int, tid: int, persist: bool = True) -> None:
-        self.tid.set(row, tid, persist=persist)
+    def set_tid(self, row: int, tid: int, fence: bool = True) -> None:
+        self.tid.set(row, tid, fence)
 
-    def set_begin_range(self, first: int, count: int, cid: int | np.ndarray) -> None:
+    def set_begin_range(
+        self, first: int, count: int, cid: int | np.ndarray, fence: bool = True
+    ) -> None:
         """Set ``begin_cid`` — one value, or one per row — for a
         contiguous row range (one store per touched chunk instead of a
         per-row loop)."""
         if count > 0:
-            self.begin.set_range(first, np.full(count, cid, dtype=np.uint64))
+            self.begin.set_range(
+                first, np.full(count, cid, dtype=np.uint64), fence
+            )
             self._mutations += 1
 
-    def set_tid_range(self, first: int, count: int, tid: int) -> None:
+    def set_tid_range(
+        self, first: int, count: int, tid: int, fence: bool = True
+    ) -> None:
         """Set ``tid`` for a contiguous row range, chunk-coalesced."""
         if count > 0:
-            self.tid.set_range(first, np.full(count, tid, dtype=np.uint64))
+            self.tid.set_range(
+                first, np.full(count, tid, dtype=np.uint64), fence
+            )
 
     def get_begin(self, row: int) -> int:
         return int(self.begin.get(row))

@@ -42,6 +42,8 @@ class Schema:
 
     columns: tuple[ColumnDef, ...]
     _index: dict = field(init=False, repr=False, compare=False, hash=False)
+    #: Per column ``(name, exact python type, DataType.validate)``.
+    _checks: tuple = field(init=False, repr=False, compare=False, hash=False)
 
     def __init__(self, columns):
         cols = tuple(columns)
@@ -53,6 +55,11 @@ class Schema:
         object.__setattr__(self, "columns", cols)
         object.__setattr__(
             self, "_index", {c.name: i for i, c in enumerate(cols)}
+        )
+        object.__setattr__(
+            self,
+            "_checks",
+            tuple((c.name, c.dtype.python_type, c.dtype.validate) for c in cols),
         )
 
     @classmethod
@@ -82,6 +89,15 @@ class Schema:
 
         Missing columns become NULL; unknown keys raise.
         """
+        if type(row) is dict and row.keys() <= self._index.keys():
+            # ``validate`` returns NULL, and a value of exactly the
+            # stored type (never a ``bool``: its type is not ``int``),
+            # as it is; only another type needs its checks.
+            get = row.get
+            return [
+                v if (v := get(name)) is None or type(v) is exact else check(v)
+                for name, exact, check in self._checks
+            ]
         unknown = set(row) - set(self._index)
         if unknown:
             raise KeyError(f"unknown columns {sorted(unknown)}")

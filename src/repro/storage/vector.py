@@ -22,14 +22,14 @@ class VectorLike(Protocol):
 
     def append(self, value) -> int: ...
 
-    def extend(self, values: np.ndarray) -> int: ...
+    def extend(self, values: np.ndarray, fence: bool = True) -> int: ...
 
     def get(self, index: int): ...
 
-    def set(self, index: int, value, persist: bool = True) -> None: ...
+    def set(self, index: int, value, fence: bool = True) -> None: ...
 
     def set_range(
-        self, start: int, values: np.ndarray, persist: bool = True
+        self, start: int, values: np.ndarray, fence: bool = True
     ) -> None: ...
 
     def __len__(self) -> int: ...
@@ -83,8 +83,9 @@ class VolatileVector:
         self._size += 1
         return self._size - 1
 
-    def extend(self, values: np.ndarray) -> int:
-        """Append a batch; returns the index of the first element."""
+    def extend(self, values: np.ndarray, fence: bool = True) -> int:
+        """Append a batch; returns the index of the first element.
+        ``fence`` (here and below) is a no-op for DRAM."""
         values = np.asarray(values, dtype=self._dtype)
         first = self._size
         self._reserve(values.size)
@@ -100,14 +101,14 @@ class VolatileVector:
     def __getitem__(self, index: int):
         return self.get(index)
 
-    def set(self, index: int, value, persist: bool = True) -> None:
-        """Overwrite an element; ``persist`` is a no-op for DRAM."""
+    def set(self, index: int, value, fence: bool = True) -> None:
+        """Overwrite an element."""
         if index >= self._size:
             raise IndexError(f"set({index}) beyond size {self._size}")
         self._buf[index] = value
 
     def set_range(
-        self, start: int, values: np.ndarray, persist: bool = True
+        self, start: int, values: np.ndarray, fence: bool = True
     ) -> None:
         """Overwrite a contiguous range below the current size."""
         values = np.asarray(values, dtype=self._dtype)

@@ -395,7 +395,10 @@ class TransactionManager:
                     barrier_lsn = self._wal.append_commit(ctx.tid, cid)
                 # Durable point for the NVM engine: COMMITTING store.
                 self._txn_table.set_committing(ctx.slot, cid)
-                apply_operations(self._table_lookup, ctx.ops, cid)
+                # The fix-ups are flushed, not fenced: ``cid`` is new,
+                # so the advance below stores, and its barrier makes
+                # them durable ahead of the slot's FREE.
+                apply_operations(self._table_lookup, ctx.ops, cid, fence=False)
                 self._cids.advance(cid)
                 self._txn_table.mark_free(ctx.slot)
                 ctx.state = TxnState.COMMITTED
@@ -429,8 +432,14 @@ def apply_operations(
     table_lookup: Callable[[int], Table],
     ops: Sequence[tuple[int, int, int]],
     cid: int,
+    fence: bool = True,
 ) -> None:
-    """Write commit ids into MVCC columns (idempotent — used by redo)."""
+    """Write commit ids into MVCC columns (idempotent — used by redo).
+
+    ``fence=False`` leaves the stores flushed for a barrier the caller
+    issues before it frees the slot; recovery keeps the default, since
+    its cid advance may store (and so fence) nothing.
+    """
     for kind, table_id, ref in ops:
         table = table_lookup(table_id)
         if kind == OP_INSERT_MANY:
@@ -440,16 +449,16 @@ def apply_operations(
             # per-row loop. Clamp defensively: the publish precedes the
             # durable commit point, so normally count rows exist.
             count = min(count, max(table.delta.row_count - first, 0))
-            mvcc.set_begin_range(first, count, cid)
-            mvcc.set_tid_range(first, count, NO_TID)
+            mvcc.set_begin_range(first, count, cid, fence)
+            mvcc.set_tid_range(first, count, NO_TID, fence)
             continue
         mvcc, index = table.mvcc_for(ref)
         if kind == OP_INSERT:
-            mvcc.set_begin(index, cid)
-            mvcc.set_tid(index, NO_TID)
+            mvcc.set_begin(index, cid, fence)
+            mvcc.set_tid(index, NO_TID, fence)
         else:
-            mvcc.set_end(index, cid)
-            mvcc.set_tid(index, NO_TID)
+            mvcc.set_end(index, cid, fence)
+            mvcc.set_tid(index, NO_TID, fence)
 
 
 def rollback_operations(

@@ -25,6 +25,7 @@ Layout::
 
 from __future__ import annotations
 
+import struct
 import threading
 from typing import Iterator
 
@@ -62,7 +63,9 @@ _S_CID = 16
 _S_UNDO = 24
 
 _CHUNK_RECORDS = 32
-_RECORD_BYTES = 24
+_RECORD = struct.Struct("<QQQ")  # kind, table_id, rowref
+_FRESH_CHUNK = struct.Struct("<QQQQQ")  # next, count, first record
+_RECORD_BYTES = _RECORD.size
 _CHUNK_BYTES = 16 + _CHUNK_RECORDS * _RECORD_BYTES
 _C_NEXT = 0
 _C_COUNT = 8
@@ -122,37 +125,35 @@ class PersistentTxnTable:
             index = self._free.pop()
         slot = self._slot(index)
         pool = self._pool
+        # One line, one persist: the fields are stored ahead of the
+        # state, and stores to a line persist in program order.
         pool.write_u64(slot + _S_TID, tid)
         pool.write_u64(slot + _S_CID, 0)
         pool.write_u64(slot + _S_UNDO, 0)
-        pool.persist(slot + _S_TID, 24)
         pool.write_u64(slot + _S_STATE, SLOT_ACTIVE)
-        pool.persist(slot + _S_STATE, 8)
+        pool.persist(slot, 32)
         return index
 
     def record(self, index: int, kind: int, table_id: int, rowref: int) -> None:
         """Durably append one operation record to the slot's chain."""
         pool = self._pool
-        slot = self._slot(index)
         with self._latch:
             tail = self._tail_chunk.get(index, 0)
-            if tail == 0:
-                tail = self._new_chunk()
-                pool.write_u64(slot + _S_UNDO, tail)
-                pool.persist(slot + _S_UNDO, 8)
-                self._tail_chunk[index] = tail
-            count = pool.read_u64(tail + _C_COUNT)
+            count = pool.read_u64(tail + _C_COUNT) if tail else _CHUNK_RECORDS
             if count == _CHUNK_RECORDS:
-                fresh = self._new_chunk()
-                pool.write_u64(tail + _C_NEXT, fresh)
-                pool.persist(tail + _C_NEXT, 8)
-                self._tail_chunk[index] = fresh
-                tail = fresh
-                count = 0
+                fresh = self._tail_chunk[index] = self._new_chunk()
+        if count == _CHUNK_RECORDS:
+            # A fresh chunk is built whole — ``next = 0``, ``count = 1``
+            # and the record share its first line, unreachable so far —
+            # persisted, and only then linked into the chain.
+            pool.write(fresh, _FRESH_CHUNK.pack(0, 1, kind, table_id, rowref))
+            pool.persist(fresh, _FRESH_CHUNK.size)
+            link = tail + _C_NEXT if tail else self._slot(index) + _S_UNDO
+            pool.write_u64(link, fresh)
+            pool.persist(link, 8)
+            return
         rec = tail + 16 + count * _RECORD_BYTES
-        pool.write_u64(rec, kind)
-        pool.write_u64(rec + 8, table_id)
-        pool.write_u64(rec + 16, rowref)
+        pool.write(rec, _RECORD.pack(kind, table_id, rowref))
         pool.persist(rec, _RECORD_BYTES)
         pool.write_u64(tail + _C_COUNT, count + 1)
         pool.persist(tail + _C_COUNT, 8)
@@ -168,21 +169,17 @@ class PersistentTxnTable:
 
     def _new_chunk(self) -> int:
         if self._chunk_pool:
-            chunk = self._chunk_pool.pop()
-        else:
-            chunk = self._pool.allocate(_CHUNK_BYTES)
-        self._pool.write(chunk, b"\x00" * 16)
-        self._pool.persist(chunk, 16)
-        return chunk
+            return self._chunk_pool.pop()
+        return self._pool.allocate(_CHUNK_BYTES)
 
     def set_committing(self, index: int, cid: int) -> None:
-        """Durable commit point: persist the cid, then flip the state."""
+        """Durable commit point: the cid, then the state — stored in
+        that order to one line, so one persist."""
         pool = self._pool
         slot = self._slot(index)
         pool.write_u64(slot + _S_CID, cid)
-        pool.persist(slot + _S_CID, 8)
         pool.write_u64(slot + _S_STATE, SLOT_COMMITTING)
-        pool.persist(slot + _S_STATE, 8)
+        pool.persist(slot, 24)
 
     def mark_free(self, index: int) -> None:
         """Release a slot after commit apply or rollback.

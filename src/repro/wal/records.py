@@ -247,6 +247,49 @@ def _decode_column(payload: bytes, pos: int, n: int) -> tuple[tuple, int]:
     return tuple(out), pos
 
 
+def _encode_cell(v: Value) -> bytes:
+    """A one-row column: :func:`_encode_column`'s bytes, by ``struct``."""
+    if v is None:
+        return b"\x80\x00"
+    if isinstance(v, bool):
+        raise TypeError("bool values are not loggable")
+    if isinstance(v, int):
+        if not -(1 << 63) <= v < 1 << 63:
+            raise OverflowError(f"Python integer {v} out of bounds for int64")
+        return struct.pack("<BBq", 0, _KIND_INT, v)
+    if isinstance(v, float):
+        return struct.pack("<BBd", 0, _KIND_FLOAT, v)
+    if isinstance(v, str):
+        raw = v.encode("utf-8")
+        return struct.pack("<BBI", 0, _KIND_STR, len(raw)) + raw
+    raise TypeError("mixed or unsupported value types in column")
+
+
+def _decode_cell(payload: bytes, pos: int) -> tuple[tuple, int]:
+    """A one-row column: :func:`_decode_column`'s answer — and its
+    error, case by case — without the bitmap arrays."""
+    if pos >= len(payload):
+        raise ValueError("buffer is smaller than requested size")
+    null = payload[pos] & 0x80  # the row is the bitmap byte's top bit
+    (kind,) = struct.unpack_from("<B", payload, pos + 1)
+    pos += 2
+    if kind == _KIND_NULL:
+        if not null:
+            raise ValueError("null column kind with non-null rows")
+    elif kind not in (_KIND_INT, _KIND_FLOAT, _KIND_STR):
+        raise ValueError(f"bad column kind {kind}")
+    if null:
+        return (None,), pos
+    if kind == _KIND_STR:
+        (length,) = struct.unpack_from("<I", payload, pos)
+        pos += 4
+        return (payload[pos : pos + length].decode("utf-8"),), pos + length
+    if len(payload) - pos < 8:
+        raise ValueError("buffer is smaller than requested size")
+    fmt = "<q" if kind == _KIND_INT else "<d"
+    return struct.unpack_from(fmt, payload, pos), pos + 8
+
+
 def _payload(record: LogRecord) -> bytes:
     if isinstance(record, InsertRecord):
         return (
@@ -267,8 +310,10 @@ def _payload(record: LogRecord) -> bytes:
                 len(record.columns),
             )
         ]
-        for col in record.columns:
-            parts.append(_encode_column(col, n))
+        if n == 1:
+            parts.extend(_encode_cell(col[0]) for col in record.columns)
+        else:
+            parts.extend(_encode_column(col, n) for col in record.columns)
         return b"".join(parts)
     if isinstance(record, InvalidateRecord):
         return struct.pack(
@@ -351,7 +396,10 @@ def decode_payload(payload: bytes) -> LogRecord:
         pos = 23
         columns = []
         for _ in range(ncols):
-            col, pos = _decode_column(payload, pos, n)
+            if n == 1:
+                col, pos = _decode_cell(payload, pos)
+            else:
+                col, pos = _decode_column(payload, pos, n)
             columns.append(col)
         return InsertManyRecord(table_id, first_row, tuple(columns))
     if rtype == TYPE_INVALIDATE:

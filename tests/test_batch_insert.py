@@ -90,6 +90,18 @@ def test_insert_many_equals_n_inserts(tmp_path, mode):
     bt, rt = batch_db.table("t"), row_db.table("t")
     for d_batch, d_row in zip(bt.delta.dictionaries, rt.delta.dictionaries):
         assert d_batch.values_list() == d_row.values_list()
+    # So the stored image is the same vector for vector: the rows (with
+    # their NULLs and repeats) took the one-row encoder on one side and
+    # ``np.unique`` on the other.
+    for ci in range(len(SCHEMA)):
+        assert (
+            bt.delta.column_codes(ci).tolist() == rt.delta.column_codes(ci).tolist()
+        )
+    for vec in ("begin", "end", "tid"):
+        assert (
+            getattr(bt.delta.mvcc, vec).to_numpy().tolist()
+            == getattr(rt.delta.mvcc, vec).to_numpy().tolist()
+        )
     assert batch_db.verify() == []
     assert row_db.verify() == []
 
@@ -289,7 +301,7 @@ def test_crash_mid_begin_publish_loses_whole_batch(tmp_path):
     begin_vec = db.table("t").delta.mvcc.begin
     original_publish = begin_vec._publish_size
 
-    def torn_publish(new_size):
+    def torn_publish(new_size, fence=True):
         raise RuntimeError("power cut mid publish")
 
     begin_vec._publish_size = torn_publish

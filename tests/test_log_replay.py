@@ -180,6 +180,25 @@ def _rows(result):
     return sorted(zip(result.column("id"), result.column("name")))
 
 
+def _one_row_per_record(log_path, out_path, start_lsn):
+    """Rewrite the log's tail with every insert batch as one-row records
+    (each naming its own position): what a writer that never batched
+    would have left behind."""
+    with open(log_path, "rb") as src, open(out_path, "wb") as out:
+        out.write(src.read(start_lsn))
+        for record, _ in LogScan(log_path, start_lsn):
+            if isinstance(record, InsertManyRecord):
+                for i in range(record.row_count):
+                    row = tuple((col[i],) for col in record.columns)
+                    out.write(
+                        encode_record(
+                            InsertManyRecord(record.table_id, record.first_row + i, row)
+                        )
+                    )
+            else:
+                out.write(encode_record(record))
+
+
 def _replay_in_batches(log_path, batch, checkpoint_dir=None):
     """Feed the log ``batch`` frames per drain (0 = the whole tail)."""
     replayer = LogReplayer(VolatileBackend(), checkpoint_dir)
@@ -250,16 +269,31 @@ class TestEqualsOriginalExecution:
                 (
                     _physical(replayer.tables.values(), replayer.last_cid),
                     sorted(replayer.names),
-                    replayer.lsn,
                     replayer.next_table_id,
                     sorted(replayer.touched),
-                    replayer.records,
                     replayer.commits,
                     replayer.merges,
+                    replayer.lsn,
+                    replayer.records,
                 )
             )
         assert states[0] == states[1] == states[2]
         assert "scratch" not in states[0][1]
+        # The same work logged one row per record — every insert frame
+        # takes the one-row codec: more records, the same state.
+        scalar_log = str(tmp_path / "one-row.log")
+        _one_row_per_record(log_path, scalar_log, replayer.start_lsn)
+        for batch in (1, 0):
+            replayer = _replay_in_batches(scalar_log, batch, chain)
+            assert replayer.records > states[0][-1]
+            assert (
+                _physical(replayer.tables.values(), replayer.last_cid),
+                sorted(replayer.names),
+                replayer.next_table_id,
+                sorted(replayer.touched),
+                replayer.commits,
+                replayer.merges,
+            ) == states[0][:-2]
 
     def test_writes_after_recovery(self, tmp_path):
         path = str(tmp_path / "db")

@@ -1,5 +1,7 @@
 """Unit tests for the persistent memory pool."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,109 @@ class TestStrictCrashSemantics:
         pool = PMemPool.open(pool_dir)
         assert pool.read_u64(off) == 5
         pool.close()
+
+
+class TestFlushIsNotDurableUntilDrained:
+    """CLWB + SFENCE: a flush starts a write-back, only the flushing
+    thread's drain finishes it. Survivor 0 loses every line that is
+    dirty or unfenced, survivor 1 keeps them all."""
+
+    @staticmethod
+    def _reopened(pool_dir, off):
+        pool = PMemPool.open(pool_dir)
+        try:
+            return pool.read_u64(off)
+        finally:
+            pool.close()
+
+    def test_flushed_but_never_drained_is_lost(self, strict_pool, pool_dir):
+        off = strict_pool.allocate(64)
+        strict_pool.write_u64(off, 1)
+        strict_pool.persist(off, 8)
+        strict_pool.write_u64(off, 2)
+        strict_pool.flush(off, 8)  # no drain
+        strict_pool.crash()
+        assert self._reopened(pool_dir, off) == 1
+
+    def test_a_later_drain_covers_every_earlier_flush(self, strict_pool, pool_dir):
+        a, b = strict_pool.allocate(64), strict_pool.allocate(64)
+        strict_pool.write_u64(a, 1)
+        strict_pool.flush(a, 8)
+        strict_pool.write_u64(b, 2)
+        strict_pool.persist(b, 8)
+        strict_pool.crash()
+        assert (self._reopened(pool_dir, a), self._reopened(pool_dir, b)) == (1, 2)
+
+    @pytest.mark.parametrize(
+        "survivor,seed,expected",
+        # Seeds chosen for their first two draws at survivor 0.5 — is
+        # the dirty line kept, is the unfenced one: 0 neither, 1 only
+        # the dirty one (the older loss wins), 10 only the unfenced
+        # one, 4 both.
+        [(0.0, 0, 1), (1.0, 0, 3), (0.5, 0, 1), (0.5, 1, 1), (0.5, 10, 2), (0.5, 4, 3)],
+    )
+    def test_flushed_then_redirtied_lands_on_one_of_three_states(
+        self, strict_pool, pool_dir, survivor, seed, expected
+    ):
+        off = strict_pool.allocate(64)
+        strict_pool.write_u64(off, 1)
+        strict_pool.persist(off, 8)  # durable: 1
+        strict_pool.write_u64(off, 2)
+        strict_pool.flush(off, 8)  # in flight: 2
+        strict_pool.write_u64(off, 3)  # dirty: 3
+        strict_pool.crash(survivor_fraction=survivor, seed=seed)
+        assert self._reopened(pool_dir, off) == expected
+
+    def test_reflush_keeps_the_oldest_durable_image(self, strict_pool, pool_dir):
+        off = strict_pool.allocate(64)
+        strict_pool.write_u64(off, 1)
+        strict_pool.persist(off, 8)
+        for value in (2, 3):
+            strict_pool.write_u64(off, value)
+            strict_pool.flush(off, 8)
+        strict_pool.crash()
+        assert self._reopened(pool_dir, off) == 1
+
+    def test_another_threads_drain_fences_nothing_of_mine(
+        self, strict_pool, pool_dir
+    ):
+        off = strict_pool.allocate(64)
+        strict_pool.write_u64(off, 1)
+        strict_pool.flush(off, 8)
+        other = threading.Thread(target=strict_pool.drain)
+        other.start()
+        other.join(timeout=10)
+        assert not other.is_alive()
+        strict_pool.crash()
+        assert self._reopened(pool_dir, off) == 0
+
+    def test_a_flush_of_the_same_line_by_a_fencing_thread_covers_it(
+        self, strict_pool, pool_dir
+    ):
+        # A write-back carries the whole line: thread B flushing and
+        # fencing line L makes A's earlier store to L durable too, even
+        # though A never drained.
+        off = strict_pool.allocate(64)
+        strict_pool.write_u64(off, 1)
+        strict_pool.flush(off, 8)
+
+        def neighbour():
+            strict_pool.write_u64(off + 8, 2)
+            strict_pool.persist(off + 8, 8)
+
+        other = threading.Thread(target=neighbour)
+        other.start()
+        other.join(timeout=10)
+        assert not other.is_alive()
+        strict_pool.crash()
+        assert self._reopened(pool_dir, off) == 1
+        assert self._reopened(pool_dir, off + 8) == 2
+
+    def test_fast_mode_tracks_nothing(self, pool):
+        off = pool.allocate(64)
+        pool.write_u64(off, 1)
+        pool.flush(off, 8)
+        assert not pool._undo and not pool._parked and not pool._flushed_by
 
 
 class TestAccounting:

@@ -139,15 +139,31 @@ class TestPersistence:
         pool.close()
 
     def test_unpersisted_set_lost(self, pool_dir):
+        """A store that was flushed but never fenced is not durable: at
+        survivor 0 the crash takes it. (A store that was never flushed
+        is test_nvm_pool.py::test_unflushed_store_lost's.)"""
         pool = PMemPool.create(pool_dir, extent_size=2 * 1024 * 1024, mode=PMemMode.STRICT)
         v = PVector.create(pool, np.uint64)
         v.append(5)
         pool.set_root(v.offset)
-        v.set(0, 99, persist=False)
+        v.set(0, 99, fence=False)
         pool.crash()
         pool = PMemPool.open(pool_dir, mode=PMemMode.STRICT)
         v2 = PVector.attach(pool, pool.root_offset)
         assert int(v2.get(0)) == 5
+        pool.close()
+
+    def test_unfenced_set_rides_the_next_drain(self, pool_dir):
+        pool = PMemPool.create(pool_dir, extent_size=2 * 1024 * 1024, mode=PMemMode.STRICT)
+        v = PVector.create(pool, np.uint64)
+        v.extend(np.arange(64, dtype=np.uint64))
+        pool.set_root(v.offset)
+        v.set(0, 99, fence=False)
+        v.set(40, 7)  # another line; its drain covers both flushes
+        pool.crash()
+        pool = PMemPool.open(pool_dir, mode=PMemMode.STRICT)
+        v2 = PVector.attach(pool, pool.root_offset)
+        assert (int(v2.get(0)), int(v2.get(40))) == (99, 7)
         pool.close()
 
     def test_persisted_set_survives(self, pool_dir):
@@ -155,7 +171,7 @@ class TestPersistence:
         v = PVector.create(pool, np.uint64)
         v.append(5)
         pool.set_root(v.offset)
-        v.set(0, 99, persist=True)
+        v.set(0, 99)
         pool.crash()
         pool = PMemPool.open(pool_dir, mode=PMemMode.STRICT)
         v2 = PVector.attach(pool, pool.root_offset)

@@ -45,17 +45,22 @@ class TestRecoverySpans:
     def test_nvm_phases_cover_recovery_wall_time(self, tmp_path):
         db = Database(str(tmp_path / "db"), make_config(DurabilityMode.NVM))
         _load(db, 2000)
-        db = db.restart()
-        report = db.last_recovery
-        span = report.span
-        assert span.name == "recovery:nvm"
-        assert span.finished
         # Phase durations sum to (nearly) the recovery wall time: the
         # driver is instrumented end to end, not sampled. Measured
-        # coverage is 95-99%; 90% leaves margin for scheduler noise.
-        assert span.child_seconds() >= 0.90 * span.duration_s
-        assert span.child_seconds() <= span.duration_s + 1e-9
-        assert report.total_seconds == pytest.approx(span.duration_s)
+        # coverage is 95-99%, but the recovery is ~2 ms, so one
+        # descheduling between two phases is a tenth of it (1 run in
+        # 200 read 0.89): the best of three restarts has to reach 90%.
+        coverage = []
+        for _ in range(3):
+            db = db.restart()
+            report = db.last_recovery
+            span = report.span
+            assert span.name == "recovery:nvm"
+            assert span.finished
+            assert span.child_seconds() <= span.duration_s + 1e-9
+            assert report.total_seconds == pytest.approx(span.duration_s)
+            coverage.append(span.child_seconds() / span.duration_s)
+        assert max(coverage) >= 0.90
         db.close()
 
     def test_sharded_nvm_span_tree(self, tmp_path):

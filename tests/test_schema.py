@@ -1,6 +1,7 @@
 """Unit tests for schemas and data types."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.storage.schema import ColumnDef, Schema
 from repro.storage.types import DataType
@@ -86,3 +87,89 @@ class TestSchema:
         schema = Schema([ColumnDef("naïve_col", DataType.STRING)])
         # Identifiers may be unicode in Python.
         assert Schema.from_bytes(schema.to_bytes()) == schema
+
+
+def _validate_row_before(schema: Schema, row) -> list:
+    """``Schema.validate_row`` as it stood before the per-schema checks
+    were precomputed — the oracle: two sets per row, an Enum-dispatching
+    ``validate`` per cell."""
+    unknown = set(row) - set(schema._index)
+    if unknown:
+        raise KeyError(f"unknown columns {sorted(unknown)}")
+    return [c.dtype.validate(row.get(c.name)) for c in schema.columns]
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _Dict(dict):
+    def get(self, key, default=None):
+        return "overridden"
+
+
+_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False),
+    st.text(max_size=4),
+    st.builds(_Int, st.integers(-9, 9)),
+    st.builds(_Float, st.floats(allow_nan=False, width=16)),
+    st.builds(_Str, st.text(max_size=3)),
+    st.binary(max_size=2),
+    st.lists(st.integers(), max_size=2),
+)
+_keys = st.sampled_from(["id", "name", "score", "extra", "zzz", ""])
+_rows = st.one_of(
+    st.dictionaries(_keys, _values),
+    st.dictionaries(st.one_of(_keys, st.integers(0, 3)), _values),
+    st.builds(_Dict, st.dictionaries(_keys, _values)),
+    st.lists(st.one_of(_keys, st.integers(0, 3)), max_size=4),
+    st.tuples(_keys, _keys),
+    st.none(),
+    st.integers(),
+    st.text(max_size=5),
+)
+
+
+class TestValidateRowFastPath:
+    SCHEMA = Schema.of(
+        id=DataType.INT64, name=DataType.STRING, score=DataType.FLOAT64
+    )
+
+    @staticmethod
+    def _outcome(fn, *args):
+        try:
+            values = fn(*args)
+        except Exception as exc:
+            return type(exc), str(exc)
+        # The type of each value is part of the answer: an int in a
+        # FLOAT64 column comes back a float, a subclass as today.
+        return [(type(v), v) for v in values]
+
+    @settings(max_examples=600, deadline=None)
+    @given(row=_rows)
+    def test_same_values_and_same_errors_as_before(self, row):
+        assert self._outcome(self.SCHEMA.validate_row, row) == self._outcome(
+            _validate_row_before, self.SCHEMA, row
+        )
+
+    def test_exact_types_are_returned_as_they_are(self):
+        row = {"id": 2**40, "name": "n" * 40, "score": 0.1 + 0.2}
+        out = self.SCHEMA.validate_row(row)
+        assert all(got is put for got, put in zip(out, row.values()))
+
+    def test_bool_is_never_an_int(self):
+        with pytest.raises(TypeError, match="expected int, got bool"):
+            self.SCHEMA.validate_row({"id": True})
+        with pytest.raises(TypeError, match="expected float, got bool"):
+            self.SCHEMA.validate_row({"score": False})

@@ -1,10 +1,12 @@
 """Unit tests for log records, writer, and reader."""
 
 import os
+import struct
 import sys
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.wal.reader import count_records, read_log
 from repro.wal.records import (
@@ -14,6 +16,10 @@ from repro.wal.records import (
     InsertRecord,
     InvalidateRecord,
     MergeRecord,
+    _decode_cell,
+    _decode_column,
+    _encode_cell,
+    _encode_column,
     decode_record,
     encode_record,
 )
@@ -57,6 +63,116 @@ class TestRecordCodec:
     def test_bool_values_rejected(self):
         with pytest.raises(TypeError):
             encode_record(InsertRecord(1, 1, (True,)))
+
+
+#: One-row ``InsertManyRecord(7, 41, ((value,),))`` frames exactly as the
+#: commit before the one-row codec wrote them (PR 18, array code only).
+GOLDEN_ONE_ROW = [
+    (None, "19000000434f569307070000000000000029000000000000000100000001008000"),
+    (-1, "21000000eab41a89070700000000000000290000000000000001000000010000"
+         "01ffffffffffffffff"),
+    (2**63 - 1, "21000000ca37a264070700000000000000290000000000000001000000"
+                "01000001ffffffffffffff7f"),
+    (-(2**63), "21000000bf37c4200707000000000000002900000000000000010000000"
+               "10000010000000000000080"),
+    (3.25, "210000004021c27807070000000000000029000000000000000100000001000"
+           "0020000000000000a40"),
+    (float("inf"), "210000004a05f7200707000000000000002900000000000000010000"
+                   "0001000002000000000000f07f"),
+    ("", "1d00000016b4d40f0707000000000000002900000000000000010000000100000"
+         "300000000"),
+    ("αβγ-✓", "2700000059427cab07070000000000000029000000000000000100000001"
+               "0000030a000000ceb1ceb2ceb32de29c93"),
+]
+
+_cells = st.one_of(
+    st.none(),
+    st.integers(-(2**63), 2**63 - 1),
+    st.floats(allow_nan=False),
+    st.text(max_size=12),
+)
+
+
+def _outcome(fn, *args):
+    """What ``fn`` answers, or the class of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+class TestOneRowCodec:
+    """A one-row record is written and read without the bitmap arrays,
+    and nobody can tell: the frames are the array code's byte for byte,
+    so either commit replays the other's log."""
+
+    @pytest.mark.parametrize("value,frame", GOLDEN_ONE_ROW, ids=repr)
+    def test_golden_frames(self, value, frame):
+        record = InsertManyRecord(7, 41, ((value,),))
+        assert encode_record(record).hex() == frame
+        assert decode_record(bytes.fromhex(frame), 0) == (record, len(frame) // 2)
+
+    def test_golden_mixed_row(self):
+        record = InsertManyRecord(3, 12, ((5,), (None,), ("g7",), (-0.5,)))
+        frame = (
+            "3500000010ce896b0703000000000000000c00000000000000010000000400"
+            "00010500000000000000800000030200000067370002000000000000e0bf"
+        )
+        assert encode_record(record).hex() == frame
+        assert decode_record(bytes.fromhex(frame), 0)[0] == record
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=_cells)
+    def test_encodes_as_the_array_code_does(self, value):
+        assert _encode_cell(value) == _encode_column((value,), 1)
+        assert _decode_cell(_encode_cell(value), 0) == ((value,), len(_encode_cell(value)))
+
+    def test_nan_keeps_its_bits(self):
+        nan = struct.unpack("<d", bytes.fromhex("010000000000f87f"))[0]
+        assert _encode_cell(nan) == _encode_column((nan,), 1)
+        assert _encode_cell(nan).endswith(bytes.fromhex("010000000000f87f"))
+
+    @pytest.mark.parametrize("value", [True, 2**63, -(2**63) - 1, b"x", 1 + 2j])
+    def test_rejects_what_the_array_code_rejects(self, value):
+        expected = _outcome(_encode_column, (value,), 1)
+        assert isinstance(expected, type)
+        assert _outcome(_encode_cell, value) is expected
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        payload=st.one_of(
+            st.binary(max_size=16),
+            # A plausible column: any bitmap byte, any kind (two of them
+            # unassigned), then a body of any length — cut short,
+            # over-long, or a string length that overshoots.
+            st.builds(
+                lambda bitmap, kind, body: bytes([bitmap, kind]) + body,
+                st.integers(0, 255),
+                st.integers(0, 5),
+                st.binary(max_size=14),
+            ),
+            st.builds(
+                lambda value, cut: _encode_cell(value)[:cut],
+                _cells,
+                st.integers(0, 20),
+            ),
+        ),
+        pad=st.integers(0, 3),
+    )
+    def test_decodes_and_fails_as_the_array_code_does(self, payload, pad):
+        payload = b"\xee" * pad + payload
+        expected = _outcome(_decode_column, payload, pad, 1)
+        assert _outcome(_decode_cell, payload, pad) == expected
+
+    def test_truncated_and_wrong_kind_frames_raise(self):
+        whole = _encode_cell(7)
+        for cut in (b"", whole[:2], whole[:-1]):
+            with pytest.raises(ValueError):
+                _decode_cell(cut, 0)
+        with pytest.raises(ValueError, match="bad column kind 9"):
+            _decode_cell(b"\x00\x09" + bytes(8), 0)
+        with pytest.raises(ValueError, match="null column kind with non-null"):
+            _decode_cell(b"\x00\x00", 0)
 
     def test_unsupported_value_rejected(self):
         with pytest.raises(TypeError):
