@@ -20,8 +20,7 @@ from repro.bench.server_bench import measure_restart_downtime, measure_throughpu
 CONNECTIONS = [2, 8, 16]
 REQUESTS_PER_CONN = 300
 #: Runs per connection count; the bars read the best one. A run lasts
-#: 0.1-1 s with the client threads on the server's core, and at 16
-#: connections half of it is the benchmark's own unindexed point query.
+#: 0.1-1 s with the client threads on the server's core.
 REPEATS = 3
 RESTART_ROWS = 20_000
 

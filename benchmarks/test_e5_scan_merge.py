@@ -4,9 +4,10 @@ Reconstructed figure: latency of a range scan as the delta fills up,
 then after a merge folds the delta into the read-optimised main.
 
 Expected shape: scan latency grows as the (unsorted-dictionary) delta
-fills, because delta predicates evaluate per distinct value while main
-predicates are two binary searches plus a vectorised range test over
-bit-packed codes; the merge restores near-empty-delta latency. Index
+fills, because a delta range compares the whole value vector and gathers
+a per-code truth over uncompressed codes while a main range is two
+binary searches plus a vectorised range test over bit-packed codes; the
+merge restores near-empty-delta latency. Index
 probes beat full scans for selective predicates in every state.
 """
 

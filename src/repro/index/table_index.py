@@ -22,6 +22,7 @@ from repro.index.delta_index import (
 from repro.index.groupkey import GroupKeyIndex
 from repro.storage.backend import Backend, NvmBackend
 from repro.storage.delta import DeltaPartition
+from repro.storage.dictionary import exact_value
 from repro.storage.main import MainPartition
 from repro.storage.table import Table, pack_rowref
 from repro.storage.types import NULL_CODE
@@ -162,27 +163,40 @@ class TableIndex:
     # Lookups (positions only; visibility filtering happens in the scan)
     # ------------------------------------------------------------------
 
-    def probe_equal(self, table: Table, value, content=None) -> list[int]:
-        """Packed rowrefs of candidate rows with ``column == value``."""
+    def _parts(self, table: Table, content) -> tuple:
+        """``(main column, delta, column index)`` of the pinned pair,
+        with the delta half brought up to the published rows."""
         main, delta = content if content is not None else table.content
         col = table.schema.column_index(self.column)
         self.ensure_delta_current(table.schema, delta)
-        refs: list[int] = []
-        if value is not None:
-            main_code = main.columns[col].dictionary.code_of(value)
-            if main_code is not None:
-                refs.extend(
-                    pack_rowref(False, int(p))
-                    for p in self.group_key.lookup(main_code)
-                )
-            delta_code = delta.dictionaries[col].code_of(value)
-            if delta_code is not None:
-                positions = self.delta_index.lookup(delta_code)
-                limit = delta.row_count
-                refs.extend(
-                    pack_rowref(True, int(p)) for p in positions if p < limit
-                )
+        return main.columns[col], delta, col
+
+    def _refs(self, main_positions, delta: DeltaPartition, codes) -> list[int]:
+        """Packed rowrefs of ``main_positions``, then of the published
+        delta rows holding any of the delta ``codes``."""
+        refs = [pack_rowref(False, int(p)) for p in main_positions]
+        limit = delta.row_count
+        for code in codes:
+            refs.extend(
+                pack_rowref(True, int(p))
+                for p in self.delta_index.lookup(code)
+                if p < limit
+            )
         return refs
+
+    def probe_equal(self, table: Table, value, content=None) -> list[int]:
+        """Packed rowrefs of candidate rows with ``column == value``."""
+        main_col, delta, col = self._parts(table, content)
+        value = exact_value(main_col.dictionary.dtype, value)
+        if value is None:
+            return []
+        main_code = main_col.dictionary.code_of(value)
+        delta_code = delta.dictionaries[col].code_of(value)
+        return self._refs(
+            () if main_code is None else self.group_key.lookup(main_code),
+            delta,
+            () if delta_code is None else (delta_code,),
+        )
 
     def probe_range(
         self,
@@ -195,69 +209,26 @@ class TableIndex:
     ) -> list[int]:
         """Packed rowrefs of candidates with ``column`` in the range.
 
-        ``None`` bounds are open. On main this is one contiguous
-        positions slice (codes are dictionary-ordered); on the delta the
-        range is evaluated per distinct value (the dictionary is
-        unsorted), then each matching code's positions are collected.
-        NULLs never match a range.
+        ``None`` bounds are open. Each dictionary answers as it does for
+        an unindexed range predicate: main's with one code range (one
+        contiguous positions slice), the delta's with its per-code
+        truth, whose matching codes' positions are collected. NULLs
+        never match a range.
         """
-        main, delta = content if content is not None else table.content
-        col = table.schema.column_index(self.column)
-        self.ensure_delta_current(table.schema, delta)
-        refs: list[int] = []
-
-        main_dict = main.columns[col].dictionary
-        code_lo = 0
-        code_hi = len(main_dict)
-        if low is not None:
-            code_lo = (
-                main_dict.lower_bound(low) if include_low else main_dict.upper_bound(low)
-            )
-        if high is not None:
-            code_hi = (
-                main_dict.upper_bound(high) if include_high else main_dict.lower_bound(high)
-            )
-        refs.extend(
-            pack_rowref(False, int(p))
-            for p in self.group_key.lookup_range(code_lo, code_hi)
+        main_col, delta, col = self._parts(table, content)
+        bounds = (low, high, include_low, include_high)
+        return self._refs(
+            self.group_key.lookup_range(*main_col.dictionary.code_range(*bounds)),
+            delta,
+            np.flatnonzero(delta.dictionaries[col].in_range(*bounds)).tolist(),
         )
-
-        def in_range(value) -> bool:
-            if low is not None:
-                if value < low or (value == low and not include_low):
-                    return False
-            if high is not None:
-                if value > high or (value == high and not include_high):
-                    return False
-            return True
-
-        limit = delta.row_count
-        for code, value in enumerate(delta.dictionaries[col].values_list()):
-            if in_range(value):
-                refs.extend(
-                    pack_rowref(True, int(p))
-                    for p in self.delta_index.lookup(code)
-                    if p < limit
-                )
-        return refs
 
     def probe_null(self, table: Table, content=None) -> list[int]:
         """Packed rowrefs of candidate rows with ``column IS NULL``."""
-        main, delta = content if content is not None else table.content
-        col = table.schema.column_index(self.column)
-        self.ensure_delta_current(table.schema, delta)
-        main_col = main.columns[col]
-        refs = [
-            pack_rowref(False, int(p))
-            for p in self.group_key.lookup(main_col.null_code)
-        ]
-        limit = delta.row_count
-        refs.extend(
-            pack_rowref(True, int(p))
-            for p in self.delta_index.lookup(NULL_CODE)
-            if p < limit
+        main_col, delta, _ = self._parts(table, content)
+        return self._refs(
+            self.group_key.lookup(main_col.null_code), delta, (NULL_CODE,)
         )
-        return refs
 
     def memory_bytes(self) -> int:
         return self.group_key.memory_bytes()

@@ -3,9 +3,9 @@
 The paper runs on NVDIMM hardware; this package provides the closest
 software equivalent: an mmap-backed persistent memory pool with explicit
 cache-line flush / persist-barrier primitives, crash simulation that
-discards unflushed stores, an arena allocator, a configurable latency
-model, and the persistent building blocks (growable vectors, a blob heap,
-a hash map) that the storage engine keeps on NVM.
+discards unflushed stores, a configurable latency model, and the
+persistent building blocks (growable vectors, a blob heap, a hash map)
+that the storage engine keeps on NVM.
 """
 
 from repro.nvm.errors import (
@@ -16,13 +16,11 @@ from repro.nvm.errors import (
 )
 from repro.nvm.latency import LatencyModel, NvmStats
 from repro.nvm.pool import CACHE_LINE, PMemPool, PMemMode
-from repro.nvm.allocator import ArenaAllocator
 from repro.nvm.pvector import PVector, DTYPE_CODES
 from repro.nvm.pheap import PHeap
 from repro.nvm.phash import PHashMap
 
 __all__ = [
-    "ArenaAllocator",
     "CACHE_LINE",
     "DTYPE_CODES",
     "LatencyModel",

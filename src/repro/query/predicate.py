@@ -1,15 +1,22 @@
 """Predicates evaluated in dictionary-code space.
 
-Evaluation is two-phase, exploiting dictionary compression:
+A single-column predicate is a question put to its column's dictionary;
+the partition only gathers the answer over its code array:
 
-* **main** — the dictionary is sorted, so comparisons become code-range
-  tests computed with two binary searches, independent of row count.
-* **delta** — the dictionary is unsorted, so the predicate is evaluated
-  once per *distinct value* (a per-code truth table) and then gathered
-  over the code array.
+* **membership** (``Eq``/``In``/``Ne``) — one ``code_of`` probe per
+  value on either dictionary kind, then a code comparison. A value the
+  dictionary has never seen is an empty mask and the column is not read.
+* **range** (``Lt``/``Le``/``Gt``/``Ge``/``Between``) — on **main** the
+  dictionary is sorted, so the range is a code range found by two binary
+  searches; on the **delta** it is unsorted, so the dictionary compares
+  its value vector with the bounds once (numpy, not a python call per
+  value) and the per-code truth is gathered over the codes.
 
-NULL semantics are SQL-like: comparisons never match NULL; use
-:class:`IsNull` / :class:`NotNull` explicitly.
+Bounds and probes are moved onto the column's type first
+(:func:`~repro.storage.dictionary.exact_bound`), so both partitions give
+python's answer and a merge never changes a result. NULL semantics are
+SQL-like: comparisons never match NULL (nor does a range match NaN);
+use :class:`IsNull` / :class:`NotNull` explicitly.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from repro.storage.delta import DeltaPartition
+from repro.storage.dictionary import exact_value
 from repro.storage.main import MainPartition
 from repro.storage.schema import Schema
 from repro.storage.types import NULL_CODE
@@ -46,79 +54,39 @@ class Predicate(ABC):
 
 
 class _ColumnPredicate(Predicate):
-    """Base for single-column predicates."""
-
-    #: Distinct dictionaries whose truth tables one predicate caches
-    #: (a predicate is usually scanned against one or two tables).
-    _TRUTH_CACHE_LIMIT = 8
+    """Base for single-column predicates: both partitions hand
+    :meth:`_mask` the column's dictionary and NULL code."""
 
     def __init__(self, column: str):
         self.column = column
-        # dictionary uid -> (dictionary length, per-code truth table).
-        # Predicates are treated as immutable after construction.
-        self._truth_cache: dict = {}
 
-    def _main_codes(self, main: MainPartition, schema: Schema):
+    def eval_main(self, main: MainPartition, schema: Schema) -> np.ndarray:
         col = schema.column_index(self.column)
-        return main.columns[col], main.column_codes(col)
-
-    def _truth_table(self, dictionary) -> np.ndarray:
-        """Per-distinct-value truth table, cached per dictionary state.
-
-        Delta dictionaries are append-only, so their length is their
-        generation: a table cached at the same length is reused as-is,
-        and a grown dictionary only evaluates the new values (the old
-        prefix is unchanged). A fresh delta (after merge) has a fresh
-        uid, so stale tables can never be consulted.
-        """
-        size = len(dictionary)
-        cached = self._truth_cache.get(dictionary.uid)
-        if cached is not None and cached[0] == size:
-            return cached[1]
-        values = dictionary.values_list()
-        if cached is not None and cached[0] < size:
-            start, truth = cached
-            tail = np.fromiter(
-                (self._test(v) for v in values[start:]),
-                dtype=bool,
-                count=size - start,
-            )
-            truth = np.concatenate([truth, tail])
-        else:
-            truth = np.fromiter(
-                (self._test(v) for v in values), dtype=bool, count=size
-            )
-        if (
-            dictionary.uid not in self._truth_cache
-            and len(self._truth_cache) >= self._TRUTH_CACHE_LIMIT
-        ):
-            self._truth_cache.pop(next(iter(self._truth_cache)))
-        self._truth_cache[dictionary.uid] = (size, truth)
-        return truth
-
-    def _delta_truth(self, delta: DeltaPartition, schema: Schema) -> np.ndarray:
-        """Gather a per-distinct-value truth table over delta codes."""
-        col = schema.column_index(self.column)
-        codes = delta.column_codes(col)
-        truth = self._truth_table(delta.dictionaries[col])
-        mask = np.zeros(codes.size, dtype=bool)
-        non_null = codes != NULL_CODE
-        if non_null.any():
-            mask[non_null] = truth[codes[non_null]]
-        return mask
-
-    def _test(self, value) -> bool:
-        raise NotImplementedError
+        column = main.columns[col]
+        return self._mask(main, col, column.dictionary, column.null_code)
 
     def eval_delta(self, delta: DeltaPartition, schema: Schema) -> np.ndarray:
-        return self._delta_truth(delta, schema)
+        col = schema.column_index(self.column)
+        return self._mask(delta, col, delta.dictionaries[col], NULL_CODE)
+
+    def _mask(self, part, col: int, dictionary, null_code: int) -> np.ndarray:
+        raise NotImplementedError
 
 
-def _range_mask(codes: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Mask of codes in [lo, hi) — NULL codes sit above every range."""
-    if hi <= lo:
-        return np.zeros(codes.size, dtype=bool)
-    return (codes >= np.uint32(lo)) & (codes < np.uint32(hi))
+def _member_mask(part, col: int, dictionary, values) -> np.ndarray:
+    """Rows of ``part`` holding one of ``values`` in column ``col``."""
+    codes = []
+    for value in values:
+        probe = exact_value(dictionary.dtype, value)
+        code = None if probe is None else dictionary.code_of(probe)
+        if code is not None:
+            codes.append(code)
+    if not codes:
+        return np.zeros(part.row_count, dtype=bool)
+    if len(codes) == 1:
+        return part.column_codes(col) == np.uint32(codes[0])
+    # One membership test over the code array, not one mask per value.
+    return np.isin(part.column_codes(col), np.asarray(codes, dtype=np.uint32))
 
 
 class Eq(_ColumnPredicate):
@@ -128,15 +96,8 @@ class Eq(_ColumnPredicate):
         super().__init__(column)
         self.value = value
 
-    def _test(self, v) -> bool:
-        return v == self.value
-
-    def eval_main(self, main: MainPartition, schema: Schema) -> np.ndarray:
-        column, codes = self._main_codes(main, schema)
-        code = column.dictionary.code_of(self.value)
-        if code is None:
-            return np.zeros(codes.size, dtype=bool)
-        return codes == np.uint32(code)
+    def _mask(self, part, col, dictionary, null_code) -> np.ndarray:
+        return _member_mask(part, col, dictionary, (self.value,))
 
 
 class Ne(_ColumnPredicate):
@@ -146,99 +107,10 @@ class Ne(_ColumnPredicate):
         super().__init__(column)
         self.value = value
 
-    def _test(self, v) -> bool:
-        return v != self.value
-
-    def eval_main(self, main: MainPartition, schema: Schema) -> np.ndarray:
-        column, codes = self._main_codes(main, schema)
-        mask = codes != np.uint32(column.null_code)
-        code = column.dictionary.code_of(self.value)
-        if code is not None:
-            mask &= codes != np.uint32(code)
+    def _mask(self, part, col, dictionary, null_code) -> np.ndarray:
+        mask = part.column_codes(col) != np.uint32(null_code)
+        mask &= ~_member_mask(part, col, dictionary, (self.value,))
         return mask
-
-
-class Lt(_ColumnPredicate):
-    """``column < value``."""
-
-    def __init__(self, column: str, value):
-        super().__init__(column)
-        self.value = value
-
-    def _test(self, v) -> bool:
-        return v < self.value
-
-    def eval_main(self, main: MainPartition, schema: Schema) -> np.ndarray:
-        column, codes = self._main_codes(main, schema)
-        return _range_mask(codes, 0, column.dictionary.lower_bound(self.value))
-
-
-class Le(_ColumnPredicate):
-    """``column <= value``."""
-
-    def __init__(self, column: str, value):
-        super().__init__(column)
-        self.value = value
-
-    def _test(self, v) -> bool:
-        return v <= self.value
-
-    def eval_main(self, main: MainPartition, schema: Schema) -> np.ndarray:
-        column, codes = self._main_codes(main, schema)
-        return _range_mask(codes, 0, column.dictionary.upper_bound(self.value))
-
-
-class Gt(_ColumnPredicate):
-    """``column > value``."""
-
-    def __init__(self, column: str, value):
-        super().__init__(column)
-        self.value = value
-
-    def _test(self, v) -> bool:
-        return v > self.value
-
-    def eval_main(self, main: MainPartition, schema: Schema) -> np.ndarray:
-        column, codes = self._main_codes(main, schema)
-        dictionary = column.dictionary
-        return _range_mask(codes, dictionary.upper_bound(self.value), len(dictionary))
-
-
-class Ge(_ColumnPredicate):
-    """``column >= value``."""
-
-    def __init__(self, column: str, value):
-        super().__init__(column)
-        self.value = value
-
-    def _test(self, v) -> bool:
-        return v >= self.value
-
-    def eval_main(self, main: MainPartition, schema: Schema) -> np.ndarray:
-        column, codes = self._main_codes(main, schema)
-        dictionary = column.dictionary
-        return _range_mask(codes, dictionary.lower_bound(self.value), len(dictionary))
-
-
-class Between(_ColumnPredicate):
-    """``low <= column <= high``."""
-
-    def __init__(self, column: str, low, high):
-        super().__init__(column)
-        self.low = low
-        self.high = high
-
-    def _test(self, v) -> bool:
-        return self.low <= v <= self.high
-
-    def eval_main(self, main: MainPartition, schema: Schema) -> np.ndarray:
-        column, codes = self._main_codes(main, schema)
-        dictionary = column.dictionary
-        return _range_mask(
-            codes,
-            dictionary.lower_bound(self.low),
-            dictionary.upper_bound(self.high),
-        )
 
 
 class In(_ColumnPredicate):
@@ -248,50 +120,99 @@ class In(_ColumnPredicate):
         super().__init__(column)
         self.values = set(values)
 
-    def _test(self, v) -> bool:
-        return v in self.values
-
-    def eval_main(self, main: MainPartition, schema: Schema) -> np.ndarray:
-        column, codes = self._main_codes(main, schema)
-        # One dictionary probe per value, then a single membership test
-        # over the code array (instead of OR-ing one full-length mask
-        # per value).
-        matching = [
-            code
-            for code in (
-                column.dictionary.code_of(value) for value in self.values
-            )
-            if code is not None
-        ]
-        if not matching:
-            return np.zeros(codes.size, dtype=bool)
-        if len(matching) == 1:
-            return codes == np.uint32(matching[0])
-        return np.isin(codes, np.asarray(matching, dtype=np.uint32))
+    def _mask(self, part, col, dictionary, null_code) -> np.ndarray:
+        return _member_mask(part, col, dictionary, self.values)
 
 
 class IsNull(_ColumnPredicate):
     """``column IS NULL``."""
 
-    def eval_main(self, main: MainPartition, schema: Schema) -> np.ndarray:
-        column, codes = self._main_codes(main, schema)
-        return codes == np.uint32(column.null_code)
-
-    def eval_delta(self, delta: DeltaPartition, schema: Schema) -> np.ndarray:
-        col = schema.column_index(self.column)
-        return delta.column_codes(col) == np.uint32(NULL_CODE)
+    def _mask(self, part, col, dictionary, null_code) -> np.ndarray:
+        return part.column_codes(col) == np.uint32(null_code)
 
 
 class NotNull(_ColumnPredicate):
     """``column IS NOT NULL``."""
 
+    def _mask(self, part, col, dictionary, null_code) -> np.ndarray:
+        return part.column_codes(col) != np.uint32(null_code)
+
+
+class RangePredicate(_ColumnPredicate):
+    """``column`` within ``bounds = (low, high, include_low,
+    include_high)``; ``None`` is an open end. The five comparison
+    classes below only choose the bounds."""
+
+    def __init__(self, column: str, low, high, include_low, include_high):
+        super().__init__(column)
+        self.bounds = (low, high, include_low, include_high)
+
     def eval_main(self, main: MainPartition, schema: Schema) -> np.ndarray:
-        column, codes = self._main_codes(main, schema)
-        return codes != np.uint32(column.null_code)
+        col = schema.column_index(self.column)
+        lo, hi = main.columns[col].dictionary.code_range(*self.bounds)
+        if hi <= lo:
+            return np.zeros(main.row_count, dtype=bool)
+        # NULL codes sit above every range.
+        codes = main.column_codes(col)
+        return (codes >= np.uint32(lo)) & (codes < np.uint32(hi))
 
     def eval_delta(self, delta: DeltaPartition, schema: Schema) -> np.ndarray:
         col = schema.column_index(self.column)
-        return delta.column_codes(col) != np.uint32(NULL_CODE)
+        truth = delta.dictionaries[col].in_range(*self.bounds)
+        # A false slot past the end answers for NULL_CODE, and for the
+        # code of a value appended after the truth was taken (its rows
+        # are later than any snapshot this scan can hold).
+        return np.append(truth, False).take(
+            delta.column_codes(col), mode="clip"
+        )
+
+
+def _operand(value):
+    """A comparison's operand: NULL orders against nothing."""
+    if value is None:
+        raise TypeError("cannot order values against None; use IsNull")
+    return value
+
+
+class Lt(RangePredicate):
+    """``column < value``."""
+
+    def __init__(self, column: str, value):
+        super().__init__(column, None, _operand(value), True, False)
+        self.value = value
+
+
+class Le(RangePredicate):
+    """``column <= value``."""
+
+    def __init__(self, column: str, value):
+        super().__init__(column, None, _operand(value), True, True)
+        self.value = value
+
+
+class Gt(RangePredicate):
+    """``column > value``."""
+
+    def __init__(self, column: str, value):
+        super().__init__(column, _operand(value), None, False, True)
+        self.value = value
+
+
+class Ge(RangePredicate):
+    """``column >= value``."""
+
+    def __init__(self, column: str, value):
+        super().__init__(column, _operand(value), None, True, True)
+        self.value = value
+
+
+class Between(RangePredicate):
+    """``low <= column <= high``."""
+
+    def __init__(self, column: str, low, high):
+        super().__init__(column, _operand(low), _operand(high), True, True)
+        self.low = low
+        self.high = high
 
 
 class And(Predicate):

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.query.predicate import Between, Eq, Ge, Gt, IsNull, Le, Lt, Predicate
+from repro.query.predicate import Eq, IsNull, Predicate, RangePredicate
 from repro.storage.table import _DELTA_BIT, Table, unpack_rowref
 from repro.storage.types import NULL_CODE
 from repro.txn.context import TransactionContext
@@ -243,25 +243,9 @@ def _clamped_and(mask: np.ndarray, other: np.ndarray) -> np.ndarray:
     return mask
 
 
-_RANGE_PREDICATES = (Between, Lt, Le, Gt, Ge)
-
-
 def _index_applicable(index, predicate: Optional[Predicate]) -> bool:
-    supported = (Eq, IsNull) + _RANGE_PREDICATES
+    supported = (Eq, IsNull, RangePredicate)
     return isinstance(predicate, supported) and predicate.column == index.column
-
-
-def _range_bounds(predicate) -> tuple:
-    """(low, high, include_low, include_high) for a range predicate."""
-    if isinstance(predicate, Between):
-        return predicate.low, predicate.high, True, True
-    if isinstance(predicate, Lt):
-        return None, predicate.value, True, False
-    if isinstance(predicate, Le):
-        return None, predicate.value, True, True
-    if isinstance(predicate, Gt):
-        return predicate.value, None, False, True
-    return predicate.value, None, True, True  # Ge
 
 
 def _index_scan(
@@ -281,16 +265,8 @@ def _index_scan(
         return _masked_scan(table, content, snapshot_cid, predicate, ctx)
     if isinstance(predicate, Eq):
         candidates = index.probe_equal(table, predicate.value, content=content)
-    elif isinstance(predicate, _RANGE_PREDICATES):
-        low, high, include_low, include_high = _range_bounds(predicate)
-        candidates = index.probe_range(
-            table,
-            low,
-            high,
-            include_low=include_low,
-            include_high=include_high,
-            content=content,
-        )
+    elif isinstance(predicate, RangePredicate):
+        candidates = index.probe_range(table, *predicate.bounds, content=content)
     else:
         candidates = index.probe_null(table, content=content)
     main_positions = []

@@ -18,7 +18,7 @@ vector; STRING values live in the blob heap with a vector of handles.
 from __future__ import annotations
 
 import hashlib
-import itertools
+import math
 import threading
 from bisect import bisect_left, bisect_right
 from typing import Optional, Sequence
@@ -39,12 +39,55 @@ _STORAGE_DTYPE = {
 }
 
 
-#: Process-wide dictionary identity counter. Caches keyed on a
-#: dictionary (predicate truth tables, join key maps) use
-#: ``(uid, len)`` as the key: dictionaries are append-only, so their
-#: length is their generation, and a replacement dictionary (fresh
-#: delta after merge) gets a fresh uid.
-_uid_counter = itertools.count(1)
+def exact_bound(dtype: DataType, bound, include: bool, lower: bool) -> tuple:
+    """One end of a range as ``(bound of the column's own type, inclusive)``.
+
+    numpy compares a value with a bound of another type after casting
+    one of them; python compares exactly. With the bound moved onto the
+    column's type first (``i < 2.5`` is ``i <= 2``; an int no float
+    equals becomes the float next to it) the two agree, on either
+    dictionary kind. ``None`` is an open end, and stays ``None`` only
+    for STRING. A bound the column's values cannot be ordered against
+    raises ``TypeError``.
+    """
+    if isinstance(bound, np.generic):
+        bound = bound.item()
+    wanted = str if dtype is DataType.STRING else (int, float)
+    if bound is not None and not isinstance(bound, wanted):
+        raise TypeError(f"cannot order {dtype.name} values against {bound!r}")
+    if dtype is DataType.STRING:
+        return bound, include
+    least, greatest = (
+        (-(1 << 63), (1 << 63) - 1)
+        if dtype is DataType.INT64
+        else (-math.inf, math.inf)
+    )
+    if bound is None:  # open: closed at the extreme, so NaN stays outside
+        return (least if lower else greatest), True
+    if bound != bound:  # a NaN bound admits nothing
+        return (greatest if lower else least), False
+    try:
+        value = math.floor(bound) if dtype is DataType.INT64 else float(bound)
+    except OverflowError:  # ±inf on INT64, an int beyond every float
+        value = greatest if bound > 0 else least
+    value = min(max(value, least), greatest)
+    if value == bound:
+        return value, include
+    # No value of the column's type lies between ``value`` and the bound,
+    # so the bound moves onto it: closed if that was inwards, else open.
+    return value, (value > bound) == lower
+
+
+def exact_value(dtype: DataType, value):
+    """``value`` as the column's own type, or None when no stored value
+    can equal it (NULL, NaN, 2.5 on INT64, a value of another type)."""
+    if value is None:
+        return None
+    try:
+        exact, _ = exact_bound(dtype, value, True, True)
+    except TypeError:
+        return None
+    return exact if exact == value else None
 
 
 def hash_key(dtype: DataType, value) -> int:
@@ -87,9 +130,10 @@ class UnsortedDictionary:
         self._backend = backend
         self.values = values
         self.persistent_lookup = persistent_lookup
-        self.uid = next(_uid_counter)
         # Serialises code assignment: two writers probing-then-appending
-        # concurrently could hand out duplicate codes for one value.
+        # concurrently could hand out duplicate codes for one value. The
+        # volatile lookup is also (re)built under it, so a reader's
+        # rebuild can never overwrite what a writer just recorded.
         self._insert_lock = threading.Lock()
         self._lookup: Optional[dict] = None
         # STRING only: decoded values in code order, over-allocated and
@@ -166,7 +210,8 @@ class UnsortedDictionary:
         return out
 
     def _repair_persistent_lookup(self) -> None:
-        self._ensure_lookup()
+        with self._insert_lock:
+            self._ensure_lookup()
         assert self.persistent_lookup is not None
         present = set()
         for _, code in self.persistent_lookup.items():
@@ -242,28 +287,33 @@ class UnsortedDictionary:
     # ------------------------------------------------------------------
 
     def _ensure_lookup(self) -> None:
-        if self._lookup is not None:
-            return
-        self._lookup = {
-            value: code for code, value in enumerate(self.values_list())
-        }
+        """Build the volatile map from the values; insert lock held, so
+        no writer appends between the snapshot and the assignment."""
+        if self._lookup is None:
+            self._lookup = {
+                value: code for code, value in enumerate(self.values_list())
+            }
 
     def code_of(self, value) -> Optional[int]:
         """Code of ``value`` if present, else None."""
-        if self.persistent_lookup is not None and self._lookup is None:
-            # Restart path: answer from NVM without a rebuild.
-            for code in self.persistent_lookup.iter_values(
-                hash_key(self.dtype, value)
-            ):
-                if code < len(self.values) and self.value_of(code) == value:
-                    return code
-            return None
-        self._ensure_lookup()
+        if self._lookup is None:
+            if self.persistent_lookup is not None:
+                # Restart path: answer from NVM without a rebuild.
+                for code in self.persistent_lookup.iter_values(
+                    hash_key(self.dtype, value)
+                ):
+                    if code < len(self.values) and self.value_of(code) == value:
+                        return code
+                return None
+            with self._insert_lock:
+                self._ensure_lookup()
         return self._lookup.get(value)
 
     def code_for_insert(self, value) -> int:
         """Code of ``value``, appending it to the dictionary if new."""
         with self._insert_lock:
+            if self._lookup is None and self.persistent_lookup is None:
+                self._ensure_lookup()  # code_of must not re-take the lock
             existing = self.code_of(value)
             if existing is not None:
                 return existing
@@ -277,6 +327,27 @@ class UnsortedDictionary:
             if self.persistent_lookup is not None:
                 self.persistent_lookup.insert(hash_key(self.dtype, value), code)
             return code
+
+    def in_range(
+        self, low=None, high=None, include_low=True, include_high=True
+    ) -> np.ndarray:
+        """Per-code truth of "the value lies in the range": one
+        vectorised comparison per bound over :meth:`values_array`."""
+        low, include_low = exact_bound(self.dtype, low, include_low, True)
+        high, include_high = exact_bound(self.dtype, high, include_high, False)
+        values = self.values_array()
+        if self.dtype is DataType.STRING:
+            # A bare str operand becomes a fixed-width numpy string,
+            # which drops its trailing NULs; a 0-d object array does not.
+            low, high = (
+                b if b is None else np.array(b, dtype=object) for b in (low, high)
+            )
+        truth = np.ones(values.size, dtype=bool)
+        if low is not None:
+            truth &= values >= low if include_low else values > low
+        if high is not None:
+            truth &= values <= high if include_high else values < high
+        return truth
 
     def codes_for_insert(self, values: Sequence) -> np.ndarray:
         """Codes for a batch of non-null values, appending new ones.
@@ -351,7 +422,6 @@ class SortedDictionary:
         self.dtype = dtype
         self._backend = backend
         self.values = values
-        self.uid = next(_uid_counter)
         self._cache = None  # np.ndarray for numerics, list[str] for strings
         self._values_arr: Optional[np.ndarray] = None
 
@@ -456,6 +526,20 @@ class SortedDictionary:
         if pos < len(self) and self.value_of(pos) == value:
             return pos
         return None
+
+    def code_range(
+        self, low=None, high=None, include_low=True, include_high=True
+    ) -> tuple[int, int]:
+        """Codes ``[lo, hi)`` of the values in the range (codes follow
+        value order; ``hi <= lo`` when none does)."""
+        low, include_low = exact_bound(self.dtype, low, include_low, True)
+        high, include_high = exact_bound(self.dtype, high, include_high, False)
+        lo, hi = 0, len(self)
+        if low is not None:
+            lo = self.lower_bound(low) if include_low else self.upper_bound(low)
+        if high is not None:
+            hi = self.upper_bound(high) if include_high else self.lower_bound(high)
+        return lo, hi
 
     def lower_bound(self, value) -> int:
         """First code whose value is >= ``value`` (== len when none)."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.core.config import DurabilityMode, EngineConfig
@@ -36,6 +38,26 @@ def wal_commit(writer, tid: int, cid: int) -> None:
     """Commit the way the transaction manager does: append the commit
     record, then wait at the barrier the writer's policy sets."""
     writer.commit_barrier(writer.append_commit(tid, cid))
+
+
+def stall_first_snapshot(dictionary, hold: float = 0.3):
+    """Make the first ``values_list()`` on ``dictionary`` linger after it
+    has read the values: it sets ``snapshotted``, then waits up to
+    ``hold`` seconds for ``resume``. That is the window of the lookup
+    rebuild — a writer let in here appends a value the snapshot lacks.
+    Returns ``(snapshotted, resume)``."""
+    snapshotted, resume = threading.Event(), threading.Event()
+    original = dictionary.values_list
+
+    def values_list():
+        values = original()
+        if not snapshotted.is_set():
+            snapshotted.set()
+            resume.wait(hold)
+        return values
+
+    dictionary.values_list = values_list
+    return snapshotted, resume
 
 
 def make_config(mode: DurabilityMode, **overrides) -> EngineConfig:

@@ -17,11 +17,12 @@ from repro.core.database import Database
 from repro.core.nvm_catalog import PersistentCidStore, PersistentTidAllocator
 from repro.core.sharding import ShardedEngine
 from repro.query.predicate import Eq
+from repro.query.scan import scan
 from repro.storage.types import DataType
 from repro.txn.errors import ConcurrentTransactionUse, TransactionConflict
 from repro.txn.manager import VolatileCidStore, VolatileTidAllocator
 
-from tests.conftest import make_config
+from tests.conftest import make_config, stall_first_snapshot
 
 THREADS = 16
 
@@ -411,4 +412,48 @@ def test_concurrent_point_reads_while_dictionary_grows(tmp_path):
     assert not any(t.is_alive() for t in threads + [inserter])
     assert errors == []
     assert wrong == []
+    db.close()
+
+
+def test_first_read_after_restart_races_an_insert_of_a_fresh_value(tmp_path):
+    """After a restart the delta dictionary's lookup map is rebuilt by
+    the first indexed read; an insert of a never-seen value lands inside
+    that rebuild. The value must end up in the dictionary once, so that
+    an indexed and an unindexed ``Eq`` both return every row holding it."""
+    db = Database(str(tmp_path / "db"), make_config(DurabilityMode.NVM))
+    db.create_table("t", {"k": DataType.INT64, "v": DataType.INT64})
+    db.create_index("t", "k")
+    db.insert_many("t", [{"k": i % 50, "v": i} for i in range(200)])
+    db = db.restart()
+    table = db.table("t")
+    dictionary = table.delta.dictionaries[table.schema.column_index("k")]
+    snapshotted, resume = stall_first_snapshot(dictionary)
+    errors = []
+
+    def read():
+        try:
+            assert db.query("t", Eq("k", 7)).count == 4
+        except BaseException as exc:  # noqa: BLE001 - asserted below
+            errors.append(exc)
+
+    def insert_fresh():
+        try:
+            assert snapshotted.wait(10)
+            db.insert("t", {"k": 999, "v": -1})
+            resume.set()
+        except BaseException as exc:  # noqa: BLE001 - asserted below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=read), threading.Thread(target=insert_fresh)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(30)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    db.insert("t", {"k": 999, "v": -2})
+    assert sorted(db.query("t", Eq("k", 999)).column("v")) == [-2, -1]
+    unindexed = scan(table, snapshot_cid=db.last_cid, predicate=Eq("k", 999))
+    assert sorted(unindexed.column("v")) == [-2, -1]
+    assert dictionary.values_list().count(999) == 1
     db.close()

@@ -1,10 +1,15 @@
 """Unit tests for sorted and unsorted dictionaries."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.storage.backend import NvmBackend, VolatileBackend
 from repro.storage.dictionary import SortedDictionary, UnsortedDictionary, hash_key
 from repro.storage.types import DataType
+
+from tests.conftest import stall_first_snapshot
 
 
 @pytest.fixture(params=["volatile", "nvm"])
@@ -53,6 +58,75 @@ class TestUnsortedDictionary:
             UnsortedDictionary.create(
                 DataType.INT64, VolatileBackend(), persistent_lookup=True
             )
+
+
+class TestLookupRebuild:
+    """After a restart the volatile ``{value: code}`` map is rebuilt by
+    whoever needs it first. A reader's rebuild used to snapshot the
+    values and assign its map with no latch, so it could overwrite the
+    map a concurrent writer had just recorded a new value in — and the
+    next insert of that value appended it a second time."""
+
+    def test_reader_rebuild_keeps_a_concurrent_insert(self, backend):
+        d = UnsortedDictionary.from_values(
+            DataType.INT64, backend, list(range(1000))
+        )
+        snapshotted, resume = stall_first_snapshot(d)
+        codes = []
+
+        def insert_fresh():
+            assert snapshotted.wait(10)
+            codes.append(d.code_for_insert(-1))
+            resume.set()
+
+        reader = threading.Thread(target=lambda: codes.append(d.code_of(5)))
+        writer = threading.Thread(target=insert_fresh)
+        reader.start()
+        writer.start()
+        reader.join(10)
+        writer.join(10)
+        assert not reader.is_alive() and not writer.is_alive()
+        assert sorted(codes) == [5, 1000]
+        assert d.code_for_insert(-1) == 1000
+        assert d.code_of(-1) == 1000
+        assert d.values_list().count(-1) == 1
+
+    def test_readers_and_writers_racing_the_rebuild(self):
+        """Stress form: more threads than cores, a short switch
+        interval, and the invariant a lost map entry breaks — no value
+        is ever in the dictionary twice."""
+        backend = VolatileBackend()
+        preloaded, fresh, writers = 30_000, 40, 2
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(3):
+                d = UnsortedDictionary.from_values(
+                    DataType.INT64, backend, list(range(preloaded))
+                )
+                start = threading.Barrier(writers + 3)
+
+                def write():
+                    start.wait()
+                    for v in list(range(fresh)) * 2:
+                        d.code_for_insert(-1 - v)
+
+                def read():
+                    start.wait()
+                    assert d.code_of(5) == 5
+
+                threads = [
+                    threading.Thread(target=write) for _ in range(writers)
+                ] + [threading.Thread(target=read) for _ in range(3)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(60)
+                assert not any(t.is_alive() for t in threads)
+                values = d.values_list()
+                assert len(values) == len(set(values)) == preloaded + fresh
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestPersistentLookup:

@@ -139,31 +139,3 @@ class TestPHashMap:
         assert m2.get_first(1) == 10
         assert len(m2) == 1
         pool.close()
-
-
-class TestArenaAllocator:
-    def test_reuse_after_free(self, pool):
-        from repro.nvm.allocator import ArenaAllocator
-
-        alloc = ArenaAllocator(pool)
-        a = alloc.allocate(100)
-        alloc.free(a, 100)
-        b = alloc.allocate(100)
-        assert b == a
-        assert alloc.reused_blocks == 1
-
-    def test_size_classes(self):
-        from repro.nvm.allocator import size_class
-
-        assert size_class(1) == 64
-        assert size_class(64) == 64
-        assert size_class(65) == 128
-        assert size_class(1000) == 1024
-
-    def test_free_bytes_cached(self, pool):
-        from repro.nvm.allocator import ArenaAllocator
-
-        alloc = ArenaAllocator(pool)
-        a = alloc.allocate(100)  # class 128
-        alloc.free(a, 100)
-        assert alloc.free_bytes_cached() == 128

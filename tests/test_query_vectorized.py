@@ -344,20 +344,21 @@ class TestPredicateSatellites:
         single = scan(table, snapshot_cid=10, predicate=In("id", [5]))
         assert single.column("id") == [5]
 
-    def test_delta_truth_cache_tracks_dictionary_growth(self):
+    def test_delta_predicate_tracks_dictionary_growth(self):
         table = _build("delta_only")
         predicate = Eq("grade", "z")
         assert scan(table, snapshot_cid=10, predicate=predicate).count == 0
         # Grow the delta dictionary with the now-matching value; the
-        # cached truth table must be extended, not reused stale.
+        # same predicate object must find it (it holds no state that
+        # could be stale).
         _commit_all(table, [(100, "z", 1.0, 1)], cid=2)
         result = scan(table, snapshot_cid=10, predicate=predicate)
         assert result.column("id") == [100]
-        # And repeated evaluation (cache hit) stays correct.
+        # And repeated evaluation stays correct.
         again = scan(table, snapshot_cid=10, predicate=predicate)
         assert again.column("id") == [100]
 
-    def test_delta_truth_cache_survives_merge(self):
+    def test_delta_predicate_answer_survives_merge(self):
         backend = VolatileBackend()
         table = Table.create(7, "m", SCHEMA, backend)
         _commit_all(table, ROWS)
@@ -366,8 +367,8 @@ class TestPredicateSatellites:
             scan(table, snapshot_cid=10, predicate=predicate).column("id")
         )
         table.main, table.delta = merge_table(table, backend)
-        # Fresh delta dictionary (new uid): the cache keyed on the old
-        # dictionary must not leak into the new one.
+        # A fresh main and a fresh delta dictionary: the same predicate
+        # object gives the same answer against them.
         after = sorted(
             scan(table, snapshot_cid=10, predicate=predicate).column("id")
         )
