@@ -294,15 +294,20 @@ class Database:
         """Durably drop a table (quiesced only).
 
         On NVM the catalog entry is tombstoned with one atomic flags
-        store; in LOG mode a drop record is synced to the log.
+        store, after which the table's memory returns to the pool; in
+        LOG mode a drop record is synced to the log.
         """
         if self._manager.active_count:
             raise RuntimeError("cannot drop a table with active transactions")
         table = self.table(name)
-        del self._tables_by_name[name]
-        del self._tables_by_id[table.table_id]
-        self._indexes.pop(table.table_id, None)
-        self._driver.on_table_dropped(table)
+        # Not while a merge of it is in flight: both would retire the
+        # generation the cutover replaces.
+        with self._maint_lock:
+            del self._tables_by_name[name]
+            del self._tables_by_id[table.table_id]
+            indexes = self._indexes.pop(table.table_id, {})
+            self._driver.on_table_dropped(table)
+            self._driver.retire(*table.content, *indexes.values())
 
     # ------------------------------------------------------------------
     # Transactions and queries
@@ -457,6 +462,7 @@ class Database:
         table = self.table(table_name)
         t0 = time.perf_counter()
         with self._maint_lock:
+            self._driver.sweep_unreachable()
             with trace_phase("merge", table=table_name, online=online):
                 self._merge_table(table, online)
         registry = get_registry()
@@ -508,6 +514,8 @@ class Database:
             while True:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
+                    # Nobody ever saw them: freed as these locals die.
+                    self._driver.retire(new_main, *group_keys.values())
                     raise RuntimeError(
                         f"merge cutover timed out on {table.name!r}: a "
                         "transaction held operations on the table for the "
@@ -517,8 +525,10 @@ class Database:
                     held = True
                     with self._manager._lock:
                         if not self._ops_on_table(table):
-                            self._cutover_locked(table, plan, new_main, group_keys)
-                            return
+                            unlinked = self._cutover_locked(
+                                table, plan, new_main, group_keys
+                            )
+                            break
                     if online:
                         gate.release_exclusive()
                         held = False
@@ -527,6 +537,10 @@ class Database:
         finally:
             if held:
                 gate.release_exclusive()
+        # The publish is durable (a power failure inside it never gets
+        # here): the old generation's memory may now come back, once
+        # the last scan or probe holding it lets go.
+        self._driver.retire(*unlinked)
 
     def _merge_chunk_yield(self) -> None:
         boundary.emit("merge_chunk")
@@ -564,14 +578,16 @@ class Database:
         plan: MergePlan,
         new_main,
         group_keys: dict[str, GroupKeyIndex],
-    ) -> None:
-        """Publish the new generation (gate exclusive + manager lock held).
+    ) -> tuple:
+        """Publish the new generation (gate exclusive + manager lock
+        held); returns the partitions and indexes it replaced.
 
         Everything up to the ``merge_cutover`` boundary event builds new
         structures on the side; nothing live is mutated except the new
         generation's own MVCC columns (the fix-up scatter). A crash
         anywhere before the durable publish recovers the old generation.
         """
+        old_content = table.content
         old_indexes = self._indexes[table.table_id]
         fixup_mvcc(new_main, plan, table.main.mvcc, table.delta.mvcc)
         new_delta = rebuild_tail_delta(
@@ -599,6 +615,7 @@ class Database:
         table.generation += 1
         with trace_phase("publish"):
             self._driver.on_merge(table, plan)
+        return (*old_content, *old_indexes.values())
 
     def checkpoint(self) -> int:
         """LOG mode: write a full snapshot; returns bytes written."""
@@ -694,44 +711,57 @@ class Database:
             "recovery": self.last_recovery.as_dict(),
         }
 
-    def memory_report(self) -> dict:
-        """Bytes held per table, broken down by structure kind.
+    def _table_blocks(self, table: Table):
+        """``(offset, nbytes)`` of every block the table's partitions
+        and indexes own."""
+        for part in (*table.content, *self._indexes[table.table_id].values()):
+            yield from part.blocks()
 
-        Covers column payloads (dictionary values, code vectors, packed
-        words), MVCC columns, and index structures that expose sizes.
-        Blob-heap payloads (string values) are reported separately per
-        backend, not per table.
+    def memory_report(self) -> dict:
+        """Where the bytes are, summed from each structure's ``blocks()``.
+
+        ``tables`` maps each table to bytes per structure kind (column
+        payloads, dictionaries with their string blobs and persistent
+        lookups, MVCC columns, indexes) and their ``total``. On NVM the
+        same enumeration closes the pool's ledger: ``catalog`` (root,
+        transaction table, entries, descriptors), ``retiring``
+        (superseded generations a reader still pins), and
+        ``unreachable`` — what is left of ``allocated_bytes`` once
+        those and the tables are subtracted.
         """
-        report: dict = {}
+
+        def held(*structures) -> int:
+            return sum(n for s in structures for _, n in s.blocks())
+
+        tables: dict = {}
         for name, table in self._tables_by_name.items():
-            delta = table.delta
-            main = table.main
+            main, delta = table.content
             entry = {
-                "main_packed": sum(c.words.nbytes for c in main.columns),
-                "main_dictionaries": sum(
-                    c.dictionary.values.nbytes for c in main.columns
-                ),
-                "main_mvcc": (
-                    main.mvcc.begin.nbytes
-                    + main.mvcc.end.nbytes
-                    + main.mvcc.tid.nbytes
-                ),
-                "delta_codes": sum(v.nbytes for v in delta.code_vectors),
-                "delta_dictionaries": sum(
-                    d.values.nbytes for d in delta.dictionaries
-                ),
-                "delta_mvcc": (
-                    delta.mvcc.begin.nbytes
-                    + delta.mvcc.end.nbytes
-                    + delta.mvcc.tid.nbytes
-                ),
-                "indexes": sum(
-                    idx.memory_bytes()
-                    for idx in self._indexes[table.table_id].values()
-                ),
+                "main_packed": held(*(c.words for c in main.columns)),
+                "main_dictionaries": held(*(c.dictionary for c in main.columns)),
+                "main_mvcc": held(main.mvcc),
+                "delta_codes": held(*delta.code_vectors),
+                "delta_dictionaries": held(*delta.dictionaries),
+                "delta_mvcc": held(delta.mvcc),
+                "indexes": held(*self._indexes[table.table_id].values()),
             }
             entry["total"] = sum(entry.values())
-            report[name] = entry
+            tables[name] = entry
+        report: dict = {"tables": tables}
+        pool = self._pool
+        if pool is not None:
+            in_tables = sum(entry["total"] for entry in tables.values())
+            catalog = sum(n for _, n in self._driver.metadata_blocks())
+            retiring = sum(n for _, n in pool.retiring)
+            allocated = pool.space()["allocated_bytes"]
+            report.update(
+                catalog=catalog,
+                retiring=retiring,
+                allocated_bytes=allocated,
+                # Handed out, yet no pointer leads there: what a crash
+                # or a kill leaked, until the next sweep collects it.
+                unreachable=allocated - in_tables - catalog - retiring,
+            )
         return report
 
     def logical_bytes(self) -> int:

@@ -106,6 +106,15 @@ class DurabilityDriver(ABC):
     def on_merge_complete(self, table: Table) -> None:
         """Post-cutover housekeeping, called outside every lock."""
 
+    def retire(self, *structures) -> None:
+        """Give back the memory of partitions and indexes nothing durable
+        points to any more, once their last reader is gone. DRAM needs
+        no help: the garbage collector is that rule."""
+
+    def sweep_unreachable(self) -> None:
+        """Before the first merge after an attach (``_maint_lock``
+        held): find what the previous session's free list knew."""
+
     @property
     def persistent_delta_index(self) -> bool:
         """Default for new secondary indexes' delta half."""
@@ -203,7 +212,7 @@ class NvmDriver(DurabilityDriver):
                         )
                     else:
                         self._catalog = NvmCatalog.attach(self._pool, self.backend)
-                    txn_table = self._catalog.txn_table()
+                    txn_table = self._txn_table = self._catalog.txn_table()
                     cids = self._catalog.cid_store()
                     tids = self._catalog.tid_allocator()
                     for table, indexes, _flag in self._catalog.attach_tables():
@@ -246,6 +255,25 @@ class NvmDriver(DurabilityDriver):
         if self._ship_wal is not None:
             self._ship_wal.log_drop_table(table.table_id)
 
+    def retire(self, *structures) -> None:
+        # The store that unlinked them is durable. Each structure is
+        # the object its readers hold, so its lifetime is the pin: the
+        # blocks listed now are freed when it is collected (what a late
+        # writer adds to it afterwards waits for the next attach's sweep).
+        for structure in structures:
+            self._pool.retire(structure, structure.blocks())
+
+    def metadata_blocks(self) -> list[tuple[int, int]]:
+        """The blocks of the catalog graph and the transaction table."""
+        return [*self._catalog.blocks(), *self._txn_table.blocks()]
+
+    def sweep_unreachable(self) -> None:
+        if self._pool.unswept:
+            reachable = self.metadata_blocks()
+            for table in list(self._db._tables_by_id.values()):
+                reachable += self._db._table_blocks(table)
+            self._pool.sweep(reachable)
+
     def on_merge(self, table: Table, plan=None) -> None:
         # The content descriptor swap is the durable cutover: one atomic
         # pointer store after the new generation's structures persist.
@@ -280,7 +308,7 @@ class NvmDriver(DurabilityDriver):
             self._ship_wal = None
 
     def extra_stats(self) -> dict:
-        return {"nvm": self._pool.stats.snapshot()}
+        return {"nvm": {**self._pool.stats.snapshot(), **self._pool.space()}}
 
 
 class VolatileDriver(DurabilityDriver):

@@ -27,11 +27,16 @@ root pointer in a constant number of hops per table::
 
 Attaching a table reads a handful of u64s — O(tables), never O(rows) —
 which is precisely the paper's instant-restart property.
+
+Descriptors are read only by an attach, so the three a content swap
+(or a drop) supersedes go back to the pool as soon as the store that
+unlinked them is durable.
 """
 
 from __future__ import annotations
 
 import threading
+from typing import Iterator
 
 import numpy as np
 
@@ -288,24 +293,58 @@ class NvmCatalog:
         switch atomic; a crash before it leaves the old content intact.
         """
         entry = self._entries[table.table_id]
+        superseded = list(self._descriptor_blocks(entry))
         content = self._write_content_descriptor(
             table.generation, table.main, table.delta, table.schema, indexes
         )
         self._pool.write_u64(entry + _T_CONTENT, content)  # atomic swap
         self._pool.persist(entry + _T_CONTENT, 8)
+        for block in superseded:
+            self._pool.free(*block)
 
     def mark_dropped(self, table_id: int) -> None:
         """Durably tombstone a table (one atomic flags store).
 
         The entry stays in the tables vector (it is append-only); attach
-        skips tombstoned entries. Space is reclaimed only by recreating
-        the pool (offline compaction), mirroring the leak-not-corrupt
-        stance of the allocator.
+        skips tombstoned entries, so nothing reads the table's
+        descriptors again and they are freed here.
         """
         entry = self._entries[table_id]
+        descriptors = list(self._descriptor_blocks(entry))
         flags = self._pool.read_u64(entry + _T_FLAGS)
         self._pool.write_u64(entry + _T_FLAGS, flags | _FLAG_DROPPED)
         self._pool.persist(entry + _T_FLAGS, 8)
+        for block in descriptors:
+            self._pool.free(*block)
+
+    # ------------------------------------------------------------------
+    # Space
+    # ------------------------------------------------------------------
+
+    def _descriptor_blocks(self, entry: int) -> Iterator[tuple[int, int]]:
+        """The content, main and delta descriptors a live entry points to."""
+        pool = self._pool
+        content = pool.read_u64(entry + _T_CONTENT)
+        main_desc = pool.read_u64(content + 8)
+        delta_desc = pool.read_u64(content + 16)
+        yield content, 32 + 32 * pool.read_u64(content + 24)
+        yield main_desc, 40 + 24 * pool.read_u64(main_desc + 8)
+        yield delta_desc, 32 + 24 * pool.read_u64(delta_desc)
+
+    def blocks(self) -> Iterator[tuple[int, int]]:
+        """Every block of the metadata graph itself, as ``(offset,
+        nbytes)``: the root, the tables vector, and per entry the entry,
+        its name and schema blobs and — unless dropped — its descriptors.
+        Table content and the transaction table list their own."""
+        pool, backend = self._pool, self._backend
+        yield self.root, _ROOT_BYTES
+        yield from self._tables_vec.blocks()
+        for entry in list(self._entries.values()):
+            yield entry, _ENTRY_BYTES
+            yield backend.blob_block(pool.read_u64(entry + _T_NAME))
+            yield backend.blob_block(pool.read_u64(entry + _T_SCHEMA))
+            if not pool.read_u64(entry + _T_FLAGS) & _FLAG_DROPPED:
+                yield from self._descriptor_blocks(entry)
 
     # ------------------------------------------------------------------
     # Attach (restart path)

@@ -13,7 +13,12 @@ power failure (``engine.crash``), recovering, and asserting:
   that the single in-flight step may have landed *atomically* — for
   sharded batch inserts, atomically per shard sub-batch (the fan-out is
   not a distributed transaction);
-* maintenance actions (merge, checkpoint) changed nothing logical.
+* maintenance actions (merge, checkpoint) changed nothing logical;
+* a recovered NVM engine can be *used*: a merge (the first one sweeps
+  the pool for what the crash leaked, and everything after it
+  allocates from that), a few more transactions and another merge
+  leave exactly the state they should — recycled memory must never be
+  memory something durable still points to.
 
 CLI::
 
@@ -74,6 +79,16 @@ class SweepSettings:
 #: Key of the row the post-promotion pin writes (disjoint from any key a
 #: workload planner can generate).
 PIN_KEY = 10**9
+
+#: What every recovered engine is asked to do next, between two merges
+#: (keys and notes no workload generates).
+_AFTER = 2 * 10**9
+AFTER_RECOVERY = (
+    Step("insert_many", rows=tuple((_AFTER + i, f"after-{i}") for i in range(3))),
+    Step("update", key=_AFTER, note="after-3"),
+    Step("delete", key=_AFTER + 1),
+    Step("insert", rows=((_AFTER + 3, "after-4"),)),
+)
 
 
 @dataclass
@@ -334,6 +349,8 @@ class CrashSweep:
         try:
             problems = list(recovered.verify())
             problems.extend(self._check_state(recovered, oracle))
+            if not problems:
+                problems.extend(self._check_continues(recovered))
             problems.extend(follower_problems)
             phases = dict(recovered.last_recovery.phases)
         finally:
@@ -354,6 +371,27 @@ class CrashSweep:
     # ------------------------------------------------------------------
     # Invariant checking
     # ------------------------------------------------------------------
+
+    def _check_continues(self, engine: Engine) -> list[str]:
+        """Merge, run :data:`AFTER_RECOVERY`, merge again, re-check.
+
+        The state just validated is the new baseline. The first merge
+        runs the pool's post-restart sweep and builds its generation in
+        what that freed, so a block wrongly taken for garbage — or freed
+        before the pointer to it was durably gone — shows up as a wrong
+        row or a broken invariant here.
+        """
+        if self.mode is not DurabilityMode.NVM:
+            return []  # no pool: nothing is swept, nothing recycled
+        found, _ = self._found_rows(engine)
+        oracle = Oracle(found)
+        self._completed_ops = set()
+        for step in (Step("merge"), *AFTER_RECOVERY, Step("merge")):
+            oracle.begin_step(step)
+            self._execute(engine, step)
+            oracle.commit_step()
+        problems = list(engine.verify()) + self._check_state(engine, oracle)
+        return [f"after recovery: {p}" for p in problems]
 
     def _found_rows(self, engine: Engine) -> tuple[dict, list[str]]:
         try:

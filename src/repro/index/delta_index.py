@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import defaultdict
+from typing import Iterator
 
 import numpy as np
 
@@ -42,6 +43,10 @@ class DeltaIndex(ABC):
     @abstractmethod
     def rebuild(self, delta: DeltaPartition, col: int) -> None:
         """Reconstruct from partition contents (restart / merge)."""
+
+    def blocks(self) -> Iterator[tuple[int, int]]:
+        """Pool blocks held, as ``(offset, nbytes)`` (none in DRAM)."""
+        return iter(())
 
     #: True when a restart needs :meth:`rebuild` before use.
     needs_rebuild_after_restart: bool = True
@@ -109,6 +114,9 @@ class PersistentDeltaIndex(DeltaIndex):
     @property
     def offset(self) -> int:
         return self._phash.offset
+
+    def blocks(self) -> Iterator[tuple[int, int]]:
+        return self._phash.blocks()
 
     def add(self, code: int, position: int) -> None:
         self._phash.insert(code, position)

@@ -13,6 +13,8 @@ NULL rows.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from repro.storage.backend import Backend, NvmBackend
@@ -77,5 +79,7 @@ class GroupKeyIndex:
         hi = int(self._offsets[code_hi])
         return self._positions[lo:hi]
 
-    def memory_bytes(self) -> int:
-        return self._offsets.nbytes + self._positions.nbytes
+    def blocks(self) -> Iterator[tuple[int, int]]:
+        """The two vectors' blocks, as ``(offset, nbytes)``."""
+        yield from self._offsets_vec.blocks()
+        yield from self._positions_vec.blocks()

@@ -11,6 +11,7 @@ back to a full scan of its captured generation.
 from __future__ import annotations
 
 import threading
+from typing import Iterator
 
 import numpy as np
 
@@ -230,5 +231,7 @@ class TableIndex:
             self.group_key.lookup(main_col.null_code), delta, (NULL_CODE,)
         )
 
-    def memory_bytes(self) -> int:
-        return self.group_key.memory_bytes()
+    def blocks(self) -> Iterator[tuple[int, int]]:
+        """Every block both halves own, as ``(offset, nbytes)``."""
+        yield from self.group_key.blocks()
+        yield from self.delta_index.blocks()

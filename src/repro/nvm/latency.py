@@ -82,7 +82,6 @@ class NvmStats:
     flush_calls: int = 0
     drain_calls: int = 0
     allocations: int = 0
-    allocated_bytes: int = 0
     views_created: int = 0
     model: LatencyModel = field(default_factory=LatencyModel)
 
@@ -113,7 +112,6 @@ class NvmStats:
         self.flush_calls = 0
         self.drain_calls = 0
         self.allocations = 0
-        self.allocated_bytes = 0
         self.views_created = 0
 
     def snapshot(self) -> dict:
@@ -125,7 +123,6 @@ class NvmStats:
             "flush_calls": self.flush_calls,
             "drain_calls": self.drain_calls,
             "allocations": self.allocations,
-            "allocated_bytes": self.allocated_bytes,
             "views_created": self.views_created,
             "modelled_ns": self.modelled_ns(),
         }

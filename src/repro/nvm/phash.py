@@ -17,7 +17,10 @@ Insert protocol: write key and value, flush, drain, then store
 ``state = FILLED`` (8-byte atomic) and flush. A crash mid-insert leaves
 the slot EMPTY — the half-written key/value bytes are unreachable.
 Resize builds a fresh table and publishes it with one 8-byte
-``table_offset`` store.
+``table_offset`` store. A reader on another thread may still be probing
+the superseded table, so it is not freed there: the map keeps owning it
+(``blocks`` lists it) and it returns to the pool with the map; a restart
+forgets the list and leaves such tables to the pool's sweep.
 """
 
 from __future__ import annotations
@@ -60,6 +63,10 @@ class PHashMap:
         self._table = pool.read_u64(offset + _OFF_TABLE)
         self._capacity = pool.read_u64(self._table)
         self._count = self._recount()
+        # (offset, capacity) of every table this handle has known, the
+        # live one last: one value, replaced in one store, so ``blocks``
+        # on another thread lists each exactly once.
+        self._tables = ((self._table, self._capacity),)
 
     @classmethod
     def create(
@@ -101,10 +108,11 @@ class PHashMap:
     def capacity(self) -> int:
         return self._capacity
 
-    @property
-    def nbytes(self) -> int:
-        """Pool bytes held by the header and the live table block."""
-        return _HEADER_BYTES + 8 + self._capacity * _SLOT_BYTES
+    def blocks(self) -> Iterator[tuple[int, int]]:
+        """Every pool block this map owns, as ``(offset, nbytes)``."""
+        yield self.offset, _HEADER_BYTES
+        for table, capacity in self._tables:
+            yield table, 8 + capacity * _SLOT_BYTES
 
     def _slot_offset(self, index: int) -> int:
         return self._table + 8 + index * _SLOT_BYTES
@@ -184,6 +192,7 @@ class PHashMap:
         pool.persist(self.offset + _OFF_TABLE, 8)
         self._table = new_table
         self._capacity = new_capacity
+        self._tables = (*self._tables, (new_table, new_capacity))
 
     # ------------------------------------------------------------------
     # Lookup

@@ -4,7 +4,12 @@ Blobs are immutable once written: ``put`` allocates, writes a 4-byte
 length prefix plus the payload, persists both, and returns the offset.
 A blob only becomes *reachable* when the caller persists a pointer to
 it, so a crash between ``put`` and that pointer store merely leaks the
-block (bounded, never corrupts).
+block (until the pool's next sweep, never corrupts).
+
+A blob's block runs to the next 8-byte boundary — the heap's alignment,
+so the bytes the next blob could not have used anyway. Blobs written
+one after another then leave no slivers between them for the pool's
+free list to carry.
 """
 
 from __future__ import annotations
@@ -12,6 +17,11 @@ from __future__ import annotations
 from repro.nvm.pool import PMemPool
 
 _MAX_BLOB = 2**32 - 1
+_ALIGN = 8
+
+
+def _block_bytes(payload_bytes: int) -> int:
+    return -(-(4 + payload_bytes) // _ALIGN) * _ALIGN
 
 
 class PHeap:
@@ -27,7 +37,7 @@ class PHeap:
         if len(payload) > _MAX_BLOB:
             raise ValueError("blob too large")
         total = 4 + len(payload)
-        off = self._pool.allocate(total, align=8)
+        off = self._pool.allocate(_block_bytes(len(payload)), align=_ALIGN)
         self._pool.write(off, len(payload).to_bytes(4, "little") + payload)
         self._pool.persist(off, total)
         self.blobs_written += 1
@@ -38,6 +48,10 @@ class PHeap:
         """Read the blob stored at ``offset``."""
         length = self._pool.read_u32(offset)
         return self._pool.read(offset + 4, length)
+
+    def block(self, offset: int) -> tuple[int, int]:
+        """The ``(offset, nbytes)`` block holding the blob at ``offset``."""
+        return offset, _block_bytes(self._pool.read_u32(offset))
 
     def put_str(self, text: str) -> int:
         """Store a UTF-8 encoded string."""

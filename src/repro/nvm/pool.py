@@ -17,6 +17,12 @@ The persistence semantics mirror real hardware:
   cache line, keeps it through the flush until the flushing thread
   drains, and :meth:`crash` reverts lines that were never flushed *or
   never fenced* — a missing flush and a missing barrier both fail tests.
+
+Space comes back: :meth:`PMemPool.free` returns a block to a volatile
+free list that :meth:`PMemPool.allocate` serves before it extends the
+pool, and :meth:`PMemPool.retire` frees a structure's blocks when the
+last reference to it dies. A restart loses the list;
+:meth:`PMemPool.sweep` re-derives it from what is still reachable.
 """
 
 from __future__ import annotations
@@ -24,9 +30,11 @@ from __future__ import annotations
 import os
 import random
 import threading
+import weakref
+from collections import deque
 from enum import Enum
 from mmap import mmap
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -73,6 +81,10 @@ _OFF_CLEAN = 48
 HEADER_SIZE = 256
 
 _DEFAULT_EXTENT_SIZE = 64 * 1024 * 1024
+
+#: What STRICT mode fills a freed block with: memory that comes back is
+#: not zero, and a read through a stale pointer must not look like data.
+_POISON = b"\xdb"
 
 
 class PMemMode(Enum):
@@ -122,13 +134,24 @@ class PMemPool:
         self._undo: dict[int, bytes] = {}
         self._parked: dict[int, bytes] = {}
         self._flushed_by: dict[int, set[int]] = {}
-        # Concurrent writers: the bump allocator's read-modify-write on
-        # the persisted head, and STRICT mode's pre-image bookkeeping,
-        # are the two pool-level structures shared across threads.
+        # Concurrent writers: the allocator's free list and persisted
+        # head, and STRICT mode's pre-image bookkeeping, are the two
+        # pool-level structures shared across threads.
         self._alloc_lock = threading.Lock()
         self._undo_lock = threading.Lock()
         self._closed = False
         self.stats = NvmStats(model=latency or LatencyModel())
+        # The free list: disjoint ``[start, end)`` rows in address
+        # order, none spanning an extent boundary, adjacent ones joined.
+        # Volatile — a restart re-derives it (``sweep``). ``free`` only
+        # appends to ``_freed``; ``allocate`` folds that in under its
+        # lock, so a finalizer never waits for a lock its own thread
+        # may hold.
+        self._free_ranges = np.empty((0, 2), dtype=np.int64)
+        self._freed: deque = deque()
+        self._waiting: list[tuple[int, int]] = []
+        self._retiring: dict[int, list[tuple[int, int]]] = {}
+        self._reclaimed = 0
         try:
             if _creating:
                 self._add_extent()
@@ -136,6 +159,11 @@ class PMemPool:
             else:
                 self._attach_extents()
                 self._validate_header()
+            self._head = self._raw_read_u64(_OFF_ALLOC_HEAD)
+            #: The head found at attach, until ``sweep`` has run (then
+            #: 0): what lies below it is either reachable or garbage,
+            #: and only the sweep can tell which.
+            self.unswept = 0 if _creating else self._head
         except Exception:
             # A failed attach (corrupt header, truncated extent, ...)
             # must not leak the mmap/file handles already opened.
@@ -241,8 +269,8 @@ class PMemPool:
         if clean:
             self.write_u64(_OFF_CLEAN, 1)
             self.persist(_OFF_CLEAN, 8)
+        self._closed = True  # first: a finalizer's ``free`` may be running
         self._release_maps()
-        self._closed = True
 
     def _release_maps(self) -> None:
         for m in self._maps:
@@ -516,20 +544,21 @@ class PMemPool:
 
     @property
     def alloc_head(self) -> int:
-        return self._raw_read_u64(_OFF_ALLOC_HEAD)
-
-    def _set_alloc_head(self, value: int) -> None:
-        self.write_u64(_OFF_ALLOC_HEAD, value)
-        self.persist(_OFF_ALLOC_HEAD, 8)
+        """End of the space ever handed out (persisted in the header)."""
+        return self._head
 
     def allocate(self, nbytes: int, align: int = CACHE_LINE) -> int:
-        """Bump-allocate ``nbytes`` of pool space, growing if needed.
+        """Hand out ``nbytes`` of pool space aligned to ``align``.
 
-        The returned block never spans an extent boundary; requests
-        larger than one extent raise :class:`PoolFullError`. The
-        high-water mark is persisted with the allocation, so a block
-        reachable from any durable pointer can never be handed out twice
-        after a crash.
+        The lowest free range that fits is used (split around the
+        block, nothing rounded up); only when none does is the pool
+        extended past its head, growing it if needed. The block never
+        spans an extent boundary; requests larger than one extent raise
+        :class:`PoolFullError`. The head is persisted with the
+        extension, so a block reachable from any durable pointer can
+        never be handed out twice after a crash. A recycled block holds
+        whatever its last owner left (poison in ``STRICT`` mode), not
+        zeros.
         """
         if nbytes <= 0:
             raise ValueError("allocation size must be positive")
@@ -538,19 +567,161 @@ class PMemPool:
                 f"allocation of {nbytes} exceeds extent size {self._extent_size}"
             )
         with self._alloc_lock:
-            head = self.alloc_head
-            head = -(-head // align) * align  # align up
-            ext = head // self._extent_size
-            local = head % self._extent_size
-            if local + nbytes > self._extent_size:
-                # Skip the unusable extent tail and start at the next extent.
-                head = (ext + 1) * self._extent_size
-            while head + nbytes > self.size:
-                self._grow()
-            self._set_alloc_head(head + nbytes)
+            self._absorb_freed()
             self.stats.allocations += 1
-            self.stats.allocated_bytes += nbytes
-            return head
+            free = self._free_ranges
+            if free.size:
+                at = -(-free[:, 0] // align) * align
+                fits = np.flatnonzero(at + nbytes <= free[:, 1])
+                if fits.size:
+                    i, offset = int(fits[0]), int(at[fits[0]])
+                    # What is left of the range takes its place: the
+                    # list stays sorted and joined without a re-sort.
+                    rest = np.array(
+                        [(free[i, 0], offset), (offset + nbytes, free[i, 1])]
+                    )
+                    rest = rest[rest[:, 0] < rest[:, 1]]
+                    self._free_ranges = np.concatenate([free[:i], rest, free[i + 1 :]])
+                    return offset
+            head = self._head
+            offset = -(-head // align) * align
+            if offset % self._extent_size + nbytes > self._extent_size:
+                # The extent's tail is too short: start at the next one.
+                offset = (offset // self._extent_size + 1) * self._extent_size
+            while offset + nbytes > self.size:
+                self._grow()
+            if offset > head:  # alignment gap, skipped tail: free space
+                self._add_free([(head, offset)])
+            self._head = offset + nbytes
+            self.write_u64(_OFF_ALLOC_HEAD, self._head)
+            self.persist(_OFF_ALLOC_HEAD, 8)
+            return offset
+
+    def free(self, offset: int, nbytes: int) -> None:
+        """Return a block to the pool.
+
+        The caller guarantees that the store which unlinked the block
+        is *drained*: until then a crash could recover a pointer into
+        space already handed to someone else. Takes no lock, so a
+        finalizer may call it on any thread.
+        """
+        if self._closed:
+            return
+        if self._mode is PMemMode.STRICT:
+            self._raw_write(offset, _POISON * nbytes)
+        self._freed.append((offset, nbytes))
+
+    def retire(self, owner: object, blocks: Iterable[tuple[int, int]]) -> None:
+        """Free ``blocks`` when ``owner`` is garbage-collected.
+
+        ``owner`` is the object every reader of those blocks goes
+        through, so its lifetime is the pin: a scan holding a
+        superseded partition keeps its memory out of the free list for
+        exactly as long as it can still read it.
+        """
+        blocks = list(blocks)
+        self._retiring[id(blocks)] = blocks
+        weakref.finalize(owner, self._release, id(blocks)).atexit = False
+
+    def _release(self, key: int) -> None:
+        # Queue, then forget: ``sweep`` reads the two in the other
+        # order, so it sees a block in at least one of them.
+        for offset, nbytes in self._retiring[key]:
+            self.free(offset, nbytes)
+        del self._retiring[key]
+
+    @property
+    def retiring(self) -> list[tuple[int, int]]:
+        """Blocks registered with :meth:`retire` and not yet freed."""
+        return [b for blocks in list(self._retiring.values()) for b in blocks]
+
+    def sweep(self, reachable: Iterable[tuple[int, int]]) -> int:
+        """Free what lies below the attach-time head and outside
+        ``reachable`` — every block a durable pointer leads to; returns
+        the bytes found.
+
+        Nothing below that head was handed out since the attach (what
+        ``free`` got back from there has been waiting for this), so no
+        block can have become reachable behind the caller's back; blocks
+        allocated since lie above it and are tracked as usual.
+        Overlapping blocks mean the enumeration is wrong, and nothing is
+        freed on its word.
+        """
+        with self._alloc_lock:
+            bound, extent = self.unswept, self._extent_size
+            if not bound:
+                return 0
+            # Not garbage either: blocks unlinked and not yet free (one
+            # can also be in ``reachable``, listed a moment earlier).
+            # Retiring first, then the queue: a finalizer fills them in
+            # the other order, so none is missed.
+            kept = set(self.retiring)
+            self._absorb_freed()
+            kept.update(self._waiting, reachable)
+            # What no hole may cross: the header, extent boundaries, the bound.
+            live = [(0, HEADER_SIZE), (bound, bound)]
+            live += [(e, e) for e in range(extent, bound, extent)]
+            live += [(o, o + n) for o, n in kept if o < bound]
+            live = np.array(sorted(live), dtype=np.int64)
+            holes = np.column_stack([live[:-1, 1], live[1:, 0]])
+            if (holes[:, 1] < holes[:, 0]).any():
+                raise PoolCorruptError("reachable blocks overlap; not sweeping")
+            found = [(lo, hi - lo) for lo, hi in holes.tolist() if hi > lo]
+            if self._mode is PMemMode.STRICT:
+                for lo, nbytes in found:
+                    self._raw_write(lo, _POISON * nbytes)
+            self._freed.extend(self._waiting + found)
+            self._waiting = []
+            self.unswept = 0
+            return sum(nbytes for _, nbytes in found)
+
+    def _absorb_freed(self) -> None:
+        """Fold what ``free`` queued into the free list (lock held).
+        Until the sweep, blocks below its bound wait for it: handed out
+        again, they could be taken for garbage."""
+        freed = self._freed
+        blocks = [freed.popleft() for _ in range(len(freed))]
+        if self.unswept:
+            self._waiting += [b for b in blocks if b[0] < self.unswept]
+            blocks = [b for b in blocks if b[0] >= self.unswept]
+        if blocks:
+            blocks = np.array(blocks, dtype=np.int64)
+            self._reclaimed += int(blocks[:, 1].sum())
+            blocks[:, 1] += blocks[:, 0]
+            self._add_free(blocks)
+
+    def _add_free(self, ranges) -> None:
+        """Merge ``[start, end)`` ranges (empty ones ignored) into the
+        free list."""
+        ranges = np.asarray(ranges, dtype=np.int64).reshape(-1, 2)
+        free = np.concatenate([self._free_ranges, ranges])
+        free = free[free[:, 1] > free[:, 0]]
+        free = free[np.argsort(free[:, 0], kind="stable")]
+        starts, ends = free[:, 0], free[:, 1]
+        if (starts[1:] < ends[:-1]).any():
+            raise PoolCorruptError("block freed twice")
+        # A range continues the one before it when it starts where that
+        # one ends — unless an extent boundary lies between them.
+        joins = (starts[1:] == ends[:-1]) & (starts[1:] % self._extent_size != 0)
+        first = np.ones(len(free), dtype=bool)
+        last = np.ones(len(free), dtype=bool)
+        first[1:] = last[:-1] = ~joins
+        self._free_ranges = np.column_stack([starts[first], ends[last]])
+
+    def space(self) -> dict:
+        """Where the pool's bytes are: handed out and not freed, free
+        for reuse, the head's high-water mark (the device footprint),
+        and everything ``free``/``sweep`` ever took back."""
+        with self._alloc_lock:
+            self._absorb_freed()
+            free = int((self._free_ranges[:, 1] - self._free_ranges[:, 0]).sum())
+        high_water = self._head - HEADER_SIZE
+        return {
+            "allocated_bytes": high_water - free,
+            "free_bytes": free,
+            "high_water_bytes": high_water,
+            "reclaimed_bytes": self._reclaimed,
+        }
 
     def _grow(self) -> None:
         self._add_extent()

@@ -90,10 +90,13 @@ class PVector:
         self._chunk_cap = pool.read_u64(offset + _OFF_CHUNK_CAP)
         self._size = pool.read_u64(offset + _OFF_SIZE)
         self._num_chunks = pool.read_u64(offset + _OFF_NUM_CHUNKS)
-        self._dir_offset = pool.read_u64(offset + _OFF_DIR)
-        self._dir_capacity = pool.read_u64(self._dir_offset)
+        dir_offset = pool.read_u64(offset + _OFF_DIR)
+        # (offset, capacity) of every directory this handle has known,
+        # the live one last: one value, replaced in one store, so
+        # ``blocks`` on another thread lists each exactly once.
+        self._dirs = ((dir_offset, pool.read_u64(dir_offset)),)
         self._chunks: list[int] = [
-            pool.read_u64(self._dir_offset + 8 + 8 * i)
+            pool.read_u64(dir_offset + 8 + 8 * i)
             for i in range(self._num_chunks)
         ]
         # Zero-copy chunk views are cached for the life of the handle:
@@ -154,23 +157,28 @@ class PVector:
     def chunk_capacity(self) -> int:
         return self._chunk_cap
 
-    @property
-    def nbytes(self) -> int:
-        """Pool bytes held: header + directory + allocated chunks."""
-        return (
-            HEADER_BYTES
-            + 8
-            + 8 * self._dir_capacity
-            + self._num_chunks * self._chunk_cap * self._itemsize
-        )
+    def blocks(self) -> Iterator[tuple[int, int]]:
+        """Every pool block this vector owns, as ``(offset, nbytes)``:
+        header, live and outgrown directories, chunks."""
+        yield self.offset, HEADER_BYTES
+        for dir_offset, dir_capacity in self._dirs:
+            yield dir_offset, 8 + 8 * dir_capacity
+        chunk_bytes = self._chunk_cap * self._itemsize
+        for chunk_off in list(self._chunks):
+            yield chunk_off, chunk_bytes
 
     # ------------------------------------------------------------------
     # Chunk management
     # ------------------------------------------------------------------
 
     def _grow_directory(self) -> None:
+        """Double the directory. The superseded block stays the
+        vector's (``blocks`` lists it) and returns to the pool with it:
+        freed here, it could be freed again by an owner that listed the
+        vector's blocks a moment earlier. A restart forgets the list
+        and leaves such blocks to the pool's sweep."""
         pool = self._pool
-        new_cap = self._dir_capacity * 2
+        new_cap = self._dirs[-1][1] * 2
         new_dir = pool.allocate(8 + 8 * new_cap)
         pool.write_u64(new_dir, new_cap)
         for i, chunk_off in enumerate(self._chunks):
@@ -180,15 +188,14 @@ class PVector:
         # travels inside the block, so no second store is needed).
         pool.write_u64(self.offset + _OFF_DIR, new_dir)
         pool.persist(self.offset + _OFF_DIR, 8)
-        self._dir_offset = new_dir
-        self._dir_capacity = new_cap
+        self._dirs = (*self._dirs, (new_dir, new_cap))
 
     def _add_chunk(self) -> int:
         pool = self._pool
-        if self._num_chunks == self._dir_capacity:
+        if self._num_chunks == self._dirs[-1][1]:
             self._grow_directory()
         chunk_off = pool.allocate(self._chunk_cap * self._itemsize)
-        slot = self._dir_offset + 8 + 8 * self._num_chunks
+        slot = self._dirs[-1][0] + 8 + 8 * self._num_chunks
         pool.write_u64(slot, chunk_off)
         pool.persist(slot, 8)
         pool.write_u64(self.offset + _OFF_NUM_CHUNKS, self._num_chunks + 1)

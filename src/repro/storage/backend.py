@@ -37,6 +37,10 @@ class Backend(ABC):
     def get_blob(self, handle: int) -> bytes:
         """Fetch a blob by handle."""
 
+    @abstractmethod
+    def blob_block(self, handle: int) -> tuple[int, int]:
+        """``(offset, nbytes)`` of the memory a blob occupies."""
+
     def put_str(self, text: str) -> int:
         return self.put_blob(text.encode("utf-8"))
 
@@ -64,6 +68,9 @@ class VolatileBackend(Backend):
     def get_blob(self, handle: int) -> bytes:
         return self._blobs[handle]
 
+    def blob_block(self, handle: int) -> tuple[int, int]:
+        return handle, len(self._blobs[handle])
+
 
 class NvmBackend(Backend):
     """NVM backend: vectors are PVectors, blobs live in the pool heap."""
@@ -88,3 +95,6 @@ class NvmBackend(Backend):
 
     def get_blob(self, handle: int) -> bytes:
         return self.heap.get(handle)
+
+    def blob_block(self, handle: int) -> tuple[int, int]:
+        return self.heap.block(handle)

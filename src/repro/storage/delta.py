@@ -11,7 +11,7 @@ column tails that the next insert overwrites in place.
 from __future__ import annotations
 
 import threading
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -99,6 +99,11 @@ class DeltaPartition:
     def row_count(self) -> int:
         """Published row count (length of the begin_cid vector)."""
         return len(self.mvcc.begin)
+
+    def blocks(self) -> Iterator[tuple[int, int]]:
+        """Every block this delta owns, as ``(offset, nbytes)``."""
+        for part in (*self.code_vectors, *self.dictionaries, self.mvcc):
+            yield from part.blocks()
 
     # ------------------------------------------------------------------
     # Mutation

@@ -21,7 +21,7 @@ import hashlib
 import math
 import threading
 from bisect import bisect_left, bisect_right
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -98,6 +98,16 @@ def hash_key(dtype: DataType, value) -> int:
         return int(np.float64(value).view(np.uint64))
     digest = hashlib.blake2b(value.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little")
+
+
+def _value_blocks(dictionary) -> Iterator[tuple[int, int]]:
+    """A dictionary's value vector and the blob behind each STRING
+    value, as ``(offset, nbytes)`` blocks."""
+    yield from dictionary.values.blocks()
+    if dictionary.dtype is DataType.STRING:
+        blob_block = dictionary._backend.blob_block
+        for handle in dictionary.values.to_numpy().tolist():
+            yield blob_block(handle)
 
 
 def nullable_list(values: np.ndarray, null_mask: np.ndarray) -> list:
@@ -223,6 +233,12 @@ class UnsortedDictionary:
 
     def __len__(self) -> int:
         return len(self.values)
+
+    def blocks(self) -> Iterator[tuple[int, int]]:
+        """Every block this dictionary owns, as ``(offset, nbytes)``."""
+        yield from _value_blocks(self)
+        if self.persistent_lookup is not None:
+            yield from self.persistent_lookup.blocks()
 
     # ------------------------------------------------------------------
     # Decoding
@@ -455,6 +471,10 @@ class SortedDictionary:
 
     def __len__(self) -> int:
         return len(self.values)
+
+    def blocks(self) -> Iterator[tuple[int, int]]:
+        """Every block this dictionary owns, as ``(offset, nbytes)``."""
+        return _value_blocks(self)
 
     def _materialise(self):
         if self._cache is None:

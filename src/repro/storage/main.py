@@ -8,7 +8,7 @@ reserves the local NULL code, which is ``len(dictionary)``.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -140,6 +140,13 @@ class MainPartition:
         empty_cols = [np.empty(0, dtype=np.uint32) for _ in schema]
         none = np.empty(0, dtype=np.uint64)
         return cls.build(schema, backend, dictionaries, empty_cols, none, none)
+
+    def blocks(self) -> Iterator[tuple[int, int]]:
+        """Every block this generation owns, as ``(offset, nbytes)``."""
+        for column in self.columns:
+            yield from column.words.blocks()
+            yield from column.dictionary.blocks()
+        yield from self.mvcc.blocks()
 
     def column_codes(self, col: int) -> np.ndarray:
         return self.columns[col].codes()

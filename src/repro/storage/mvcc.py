@@ -17,7 +17,7 @@ own-transaction adjustments applied by the transaction context.
 from __future__ import annotations
 
 import threading
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -93,6 +93,11 @@ class MvccColumns:
 
     def __len__(self) -> int:
         return len(self.begin)
+
+    def blocks(self) -> Iterator[tuple[int, int]]:
+        """The three vectors' blocks, as ``(offset, nbytes)``."""
+        for vector in (self.begin, self.end, self.tid):
+            yield from vector.blocks()
 
     @property
     def mutations(self) -> int:

@@ -3,8 +3,8 @@
 :class:`~repro.nvm.pvector.PVector` (persistent) and
 :class:`VolatileVector` (DRAM) expose the same surface —
 ``append``/``extend``/``get``/``set``/``set_range``/``__len__``/
-``to_numpy``/``take``/``iter_views`` — so partition code is written once
-and runs on either.
+``to_numpy``/``take``/``iter_views``/``blocks`` — so partition code is
+written once and runs on either.
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ class VectorLike(Protocol):
 
     def iter_views(self) -> Iterator[np.ndarray]: ...
 
+    def blocks(self) -> Iterator[tuple[int, int]]: ...
+
 
 class VolatileVector:
     """Growable DRAM array with the :class:`VectorLike` interface.
@@ -59,10 +61,10 @@ class VolatileVector:
     def dtype(self) -> np.dtype:
         return self._dtype
 
-    @property
-    def nbytes(self) -> int:
-        """DRAM bytes held by the backing buffer."""
-        return self._buf.nbytes
+    def blocks(self) -> Iterator[tuple[int, int]]:
+        """The backing buffer as one ``(offset, nbytes)`` block (DRAM has
+        no pool offset: 0), the shape :meth:`PVector.blocks` yields."""
+        yield 0, self._buf.nbytes
 
     def __len__(self) -> int:
         return self._size

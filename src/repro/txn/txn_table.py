@@ -111,6 +111,21 @@ class PersistentTxnTable:
     def _slot(self, index: int) -> int:
         return self.offset + 64 + index * _SLOT_BYTES
 
+    def blocks(self) -> list[tuple[int, int]]:
+        """Every pool block the table owns, as ``(offset, nbytes)``:
+        the slot array, recycled undo chunks, and each busy slot's
+        chain. A chunk being linked is already its slot's tail here."""
+        pool = self._pool
+        with self._latch:
+            chunks = set(self._chunk_pool) | set(self._tail_chunk.values())
+            for index in self._tail_chunk:
+                chunk = pool.read_u64(self._slot(index) + _S_UNDO)
+                while chunk:
+                    chunks.add(chunk)
+                    chunk = pool.read_u64(chunk + _C_NEXT)
+        table = (self.offset, 64 + self.slot_count * _SLOT_BYTES)
+        return [table] + [(chunk, _CHUNK_BYTES) for chunk in sorted(chunks)]
+
     # ------------------------------------------------------------------
     # Slot lifecycle
     # ------------------------------------------------------------------

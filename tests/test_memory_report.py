@@ -1,4 +1,4 @@
-"""Tests for space accounting (nbytes and the engine memory report)."""
+"""Tests for space accounting (``blocks()`` and the engine memory report)."""
 
 import numpy as np
 import pytest
@@ -13,24 +13,36 @@ from repro.storage.vector import VolatileVector
 from tests.conftest import make_config
 
 
-class TestNbytes:
+def held(structure) -> int:
+    return sum(nbytes for _, nbytes in structure.blocks())
+
+
+class TestBlocks:
     def test_pvector_grows_with_chunks(self, pool):
         v = PVector.create(pool, np.uint64, chunk_capacity=8)
-        empty = v.nbytes
+        empty = held(v)
         v.extend(np.arange(40, dtype=np.uint64))
-        assert v.nbytes == empty + 5 * 8 * 8  # five chunks of 8 u64
+        assert held(v) == empty + 5 * 8 * 8  # five chunks of 8 u64
+
+    def test_pvector_blocks_are_what_it_allocated(self, pool):
+        before = pool.space()["allocated_bytes"]
+        v = PVector.create(pool, np.uint64, chunk_capacity=4)
+        v.extend(np.arange(4 * 40, dtype=np.uint64))  # two directory growths
+        assert held(v) == pool.space()["allocated_bytes"] - before
 
     def test_volatile_vector_nbytes(self):
         v = VolatileVector(np.uint32)
         v.extend(np.arange(100, dtype=np.uint32))
-        assert v.nbytes >= 400
+        assert held(v) >= 400
 
-    def test_phash_nbytes_grows_on_resize(self, pool):
+    def test_phash_keeps_superseded_tables_until_it_goes(self, pool):
+        before = pool.space()["allocated_bytes"]
         m = PHashMap.create(pool, capacity=8)
-        before = m.nbytes
+        small = held(m)
         for i in range(100):
             m.insert(i, i)
-        assert m.nbytes > before
+        assert held(m) > small
+        assert held(m) == pool.space()["allocated_bytes"] - before
 
 
 class TestMemoryReport:
@@ -41,7 +53,8 @@ class TestMemoryReport:
         db.create_index("t", "a")
         db.bulk_insert("t", [{"a": i, "s": f"x{i % 9}"} for i in range(500)])
         db.merge("t")
-        report = db.memory_report()["t"]
+        full = db.memory_report()
+        report = full["tables"]["t"]
         for key in (
             "main_packed",
             "main_dictionaries",
@@ -57,19 +70,48 @@ class TestMemoryReport:
         )
         assert report["main_packed"] > 0
         assert report["indexes"] > 0
+        if mode is DurabilityMode.NVM:
+            # The ledger closes: every allocated byte is in a table, in
+            # the catalog, or pinned by a retiring generation.
+            assert full["unreachable"] == 0
+            assert full["allocated_bytes"] == (
+                report["total"] + full["catalog"] + full["retiring"]
+            )
         db.close()
+
+    def test_counts_blobs_and_persistent_structures(self, tmp_path):
+        """String payloads, persistent delta-dictionary lookups and
+        persistent delta indexes are bytes like any other."""
+        sizes = {}
+        for name, overrides in (
+            ("plain", {}),
+            ("persistent", dict(persistent_dict_index=True, persistent_delta_index=True)),
+        ):
+            db = Database(
+                str(tmp_path / name), make_config(DurabilityMode.NVM, **overrides)
+            )
+            db.create_table("t", {"a": DataType.INT64, "s": DataType.STRING})
+            db.create_index("t", "a")
+            db.bulk_insert("t", [{"a": i, "s": "x" * 100 + str(i)} for i in range(64)])
+            full = db.memory_report()
+            sizes[name] = full["tables"]["t"]
+            assert full["unreachable"] == 0
+            db.close()
+        assert sizes["plain"]["delta_dictionaries"] > 64 * 100  # the blobs
+        assert sizes["persistent"]["delta_dictionaries"] > sizes["plain"]["delta_dictionaries"]
+        assert sizes["persistent"]["indexes"] > sizes["plain"]["indexes"]
 
     def test_packing_saves_space(self, tmp_path):
         """Bit-packed main codes are smaller than 4-byte delta codes."""
         db = Database(str(tmp_path / "db"), make_config(DurabilityMode.NONE))
         db.create_table("t", {"a": DataType.INT64})
         db.bulk_insert("t", [{"a": i % 4} for i in range(10_000)])
-        before = db.memory_report()["t"]["delta_codes"]
+        before = db.memory_report()["tables"]["t"]["delta_codes"]
         db.merge("t")
-        after = db.memory_report()["t"]["main_packed"]
+        after = db.memory_report()["tables"]["t"]["main_packed"]
         assert after < before / 4  # 3 bits/code vs 32 bits/code
 
     def test_report_empty_table(self, none_db):
         none_db.create_table("t", {"a": DataType.INT64})
-        report = none_db.memory_report()["t"]
+        report = none_db.memory_report()["tables"]["t"]
         assert report["total"] >= 0

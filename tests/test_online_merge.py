@@ -26,6 +26,7 @@ from tests.conftest import make_config
 from repro.core.config import DurabilityMode
 from repro.core.database import Database
 from repro.fault.inject import CrashPointInjector, SimulatedPowerFailure
+from repro.nvm.pool import PMemMode
 from repro.obs import boundary
 from repro.query.predicate import Eq
 from repro.storage.types import DataType
@@ -33,6 +34,18 @@ from repro.txn.errors import TransactionConflict
 from repro.wal.records import MergeRecord, decode_record, encode_record
 
 SCHEMA = {"key": DataType.INT64, "note": DataType.STRING}
+
+#: The races below run in DRAM and on a STRICT pool, where every merge
+#: frees a generation and ``free`` poisons it: a reader that outlived
+#: its pin, or a block recycled too early, reads 0xDB instead of rows.
+RACED = pytest.mark.parametrize(
+    "raced",
+    [
+        dict(mode=DurabilityMode.NONE),
+        dict(mode=DurabilityMode.NVM, pmem_mode=PMemMode.STRICT),
+    ],
+    ids=["dram", "nvm-poison"],
+)
 
 
 def _build_mixed(db: Database, rows: int = 60) -> dict:
@@ -55,14 +68,15 @@ def _snapshot(db: Database) -> dict:
 
 
 class TestMidMergeConsistency:
+    @RACED
     def test_scans_at_every_chunk_boundary_match_quiesced_state(
-        self, tmp_path
+        self, tmp_path, raced
     ):
         """The merge thread itself scans at each ``merge_chunk`` event;
         every scan must be element-equal to the quiesced result."""
         db = Database(
             str(tmp_path / "db"),
-            make_config(DurabilityMode.NONE, merge_chunk_rows=8),
+            make_config(merge_chunk_rows=8, **raced),
         )
         expected = _build_mixed(db, rows=60)
         scans: list[dict] = []
@@ -83,12 +97,13 @@ class TestMidMergeConsistency:
         assert db.table("kv").generation == 1
         db.close()
 
-    def test_concurrent_reader_thread_sees_stable_state(self, tmp_path):
+    @RACED
+    def test_concurrent_reader_thread_sees_stable_state(self, tmp_path, raced):
         """A reader hammering scans from its own thread across the whole
         merge (fold *and* cutover) must never observe a torn state."""
         db = Database(
             str(tmp_path / "db"),
-            make_config(DurabilityMode.NONE, merge_chunk_rows=4),
+            make_config(merge_chunk_rows=4, **raced),
         )
         expected = _build_mixed(db, rows=80)
         mismatches: list[dict] = []
@@ -126,12 +141,13 @@ class TestMidMergeConsistency:
 
 
 class TestConcurrentWritersDuringMerge:
-    def test_writers_race_explicit_online_merges(self, tmp_path):
+    @RACED
+    def test_writers_race_explicit_online_merges(self, tmp_path, raced):
         """Writer threads insert through repeated online merges; nothing
         committed may be lost and every insert must land exactly once."""
         db = Database(
             str(tmp_path / "db"),
-            make_config(DurabilityMode.NONE, merge_chunk_rows=4),
+            make_config(merge_chunk_rows=4, **raced),
         )
         db.create_table("kv", SCHEMA)
         db.insert_many("kv", [{"key": k, "note": f"n{k}"} for k in range(40)])
