@@ -3,8 +3,9 @@
 Maintained on every insert into an indexed column. Two variants back
 experiment E7:
 
-* :class:`VolatileDeltaIndex` — a DRAM multimap; cheap to maintain but
-  must be rebuilt by scanning the delta after a restart.
+* :class:`VolatileDeltaIndex` — a DRAM sorted run plus multimap tail;
+  cheap to maintain but must be rebuilt from the delta's codes (one
+  ``argsort``) after a restart.
 * :class:`PersistentDeltaIndex` — an NVM-resident
   :class:`~repro.nvm.phash.PHashMap`; pays extra flushes per insert but
   attaches after a restart with zero rebuild work.
@@ -53,46 +54,58 @@ class DeltaIndex(ABC):
 
 
 class VolatileDeltaIndex(DeltaIndex):
-    """DRAM multimap delta index."""
+    """DRAM delta index: one sorted run plus a dict tail.
+
+    :meth:`add_many` into an empty index builds the run — the batch's
+    codes sorted stably beside their positions, one ``np.argsort`` —
+    and everything else goes to the tail, a code -> positions dict.
+    Rows are registered in position order, so the run only ever covers
+    rows below the tail's and a lookup (the run's slice, found by two
+    binary searches, then the tail's list) is ascending. The run is one
+    attribute swapped in whole: a reader holding no latch sees no run
+    or all of it, never new codes beside old positions.
+    """
 
     needs_rebuild_after_restart = True
 
     def __init__(self):
-        self._map: dict[int, list[int]] = defaultdict(list)
+        self._run: tuple[np.ndarray, np.ndarray] | None = None
+        self._tail: dict[int, list[int]] = defaultdict(list)
 
     def add(self, code: int, position: int) -> None:
-        self._map[code].append(position)
+        self._tail[code].append(position)
 
     def add_many(self, codes: np.ndarray, first: int) -> None:
-        # Vectorized group-by-code: one stable argsort, then one list
-        # slice per distinct code (python-level work per code, not per
-        # row, and no per-group numpy call — indexed columns are often
-        # unique). The stable sort keeps each code's positions
-        # ascending, matching what repeated add() calls would produce.
         codes = np.asarray(codes)
         if codes.size == 0:
             return
-        order = np.argsort(codes, kind="stable")
-        sorted_codes = codes[order]
-        starts = np.flatnonzero(
-            np.r_[True, sorted_codes[1:] != sorted_codes[:-1]]
-        )
-        positions = (order + first).tolist()
-        bounds = starts.tolist() + [len(positions)]
-        for code, lo, hi in zip(
-            sorted_codes[starts].tolist(), bounds, bounds[1:]
-        ):
-            self._map[code].extend(positions[lo:hi])
+        if self._run is None and not self._tail:
+            order = np.argsort(codes, kind="stable")
+            self._run = (codes[order], (order + first).astype(np.uint64))
+            return
+        tail = self._tail
+        for code, position in zip(codes.tolist(), range(first, first + codes.size)):
+            tail[code].append(position)
 
     def lookup(self, code: int) -> np.ndarray:
-        return np.asarray(self._map.get(code, ()), dtype=np.uint64)
+        run = self._run
+        tail = np.asarray(self._tail.get(code, ()), dtype=np.uint64)
+        if run is None:
+            return tail
+        codes, positions = run
+        # A python int would cast the whole run on every probe.
+        key = codes.dtype.type(code)
+        hit = positions[codes.searchsorted(key) : codes.searchsorted(key, "right")]
+        return np.concatenate([hit, tail]) if tail.size else hit
 
     def rebuild(self, delta: DeltaPartition, col: int) -> None:
-        self._map.clear()
+        self._run = None
+        self._tail.clear()
         self.add_many(delta.column_codes(col), 0)
 
     def entry_count(self) -> int:
-        return sum(len(v) for v in self._map.values())
+        run = 0 if self._run is None else len(self._run[0])
+        return run + sum(len(v) for v in self._tail.values())
 
 
 class PersistentDeltaIndex(DeltaIndex):

@@ -11,6 +11,7 @@ back to a full scan of its captured generation.
 from __future__ import annotations
 
 import threading
+import time
 from typing import Iterator
 
 import numpy as np
@@ -21,6 +22,7 @@ from repro.index.delta_index import (
     VolatileDeltaIndex,
 )
 from repro.index.groupkey import GroupKeyIndex
+from repro.obs import get_registry
 from repro.storage.backend import Backend, NvmBackend
 from repro.storage.delta import DeltaPartition
 from repro.storage.dictionary import exact_value
@@ -120,15 +122,22 @@ class TableIndex:
         """Catch the volatile delta half up to ``first``, then move the
         watermark past ``[first, first + count)``. Returns how many
         leading rows of that range a catch-up already indexed (the
-        caller registers the rest). Latch held."""
+        caller registers the rest); only a catch-up is metered
+        (``index_catchup_*``). Latch held."""
         if not self.delta_index.needs_rebuild_after_restart:
             return 0
         synced = self._delta_synced_rows
         if synced < first:
+            start = time.perf_counter()
             delta = self.delta_part
             col = delta.schema.column_index(self.column)
             self.delta_index.add_many(
                 delta.codes_at(col, np.arange(synced, first)), synced
+            )
+            registry = get_registry()
+            registry.counter("index_catchup_rows_total").inc(first - synced)
+            registry.histogram("index_catchup_seconds").observe(
+                time.perf_counter() - start
             )
             synced = first
         self._delta_synced_rows = max(synced, first + count)

@@ -33,7 +33,7 @@ import threading
 import weakref
 from collections import deque
 from enum import Enum
-from mmap import mmap
+from mmap import MADV_DONTNEED, mmap
 from typing import Iterable, Optional
 
 import numpy as np
@@ -275,12 +275,17 @@ class PMemPool:
     def _release_maps(self) -> None:
         for m in self._maps:
             m.flush()
+            # Give the resident pages back now, not when the collector
+            # reaches a dead engine: the mapping is shared with its
+            # file, so nothing is lost, and a late read through a
+            # lingering view faults the page in again from the file.
+            m.madvise(MADV_DONTNEED)
             try:
                 m.close()
             except BufferError:
                 # Numpy views handed out by ``view`` still export the
-                # mmap's buffer. The data is already flushed; the OS
-                # releases the mapping once the last view is collected.
+                # mmap's buffer; the (now empty) mapping goes with the
+                # last of them.
                 pass
         for f in self._files:
             f.close()

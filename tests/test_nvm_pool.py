@@ -1,5 +1,6 @@
 """Unit tests for the persistent memory pool."""
 
+import os
 import threading
 
 import numpy as np
@@ -49,6 +50,56 @@ class TestLifecycle:
         assert not pool.was_clean_shutdown
         pool.close()
 
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/smaps"), reason="needs Linux smaps"
+    )
+    def test_a_dead_engine_gives_its_pages_back(self, tmp_path):
+        """A crashed engine that only the cyclic collector could free
+        holds mappings (its cached views still export them), but no
+        resident pages."""
+        import gc
+        import weakref
+
+        from repro.core.config import DurabilityMode
+        from repro.core.database import Database
+        from repro.query.predicate import Eq
+        from repro.storage.types import DataType
+        from tests.conftest import make_config
+
+        path = str(tmp_path / "db")
+
+        def extent_rss_kb() -> list[int]:
+            out, current = [], None
+            with open("/proc/self/smaps") as f:
+                for line in f:
+                    fields = line.split()
+                    if "-" in fields[0] and len(fields) >= 5:
+                        current = fields[-1] if len(fields) == 6 else None
+                    elif fields[0] == "Rss:" and current is not None:
+                        if current.startswith(path) and current.endswith(".pm"):
+                            out.append(int(fields[1]))
+            return out
+
+        gc.disable()
+        try:
+            db = Database(path, make_config(DurabilityMode.NVM))
+            db.create_table("t", {"k": DataType.INT64, "v": DataType.STRING})
+            db.create_index("t", "k")
+            db.insert_many("t", [{"k": i, "v": f"v{i}"} for i in range(5000)])
+            assert db.query("t", Eq("k", 7)).count == 1
+            db.cycle = db
+            assert sum(extent_rss_kb()) > 0
+            db.crash()
+            alive = weakref.ref(db)
+            del db
+            assert alive() is not None, "the cycle keeps the engine"
+            rss = extent_rss_kb()
+            assert rss, "its views keep the extent mappings"
+            assert rss == [0] * len(rss)
+        finally:
+            gc.enable()
+            gc.collect()
+
     def test_bad_extent_size_rejected(self, pool_dir):
         with pytest.raises(ValueError):
             PMemPool.create(pool_dir, extent_size=1000)
@@ -56,7 +107,6 @@ class TestLifecycle:
     def test_corrupt_magic_detected(self, pool_dir):
         pool = PMemPool.create(pool_dir, extent_size=EXTENT)
         pool.close()
-        import os
         path = os.path.join(pool_dir, "extent_0000.pm")
         with open(path, "r+b") as f:
             f.write(b"\xde\xad\xbe\xef")
