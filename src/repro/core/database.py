@@ -220,9 +220,6 @@ class Database:
         self._tables_by_name[table.name] = table
         self._indexes[table.table_id] = indexes
 
-    def _table_by_id(self, table_id: int) -> Table:
-        return self._tables_by_id[table_id]
-
     def table(self, name: str) -> Table:
         """Look up a table by name."""
         try:

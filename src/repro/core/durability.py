@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import os
+import weakref
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Optional
 
@@ -56,7 +57,9 @@ class DurabilityDriver(ABC):
 
     ``open`` binds the driver to its engine (the driver needs the
     engine's table registry for recovery registration, index rebuilds,
-    and checkpoint snapshots); every later hook uses that binding.
+    and checkpoint snapshots); every later hook uses that binding. The
+    binding is weak: the engine owns its driver, and a dead engine is
+    freed by reference counting, without the cyclic collector.
     """
 
     mode: DurabilityMode
@@ -64,7 +67,9 @@ class DurabilityDriver(ABC):
     def __init__(self, path: str, config: EngineConfig):
         self.path = path
         self.config = config
-        self._db: Optional["Database"] = None
+        self._engine = lambda: None
+
+    _db = property(lambda self: self._engine())
 
     # -- lifecycle -----------------------------------------------------
 
@@ -184,7 +189,7 @@ class NvmDriver(DurabilityDriver):
         return self._pool
 
     def open(self, db: "Database") -> RecoveryReport:
-        self._db = db
+        self._engine = weakref.ref(db)
         report = RecoveryReport(mode="nvm")
         cfg = self.config
         try:
@@ -217,12 +222,13 @@ class NvmDriver(DurabilityDriver):
                     tids = self._catalog.tid_allocator()
                     for table, indexes, _flag in self._catalog.attach_tables():
                         db._register(table, indexes)
-                recover_nvm(txn_table, cids, db._table_by_id, report=report)
+                tables = db._tables_by_id.__getitem__  # no reference to db
+                recover_nvm(txn_table, cids, tables, report=report)
                 report.tables = len(db._tables_by_id)
                 with report.phase("finalize"):
                     self._pool.mark_opened()
                     db._manager = TransactionManager(
-                        txn_table, cids, tids, db._table_by_id, wal=None
+                        txn_table, cids, tids, tables, wal=None
                     )
         except Exception:
             # Never leak the mmapped extents of a pool we failed to
@@ -324,7 +330,7 @@ class VolatileDriver(DurabilityDriver):
             VolatileTxnTable(self.config.txn_slots),
             VolatileCidStore(last_cid),
             VolatileTidAllocator(),
-            db._table_by_id,
+            db._tables_by_id.__getitem__,  # no reference to db
             wal=wal,
         )
 
@@ -340,7 +346,7 @@ class NoneDriver(VolatileDriver):
     mode = DurabilityMode.NONE
 
     def open(self, db: "Database") -> RecoveryReport:
-        self._db = db
+        self._engine = weakref.ref(db)
         self.backend = db.backend = VolatileBackend()
         self._next_table_id = 1
         db._manager = self._volatile_manager(db)
@@ -381,7 +387,7 @@ class LogDriver(VolatileDriver):
         return os.path.join(self.path, "meta.json")
 
     def open(self, db: "Database") -> RecoveryReport:
-        self._db = db
+        self._engine = weakref.ref(db)
         report = RecoveryReport(mode="log")
         with report.span:
             self.backend = db.backend = VolatileBackend()

@@ -107,13 +107,15 @@ class MaintenanceDaemon:
         self._thread.start()
 
     def stop(self) -> None:
-        """Stop the daemon and wait for any in-flight merge to finish."""
+        """Stop the daemon, wait for any in-flight merge to finish, and
+        let go of the engine (which holds the daemon: no cycle)."""
         self._stop.set()
         self._wake.set()
         thread = self._thread
         if thread is not None and thread.is_alive():
             thread.join()
         self._thread = None
+        self._db = None
 
     # -- write-path interface ------------------------------------------
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.storage.backend import Backend, NvmBackend
 from repro.storage.main import MainColumn
-from repro.storage.vector import VectorLike
+from repro.storage.vector import VectorLike, one_chunk
 
 
 class GroupKeyIndex:
@@ -28,8 +28,9 @@ class GroupKeyIndex:
     def __init__(self, offsets: VectorLike, positions: VectorLike):
         self._offsets_vec = offsets
         self._positions_vec = positions
-        self._offsets = offsets.to_numpy()
-        self._positions = positions.to_numpy()
+        # Immutable, so read in place: zero-copy when each is one chunk.
+        self._offsets = offsets.view()
+        self._positions = positions.view()
 
     @classmethod
     def build(cls, backend: Backend, column: MainColumn) -> "GroupKeyIndex":
@@ -40,8 +41,8 @@ class GroupKeyIndex:
         offsets = np.zeros(n_buckets + 1, dtype=np.uint64)
         offsets[1:] = np.cumsum(counts).astype(np.uint64)
         positions = np.argsort(codes, kind="stable").astype(np.uint64)
-        offsets_vec = backend.make_vector(np.uint64)
-        positions_vec = backend.make_vector(np.uint64)
+        offsets_vec = backend.make_vector(np.uint64, one_chunk(offsets.size))
+        positions_vec = backend.make_vector(np.uint64, one_chunk(positions.size))
         offsets_vec.extend(offsets)
         if positions.size:
             positions_vec.extend(positions)

@@ -275,8 +275,10 @@ class PMemPool:
     def _release_maps(self) -> None:
         for m in self._maps:
             m.flush()
-            # Give the resident pages back now, not when the collector
-            # reaches a dead engine: the mapping is shared with its
+            # Give the resident pages back now, not when the last view
+            # into them dies: main structures are read in place, and a
+            # caller may hold such a view (or the engine that holds
+            # them) past the detach. The mapping is shared with its
             # file, so nothing is lost, and a late read through a
             # lingering view faults the page in again from the file.
             m.madvise(MADV_DONTNEED)

@@ -85,20 +85,17 @@ class PVector:
     def __init__(self, pool: PMemPool, offset: int):
         self._pool = pool
         self.offset = offset
-        self._dtype = DTYPE_CODES[pool.read_u64(offset + _OFF_DTYPE)]
+        # One read for the header's five words, one for the directory.
+        header = pool.read_array(offset, np.uint64, 5).tolist()
+        self._size, dtype, self._chunk_cap, self._num_chunks, dir_offset = header
+        self._dtype = DTYPE_CODES[dtype]
         self._itemsize = self._dtype.itemsize
-        self._chunk_cap = pool.read_u64(offset + _OFF_CHUNK_CAP)
-        self._size = pool.read_u64(offset + _OFF_SIZE)
-        self._num_chunks = pool.read_u64(offset + _OFF_NUM_CHUNKS)
-        dir_offset = pool.read_u64(offset + _OFF_DIR)
+        directory = pool.read_array(dir_offset, np.uint64, 1 + self._num_chunks)
         # (offset, capacity) of every directory this handle has known,
         # the live one last: one value, replaced in one store, so
         # ``blocks`` on another thread lists each exactly once.
-        self._dirs = ((dir_offset, pool.read_u64(dir_offset)),)
-        self._chunks: list[int] = [
-            pool.read_u64(dir_offset + 8 + 8 * i)
-            for i in range(self._num_chunks)
-        ]
+        self._dirs = ((dir_offset, int(directory[0])),)
+        self._chunks: list[int] = directory[1:].tolist()
         # Zero-copy chunk views are cached for the life of the handle:
         # chunk offsets never move (directory growth copies slots, not
         # chunks), so a view created once stays valid. Read accounting
@@ -353,6 +350,15 @@ class PVector:
             self._pool.charge_read((count - charged) * self._itemsize)
             self._charged_elems[chunk_index] = count
         return base[:count]
+
+    def view(self) -> np.ndarray:
+        """The published prefix, read-only: a zero-copy view of the pool
+        when it lies in one chunk, else a copy (:meth:`to_numpy`)."""
+        if 0 < self._size <= self._chunk_cap:
+            return self._chunk_view(0, self._size)
+        out = self.to_numpy()
+        out.flags.writeable = False
+        return out
 
     def iter_views(self) -> Iterator[np.ndarray]:
         """Yield read-only numpy views over the committed chunks."""

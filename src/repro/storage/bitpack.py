@@ -50,9 +50,15 @@ def pack(codes: np.ndarray, bits: int) -> np.ndarray:
 
 
 def unpack(words: np.ndarray, bits: int, count: int) -> np.ndarray:
-    """Inverse of :func:`pack`; returns a uint32 code array of ``count``."""
+    """Inverse of :func:`pack`: ``count`` uint32 codes, 8,192 at a time
+    (small temporaries are memory the allocator hands back every block;
+    whole-column ones are fresh pages, faulted in at every call)."""
     words = np.asarray(words, dtype=_U64)
-    return unpack_at(words.__getitem__, bits, np.arange(count, dtype=np.uint64))
+    out = np.empty(count, dtype=np.uint32)
+    for lo in range(0, count, 8192):
+        rows = np.arange(lo, min(lo + 8192, count), dtype=np.uint64)
+        out[lo : lo + rows.size] = unpack_at(words.__getitem__, bits, rows)
+    return out
 
 
 def unpack_at(fetch, bits: int, rows: np.ndarray) -> np.ndarray:

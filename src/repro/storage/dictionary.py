@@ -3,9 +3,9 @@
 Two dictionary kinds, as in Hyrise:
 
 * :class:`UnsortedDictionary` — the delta partition's dictionary. Values
-  are appended in first-seen order; lookup runs through a volatile hash
-  map (rebuilt by scanning the value vector after a restart) or, in the
-  persistent-index ablation, through an NVM-resident
+  are appended in first-seen order; lookup runs through a volatile
+  sorted run plus dict tail (the run rebuilt by one ``argsort`` after a
+  restart) or, in the persistent-index ablation, through an NVM-resident
   :class:`~repro.nvm.phash.PHashMap` that needs no rebuild.
 * :class:`SortedDictionary` — the main partition's dictionary, built at
   merge time. Values are sorted, so codes preserve value order and range
@@ -20,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import math
 import threading
-from bisect import bisect_left, bisect_right
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -28,7 +27,7 @@ import numpy as np
 from repro.nvm.phash import PHashMap
 from repro.storage.backend import Backend, NvmBackend
 from repro.storage.types import DataType
-from repro.storage.vector import VectorLike
+from repro.storage.vector import VectorLike, one_chunk
 
 _U64_MASK = (1 << 64) - 1
 
@@ -145,7 +144,9 @@ class UnsortedDictionary:
         # volatile lookup is also (re)built under it, so a reader's
         # rebuild can never overwrite what a writer just recorded.
         self._insert_lock = threading.Lock()
-        self._lookup: Optional[dict] = None
+        # The volatile lookup, ``(run, run codes, tail)``: see
+        # ``_ensure_lookup``. None until first needed after an attach.
+        self._lookup: Optional[tuple[np.ndarray, np.ndarray, dict]] = None
         # STRING only: decoded values in code order, over-allocated and
         # append-only; ``_strings_len`` entries are valid. Numeric codes
         # decode straight from the persisted value vector instead. The
@@ -171,7 +172,7 @@ class UnsortedDictionary:
                 raise ValueError("persistent lookup requires an NVM backend")
             phash = PHashMap.create(backend.pool)
         out = cls(dtype, backend, values, phash)
-        out._lookup = {}
+        out._ensure_lookup()  # an empty run: every value goes to the tail
         return out
 
     @classmethod
@@ -303,16 +304,25 @@ class UnsortedDictionary:
     # ------------------------------------------------------------------
 
     def _ensure_lookup(self) -> None:
-        """Build the volatile map from the values; insert lock held, so
-        no writer appends between the snapshot and the assignment."""
+        """Build the volatile lookup: the values sorted by one ``argsort``
+        beside their codes (the run), and an empty dict that inserts fill
+        (the tail), published as one attribute. STRING values go to the
+        tail: an object ``argsort`` costs 3-6x the dict (DESIGN.md
+        decision 4). Insert lock held, so no writer appends between the
+        snapshot and the assignment."""
         if self._lookup is None:
-            self._lookup = {
-                value: code for code, value in enumerate(self.values_list())
-            }
+            values, tail = self.values_array(), {}
+            if self.dtype is DataType.STRING:
+                tail = {value: code for code, value in enumerate(values.tolist())}
+                values = values[:0]
+            order = np.argsort(values)
+            self._lookup = (values[order], order, tail)
 
     def code_of(self, value) -> Optional[int]:
-        """Code of ``value`` if present, else None."""
-        if self._lookup is None:
+        """Code of ``value`` if present, else None: one binary search of
+        the run, then one probe of the tail."""
+        lookup = self._lookup
+        if lookup is None:
             if self.persistent_lookup is not None:
                 # Restart path: answer from NVM without a rebuild.
                 for code in self.persistent_lookup.iter_values(
@@ -323,7 +333,15 @@ class UnsortedDictionary:
                 return None
             with self._insert_lock:
                 self._ensure_lookup()
-        return self._lookup.get(value)
+                lookup = self._lookup
+        run, codes, tail = lookup
+        if run.size:
+            # In the run's own dtype: a python int would cast the run.
+            key = run.dtype.type(value)
+            at = run.searchsorted(key)
+            if at < run.size and run[at] == key:
+                return int(codes[at])
+        return tail.get(value)
 
     def code_for_insert(self, value) -> int:
         """Code of ``value``, appending it to the dictionary if new."""
@@ -339,7 +357,7 @@ class UnsortedDictionary:
                 raw = value
             code = self.values.append(raw)
             if self._lookup is not None:
-                self._lookup[value] = code
+                self._lookup[2][value] = code
             if self.persistent_lookup is not None:
                 self.persistent_lookup.insert(hash_key(self.dtype, value), code)
             return code
@@ -391,16 +409,25 @@ class UnsortedDictionary:
         uniques, first_pos, inverse = np.unique(
             arr, return_index=True, return_inverse=True
         )
+        codes = np.empty(len(uniques), dtype=np.uint64)
+        hit = np.zeros(len(uniques), dtype=bool)
         if self.persistent_lookup is not None and self._lookup is None:
             # Restart path: probe NVM per distinct value rather than
             # forcing the O(delta-dict) volatile rebuild.
             lookup = self.code_of
         else:
             self._ensure_lookup()
-            lookup = self._lookup.get
-        codes = np.empty(len(uniques), dtype=np.uint64)
+            run, run_codes, tail = self._lookup
+            lookup = tail.get
+            if run.size:
+                # One binary search of the run for every distinct value;
+                # only what it misses is probed in the tail.
+                at = np.minimum(run.searchsorted(uniques), run.size - 1)
+                hit = run[at] == uniques
+                codes[hit] = run_codes[at[hit]]
         missing: list[tuple[int, int, object]] = []
-        for i, value in enumerate(uniques.tolist()):
+        rest = np.flatnonzero(~hit)
+        for i, value in zip(rest.tolist(), uniques[rest].tolist()):
             code = lookup(value)
             if code is None:
                 missing.append((int(first_pos[i]), i, value))
@@ -423,7 +450,7 @@ class UnsortedDictionary:
             for code, (_, i, value) in enumerate(missing, start=base):
                 codes[i] = code
                 if self._lookup is not None:
-                    self._lookup[value] = code
+                    self._lookup[2][value] = code
                 if self.persistent_lookup is not None:
                     self.persistent_lookup.insert(
                         hash_key(self.dtype, value), code
@@ -438,35 +465,30 @@ class SortedDictionary:
         self.dtype = dtype
         self._backend = backend
         self.values = values
-        self._cache = None  # np.ndarray for numerics, list[str] for strings
-        self._values_arr: Optional[np.ndarray] = None
+        self._array: Optional[np.ndarray] = None  # see ``values_array``
 
     @classmethod
     def build(
         cls, dtype: DataType, backend: Backend, sorted_values: Sequence
     ) -> "SortedDictionary":
         """Persist a dictionary from already-sorted, distinct values."""
-        storage = backend.make_vector(_STORAGE_DTYPE[dtype], chunk_capacity=4096)
+        n = len(sorted_values)
+        storage = backend.make_vector(_STORAGE_DTYPE[dtype], one_chunk(n))
         if dtype is DataType.STRING:
-            handles = np.fromiter(
-                (backend.put_str(v) for v in sorted_values),
-                dtype=np.uint64,
-                count=len(sorted_values),
+            raw = np.fromiter(
+                (backend.put_str(v) for v in sorted_values), dtype=np.uint64, count=n
             )
-            if len(sorted_values):
-                storage.extend(handles)
-        elif len(sorted_values):
-            storage.extend(
-                np.asarray(list(sorted_values), dtype=_STORAGE_DTYPE[dtype])
-            )
-        out = cls(dtype, backend, storage)
-        return out
+        else:
+            raw = np.asarray(list(sorted_values), dtype=_STORAGE_DTYPE[dtype])
+        if n:
+            storage.extend(raw)
+        return cls(dtype, backend, storage)
 
     @classmethod
     def attach(
         cls, dtype: DataType, backend: NvmBackend, values_offset: int
     ) -> "SortedDictionary":
-        """Re-open after restart; decode caches fill lazily on first use."""
+        """Re-open after restart; the values are read on first use."""
         return cls(dtype, backend, backend.attach_vector(values_offset))
 
     def __len__(self) -> int:
@@ -476,52 +498,30 @@ class SortedDictionary:
         """Every block this dictionary owns, as ``(offset, nbytes)``."""
         return _value_blocks(self)
 
-    def _materialise(self):
-        if self._cache is None:
-            raw = self.values.to_numpy()
+    def values_array(self) -> np.ndarray:
+        """Values in code (= sorted) order as a read-only numpy array.
+
+        Numerics are the value vector read in place (:meth:`VectorLike.
+        view`); strings are decoded once into an object array. The main
+        dictionary is immutable, so either serves the partition's
+        lifetime.
+        """
+        if self._array is None:
+            raw = self.values.view()
             if self.dtype is DataType.STRING:
-                self._cache = [self._backend.get_str(int(h)) for h in raw]
-            else:
-                self._cache = raw
-        return self._cache
+                get_str = self._backend.get_str
+                raw = np.array([get_str(h) for h in raw.tolist()], dtype=object)
+                raw.flags.writeable = False
+            self._array = raw
+        return self._array
 
     def value_of(self, code: int):
         """Decode one code (codes are positions in sorted order)."""
-        cache = self._materialise()
-        value = cache[code]
-        if self.dtype is DataType.INT64:
-            return int(value)
-        if self.dtype is DataType.FLOAT64:
-            return float(value)
-        return value
+        value = self.values_array()[code]
+        return value if self.dtype is DataType.STRING else value.item()
 
     def values_list(self) -> list:
-        cache = self._materialise()
-        if self.dtype is DataType.STRING:
-            return list(cache)
-        return cache.tolist()
-
-    def values_array(self) -> np.ndarray:
-        """Values in code (= sorted) order as a numpy array.
-
-        int64/float64 for numerics, object for strings. The main
-        dictionary is immutable, so the array is cached for the
-        partition's lifetime. Callers must not mutate the result.
-        """
-        if self._values_arr is None:
-            cache = self._materialise()
-            if self.dtype is DataType.STRING:
-                self._values_arr = np.asarray(cache, dtype=object)
-            else:
-                self._values_arr = np.asarray(
-                    cache,
-                    dtype=(
-                        np.int64
-                        if self.dtype is DataType.INT64
-                        else np.float64
-                    ),
-                )
-        return self._values_arr
+        return self.values_array().tolist()
 
     def decode_array(self, codes: np.ndarray) -> np.ndarray:
         """Decode an array of valid (non-NULL) codes to a values array.
@@ -563,14 +563,8 @@ class SortedDictionary:
 
     def lower_bound(self, value) -> int:
         """First code whose value is >= ``value`` (== len when none)."""
-        cache = self._materialise()
-        if self.dtype is DataType.STRING:
-            return bisect_left(cache, value)
-        return int(np.searchsorted(cache, value, side="left"))
+        return int(np.searchsorted(self.values_array(), value, side="left"))
 
     def upper_bound(self, value) -> int:
         """First code whose value is > ``value`` (== len when none)."""
-        cache = self._materialise()
-        if self.dtype is DataType.STRING:
-            return bisect_right(cache, value)
-        return int(np.searchsorted(cache, value, side="right"))
+        return int(np.searchsorted(self.values_array(), value, side="right"))

@@ -19,7 +19,7 @@ from repro.storage.dictionary import SortedDictionary, nullable_list
 from repro.storage.mvcc import MvccColumns
 from repro.storage.schema import Schema
 from repro.storage.types import Value
-from repro.storage.vector import VectorLike
+from repro.storage.vector import VectorLike, one_chunk
 
 
 class MainColumn:
@@ -48,7 +48,7 @@ class MainColumn:
         """Unpacked uint32 codes (cached — the column is immutable)."""
         if self._codes_cache is None:
             self._codes_cache = bitpack.unpack(
-                self.words.to_numpy(), self.bits, self._row_count
+                self.words.view(), self.bits, self._row_count
             )
         return self._codes_cache
 
@@ -116,17 +116,12 @@ class MainPartition:
                 raise ValueError("ragged main build")
             bits = bitpack.bits_needed(len(dictionary))
             words = bitpack.pack(np.asarray(codes, dtype=np.uint32), bits)
-            # Main is immutable: size chunks exactly so no space is wasted
-            # (capped so a chunk always fits inside one pool extent).
-            words_vec = backend.make_vector(
-                np.uint64, chunk_capacity=min(max(int(words.size), 8), 1 << 19)
-            )
+            # Main is immutable: one chunk sized to it wastes no space.
+            words_vec = backend.make_vector(np.uint64, one_chunk(int(words.size)))
             if words.size:
                 words_vec.extend(words)
             columns.append(MainColumn(dictionary, words_vec, bits, row_count))
-        mvcc = MvccColumns.create(
-            backend, chunk_capacity=min(max(row_count, 8), 1 << 19)
-        )
+        mvcc = MvccColumns.create(backend, chunk_capacity=one_chunk(row_count))
         if row_count:
             mvcc.extend_committed(begin_cids, end_cids)
         return cls(schema, columns, mvcc, row_count)

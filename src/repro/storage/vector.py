@@ -3,8 +3,8 @@
 :class:`~repro.nvm.pvector.PVector` (persistent) and
 :class:`VolatileVector` (DRAM) expose the same surface —
 ``append``/``extend``/``get``/``set``/``set_range``/``__len__``/
-``to_numpy``/``take``/``iter_views``/``blocks`` — so partition code is
-written once and runs on either.
+``to_numpy``/``view``/``take``/``iter_views``/``blocks`` — so partition
+code is written once and runs on either.
 """
 
 from __future__ import annotations
@@ -38,9 +38,19 @@ class VectorLike(Protocol):
 
     def take(self, indices, limit: Optional[int] = None) -> np.ndarray: ...
 
+    def view(self) -> np.ndarray: ...
+
     def iter_views(self) -> Iterator[np.ndarray]: ...
 
     def blocks(self) -> Iterator[tuple[int, int]]: ...
+
+
+def one_chunk(n: int) -> int:
+    """Chunk capacity of an immutable structure of ``n`` elements: one
+    chunk sized to it, so :meth:`VectorLike.view` reads it in place —
+    up to ``1 << 19`` elements (4 MiB of 8-byte ones, so a chunk fits a
+    pool extent); past that it spans chunks and ``view`` copies."""
+    return min(max(n, 8), 1 << 19)
 
 
 class VolatileVector:

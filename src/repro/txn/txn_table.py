@@ -29,6 +29,8 @@ import struct
 import threading
 from typing import Iterator
 
+import numpy as np
+
 from repro.nvm.pool import PMemPool
 from repro.txn.errors import TooManyActiveTransactions
 
@@ -83,8 +85,7 @@ class PersistentTxnTable:
         # Volatile caches: free slots and, per busy slot, the offset of
         # the last undo chunk (for O(1) appends).
         self._free: list[int] = [
-            i for i in range(self.slot_count)
-            if pool.read_u64(self._slot(i) + _S_STATE) == SLOT_FREE
+            i for i, (state, *_) in enumerate(self._slots()) if state == SLOT_FREE
         ]
         self._tail_chunk: dict[int, int] = {}
         self._chunk_pool: list[int] = []
@@ -110,6 +111,12 @@ class PersistentTxnTable:
 
     def _slot(self, index: int) -> int:
         return self.offset + 64 + index * _SLOT_BYTES
+
+    def _slots(self) -> list[list[int]]:
+        """``[state, tid, cid]`` of every slot, read in one go."""
+        n = self.slot_count * _SLOT_BYTES // 8
+        words = self._pool.read_array(self._slot(0), np.uint64, n)
+        return words.reshape(self.slot_count, -1)[:, :3].tolist()
 
     def blocks(self) -> list[tuple[int, int]]:
         """Every pool block the table owns, as ``(offset, nbytes)``:
@@ -249,10 +256,9 @@ class PersistentTxnTable:
 
     def in_flight(self) -> Iterator[tuple[int, int, int, int]]:
         """Yield (slot, state, tid, cid) for every non-FREE slot."""
-        for i in range(self.slot_count):
-            state = self.state(i)
+        for i, (state, tid, cid) in enumerate(self._slots()):
             if state != SLOT_FREE:
-                yield i, state, self.tid(i), self.cid(i)
+                yield i, state, tid, cid
 
 
 class VolatileTxnTable:

@@ -41,22 +41,22 @@ def wal_commit(writer, tid: int, cid: int) -> None:
 
 
 def stall_first_snapshot(dictionary, hold: float = 0.3):
-    """Make the first ``values_list()`` on ``dictionary`` linger after it
-    has read the values: it sets ``snapshotted``, then waits up to
+    """Make the first ``values_array()`` on ``dictionary`` linger after
+    it has read the values: it sets ``snapshotted``, then waits up to
     ``hold`` seconds for ``resume``. That is the window of the lookup
     rebuild — a writer let in here appends a value the snapshot lacks.
     Returns ``(snapshotted, resume)``."""
     snapshotted, resume = threading.Event(), threading.Event()
-    original = dictionary.values_list
+    original = dictionary.values_array
 
-    def values_list():
+    def values_array():
         values = original()
         if not snapshotted.is_set():
             snapshotted.set()
             resume.wait(hold)
         return values
 
-    dictionary.values_list = values_list
+    dictionary.values_array = values_array
     return snapshotted, resume
 
 

@@ -31,6 +31,17 @@ class TestRoundtrip:
         words = bitpack.pack(codes, bits)
         assert (bitpack.unpack(words, bits, 777) == codes).all()
 
+    @pytest.mark.parametrize("count", [8191, 8192, 8193, 3 * 8192 + 5])
+    @pytest.mark.parametrize("bits", [1, 13, 32])
+    def test_across_unpack_blocks(self, bits, count):
+        """A full unpack goes 8,192 codes at a time; every block edge,
+        and a code straddling a word there, comes back intact."""
+        rng = np.random.default_rng(count + bits)
+        codes = rng.integers(0, 2**bits, size=count).astype(np.uint32)
+        words = bitpack.pack(codes, bits)
+        words.flags.writeable = False  # a main column's words, read in place
+        assert (bitpack.unpack(words, bits, count) == codes).all()
+
     def test_empty(self):
         words = bitpack.pack(np.empty(0, dtype=np.uint32), 7)
         assert bitpack.unpack(words, 7, 0).size == 0
