@@ -8,16 +8,20 @@ Layout::
 
     header (64 B, cache-line aligned)
       +0   size            committed element count (the publish point)
-      +8   dtype_code
+      +8   dtype_code      | 0x100 when the vector has a fill value
       +16  chunk_capacity  elements per chunk
       +24  num_chunks      committed chunk count
       +32  dir_offset      -> directory block
-      +40  reserved
+      +40  fill            the fill value, in the word's low bytes
     directory block
       +0   capacity        number of slots
-      +8   slot[0..cap)    chunk offsets (u64 each)
+      +8   slot[0..cap)    chunk offsets (u64 each); 0 = not materialised
     chunk
       raw element payload, chunk_capacity * itemsize bytes
+
+With a ``fill``, a chunk nothing but the fill was stored to is a 0
+slot: it reads as the fill and owns no pool block until a store
+materialises it (``_materialise``). Vectors without one have no 0 slot.
 
 Crash atomicity follows the paper's recipe: payload is written and
 flushed *first*, the persist barrier drains it, and only then is the
@@ -37,6 +41,7 @@ payload, so only an owner that bounds reads by another vector's length
 
 from __future__ import annotations
 
+import threading
 from typing import Iterator, Optional
 
 import numpy as np
@@ -57,13 +62,17 @@ DTYPE_CODES = {
 _CODE_FOR_DTYPE = {v: k for k, v in DTYPE_CODES.items()}
 
 _OFF_SIZE = 0
-_OFF_DTYPE = 8
-_OFF_CHUNK_CAP = 16
 _OFF_NUM_CHUNKS = 24
 _OFF_DIR = 32
+_HAS_FILL = 0x100
 
 DEFAULT_CHUNK_CAPACITY = 8192
 _INITIAL_DIR_CAPACITY = 16
+
+#: Serialises materialisation (and the directory growth that copies
+#: slots) across every vector: it happens once per chunk, so one lock
+#: costs nothing, and an attach builds none.
+_MATERIALISE_LOCK = threading.Lock()
 
 
 def checked_indices(indices, bound: int) -> np.ndarray:
@@ -85,11 +94,15 @@ class PVector:
     def __init__(self, pool: PMemPool, offset: int):
         self._pool = pool
         self.offset = offset
-        # One read for the header's five words, one for the directory.
-        header = pool.read_array(offset, np.uint64, 5).tolist()
-        self._size, dtype, self._chunk_cap, self._num_chunks, dir_offset = header
-        self._dtype = DTYPE_CODES[dtype]
+        # One read for the header's six words, one for the directory.
+        header = pool.read_array(offset, np.uint64, 6)
+        self._size, dtype, self._chunk_cap, self._num_chunks, dir_offset, _ = (
+            header.tolist()
+        )
+        self._dtype = DTYPE_CODES[dtype & ~_HAS_FILL]
         self._itemsize = self._dtype.itemsize
+        # What an unmaterialised chunk reads as (None without a fill).
+        self._fill = header[5:].view(self._dtype)[0] if dtype & _HAS_FILL else None
         directory = pool.read_array(dir_offset, np.uint64, 1 + self._num_chunks)
         # (offset, capacity) of every directory this handle has known,
         # the live one last: one value, replaced in one store, so
@@ -115,8 +128,11 @@ class PVector:
         pool: PMemPool,
         dtype: np.dtype,
         chunk_capacity: int = DEFAULT_CHUNK_CAPACITY,
+        fill=None,
     ) -> "PVector":
-        """Allocate and persist an empty vector; returns the handle."""
+        """Allocate and persist an empty vector; returns the handle.
+        With a ``fill``, chunks nothing was stored to read as it and
+        take no space (see the module docstring)."""
         dtype = np.dtype(dtype)
         if dtype not in _CODE_FOR_DTYPE:
             raise NvmError(f"unsupported dtype {dtype}")
@@ -126,11 +142,13 @@ class PVector:
         dir_off = pool.allocate(8 + 8 * _INITIAL_DIR_CAPACITY)
         pool.write_u64(dir_off, _INITIAL_DIR_CAPACITY)
         pool.persist(dir_off, 8)
-        pool.write_u64(header + _OFF_SIZE, 0)
-        pool.write_u64(header + _OFF_DTYPE, _CODE_FOR_DTYPE[dtype])
-        pool.write_u64(header + _OFF_CHUNK_CAP, chunk_capacity)
-        pool.write_u64(header + _OFF_NUM_CHUNKS, 0)
-        pool.write_u64(header + _OFF_DIR, dir_off)
+        words = np.array(
+            [0, _CODE_FOR_DTYPE[dtype], chunk_capacity, 0, dir_off, 0], np.uint64
+        )
+        if fill is not None:
+            words[1] |= _HAS_FILL
+            words[5:].view(dtype)[0] = fill
+        pool.write_array(header, words)
         pool.persist(header, HEADER_BYTES)
         return cls(pool, header)
 
@@ -156,13 +174,14 @@ class PVector:
 
     def blocks(self) -> Iterator[tuple[int, int]]:
         """Every pool block this vector owns, as ``(offset, nbytes)``:
-        header, live and outgrown directories, chunks."""
+        header, live and outgrown directories, materialised chunks."""
         yield self.offset, HEADER_BYTES
         for dir_offset, dir_capacity in self._dirs:
             yield dir_offset, 8 + 8 * dir_capacity
         chunk_bytes = self._chunk_cap * self._itemsize
         for chunk_off in list(self._chunks):
-            yield chunk_off, chunk_bytes
+            if chunk_off:
+                yield chunk_off, chunk_bytes
 
     # ------------------------------------------------------------------
     # Chunk management
@@ -177,21 +196,22 @@ class PVector:
         pool = self._pool
         new_cap = self._dirs[-1][1] * 2
         new_dir = pool.allocate(8 + 8 * new_cap)
-        pool.write_u64(new_dir, new_cap)
-        for i, chunk_off in enumerate(self._chunks):
-            pool.write_u64(new_dir + 8 + 8 * i, chunk_off)
-        pool.persist(new_dir, 8 + 8 * len(self._chunks))
-        # Single atomic store publishes the new directory (its capacity
-        # travels inside the block, so no second store is needed).
-        pool.write_u64(self.offset + _OFF_DIR, new_dir)
-        pool.persist(self.offset + _OFF_DIR, 8)
-        self._dirs = (*self._dirs, (new_dir, new_cap))
+        with _MATERIALISE_LOCK:  # no slot changes behind the copy
+            pool.write_array(new_dir, np.array([new_cap, *self._chunks], np.uint64))
+            pool.persist(new_dir, 8 + 8 * len(self._chunks))
+            # Single atomic store publishes the new directory (its
+            # capacity travels inside the block, so no second store).
+            pool.write_u64(self.offset + _OFF_DIR, new_dir)
+            pool.persist(self.offset + _OFF_DIR, 8)
+            self._dirs = (*self._dirs, (new_dir, new_cap))
 
-    def _add_chunk(self) -> int:
+    def _add_chunk(self) -> None:
+        """One more chunk: allocated, or with a fill a 0 slot."""
         pool = self._pool
         if self._num_chunks == self._dirs[-1][1]:
             self._grow_directory()
-        chunk_off = pool.allocate(self._chunk_cap * self._itemsize)
+        chunk_bytes = self._chunk_cap * self._itemsize
+        chunk_off = 0 if self._fill is not None else pool.allocate(chunk_bytes)
         slot = self._dirs[-1][0] + 8 + 8 * self._num_chunks
         pool.write_u64(slot, chunk_off)
         pool.persist(slot, 8)
@@ -201,12 +221,36 @@ class PVector:
         # simulated power cut in here must find count and list agree.
         self._num_chunks += 1
         self._chunks.append(chunk_off)
-        return chunk_off
 
-    def _element_offset(self, index: int) -> int:
-        chunk = index // self._chunk_cap
-        slot = index % self._chunk_cap
-        return self._chunks[chunk] + slot * self._itemsize
+    def _materialise(self, chunk: int) -> int:
+        """Give an unmaterialised chunk its block; returns its offset.
+        Fill, flush, **drain**, then the slot, persisted: a slot durable
+        ahead of its fill leads a restart to whatever the block held. The
+        list entry goes last, so no reader meets a block being filled."""
+        with _MATERIALISE_LOCK:
+            chunk_off = self._chunks[chunk]
+            if chunk_off:
+                return chunk_off
+            pool = self._pool
+            nbytes = self._chunk_cap * self._itemsize
+            chunk_off = pool.allocate(nbytes)
+            pool.write_array(chunk_off, np.broadcast_to(self._fill, self._chunk_cap))
+            pool.flush(chunk_off, nbytes)
+            pool.drain()
+            slot = self._dirs[-1][0] + 8 + 8 * chunk
+            pool.write_u64(slot, chunk_off)
+            pool.persist(slot, 8)
+            self._chunks[chunk] = chunk_off
+            return chunk_off
+
+    def _chunk_for_store(self, chunk: int, values: np.ndarray) -> int:
+        """Offset of ``chunk`` for a store of ``values``, materialising
+        it first when it reads as the fill and they are not all fill;
+        0 when the store is a no-op."""
+        chunk_off = self._chunks[chunk]
+        if not chunk_off and not (values == self._fill).all():
+            chunk_off = self._materialise(chunk)
+        return chunk_off
 
     def _publish_size(self, new_size: int, fence: bool = True) -> None:
         self._pool.write_u64(self.offset + _OFF_SIZE, new_size)
@@ -222,12 +266,15 @@ class PVector:
     def append(self, value) -> int:
         """Durably append one element; returns its index."""
         index = self._size
-        if index // self._chunk_cap >= self._num_chunks:
+        chunk, slot = divmod(index, self._chunk_cap)
+        if chunk >= self._num_chunks:
             self._add_chunk()
-        off = self._element_offset(index)
-        payload = np.asarray(value, dtype=self._dtype).tobytes()
-        self._pool.write(off, payload)
-        self._pool.persist(off, self._itemsize)
+        payload = np.asarray(value, dtype=self._dtype)
+        chunk_off = self._chunk_for_store(chunk, payload)
+        if chunk_off:
+            off = chunk_off + slot * self._itemsize
+            self._pool.write(off, payload.tobytes())
+            self._pool.persist(off, self._itemsize)
         self._publish_size(index + 1)
         return index
 
@@ -237,28 +284,20 @@ class PVector:
         The whole batch becomes visible atomically: payload chunks are
         flushed first, then one size store publishes everything.
         ``fence=False`` flushes payload and size and drains neither.
+        With a fill, a chunk whose part of the batch is all fill is
+        never allocated.
         """
-        values = np.ascontiguousarray(values, dtype=self._dtype)
+        values = np.asarray(values, dtype=self._dtype)
         first = self._size
         if values.size == 0:
             return first
-        cursor = first
-        remaining = values
-        pool = self._pool
-        while remaining.size > 0:
-            if cursor // self._chunk_cap >= self._num_chunks:
-                self._add_chunk()
-            slot = cursor % self._chunk_cap
-            room = self._chunk_cap - slot
-            part = remaining[:room]
-            off = self._chunks[cursor // self._chunk_cap] + slot * self._itemsize
-            pool.write_array(off, part)
-            pool.flush(off, part.nbytes)
-            cursor += int(part.size)
-            remaining = remaining[room:]
+        end = first + values.size
+        while self._num_chunks * self._chunk_cap < end:
+            self._add_chunk()
+        self._store(first, values)
         if fence:
-            pool.drain()
-        self._publish_size(cursor, fence)
+            self._pool.drain()
+        self._publish_size(end, fence)
         return first
 
     def set(self, index: int, value, fence: bool = True) -> None:
@@ -270,9 +309,13 @@ class PVector:
         """
         if index >= self._size:
             raise IndexError(f"set({index}) beyond size {self._size}")
-        off = self._element_offset(index)
-        self._pool.write(off, np.asarray(value, dtype=self._dtype).tobytes())
-        self._pool.flush(off, self._itemsize)
+        chunk, slot = divmod(index, self._chunk_cap)
+        payload = np.asarray(value, dtype=self._dtype)
+        chunk_off = self._chunk_for_store(chunk, payload)
+        if chunk_off:
+            off = chunk_off + slot * self._itemsize
+            self._pool.write(off, payload.tobytes())
+            self._pool.flush(off, self._itemsize)
         if fence:
             self._pool.drain()
 
@@ -285,7 +328,7 @@ class PVector:
         part and a single drain (none with ``fence=False``) — instead
         of one persist per element.
         """
-        values = np.ascontiguousarray(values, dtype=self._dtype)
+        values = np.asarray(values, dtype=self._dtype)
         if start + values.size > self._size:
             raise IndexError(
                 f"set_range([{start}, {start + values.size})) beyond "
@@ -293,20 +336,25 @@ class PVector:
             )
         if values.size == 0:
             return
-        pool = self._pool
-        cursor = start
-        remaining = values
-        while remaining.size > 0:
-            slot = cursor % self._chunk_cap
-            room = self._chunk_cap - slot
-            part = remaining[:room]
-            off = self._chunks[cursor // self._chunk_cap] + slot * self._itemsize
-            pool.write_array(off, part)
-            pool.flush(off, part.nbytes)
-            cursor += int(part.size)
-            remaining = remaining[room:]
+        self._store(start, values)
         if fence:
-            pool.drain()
+            self._pool.drain()
+
+    def _store(self, start: int, values: np.ndarray) -> None:
+        """Write ``values`` from ``start`` on (its chunks exist), one
+        flush per touched chunk part, skipping a part that is all fill
+        bound for a chunk that reads as the fill."""
+        pool, cap = self._pool, self._chunk_cap
+        while values.size:
+            chunk, slot = divmod(start, cap)
+            part = values[: cap - slot]
+            chunk_off = self._chunk_for_store(chunk, part)
+            if chunk_off:
+                off = chunk_off + slot * self._itemsize
+                pool.write_array(off, part)
+                pool.flush(off, part.nbytes)
+            start += part.size
+            values = values[part.size :]
 
     # ------------------------------------------------------------------
     # Reads
@@ -316,8 +364,11 @@ class PVector:
         """Read one element (returns a numpy scalar)."""
         if index >= self._size:
             raise IndexError(f"get({index}) beyond size {self._size}")
-        off = self._element_offset(index)
-        data = self._pool.read(off, self._itemsize)
+        chunk, slot = divmod(index, self._chunk_cap)
+        chunk_off = self._chunks[chunk]
+        if not chunk_off:
+            return self._fill
+        data = self._pool.read(chunk_off + slot * self._itemsize, self._itemsize)
         return np.frombuffer(data, dtype=self._dtype)[0]
 
     def __getitem__(self, index: int):
@@ -336,11 +387,14 @@ class PVector:
         """
         base = self._chunk_views.get(chunk_index)
         if base is None:
+            chunk_off = self._chunks[chunk_index]
+            if not chunk_off:
+                # The fill, read from no pool memory; never cached, or
+                # it would outlive the chunk's materialisation.
+                base = np.broadcast_to(self._fill, self._chunk_cap)
+                return base if count is None else base[:count]
             base = self._pool.view(
-                self._chunks[chunk_index],
-                self._dtype,
-                self._chunk_cap,
-                charge=False,
+                chunk_off, self._dtype, self._chunk_cap, charge=False
             )
             self._chunk_views[chunk_index] = base
         if count is None:

@@ -17,7 +17,6 @@ from repro.storage.dictionary import SortedDictionary, UnsortedDictionary
 from repro.storage.delta import DeltaPartition
 from repro.storage.main import MainPartition
 from repro.storage.table import Table
-from repro.storage.merge import merge_table
 
 __all__ = [
     "Backend",
@@ -38,5 +37,4 @@ __all__ = [
     "VectorLike",
     "VolatileBackend",
     "VolatileVector",
-    "merge_table",
 ]

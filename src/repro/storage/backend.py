@@ -25,9 +25,10 @@ class Backend(ABC):
 
     @abstractmethod
     def make_vector(
-        self, dtype: np.dtype, chunk_capacity: int = DEFAULT_CHUNK_CAPACITY
+        self, dtype: np.dtype, chunk_capacity: int = DEFAULT_CHUNK_CAPACITY, fill=None
     ) -> VectorLike:
-        """Create a new empty vector of ``dtype``."""
+        """Create a new empty vector of ``dtype``; with a ``fill``, one
+        whose chunks take no space until a store (DRAM ignores it)."""
 
     @abstractmethod
     def put_blob(self, payload: bytes) -> int:
@@ -57,7 +58,7 @@ class VolatileBackend(Backend):
         self._blobs: list[bytes] = []
 
     def make_vector(
-        self, dtype: np.dtype, chunk_capacity: int = DEFAULT_CHUNK_CAPACITY
+        self, dtype: np.dtype, chunk_capacity: int = DEFAULT_CHUNK_CAPACITY, fill=None
     ) -> VolatileVector:
         return VolatileVector(dtype)
 
@@ -82,9 +83,9 @@ class NvmBackend(Backend):
         self.heap = PHeap(pool)
 
     def make_vector(
-        self, dtype: np.dtype, chunk_capacity: int = DEFAULT_CHUNK_CAPACITY
+        self, dtype: np.dtype, chunk_capacity: int = DEFAULT_CHUNK_CAPACITY, fill=None
     ) -> PVector:
-        return PVector.create(self.pool, dtype, chunk_capacity)
+        return PVector.create(self.pool, dtype, chunk_capacity, fill)
 
     def attach_vector(self, offset: int) -> PVector:
         """Re-open a persisted vector by pool offset (after restart)."""

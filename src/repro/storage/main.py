@@ -16,7 +16,7 @@ from repro.nvm.pvector import checked_indices
 from repro.storage import bitpack
 from repro.storage.backend import Backend
 from repro.storage.dictionary import SortedDictionary, nullable_list
-from repro.storage.mvcc import MvccColumns
+from repro.storage.mvcc import INFINITY_CID, NO_TID, MvccColumns
 from repro.storage.schema import Schema
 from repro.storage.types import Value
 from repro.storage.vector import VectorLike, one_chunk
@@ -121,7 +121,15 @@ class MainPartition:
             if words.size:
                 words_vec.extend(words)
             columns.append(MainColumn(dictionary, words_vec, bits, row_count))
-        mvcc = MvccColumns.create(backend, chunk_capacity=one_chunk(row_count))
+        # ``end`` and ``tid`` read as "live, unlocked" until a delete or
+        # update stores into one of their ~8,192-row chunks (64 KiB).
+        chunks = max(-(-row_count // 8192), 1)
+        chunk = max(-(-row_count // chunks), 8)
+        mvcc = MvccColumns(
+            backend.make_vector(np.uint64, one_chunk(row_count)),
+            backend.make_vector(np.uint64, chunk, fill=INFINITY_CID),
+            backend.make_vector(np.uint64, chunk, fill=NO_TID),
+        )
         if row_count:
             mvcc.extend_committed(begin_cids, end_cids)
         return cls(schema, columns, mvcc, row_count)

@@ -1,15 +1,10 @@
 """Merge: fold the delta into a fresh main generation.
 
-Two entry points share the same vectorized kernels:
-
-* :func:`merge_table` — the quiesced one-shot (no active transactions;
-  the caller publishes the returned pair). Tests and the LOG-replay
-  path use it directly.
-* the **online merge** building blocks — :func:`freeze_plan`,
-  :func:`fold_generation`, :func:`fixup_mvcc`,
-  :func:`rebuild_tail_delta`, :func:`replay_merge` — which
-  ``Database.merge`` composes into freeze → fold → cutover so the
-  compaction runs concurrently with readers and writers.
+The building blocks — :func:`freeze_plan`, :func:`fold_generation`,
+:func:`fixup_mvcc`, :func:`rebuild_tail_delta` — are what
+``Database.merge`` composes into freeze → fold → cutover, so the
+compaction runs concurrently with readers and writers;
+:func:`replay_merge` repeats a logged one during LOG replay.
 
 The online protocol:
 
@@ -428,27 +423,6 @@ def replay_merge(
     )
     table.publish_content(new_main, new_delta)
     table.generation += 1
-
-
-def merge_table(
-    table: Table, backend: Backend
-) -> tuple[MainPartition, DeltaPartition]:
-    """Build the next main/delta generation for ``table`` (quiesced).
-
-    The caller is responsible for quiescing transactions and for
-    publishing the returned partitions (atomically, on NVM). With no
-    active transactions the horizon degenerates and the survivors are
-    exactly the committed, non-invalidated rows.
-    """
-    plan = freeze_plan(table)
-    new_main = fold_generation(table, plan, backend)
-    with trace_phase("build_generation", phase="delta"):
-        new_delta = DeltaPartition.create(
-            table.schema,
-            backend,
-            persistent_dict_index=_uses_persistent_index(table.delta),
-        )
-    return new_main, new_delta
 
 
 def _sorted_domain(

@@ -116,10 +116,11 @@ class MvccColumns:
     def extend_committed(
         self, begin_cids: np.ndarray, end_cids: np.ndarray
     ) -> None:
-        """Bulk-load MVCC state (merge / checkpoint load paths)."""
+        """Bulk-load MVCC state, every row unlocked (merge / checkpoint
+        load paths): a ``tid`` with ``NO_TID`` as its fill stores none."""
         self.begin.extend(np.asarray(begin_cids, dtype=np.uint64))
         self.end.extend(np.asarray(end_cids, dtype=np.uint64))
-        self.tid.extend(np.full(len(begin_cids), NO_TID, dtype=np.uint64))
+        self.tid.extend(np.broadcast_to(np.uint64(NO_TID), len(begin_cids)))
 
     # ------------------------------------------------------------------
     # Row-level accessors

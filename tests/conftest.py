@@ -9,6 +9,8 @@ import pytest
 from repro.core.config import DurabilityMode, EngineConfig
 from repro.core.database import Database
 from repro.nvm.pool import PMemMode, PMemPool
+from repro.storage.delta import DeltaPartition
+from repro.storage.merge import fold_generation, freeze_plan
 
 SMALL_EXTENT = 2 * 1024 * 1024
 
@@ -58,6 +60,14 @@ def stall_first_snapshot(dictionary, hold: float = 0.3):
 
     dictionary.values_array = values_array
     return snapshotted, resume
+
+
+def merge_table(table, backend) -> tuple:
+    """The merge, quiesced and outside an engine, for tests that drive a
+    bare ``Table``: the next ``(main, delta)`` pair, which the caller
+    publishes."""
+    new_main = fold_generation(table, freeze_plan(table), backend)
+    return new_main, DeltaPartition.create(table.schema, backend)
 
 
 def make_config(mode: DurabilityMode, **overrides) -> EngineConfig:

@@ -48,7 +48,7 @@ class TestSnapshotRestore:
         )
 
     def test_roundtrip_with_main(self):
-        from repro.storage.merge import merge_table
+        from tests.conftest import merge_table
 
         backend = VolatileBackend()
         table = _populated_table(backend)

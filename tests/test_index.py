@@ -7,11 +7,12 @@ from repro.index.delta_index import PersistentDeltaIndex, VolatileDeltaIndex
 from repro.index.groupkey import GroupKeyIndex
 from repro.index.table_index import TableIndex
 from repro.storage.backend import NvmBackend, VolatileBackend
-from repro.storage.merge import merge_table
 from repro.storage.mvcc import NO_TID
 from repro.storage.schema import Schema
 from repro.storage.table import Table, unpack_rowref
 from repro.storage.types import DataType
+
+from tests.conftest import merge_table
 
 SCHEMA = Schema.of(k=DataType.INT64, v=DataType.STRING)
 

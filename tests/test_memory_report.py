@@ -7,6 +7,7 @@ from repro.core.config import DurabilityMode
 from repro.core.database import Database
 from repro.nvm.phash import PHashMap
 from repro.nvm.pvector import PVector
+from repro.query.predicate import Eq
 from repro.storage.types import DataType
 from repro.storage.vector import VolatileVector
 
@@ -100,6 +101,25 @@ class TestMemoryReport:
         assert sizes["plain"]["delta_dictionaries"] > 64 * 100  # the blobs
         assert sizes["persistent"]["delta_dictionaries"] > sizes["plain"]["delta_dictionaries"]
         assert sizes["persistent"]["indexes"] > sizes["plain"]["indexes"]
+
+    def test_main_mvcc_is_paid_for_only_where_rows_changed(self, tmp_path):
+        """A merged main stores ``begin``; ``end`` and ``tid`` read as
+        ∞ and ``NO_TID`` until a delete stores into one chunk of each."""
+        rows = 20_000
+        db = Database(str(tmp_path / "db"), make_config(DurabilityMode.NVM))
+        db.create_table("t", {"a": DataType.INT64})
+        db.bulk_insert("t", [{"a": i} for i in range(rows)])
+        db.merge("t")
+        untouched = db.memory_report()["tables"]["t"]["main_mvcc"]
+        assert untouched <= 9 * rows
+        with db.begin() as txn:
+            txn.delete("t", txn.query("t", Eq("a", 5)).refs()[0])
+        end = db.table("t").main.mvcc.end
+        chunk = end.chunk_capacity * end.dtype.itemsize
+        assert db.memory_report()["tables"]["t"]["main_mvcc"] == untouched + 2 * chunk
+        assert db.memory_report()["unreachable"] == 0
+        assert db.query("t").count == rows - 1
+        db.close()
 
     def test_packing_saves_space(self, tmp_path):
         """Bit-packed main codes are smaller than 4-byte delta codes."""

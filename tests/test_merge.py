@@ -1,13 +1,16 @@
 """Unit tests for the merge process."""
 
+import numpy as np
 import pytest
 
 from repro.storage.backend import NvmBackend, VolatileBackend
-from repro.storage.merge import merge_table
+from repro.storage.merge import replay_merge
 from repro.storage.mvcc import NO_TID
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 from repro.storage.types import DataType
+
+from tests.conftest import merge_table
 
 
 @pytest.fixture(params=["volatile", "nvm"])
@@ -130,7 +133,8 @@ class TestMerge:
         backend = NvmBackend(pool)
         table = Table.create(1, "t", SCHEMA, backend, persistent_dict_index=True)
         _commit_row(table, [1, "a"], cid=1)
-        __, new_delta = merge_table(table, backend)
+        replay_merge(table, backend, 1, np.zeros(0, bool), np.ones(1, bool))
+        assert table.main_row_count == 1
         assert all(
-            d.persistent_lookup is not None for d in new_delta.dictionaries
+            d.persistent_lookup is not None for d in table.delta.dictionaries
         )

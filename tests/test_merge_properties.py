@@ -3,12 +3,13 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.storage.backend import VolatileBackend
-from repro.storage.merge import merge_table
 from repro.storage.mvcc import NO_TID
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 from repro.storage.types import DataType
 from repro.query.scan import scan
+
+from tests.conftest import merge_table
 
 SCHEMA = Schema.of(k=DataType.INT64, s=DataType.STRING, f=DataType.FLOAT64)
 

@@ -1,5 +1,8 @@
 """Unit tests for the persistent vector."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -93,6 +96,40 @@ class TestGrowth:
         views = list(v.iter_views())
         assert [len(view) for view in views] == [8, 8, 4]
         assert list(np.concatenate(views)) == list(range(20))
+
+
+class TestFill:
+    def test_racing_first_stores_materialise_each_chunk_once(self, pool):
+        """Eight threads store into the same unmaterialised chunks at
+        once: every store lands, and each chunk gets one block — a
+        second one would take the stores the first had already got."""
+        cap, chunks, writers = 64, 64, 8
+        vec = PVector.create(pool, np.uint64, chunk_capacity=cap, fill=0)
+        vec.extend(np.zeros(cap * chunks, dtype=np.uint64))
+        before = pool.space()["allocated_bytes"]
+        start = threading.Barrier(writers)
+
+        def store(t):
+            start.wait(timeout=30)
+            for c in range(chunks):
+                vec.set(c * cap + t, t + 1)
+
+        threads = [threading.Thread(target=store, args=(t,)) for t in range(writers)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        expected = np.zeros((chunks, cap), dtype=np.uint64)
+        expected[:, :writers] = np.arange(1, writers + 1)
+        for reader in (vec, PVector.attach(pool, vec.offset)):
+            assert reader.to_numpy().tolist() == expected.ravel().tolist()
+        assert pool.space()["allocated_bytes"] - before == chunks * cap * 8
 
 
 class TestPersistence:

@@ -12,19 +12,27 @@ operation of a commit issues. Two things keep that table honest:
   the insert path cannot lose and the crash sweep must notice — the
   STRICT pool keeps a flushed line's pre-image until the flushing thread
   drains, so a missing fence is as visible as a missing flush.
+
+The table's row for the first store into a fill chunk is pinned the
+same way, by a deterministic crash and a planted mutant of its own.
 """
 
 from __future__ import annotations
 
+import gc
+
+import numpy as np
 import pytest
 
 from repro.core.config import DurabilityMode
 from repro.core.database import Database
+from repro.fault.inject import CrashPointInjector, SimulatedPowerFailure
 from repro.fault.sweep import CrashSweep, SweepSettings
-from repro.nvm.pool import PMemMode
+from repro.nvm.pool import CACHE_LINE, PMemMode
 from repro.nvm.pvector import PVector
 from repro.obs import MetricsRegistry, boundary, set_registry
 from repro.query.predicate import Eq
+from repro.storage.mvcc import NO_TID
 from repro.storage.types import DataType
 
 from tests.conftest import make_config
@@ -181,6 +189,108 @@ def test_a_missing_barrier_fails_the_sweep(tmp_path, monkeypatch):
     monkeypatch.setattr(PVector, "extend", extend_without_the_barrier)
     died_at = _first_failure(_batch_sweep(tmp_path / "mutant"), WINDOW)
     assert died_at is not None, "the simulator cannot see a missing drain"
+
+
+# ----------------------------------------------------------------------
+# The first store into a fill chunk
+# ----------------------------------------------------------------------
+
+
+class _AtTheSlotDrain(CrashPointInjector):
+    """The power fails at the drain meant to make ``slot_line`` durable
+    (the first one issued while that line is flushed and unfenced)."""
+
+    def __init__(self, pool, slot_line):
+        super().__init__(None)
+        self.pool, self.slot_line = pool, slot_line
+
+    def __call__(self, kind):
+        if kind == "drain" and self.slot_line in self.pool._parked:
+            self.crash_at = self.events + 1
+        super().__call__(kind)
+
+
+def _lose_only(pool, lost: range) -> None:
+    """Settle every pending line before the power cut: those inside
+    ``lost`` revert (dirty first, then unfenced, as ``crash`` does),
+    every other one survives."""
+    for pending in (pool._undo, pool._parked):
+        for line, pre_image in pending.items():
+            if line in lost:
+                pool._raw_write(line, pre_image)
+        pending.clear()
+    pool._flushed_by.clear()
+
+
+def _delete_crashing_at_the_tid_slot(path) -> Database:
+    """Delete a row of a merged main on a STRICT pool. The row lock is
+    the first store into the main's ``tid`` chunk, so it materialises
+    the chunk in memory recycled from the merge (poison). The power
+    fails at the drain of the chunk's directory slot, losing every
+    pending line of the chunk and keeping the slot line. Returns the
+    reopened engine."""
+    cfg = make_config(DurabilityMode.NVM, pmem_mode=PMemMode.STRICT)
+    db = Database(str(path), cfg)
+    db.create_table("accounts", ACCOUNTS)
+    db.insert_many(
+        "accounts", [{"id": i, "grp": f"g{i % 4}", "qty": i} for i in range(1000)]
+    )
+    db.merge("accounts")
+    gc.collect()  # the old delta's blocks are free, and poisoned
+    tid = db.table("accounts").main.mvcc.tid
+    slot = tid._dirs[-1][0] + 8  # chunk 0's: every row lives there
+    txn = db.begin()
+    ref = txn.query("accounts", Eq("id", 5)).refs()[0]
+    with _AtTheSlotDrain(db._pool, slot // CACHE_LINE * CACHE_LINE) as cut:
+        with pytest.raises(SimulatedPowerFailure):
+            txn.delete("accounts", ref)
+        assert cut.fired
+        chunk_off = db._pool.read_u64(slot)
+        _lose_only(db._pool, range(chunk_off, chunk_off + tid.chunk_capacity * 8))
+        db.crash()
+    return Database(str(path), cfg)
+
+
+def _materialise_without_the_drain(self, chunk):
+    pool = self._pool
+    nbytes = self._chunk_cap * self._itemsize
+    chunk_off = pool.allocate(nbytes)
+    pool.write_array(chunk_off, np.broadcast_to(self._fill, self._chunk_cap))
+    pool.flush(chunk_off, nbytes)  # the drain that belongs here is gone
+    slot = self._dirs[-1][0] + 8 + 8 * chunk
+    pool.write_u64(slot, chunk_off)
+    pool.persist(slot, 8)
+    self._chunks[chunk] = chunk_off
+    return chunk_off
+
+
+def test_a_fill_chunk_is_filled_before_its_slot_is_durable(tmp_path):
+    """fill ⟶ drain ⟶ slot: a crash at the slot's drain that keeps the
+    slot and loses the chunk's lines recovers rows that read the fill —
+    unlocked — not whatever the recycled block held."""
+    db = _delete_crashing_at_the_tid_slot(tmp_path / "db")
+    try:
+        main = db.table("accounts").main
+        assert (main.mvcc.tid_array() == NO_TID).all()
+        assert db.verify() == []
+        with db.begin() as txn:  # a neighbour of the row is not locked
+            txn.delete("accounts", txn.query("accounts", Eq("id", 6)).refs()[0])
+        assert db.query("accounts").count == 999
+    finally:
+        db.close()
+
+
+def test_a_slot_published_before_its_fill_fails_that_test(tmp_path, monkeypatch):
+    """The planted mutant: no drain between fill and slot. The same
+    crash then recovers a slot that leads to poison."""
+    monkeypatch.setattr(PVector, "_materialise", _materialise_without_the_drain)
+    db = _delete_crashing_at_the_tid_slot(tmp_path / "db")
+    try:
+        tid = db.table("accounts").main.mvcc.tid_array()
+        assert (tid != NO_TID).any()
+        assert any("still locked" in problem for problem in db.verify())
+    finally:
+        db.close()
 
 
 def test_flushed_is_not_durable_for_the_engine_either(tmp_path):

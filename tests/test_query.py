@@ -19,11 +19,12 @@ from repro.query.predicate import (
 )
 from repro.query.scan import scan
 from repro.storage.backend import VolatileBackend
-from repro.storage.merge import merge_table
 from repro.storage.mvcc import NO_TID
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 from repro.storage.types import DataType
+
+from tests.conftest import merge_table
 
 SCHEMA = Schema.of(id=DataType.INT64, grade=DataType.STRING, score=DataType.FLOAT64)
 

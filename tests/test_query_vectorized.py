@@ -27,11 +27,12 @@ from repro.query.join import (
 from repro.query.predicate import Eq, Gt, In
 from repro.query.scan import scan
 from repro.storage.backend import VolatileBackend
-from repro.storage.merge import merge_table
 from repro.storage.mvcc import NO_TID
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 from repro.storage.types import DataType
+
+from tests.conftest import merge_table
 
 SCHEMA = Schema.of(
     id=DataType.INT64,
