@@ -1,24 +1,24 @@
-"""E7 — design ablation: persistent vs volatile delta index structures.
+"""E7 — cost of the volatile delta-index catch-up.
 
-DESIGN.md decision 4/5: Hyrise-NV keeps index *data* on NVM; the delta
-dictionary lookup hash and delta index can either live on NVM too
-(attach instantly, pay flushes per insert) or stay volatile (free
-inserts, O(delta) rebuild on first use after restart).
+DESIGN.md decision 4: the main group-key index is on NVM and attaches
+with the main generation; the delta index and the delta dictionary's
+lookup are volatile. After a restart the first indexed query catches
+the delta index up from the delta's codes (one ``argsort``, O(delta)),
+and every later query finds it current.
 
-Expected shape: the persistent variant makes the first post-restart
-indexed query cheap and independent of delta size, while the volatile
-variant's first query grows with the delta; conversely the persistent
-variant inserts more slowly.
+Expected shape: the first post-restart indexed query catches up exactly
+the delta's rows, and costs more the larger the delta; the second
+catches up nothing and is no slower than the first.
 """
 
 from __future__ import annotations
 
 import time
 
-
 from repro.bench.reporting import format_table
 from repro.core.config import DurabilityMode
 from repro.core.database import Database
+from repro.obs import get_registry
 from repro.query.predicate import Eq
 from repro.workloads.generator import RowGenerator
 
@@ -27,12 +27,8 @@ from benchmarks.conftest import config_for
 DELTA_SIZES = [5_000, 20_000]
 
 
-def _build(path, persistent: bool, rows: int):
-    cfg = config_for(
-        DurabilityMode.NVM,
-        persistent_delta_index=persistent,
-        persistent_dict_index=persistent,
-    )
+def _build(path, rows: int):
+    cfg = config_for(DurabilityMode.NVM)
     db = Database(path, cfg)
     gen = RowGenerator(seed=31)
     db.create_table("events", RowGenerator.SCHEMA)
@@ -44,68 +40,59 @@ def _build(path, persistent: bool, rows: int):
     return cfg, load_seconds
 
 
-def test_e7_persistent_vs_volatile_delta_index(
-    tmp_path, experiment_report, benchmark
-):
+def test_e7_volatile_delta_index_catch_up(tmp_path, experiment_report, benchmark):
+    caught_up = get_registry().counter("index_catchup_rows_total")
     rows_out = []
-    first_query = {}
     for rows in DELTA_SIZES:
-        for persistent in (False, True):
-            tag = "persistent" if persistent else "volatile"
-            path = str(tmp_path / f"{tag}-{rows}")
-            cfg, load_seconds = _build(path, persistent, rows)
+        path = str(tmp_path / f"delta-{rows}")
+        cfg, load_seconds = _build(path, rows)
 
-            start = time.perf_counter()
-            db = Database(path, cfg)
-            restart_seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        db = Database(path, cfg)
+        restart_seconds = time.perf_counter() - start
 
-            start = time.perf_counter()
-            count = db.query("events", Eq("id", rows // 2)).count
-            first_query_ms = (time.perf_counter() - start) * 1e3
-            assert count == 1
+        before = caught_up.value
+        start = time.perf_counter()
+        count = db.query("events", Eq("id", rows // 2)).count
+        first_query_ms = (time.perf_counter() - start) * 1e3
+        assert count == 1
+        first_caught_up = caught_up.value - before
 
-            start = time.perf_counter()
-            db.query("events", Eq("id", rows // 3)).count
-            second_query_ms = (time.perf_counter() - start) * 1e3
-            db.close()
+        start = time.perf_counter()
+        db.query("events", Eq("id", rows // 3)).count
+        second_query_ms = (time.perf_counter() - start) * 1e3
+        second_caught_up = caught_up.value - before - first_caught_up
+        db.close()
 
-            first_query[(tag, rows)] = first_query_ms
-            rows_out.append(
-                {
-                    "delta_rows": rows,
-                    "delta_index": tag,
-                    "load_s": load_seconds,
-                    "restart_s": restart_seconds,
-                    "first_query_ms": first_query_ms,
-                    "second_query_ms": second_query_ms,
-                }
-            )
+        rows_out.append(
+            {
+                "delta_rows": rows,
+                "load_s": load_seconds,
+                "restart_s": restart_seconds,
+                "first_query_ms": first_query_ms,
+                "caught_up_rows": first_caught_up,
+                "second_query_ms": second_query_ms,
+            }
+        )
+        # The first query catches up the whole delta, the second nothing.
+        assert first_caught_up == rows
+        assert second_caught_up == 0
 
     experiment_report(
         format_table(
-            rows_out, title="E7: persistent vs volatile delta index (NVM mode)"
+            rows_out, title="E7: cost of the volatile delta-index catch-up (NVM)"
         )
     )
 
-    # Shape assertions.
-    big = DELTA_SIZES[-1]
-    # 1. Volatile pays an O(delta) rebuild on the first post-restart query.
-    assert first_query[("volatile", big)] > first_query[("persistent", big)] * 2
-    # 2. The volatile rebuild cost grows with delta size.
-    assert (
-        first_query[("volatile", big)]
-        > first_query[("volatile", DELTA_SIZES[0])]
-    )
-    # 3. Warm (second) queries are fast for both variants.
+    # The catch-up grows with the delta.
+    assert rows_out[-1]["first_query_ms"] > rows_out[0]["first_query_ms"]
+    # Warm (second) queries are fast.
     for row in rows_out:
         assert row["second_query_ms"] < row["first_query_ms"] + 5.0
 
-    # Benchmark a persistent-index insert stream (the maintenance cost).
+    # Benchmark an insert stream into the indexed table (the upkeep cost).
     path = str(tmp_path / "bench")
-    cfg = config_for(
-        DurabilityMode.NVM, persistent_delta_index=True, persistent_dict_index=True
-    )
-    db = Database(path, cfg)
+    db = Database(path, config_for(DurabilityMode.NVM))
     gen = RowGenerator(seed=41)
     db.create_table("events", RowGenerator.SCHEMA)
     db.create_index("events", "id")

@@ -59,10 +59,6 @@ class EngineConfig:
     wal_fsync_delay_s: float = 0.0
     #: Transaction-table slots (max concurrent transactions).
     txn_slots: int = 256
-    #: Keep delta dictionary lookup structures on NVM (ablation E7).
-    persistent_dict_index: bool = False
-    #: Default for new secondary indexes' delta half (ablation E7).
-    persistent_delta_index: bool = False
     #: LOG mode: write a checkpoint right after every merge (required for
     #: rowref stability across restarts; disable only in experiments that
     #: never merge).
@@ -109,8 +105,6 @@ class EngineConfig:
             raise ValueError("wal_fsync_delay_s must be >= 0")
         if self.txn_slots < 1:
             raise ValueError("txn_slots must be >= 1")
-        if self.mode is not DurabilityMode.NVM and self.persistent_dict_index:
-            raise ValueError("persistent_dict_index requires NVM mode")
         if self.auto_merge_rows is not None and self.auto_merge_rows < 1:
             raise ValueError("auto_merge_rows must be >= 1")
         if self.merge_delta_fraction is not None and not (

@@ -55,7 +55,6 @@ from repro.storage.schema import ColumnDef, Schema
 from repro.storage.table import Table, unpack_rowref
 from repro.storage.merge import (
     MergePlan,
-    _uses_persistent_index,
     fixup_mvcc,
     fold_generation,
     freeze_plan,
@@ -268,19 +267,21 @@ class Database:
     def create_index(self, table_name: str, column: str) -> TableIndex:
         """Create (and durably declare) a secondary index."""
         table = self.table(table_name)
-        if column in self._indexes[table.table_id]:
-            raise ValueError(f"index on {table_name}.{column} already exists")
-        index = self._build_index(table, column, self._driver.persistent_delta_index)
-        self._driver.on_index_created(table)
+        # Not beside a merge: its cutover replaces the index map it read
+        # before this index joined it.
+        with self._maint_lock:
+            if column in self._indexes[table.table_id]:
+                raise ValueError(f"index on {table_name}.{column} already exists")
+            index = self._build_index(table, column)
+            self._driver.on_index_created(table)
         return index
 
-    def _build_index(
-        self, table: Table, column: str, persistent_delta: bool
-    ) -> TableIndex:
-        index = TableIndex.build(
-            self.backend, table, column, persistent_delta=persistent_delta
-        )
-        self._indexes[table.table_id][column] = index
+    def _build_index(self, table: Table, column: str) -> TableIndex:
+        index = TableIndex.build(self.backend, table, column)
+        # A new map, as a cutover publishes: writers iterate the one
+        # they read without ``_index_lock``'s help.
+        indexes = self._indexes[table.table_id]
+        self._indexes[table.table_id] = {**indexes, column: index}
         return index
 
     def indexes_on(self, table_name: str) -> dict[str, TableIndex]:
@@ -587,12 +588,7 @@ class Database:
         old_content = table.content
         old_indexes = self._indexes[table.table_id]
         fixup_mvcc(new_main, plan, table.main.mvcc, table.delta.mvcc)
-        new_delta = rebuild_tail_delta(
-            table,
-            plan.watermark,
-            self.backend,
-            persistent_dict_index=_uses_persistent_index(table.delta),
-        )
+        new_delta = rebuild_tail_delta(table, plan.watermark, self.backend)
         with trace_phase("index_rebuild"):
             new_indexes = {
                 column: TableIndex.from_parts(
@@ -601,10 +597,9 @@ class Database:
                     column,
                     new_main,
                     new_delta,
-                    persistent_delta=not old.delta_index.needs_rebuild_after_restart,
                     group_key=group_keys.get(column),
                 )
-                for column, old in old_indexes.items()
+                for column in old_indexes
             }
         boundary.emit("merge_cutover")
         self._indexes[table.table_id] = new_indexes

@@ -120,11 +120,6 @@ class DurabilityDriver(ABC):
         """Before the first merge after an attach (``_maint_lock``
         held): find what the previous session's free list knew."""
 
-    @property
-    def persistent_delta_index(self) -> bool:
-        """Default for new secondary indexes' delta half."""
-        return False
-
     # -- checkpoint ----------------------------------------------------
 
     def checkpoint(self) -> int:
@@ -220,7 +215,7 @@ class NvmDriver(DurabilityDriver):
                     txn_table = self._txn_table = self._catalog.txn_table()
                     cids = self._catalog.cid_store()
                     tids = self._catalog.tid_allocator()
-                    for table, indexes, _flag in self._catalog.attach_tables():
+                    for table, indexes in self._catalog.attach_tables():
                         db._register(table, indexes)
                 tables = db._tables_by_id.__getitem__  # no reference to db
                 recover_nvm(txn_table, cids, tables, report=report)
@@ -239,14 +234,8 @@ class NvmDriver(DurabilityDriver):
         return report
 
     def create_table(self, name: str, schema: Schema) -> Table:
-        table = Table.create(
-            self._catalog.next_table_id,
-            name,
-            schema,
-            self.backend,
-            persistent_dict_index=self.config.persistent_dict_index,
-        )
-        self._catalog.register_table(table, {}, self.config.persistent_dict_index)
+        table = Table.create(self._catalog.next_table_id, name, schema, self.backend)
+        self._catalog.register_table(table, {})
         if self._ship_wal is not None:
             self._ship_wal.log_create_table(
                 table.table_id, name, schema.to_bytes()
@@ -291,10 +280,6 @@ class NvmDriver(DurabilityDriver):
                 plan.main_mask,
                 plan.delta_mask,
             )
-
-    @property
-    def persistent_delta_index(self) -> bool:
-        return self.config.persistent_delta_index
 
     def close(self) -> None:
         if self._ship_wal is not None:
@@ -465,7 +450,7 @@ class LogDriver(VolatileDriver):
         for table_name, columns in meta.get("indexes", {}).items():
             if table_name in db._tables_by_name:
                 for column in columns:
-                    db._build_index(db.table(table_name), column, False)
+                    db._build_index(db.table(table_name), column)
 
     def _save_meta(self) -> None:
         db = self._db

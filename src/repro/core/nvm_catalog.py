@@ -10,23 +10,29 @@ root pointer in a constant number of hops per table::
       +24  tables_vec     -> PVector of table-entry offsets
       +32  next_table_id
 
-    table entry (immutable except content_ptr)
+    table entry (immutable except content_ptr and flags)
       +0   table_id  +8 name blob  +16 schema blob
       +24  content_ptr   (ATOMIC swap point for merges)
-      +32  flags          bit0 = persistent delta dictionary lookup
+      +32  flags          bit1 = dropped; bit0 reserved
 
     content descriptor (immutable once published)
       +0   generation  +8 main_desc  +16 delta_desc  +24 index_count
       +32  index entries, 4 u64 each:
-           [column_idx, gk_offsets_vec, gk_positions_vec, delta_phash(0=volatile)]
+           [column_idx, gk_offsets_vec, gk_positions_vec, reserved]
 
     main descriptor:  row_count, ncols, begin/end/tid vecs,
                       then per column [dict_values_vec, words_vec, bits]
     delta descriptor: ncols, begin/end/tid vecs,
-                      then per column [codes_vec, dict_values_vec, dict_lookup(0=volatile)]
+                      then per column [codes_vec, dict_values_vec, reserved]
 
 Attaching a table reads a handful of u64s — O(tables), never O(rows) —
-which is precisely the paper's instant-restart property.
+which is precisely the paper's instant-restart property. The delta
+index and the delta dictionary's lookup are volatile, rebuilt from the
+delta on first use. *Reserved* words and bits are written 0 and never
+read: pools written when those structures could be persistent (the
+word held their offset, bit 0 flagged it) still attach, and the map
+such a word pointed to is unreachable, so the first merge's sweep
+frees it.
 
 Descriptors are read only by an attach, so the three a content swap
 (or a drop) supersedes go back to the pool as soon as the store that
@@ -40,7 +46,6 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.index.delta_index import PersistentDeltaIndex, VolatileDeltaIndex
 from repro.index.groupkey import GroupKeyIndex
 from repro.index.table_index import TableIndex
 from repro.nvm.pool import PMemPool
@@ -68,7 +73,6 @@ _T_CONTENT = 24
 _T_FLAGS = 32
 _ENTRY_BYTES = 64
 
-_FLAG_PERSISTENT_DICT = 1
 _FLAG_DROPPED = 2
 
 _TID_RESERVATION = 1024
@@ -215,13 +219,9 @@ class NvmCatalog:
         pool.write_u64(desc + 24, delta.mvcc.tid.offset)
         for i in range(ncols):
             base = desc + 32 + 24 * i
-            dictionary = delta.dictionaries[i]
-            lookup = dictionary.persistent_lookup
             pool.write_u64(base, delta.code_vectors[i].offset)
-            pool.write_u64(base + 8, dictionary.values.offset)
-            # NB: `is not None`, not truthiness — an empty PHashMap has
-            # __len__ == 0 and is falsy.
-            pool.write_u64(base + 16, lookup.offset if lookup is not None else 0)
+            pool.write_u64(base + 8, delta.dictionaries[i].values.offset)
+            pool.write_u64(base + 16, 0)  # reserved
         pool.persist(desc, 32 + 24 * ncols)
         return desc
 
@@ -247,12 +247,7 @@ class NvmCatalog:
             pool.write_u64(base, schema.column_index(column))
             pool.write_u64(base + 8, index.group_key.offsets_vector.offset)
             pool.write_u64(base + 16, index.group_key.positions_vector.offset)
-            phash_off = (
-                index.delta_index.offset
-                if isinstance(index.delta_index, PersistentDeltaIndex)
-                else 0
-            )
-            pool.write_u64(base + 24, phash_off)
+            pool.write_u64(base + 24, 0)  # reserved
         pool.persist(desc, 32 + 32 * n_idx)
         return desc
 
@@ -260,9 +255,7 @@ class NvmCatalog:
     # Table lifecycle
     # ------------------------------------------------------------------
 
-    def register_table(
-        self, table: Table, indexes: dict[str, TableIndex], flags_persistent_dict: bool
-    ) -> None:
+    def register_table(self, table: Table, indexes: dict[str, TableIndex]) -> None:
         """Persist a freshly created table and publish it in the catalog."""
         pool = self._pool
         entry = pool.allocate(_ENTRY_BYTES)
@@ -273,7 +266,7 @@ class NvmCatalog:
             table.generation, table.main, table.delta, table.schema, indexes
         )
         pool.write_u64(entry + _T_CONTENT, content)
-        pool.write_u64(entry + _T_FLAGS, _FLAG_PERSISTENT_DICT if flags_persistent_dict else 0)
+        pool.write_u64(entry + _T_FLAGS, 0)
         pool.persist(entry, _ENTRY_BYTES)
         # Bump next_table_id before the entry publishes so ids are unique
         # even if we crash in between (the id is merely skipped).
@@ -388,10 +381,7 @@ class NvmCatalog:
             code_vectors.append(backend.attach_vector(pool.read_u64(base)))
             dictionaries.append(
                 UnsortedDictionary.attach(
-                    col_def.dtype,
-                    backend,
-                    pool.read_u64(base + 8),
-                    pool.read_u64(base + 16),
+                    col_def.dtype, backend, pool.read_u64(base + 8)
                 )
             )
         return DeltaPartition(schema, backend, dictionaries, code_vectors, mvcc)
@@ -410,26 +400,14 @@ class NvmCatalog:
             group_key = GroupKeyIndex.attach(
                 backend, pool.read_u64(base + 8), pool.read_u64(base + 16)
             )
-            phash_off = pool.read_u64(base + 24)
-            if phash_off:
-                delta_index = PersistentDeltaIndex.attach(backend, phash_off)
-            else:
-                delta_index = VolatileDeltaIndex()
-            out[column] = TableIndex(
-                column,
-                group_key,
-                delta_index,
-                main_part=main,
-                delta_part=delta,
-            )
+            out[column] = TableIndex(column, group_key, main, delta)
         return out
 
-    def attach_tables(self) -> list[tuple[Table, dict[str, TableIndex], bool]]:
+    def attach_tables(self) -> list[tuple[Table, dict[str, TableIndex]]]:
         """Reconstruct every table from the catalog.
 
-        Returns (table, indexes, persistent_dict_flag) triples. Cost is a
-        fixed number of pointer reads per table and column — independent
-        of row counts.
+        Returns (table, indexes) pairs. Cost is a fixed number of
+        pointer reads per table and column — independent of row counts.
         """
         pool = self._pool
         out = []
@@ -450,8 +428,6 @@ class NvmCatalog:
             table = Table(
                 table_id, name, schema, self._backend, main, delta, generation
             )
-            indexes = self._attach_indexes(schema, content, main, delta)
-            flags = pool.read_u64(entry + _T_FLAGS)
-            out.append((table, indexes, bool(flags & _FLAG_PERSISTENT_DICT)))
+            out.append((table, self._attach_indexes(schema, content, main, delta)))
             self._entries[table_id] = entry
         return out

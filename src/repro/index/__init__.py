@@ -6,24 +6,18 @@ Hyrise indexes each partition separately:
   the main partition's dictionary codes, rebuilt at every merge. On NVM
   it is persisted with the main generation, so restarts attach it
   without any rebuild.
-* Delta indexes map dictionary codes to delta row positions and are
-  maintained per insert. The volatile variant must be rebuilt after a
-  restart (O(delta)); the persistent variant
-  (:class:`PersistentDeltaIndex`, experiment E7) attaches instantly.
+* :class:`VolatileDeltaIndex` maps dictionary codes to delta row
+  positions, maintained per insert. It lives in DRAM: after a restart,
+  a merge or an index creation the first probe or insert catches it up
+  from the delta's codes (O(delta), one ``argsort``).
 """
 
 from repro.index.groupkey import GroupKeyIndex
-from repro.index.delta_index import (
-    DeltaIndex,
-    PersistentDeltaIndex,
-    VolatileDeltaIndex,
-)
+from repro.index.delta_index import VolatileDeltaIndex
 from repro.index.table_index import TableIndex
 
 __all__ = [
-    "DeltaIndex",
     "GroupKeyIndex",
-    "PersistentDeltaIndex",
     "TableIndex",
     "VolatileDeltaIndex",
 ]

@@ -2,10 +2,12 @@
 
 One :class:`TableIndex` covers one column of one table. The group-key
 half is regenerated at every merge (it indexes an immutable main
-generation); the delta half is maintained per insert. The index is
-stamped with the exact ``(main, delta)`` partition pair it covers so a
-scan racing an online-merge cutover can detect a stale probe and fall
-back to a full scan of its captured generation.
+generation); the delta half is maintained per insert, and starts empty
+whenever an index is made — created, attached after a restart or
+assembled at a merge cutover — to be caught up by its first probe or
+insert. The index is stamped with the exact ``(main, delta)`` partition
+pair it covers so a scan racing an online-merge cutover can detect a
+stale probe and fall back to a full scan of its captured generation.
 """
 
 from __future__ import annotations
@@ -16,27 +18,15 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.index.delta_index import (
-    DeltaIndex,
-    PersistentDeltaIndex,
-    VolatileDeltaIndex,
-)
+from repro.index.delta_index import VolatileDeltaIndex
 from repro.index.groupkey import GroupKeyIndex
 from repro.obs import get_registry
-from repro.storage.backend import Backend, NvmBackend
+from repro.storage.backend import Backend
 from repro.storage.delta import DeltaPartition
 from repro.storage.dictionary import exact_value
 from repro.storage.main import MainPartition
 from repro.storage.table import Table, pack_rowref
 from repro.storage.types import NULL_CODE
-
-
-def _make_delta_index(backend: Backend, persistent: bool) -> DeltaIndex:
-    if persistent:
-        if not isinstance(backend, NvmBackend):
-            raise ValueError("persistent delta index requires NVM backend")
-        return PersistentDeltaIndex.create(backend)
-    return VolatileDeltaIndex()
 
 
 class TableIndex:
@@ -46,19 +36,19 @@ class TableIndex:
         self,
         column: str,
         group_key: GroupKeyIndex,
-        delta_index: DeltaIndex,
-        main_part: MainPartition | None = None,
-        delta_part: DeltaPartition | None = None,
+        main_part: MainPartition,
+        delta_part: DeltaPartition,
     ):
         self.column = column
         self.group_key = group_key
-        self.delta_index = delta_index
-        # Volatile delta half: every published delta row below this
-        # watermark is indexed. Rows at or above it are ones a restart
-        # forgot or whose writer has not reached ``on_insert`` yet;
-        # whichever of probe and insert needs them first indexes them,
-        # under the latch, so no row is registered twice — and a write
-        # that precedes the first read after a reopen hides nothing.
+        self.delta_index = VolatileDeltaIndex()
+        # Delta half: every published delta row below this watermark is
+        # indexed. Rows at or above it are ones nobody has indexed yet
+        # (the whole delta of a new index) or whose writer has not
+        # reached ``on_insert`` yet; whichever of probe and insert needs
+        # them first indexes them, under the latch, so no row is
+        # registered twice and a row published before the index was
+        # registered for ``on_insert`` is still found.
         self._delta_synced_rows = 0
         self._delta_latch = threading.Lock()
         # Generation stamps: the partition objects this index was built
@@ -68,18 +58,10 @@ class TableIndex:
         self.delta_part = delta_part
 
     @classmethod
-    def build(
-        cls,
-        backend: Backend,
-        table: Table,
-        column: str,
-        persistent_delta: bool = False,
-    ) -> "TableIndex":
-        """Create and populate an index for an existing table."""
+    def build(cls, backend: Backend, table: Table, column: str) -> "TableIndex":
+        """Index ``column`` of an existing table."""
         main, delta = table.content
-        return cls.from_parts(
-            backend, table.schema, column, main, delta, persistent_delta
-        )
+        return cls.from_parts(backend, table.schema, column, main, delta)
 
     @classmethod
     def from_parts(
@@ -89,43 +71,30 @@ class TableIndex:
         column: str,
         main: MainPartition,
         delta: DeltaPartition,
-        persistent_delta: bool = False,
         group_key: GroupKeyIndex | None = None,
     ) -> "TableIndex":
         """Build for an explicit ``(main, delta)`` pair.
 
-        The online merge uses this at cutover: the group-key half over
-        the new main was already built during the lock-free fold phase
-        and is passed in; only the (small) tail delta is indexed here.
+        Only the group-key half is built here (the online merge passes
+        in the one its lock-free fold prebuilt). The delta half starts
+        empty, as after an attach: reading no snapshot of the delta,
+        it cannot mark a row indexed that a writer published meanwhile.
         """
-        col = schema.column_index(column)
         if group_key is None:
+            col = schema.column_index(column)
             group_key = GroupKeyIndex.build(backend, main.columns[col])
-        delta_index = _make_delta_index(backend, persistent_delta)
-        out = cls(
-            column, group_key, delta_index, main_part=main, delta_part=delta
-        )
-        out.delta_index.rebuild(delta, col)
-        out._delta_synced_rows = delta.row_count
-        if isinstance(delta_index, PersistentDeltaIndex):
-            # rebuild() is a no-op for the persistent variant; populate
-            # explicitly when indexing a table that already has delta rows.
-            for position, code in enumerate(delta.column_codes(col)):
-                delta_index.add(int(code), position)
-        return out
+        return cls(column, group_key, main, delta)
 
     def covers(self, main: MainPartition, delta: DeltaPartition) -> bool:
         """True when this index was built for exactly this pair."""
         return self.main_part is main and self.delta_part is delta
 
     def _claim(self, first: int, count: int) -> int:
-        """Catch the volatile delta half up to ``first``, then move the
-        watermark past ``[first, first + count)``. Returns how many
-        leading rows of that range a catch-up already indexed (the
-        caller registers the rest); only a catch-up is metered
-        (``index_catchup_*``). Latch held."""
-        if not self.delta_index.needs_rebuild_after_restart:
-            return 0
+        """Catch the delta half up to ``first``, then move the watermark
+        past ``[first, first + count)``. Returns how many leading rows
+        of that range a catch-up already indexed (the caller registers
+        the rest); only a catch-up is metered (``index_catchup_*``).
+        Latch held."""
         synced = self._delta_synced_rows
         if synced < first:
             start = time.perf_counter()
@@ -162,10 +131,7 @@ class TableIndex:
 
     def ensure_delta_current(self, schema, delta: DeltaPartition) -> None:
         """Bring the delta half up to the published row count."""
-        if (
-            self.delta_index.needs_rebuild_after_restart
-            and self._delta_synced_rows < delta.row_count
-        ):
+        if self._delta_synced_rows < delta.row_count:
             with self._delta_latch:
                 self._claim(delta.row_count, 0)
 
@@ -241,6 +207,6 @@ class TableIndex:
         )
 
     def blocks(self) -> Iterator[tuple[int, int]]:
-        """Every block both halves own, as ``(offset, nbytes)``."""
-        yield from self.group_key.blocks()
-        yield from self.delta_index.blocks()
+        """Every pool block the index owns, as ``(offset, nbytes)``:
+        the group-key half's (the delta half is in DRAM)."""
+        return self.group_key.blocks()

@@ -4,8 +4,8 @@ The paper runs on NVDIMM hardware; this package provides the closest
 software equivalent: an mmap-backed persistent memory pool with explicit
 cache-line flush / persist-barrier primitives, crash simulation that
 discards unflushed stores, a configurable latency model, and the
-persistent building blocks (growable vectors, a blob heap, a hash map)
-that the storage engine keeps on NVM.
+persistent building blocks (growable vectors, a blob heap) that the
+storage engine keeps on NVM.
 """
 
 from repro.nvm.errors import (
@@ -18,7 +18,6 @@ from repro.nvm.latency import LatencyModel, NvmStats
 from repro.nvm.pool import CACHE_LINE, PMemPool, PMemMode
 from repro.nvm.pvector import PVector, DTYPE_CODES
 from repro.nvm.pheap import PHeap
-from repro.nvm.phash import PHashMap
 
 __all__ = [
     "CACHE_LINE",
@@ -26,7 +25,6 @@ __all__ = [
     "LatencyModel",
     "NvmError",
     "NvmStats",
-    "PHashMap",
     "PHeap",
     "PMemMode",
     "PMemPool",

@@ -79,16 +79,10 @@ class DeltaPartition:
         cls,
         schema: Schema,
         backend: Backend,
-        persistent_dict_index: bool = False,
         chunk_capacity: int = 8192,
     ) -> "DeltaPartition":
         """New empty delta for ``schema`` on ``backend``."""
-        dictionaries = [
-            UnsortedDictionary.create(
-                col.dtype, backend, persistent_lookup=persistent_dict_index
-            )
-            for col in schema
-        ]
+        dictionaries = [UnsortedDictionary.create(col.dtype, backend) for col in schema]
         code_vectors = [
             backend.make_vector(_CODE_DTYPE, chunk_capacity) for _ in schema
         ]

@@ -3,10 +3,9 @@
 Two dictionary kinds, as in Hyrise:
 
 * :class:`UnsortedDictionary` — the delta partition's dictionary. Values
-  are appended in first-seen order; lookup runs through a volatile
-  sorted run plus dict tail (the run rebuilt by one ``argsort`` after a
-  restart) or, in the persistent-index ablation, through an NVM-resident
-  :class:`~repro.nvm.phash.PHashMap` that needs no rebuild.
+  are appended in first-seen order to a persisted value vector; lookup
+  runs through a volatile sorted run plus dict tail, the run rebuilt by
+  one ``argsort`` on first use after a restart.
 * :class:`SortedDictionary` — the main partition's dictionary, built at
   merge time. Values are sorted, so codes preserve value order and range
   predicates translate to code ranges.
@@ -17,19 +16,15 @@ vector; STRING values live in the blob heap with a vector of handles.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import threading
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.nvm.phash import PHashMap
 from repro.storage.backend import Backend, NvmBackend
 from repro.storage.types import DataType
 from repro.storage.vector import VectorLike, one_chunk
-
-_U64_MASK = (1 << 64) - 1
 
 _STORAGE_DTYPE = {
     DataType.INT64: np.dtype(np.int64),
@@ -89,16 +84,6 @@ def exact_value(dtype: DataType, value):
     return exact if exact == value else None
 
 
-def hash_key(dtype: DataType, value) -> int:
-    """Stable u64 hash key for a non-null value (persistent lookups)."""
-    if dtype is DataType.INT64:
-        return value & _U64_MASK
-    if dtype is DataType.FLOAT64:
-        return int(np.float64(value).view(np.uint64))
-    digest = hashlib.blake2b(value.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "little")
-
-
 def _value_blocks(dictionary) -> Iterator[tuple[int, int]]:
     """A dictionary's value vector and the blob behind each STRING
     value, as ``(offset, nbytes)`` blocks."""
@@ -122,23 +107,14 @@ def nullable_list(values: np.ndarray, null_mask: np.ndarray) -> list:
 class UnsortedDictionary:
     """Append-only dictionary for the delta partition.
 
-    The *value vector* is the durable authority; lookup structures are
-    accelerators. ``code_for_insert`` publishes the value durably before
-    touching any persistent lookup, so a crash can only leave the lookup
-    *behind* the values, which :meth:`attach` repairs.
+    The *value vector* is the durable authority; the lookup is a
+    volatile accelerator, built from it on first use after an attach.
     """
 
-    def __init__(
-        self,
-        dtype: DataType,
-        backend: Backend,
-        values: VectorLike,
-        persistent_lookup: Optional[PHashMap] = None,
-    ):
+    def __init__(self, dtype: DataType, backend: Backend, values: VectorLike):
         self.dtype = dtype
         self._backend = backend
         self.values = values
-        self.persistent_lookup = persistent_lookup
         # Serialises code assignment: two writers probing-then-appending
         # concurrently could hand out duplicate codes for one value. The
         # volatile lookup is also (re)built under it, so a reader's
@@ -158,20 +134,11 @@ class UnsortedDictionary:
 
     @classmethod
     def create(
-        cls,
-        dtype: DataType,
-        backend: Backend,
-        persistent_lookup: bool = False,
-        chunk_capacity: int = 1024,
+        cls, dtype: DataType, backend: Backend, chunk_capacity: int = 1024
     ) -> "UnsortedDictionary":
-        """New empty dictionary; ``persistent_lookup`` needs an NVM backend."""
+        """New empty dictionary."""
         values = backend.make_vector(_STORAGE_DTYPE[dtype], chunk_capacity)
-        phash = None
-        if persistent_lookup:
-            if not isinstance(backend, NvmBackend):
-                raise ValueError("persistent lookup requires an NVM backend")
-            phash = PHashMap.create(backend.pool)
-        out = cls(dtype, backend, values, phash)
+        out = cls(dtype, backend, values)
         out._ensure_lookup()  # an empty run: every value goes to the tail
         return out
 
@@ -196,50 +163,19 @@ class UnsortedDictionary:
 
     @classmethod
     def attach(
-        cls,
-        dtype: DataType,
-        backend: NvmBackend,
-        values_offset: int,
-        lookup_offset: int = 0,
+        cls, dtype: DataType, backend: NvmBackend, values_offset: int
     ) -> "UnsortedDictionary":
-        """Re-open after restart.
-
-        With a persistent lookup the dictionary is ready immediately
-        unless a crash left the lookup short, in which case the missing
-        tail entries are re-inserted (work bounded by the in-flight
-        transactions at crash time). Without one, the volatile lookup is
-        rebuilt lazily on first insert — an O(delta) cost the instant-
-        restart experiments account for.
-        """
-        values = backend.attach_vector(values_offset)
-        phash = None
-        if lookup_offset:
-            phash = PHashMap.attach(backend.pool, lookup_offset)
-        out = cls(dtype, backend, values, phash)
-        if phash is not None and len(phash) != len(values):
-            out._repair_persistent_lookup()
-        return out
-
-    def _repair_persistent_lookup(self) -> None:
-        with self._insert_lock:
-            self._ensure_lookup()
-        assert self.persistent_lookup is not None
-        present = set()
-        for _, code in self.persistent_lookup.items():
-            present.add(code)
-        for code in range(len(self.values)):
-            if code not in present:
-                value = self.value_of(code)
-                self.persistent_lookup.insert(hash_key(self.dtype, value), code)
+        """Re-open after restart. The volatile lookup is rebuilt on the
+        first probe or insert — an O(delta) cost the instant-restart
+        experiments account for."""
+        return cls(dtype, backend, backend.attach_vector(values_offset))
 
     def __len__(self) -> int:
         return len(self.values)
 
     def blocks(self) -> Iterator[tuple[int, int]]:
         """Every block this dictionary owns, as ``(offset, nbytes)``."""
-        yield from _value_blocks(self)
-        if self.persistent_lookup is not None:
-            yield from self.persistent_lookup.blocks()
+        return _value_blocks(self)
 
     # ------------------------------------------------------------------
     # Decoding
@@ -323,14 +259,6 @@ class UnsortedDictionary:
         the run, then one probe of the tail."""
         lookup = self._lookup
         if lookup is None:
-            if self.persistent_lookup is not None:
-                # Restart path: answer from NVM without a rebuild.
-                for code in self.persistent_lookup.iter_values(
-                    hash_key(self.dtype, value)
-                ):
-                    if code < len(self.values) and self.value_of(code) == value:
-                        return code
-                return None
             with self._insert_lock:
                 self._ensure_lookup()
                 lookup = self._lookup
@@ -346,8 +274,7 @@ class UnsortedDictionary:
     def code_for_insert(self, value) -> int:
         """Code of ``value``, appending it to the dictionary if new."""
         with self._insert_lock:
-            if self._lookup is None and self.persistent_lookup is None:
-                self._ensure_lookup()  # code_of must not re-take the lock
+            self._ensure_lookup()  # code_of must not re-take the lock
             existing = self.code_of(value)
             if existing is not None:
                 return existing
@@ -356,10 +283,7 @@ class UnsortedDictionary:
             else:
                 raw = value
             code = self.values.append(raw)
-            if self._lookup is not None:
-                self._lookup[2][value] = code
-            if self.persistent_lookup is not None:
-                self.persistent_lookup.insert(hash_key(self.dtype, value), code)
+            self._lookup[2][value] = code
             return code
 
     def in_range(
@@ -411,24 +335,18 @@ class UnsortedDictionary:
         )
         codes = np.empty(len(uniques), dtype=np.uint64)
         hit = np.zeros(len(uniques), dtype=bool)
-        if self.persistent_lookup is not None and self._lookup is None:
-            # Restart path: probe NVM per distinct value rather than
-            # forcing the O(delta-dict) volatile rebuild.
-            lookup = self.code_of
-        else:
-            self._ensure_lookup()
-            run, run_codes, tail = self._lookup
-            lookup = tail.get
-            if run.size:
-                # One binary search of the run for every distinct value;
-                # only what it misses is probed in the tail.
-                at = np.minimum(run.searchsorted(uniques), run.size - 1)
-                hit = run[at] == uniques
-                codes[hit] = run_codes[at[hit]]
+        self._ensure_lookup()
+        run, run_codes, tail = self._lookup
+        if run.size:
+            # One binary search of the run for every distinct value;
+            # only what it misses is probed in the tail.
+            at = np.minimum(run.searchsorted(uniques), run.size - 1)
+            hit = run[at] == uniques
+            codes[hit] = run_codes[at[hit]]
         missing: list[tuple[int, int, object]] = []
         rest = np.flatnonzero(~hit)
         for i, value in zip(rest.tolist(), uniques[rest].tolist()):
-            code = lookup(value)
+            code = tail.get(value)
             if code is None:
                 missing.append((int(first_pos[i]), i, value))
             else:
@@ -449,12 +367,7 @@ class UnsortedDictionary:
             self.values.extend(raws)
             for code, (_, i, value) in enumerate(missing, start=base):
                 codes[i] = code
-                if self._lookup is not None:
-                    self._lookup[2][value] = code
-                if self.persistent_lookup is not None:
-                    self.persistent_lookup.insert(
-                        hash_key(self.dtype, value), code
-                    )
+                tail[value] = code
         return codes[inverse.reshape(-1)]
 
 

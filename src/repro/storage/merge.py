@@ -357,10 +357,7 @@ def fixup_mvcc(
 
 
 def rebuild_tail_delta(
-    table: Table,
-    watermark: int,
-    backend: Backend,
-    persistent_dict_index: bool,
+    table: Table, watermark: int, backend: Backend
 ) -> DeltaPartition:
     """Re-encode delta rows past the freeze watermark into a fresh delta.
 
@@ -375,9 +372,7 @@ def rebuild_tail_delta(
     """
     delta = table.delta
     cur = delta.row_count
-    new_delta = DeltaPartition.create(
-        table.schema, backend, persistent_dict_index=persistent_dict_index
-    )
+    new_delta = DeltaPartition.create(table.schema, backend)
     n = cur - watermark
     if n <= 0:
         return new_delta
@@ -415,12 +410,7 @@ def replay_merge(
     table.delta.pad_to(watermark)
     plan = plan_from_masks(table, watermark, main_mask, delta_mask)
     new_main = fold_generation(table, plan, backend)
-    new_delta = rebuild_tail_delta(
-        table,
-        watermark,
-        backend,
-        persistent_dict_index=_uses_persistent_index(table.delta),
-    )
+    new_delta = rebuild_tail_delta(table, watermark, backend)
     table.publish_content(new_main, new_delta)
     table.generation += 1
 
@@ -438,7 +428,3 @@ def _sorted_domain(
     else:
         merged = np.concatenate([vals_main, vals_delta])
     return np.unique(merged)
-
-
-def _uses_persistent_index(delta: DeltaPartition) -> bool:
-    return any(d.persistent_lookup is not None for d in delta.dictionaries)

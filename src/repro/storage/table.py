@@ -170,13 +170,10 @@ class Table:
         name: str,
         schema: Schema,
         backend: Backend,
-        persistent_dict_index: bool = False,
     ) -> "Table":
         """New empty table (empty main, empty delta)."""
         main = MainPartition.empty(schema, backend)
-        delta = DeltaPartition.create(
-            schema, backend, persistent_dict_index=persistent_dict_index
-        )
+        delta = DeltaPartition.create(schema, backend)
         return cls(table_id, name, schema, backend, main, delta)
 
     # ------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Checked against the structure it replaced (a plain code -> positions
 multimap, kept here as the oracle), through the engine's restart
-catch-up, under threads racing the run's publication, and by what the
-engine meters about the catch-up.
+catch-up, under threads racing the run's publication, through an index
+created beside a writer, and by what the engine meters about the
+catch-up.
 """
 
 from __future__ import annotations
@@ -22,8 +23,10 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from repro.core.config import DurabilityMode
 from repro.core.database import Database
 from repro.index.delta_index import VolatileDeltaIndex
+from repro.index.table_index import TableIndex
 from repro.obs import MetricsRegistry, set_registry
 from repro.query.predicate import Between, Eq, IsNull
+from repro.storage.delta import DeltaPartition
 from repro.storage.table import unpack_rowref
 from repro.storage.types import NULL_CODE, DataType
 
@@ -48,16 +51,6 @@ class OracleDeltaIndex:
 
     def entry_count(self) -> int:
         return sum(len(v) for v in self._map.values())
-
-
-class _Codes:
-    """Stands in for a delta partition in ``rebuild``."""
-
-    def __init__(self, codes):
-        self._codes = np.asarray(codes, dtype=np.uint32)
-
-    def column_codes(self, col: int) -> np.ndarray:
-        return self._codes
 
 
 # A few codes, the NULL code, and (for lookups) codes never registered.
@@ -90,8 +83,10 @@ class RunPlusTailModel(RuleBasedStateMachine):
         self.rows += len(codes)
 
     @rule(codes=_BATCHES)
-    def rebuild(self, codes):
-        self.index.rebuild(_Codes(codes), 0)
+    def refill(self, codes):
+        """A fresh index caught up in one batch, as a catch-up fills it."""
+        self.index = VolatileDeltaIndex()
+        self.index.add_many(np.asarray(codes, dtype=np.uint32), 0)
         self.oracle = OracleDeltaIndex()
         self.oracle.add_many(codes, 0)
         self.rows = len(codes)
@@ -319,6 +314,127 @@ class TestRestartCatchUp:
             assert db.query("t", Eq("k", 3)).count == 100
         finally:
             db.close()
+
+
+class TestCreateIndexBesideAWriter:
+    """``create_index`` while rows are being written: the new index's
+    delta half starts empty and catches up on first use, and the index
+    joins a new map rather than the one a writer is iterating."""
+
+    def test_a_row_published_while_the_index_is_built_is_found(
+        self, tmp_path, monkeypatch
+    ):
+        db = Database(str(tmp_path / "db"), make_config(DurabilityMode.NVM))
+        try:
+            db.create_table("t", SCHEMA)
+            db.insert_many("t", [{"k": i, "v": "old"} for i in range(50)])
+            late = [{"k": 1000, "v": "late"}, {"k": 1001, "v": "later"}]
+
+            def publish_one():
+                if late:
+                    db.insert("t", late.pop(0))
+
+            # A writer publishes right after the build reads the delta,
+            # and again once the index exists but is not yet registered.
+            column_codes = DeltaPartition.column_codes
+            from_parts = TableIndex.from_parts.__func__
+
+            def snapshot_then_publish(self, col):
+                codes = column_codes(self, col)
+                publish_one()
+                return codes
+
+            def build_then_publish(cls, *args, **kwargs):
+                index = from_parts(cls, *args, **kwargs)
+                publish_one()
+                return index
+
+            monkeypatch.setattr(DeltaPartition, "column_codes", snapshot_then_publish)
+            monkeypatch.setattr(
+                TableIndex, "from_parts", classmethod(build_then_publish)
+            )
+            db.create_index("t", "k")
+            monkeypatch.undo()
+            assert db.query("t", Eq("k", 1000)).count == 1
+            for key in (7, 1000, 1001):
+                assert _rows(db.query("t", Eq("k", key))) == _scan(
+                    db, lambda k, key=key: k == key
+                )
+        finally:
+            db.close()
+
+    def test_an_index_created_during_a_writers_upkeep(self, tmp_path, monkeypatch):
+        db = Database(str(tmp_path / "db"), make_config(DurabilityMode.NVM))
+        try:
+            db.create_table("t", SCHEMA)
+            db.create_index("t", "k")
+            db.insert("t", {"k": 1, "v": "a"})
+            on_insert = TableIndex.on_insert
+
+            def create_then_maintain(self, code, position):
+                if "v" not in db.indexes_on("t"):
+                    db.create_index("t", "v")
+                on_insert(self, code, position)
+
+            monkeypatch.setattr(TableIndex, "on_insert", create_then_maintain)
+            db.insert("t", {"k": 2, "v": "b"})
+            monkeypatch.undo()
+            assert set(db.indexes_on("t")) == {"k", "v"}
+            assert _rows(db.query("t", Eq("v", "b"))) == [(2, "b")]
+            assert _rows(db.query("t", Eq("k", 2))) == [(2, "b")]
+        finally:
+            db.close()
+
+    def test_writers_racing_create_index(self, tmp_path):
+        """Stress form: two writers insert while two indexes are made;
+        no insert fails and each index finds every row a scan does."""
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for attempt in range(3):
+                db = Database(
+                    str(tmp_path / f"db{attempt}"), make_config(DurabilityMode.NVM)
+                )
+                try:
+                    db.create_table("t", SCHEMA)
+                    # Big enough that the first catch-up overlaps the
+                    # other writer and the second index's creation.
+                    db.insert_many(
+                        "t", [{"k": i, "v": f"s{i % 7}"} for i in range(20_000)]
+                    )
+                    start, errors = threading.Barrier(3), []
+
+                    def write(base):
+                        start.wait()
+                        try:
+                            for i in range(base, base + 300):
+                                db.insert("t", {"k": i, "v": f"s{i % 7}"})
+                        except Exception as exc:  # surfaced below
+                            errors.append(exc)
+
+                    writers = [
+                        threading.Thread(target=write, args=(base,))
+                        for base in (10_000, 20_000)
+                    ]
+                    for t in writers:
+                        t.start()
+                    start.wait()
+                    db.create_index("t", "k")
+                    db.create_index("t", "v")
+                    for t in writers:
+                        t.join(timeout=60)
+                    assert not any(t.is_alive() for t in writers)
+                    assert errors == []
+                    assert db.query("t", Between("k", 0, 10**6)).count == 20_600
+                    for j in range(7):
+                        value = f"s{j}"
+                        assert db.query("t", Eq("v", value)).count == len(
+                            _scan(db, lambda k, j=j: k % 7 == j)
+                        )
+                finally:
+                    db.close()
+        finally:
+            sys.setswitchinterval(previous)
 
 
 class TestCatchUpMetrics:

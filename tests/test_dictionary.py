@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from repro.storage.backend import NvmBackend, VolatileBackend
-from repro.storage.dictionary import SortedDictionary, UnsortedDictionary, hash_key
+from repro.storage.dictionary import SortedDictionary, UnsortedDictionary
 from repro.storage.types import DataType
 
 from tests.conftest import stall_first_snapshot
@@ -53,11 +53,27 @@ class TestUnsortedDictionary:
         assert d.code_for_insert(5) == 0  # no duplicate appended
         assert len(d) == 2
 
-    def test_persistent_lookup_requires_nvm(self):
-        with pytest.raises(ValueError):
-            UnsortedDictionary.create(
-                DataType.INT64, VolatileBackend(), persistent_lookup=True
-            )
+    def test_a_new_dictionary_needs_no_rebuild(self, backend):
+        d = UnsortedDictionary.create(DataType.INT64, backend)
+        assert d._lookup is not None
+        assert d.code_of(1) is None
+        assert d.code_for_insert(1) == 0
+        assert d.code_of(1) == 0
+
+    def test_batch_codes_after_a_rebuild_match_single_inserts(self, backend):
+        d = UnsortedDictionary.from_values(DataType.INT64, backend, [5, 7])
+        assert d._lookup is None
+        codes = d.codes_for_insert([7, 9, 5, 9, 3])
+        assert codes.tolist() == [1, 2, 0, 2, 3]
+        assert d.values_list() == [5, 7, 9, 3]
+        assert d.code_for_insert(9) == 2
+
+    def test_an_int_probe_of_a_float_run(self, backend):
+        d = UnsortedDictionary.from_values(DataType.FLOAT64, backend, [1.5, 2.0])
+        assert d.code_of(2) == 1
+        assert d.code_of(3) is None
+        assert d.code_for_insert(2) == 1
+        assert len(d) == 2
 
 
 class TestLookupRebuild:
@@ -128,37 +144,35 @@ class TestLookupRebuild:
         finally:
             sys.setswitchinterval(interval)
 
-
-class TestPersistentLookup:
-    def test_lookup_without_rebuild(self, pool):
+    def test_attach_builds_the_lookup_on_first_use(self, pool):
         backend = NvmBackend(pool)
-        d = UnsortedDictionary.create(DataType.STRING, backend, persistent_lookup=True)
+        d = UnsortedDictionary.create(DataType.STRING, backend)
         code = d.code_for_insert("hello")
-        attached = UnsortedDictionary.attach(
-            DataType.STRING, backend, d.values.offset, d.persistent_lookup.offset
-        )
-        # code_of answers straight from NVM (no volatile lookup built).
+        attached = UnsortedDictionary.attach(DataType.STRING, backend, d.values.offset)
         assert attached._lookup is None
         assert attached.code_of("hello") == code
-        assert attached._lookup is None
+        assert attached._lookup is not None
 
-    def test_repair_after_lagging_lookup(self, pool):
+    def test_a_value_published_without_its_lookup_entry(self, pool):
+        """A crash between a value's publish and its lookup entry loses
+        nothing: the rebuild reads the value vector, the authority."""
         backend = NvmBackend(pool)
-        d = UnsortedDictionary.create(DataType.INT64, backend, persistent_lookup=True)
+        d = UnsortedDictionary.create(DataType.INT64, backend)
         d.code_for_insert(1)
         d.code_for_insert(2)
-        # Simulate a crash between value publish and lookup insert.
         d.values.append(3)
-        attached = UnsortedDictionary.attach(
-            DataType.INT64, backend, d.values.offset, d.persistent_lookup.offset
-        )
+        attached = UnsortedDictionary.attach(DataType.INT64, backend, d.values.offset)
         assert attached.code_of(3) == 2
-        assert attached.code_for_insert(3) == 2  # repaired, not duplicated
+        assert attached.code_for_insert(3) == 2  # found, not duplicated
+        assert len(attached) == 3
 
-    def test_hash_key_stability(self):
-        assert hash_key(DataType.INT64, -1) == 2**64 - 1
-        assert hash_key(DataType.STRING, "abc") == hash_key(DataType.STRING, "abc")
-        assert hash_key(DataType.FLOAT64, 1.5) == hash_key(DataType.FLOAT64, 1.5)
+    def test_string_values_rebuild_into_the_tail(self, backend):
+        d = UnsortedDictionary.from_values(DataType.STRING, backend, ["b", "a", "c"])
+        assert d.code_of("a") == 1
+        run, _, tail = d._lookup
+        assert run.size == 0
+        assert tail == {"b": 0, "a": 1, "c": 2}
+        assert d.code_for_insert("d") == 3
 
 
 class TestSortedDictionary:

@@ -1,9 +1,8 @@
 """Unit tests for group-key and delta indexes."""
 
 import numpy as np
-import pytest
 
-from repro.index.delta_index import PersistentDeltaIndex, VolatileDeltaIndex
+from repro.index.delta_index import VolatileDeltaIndex
 from repro.index.groupkey import GroupKeyIndex
 from repro.index.table_index import TableIndex
 from repro.storage.backend import NvmBackend, VolatileBackend
@@ -91,14 +90,9 @@ class TestGroupKeyIndex:
         pool.close()
 
 
-class TestDeltaIndexes:
-    @pytest.fixture(params=["volatile", "persistent"])
-    def delta_index(self, request, pool):
-        if request.param == "volatile":
-            return VolatileDeltaIndex()
-        return PersistentDeltaIndex.create(NvmBackend(pool))
-
-    def test_add_and_lookup(self, delta_index):
+class TestDeltaIndex:
+    def test_add_and_lookup(self):
+        delta_index = VolatileDeltaIndex()
         delta_index.add(7, 0)
         delta_index.add(7, 3)
         delta_index.add(2, 1)
@@ -106,46 +100,41 @@ class TestDeltaIndexes:
         assert list(delta_index.lookup(2)) == [1]
         assert delta_index.lookup(99).size == 0
 
-    def test_entry_count(self, delta_index):
+    def test_entry_count(self):
+        delta_index = VolatileDeltaIndex()
         for i in range(5):
             delta_index.add(i % 2, i)
         assert delta_index.entry_count() == 5
 
-    def test_volatile_rebuild(self):
+    def test_fill_from_the_delta(self):
         backend = VolatileBackend()
         table = Table.create(1, "t", SCHEMA, backend)
         for k in [5, 6, 5]:
             _commit(table, [k, "x"])
         index = VolatileDeltaIndex()
-        index.rebuild(table.delta, 0)
+        index.add_many(table.delta.column_codes(0), 0)
         code = table.delta.dictionaries[0].code_of(5)
         assert sorted(index.lookup(code)) == [0, 2]
 
-    def test_persistent_attach_no_rebuild(self, pool_dir):
-        from repro.nvm.pool import PMemPool
-
-        pool = PMemPool.create(pool_dir, extent_size=2 * 1024 * 1024)
-        backend = NvmBackend(pool)
-        index = PersistentDeltaIndex.create(backend)
-        index.add(3, 11)
-        off = index.offset
-        pool.close()
-        pool = PMemPool.open(pool_dir)
-        again = PersistentDeltaIndex.attach(NvmBackend(pool), off)
-        assert list(again.lookup(3)) == [11]
-        assert not again.needs_rebuild_after_restart
-        pool.close()
+    def test_an_empty_batch_registers_nothing(self):
+        delta_index = VolatileDeltaIndex()
+        delta_index.add_many(np.empty(0, dtype=np.uint32), 0)
+        assert delta_index.entry_count() == 0
+        # The next batch still builds the run.
+        delta_index.add_many(np.array([3, 1, 3], dtype=np.uint32), 0)
+        assert delta_index._run is not None
+        assert delta_index.lookup(3).tolist() == [0, 2]
 
 
 class TestTableIndex:
-    def _table_with_index(self, backend, persistent=False):
+    def _table_with_index(self, backend):
         table = Table.create(1, "t", SCHEMA, backend)
         for k in [1, 2, 1, None]:
             _commit(table, [k, "x"])
         table.main, table.delta = merge_table(table, backend)
         for k in [2, 1]:
             _commit(table, [k, "y"], cid=2)
-        index = TableIndex.build(backend, table, "k", persistent_delta=persistent)
+        index = TableIndex.build(backend, table, "k")
         return table, index
 
     def test_probe_spans_partitions(self):
@@ -184,8 +173,56 @@ class TestTableIndex:
         index._delta_synced_rows = 0
         assert len(index.probe_equal(table, 1)) == 3
 
-    def test_persistent_variant_on_nvm(self, pool):
+    def test_a_new_index_catches_up_on_its_first_probe(self):
+        backend = VolatileBackend()
+        table, index = self._table_with_index(backend)
+        assert index._delta_synced_rows == 0
+        assert index.delta_index.entry_count() == 0
+        assert len(index.probe_equal(table, 2)) == 2
+        assert index._delta_synced_rows == table.delta.row_count == 2
+        assert index.delta_index.entry_count() == 2
+
+    def test_building_reads_no_delta_codes(self, monkeypatch):
+        from repro.storage.delta import DeltaPartition
+
+        backend = VolatileBackend()
+        table = _merged_table(backend, [1, 2])
+        _commit(table, [3, "d"], cid=2)
+
+        def unread(*args, **kwargs):
+            raise AssertionError("the build read the delta")
+
+        monkeypatch.setattr(DeltaPartition, "column_codes", unread)
+        monkeypatch.setattr(DeltaPartition, "codes_at", unread)
+        index = TableIndex.build(backend, table, "k")
+        monkeypatch.undo()
+        assert len(index.probe_equal(table, 3)) == 1
+
+    def test_a_batch_before_the_first_probe_keeps_earlier_rows(self):
+        backend = VolatileBackend()
+        table, index = self._table_with_index(backend)
+        refs = [_commit(table, [k, "z"], cid=3) for k in (1, 9)]
+        first = unpack_rowref(refs[0])[1]
+        codes = np.array(
+            [table.delta.get_code(0, unpack_rowref(r)[1]) for r in refs],
+            dtype=np.uint32,
+        )
+        index.on_insert_many(codes, first)
+        assert index._delta_synced_rows == table.delta.row_count == 4
+        assert index.delta_index.entry_count() == 4
+        assert len(index.probe_equal(table, 1)) == 4  # two main, two delta
+        assert len(index.probe_equal(table, 9)) == 1
+
+    def test_probe_range_catches_up(self):
+        backend = VolatileBackend()
+        table, index = self._table_with_index(backend)
+        refs = index.probe_range(table, 2, None)
+        assert sorted(unpack_rowref(r)[0] for r in refs) == [False, True]
+        assert index._delta_synced_rows == table.delta.row_count
+
+    def test_probe_spans_partitions_on_nvm(self, pool):
         backend = NvmBackend(pool)
-        table, index = self._table_with_index(backend, persistent=True)
-        assert isinstance(index.delta_index, PersistentDeltaIndex)
-        assert len(index.probe_equal(table, 1)) == 3
+        table, index = self._table_with_index(backend)
+        refs = index.probe_equal(table, 1)
+        assert sorted(unpack_rowref(r)[0] for r in refs) == [False, False, True]
+        assert [table.get_row(r)[0] for r in refs] == [1, 1, 1]

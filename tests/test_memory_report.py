@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.config import DurabilityMode
 from repro.core.database import Database
-from repro.nvm.phash import PHashMap
 from repro.nvm.pvector import PVector
 from repro.query.predicate import Eq
 from repro.storage.types import DataType
@@ -35,15 +34,6 @@ class TestBlocks:
         v = VolatileVector(np.uint32)
         v.extend(np.arange(100, dtype=np.uint32))
         assert held(v) >= 400
-
-    def test_phash_keeps_superseded_tables_until_it_goes(self, pool):
-        before = pool.space()["allocated_bytes"]
-        m = PHashMap.create(pool, capacity=8)
-        small = held(m)
-        for i in range(100):
-            m.insert(i, i)
-        assert held(m) > small
-        assert held(m) == pool.space()["allocated_bytes"] - before
 
 
 class TestMemoryReport:
@@ -80,27 +70,30 @@ class TestMemoryReport:
             )
         db.close()
 
-    def test_counts_blobs_and_persistent_structures(self, tmp_path):
-        """String payloads, persistent delta-dictionary lookups and
-        persistent delta indexes are bytes like any other."""
-        sizes = {}
-        for name, overrides in (
-            ("plain", {}),
-            ("persistent", dict(persistent_dict_index=True, persistent_delta_index=True)),
-        ):
-            db = Database(
-                str(tmp_path / name), make_config(DurabilityMode.NVM, **overrides)
-            )
-            db.create_table("t", {"a": DataType.INT64, "s": DataType.STRING})
-            db.create_index("t", "a")
-            db.bulk_insert("t", [{"a": i, "s": "x" * 100 + str(i)} for i in range(64)])
-            full = db.memory_report()
-            sizes[name] = full["tables"]["t"]
-            assert full["unreachable"] == 0
-            db.close()
-        assert sizes["plain"]["delta_dictionaries"] > 64 * 100  # the blobs
-        assert sizes["persistent"]["delta_dictionaries"] > sizes["plain"]["delta_dictionaries"]
-        assert sizes["persistent"]["indexes"] > sizes["plain"]["indexes"]
+    def test_counts_string_blobs(self, tmp_path):
+        """String payloads are bytes like any other."""
+        db = Database(str(tmp_path / "db"), make_config(DurabilityMode.NVM))
+        db.create_table("t", {"a": DataType.INT64, "s": DataType.STRING})
+        db.create_index("t", "a")
+        db.bulk_insert("t", [{"a": i, "s": "x" * 100 + str(i)} for i in range(64)])
+        full = db.memory_report()
+        assert full["tables"]["t"]["delta_dictionaries"] > 64 * 100  # the blobs
+        assert full["unreachable"] == 0
+        db.close()
+
+    def test_the_delta_index_holds_no_pool_bytes(self, tmp_path):
+        """Only an index's group-key half is on the pool; delta inserts
+        grow its DRAM half, not the report's ``indexes``."""
+        db = Database(str(tmp_path / "db"), make_config(DurabilityMode.NVM))
+        db.create_table("t", {"a": DataType.INT64})
+        db.create_index("t", "a")
+        before = db.memory_report()["tables"]["t"]["indexes"]
+        db.bulk_insert("t", [{"a": i} for i in range(500)])
+        assert db.query("t", Eq("a", 7)).count == 1  # the delta half fills
+        index = db.indexes_on("t")["a"]
+        assert index.delta_index.entry_count() == 500
+        assert db.memory_report()["tables"]["t"]["indexes"] == before
+        db.close()
 
     def test_main_mvcc_is_paid_for_only_where_rows_changed(self, tmp_path):
         """A merged main stores ``begin``; ``end`` and ``tid`` read as

@@ -129,12 +129,10 @@ class TestMerge:
         assert table.main_row_count == 0
         assert table.delta_row_count == 0
 
-    def test_new_delta_keeps_persistent_dict_setting(self, pool):
-        backend = NvmBackend(pool)
-        table = Table.create(1, "t", SCHEMA, backend, persistent_dict_index=True)
+    def test_replay_merge_folds_the_rows_below_the_watermark(self, backend):
+        table = Table.create(1, "t", SCHEMA, backend)
         _commit_row(table, [1, "a"], cid=1)
+        _commit_row(table, [2, "b"], cid=2)
         replay_merge(table, backend, 1, np.zeros(0, bool), np.ones(1, bool))
-        assert table.main_row_count == 1
-        assert all(
-            d.persistent_lookup is not None for d in table.delta.dictionaries
-        )
+        assert table.main.decode_column(0) == [1]
+        assert table.delta.decode_column(0) == [2]

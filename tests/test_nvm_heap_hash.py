@@ -1,8 +1,7 @@
-"""Unit tests for the blob heap and the persistent hash multimap."""
+"""Unit tests for the blob heap."""
 
 
 from repro.nvm.pheap import PHeap
-from repro.nvm.phash import PHashMap
 from repro.nvm.pool import PMemMode, PMemPool
 
 
@@ -35,6 +34,21 @@ class TestPHeap:
         assert heap.blobs_written == 1
         assert heap.bytes_written == 7  # 4B length + 3B payload
 
+    def test_block_runs_to_the_alignment(self, pool):
+        heap = PHeap(pool)
+        for payload, nbytes in ((b"", 8), (b"abcd", 8), (b"abcde", 16)):
+            off = heap.put(payload)
+            assert heap.block(off) == (off, nbytes)
+
+    def test_survives_clean_reopen(self, pool_dir):
+        pool = PMemPool.create(pool_dir, extent_size=2 * 1024 * 1024)
+        offs = [PHeap(pool).put_str(f"kept-{i}") for i in range(3)]
+        pool.close()
+        pool = PMemPool.open(pool_dir)
+        heap = PHeap(pool)
+        assert [heap.get_str(off) for off in offs] == ["kept-0", "kept-1", "kept-2"]
+        pool.close()
+
     def test_survives_crash_when_flushed(self, pool_dir):
         pool = PMemPool.create(pool_dir, extent_size=2 * 1024 * 1024, mode=PMemMode.STRICT)
         heap = PHeap(pool)
@@ -42,100 +56,4 @@ class TestPHeap:
         pool.crash()
         pool = PMemPool.open(pool_dir, mode=PMemMode.STRICT)
         assert PHeap(pool).get_str(off) == "durable"
-        pool.close()
-
-
-class TestPHashMap:
-    def test_empty_lookup(self, pool):
-        m = PHashMap.create(pool)
-        assert m.get_all(42) == []
-        assert m.get_first(42) is None
-        assert len(m) == 0
-
-    def test_insert_and_lookup(self, pool):
-        m = PHashMap.create(pool)
-        m.insert(1, 100)
-        m.insert(2, 200)
-        assert m.get_first(1) == 100
-        assert m.get_first(2) == 200
-        assert len(m) == 2
-
-    def test_multimap_duplicates(self, pool):
-        m = PHashMap.create(pool)
-        for v in (5, 6, 7):
-            m.insert(9, v)
-        assert sorted(m.get_all(9)) == [5, 6, 7]
-
-    def test_resize_preserves_entries(self, pool):
-        m = PHashMap.create(pool, capacity=8)
-        for i in range(500):
-            m.insert(i, i * 2)
-        assert len(m) == 500
-        assert m.capacity > 8
-        for i in range(0, 500, 37):
-            assert m.get_first(i) == i * 2
-
-    def test_remove_one(self, pool):
-        m = PHashMap.create(pool)
-        m.insert(1, 10)
-        m.insert(1, 11)
-        assert m.remove_one(1, 10)
-        assert m.get_all(1) == [11]
-        assert not m.remove_one(1, 10)
-        assert len(m) == 1
-
-    def test_remove_missing_key(self, pool):
-        m = PHashMap.create(pool)
-        assert not m.remove_one(77, 1)
-
-    def test_lookup_after_tombstone_probe_chain(self, pool):
-        # Insert colliding entries, tombstone the first, and make sure
-        # probing continues past the tombstone.
-        m = PHashMap.create(pool, capacity=8)
-        m.insert(0, 1)
-        m.insert(8, 2)  # may collide at capacity 8 after hashing
-        m.insert(16, 3)
-        m.remove_one(8, 2)
-        assert m.get_first(0) == 1
-        assert m.get_first(16) == 3
-
-    def test_items_iterates_all(self, pool):
-        m = PHashMap.create(pool)
-        expected = {(i, i + 1) for i in range(50)}
-        for k, v in expected:
-            m.insert(k, v)
-        assert set(m.items()) == expected
-
-    def test_attach_recounts_exactly(self, pool_dir):
-        pool = PMemPool.create(pool_dir, extent_size=2 * 1024 * 1024)
-        m = PHashMap.create(pool)
-        for i in range(123):
-            m.insert(i, i)
-        off = m.offset
-        pool.set_root(off)
-        pool.close()
-        pool = PMemPool.open(pool_dir)
-        m2 = PHashMap.attach(pool, pool.root_offset)
-        assert len(m2) == 123
-        assert m2.get_first(77) == 77
-        m2.insert(999, 1)
-        assert len(m2) == 124
-        pool.close()
-
-    def test_torn_insert_invisible(self, pool_dir):
-        pool = PMemPool.create(pool_dir, extent_size=2 * 1024 * 1024, mode=PMemMode.STRICT)
-        m = PHashMap.create(pool)
-        m.insert(1, 10)
-        # Write key/value of a second entry without the FILLED state.
-        import repro.nvm.phash as ph
-        idx = ph._hash(2) % m.capacity
-        off = m._slot_offset(idx)
-        pool.write_u64(off + 8, 2)
-        pool.write_u64(off + 16, 20)
-        pool.crash()
-        pool = PMemPool.open(pool_dir, mode=PMemMode.STRICT)
-        m2 = PHashMap.attach(pool, m.offset)
-        assert m2.get_first(2) is None
-        assert m2.get_first(1) == 10
-        assert len(m2) == 1
         pool.close()

@@ -416,31 +416,22 @@ class TestMergeGivesSpaceBack:
         again = PVector.attach(strict_pool, vec.offset)
         assert again.to_numpy().tolist() == list(range(40))
 
-    @pytest.mark.parametrize("kind", ["vector", "hash map"])
     @pytest.mark.parametrize("taken", [1, 2])
     def test_a_listing_that_races_a_growth_names_each_block_once(
-        self, strict_pool, kind, taken
+        self, strict_pool, taken
     ):
-        """A retirement or the sweep lists ``blocks()`` while a late
-        writer grows the structure: a block named twice would be freed
+        """A retirement or the sweep lists a vector's ``blocks()`` while
+        a late writer grows it: a block named twice would be freed
         twice, the outgrown one left out would be freed while probed."""
         import numpy as np
 
-        from repro.nvm.phash import PHashMap
         from repro.nvm.pvector import PVector
 
-        if kind == "vector":
-            owner = PVector.create(strict_pool, np.uint64, chunk_capacity=1)
-        else:
-            owner = PHashMap.create(strict_pool, capacity=8)
+        owner = PVector.create(strict_pool, np.uint64, chunk_capacity=1)
         before = list(owner.blocks())
         listing = owner.blocks()
-        seen = [next(listing) for _ in range(taken)]  # header(, directory/table)
-        if kind == "vector":
-            owner.extend(np.arange(40, dtype=np.uint64))  # 16 -> 64 slots
-        else:
-            for i in range(100):
-                owner.insert(i, i)
+        seen = [next(listing) for _ in range(taken)]  # header(, directory)
+        owner.extend(np.arange(40, dtype=np.uint64))  # 16 -> 64 slots
         seen += listing
         assert len(set(seen)) == len(seen)
         assert set(before) <= set(seen) <= set(owner.blocks())
@@ -623,14 +614,10 @@ class LedgerMachine(RuleBasedStateMachine):
 
         pool.allocate, pool.free = recording_allocate, recording_free
 
-    @initialize(persistent=st.booleans())
-    def start(self, persistent):
+    @initialize()
+    def start(self):
         self.config = make_config(
-            DurabilityMode.NVM,
-            pmem_mode=PMemMode.STRICT,
-            extent_size=1024 * 1024,
-            persistent_dict_index=persistent,
-            persistent_delta_index=persistent,
+            DurabilityMode.NVM, pmem_mode=PMemMode.STRICT, extent_size=1024 * 1024
         )
         # The catalog's own blocks predate the recorder: take them from
         # the enumeration once, on a pool that has freed nothing yet.
@@ -730,15 +717,12 @@ class LedgerMachine(RuleBasedStateMachine):
         with self.db._maint_lock:
             self.db._driver.sweep_unreachable()
         # All a clean shutdown forgets is volatile lists: the
-        # transaction table's recycled undo chunks, and the tables a
-        # persistent hash map (or the directories a vector) outgrew.
-        # Those are the sweep's to find (the invariant checks that it
-        # freed them).
+        # transaction table's recycled undo chunks, and the directories
+        # a vector outgrew. Those are the sweep's to find (the invariant
+        # checks that it freed them).
         lost = set(self.live.items()) - set(self._accounted())
         assert all(
-            nbytes == UNDO_CHUNK_BYTES
-            or (self.config.persistent_dict_index and (nbytes - 8) % 24 == 0)
-            or nbytes in OUTGROWN_DIRECTORIES
+            nbytes == UNDO_CHUNK_BYTES or nbytes in OUTGROWN_DIRECTORIES
             for _, nbytes in lost
         )
         for offset, _ in lost:

@@ -104,6 +104,46 @@ class TestCleanRestart:
         assert db.query("items").count == (32 if batch else 31)
         db.close()
 
+    @pytest.mark.parametrize("mode", [DurabilityMode.NVM, DurabilityMode.LOG])
+    def test_first_probe_fills_the_delta_index(self, tmp_path, mode):
+        """A reopen indexes no delta row; the first probe indexes them all."""
+        db = Database(str(tmp_path / "db"), make_config(mode))
+        _fill(db)
+        db.create_index("items", "id")
+        db = db.restart()
+        index = db.indexes_on("items")["id"]
+        assert index._delta_synced_rows == 0
+        assert index.delta_index.entry_count() == 0
+        assert db.query("items", Eq("id", 7)).rows() == [{"id": 7, "name": "n3"}]
+        assert index._delta_synced_rows == db.table("items").delta.row_count == 30
+        assert index.delta_index.entry_count() == 30
+        db.close()
+
+    def test_nvm_delta_lookups_rebuild_on_first_use(self, tmp_path):
+        db = Database(str(tmp_path / "db"), make_config(DurabilityMode.NVM))
+        db.create_table("t", ITEMS)
+        db.create_index("t", "id")
+        db.bulk_insert("t", [{"id": i, "name": "x"} for i in range(20)])
+        db = db.restart()
+        delta = db.table("t").delta
+        assert all(d._lookup is None for d in delta.dictionaries)
+        assert delta.dictionaries[0].code_of(7) == 7
+        assert delta.dictionaries[0]._lookup is not None
+        assert db.query("t", Eq("id", 7)).count == 1
+        db.close()
+
+    @pytest.mark.parametrize("mode", [DurabilityMode.NVM, DurabilityMode.LOG])
+    def test_empty_table_lookup_roundtrip(self, tmp_path, mode):
+        db = Database(str(tmp_path / "db"), make_config(mode))
+        db.create_table("t", ITEMS)
+        db = db.restart()  # reattach with zero entries
+        assert all(len(d) == 0 for d in db.table("t").delta.dictionaries)
+        db.insert("t", {"id": 1, "name": "a"})
+        db = db.restart()
+        assert db.table("t").delta.dictionaries[0].code_of(1) == 0
+        assert db.query("t", Eq("id", 1)).rows() == [{"id": 1, "name": "a"}]
+        db.close()
+
 
 class TestFirstAnswerIndependentOfMain:
     """The paper's claim, in memory: reopening and answering one indexed
@@ -253,41 +293,3 @@ class TestCrashRecovery:
             assert db.last_recovery.span.finished
             assert db.last_recovery.total_seconds >= db.last_recovery.span.child_seconds()
             db.close()
-
-
-class TestPersistentStructuresReattach:
-    def test_persistent_lookups_survive_restart(self, tmp_path):
-        """Regression: an *empty* PHashMap is falsy (it has __len__), so a
-        truthiness check once dropped persistent lookups from the delta
-        descriptor and every restart silently fell back to the O(delta)
-        volatile rebuild."""
-        cfg = make_config(
-            DurabilityMode.NVM,
-            persistent_dict_index=True,
-            persistent_delta_index=True,
-        )
-        db = Database(str(tmp_path / "db"), cfg)
-        db.create_table("t", ITEMS)
-        db.create_index("t", "id")
-        db.bulk_insert("t", [{"id": i, "name": "x"} for i in range(20)])
-        db = db.restart()
-        delta = db.table("t").delta
-        assert all(d.persistent_lookup is not None for d in delta.dictionaries)
-        index = db.indexes_on("t")["id"]
-        assert not index.delta_index.needs_rebuild_after_restart
-        # The fast path answers without building the volatile cache.
-        assert delta.dictionaries[0].code_of(7) is not None
-        assert delta.dictionaries[0]._lookup is None
-        db.close()
-
-    def test_empty_table_persistent_lookup_roundtrip(self, tmp_path):
-        cfg = make_config(DurabilityMode.NVM, persistent_dict_index=True)
-        db = Database(str(tmp_path / "db"), cfg)
-        db.create_table("t", ITEMS)
-        db = db.restart()  # reattach with zero entries
-        delta = db.table("t").delta
-        assert all(d.persistent_lookup is not None for d in delta.dictionaries)
-        db.insert("t", {"id": 1, "name": "a"})
-        db = db.restart()
-        assert db.table("t").delta.dictionaries[0].code_of(1) == 0
-        db.close()

@@ -11,53 +11,8 @@ from hypothesis.stateful import (
 )
 from hypothesis import strategies as st
 
-from repro.nvm.phash import PHashMap
 from repro.nvm.pool import PMemMode, PMemPool
 from repro.nvm.pvector import PVector
-
-
-class PHashModel(RuleBasedStateMachine):
-    """PHashMap against a multiset-of-pairs model, with reattaches."""
-
-    def __init__(self):
-        super().__init__()
-        import tempfile
-
-        self._dir = tempfile.mkdtemp()
-        self.pool = PMemPool.create(
-            self._dir + "/pool", extent_size=2 * 1024 * 1024
-        )
-        self.map = PHashMap.create(self.pool, capacity=8)
-        self.model: list[tuple[int, int]] = []
-
-    @rule(key=st.integers(0, 30), value=st.integers(0, 2**62))
-    def insert(self, key, value):
-        self.map.insert(key, value)
-        self.model.append((key, value))
-
-    @rule(key=st.integers(0, 30), value=st.integers(0, 2**62))
-    def remove(self, key, value):
-        expected = (key, value) in self.model
-        assert self.map.remove_one(key, value) == expected
-        if expected:
-            self.model.remove((key, value))
-
-    @rule()
-    def reattach(self):
-        self.map = PHashMap.attach(self.pool, self.map.offset)
-
-    @rule(key=st.integers(0, 30))
-    def lookup(self, key):
-        expected = sorted(v for k, v in self.model if k == key)
-        assert sorted(self.map.get_all(key)) == expected
-
-    @invariant()
-    def count_matches(self):
-        assert len(self.map) == len(self.model)
-
-    def teardown(self):
-        if not self.pool._closed:
-            self.pool.close()
 
 
 class PVectorModel(RuleBasedStateMachine):
@@ -218,9 +173,6 @@ class FillVectorModel(RuleBasedStateMachine):
         shutil.rmtree(self._dir, ignore_errors=True)
 
 
-TestPHashModel = PHashModel.TestCase
-TestPHashModel.settings = settings(max_examples=25, deadline=None, stateful_step_count=30)
-
 TestPVectorModel = PVectorModel.TestCase
 TestPVectorModel.settings = settings(max_examples=25, deadline=None, stateful_step_count=30)
 
@@ -236,7 +188,7 @@ def test_run_all_single_experiment():
 
     table = run_e7(quick=True)
     assert "E7" in table
-    assert "volatile" in table and "persistent" in table
+    assert "catch-up" in table and "second_query_ms" in table
 
 
 def test_run_all_cli_only_filter(capsys, tmp_path):

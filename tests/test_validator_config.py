@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import DurabilityMode, EngineConfig
+from repro.core.config import EngineConfig
 from repro.nvm.latency import LatencyModel, NvmStats, busy_wait_ns
 from repro.recovery.validator import validate_database, validate_table
 from repro.storage.backend import VolatileBackend
@@ -81,11 +81,14 @@ class TestEngineConfig:
         with pytest.raises(ValueError):
             EngineConfig(txn_slots=0).validated()
 
-    def test_persistent_dict_needs_nvm(self):
-        with pytest.raises(ValueError):
-            EngineConfig(
-                mode=DurabilityMode.LOG, persistent_dict_index=True
-            ).validated()
+    @pytest.mark.parametrize(
+        "option", ["persistent_dict_index", "persistent_delta_index"]
+    )
+    def test_the_persistent_delta_options_are_gone(self, option):
+        """The delta index and the delta-dictionary lookup are volatile
+        only; a config naming the old switches fails loudly."""
+        with pytest.raises(TypeError):
+            EngineConfig(**{option: True})
 
 
 class TestLatencyModel:
