@@ -182,26 +182,6 @@ TestFillVectorModel.settings = settings(
 )
 
 
-def test_run_all_single_experiment():
-    """The standalone runner regenerates an experiment table."""
-    from repro.bench.run_all import run_e7
-
-    table = run_e7(quick=True)
-    assert "E7" in table
-    assert "catch-up" in table and "second_query_ms" in table
-
-
-def test_run_all_cli_only_filter(capsys, tmp_path):
-    from repro.bench import run_all
-
-    out = str(tmp_path / "report.txt")
-    assert run_all.main(["--quick", "--only", "E2", "--out", out]) == 0
-    text = capsys.readouterr().out
-    assert "E2" in text
-    with open(out) as f:
-        assert "recovery breakdown" in f.read()
-
-
 def test_database_verify_clean(none_db):
     from repro.storage.types import DataType
 

@@ -123,21 +123,14 @@ class TestOrderEntry:
 
 
 class TestBenchUtils:
-    def test_timer(self):
-        from repro.bench.harness import Timer
-
-        with Timer() as t:
-            sum(range(1000))
-        assert t.seconds >= 0
-
     def test_median_of(self):
-        from repro.bench.harness import median_of
+        from benchmarks.harness import median_of
 
         values = iter([3.0, 1.0, 2.0])
         assert median_of(lambda: next(values), trials=3) == 2.0
 
     def test_format_table(self):
-        from repro.bench.reporting import format_table
+        from benchmarks.harness import format_table
 
         text = format_table(
             [{"a": 1, "b": 2.5}, {"a": 10, "b": 0.0001}], title="T"
@@ -147,19 +140,13 @@ class TestBenchUtils:
         assert "10" in text
 
     def test_format_table_empty(self):
-        from repro.bench.reporting import format_table
+        from benchmarks.harness import format_table
 
         assert "(no rows)" in format_table([])
 
     def test_format_series(self):
-        from repro.bench.reporting import format_series
+        from benchmarks.harness import format_series
 
         text = format_series("nvm", [1, 2], [0.5, 1.0])
         assert text.startswith("nvm:")
         assert "(1, 0.5)" in text
-
-    def test_sweep(self):
-        from repro.bench.sweep import sweep
-
-        rows = sweep("n", [1, 2], lambda n: {"square": n * n})
-        assert rows == [{"n": 1, "square": 1}, {"n": 2, "square": 4}]
