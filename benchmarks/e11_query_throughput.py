@@ -4,7 +4,7 @@ The read-side counterpart of E10. Three operators, scalar against
 vectorized, at 10^5–10^6 rows (~90% merged main, 10% delta, 16 groups):
 
 * **grouped aggregation** — the code-space kernels (bincount over
-  dictionary codes, one decode per distinct value) against the scalar
+  dictionary codes, values gathered through them) against the scalar
   fold over python lists. The headline claim: ≥5× at 10^6 rows.
 * **hash join** — the array-backed code join with late materialization
   (only matched rows decode) against the row-dict build/probe loop:

@@ -8,13 +8,15 @@ The vectorized kernels never materialise per-row python values:
 
 * group-by runs over dictionary codes with ``np.bincount`` (rows per
   group, non-null values per group);
-* ``sum``/``avg`` are computed as sum(count(code) * decode(code)) — one
-  decode per *distinct value*, not per row — via a (group, value)
-  contingency matrix when it is small, else a scatter-add over decoded
-  codes;
+* a grouped ``sum``/``avg`` gathers each row's value through its code
+  and adds it into its group: one weighted ``bincount`` for FLOAT64,
+  an exact int64 scatter-add for INT64 (float weights would round past
+  2**53); ungrouped, it is sum(count(code) * decode(code)) over the
+  codes present — one decode per *distinct value*, not per row;
 * ``min``/``max`` reduce to code extremes: directly on the main
   partition (the sorted dictionary preserves value order) and through a
-  one-off rank table on the delta's unsorted dictionary.
+  one-off rank table, or the present codes' values, on the delta's
+  unsorted dictionary.
 
 Results are exposed as *partials* (:func:`aggregate_partials`) that
 merge under simple laws — count adds, sum/avg add (n, total) pairs,
@@ -39,10 +41,6 @@ from repro.query.scan import ScanResult
 from repro.storage.types import DataType
 
 _AGGREGATES = ("count", "sum", "min", "max", "avg")
-
-#: Cap on the (groups x distinct values) contingency matrix used by the
-#: grouped-sum kernel; beyond it the kernel falls back to a scatter-add.
-_CONTINGENCY_CELLS = 1 << 21
 
 
 class _Total:
@@ -231,27 +229,20 @@ def _grouped_sums(
     n_groups: int,
     dtype: DataType,
 ) -> np.ndarray:
-    """Per-group sums of non-null values, decoding each distinct once.
+    """Per-group sums of non-null values, added in row order.
 
     ``gids``/``vcodes`` are the non-null rows' group ids and value
-    codes. The dense kernel counts (group, value-code) pairs with one
-    bincount and multiplies the contingency matrix into the decoded
-    value vector: sum_g = sum over codes of count(g, code) * value(code).
-    When groups x codes would be too large, fall back to one gather of
-    decoded values plus a scatter-add (still no python loop).
+    codes, ``values`` the dictionary's values in code order. FLOAT64 is
+    one weighted ``bincount``; INT64 is an int64 scatter-add, exact
+    where float weights would round past 2**53. Both cost O(rows),
+    whatever the number of groups or distinct values.
     """
-    n_values = values.size
-    acc_dtype = np.int64 if dtype is DataType.INT64 else np.float64
-    if n_values == 0:
-        return np.zeros(n_groups, dtype=acc_dtype)
-    if n_groups * n_values <= _CONTINGENCY_CELLS:
-        pair_counts = np.bincount(
-            gids * n_values + vcodes, minlength=n_groups * n_values
-        ).reshape(n_groups, n_values)
-        return (pair_counts @ values).astype(acc_dtype, copy=False)
-    sums = np.zeros(n_groups, dtype=acc_dtype)
-    np.add.at(sums, gids, values[vcodes].astype(acc_dtype, copy=False))
-    return sums
+    row_values = values[vcodes]
+    if dtype is DataType.INT64:
+        sums = np.zeros(n_groups, dtype=np.int64)
+        np.add.at(sums, gids, row_values)
+        return sums
+    return np.bincount(gids, weights=row_values, minlength=n_groups)
 
 
 def _grouped_extremes(
@@ -320,22 +311,24 @@ def _accumulate_total(
             if func in ("min", "max"):
                 _merge_state(states, TOTAL, func, None)
             continue
+        if func in ("sum", "avg") and dtype is DataType.STRING:
+            raise TypeError(f"{func} needs a numeric column")
+        if func in ("min", "max") and is_sorted:
+            code = vcodes.min() if func == "min" else vcodes.max()
+            value = _scalar(dictionary.value_of(int(code)), dtype)
+            _merge_state(states, TOTAL, func, value)
+            continue
+        # The codes present, by counting: a value no visible row holds
+        # (an inf of a deleted row) takes no part.
+        counts = np.bincount(vcodes)
+        present = np.flatnonzero(counts)
         if func in ("sum", "avg"):
-            if dtype is DataType.STRING:
-                raise TypeError(f"{func} needs a numeric column")
-            values = dictionary.values_array()
-            counts = np.bincount(vcodes, minlength=values.size)
-            total = _scalar(counts @ values, dtype)
+            values = dictionary.decode_array(present)
+            total = _scalar(counts[present] @ values, dtype)
             _merge_state(states, TOTAL, func, (n, total))
             continue
-        # min / max: reduce over the distinct codes actually present.
-        present = np.unique(vcodes)
-        if is_sorted:
-            code = present[0] if func == "min" else present[-1]
-            value = _scalar(dictionary.value_of(int(code)), dtype)
-        else:
-            decoded = _decode_codes(dictionary, present, dtype)
-            value = min(decoded) if func == "min" else max(decoded)
+        decoded = _decode_codes(dictionary, present, dtype)
+        value = min(decoded) if func == "min" else max(decoded)
         _merge_state(states, TOTAL, func, value)
 
 

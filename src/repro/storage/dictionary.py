@@ -384,7 +384,8 @@ class SortedDictionary:
     def build(
         cls, dtype: DataType, backend: Backend, sorted_values: Sequence
     ) -> "SortedDictionary":
-        """Persist a dictionary from already-sorted, distinct values."""
+        """Persist a dictionary from already-sorted, distinct values (a
+        numeric ndarray is stored as it is)."""
         n = len(sorted_values)
         storage = backend.make_vector(_STORAGE_DTYPE[dtype], one_chunk(n))
         if dtype is DataType.STRING:
@@ -392,7 +393,7 @@ class SortedDictionary:
                 (backend.put_str(v) for v in sorted_values), dtype=np.uint64, count=n
             )
         else:
-            raw = np.asarray(list(sorted_values), dtype=_STORAGE_DTYPE[dtype])
+            raw = np.asarray(sorted_values, dtype=_STORAGE_DTYPE[dtype])
         if n:
             storage.extend(raw)
         return cls(dtype, backend, storage)

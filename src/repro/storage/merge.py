@@ -17,7 +17,9 @@ no scan or rowref changes shape mid-merge.
 
 **Fold** (no locks) builds the next main from immutable inputs: frozen
 codes, append-only dictionaries, and the freeze-time masks. Each
-column's surviving value domain comes from one ``np.unique`` pass;
+column's used codes are found by counting (``bincount``), and its
+surviving value domain by one stable sort that merges main's already
+sorted run with the delta's values;
 old→new code remaps are ``searchsorted`` translate tables applied in
 bounded row chunks, with a ``merge_chunk`` persistence-boundary event
 (crash point) and a GIL yield between chunks. A survivor is any row a
@@ -51,7 +53,7 @@ from repro.storage.dictionary import SortedDictionary
 from repro.storage.main import MainPartition
 from repro.storage.mvcc import INFINITY_CID, NO_TID
 from repro.storage.table import Table
-from repro.storage.types import DataType, NULL_CODE
+from repro.storage.types import NULL_CODE
 
 _INF = np.uint64(INFINITY_CID)
 
@@ -189,11 +191,10 @@ def plan_from_masks(
     )
 
 
-def _decoded_domain(dictionary, used: np.ndarray) -> np.ndarray:
-    """Decode a sorted array of used codes to their values."""
-    if used.size == 0:
-        return np.empty(0, dtype=object)
-    return np.asarray(dictionary.decode_array(used.astype(np.uint32)))
+def _used_codes(codes: np.ndarray, n_values: int) -> np.ndarray:
+    """Sorted distinct codes below ``n_values`` (NULL is never one), by
+    counting: a ``bincount`` is linear where a unique would sort."""
+    return np.flatnonzero(np.bincount(codes[codes < n_values]))
 
 
 def _translate_table(
@@ -249,20 +250,15 @@ def fold_generation(
                 plan.delta_idx
             ]
 
-            # Surviving value domain: one unique pass per source, one
-            # decode per distinct code, one unique over the union.
-            used_main = np.unique(src_main)
-            used_main = used_main[used_main != main_col.null_code]
-            used_delta = np.unique(src_delta)
-            used_delta = used_delta[used_delta != np.uint32(NULL_CODE)]
-            vals_main = _decoded_domain(main_col.dictionary, used_main)
-            vals_delta = _decoded_domain(
-                delta.dictionaries[ci], used_delta
-            )
-            domain = _sorted_domain(col.dtype, vals_main, vals_delta)
-            new_dict = SortedDictionary.build(
-                col.dtype, backend, domain.tolist()
-            )
+            # Surviving value domain: the used codes of each source by
+            # counting, one decode per used code, and one merge of main's
+            # sorted run with the delta's values.
+            used_main = _used_codes(src_main, len(main_col.dictionary))
+            used_delta = _used_codes(src_delta, len(delta.dictionaries[ci]))
+            vals_main = main_col.dictionary.decode_array(used_main)
+            vals_delta = delta.dictionaries[ci].decode_array(used_delta)
+            domain = _sorted_domain(vals_main, vals_delta)
+            new_dict = SortedDictionary.build(col.dtype, backend, domain)
             new_null = len(new_dict)
 
             main_map = _translate_table(
@@ -415,16 +411,23 @@ def replay_merge(
     table.generation += 1
 
 
-def _sorted_domain(
-    dtype: DataType, vals_main: np.ndarray, vals_delta: np.ndarray
-) -> np.ndarray:
-    """Sorted distinct union of two decoded value arrays."""
-    if vals_main.size == 0 and vals_delta.size == 0:
-        return np.empty(0, dtype=object)
-    if vals_main.size == 0:
-        merged = vals_delta
-    elif vals_delta.size == 0:
-        merged = vals_main
-    else:
-        merged = np.concatenate([vals_main, vals_delta])
-    return np.unique(merged)
+def _sorted_domain(vals_main: np.ndarray, vals_delta: np.ndarray) -> np.ndarray:
+    """Sorted distinct union of main's values (sorted and distinct
+    already) and the delta's (neither), as numpy's unique gives it: NaN
+    last and once, and ``-0.0``/``0.0`` one value.
+
+    One stable sort of the concatenation (a timsort, which takes main's
+    run as it is and merges the delta's into it) and an adjacent-distinct
+    pass that drops repeats.
+    """
+    merged = np.sort(np.concatenate([vals_main, vals_delta]), kind="stable")
+    if merged.size == 0:
+        return merged
+    keep = np.empty(merged.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(merged[1:], merged[:-1], out=keep[1:])
+    if merged.dtype.kind == "f" and np.isnan(merged[-1]):
+        # NaN sorts last and equals nothing: keep its first copy only.
+        first_nan = int(np.searchsorted(merged, merged[-1]))
+        keep[first_nan + 1 :] = False
+    return merged[keep]

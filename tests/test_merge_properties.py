@@ -1,5 +1,8 @@
 """Property: merging never changes what any future snapshot can see."""
 
+import math
+
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.storage.backend import VolatileBackend
@@ -13,12 +16,19 @@ from tests.conftest import merge_table
 
 SCHEMA = Schema.of(k=DataType.INT64, s=DataType.STRING, f=DataType.FLOAT64)
 
+# NaN, the infinities and both zeros, often enough to meet each other.
+_floats = st.one_of(
+    st.none(),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1.5]),
+)
+
 # Each row: (key, string-or-None, float-or-None, begin_cid, end_cid-or-None)
 _rows = st.lists(
     st.tuples(
         st.integers(0, 15),
         st.one_of(st.none(), st.text(max_size=4)),
-        st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False)),
+        _floats,
         st.integers(1, 8),
         st.one_of(st.none(), st.integers(1, 8)),
     ),
@@ -26,9 +36,11 @@ _rows = st.lists(
 )
 
 
-def _build(rows):
-    backend = VolatileBackend()
-    table = Table.create(1, "t", SCHEMA, backend)
+def _build(rows, backend=None, table=None):
+    """Commit ``rows`` into ``table``, a new one when not given."""
+    if table is None:
+        backend = VolatileBackend()
+        table = Table.create(1, "t", SCHEMA, backend)
     for key, text, number, begin, end in rows:
         if end is not None and end < begin:
             begin, end = end, begin
@@ -41,10 +53,22 @@ def _build(rows):
     return backend, table
 
 
+def _same_value(f):
+    """A float as a merge keeps it: NaN is NaN and -0.0 is 0.0 (a
+    dictionary holds one of the two zeros)."""
+    if f is None:
+        return None
+    return "nan" if f != f else f + 0.0
+
+
 def _visible_multiset(table, snapshot):
     result = scan(table, snapshot_cid=snapshot)
     return sorted(
-        zip(result.column("k"), result.column("s"), result.column("f")),
+        zip(
+            result.column("k"),
+            result.column("s"),
+            map(_same_value, result.column("f")),
+        ),
         key=repr,
     )
 
@@ -67,18 +91,39 @@ def test_merge_preserves_future_snapshots(rows, merge_twice):
         assert _visible_multiset(table, snapshot) == expected
 
 
-@given(rows=_rows)
-@settings(max_examples=40, deadline=None)
-def test_merge_dictionary_invariants(rows):
-    backend, table = _build(rows)
-    table.main, table.delta = merge_table(table, backend)
-    for col in table.main.columns:
-        values = col.dictionary.values_list()
-        # Sorted and distinct.
-        assert values == sorted(set(values), key=lambda v: v)
-        # Every code in range (checked by the shared validator too).
+def _survivor_domain(rows, ci, dtype):
+    """``np.unique`` of the non-NULL values of the rows a quiesced merge
+    keeps (the never-deleted ones)."""
+    values = [row[ci] for row in rows if row[4] is None and row[ci] is not None]
+    return np.unique(np.array(values, dtype=dtype))
+
+
+def _check_dictionaries(table, rows):
+    for ci, (col, dtype) in enumerate(
+        zip(table.main.columns, (np.int64, object, np.float64))
+    ):
+        values = col.dictionary.values_array()
+        want = _survivor_domain(rows, ci, dtype)
+        # Equal to numpy's unique (NaN last and once, one zero) ...
+        np.testing.assert_array_equal(values, want)
+        assert values.dtype == want.dtype
+        # ... so strictly ordered: no repeat, and NaN only last.
+        nan_last = values.size and values[-1] != values[-1]
+        ordered = (values[:-1] if nan_last else values).tolist()
+        assert all(a < b for a, b in zip(ordered, ordered[1:]))
         codes = col.codes()
         if codes.size:
             assert int(codes.max()) <= col.null_code
     # Delta is fresh and empty.
     assert table.delta.row_count == 0
+
+
+@given(first=_rows, second=_rows)
+@settings(max_examples=60, deadline=None)
+def test_merge_dictionary_invariants(first, second):
+    backend, table = _build(first)
+    table.main, table.delta = merge_table(table, backend)  # a first merge
+    _check_dictionaries(table, first)
+    _build(second, backend, table)
+    table.main, table.delta = merge_table(table, backend)  # into a main
+    _check_dictionaries(table, first + second)

@@ -190,6 +190,81 @@ class TestVectorizedAggregate:
                 )
 
 
+SUM_SCHEMA = Schema.of(g=DataType.INT64, i=DataType.INT64, f=DataType.FLOAT64)
+
+
+def _bulk_table(layout, columns, end=None):
+    """A ``SUM_SCHEMA`` table of committed rows given column-major,
+    loaded in one batch; ``end`` cids, when given, delete rows."""
+    backend = VolatileBackend()
+    table = Table.create(1, "s", SUM_SCHEMA, backend)
+    n = len(columns[0])
+    begin = np.ones(n, dtype=np.uint64)
+    if end is None:
+        end = np.full(n, np.iinfo(np.uint64).max, dtype=np.uint64)
+    half = n // 2 if layout == "split" else n
+    delta = table.delta
+    delta.load_encoded(
+        delta.encode_columns([c[:half] for c in columns]), begin[:half], end[:half]
+    )
+    if layout != "delta_only":
+        table.main, table.delta = merge_table(table, backend)
+        delta = table.delta
+        delta.load_encoded(
+            delta.encode_columns([c[half:] for c in columns]),
+            begin[half:],
+            end[half:],
+        )
+    return table
+
+
+@pytest.mark.parametrize("layout", ["delta_only", "merged", "split"])
+class TestSumKernels:
+    def test_int64_grouped_sum_is_exact_past_2_53(self, layout):
+        # Float weights would round 2**53 + 1 to 2**53: INT64 must stay
+        # on exact integer adds, like python's ``sum``.
+        big = [2**53 + 1, 2**53 + 3, 1, -(2**53) - 1, 2**53 + 1, 3]
+        groups = [0, 0, 0, 1, 1, 1]
+        table = _bulk_table(layout, [groups, big, [0.0] * 6])
+        result = scan(table, snapshot_cid=10)
+        want = {0: sum(big[:3]), 1: sum(big[3:])}
+        assert aggregate(result, "sum", "i", group_by="g") == want
+        assert aggregate(result, "sum", "i") == sum(big)
+        assert aggregate_scalar(result, "sum", "i", group_by="g") == want
+
+    @pytest.mark.parametrize("distinct", [41_000, 42_000])
+    def test_grouped_sum_either_side_of_a_dense_cap(self, layout, distinct):
+        # 50 keys plus the NULL slot: 51 x 41k cells is under 2**21, and
+        # 51 x 42k over it. The sums must not depend on which side.
+        rng = np.random.default_rng(distinct)
+        amounts = rng.permutation(distinct).astype(np.float64) / 8 + 0.125
+        keys = rng.integers(0, 50, distinct)
+        table = _bulk_table(
+            layout, [keys.tolist(), [0] * distinct, amounts.tolist()]
+        )
+        result = scan(table, snapshot_cid=10)
+        got = aggregate(result, "sum", "f", group_by="g")
+        want = aggregate_scalar(result, "sum", "f", group_by="g")
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            assert got[key] == pytest.approx(value, rel=1e-12)
+
+    def test_a_deleted_rows_value_takes_no_part(self, layout):
+        # The deleted row's inf stays in the dictionary; no visible row
+        # holds it, so no sum may turn NaN through it.
+        end = np.full(4, np.iinfo(np.uint64).max, dtype=np.uint64)
+        end[1] = 5
+        table = _bulk_table(
+            layout, [[0, 0, 1, 1], [1, 2, 3, 4], [1.0, np.inf, 2.0, 3.0]], end
+        )
+        result = scan(table, snapshot_cid=10)
+        for group_by in (None, "g"):
+            for func in ("sum", "avg"):
+                assert aggregate(result, func, "f", group_by) == aggregate_scalar(
+                    result, func, "f", group_by
+                )
+
+
 class TestColumnArray:
     def test_matches_column(self, table):
         result = scan(table, snapshot_cid=10)
