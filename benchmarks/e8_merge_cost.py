@@ -27,7 +27,7 @@ SERIES = ("rows_merged", ["nvm_merge_s"])
 def _merge(mode: DurabilityMode, delta_rows: int) -> tuple[float, int]:
     """Seconds to merge ``delta_rows`` delta rows, and main's rows after."""
     with tempfile.TemporaryDirectory(prefix="e8-") as path:
-        db = Database(path, config_for(mode, checkpoint_after_merge=False))
+        db = Database(path, config_for(mode))
         db.create_table("events", RowGenerator.SCHEMA)
         db.bulk_insert("events", RowGenerator(seed=51).rows(delta_rows))
         start = time.perf_counter()

@@ -59,23 +59,11 @@ class EngineConfig:
     wal_fsync_delay_s: float = 0.0
     #: Transaction-table slots (max concurrent transactions).
     txn_slots: int = 256
-    #: LOG mode: write a checkpoint right after every merge (required for
-    #: rowref stability across restarts; disable only in experiments that
-    #: never merge).
-    checkpoint_after_merge: bool = True
-    #: Merge a table automatically once its delta exceeds this many rows.
-    #: Commits wake the background maintenance daemon, which runs the
-    #: merge *online* (concurrently with readers and writers). None
-    #: disables the row-count trigger.
+    #: Merge a table once its delta holds this many rows. Commits wake
+    #: the background maintenance daemon, which runs the merge *online*
+    #: (concurrently with readers and writers) and then rests the table
+    #: for about twice the measured merge time. None: no automatic merge.
     auto_merge_rows: Optional[int] = None
-    #: Additionally trigger a merge when the delta holds at least this
-    #: fraction of a table's rows (and the table is non-trivial — see
-    #: ``merge_delta_fraction_floor``). None disables the fraction
-    #: trigger. Either trigger enables the maintenance daemon.
-    merge_delta_fraction: Optional[float] = None
-    #: Minimum delta rows before the fraction trigger applies (avoids
-    #: merging tiny tables over and over).
-    merge_delta_fraction_floor: int = 1024
     #: Rows per fold chunk of the online merge. A ``merge_chunk``
     #: persistence-boundary event fires and the GIL yields between
     #: chunks, bounding how long the fold can starve foreground work.
@@ -84,16 +72,12 @@ class EngineConfig:
     #: transaction holding operations on the table before giving up
     #: (the merge is abandoned and retried later).
     merge_cutover_timeout_s: float = 5.0
-    #: Poll interval of the background maintenance daemon.
-    maintenance_interval_s: float = 0.05
-    #: Trigger a background checkpoint once this many log bytes have
-    #: accumulated since the last one (LOG mode; enables the
-    #: maintenance daemon). None disables the byte trigger.
-    checkpoint_log_bytes: Optional[int] = None
-    #: Trigger a background checkpoint once the *estimated* replay time
-    #: of the accumulated log tail (from the engine's own
-    #: ``recovery_replay_bytes_per_second`` telemetry) exceeds this many
-    #: seconds. None disables the estimate trigger.
+    #: LOG mode restart budget: checkpoint in the background once the
+    #: *estimated* replay time of the log since the last checkpoint
+    #: (its bytes over the engine's measured
+    #: ``recovery_replay_bytes_per_second``) exceeds this many seconds.
+    #: A LOG engine also checkpoints after every merge, whatever this
+    #: is. None: no background checkpoint.
     checkpoint_max_replay_s: Optional[float] = None
 
     def validated(self) -> "EngineConfig":
@@ -107,20 +91,10 @@ class EngineConfig:
             raise ValueError("txn_slots must be >= 1")
         if self.auto_merge_rows is not None and self.auto_merge_rows < 1:
             raise ValueError("auto_merge_rows must be >= 1")
-        if self.merge_delta_fraction is not None and not (
-            0.0 < self.merge_delta_fraction <= 1.0
-        ):
-            raise ValueError("merge_delta_fraction must be in (0, 1]")
-        if self.merge_delta_fraction_floor < 0:
-            raise ValueError("merge_delta_fraction_floor must be >= 0")
         if self.merge_chunk_rows < 1:
             raise ValueError("merge_chunk_rows must be >= 1")
         if self.merge_cutover_timeout_s <= 0:
             raise ValueError("merge_cutover_timeout_s must be > 0")
-        if self.maintenance_interval_s <= 0:
-            raise ValueError("maintenance_interval_s must be > 0")
-        if self.checkpoint_log_bytes is not None and self.checkpoint_log_bytes < 1:
-            raise ValueError("checkpoint_log_bytes must be >= 1")
         if (
             self.checkpoint_max_replay_s is not None
             and self.checkpoint_max_replay_s <= 0

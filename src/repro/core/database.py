@@ -149,9 +149,8 @@ class Transaction:
 
     def commit(self) -> Optional[int]:
         """Commit; returns the commit id (None when read-only)."""
-        touched = {table_id for _, table_id, _ in self.ctx.ops}
         cid = self._db._manager.commit(self.ctx)
-        self._db._maintenance.notify(touched)
+        self._db._maintenance.notify(self.ctx.ops)
         return cid
 
     def abort(self) -> None:
@@ -194,9 +193,10 @@ class Database:
         # calls here. Coarse by design — index upkeep is cheap next to
         # encode + WAL work, which stays outside.
         self._index_lock = threading.Lock()
-        # Merges are serialised engine-wide: one fold at a time keeps
-        # the memory high-water mark bounded and the cutover reasoning
-        # simple. Foreground work never waits on this lock.
+        # Merges, checkpoints and DDL are serialised engine-wide: one
+        # fold at a time keeps the memory high-water mark bounded and
+        # the cutover reasoning simple, and a checkpoint sees a stable
+        # set of tables. Reads, writes and commits never wait on it.
         self._maint_lock = threading.Lock()
         self.last_recovery: Optional[RecoveryReport] = None
         os.makedirs(path, exist_ok=True)
@@ -253,15 +253,17 @@ class Database:
         ``partition_key`` is what a sharded engine routes rows by; one
         shard routes nothing and only checks that it names a column.
         """
-        if name in self._tables_by_name:
-            raise ValueError(f"table {name!r} already exists")
         schema = _coerce_schema(schema)
         if partition_key is not None and partition_key not in schema.names:
             raise ValueError(
                 f"partition key {partition_key!r} is not a column of {name!r}"
             )
-        table = self._driver.create_table(name, schema)
-        self._register(table, {})
+        # Not beside a checkpoint: its link lists the tables it read.
+        with self._maint_lock:
+            if name in self._tables_by_name:
+                raise ValueError(f"table {name!r} already exists")
+            table = self._driver.create_table(name, schema)
+            self._register(table, {})
         return table
 
     def create_index(self, table_name: str, column: str) -> TableIndex:
@@ -468,9 +470,10 @@ class Database:
         registry.histogram("engine_merge_seconds").observe(
             time.perf_counter() - t0
         )
-        # Post-cutover housekeeping (LOG-mode checkpoint) runs outside
-        # every lock: it is an optimisation, not a correctness step —
-        # the merge record already makes the new layout recoverable.
+        # Post-cutover housekeeping (LOG-mode checkpoint) runs after the
+        # merge lets go of its locks: it is an optimisation, not a
+        # correctness step — the merge record already makes the new
+        # layout recoverable.
         self._driver.on_merge_complete(table)
 
     # -- merge machinery -----------------------------------------------

@@ -493,11 +493,9 @@ class LogDriver(VolatileDriver):
             )
 
     def on_merge_complete(self, table: Table) -> None:
-        # A checkpoint shrinks the replay tail but is no longer required
-        # for correctness (the merge record is). Best-effort: skip when
+        # A checkpoint shrinks the replay tail but is not required for
+        # correctness (the merge record is). Best-effort: skip when
         # transactions are active — an online merge does not quiesce.
-        if not self.config.checkpoint_after_merge:
-            return
         try:
             self.checkpoint()
         except RuntimeError:
@@ -520,45 +518,57 @@ class LogDriver(VolatileDriver):
         db = self._db
         if db._manager.active_count:
             raise RuntimeError("cannot checkpoint with active transactions")
-        t0 = time.perf_counter()
-        self._wal.sync()
-        lsn = self._wal.lsn
-        last_cid = db._manager.last_cid
-        registry = get_registry()
-        live = db._tables_by_id
-        dirty = [
-            table
-            for table_id, table in live.items()
-            if table_id not in self._segment_map
-            or self._clean_tokens.get(table_id) != table.change_token()
-        ]
-        dirty_ids = {t.table_id for t in dirty}
-        carry = {
-            table_id: seg
-            for table_id, seg in self._segment_map.items()
-            if table_id in live and table_id not in dirty_ids
-        }
-        state, written = self._chain.publish(
-            [snapshot_table(t) for t in dirty],
-            carry,
-            last_cid,
-            lsn,
-            self._next_table_id,
-        )
-        self._segment_map = state.mapping
-        for table in dirty:
-            self._clean_tokens[table.table_id] = table.change_token()
-        for table_id in list(self._clean_tokens):
-            if table_id not in state.mapping:
-                del self._clean_tokens[table_id]
-        registry.counter("engine_checkpoint_tables_total").inc(len(dirty))
-        self._last_checkpoint_lsn = lsn
-        registry.counter("engine_checkpoints_total").inc()
-        registry.counter("engine_checkpoint_bytes_total").inc(written)
-        registry.histogram("engine_checkpoint_seconds").observe(
-            time.perf_counter() - t0
-        )
-        return written
+        # Not beside DDL or a merge cutover: the link lists exactly the
+        # tables, and the generations, that its LSN has below it.
+        with db._maint_lock:
+            t0 = time.perf_counter()
+            live = dict(db._tables_by_id)
+            # Tokens first: a commit that lands from here on moves its
+            # table's token past the recorded one, so the next link
+            # rewrites the table instead of carrying forward, under a
+            # later LSN, a segment that lacks the commit.
+            tokens = {tid: table.change_token() for tid, table in live.items()}
+            # A commit logs its group and stamps its rows under the commit
+            # lock: read there, the LSN passes no group left unstamped, and
+            # the snapshots drop every stamp past ``last_cid``.
+            with db._manager._lock:
+                lsn = self._wal.lsn
+                last_cid = db._manager.last_cid
+            self._wal.sync()
+            registry = get_registry()
+            dirty = [
+                table
+                for table_id, table in live.items()
+                if table_id not in self._segment_map
+                or self._clean_tokens.get(table_id) != tokens[table_id]
+            ]
+            dirty_ids = {t.table_id for t in dirty}
+            carry = {
+                table_id: seg
+                for table_id, seg in self._segment_map.items()
+                if table_id in live and table_id not in dirty_ids
+            }
+            state, written = self._chain.publish(
+                [snapshot_table(t, last_cid) for t in dirty],
+                carry,
+                last_cid,
+                lsn,
+                self._next_table_id,
+            )
+            self._segment_map = state.mapping
+            for table_id in dirty_ids:
+                self._clean_tokens[table_id] = tokens[table_id]
+            for table_id in list(self._clean_tokens):
+                if table_id not in state.mapping:
+                    del self._clean_tokens[table_id]
+            registry.counter("engine_checkpoint_tables_total").inc(len(dirty))
+            self._last_checkpoint_lsn = lsn
+            registry.counter("engine_checkpoints_total").inc()
+            registry.counter("engine_checkpoint_bytes_total").inc(written)
+            registry.histogram("engine_checkpoint_seconds").observe(
+                time.perf_counter() - t0
+            )
+            return written
 
     def close(self) -> None:
         if self._wal is not None:

@@ -1,41 +1,30 @@
-"""Background maintenance: metrics-driven online merges and checkpoints.
+"""Background maintenance: one condition per action.
 
-One daemon thread per :class:`~repro.core.database.Database` watches the
-tables whose deltas are growing and folds them into fresh main
-generations with the *online* merge (readers and writers keep running;
-see :mod:`repro.storage.merge`). Commits wake the daemon by notifying
-the table ids they touched; between wakes it polls, so a table that
-crossed a threshold while the daemon was busy is never forgotten.
+One daemon thread per :class:`~repro.core.database.Database`. A table
+**merges** online (:mod:`repro.storage.merge`) once its delta holds
+``auto_merge_rows`` rows. A LOG engine **checkpoints** once the log
+since its last checkpoint would take longer than
+``checkpoint_max_replay_s`` to replay at the measured
+``recovery_replay_bytes_per_second`` mean: the paper's restart budget.
+After an attempt its target *rests* for about twice the attempt's
+duration, blended with the ``engine_{action}_seconds`` mean, so a
+write-heavy workload cannot livelock the engine into merging back to
+back, and a merge that grows with main's size runs less often.
 
-Scheduling is driven by live observability state rather than by the
-write path: the policy reads each table's delta row count and delta
-fraction, and paces itself with the engine's own merge-duration
-telemetry (``engine_merge_seconds``) — after a merge that took *d*
-seconds, the same table is left alone for ~2·d so a write-heavy
-workload cannot livelock the engine into merging back-to-back.
-
-The same pass schedules **checkpoints** for the LOG engine: a
-checkpoint is due when the WAL has grown past
-``checkpoint_log_bytes`` since the last one, or when the *estimated
-replay time* of the pending log tail — pending bytes divided by the
-mean of the ``recovery_replay_bytes_per_second`` histogram, which every
-recovery feeds — exceeds ``checkpoint_max_replay_s``. The second
-trigger is the paper's restart-budget knob: it bounds how long a crash
-at this moment would take to recover from, adapting automatically as
-measured replay throughput changes (e.g. more replay workers =>
-checkpoints allowed to lag further).
-
-The daemon is deliberately forgiving: a merge whose cutover times out,
-or a checkpoint attempted while transactions are active, raises
-``RuntimeError``, which is counted and retried on a later pass instead
-of crashing the thread.
+The daemon does not poll. Work only becomes due when a commit lands
+(:meth:`MaintenanceDaemon.notify`) or a rest ends, so it sleeps on its
+event until the earliest rest end, after one pass at start for what a
+restart left over a threshold. A cutover that times out, or a
+checkpoint refused beside active transactions, raises ``RuntimeError``:
+it is counted and retried once its target has rested.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from repro.core.config import DurabilityMode
 from repro.obs import get_registry
@@ -43,55 +32,41 @@ from repro.obs import get_registry
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.database import Database
 
-#: Upper bound on the post-merge cooldown, so one pathologically slow
-#: merge cannot park maintenance for minutes.
-_MAX_COOLDOWN_S = 5.0
+#: Bounds on a rest: one pathologically slow merge must not park
+#: maintenance for minutes, and a refusal that returns at once (a
+#: checkpoint beside an open transaction) must not spin the daemon.
+_MIN_REST_S = 0.01
+_MAX_REST_S = 5.0
 
-#: Replay throughput assumed before any recovery has been measured
-#: (conservative, so the first checkpoints come sooner rather than
-#: later); replaced by the histogram mean after the first restart.
+#: Replay throughput assumed before any recovery has been measured:
+#: conservative, so the first checkpoints come sooner rather than later.
 _FALLBACK_REPLAY_BYTES_PER_S = 16 * 1024 * 1024
+
+#: Rest key of the checkpoint action (a merge rests per table id).
+_CHECKPOINT = "checkpoint"
 
 
 class MaintenanceDaemon:
-    """Metrics-driven background merge scheduler for one engine."""
+    """Background merge and checkpoint scheduler for one engine."""
 
     def __init__(self, db: "Database"):
         self._db = db
-        self._config = db.config
+        cfg = db.config
+        # One condition per action; None turns the action off.
+        self._merge_rows = cfg.auto_merge_rows
+        log = cfg.mode == DurabilityMode.LOG
+        self._max_replay_s = cfg.checkpoint_max_replay_s if log else None
         self._wake = threading.Event()
         self._stop = threading.Event()
         self._idle = threading.Condition()
         self._busy = False
-        # Tables explicitly nudged by commits since the last pass.
-        self._pending: set[int] = set()
-        self._pending_lock = threading.Lock()
-        # table_id -> monotonic time before which we leave it alone.
-        self._cooldown_until: dict[int, float] = {}
-        self._checkpoint_cooldown_until = 0.0
+        # Target (table id or _CHECKPOINT) -> monotonic end of its rest.
+        self._rest_until: dict = {}
         self._thread: Optional[threading.Thread] = None
-
-    # -- lifecycle -----------------------------------------------------
-
-    @property
-    def _merge_enabled(self) -> bool:
-        cfg = self._config
-        return (
-            cfg.auto_merge_rows is not None
-            or cfg.merge_delta_fraction is not None
-        )
-
-    @property
-    def _checkpoint_enabled(self) -> bool:
-        cfg = self._config
-        return cfg.mode == DurabilityMode.LOG and (
-            cfg.checkpoint_log_bytes is not None
-            or cfg.checkpoint_max_replay_s is not None
-        )
 
     @property
     def enabled(self) -> bool:
-        return self._merge_enabled or self._checkpoint_enabled
+        return self._merge_rows is not None or self._max_replay_s is not None
 
     @property
     def running(self) -> bool:
@@ -117,201 +92,102 @@ class MaintenanceDaemon:
         self._thread = None
         self._db = None
 
-    # -- write-path interface ------------------------------------------
-
-    def notify(self, table_ids: Iterable[int]) -> None:
-        """Nudge the daemon: these tables just received writes."""
-        if not self.enabled:
-            return
-        ids = set(table_ids)
-        if not ids:
-            return
-        with self._pending_lock:
-            self._pending |= ids
-        self._wake.set()
+    def notify(self, ops: list) -> None:
+        """A commit with these operations landed: wake the daemon."""
+        if ops and self._thread is not None:
+            self._wake.set()
 
     def wait_idle(self, timeout: float = 5.0) -> bool:
-        """Block until nothing is due and no maintenance is running.
-
-        Returns False on timeout. Test/benchmark hook: lets callers
-        assert post-merge/post-checkpoint state without sleeping for
-        arbitrary periods.
-        """
+        """Block until nothing is due and nothing runs; False on timeout.
+        A test hook: assert post-maintenance state without sleeping."""
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
             with self._idle:
-                if (
-                    not self._busy
-                    and not self._due_tables(ignore_cooldown=True)
-                    and not self._checkpoint_due(ignore_cooldown=True)
-                ):
+                if not self._busy and not any(self._due(resting_too=True)):
                     return True
             time.sleep(0.002)
         return False
 
-    # -- policy --------------------------------------------------------
+    def _due(self, *, resting_too: bool = False) -> Iterator[tuple]:
+        """Yield ``(target, action, run)`` for each step due, merges
+        first. Lazy: the checkpoint condition is read after the merges
+        ran, since a LOG merge checkpoints too."""
+        now = time.monotonic()
 
-    def _due(self, table, *, ignore_cooldown: bool = False) -> bool:
-        cfg = self._config
-        delta_rows = table.delta_row_count
-        if delta_rows == 0:
-            return False
-        if not ignore_cooldown:
-            until = self._cooldown_until.get(table.table_id, 0.0)
-            if time.monotonic() < until:
-                return False
-        if cfg.auto_merge_rows is not None and delta_rows >= cfg.auto_merge_rows:
-            return True
-        if cfg.merge_delta_fraction is not None:
-            total = table.row_count
-            if (
-                delta_rows >= cfg.merge_delta_fraction_floor
-                and total > 0
-                and delta_rows / total >= cfg.merge_delta_fraction
-            ):
-                return True
-        return False
+        def ready(target) -> bool:
+            return resting_too or self._rest_until.get(target, 0.0) <= now
 
-    def _due_tables(self, *, ignore_cooldown: bool = False) -> list:
-        return [
-            table
-            for table in list(self._db._tables_by_id.values())
-            if self._due(table, ignore_cooldown=ignore_cooldown)
-        ]
+        db = self._db
+        if self._merge_rows is not None:
+            for table in list(db._tables_by_id.values()):
+                rows = table.delta_row_count
+                if rows >= self._merge_rows and ready(table.table_id):
+                    merge = functools.partial(db.merge, table.name)
+                    yield table.table_id, "merge", merge
+        if (
+            self._max_replay_s is not None
+            and ready(_CHECKPOINT)
+            and self._estimated_replay_s() > self._max_replay_s
+        ):
+            yield _CHECKPOINT, "checkpoint", db.checkpoint
 
-    def _cooldown_for(self, duration_s: float) -> float:
-        """Cooldown after a merge: ~2x its duration, metrics-informed.
+    def _estimated_replay_s(self) -> float:
+        """Restart cost of the log since the last checkpoint."""
+        hist = get_registry().histogram("recovery_replay_bytes_per_second")
+        measured = hist.count and hist.sum > 0
+        rate = hist.sum / hist.count if measured else _FALLBACK_REPLAY_BYTES_PER_S
+        return self._db._driver.log_bytes_since_checkpoint / rate
 
-        The duration of *this* merge is blended with the engine-wide
-        mean from the ``engine_merge_seconds`` histogram so one
-        unusually fast (or slow) merge does not whipsaw the pacing.
-        """
+    def _rest_s(self, action: str, duration_s: float) -> float:
+        """Twice this attempt's duration, blended with the engine-wide mean
+        so one unusually fast or slow attempt does not whipsaw pacing."""
         mean = duration_s
-        hist = get_registry().histogram("engine_merge_seconds")
+        hist = get_registry().histogram(f"engine_{action}_seconds")
         if hist.count:
             mean = (mean + hist.sum / hist.count) / 2.0
-        return min(2.0 * mean, _MAX_COOLDOWN_S)
-
-    def _estimated_replay_s(self, pending_bytes: int) -> float:
-        """Restart cost of the pending log tail at measured throughput.
-
-        Uses the mean of ``recovery_replay_bytes_per_second`` (fed by
-        every recovery, serial or parallel); before the first measured
-        recovery a conservative fallback rate applies.
-        """
-        hist = get_registry().histogram("recovery_replay_bytes_per_second")
-        rate = (
-            hist.sum / hist.count
-            if hist.count
-            else _FALLBACK_REPLAY_BYTES_PER_S
-        )
-        if rate <= 0:
-            rate = _FALLBACK_REPLAY_BYTES_PER_S
-        return pending_bytes / rate
-
-    def _checkpoint_due(self, *, ignore_cooldown: bool = False) -> bool:
-        if not self._checkpoint_enabled:
-            return False
-        if not ignore_cooldown and time.monotonic() < self._checkpoint_cooldown_until:
-            return False
-        driver = self._db._driver
-        pending = getattr(driver, "log_bytes_since_checkpoint", 0)
-        if pending <= 0:
-            return False
-        cfg = self._config
-        if (
-            cfg.checkpoint_log_bytes is not None
-            and pending >= cfg.checkpoint_log_bytes
-        ):
-            return True
-        if (
-            cfg.checkpoint_max_replay_s is not None
-            and self._estimated_replay_s(pending) >= cfg.checkpoint_max_replay_s
-        ):
-            return True
-        return False
-
-    # -- daemon loop ---------------------------------------------------
+        return min(max(2.0 * mean, _MIN_REST_S), _MAX_REST_S)
 
     def _run(self) -> None:
-        registry = get_registry()
-        merges = registry.counter("maintenance_merges_total")
-        failures = registry.counter("maintenance_merge_failures_total")
-        checkpoints = registry.counter("maintenance_checkpoints_total")
-        ckpt_failures = registry.counter(
-            "maintenance_checkpoint_failures_total"
-        )
         while not self._stop.is_set():
-            self._wake.wait(timeout=self._config.maintenance_interval_s)
+            # Cleared before the pass: a commit that lands during it
+            # sets the event again, and the wait below returns at once.
             self._wake.clear()
-            if self._stop.is_set():
-                return
-            with self._pending_lock:
-                self._pending.clear()
-            for table in self._due_tables():
-                if self._stop.is_set():
+            now = time.monotonic()
+            rests = {t: end for t, end in self._rest_until.items() if end > now}
+            self._rest_until = rests
+            for target, action, run in self._due():
+                if self._stop.is_set() or not self._attempt(target, action, run):
                     return
-                with self._idle:
-                    self._busy = True
-                t0 = time.monotonic()
-                try:
-                    self._db.merge(table.name)
-                    merges.inc()
-                except RuntimeError:
-                    # Cutover starved out (a transaction held operations
-                    # on the table for the whole window) — retry later.
-                    failures.inc()
-                    self._cooldown_until[table.table_id] = (
-                        time.monotonic() + self._config.maintenance_interval_s
-                    )
-                except BaseException:
-                    # A simulated power failure (or shutdown race) on
-                    # the daemon thread: the engine is dead; go quiet.
-                    failures.inc()
-                    with self._idle:
-                        self._busy = False
-                    return
-                else:
-                    self._cooldown_until[table.table_id] = (
-                        time.monotonic()
-                        + self._cooldown_for(time.monotonic() - t0)
-                    )
-                finally:
-                    with self._idle:
-                        self._busy = False
-            if self._checkpoint_due() and not self._stop.is_set():
-                with self._idle:
-                    self._busy = True
-                t0 = time.monotonic()
-                try:
-                    self._db.checkpoint()
-                    checkpoints.inc()
-                except RuntimeError:
-                    # Transactions were active — retry on a later pass.
-                    ckpt_failures.inc()
-                    self._checkpoint_cooldown_until = (
-                        time.monotonic() + self._config.maintenance_interval_s
-                    )
-                except BaseException:
-                    ckpt_failures.inc()
-                    with self._idle:
-                        self._busy = False
-                    return
-                else:
-                    self._checkpoint_cooldown_until = (
-                        time.monotonic()
-                        + self._checkpoint_cooldown_for(
-                            time.monotonic() - t0
-                        )
-                    )
-                finally:
-                    with self._idle:
-                        self._busy = False
+            # Until the earliest rest end; 0 when one ended during the
+            # pass, so the next pass looks at its target again.
+            timeout = None
+            if rests:
+                timeout = max(0.0, min(rests.values()) - time.monotonic())
+            self._wake.wait(timeout)
 
-    def _checkpoint_cooldown_for(self, duration_s: float) -> float:
-        """Post-checkpoint pacing, same shape as the merge cooldown."""
-        mean = duration_s
-        hist = get_registry().histogram("engine_checkpoint_seconds")
-        if hist.count:
-            mean = (mean + hist.sum / hist.count) / 2.0
-        return min(2.0 * mean, _MAX_COOLDOWN_S)
+    def _attempt(self, target, action: str, run: Callable[[], object]) -> bool:
+        """Run one step and set its target's rest; False once the engine
+        is dead and the daemon must go quiet."""
+        registry = get_registry()
+        with self._idle:
+            self._busy = True
+        t0 = time.monotonic()
+        try:
+            run()
+        except RuntimeError:
+            # A cutover starved by a transaction holding operations, or
+            # a checkpoint beside active ones: retry after the rest.
+            registry.counter(f"maintenance_{action}_failures_total").inc()
+        except BaseException:
+            # A simulated power failure (or shutdown race) on the
+            # daemon thread: the engine is dead; go quiet.
+            registry.counter(f"maintenance_{action}_failures_total").inc()
+            return False
+        else:
+            registry.counter(f"maintenance_{action}s_total").inc()
+        finally:
+            with self._idle:
+                self._busy = False
+        rest = self._rest_s(action, time.monotonic() - t0)
+        self._rest_until[target] = time.monotonic() + rest
+        return True

@@ -15,7 +15,7 @@ from repro.txn.errors import (
     TooManyActiveTransactions,
 )
 from repro.txn.txn_table import (
-    OP_INSERT,
+    OP_INSERT_MANY,
     OP_INVALIDATE,
     PersistentTxnTable,
     SLOT_ACTIVE,
@@ -27,7 +27,7 @@ from repro.txn.context import TransactionContext
 from repro.txn.manager import TransactionManager
 
 __all__ = [
-    "OP_INSERT",
+    "OP_INSERT_MANY",
     "OP_INVALIDATE",
     "PersistentTxnTable",
     "SLOT_ACTIVE",

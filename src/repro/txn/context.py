@@ -31,10 +31,9 @@ class TransactionContext:
         self.slot = slot
         self.state = TxnState.ACTIVE
         self.ops: list[tuple[int, int, int]] = []  # (kind, table_id, ref)
-        self.own_inserted: dict[int, set[int]] = {}
-        # Batched own-writes: per table, [first_delta_index, count] ranges
-        # (adjacent batches coalesce), kept separate from the per-row set
-        # so a million-row batch costs two ints, not a million entries.
+        # Own inserts: per table, [first_delta_index, count] ranges
+        # (adjacent batches coalesce), so a million-row batch costs two
+        # ints, not a million entries.
         self.own_insert_ranges: dict[int, list[list[int]]] = {}
         self.own_invalidated: dict[int, set[int]] = {}
         # Table generation observed at first touch (query or write).
@@ -95,9 +94,6 @@ class TransactionContext:
         )
         return pinned != table.generation
 
-    def note_insert(self, table_id: int, ref: int) -> None:
-        self.own_inserted.setdefault(table_id, set()).add(ref)
-
     def note_insert_range(self, table_id: int, first: int, count: int) -> None:
         """Track a contiguous delta-row batch as our own insert."""
         ranges = self.own_insert_ranges.setdefault(table_id, [])
@@ -110,8 +106,6 @@ class TransactionContext:
         self.own_invalidated.setdefault(table_id, set()).add(ref)
 
     def sees_own_insert(self, table_id: int, ref: int) -> bool:
-        if ref in self.own_inserted.get(table_id, ()):
-            return True
         is_delta, index = unpack_rowref(ref)
         if not is_delta:
             return False
@@ -139,9 +133,6 @@ class TransactionContext:
     ) -> None:
         """Overlay own inserts/invalidations onto snapshot masks in place."""
         table_id = table.table_id
-        for ref in self.own_inserted.get(table_id, ()):
-            is_delta, index = unpack_rowref(ref)
-            (delta_mask if is_delta else main_mask)[index] = True
         for first, count in self.own_insert_ranges.get(table_id, ()):
             delta_mask[first : first + count] = True
         for ref in self.own_invalidated.get(table_id, ()):

@@ -25,7 +25,6 @@ from repro.storage.types import Value
 from repro.txn.context import TransactionContext, TxnState
 from repro.txn.errors import TransactionAborted, TransactionConflict
 from repro.txn.txn_table import (
-    OP_INSERT,
     OP_INSERT_MANY,
     OP_INVALIDATE,
     pack_range_ref,
@@ -453,12 +452,8 @@ def apply_operations(
             mvcc.set_tid_range(first, count, NO_TID, fence)
             continue
         mvcc, index = table.mvcc_for(ref)
-        if kind == OP_INSERT:
-            mvcc.set_begin(index, cid, fence)
-            mvcc.set_tid(index, NO_TID, fence)
-        else:
-            mvcc.set_end(index, cid, fence)
-            mvcc.set_tid(index, NO_TID, fence)
+        mvcc.set_end(index, cid, fence)
+        mvcc.set_tid(index, NO_TID, fence)
 
 
 def rollback_operations(

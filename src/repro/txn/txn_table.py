@@ -38,7 +38,8 @@ SLOT_FREE = 0
 SLOT_ACTIVE = 1
 SLOT_COMMITTING = 2
 
-OP_INSERT = 1
+#: Operation kinds a transaction-table record names (kind 1, a retired
+#: single-row insert, must not be reused).
 OP_INVALIDATE = 2
 #: Batched delta insert; the record's rowref field packs (first, count).
 OP_INSERT_MANY = 3

@@ -1,9 +1,12 @@
-"""Checkpoints: chained binary snapshots of a quiesced database.
+"""Checkpoints: chained binary snapshots of the tables.
 
 A checkpoint bounds log replay: restart loads the snapshot and replays
 only the log tail past the recorded LSN. The table codec preserves the
 *physical* row placement (including uncommitted garbage rows), because
-rowrefs in post-checkpoint log records address that placement.
+rowrefs in post-checkpoint log records address that placement. Writers
+may commit while tables are snapshotted: a snapshot reads commit ids
+past the link's ``last_cid`` as in flight, and replay past its LSN,
+which places rows and ends by position, stamps them again.
 
 The chain (:class:`CheckpointChain`, a ``checkpoints/`` directory) is
 the only on-disk snapshot format, so a checkpoint rewrites only the
@@ -44,7 +47,7 @@ from repro.storage.backend import Backend
 from repro.storage.delta import DeltaPartition
 from repro.storage.dictionary import SortedDictionary, UnsortedDictionary
 from repro.storage.main import MainColumn, MainPartition
-from repro.storage.mvcc import MvccColumns, NO_TID
+from repro.storage.mvcc import INFINITY_CID, MvccColumns, NO_TID
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 from repro.storage.types import DataType
@@ -86,10 +89,23 @@ class TableSnapshot:
 # ----------------------------------------------------------------------
 
 
-def snapshot_table(table: Table) -> TableSnapshot:
-    """Capture one table's full physical state (quiesced)."""
-    main = table.main
-    delta = table.delta
+def snapshot_table(table: Table, last_cid: Optional[int] = None) -> TableSnapshot:
+    """Capture one table's full physical state.
+
+    Writers may run meanwhile. The delta's row count is read once,
+    first, and every delta array is cut at it, so rows appended during
+    the capture are left out whole. With ``last_cid``, a commit id past
+    it reads as in flight (∞): the log past the link's LSN stamps it
+    again, and a commit the log lost never surfaces.
+    """
+    main, delta = table.content
+    rows = delta.row_count
+
+    def as_of(cids: np.ndarray) -> np.ndarray:
+        if last_cid is None:
+            return cids
+        return np.where(cids > last_cid, np.uint64(INFINITY_CID), cids)
+
     return TableSnapshot(
         table_id=table.table_id,
         name=table.name,
@@ -103,18 +119,18 @@ def snapshot_table(table: Table) -> TableSnapshot:
             )
             for col in main.columns
         ],
-        main_begin=main.mvcc.begin_array(),
-        main_end=main.mvcc.end_array(),
-        delta_row_count=delta.row_count,
+        main_begin=as_of(main.mvcc.begin_array()),
+        main_end=as_of(main.mvcc.end_array()),
+        delta_row_count=rows,
         delta_columns=[
             DeltaColumnSnapshot(
                 dict_values=delta.dictionaries[ci].values_list(),
-                codes=delta.column_codes(ci),
+                codes=delta.column_codes(ci)[:rows],
             )
             for ci in range(len(table.schema))
         ],
-        delta_begin=delta.mvcc.begin_array()[: delta.row_count],
-        delta_end=delta.mvcc.end_array()[: delta.row_count],
+        delta_begin=as_of(delta.mvcc.begin_array()[:rows]),
+        delta_end=as_of(delta.mvcc.end_array()[:rows]),
     )
 
 

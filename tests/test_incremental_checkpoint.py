@@ -5,12 +5,13 @@ a segment holding only the tables that changed since their last
 snapshot, plus a manifest mapping every live table to the segment that
 holds its newest snapshot. These tests pin the cost model (clean tables
 are never rewritten), chain composition across restarts, torn-manifest
-fallback, garbage collection, and the metrics-driven scheduler that
-triggers checkpoints from the maintenance daemon.
+fallback, garbage collection, the maintenance daemon's checkpoint on
+the replay budget, and checkpoints taken beside committing writers.
 """
 
 import glob
 import os
+import threading
 import time
 
 from repro.core.config import DurabilityMode
@@ -60,15 +61,15 @@ class TestIncrementalCost:
         db.close()
 
     def test_merge_marks_table_dirty(self, tmp_path):
-        cfg = make_config(DurabilityMode.LOG, checkpoint_after_merge=False)
-        db = Database(str(tmp_path / "db"), cfg)
+        db = Database(str(tmp_path / "db"), make_config(DurabilityMode.LOG))
         _fill_tables(db, n_tables=2, rows=60)
         db.checkpoint()
         tables = get_registry().counter("engine_checkpoint_tables_total")
         before = tables.value
-        db.merge("t0")
-        db.checkpoint()
+        db.merge("t0")  # and the checkpoint after it
         assert tables.value == before + 1  # t0 resnapshotted, t1 carried
+        db.checkpoint()
+        assert tables.value == before + 1
         db.close()
 
 
@@ -190,31 +191,13 @@ class TestManifestCrashSafety:
 
 
 class TestCheckpointScheduling:
-    def test_daemon_checkpoints_on_log_bytes(self, tmp_path):
-        cfg = make_config(
-            DurabilityMode.LOG,
-            checkpoint_log_bytes=4096,
-            maintenance_interval_s=0.02,
-        )
-        db = Database(str(tmp_path / "db"), cfg)
-        assert db._maintenance.running
-        db.create_table("t", ITEMS)
-        counter = get_registry().counter("maintenance_checkpoints_total")
-        before = counter.value
-        for i in range(300):
-            db.insert("t", {"id": i, "name": f"payload-{i:04d}"})
-        assert db._maintenance.wait_idle(timeout=10.0)
-        assert counter.value > before
-        assert db._driver.log_bytes_since_checkpoint < 4096
-        db.close()
-
     def test_daemon_checkpoints_on_replay_budget(self, tmp_path):
         cfg = make_config(
             DurabilityMode.LOG,
             checkpoint_max_replay_s=1e-9,  # any pending byte busts it
-            maintenance_interval_s=0.02,
         )
         db = Database(str(tmp_path / "db"), cfg)
+        assert db._maintenance.running
         db.create_table("t", ITEMS)
         counter = get_registry().counter("maintenance_checkpoints_total")
         before = counter.value
@@ -225,20 +208,43 @@ class TestCheckpointScheduling:
         assert counter.value > before
         db.close()
 
+    def test_refused_checkpoint_is_retried_after_the_holder_aborts(
+        self, tmp_path
+    ):
+        """A checkpoint refused beside an open transaction is retried on
+        its rest deadline: the abort notifies nobody."""
+        cfg = make_config(DurabilityMode.LOG, checkpoint_max_replay_s=1e-9)
+        db = Database(str(tmp_path / "db"), cfg)
+        db.create_table("t", ITEMS)
+        registry = get_registry()
+        failures = registry.counter("maintenance_checkpoint_failures_total")
+        checkpoints = registry.counter("maintenance_checkpoints_total")
+        holder = db.begin()
+        before = failures.value
+        db.insert("t", {"id": 1, "name": "a"})
+        deadline = time.monotonic() + 10.0
+        while failures.value == before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert failures.value > before
+        done = checkpoints.value
+        holder.abort()
+        deadline = time.monotonic() + 10.0
+        while checkpoints.value == done and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert checkpoints.value > done
+        assert db._driver.log_bytes_since_checkpoint == 0
+        db.close()
+
     def test_daemon_off_without_thresholds(self, tmp_path):
         db = Database(
             str(tmp_path / "db"), make_config(DurabilityMode.LOG)
         )
-        assert not db._maintenance._checkpoint_enabled
+        assert not db._maintenance.enabled
         db.close()
 
     def test_scheduled_checkpoint_bounds_restart(self, tmp_path):
         path = str(tmp_path / "db")
-        cfg = make_config(
-            DurabilityMode.LOG,
-            checkpoint_log_bytes=2048,
-            maintenance_interval_s=0.02,
-        )
+        cfg = make_config(DurabilityMode.LOG, checkpoint_max_replay_s=1e-9)
         db = Database(path, cfg)
         db.create_table("t", ITEMS)
         for i in range(200):
@@ -246,8 +252,202 @@ class TestCheckpointScheduling:
         assert db._maintenance.wait_idle(timeout=10.0)
         db.crash()
         db = Database(path, cfg)
-        assert db.query("t").count == 200
+        assert sorted(db.query("t").column("id")) == list(range(200))
         # The chain bounded replay to the post-checkpoint tail.
         assert db.last_recovery.log_records_replayed < 100
         assert db.last_recovery.checkpoint_bytes > 0
+        db.close()
+
+
+class TestCheckpointBesideWriters:
+    """A checkpoint does not quiesce: commits may land while it runs."""
+
+    def test_a_commit_during_the_snapshot_survives_the_next_link(
+        self, tmp_path, monkeypatch
+    ):
+        """The commit lands after the table's snapshot: the link records
+        the table's token from before it, so the next link rewrites the
+        table instead of carrying the stale segment past the commit."""
+        from repro.core import durability
+
+        path = str(tmp_path / "db")
+        db = Database(path, make_config(DurabilityMode.LOG))
+        db.create_table("t", ITEMS)
+        db.insert("t", {"id": 0, "name": "before"})
+        real = durability.snapshot_table
+
+        def snapshot_then_commit(table, *args):
+            snapshot = real(table, *args)
+            monkeypatch.setattr(durability, "snapshot_table", real)
+            db.insert("t", {"id": 1, "name": "beside"})
+            return snapshot
+
+        monkeypatch.setattr(durability, "snapshot_table", snapshot_then_commit)
+        db.checkpoint()
+        db.checkpoint()
+        db.crash()
+        db = Database(path, make_config(DurabilityMode.LOG))
+        assert sorted(db.query("t").column("id")) == [0, 1]
+        assert db.verify() == []
+        db.close()
+
+    def test_a_commit_during_the_token_read_survives_the_next_link(
+        self, tmp_path, monkeypatch
+    ):
+        """The commit lands while the link reads change tokens: it is in
+        the token, so it must be in the snapshot too."""
+        from repro.storage.table import Table
+
+        path = str(tmp_path / "db")
+        db = Database(path, make_config(DurabilityMode.LOG))
+        db.create_table("t", ITEMS)
+        db.insert("t", {"id": 0, "name": "before"})
+        real = Table.change_token
+
+        def commit_then_token(table):
+            monkeypatch.setattr(Table, "change_token", real)
+            db.insert("t", {"id": 1, "name": "beside"})
+            return real(table)
+
+        monkeypatch.setattr(Table, "change_token", commit_then_token)
+        db.checkpoint()
+        db.checkpoint()
+        db.crash()
+        db = Database(path, make_config(DurabilityMode.LOG))
+        assert sorted(db.query("t").column("id")) == [0, 1]
+        db.close()
+
+    def test_a_commit_applied_after_the_lsn_read_is_not_skipped(
+        self, tmp_path, monkeypatch
+    ):
+        """A writer's commit group reaches the log before its commit ids
+        are stamped into the rows. The link's LSN must not pass a group
+        whose stamps its snapshots may lack: that commit would be
+        neither in the snapshot nor in the replayed tail."""
+        from repro.storage.table import Table
+        from repro.txn import manager
+
+        path = str(tmp_path / "db")
+        db = Database(path, make_config(DurabilityMode.LOG))
+        db.create_table("t", ITEMS)
+        db.insert("t", {"id": 0, "name": "before"})
+        logged = threading.Event()
+        real_apply = manager.apply_operations
+
+        def apply_late(*args, **kwargs):
+            logged.set()
+            time.sleep(0.3)  # the group is in the log, the rows unstamped
+            real_apply(*args, **kwargs)
+
+        def writer():
+            with db.begin() as txn:
+                txn.insert("t", {"id": 1, "name": "beside"})
+
+        real_token = Table.change_token
+        thread = threading.Thread(target=writer)
+
+        def token_beside_a_commit(table):
+            # The writer begins after the checkpoint's active check.
+            monkeypatch.setattr(Table, "change_token", real_token)
+            monkeypatch.setattr(manager, "apply_operations", apply_late)
+            thread.start()
+            assert logged.wait(10.0)
+            return real_token(table)
+
+        monkeypatch.setattr(Table, "change_token", token_beside_a_commit)
+        db.checkpoint()
+        thread.join()
+        db.crash()
+        db = Database(path, make_config(DurabilityMode.LOG))
+        assert sorted(db.query("t").column("id")) == [0, 1]
+        db.close()
+
+    def test_a_commit_the_log_lost_stays_out_of_later_snapshots(
+        self, tmp_path, monkeypatch
+    ):
+        """An async commit lands after the link's LSN and before its
+        snapshot, and the crash loses its log group. Its rows must not
+        surface once a later commit reuses its commit id."""
+        from repro.core import durability
+
+        path = str(tmp_path / "db")
+        cfg = make_config(DurabilityMode.LOG, group_commit_size=0)
+        db = Database(path, cfg)
+        db.create_table("t", ITEMS)
+        db.insert("t", {"id": 0, "name": "before"})
+        db._driver.wal.sync()
+        real = durability.snapshot_table
+
+        def commit_then_snapshot(table, *args):
+            monkeypatch.setattr(durability, "snapshot_table", real)
+            db.insert("t", {"id": 1, "name": "lost"})
+            return real(table, *args)
+
+        monkeypatch.setattr(durability, "snapshot_table", commit_then_snapshot)
+        db.checkpoint()
+        db.crash(survivor_fraction=0.0)
+        db = Database(path, cfg)
+        assert db.query("t").column("id") == [0]
+        db.insert("t", {"id": 2, "name": "after"})
+        assert sorted(db.query("t").column("id")) == [0, 2]
+        assert db.verify() == []
+        db.close()
+
+    def test_a_table_created_during_the_checkpoint_survives(
+        self, tmp_path, monkeypatch
+    ):
+        """A link lists exactly the tables it read, at an LSN past every
+        create record below it: DDL waits for the link to finish."""
+        from repro.storage.table import Table
+
+        path = str(tmp_path / "db")
+        db = Database(path, make_config(DurabilityMode.LOG))
+        db.create_table("t", ITEMS)
+        created = threading.Event()
+
+        def create():
+            db.create_table("u", ITEMS)
+            created.set()
+            db.insert("u", {"id": 7, "name": "new"})
+
+        thread = threading.Thread(target=create)
+        real = Table.change_token
+
+        def create_then_token(table):
+            monkeypatch.setattr(Table, "change_token", real)
+            thread.start()
+            created.wait(0.5)  # times out while DDL waits for the link
+            return real(table)
+
+        monkeypatch.setattr(Table, "change_token", create_then_token)
+        db.checkpoint()
+        thread.join()
+        db.crash()
+        db = Database(path, make_config(DurabilityMode.LOG))
+        assert db.table_names == ["t", "u"]
+        assert db.query("u").column("id") == [7]
+        db.close()
+
+    def test_a_commit_during_column_codes_leaves_no_ragged_delta(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.storage.delta import DeltaPartition
+        from repro.wal.checkpoint import snapshot_table
+
+        db = Database(str(tmp_path / "db"), make_config(DurabilityMode.LOG))
+        db.create_table("t", ITEMS)
+        db.insert_many("t", [{"id": i, "name": f"n{i}"} for i in range(5)])
+        real = DeltaPartition.column_codes
+
+        def commit_then_read(delta, col):
+            monkeypatch.setattr(DeltaPartition, "column_codes", real)
+            db.insert("t", {"id": 99, "name": "beside"})
+            return real(delta, col)
+
+        monkeypatch.setattr(DeltaPartition, "column_codes", commit_then_read)
+        snapshot = snapshot_table(db.table("t"))
+        rows = snapshot.delta_row_count
+        assert rows == 5
+        assert [len(c.codes) for c in snapshot.delta_columns] == [rows, rows]
+        assert len(snapshot.delta_begin) == len(snapshot.delta_end) == rows
         db.close()

@@ -52,13 +52,12 @@ def _mixed_workload(path, *, crash=True, mark=lambda db: None):
     """Inserts, bulk batches, deletes, updates, interleaved and aborted
     transactions, a merge, DDL, and one transaction still open at the end.
 
-    ``checkpoint_after_merge`` is off so the merge record stays in the
-    replayed tail. ``mark(db)`` is called after every step that may have
-    moved the log. Returns the live database when ``crash`` is false.
+    A transaction held open across the merge makes the checkpoint after
+    it refuse, so the merge record stays in the replayed tail.
+    ``mark(db)`` is called after every step that may have moved the log.
+    Returns the live database when ``crash`` is false.
     """
-    cfg = make_config(
-        DurabilityMode.LOG, group_commit_size=1, checkpoint_after_merge=False
-    )
+    cfg = make_config(DurabilityMode.LOG, group_commit_size=1)
     db = Database(path, cfg)
     for name in ("orders", "items", "scratch"):
         db.create_table(name, ITEMS)
@@ -108,7 +107,9 @@ def _mixed_workload(path, *, crash=True, mark=lambda db: None):
     doomed = db.begin()
     doomed.insert_many("orders", [{"id": 600 + i, "name": "doomed"} for i in range(3)])
     doomed.abort()
+    holder = db.begin()
     db.merge("orders")
+    holder.commit()
     mark(db)
     # Post-merge writes reference the folded layout.
     db.bulk_insert("orders", [{"id": 100 + i, "name": "post"} for i in range(10)])
@@ -330,9 +331,7 @@ class TestEveryPrefixIsConsistent:
         boundaries = {lsn for lsn, _ in trace}
         assert len(frames) - len(boundaries) > 20  # many cuts are mid-group
         cuts = set(frames) | {(a + b) // 2 for a, b in zip(frames, frames[1:])}
-        cfg = make_config(
-            DurabilityMode.LOG, group_commit_size=1, checkpoint_after_merge=False
-        )
+        cfg = make_config(DurabilityMode.LOG, group_commit_size=1)
         for cut in sorted(cuts):
             path = str(tmp_path / "cut")
             shutil.rmtree(path, ignore_errors=True)
@@ -470,9 +469,7 @@ class TestReplayerContract:
         be pinned past those deletes — also when deletes and merge
         arrive in one batch."""
         path = str(tmp_path / "db")
-        cfg = make_config(
-            DurabilityMode.LOG, group_commit_size=1, checkpoint_after_merge=False
-        )
+        cfg = make_config(DurabilityMode.LOG, group_commit_size=1)
         db = Database(path, cfg)
         db.create_table("t", ITEMS)
         db.bulk_insert("t", [{"id": i, "name": "x"} for i in range(20)])

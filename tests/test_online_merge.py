@@ -11,9 +11,9 @@ sections. The tests here check the three promises that design makes:
 * a crash at any ``merge_chunk`` / ``merge_cutover`` boundary is
   logically invisible after recovery, in NVM and LOG mode alike, and the
   LOG merge record replays deterministically without a checkpoint;
-* the metrics-driven :class:`MaintenanceDaemon` schedules merges from
-  delta growth (row threshold and fraction-with-floor) without the write
-  path ever blocking on a merge.
+* the :class:`MaintenanceDaemon` merges a table once its delta holds
+  ``auto_merge_rows`` rows, without a poll and without the write path
+  ever blocking on a merge.
 """
 
 import shutil
@@ -343,15 +343,14 @@ class TestMergeRecord:
     def test_log_replay_without_checkpoint(self, tmp_path):
         """After an online merge, a LOG restart with no checkpoint must
         replay the merge record at its log position — and land on the
-        merged layout with post-merge commits intact."""
-        config = make_config(
-            DurabilityMode.LOG,
-            checkpoint_after_merge=False,
-            group_commit_size=1,
-        )
+        merged layout with post-merge commits intact. A transaction held
+        open across the merge makes the checkpoint after it refuse."""
+        config = make_config(DurabilityMode.LOG, group_commit_size=1)
         db = Database(str(tmp_path / "db"), config)
         expected = _build_mixed(db, rows=12)
+        holder = db.begin()
         db.merge("kv")
+        holder.commit()
         db.insert("kv", {"key": 500, "note": "post-merge"})
         expected[500] = "post-merge"
         db.crash(seed=9)
@@ -387,34 +386,44 @@ class TestMaintenanceDaemon:
         db.close()
         assert not db._maintenance.running
 
-    def test_fraction_trigger_with_floor(self, tmp_path):
+    def test_merges_at_the_threshold_and_not_below(self, tmp_path):
         db = Database(
             str(tmp_path / "db"),
-            make_config(
-                DurabilityMode.NONE,
-                merge_delta_fraction=0.3,
-                merge_delta_fraction_floor=4,
-                maintenance_interval_s=0.02,
-            ),
+            make_config(DurabilityMode.NONE, auto_merge_rows=4),
         )
         db.create_table("kv", SCHEMA)
-        # 40 delta rows: fraction 1.0 >= 0.3 and 40 >= floor -> merge
-        db.insert_many("kv", [{"key": k, "note": f"n{k}"} for k in range(40)])
-        assert db._maintenance.wait_idle(timeout=10.0)
         table = db.table("kv")
-        assert table.generation >= 1
-        assert table.delta_row_count == 0
-        generation = table.generation
-        # 2 more delta rows: fraction trips but the floor does not, so
-        # the daemon must leave the table alone.
-        db.insert_many(
-            "kv", [{"key": 100 + k, "note": "small"} for k in range(2)]
-        )
+        db.insert_many("kv", [{"key": k, "note": f"n{k}"} for k in range(3)])
         assert db._maintenance.wait_idle(timeout=10.0)
         time.sleep(0.1)
-        assert table.generation == generation
-        assert table.delta_row_count == 2
-        assert db.query("kv").count == 42
+        assert table.generation == 0
+        assert table.delta_row_count == 3
+        db.insert("kv", {"key": 3, "note": "n3"})
+        assert db._maintenance.wait_idle(timeout=10.0)
+        assert table.generation == 1
+        assert table.delta_row_count == 0
+        db.insert_many("kv", [{"key": 10 + k, "note": "small"} for k in range(3)])
+        assert db._maintenance.wait_idle(timeout=10.0)
+        time.sleep(0.1)
+        assert table.generation == 1
+        assert table.delta_row_count == 3
+        assert db.query("kv").count == 7
+        db.close()
+
+    def test_restart_over_the_threshold_merges_without_a_commit(self, tmp_path):
+        """Nothing notifies a freshly opened engine: the daemon's first
+        pass must find what the restart left over the threshold."""
+        path = str(tmp_path / "db")
+        db = Database(path, make_config(DurabilityMode.NVM))
+        db.create_table("kv", SCHEMA)
+        db.insert_many("kv", [{"key": k, "note": f"n{k}"} for k in range(10)])
+        db.close()
+        db = Database(path, make_config(DurabilityMode.NVM, auto_merge_rows=4))
+        deadline = time.monotonic() + 10.0
+        while db.table("kv").delta_row_count and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert db.table("kv").delta_row_count == 0
+        assert db.table("kv").main_row_count == 10
         db.close()
 
     def test_merge_failure_is_counted_and_retried(self, tmp_path):
@@ -426,7 +435,6 @@ class TestMaintenanceDaemon:
                 DurabilityMode.NONE,
                 auto_merge_rows=2,
                 merge_cutover_timeout_s=0.05,
-                maintenance_interval_s=0.02,
             ),
         )
         db.create_table("kv", SCHEMA)
@@ -447,4 +455,37 @@ class TestMaintenanceDaemon:
         while db.table("kv").generation == 0 and time.monotonic() < deadline:
             time.sleep(0.01)
         assert db.table("kv").generation >= 1  # ... and retried to success
+        db.close()
+
+    def test_merge_is_retried_after_the_holder_aborts(self, tmp_path):
+        """Abort notifies nobody: only the failed target's rest deadline
+        can wake the daemon for the retry."""
+        from repro.obs import get_registry
+
+        db = Database(
+            str(tmp_path / "db"),
+            make_config(
+                DurabilityMode.NONE,
+                auto_merge_rows=2,
+                merge_cutover_timeout_s=0.05,
+            ),
+        )
+        db.create_table("kv", SCHEMA)
+        failures = get_registry().counter("maintenance_merge_failures_total")
+        before = failures.value
+        holder = db.begin()
+        holder.insert("kv", {"key": 1, "note": "held"})
+        db.insert_many(
+            "kv", [{"key": 10 + k, "note": f"n{k}"} for k in range(4)]
+        )
+        deadline = time.monotonic() + 10.0
+        while failures.value == before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert failures.value > before
+        holder.abort()
+        deadline = time.monotonic() + 10.0
+        while db.table("kv").generation == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert db.table("kv").generation >= 1
+        assert db.query("kv").count == 4
         db.close()

@@ -196,7 +196,6 @@ class TestAutoMerge:
                 DurabilityMode.NONE,
                 auto_merge_rows=2,
                 merge_cutover_timeout_s=0.1,
-                maintenance_interval_s=0.02,
             ),
         )
         db.create_table("t", {"a": DataType.INT64})

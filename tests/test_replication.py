@@ -443,7 +443,7 @@ class TestApplyLoop:
         from repro.recovery import log_recovery
         from repro.wal.reader import LogScan
 
-        db = _log_db(tmp_path, checkpoint_after_merge=False)
+        db = _log_db(tmp_path)
         db.create_table("t", SCHEMA)
         db.bulk_insert("t", [{"id": i, "v": "x"} for i in range(20)])
         for i in range(5):

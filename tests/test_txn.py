@@ -18,7 +18,6 @@ from repro.txn.manager import (
     VolatileTidAllocator,
 )
 from repro.txn.txn_table import (
-    OP_INSERT,
     OP_INVALIDATE,
     PersistentTxnTable,
     SLOT_ACTIVE,
@@ -58,7 +57,7 @@ class TestTxnTables:
 
     def test_records_in_order(self, txn_table):
         slot = txn_table.begin(tid=1)
-        expected = [(OP_INSERT, 1, i) for i in range(70)]  # spans chunks
+        expected = [(OP_INVALIDATE, 1, i) for i in range(70)]  # spans chunks
         for kind, table_id, ref in expected:
             txn_table.record(slot, kind, table_id, ref)
         assert txn_table.records(slot) == expected
@@ -79,7 +78,7 @@ class TestTxnTables:
 
     def test_new_transaction_resets_records(self, txn_table):
         slot = txn_table.begin(tid=1)
-        txn_table.record(slot, OP_INSERT, 1, 1)
+        txn_table.record(slot, OP_INVALIDATE, 1, 1)
         txn_table.mark_free(slot)
         slot2 = txn_table.begin(tid=2)
         assert slot2 == slot
@@ -113,12 +112,12 @@ class TestPersistentTxnTableRestart:
         table = PersistentTxnTable.create(pool, slot_count=4)
         slot = table.begin(tid=1)
         for i in range(40):  # two chunks
-            table.record(slot, OP_INSERT, 1, i)
+            table.record(slot, OP_INVALIDATE, 1, i)
         allocs_before = pool.stats.allocations
         table.mark_free(slot)
         slot = table.begin(tid=2)
         for i in range(40):
-            table.record(slot, OP_INSERT, 1, i)
+            table.record(slot, OP_INVALIDATE, 1, i)
         # The two chunks were reused, not reallocated.
         assert pool.stats.allocations == allocs_before
 

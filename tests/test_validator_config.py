@@ -90,6 +90,23 @@ class TestEngineConfig:
         with pytest.raises(TypeError):
             EngineConfig(**{option: True})
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("merge_delta_fraction", 0.3),
+            ("merge_delta_fraction_floor", 4),
+            ("checkpoint_log_bytes", 4096),
+            ("maintenance_interval_s", 0.05),
+            ("checkpoint_after_merge", False),
+        ],
+    )
+    def test_the_second_maintenance_triggers_are_gone(self, option, value):
+        """Maintenance asks one question per action: a table merges at
+        ``auto_merge_rows``, a LOG engine checkpoints at
+        ``checkpoint_max_replay_s`` and after every merge."""
+        with pytest.raises(TypeError):
+            EngineConfig(**{option: value})
+
 
 class TestLatencyModel:
     def test_modelled_time_components(self):
