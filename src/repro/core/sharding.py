@@ -42,6 +42,7 @@ import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from itertools import accumulate
 from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
@@ -171,6 +172,13 @@ class ShardedResult:
     @property
     def per_shard(self) -> list[ScanResult]:
         return self._results
+
+    def head(self, n: int) -> "ShardedResult":
+        """The first ``n`` rows, in shard order."""
+        starts = accumulate((len(r) for r in self._results), initial=0)
+        return ShardedResult(
+            [r.head(max(n - s, 0)) for r, s in zip(self._results, starts)]
+        )
 
     def column(self, name: str) -> list:
         out: list = []

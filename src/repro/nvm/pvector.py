@@ -78,7 +78,9 @@ _MATERIALISE_LOCK = threading.Lock()
 def checked_indices(indices, bound: int) -> np.ndarray:
     """``indices`` as an intp array, every one inside ``[0, bound)``."""
     idx = np.asarray(indices, dtype=np.intp)
-    if idx.size and not 0 <= int(idx.min()) <= int(idx.max()) < bound:
+    # A few positions check faster in python than by two reductions.
+    ends = idx.tolist() if idx.size < 8 else [int(idx.min()), int(idx.max())]
+    if ends and not 0 <= min(ends) <= max(ends) < bound:
         raise IndexError(f"gather position outside [0, {bound})")
     return idx
 
@@ -451,7 +453,7 @@ class PVector:
         if idx.size * 4 < size:
             chunk_ids, slots = np.divmod(idx, self._chunk_cap)
             first = int(chunk_ids[0])
-            if (chunk_ids == first).all():
+            if idx.size == 1 or (chunk_ids == first).all():
                 self._pool.charge_read(idx.size * self._itemsize)
                 return self._chunk_view(first)[slots]
             if idx.size * 4 < self._num_chunks:

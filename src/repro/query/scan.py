@@ -62,12 +62,20 @@ class ScanResult:
         )
         return np.concatenate([main, delta]).tolist()
 
+    def head(self, n: int) -> "ScanResult":
+        """The first ``n`` rows (main block first), same generation."""
+        main = self.main_positions[:n]
+        delta = self.delta_positions[: n - main.size]
+        return ScanResult(self.table, main, delta, (self.main_part, self.delta_part))
+
     def column(self, name: str) -> list:
-        """Materialise one column's values for the result rows."""
+        """One column's values for the result rows (empty partitions not asked)."""
         col = self.table.schema.column_index(name)
-        main_vals = self.main_part.decode_column(col, self.main_positions)
-        delta_vals = self.delta_part.decode_column(col, self.delta_positions)
-        return main_vals + delta_vals
+        main, delta = self.main_positions, self.delta_positions
+        out = self.main_part.decode_column(col, main) if main.size else []
+        if delta.size:
+            out += self.delta_part.decode_column(col, delta)
+        return out
 
     def column_array(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         """One column as ``(values, null_mask)`` numpy arrays.
@@ -79,20 +87,14 @@ class ScanResult:
         matches :meth:`column`: main block first, then delta.
         """
         col = self.table.schema.column_index(name)
-        main_vals, main_nulls = self.main_part.column_array(
-            col, self.main_positions
-        )
-        delta_vals, delta_nulls = self.delta_part.column_array(
-            col, self.delta_positions
-        )
-        if main_vals.size == 0:
-            return delta_vals, delta_nulls
-        if delta_vals.size == 0:
-            return main_vals, main_nulls
-        return (
-            np.concatenate([main_vals, delta_vals]),
-            np.concatenate([main_nulls, delta_nulls]),
-        )
+        main, delta = self.main_positions, self.delta_positions
+        if not main.size:
+            return self.delta_part.column_array(col, delta)
+        main_arrays = self.main_part.column_array(col, main)
+        if not delta.size:
+            return main_arrays
+        delta_arrays = self.delta_part.column_array(col, delta)
+        return tuple(np.concatenate(pair) for pair in zip(main_arrays, delta_arrays))
 
     def column_codes(self, name: str):
         """Per-partition dictionary codes of the result rows.

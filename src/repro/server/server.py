@@ -558,12 +558,10 @@ class ReproServer:
             predicate = protocol.predicate_from_wire(body.get("predicate"))
             result = engine.query(body["table"], predicate)
             total = len(result)
-            names = body.get("columns")
-            rows = result.rows(names)
             limit = body.get("limit")
-            if limit is not None:
-                rows = rows[: int(limit)]
-            return {"rows": rows, "count": total}
+            if limit is not None:  # decode only the rows ``[:limit]`` keeps
+                result = result.head(len(range(total)[: int(limit)]))
+            return {"rows": result.rows(body.get("columns")), "count": total}
         if op is Op.AGGREGATE:
             predicate = protocol.predicate_from_wire(body.get("predicate"))
             value = aggregate(

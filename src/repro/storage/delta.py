@@ -16,7 +16,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from repro.storage.backend import Backend
-from repro.storage.dictionary import UnsortedDictionary, nullable_list
+from repro.storage.dictionary import UnsortedDictionary, decode_list, decode_values
 from repro.storage.mvcc import INFINITY_CID, MvccColumns, NO_TID
 from repro.storage.schema import Schema
 from repro.storage.types import NULL_CODE, Value
@@ -248,12 +248,6 @@ class DeltaPartition:
             raise IndexError(f"row {row} beyond delta size {self.row_count}")
         return int(self.code_vectors[col].get(row))
 
-    def get_value(self, col: int, row: int) -> Value:
-        code = self.get_code(col, row)
-        if code == NULL_CODE:
-            return None
-        return self.dictionaries[col].value_of(code)
-
     def column_codes(self, col: int) -> np.ndarray:
         """Codes of all published rows in column ``col`` (read-only).
 
@@ -284,7 +278,7 @@ class DeltaPartition:
 
     def decode_column(self, col: int, rows: Optional[np.ndarray] = None) -> list:
         """Materialise values for ``rows`` (default: all published rows)."""
-        return nullable_list(*self.column_array(col, rows))
+        return decode_list(*self._coded(col, rows))
 
     def column_array(
         self, col: int, rows: Optional[np.ndarray] = None
@@ -295,13 +289,10 @@ class DeltaPartition:
         int64/float64 with an undefined placeholder at NULL slots,
         string columns as object arrays with ``None`` at NULL slots.
         """
+        return decode_values(*self._coded(col, rows))
+
+    def _coded(self, col: int, rows: Optional[np.ndarray]) -> tuple:
         codes = (
             self.column_codes(col) if rows is None else self.codes_at(col, rows)
         )
-        null_mask = codes == np.uint32(NULL_CODE)
-        values = self.dictionaries[col].decode_array(
-            np.where(null_mask, 0, codes)
-        )
-        if values.dtype == object and null_mask.any():
-            values[null_mask] = None
-        return values, null_mask
+        return self.dictionaries[col], codes, NULL_CODE

@@ -94,9 +94,28 @@ def _value_blocks(dictionary) -> Iterator[tuple[int, int]]:
             yield blob_block(handle)
 
 
-def nullable_list(values: np.ndarray, null_mask: np.ndarray) -> list:
-    """A partition's ``column_array`` output as python values, ``None``
-    at NULL slots (string arrays already carry it)."""
+# Fewer codes than this decode one at a time (``value_of``); more go
+# through one array decode. Both cost about the same at 8 codes on
+# either partition kind (DESIGN.md *Materialisation*).
+SMALL_DECODE = 8
+
+
+def decode_values(dictionary, codes: np.ndarray, null_code: int) -> tuple:
+    """``codes`` as ``(values, null_mask)`` arrays: an undefined numeric
+    placeholder at NULL slots, ``None`` in an object (STRING) array."""
+    null_mask = codes == np.uint32(null_code)
+    values = dictionary.decode_array(np.where(null_mask, 0, codes))
+    if values.dtype == object and null_mask.any():
+        values[null_mask] = None
+    return values, null_mask
+
+
+def decode_list(dictionary, codes: np.ndarray, null_code: int) -> list:
+    """``codes`` as python values, ``None`` at ``null_code``."""
+    if len(codes) < SMALL_DECODE:
+        value_of = dictionary.value_of
+        return [None if c == null_code else value_of(c) for c in codes.tolist()]
+    values, null_mask = decode_values(dictionary, codes, null_code)
     out = values.tolist()
     if values.dtype != object:
         for i in np.flatnonzero(null_mask).tolist():
@@ -183,6 +202,8 @@ class UnsortedDictionary:
 
     def value_of(self, code: int):
         """Decode one dictionary code back to its value."""
+        if code < self._strings_len:  # STRING, decoded already
+            return self._strings[code]
         raw = self.values.get(code)
         if self.dtype is DataType.STRING:
             return self._backend.get_str(int(raw))
@@ -379,6 +400,7 @@ class SortedDictionary:
         self._backend = backend
         self.values = values
         self._array: Optional[np.ndarray] = None  # see ``values_array``
+        self._decodes = 0  # see ``_decode_each``
 
     @classmethod
     def build(
@@ -429,8 +451,18 @@ class SortedDictionary:
             self._array = raw
         return self._array
 
+    def _decode_each(self, n: int) -> bool:
+        """Whether ``n`` more STRING values decode one blob each: until
+        such decodes add up to the dictionary's size, then it is whole."""
+        if self._array is not None or self.dtype is not DataType.STRING:
+            return False
+        self._decodes += n
+        return self._decodes < len(self)
+
     def value_of(self, code: int):
         """Decode one code (codes are positions in sorted order)."""
+        if self._decode_each(1):
+            return self._backend.get_str(int(self.values.get(code)))
         value = self.values_array()[code]
         return value if self.dtype is DataType.STRING else value.item()
 
@@ -443,6 +475,10 @@ class SortedDictionary:
         Returns a fresh, writable array; NULL handling is the caller's
         job (pre-substitute code 0 and patch afterwards).
         """
+        if self._decode_each(len(codes)):
+            get_str = self._backend.get_str
+            handles = self.values.take(codes).tolist()
+            return np.array([get_str(h) for h in handles], dtype=object)
         arr = self.values_array()
         if arr.size == 0:
             if self.dtype is DataType.STRING:

@@ -15,10 +15,9 @@ import numpy as np
 from repro.nvm.pvector import checked_indices
 from repro.storage import bitpack
 from repro.storage.backend import Backend
-from repro.storage.dictionary import SortedDictionary, nullable_list
+from repro.storage.dictionary import SortedDictionary, decode_list, decode_values
 from repro.storage.mvcc import INFINITY_CID, NO_TID, MvccColumns
 from repro.storage.schema import Schema
-from repro.storage.types import Value
 from repro.storage.vector import VectorLike, one_chunk
 
 
@@ -67,15 +66,6 @@ class MainColumn:
                 rows = checked_indices(rows, self._row_count)
                 return bitpack.unpack_at(self.words.take, self.bits, rows)
         return self.codes()[rows]
-
-    def get_code(self, row: int) -> int:
-        return int(self.codes()[row])
-
-    def get_value(self, row: int) -> Value:
-        code = self.get_code(row)
-        if code == self.null_code:
-            return None
-        return self.dictionary.value_of(code)
 
     def compressed_bytes(self) -> int:
         """Size of the packed attribute vector in bytes."""
@@ -154,14 +144,9 @@ class MainPartition:
     def column_codes(self, col: int) -> np.ndarray:
         return self.columns[col].codes()
 
-    def get_value(self, col: int, row: int) -> Value:
-        if row >= self.row_count:
-            raise IndexError(f"row {row} beyond main size {self.row_count}")
-        return self.columns[col].get_value(row)
-
     def decode_column(self, col: int, rows: Optional[np.ndarray] = None) -> list:
         """Materialise values for ``rows`` (default: all rows)."""
-        return nullable_list(*self.column_array(col, rows))
+        return decode_list(*self._coded(col, rows))
 
     def column_array(
         self, col: int, rows: Optional[np.ndarray] = None
@@ -173,13 +158,12 @@ class MainPartition:
         placeholder at NULL slots (consult the mask); string columns
         come back as object arrays with ``None`` at NULL slots.
         """
+        return decode_values(*self._coded(col, rows))
+
+    def _coded(self, col: int, rows: Optional[np.ndarray]) -> tuple:
         column = self.columns[col]
         codes = column.codes() if rows is None else column.codes_at(rows)
-        null_mask = codes == np.uint32(column.null_code)
-        values = column.dictionary.decode_array(np.where(null_mask, 0, codes))
-        if values.dtype == object and null_mask.any():
-            values[null_mask] = None
-        return values, null_mask
+        return column.dictionary, codes, column.null_code
 
     def compressed_bytes(self) -> int:
         """Total packed attribute-vector bytes across columns."""

@@ -15,6 +15,8 @@ import time
 from contextlib import contextmanager
 from typing import Sequence
 
+import numpy as np
+
 from repro.storage.backend import Backend
 from repro.storage.delta import DeltaPartition
 from repro.storage.main import MainPartition
@@ -205,16 +207,13 @@ class Table:
     # Reads
     # ------------------------------------------------------------------
 
-    def get_value(self, ref: int, col: int) -> Value:
-        """Value of one cell, ignoring visibility (caller filters)."""
-        is_delta, index = unpack_rowref(ref)
-        if is_delta:
-            return self.delta.get_value(col, index)
-        return self.main.get_value(col, index)
-
     def get_row(self, ref: int) -> list[Value]:
-        """All column values of one row version."""
-        return [self.get_value(ref, c) for c in range(len(self.schema))]
+        """All column values of one row version, ignoring visibility
+        (caller filters): each column's one-row ``decode_column``."""
+        is_delta, index = unpack_rowref(ref)
+        part = self.delta if is_delta else self.main
+        row = np.array([index])
+        return [part.decode_column(c, row)[0] for c in range(len(self.schema))]
 
     def get_row_dict(self, ref: int) -> dict:
         """Row version as a {column: value} dict."""

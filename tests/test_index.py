@@ -52,7 +52,7 @@ class TestGroupKeyIndex:
         lo = dict0.lower_bound(2)
         hi = dict0.upper_bound(4)
         positions = index.lookup_range(lo, hi)
-        values = sorted(table.main.get_value(0, int(p)) for p in positions)
+        values = sorted(table.main.decode_column(0, np.asarray(positions)))
         assert values == [2, 3, 4]
 
     def test_empty_range(self):

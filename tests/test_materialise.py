@@ -15,10 +15,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.config import DurabilityMode
 from repro.core.database import Database
 from repro.query.predicate import Eq
+from repro.query.scan import ScanResult
 from repro.storage import bitpack
 from repro.storage.backend import NvmBackend, VolatileBackend
 from repro.storage.delta import DeltaPartition
-from repro.storage.dictionary import SortedDictionary
+from repro.storage.dictionary import SMALL_DECODE, SortedDictionary
 from repro.storage.main import MainPartition
 from repro.storage.mvcc import INFINITY_CID
 from repro.storage.schema import Schema
@@ -259,3 +260,125 @@ def test_first_row_after_reopen_reads_the_same_for_any_delta_size(tmp_path):
     large = _first_row_read_bytes(str(tmp_path / "large"), 20_000)
     assert small == large
     assert small < 2_000  # a few codes, values and 7 short strings
+
+
+def test_first_update_after_reopen_unpacks_no_main_column(tmp_path):
+    """An update reads its old row as a one-row decode: positional,
+    like a point read, not a full unpack of every main column."""
+    db = Database(str(tmp_path), make_config(DurabilityMode.NVM))
+    db.create_table("t", {"id": DataType.INT64, "grp": DataType.STRING})
+    db.create_index("t", "id")
+    db.insert_many("t", [{"id": i, "grp": f"g{i % 97}"} for i in range(20_000)])
+    db.merge("t")
+    db = db.restart()
+    (ref,) = db.query("t", Eq("id", 1234)).refs()
+    with db.begin() as txn:
+        txn.update("t", ref, {"grp": "moved"})
+    assert all(c._codes_cache is None for c in db.table("t").main.columns)
+    assert db.query("t", Eq("id", 1234)).rows() == [{"id": 1234, "grp": "moved"}]
+    db.close()
+
+
+def test_first_point_read_after_reopen_decodes_its_own_strings(
+    tmp_path, monkeypatch
+):
+    """A STRING main dictionary is decoded per value read until those
+    reads add up to its size; then it is decoded whole, once."""
+    n = 50_000
+    db = Database(str(tmp_path), make_config(DurabilityMode.NVM))
+    db.create_table(
+        "t", {"id": DataType.INT64, "name": DataType.STRING, "grp": DataType.STRING}
+    )
+    db.create_index("t", "id")
+    db.insert_many(
+        "t", [{"id": i, "name": f"n{i:06d}", "grp": f"g{i % 97}"} for i in range(n)]
+    )
+    db.merge("t")
+    db = db.restart()
+    calls = []
+    get_str = NvmBackend.get_str
+    monkeypatch.setattr(
+        NvmBackend, "get_str", lambda self, h: calls.append(h) or get_str(self, h)
+    )
+    result = db.query("t", Eq("id", 4321))
+    calls.clear()
+    assert result.rows() == [{"id": 4321, "name": "n004321", "grp": "g53"}]
+    assert len(calls) <= 2  # one per STRING column, not one per entry
+    name, grp = (c.dictionary for c in db.table("t").main.columns[1:])
+    for key in range(0, n, n // 100):
+        assert db.query("t", Eq("id", key)).column("grp") == [f"g{key % 97}"]
+    assert grp._array is not None and name._array is None
+    db.close()
+
+
+# ----------------------------------------------------------------------
+# Element-wise and array decode agree
+# ----------------------------------------------------------------------
+
+_COLUMNS = {
+    "id": DataType.INT64,
+    "name": DataType.STRING,
+    "score": DataType.FLOAT64,
+    "note": DataType.STRING,  # always NULL: empty dictionaries
+    "none": DataType.INT64,
+}
+
+
+def _mixed_table(path: str, reopen: bool):
+    """300 merged rows and 300 delta rows, a NULL in every third cell of
+    ``id``/``name``/``score``; optionally reopened (undecoded main)."""
+    db = Database(path, make_config(DurabilityMode.NVM))
+    db.create_table("t", _COLUMNS)
+
+    def row(i):
+        null = i % 3 == 0
+        return {
+            "id": None if null else i,
+            "name": None if null else f"s{i % 41}",
+            "score": None if null else i / 4,
+            "note": None,
+            "none": None,
+        }
+
+    db.insert_many("t", [row(i) for i in range(300)])
+    db.merge("t")
+    db.insert_many("t", [row(i) for i in range(300, 600)])
+    return db.restart() if reopen else db
+
+
+def _via_arrays(result: ScanResult, name: str) -> list:
+    values, nulls = result.column_array(name)
+    return [None if null else v for v, null in zip(values.tolist(), nulls)]
+
+
+@pytest.mark.parametrize("reopen", [False, True], ids=["live", "reopened"])
+def test_small_results_decode_as_the_array_path_does(tmp_path, reopen):
+    db = _mixed_table(str(tmp_path), reopen)
+    table = db.table("t")
+    rng = np.random.default_rng(7)
+    sizes = [0, 1, SMALL_DECODE - 1, SMALL_DECODE, SMALL_DECODE + 1, 250]
+    for size in sizes:
+        picks = rng.choice(300, size, replace=False)
+        mixed = np.sort(picks[: size // 2]), np.sort(picks[size // 2 :])
+        none = np.empty(0, dtype=np.int64)
+        for main_pos, delta_pos in (
+            (np.sort(picks), none),
+            (none, np.sort(picks)),
+            mixed,
+        ):
+            result = ScanResult(table, main_pos, delta_pos)
+            expected = {name: _via_arrays(result, name) for name in _COLUMNS}
+            assert result.columns() == expected
+            assert result.rows() == [
+                dict(zip(expected, values)) for values in zip(*expected.values())
+            ]
+            assert [r["id"] for r in result.head(size // 3).rows()] == (
+                expected["id"][: size // 3]
+            )
+        # Past the published delta rows the small path refuses, as the
+        # array path does.
+        if size:
+            torn = np.arange(table.delta.row_count, table.delta.row_count + size)
+            with pytest.raises(IndexError):
+                ScanResult(table, none, torn).column("name")
+    db.close()

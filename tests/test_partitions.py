@@ -71,14 +71,14 @@ class TestDeltaPartition:
         row = delta.insert_row([1, "x", 2.5], tid=9)
         assert row == 0
         assert delta.row_count == 1
-        assert delta.get_value(0, 0) == 1
-        assert delta.get_value(1, 0) == "x"
-        assert delta.get_value(2, 0) == 2.5
+        assert delta.decode_column(0, np.asarray([0]))[0] == 1
+        assert delta.decode_column(1, np.asarray([0]))[0] == "x"
+        assert delta.decode_column(2, np.asarray([0]))[0] == 2.5
 
     def test_null_handling(self, backend):
         delta = DeltaPartition.create(SCHEMA, backend)
         delta.insert_row([None, None, None], tid=1)
-        assert delta.get_value(0, 0) is None
+        assert delta.decode_column(0, np.asarray([0]))[0] is None
         assert delta.decode_column(1) == [None]
 
     def test_shared_dictionary_codes(self, backend):
@@ -101,8 +101,8 @@ class TestDeltaPartition:
         assert delta.row_count == 1  # publish never happened
         row = delta.insert_row([2, "b", 2.0], tid=2)
         assert row == 1
-        assert delta.get_value(0, 1) == 2
-        assert delta.get_value(1, 1) == "b"
+        assert delta.decode_column(0, np.asarray([1]))[0] == 2
+        assert delta.decode_column(1, np.asarray([1]))[0] == "b"
 
     def test_load_encoded_visible_at_cid(self, backend):
         delta = DeltaPartition.create(SCHEMA, backend)
@@ -174,8 +174,8 @@ class TestMainPartition:
         assert main.row_count == 4
         assert main.decode_column(0) == [5, 3, 5, None]
         assert main.decode_column(1) == ["b", "a", None, "b"]
-        assert main.get_value(0, 1) == 3
-        assert main.get_value(1, 2) is None
+        assert main.decode_column(0, np.asarray([1]))[0] == 3
+        assert main.decode_column(1, np.asarray([2]))[0] is None
 
     def test_codes_bitpacked(self, backend):
         main = self._build(backend, [(DataType.INT64, list(range(10)))])

@@ -24,6 +24,8 @@ from repro.server.proc import free_port, spawn_server
 from repro.server.protocol import Op, PROTOCOL_VERSION, Status
 from repro.server.server import ServerConfig, ServerThread
 from repro.server.tenants import tenant_dir
+from repro.storage.delta import DeltaPartition
+from repro.storage.main import MainPartition
 
 from tests.conftest import cores_of
 
@@ -120,6 +122,24 @@ def test_ddl_insert_query_aggregate(client):
     assert view.aggregate("items", "sum", column="qty") == sum(i * 2 for i in range(10))
     groups = view.aggregate("items", "count", group_by="name")
     assert groups == {"n0": 4, "n1": 3, "n2": 3}
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_query_limit_decodes_only_the_rows_it_returns(client, monkeypatch, shards):
+    view = seed_tenant(client, rows=10_000, shards=shards)
+    decoded = []
+    for part in (MainPartition, DeltaPartition):
+        decode = part.decode_column
+
+        def counted(self, col, rows=None, decode=decode):
+            decoded.append(len(rows))
+            return decode(self, col, rows)
+
+        monkeypatch.setattr(part, "decode_column", counted)
+    full = view.query_full("items", Gt("qty", -1), limit=1)
+    assert full["count"] == 10_000 and len(full["rows"]) == 1
+    assert max(decoded) <= 1
+    assert len(view.query_full("items", Gt("id", 9_990), limit=-3)["rows"]) == 6
 
 
 def test_insert_returns_position(client):
