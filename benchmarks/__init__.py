@@ -18,7 +18,6 @@ from benchmarks import (
     e6_checkpoint_ablation,
     e7_index_ablation,
     e8_merge_cost,
-    e9_shard_recovery,
     e10_write_throughput,
     e11_query_throughput,
     e12_concurrent_writes,
@@ -38,7 +37,6 @@ EXPERIMENTS = {
     "E6": e6_checkpoint_ablation,
     "E7": e7_index_ablation,
     "E8": e8_merge_cost,
-    "E9": e9_shard_recovery,
     "E10": e10_write_throughput,
     "E11": e11_query_throughput,
     "E12": e12_concurrent_writes,

@@ -1,4 +1,4 @@
-"""E12 — concurrent writers: group-commit scaling on a single shard.
+"""E12 — concurrent writers: group-commit scaling in one engine.
 
 The group-commit coordinator turns the WAL fsync from a per-commit cost
 into a shared one: while the leader sleeps in fsync, other committers
@@ -31,7 +31,7 @@ from repro.storage.types import DataType
 
 from benchmarks.harness import WAL_FSYNC_S, config_for
 
-TITLE = "E12: committed txn/s vs writer threads (single shard, 3 ms fsync)"
+TITLE = "E12: committed txn/s vs writer threads (one engine, 3 ms fsync)"
 
 POLICIES = [("sync", 1), ("async", 0)]
 

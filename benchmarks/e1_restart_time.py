@@ -17,7 +17,7 @@ from __future__ import annotations
 import tempfile
 import time
 
-from repro.core import DurabilityMode, open_engine
+from repro.core import Database, DurabilityMode
 from repro.query.predicate import Eq
 
 from benchmarks.harness import build_wide, timed_open
@@ -37,7 +37,7 @@ READ_ROUNDS = 5
 
 def _first_indexed_read(path: str, cfg, key: int) -> float:
     """Reopen, then time the first indexed point read on ``wide``."""
-    db = open_engine(path, cfg)
+    db = Database(path, cfg)
     start = time.perf_counter()
     assert len(db.query("wide", Eq("id", key)).rows()) == 1
     elapsed = time.perf_counter() - start

@@ -13,7 +13,7 @@ import statistics
 import time
 from typing import Callable, Optional, Sequence
 
-from repro.core import DurabilityMode, Engine, EngineConfig, open_engine
+from repro.core import Database, DurabilityMode, EngineConfig
 from repro.storage.types import DataType
 from repro.workloads.generator import WideRowGenerator
 
@@ -55,7 +55,6 @@ def build_wide(
     index: bool = False,
     merge: bool = False,
     crash: bool = False,
-    shards: int = 1,
 ) -> EngineConfig:
     """Create an engine of ``rows`` wide rows and close (or crash) it.
 
@@ -63,8 +62,8 @@ def build_wide(
     ``checkpoint`` (LOG only) checkpoints last. Returns the config to
     reopen it with.
     """
-    cfg = config_for(mode, shards=shards)
-    db = open_engine(path, cfg)
+    cfg = config_for(mode)
+    db = Database(path, cfg)
     gen = WideRowGenerator(seed=11)
     db.create_table("wide", {col.name: col.dtype for col in gen.schema})
     for lo in range(0, rows, 5000):
@@ -82,10 +81,10 @@ def build_wide(
     return cfg
 
 
-def timed_open(path: str, cfg: EngineConfig) -> tuple[float, Engine]:
+def timed_open(path: str, cfg: EngineConfig) -> tuple[float, Database]:
     """Wall time of a cold open (recovery included); the caller closes."""
     start = time.perf_counter()
-    db = open_engine(path, cfg)
+    db = Database(path, cfg)
     return time.perf_counter() - start, db
 
 

@@ -11,12 +11,9 @@ under one second. At laptop scale the absolute numbers shrink, but the
 shape — log restart grows with data, NVM restart does not — is the
 reproduced claim.
 
-A second act shards the NVM engine (``open_engine`` with ``shards=N``)
-and pulls the plug again: all shards recover in parallel and the restart stays flat.
-
 Run with::
 
-    python examples/instant_restart.py [customers] [shards]
+    python examples/instant_restart.py [customers]
 """
 
 import shutil
@@ -24,14 +21,7 @@ import sys
 import tempfile
 import time
 
-from repro import (
-    Database,
-    DataType,
-    DurabilityMode,
-    EngineConfig,
-    Eq,
-    open_engine,
-)
+from repro import Database, DurabilityMode, EngineConfig, Eq
 from repro.workloads.orders import OrderEntryWorkload
 
 
@@ -68,55 +58,8 @@ def crash_and_recover(db: Database, path: str, config: EngineConfig):
     return elapsed, order_count, recovered
 
 
-def sharded_demo(customers: int, shards: int) -> None:
-    """Crash a hash-sharded NVM engine; every shard recovers in parallel."""
-    path = tempfile.mkdtemp(prefix="instant-restart-sharded-")
-    config = EngineConfig(mode=DurabilityMode.NVM, shards=shards)
-    print(f"\n[sharded]  populating {shards}-shard NVM engine ...")
-    eng = open_engine(path, config)
-    eng.create_table(
-        "customers",
-        {
-            "c_id": DataType.INT64,
-            "c_name": DataType.STRING,
-            "c_balance": DataType.FLOAT64,
-        },
-    )
-    eng.bulk_insert(
-        "customers",
-        [
-            {"c_id": i, "c_name": f"customer-{i}", "c_balance": i * 0.5}
-            for i in range(customers)
-        ],
-    )
-    eng.crash(seed=7)
-
-    start = time.perf_counter()
-    # The default config: the directory remembers its shard count.
-    recovered = open_engine(path)
-    count = recovered.query("customers").count
-    elapsed = time.perf_counter() - start
-    assert count == customers, count
-    report = recovered.last_recovery
-    print(
-        f"[sharded]  crash -> first query in {elapsed:.4f}s "
-        f"across {report.shards} shards"
-    )
-    print(
-        f"           wall {report.total_seconds:.4f}s, serial "
-        f"{report.serial_seconds:.4f}s, parallel speedup "
-        f"{report.parallel_speedup:.2f}x"
-    )
-    for i, shard in enumerate(report.shard_reports):
-        phases = ", ".join(f"{n}={s:.4f}s" for n, s in shard.phases)
-        print(f"           shard-{i:04d}: {shard.total_seconds:.4f}s ({phases})")
-    recovered.close()
-    shutil.rmtree(path)
-
-
 def main() -> None:
     customers = int(sys.argv[1]) if len(sys.argv) > 1 else 2000
-    shards = int(sys.argv[2]) if len(sys.argv) > 2 else 4
 
     results = {}
     for label, config in [
@@ -142,8 +85,6 @@ def main() -> None:
     ratio = results["log-based"] / results["hyrise-nv"]
     print(f"\nHyrise-NV restarted {ratio:.0f}x faster than the log-based engine.")
     print("(Paper: 53 s vs <1 s on a 92.2 GB dataset — same shape, bigger data.)")
-
-    sharded_demo(customers, shards)
 
 
 if __name__ == "__main__":

@@ -18,12 +18,8 @@ from repro.core import (
     Database,
     DurabilityDriver,
     DurabilityMode,
-    Engine,
     EngineConfig,
-    ShardedEngine,
-    ShardedResult,
     Transaction,
-    open_engine,
 )
 from repro.obs import (
     MetricsRegistry,
@@ -71,7 +67,6 @@ __all__ = [
     "Database",
     "DurabilityDriver",
     "DurabilityMode",
-    "Engine",
     "EngineConfig",
     "Eq",
     "Follower",
@@ -89,8 +84,6 @@ __all__ = [
     "Predicate",
     "Schema",
     "SchemaError",
-    "ShardedEngine",
-    "ShardedResult",
     "Transaction",
     "TransactionConflict",
     "TransactionError",
@@ -99,7 +92,6 @@ __all__ = [
     "anti_join",
     "get_registry",
     "hash_join",
-    "open_engine",
     "order_by",
     "scan",
     "semi_join",

@@ -36,12 +36,6 @@ class EngineConfig:
     """
 
     mode: DurabilityMode = DurabilityMode.NVM
-    #: Hash-partition shard count for a *new* directory (an existing one
-    #: keeps the count it was created with; ``1`` also means "whatever is
-    #: there"). :func:`~repro.core.open_engine` returns a plain
-    #: :class:`Database` at ``1`` and otherwise a ``ShardedEngine`` running
-    #: one ``Database`` per shard under ``path/shard-NNNN/``.
-    shards: int = 1
     #: Size of each pmem extent file (NVM mode).
     extent_size: int = 64 * 1024 * 1024
     #: STRICT enables cache-line crash simulation (tests); FAST for speed.
@@ -81,8 +75,6 @@ class EngineConfig:
     checkpoint_max_replay_s: Optional[float] = None
 
     def validated(self) -> "EngineConfig":
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
         if self.group_commit_size < 0:
             raise ValueError("group_commit_size must be >= 0")
         if self.wal_fsync_delay_s < 0:

@@ -1,6 +1,6 @@
 """The engine facade: open a database, run transactions, survive restarts.
 
-``Database`` is the single-shard session layer — catalog registry,
+``Database`` is the session layer — catalog registry,
 transaction routing, queries, and maintenance. *How* state survives a
 restart is delegated to a pluggable
 :class:`~repro.core.durability.DurabilityDriver`:
@@ -23,12 +23,6 @@ Typical usage::
         txn.insert("items", {"id": 1, "name": "anvil"})
     print(db.query("items").rows())
     db = db.restart()            # instant — survives a crash, too
-
-``Database`` is also the whole :class:`~repro.core.Engine` interface at
-one shard. :class:`~repro.core.sharding.ShardedEngine` adds only routing
-and fan-out over many ``Database`` instances (one per shard, recovered
-in parallel); :func:`~repro.core.open_engine` returns whichever a
-directory calls for.
 """
 
 from __future__ import annotations
@@ -174,10 +168,12 @@ class Database:
     def __init__(self, path: str, config: Optional[EngineConfig] = None):
         self.path = path
         self.config = (config or EngineConfig()).validated()
-        if self.config.shards != 1:
+        # A directory an earlier, sharded layout created: its data sits
+        # under shard-NNNN/, where no driver looks.
+        if os.path.exists(os.path.join(path, "shards.json")):
             raise ValueError(
-                "Database is single-shard; use repro.core.open_engine "
-                f"for shards={self.config.shards}"
+                f"{path!r} holds shards.json: it was created by the removed "
+                "sharded engine and cannot be opened"
             )
         self.mode = self.config.mode
         self._tables_by_id: dict[int, Table] = {}
@@ -245,19 +241,9 @@ class Database:
     # DDL
     # ------------------------------------------------------------------
 
-    def create_table(
-        self, name: str, schema: SchemaLike, partition_key: Optional[str] = None
-    ) -> Table:
-        """Create a table; the definition is immediately durable.
-
-        ``partition_key`` is what a sharded engine routes rows by; one
-        shard routes nothing and only checks that it names a column.
-        """
+    def create_table(self, name: str, schema: SchemaLike) -> Table:
+        """Create a table; the definition is immediately durable."""
         schema = _coerce_schema(schema)
-        if partition_key is not None and partition_key not in schema.names:
-            raise ValueError(
-                f"partition key {partition_key!r} is not a column of {name!r}"
-            )
         # Not beside a checkpoint: its link lists the tables it read.
         with self._maint_lock:
             if name in self._tables_by_name:
@@ -316,11 +302,6 @@ class Database:
     def begin(self) -> Transaction:
         """Start a transaction."""
         return Transaction(self, self._manager.begin())
-
-    def shard_for(self, table_name: str, key_value) -> "Database":
-        """The core that owns ``key_value``'s rows: at one shard, this."""
-        self.table(table_name)  # validates the table exists
-        return self
 
     def _index_new_row(self, table: Table, ref: int) -> None:
         indexes = self._indexes.get(table.table_id)
@@ -670,8 +651,7 @@ class Database:
         )
 
     def stats(self) -> dict:
-        """Engine statistics for reports and benchmarks (``shards`` and
-        the empty ``per_shard`` keep the key set a sharded engine's)."""
+        """Engine statistics for reports and benchmarks."""
         out = {
             "mode": self.mode.value,
             "tables": {
@@ -681,8 +661,6 @@ class Database:
             "aborts": self._manager.aborts,
             "conflicts": self._manager.conflicts,
             "last_cid": self._manager.last_cid,
-            "shards": 1,
-            "per_shard": [],
         }
         out.update(self._driver.extra_stats())
         return out
@@ -694,15 +672,12 @@ class Database:
         :class:`~repro.obs.metrics.MetricsRegistry` snapshot (counters,
         gauges, histogram summaries); ``driver`` holds this database's
         own accounting (pmem pool stats on NVM, WAL stats on LOG);
-        ``recovery`` is the last recovery's report. ``shards`` and the
-        empty ``per_shard`` keep the key set a sharded engine's.
+        ``recovery`` is the last recovery's report.
         """
         return {
             "mode": self.mode.value,
-            "shards": 1,
             "registry": get_registry().snapshot(),
             "driver": self._driver.extra_stats(),
-            "per_shard": [],
             "recovery": self.last_recovery.as_dict(),
         }
 

@@ -10,7 +10,8 @@ telemetry counters observe identical streams); in counting mode it
 enumerates the points of a workload, in trigger mode it raises
 :class:`SimulatedPowerFailure` at a chosen point, *before* that event
 takes effect, and at every event after it (the power stays off), so
-concurrent shard workers cannot persist anything past the cut either.
+concurrent writer and merge threads cannot persist anything past the
+cut either.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ class CrashPointInjector:
 
     Use as a context manager; it installs itself as the process-global
     persistence hook and always uninstalls on exit. The counter is
-    lock-protected because sharded engines report events from their
-    fan-out worker threads.
+    lock-protected because writer and merge threads report events
+    concurrently.
     """
 
     def __init__(self, crash_at: Optional[int] = None):

@@ -10,9 +10,7 @@ power failure (``engine.crash``), recovering, and asserting:
 * ``verify()`` reports no MVCC/storage invariant violations;
 * every committed transaction's effects survived;
 * no aborted or in-flight transaction's effects are visible, except
-  that the single in-flight step may have landed *atomically* — for
-  sharded batch inserts, atomically per shard sub-batch (the fan-out is
-  not a distributed transaction);
+  that the single in-flight step may have landed *atomically*;
 * maintenance actions (merge, checkpoint) changed nothing logical;
 * a recovered NVM engine can be *used*: a merge (the first one sweeps
   the pool for what the crash leaked, and everything after it
@@ -23,7 +21,7 @@ power failure (``engine.crash``), recovering, and asserting:
 CLI::
 
     python -m repro.fault.sweep --workload ycsb --sample 200 --seed 7 \
-        --modes nvm,log,none --shards 1,4 --survivors 0.0,0.5,1.0 \
+        --modes nvm,log,none --survivors 0.0,0.5,1.0 \
         --out sweep-report.json
 
 exits non-zero if any swept point violated an invariant.
@@ -44,7 +42,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core import DurabilityMode, Engine, EngineConfig, open_engine, partition_of
+from repro.core import Database, DurabilityMode, EngineConfig
 from repro.fault.inject import CrashPointInjector, SimulatedPowerFailure
 from repro.fault.workloads import (
     SCHEMA,
@@ -67,7 +65,6 @@ SWEEP_EXTENT = 2 * 1024 * 1024
 class SweepSettings:
     workload: str = "ycsb"
     mode: str = "nvm"
-    shards: int = 1
     survivor_fraction: float = 0.0
     sample: Optional[int] = None
     seed: int = 7
@@ -102,7 +99,7 @@ class PointResult:
 
 
 class CrashSweep:
-    """Drives the sweep for one (workload, mode, shards, survivor) cell."""
+    """Drives the sweep for one (workload, mode, survivor) cell."""
 
     def __init__(self, root: str, settings: SweepSettings):
         self.root = root
@@ -110,16 +107,8 @@ class CrashSweep:
         self.workload = make_workload(settings.workload, settings.seed)
         self.mode = DurabilityMode(settings.mode)
         self.replicated = settings.workload == "replicated"
-        if self.replicated:
-            if settings.shards != 1:
-                raise ValueError(
-                    "the replicated workload ships from a single primary "
-                    "(shards must be 1)"
-                )
-            if self.mode is DurabilityMode.NONE:
-                raise ValueError(
-                    "a NONE-mode engine has no shippable log to replicate"
-                )
+        if self.replicated and self.mode is DurabilityMode.NONE:
+            raise ValueError("a NONE-mode engine has no shippable log to replicate")
         os.makedirs(root, exist_ok=True)
 
     # ------------------------------------------------------------------
@@ -129,7 +118,6 @@ class CrashSweep:
     def _config(self) -> EngineConfig:
         return EngineConfig(
             mode=self.mode,
-            shards=self.settings.shards,
             extent_size=self.settings.extent_size,
             # STRICT pmem snapshots dirty cache lines so crash() can
             # revert (or partially keep, per survivor_fraction) exactly
@@ -144,11 +132,11 @@ class CrashSweep:
             merge_cutover_timeout_s=1.0,
         )
 
-    def _open(self, path: str) -> Engine:
-        return open_engine(path, self._config())
+    def _open(self, path: str) -> Database:
+        return Database(path, self._config())
 
-    def _setup(self, engine: Engine) -> None:
-        engine.create_table(TABLE, SCHEMA, partition_key="key")
+    def _setup(self, engine: Database) -> None:
+        engine.create_table(TABLE, SCHEMA)
         engine.bulk_insert(
             TABLE, [{"key": k, "note": n} for k, n in self.workload.initial_rows]
         )
@@ -163,7 +151,7 @@ class CrashSweep:
             if step.kind != "checkpoint" or self.mode is DurabilityMode.LOG
         ]
 
-    def _execute(self, engine: Engine, step: Step) -> None:
+    def _execute(self, engine: Database, step: Step) -> None:
         # Completion tracking is per step: it qualifies the *pending*
         # step's atomicity groups, and a key completed by an earlier,
         # fully-committed step must not vouch for a later op on the
@@ -184,14 +172,12 @@ class CrashSweep:
             # No abort-on-error handling on purpose: when the power
             # fails mid-transaction the process is gone; recovery, not
             # an except-block, must clean up.
-            db = engine.shard_for(TABLE, step.key)
-            txn = db.begin()
+            txn = engine.begin()
             ref = txn.query(TABLE, Eq("key", step.key)).refs()[0]
             txn.update(TABLE, ref, {"note": step.note})
             txn.commit()
         elif step.kind == "delete":
-            db = engine.shard_for(TABLE, step.key)
-            txn = db.begin()
+            txn = engine.begin()
             ref = txn.query(TABLE, Eq("key", step.key)).refs()[0]
             txn.delete(TABLE, ref)
             txn.commit()
@@ -207,7 +193,7 @@ class CrashSweep:
             raise ValueError(f"unknown step kind {step.kind!r}")
 
     def _execute_concurrent(
-        self, engine: Engine, step: Step, with_merge: bool = False
+        self, engine: Database, step: Step, with_merge: bool = False
     ) -> None:
         """Run every (key, note) op of the step on its own thread.
 
@@ -231,12 +217,11 @@ class CrashSweep:
 
         def run_op(key: int, note: Optional[str]) -> None:
             try:
-                db = engine.shard_for(TABLE, key)
                 # A racing online-merge cutover can invalidate the refs a
                 # transaction read (retryable conflict); retry the whole
                 # transaction like a client would.
                 for _ in range(8):
-                    txn = db.begin()
+                    txn = engine.begin()
                     try:
                         if note is None:
                             ref = txn.query(TABLE, Eq("key", key)).refs()[0]
@@ -328,10 +313,10 @@ class CrashSweep:
                 # tailer had not shipped yet never reach the follower
                 # (the in-flight-bytes case promotion must tolerate).
                 shipper.stop()
-            # Cut the power while the injector is still armed: sharded
-            # fan-out workers that outlive the failing one keep hitting
-            # the open breaker instead of quietly persisting post-crash
-            # state in the uninstall window.
+            # Cut the power while the injector is still armed: threads
+            # that outlive the failing one keep hitting the open breaker
+            # instead of quietly persisting post-crash state in the
+            # uninstall window.
             engine.crash(
                 survivor_fraction=self.settings.survivor_fraction,
                 seed=self.settings.seed * 100003 + (point or 0),
@@ -372,7 +357,7 @@ class CrashSweep:
     # Invariant checking
     # ------------------------------------------------------------------
 
-    def _check_continues(self, engine: Engine) -> list[str]:
+    def _check_continues(self, engine: Database) -> list[str]:
         """Merge, run :data:`AFTER_RECOVERY`, merge again, re-check.
 
         The state just validated is the new baseline. The first merge
@@ -393,7 +378,7 @@ class CrashSweep:
         problems = list(engine.verify()) + self._check_state(engine, oracle)
         return [f"after recovery: {p}" for p in problems]
 
-    def _found_rows(self, engine: Engine) -> tuple[dict, list[str]]:
+    def _found_rows(self, engine: Database) -> tuple[dict, list[str]]:
         try:
             rows = engine.query(TABLE).rows()
         except KeyError:
@@ -412,13 +397,8 @@ class CrashSweep:
         return found, problems
 
     def _pending_groups(self, step: Optional[Step]) -> list[dict]:
-        """Atomicity groups of the in-flight step.
-
-        Sharded batch inserts fan out one sub-transaction per shard;
-        each sub-batch is atomic but the fan-out as a whole is not, so
-        any subset of per-shard groups may survive. Everything else is
-        a single shard-local transaction: one all-or-nothing group.
-        """
+        """Atomicity groups of the in-flight step: one all-or-nothing
+        group per transaction it runs."""
         if step is None:
             return []
         effects = step.effects()
@@ -429,12 +409,6 @@ class CrashSweep:
             # thread: per-key all-or-nothing, independent of the rest.
             # (The merge racing a merge_mix step has no effects at all.)
             return [{key: note} for key, note in sorted(effects.items())]
-        if self.settings.shards > 1 and step.kind in ("insert_many", "bulk"):
-            groups: dict[int, dict] = {}
-            for key, note in effects.items():
-                shard = partition_of(key, self.settings.shards)
-                groups.setdefault(shard, {})[key] = note
-            return [groups[shard] for shard in sorted(groups)]
         return [effects]
 
     def _oracle_expectation(self, oracle: Oracle) -> tuple[dict, list[dict]]:
@@ -459,7 +433,7 @@ class CrashSweep:
                         committed[key] = note
         return committed, groups
 
-    def _check_state(self, engine: Engine, oracle: Oracle) -> list[str]:
+    def _check_state(self, engine: Database, oracle: Oracle) -> list[str]:
         if self.mode is DurabilityMode.NONE:
             # Nothing may survive a power failure without durability.
             committed: dict = {}
@@ -536,7 +510,7 @@ class CrashSweep:
     # Replication (the `replicated` workload)
     # ------------------------------------------------------------------
 
-    def _attach_replication(self, engine: Engine, path: str):
+    def _attach_replication(self, engine: Database, path: str):
         from repro.replication import Follower, WalShipper
 
         shipper = WalShipper(
@@ -647,7 +621,7 @@ class CrashSweep:
             for p in best[1]
         ]
 
-    def _check_promoted_pin(self, promoted: Engine, found: dict) -> list[str]:
+    def _check_promoted_pin(self, promoted: Database, found: dict) -> list[str]:
         """Write on the promoted replica, crash it, recover, re-check."""
         problems: list[str] = []
         promoted.insert(TABLE, {"key": PIN_KEY, "note": "post-failover"})
@@ -655,7 +629,7 @@ class CrashSweep:
             survivor_fraction=self.settings.survivor_fraction,
             seed=self.settings.seed,
         )
-        reopened = open_engine(promoted.path, self._promoted_config())
+        reopened = Database(promoted.path, self._promoted_config())
         try:
             refound, dups = self._found_rows(reopened)
             problems.extend(f"promoted: {p}" for p in dups)
@@ -743,7 +717,6 @@ class CrashSweep:
         return {
             "workload": self.settings.workload,
             "mode": self.settings.mode,
-            "shards": self.settings.shards,
             "ack_mode": self.settings.ack_mode if self.replicated else None,
             "survivor_fraction": self.settings.survivor_fraction,
             "seed": self.settings.seed,
@@ -801,11 +774,6 @@ def main(argv: Optional[list] = None) -> int:
         help="comma list of durability modes to sweep (default: all three)",
     )
     parser.add_argument(
-        "--shards",
-        default="1",
-        help="comma list of shard counts (1 = the bare single-shard core)",
-    )
-    parser.add_argument(
         "--survivors",
         default="0.0",
         help="comma list of survivor fractions for unflushed state",
@@ -825,7 +793,6 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
 
     modes = _csv(args.modes, str)
-    shard_counts = _csv(args.shards, int)
     survivors = _csv(args.survivors, float)
     replicated = args.workload == "replicated"
     ack_modes = _csv(args.acks, str) if replicated else ["semi_sync"]
@@ -834,19 +801,14 @@ def main(argv: Optional[list] = None) -> int:
     for mode in modes:
         if replicated and mode == "none":
             continue  # nothing shippable without a durable log or pool
-        for shards in shard_counts:
-            if replicated and shards != 1:
-                continue  # shipping runs from a single primary
-            for survivor in survivors:
-                if mode == "none" and (
-                    shards != shard_counts[0] or survivor != survivors[0]
-                ):
-                    # NONE's only boundaries are the online-merge fold/
-                    # cutover events, and a crash there loses everything
-                    # regardless of survivor fraction; one cell suffices.
-                    continue
-                for ack in ack_modes:
-                    configs.append((mode, shards, survivor, ack))
+        for survivor in survivors:
+            if mode == "none" and survivor != survivors[0]:
+                # NONE's only boundaries are the online-merge fold/
+                # cutover events, and a crash there loses everything
+                # regardless of survivor fraction; one cell suffices.
+                continue
+            for ack in ack_modes:
+                configs.append((mode, survivor, ack))
 
     if args.root is not None:
         root, cleanup = args.root, False
@@ -856,22 +818,21 @@ def main(argv: Optional[list] = None) -> int:
 
     reports = []
     try:
-        for mode, shards, survivor, ack in configs:
+        for mode, survivor, ack in configs:
             settings = SweepSettings(
                 workload=args.workload,
                 mode=mode,
-                shards=shards,
                 survivor_fraction=survivor,
                 sample=args.sample,
                 seed=args.seed,
                 ack_mode=ack,
             )
-            cell = os.path.join(root, f"{mode}-s{shards}-f{survivor}-{ack}")
+            cell = os.path.join(root, f"{mode}-f{survivor}-{ack}")
             report = CrashSweep(cell, settings).run()
             reports.append(report)
             acks_note = f" acks={ack}" if replicated else ""
             print(
-                f"[{mode} shards={shards} survivor={survivor}{acks_note}] "
+                f"[{mode} survivor={survivor}{acks_note}] "
                 f"swept {report['points_swept']}/{report['points_total']} "
                 f"points, {len(report['violations'])} violation(s), "
                 f"{report['elapsed_seconds']:.1f}s",

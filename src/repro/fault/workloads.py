@@ -6,8 +6,8 @@ steps — each step one autocommit operation or maintenance action. The
 :class:`Oracle` shadows the engine: after a crash at an arbitrary
 persistence boundary, the recovered state must equal the committed
 shadow plus an all-or-nothing application of the in-flight step's
-atomicity groups (per-shard sub-batches for fanned-out batch inserts,
-the whole step otherwise).
+atomicity groups (one per op for concurrent steps, the whole step
+otherwise).
 
 Rows are ``{"key": int, "note": str}``; keys are never reused and notes
 are globally unique, so pre- and post-states of any step are always
@@ -187,7 +187,7 @@ def make_workload(name: str, seed: int = 0) -> SweepWorkload:
         steps.append(planner.insert_many(6))
     elif name == "batch":
         # Batch-heavy: exercises the vectorized multi-row commit path
-        # and per-shard sub-batch atomicity.
+        # and whole-batch atomicity.
         initial = planner.fresh_rows(12)
         steps = [
             planner.insert_many(8),

@@ -70,7 +70,7 @@ class Counter:
 
     ``inc`` appends to a :class:`~collections.deque` — a single C-level
     call that is atomic under the GIL, so concurrent increments from
-    shard fan-out workers never lose updates (a bare ``+=`` on an
+    server workers and merge threads never lose updates (a bare ``+=`` on an
     attribute is a read-modify-write that can), at a fraction of the
     cost of taking a lock per event. Reads drain the pending deque into
     ``_value`` under a lock; the NVM flush path makes increments ~1000×

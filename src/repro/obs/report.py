@@ -27,13 +27,13 @@ from repro.obs.export import to_prometheus
 from repro.obs.metrics import MetricsRegistry, get_registry, set_registry
 
 
-def _run_workload(mode: str, rows: int, shards: int, path: str) -> dict:
+def _run_workload(mode: str, rows: int, path: str) -> dict:
     """Load → merge → restart one engine; returns report + span tree."""
-    from repro.core import DurabilityMode, EngineConfig, open_engine
+    from repro.core import Database, DurabilityMode, EngineConfig
     from repro.storage.types import DataType
 
-    config = EngineConfig(mode=DurabilityMode(mode), shards=shards)
-    engine = open_engine(path, config)
+    config = EngineConfig(mode=DurabilityMode(mode))
+    engine = Database(path, config)
     engine.create_table("items", {"id": DataType.INT64, "name": DataType.STRING})
     engine.bulk_insert(
         "items",
@@ -49,11 +49,10 @@ def _run_workload(mode: str, rows: int, shards: int, path: str) -> dict:
         engine.insert("items", {"id": rows + 100, "name": "after-ckpt"})
     engine.close()
 
-    engine = open_engine(path, config)
+    engine = Database(path, config)
     report = engine.last_recovery
     out = {
         "mode": mode,
-        "shards": shards,
         "rows": rows,
         "recovery": report.as_dict(),
         "tree": report.span.render_tree(),
@@ -71,10 +70,7 @@ def _top_counters(registry: MetricsRegistry, top: int) -> list[tuple[str, object
 def _print_workload_text(results: list[dict], registry, top: int) -> None:
     for result in results:
         recovery = result["recovery"]
-        print(
-            f"== {result['mode']} restart: {result['rows']} rows, "
-            f"{result['shards']} shard(s) =="
-        )
+        print(f"== {result['mode']} restart: {result['rows']} rows ==")
         print(result["tree"])
         summary = {
             key: recovery[key]
@@ -87,8 +83,6 @@ def _print_workload_text(results: list[dict], registry, top: int) -> None:
             )
             if recovery.get(key)
         }
-        if recovery["shards"] > 1:
-            summary["parallel_speedup"] = round(recovery["parallel_speedup"], 2)
         if summary:
             print("   " + ", ".join(f"{k}={v}" for k, v in summary.items()))
         print()
@@ -105,10 +99,7 @@ def _print_replay_text(summary: dict) -> None:
         f"violations={summary.get('total_violations')}"
     )
     for config in summary.get("configs", []):
-        print(
-            f"\n== mode={config['mode']} shards={config['shards']} "
-            f"survivor={config['survivor_fraction']} =="
-        )
+        print(f"\n== mode={config['mode']} survivor={config['survivor_fraction']} ==")
         print(
             f"   points: {config['points_swept']}/{config['points_total']} swept, "
             f"events: "
@@ -148,7 +139,6 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument(
         "--rows", type=int, default=20000, help="rows to load (default 20000)"
     )
-    parser.add_argument("--shards", type=int, default=1, help="shard count (default 1)")
     parser.add_argument(
         "--replay",
         metavar="SWEEP_JSON",
@@ -189,9 +179,7 @@ def main(argv: Optional[list] = None) -> int:
         results = []
         with tempfile.TemporaryDirectory(prefix="obs-report-") as tmp:
             for mode in modes:
-                results.append(
-                    _run_workload(mode, args.rows, args.shards, f"{tmp}/{mode}")
-                )
+                results.append(_run_workload(mode, args.rows, f"{tmp}/{mode}"))
         registry = get_registry()
         if args.format == "json":
             print(

@@ -11,8 +11,8 @@ index_rebuild``.
 
 :func:`trace_phase` is the instrumentation entry point. It opens a span
 as a context manager and attaches it to the innermost span currently
-open *on this thread* (each thread has its own ambient stack, so shard
-recoveries running on fan-out workers build independent trees). Pass
+open *on this thread* (each thread has its own ambient stack, so a
+merge on a background thread builds its own tree). Pass
 ``parent=`` to attach explicitly, or ``parent=None`` to start a
 detached root. Code can therefore instrument itself once —
 ``with trace_phase("log_replay"): ...`` — and show up in whichever

@@ -28,7 +28,6 @@ from repro.query.aggregate import (
     aggregate_partials,
     aggregate_scalar,
     finalize_partials,
-    merge_partials,
 )
 from repro.query.sort import order_by, top_k
 from repro.query.join import (
@@ -68,6 +67,5 @@ __all__ = [
     "aggregate_partials",
     "aggregate_scalar",
     "finalize_partials",
-    "merge_partials",
     "scan",
 ]

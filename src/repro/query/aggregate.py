@@ -20,8 +20,8 @@ The vectorized kernels never materialise per-row python values:
 
 Results are exposed as *partials* (:func:`aggregate_partials`) that
 merge under simple laws — count adds, sum/avg add (n, total) pairs,
-min/max take extremes — which is also how :func:`aggregate` combines a
-sharded result's per-shard partials without shipping rows.
+min/max take extremes — which is how the main and delta partitions'
+states combine into one.
 :func:`aggregate_scalar` keeps the row-at-a-time reference
 implementation (regression baseline, and the fallback for plain
 list-backed results).
@@ -145,24 +145,6 @@ def _merge_state(states: dict, key, func: str, new) -> None:
         states[key] = new
     elif new is not None:
         states[key] = new
-
-
-def merge_partials(func: str, partials) -> dict:
-    """Merge per-partition/per-shard partial dicts into one.
-
-    The merge laws: counts add; sum/avg add ``(n, total)`` pairs; min
-    and max take the extreme of the non-None states.
-    """
-    merged: dict = {}
-    for part in partials:
-        if not part:
-            continue
-        for key, state in part.items():
-            if key in merged:
-                merged[key] = _merge_two(func, merged[key], state)
-            else:
-                merged[key] = state
-    return merged
 
 
 def _finalize_one(func: str, state):
@@ -403,9 +385,8 @@ def aggregate_partials(
 ) -> dict:
     """Vectorized aggregation of one scan result into partial states.
 
-    Returns ``{group_key: state}`` (``TOTAL`` when ungrouped) suitable
-    for :func:`merge_partials` / :func:`finalize_partials` — the unit a
-    shard ships instead of rows.
+    Returns ``{group_key: state}`` (``TOTAL`` when ungrouped) for
+    :func:`finalize_partials`.
     """
     _validate(func, column)
     states: dict = {}
@@ -432,22 +413,11 @@ def aggregate(
     ``aggregate(r, "count")`` counts rows; other functions need a
     ``column``. With ``group_by``, returns ``{group_value: aggregate}``.
 
-    Scan results run through the code-space kernels; sharded results
-    (anything exposing ``per_shard`` scan results) are combined by
-    merging per-shard partials; other result-likes fall back to the
-    scalar reference implementation.
+    Scan results run through the code-space kernels; other result-likes
+    fall back to the scalar reference implementation.
     """
     _validate(func, column)
-    if isinstance(result, ScanResult):
-        partials = aggregate_partials(result, func, column, group_by)
-    elif hasattr(result, "per_shard"):
-        partials = merge_partials(
-            func,
-            [
-                aggregate_partials(shard, func, column, group_by)
-                for shard in result.per_shard
-            ],
-        )
-    else:
+    if not isinstance(result, ScanResult):
         return aggregate_scalar(result, func, column, group_by)
+    partials = aggregate_partials(result, func, column, group_by)
     return finalize_partials(func, partials, group_by is not None)

@@ -33,14 +33,6 @@ class RecoveryReport:
     span around the whole procedure, so ``total_seconds`` is the
     measured wall time of ``open`` once recovery finishes (and the sum
     of phase durations until then).
-
-    A multi-shard engine recovers its shards concurrently and reports
-    one of these too: ``shard_reports`` carries the children (empty for
-    a single-shard recovery), ``span`` is the fan-out's own span with
-    each shard's tree grafted under it — so ``total_seconds`` is the
-    *wall clock* of the parallel recovery — and the counters are sums
-    over the shards (every shard holds every table, so ``tables`` is
-    not).
     """
 
     mode: str
@@ -52,51 +44,21 @@ class RecoveryReport:
     log_records_replayed: int = 0
     merges_replayed: int = 0
     checkpoint_bytes: int = 0
-    shard_reports: list["RecoveryReport"] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.span.name == "recovery":
             self.span.name = f"recovery:{self.mode}"
-        if self.shard_reports:
-            self.tables = max(r.tables for r in self.shard_reports)
-            for name in _COUNTERS:
-                setattr(self, name, sum(getattr(r, name) for r in self.shard_reports))
-
-    @property
-    def shards(self) -> int:
-        return len(self.shard_reports) or 1
 
     @property
     def phases(self) -> list[tuple[str, float]]:
-        """``(phase, seconds)`` pairs; a parallel recovery sums each
-        phase across its shards (first-seen order)."""
-        if not self.shard_reports:
-            return self.span.phase_items()
-        totals: dict[str, float] = {}
-        for report in self.shard_reports:
-            for name, seconds in report.phases:
-                totals[name] = totals.get(name, 0.0) + seconds
-        return list(totals.items())
+        """``(phase, seconds)`` pairs in the order they ran."""
+        return self.span.phase_items()
 
     @property
     def total_seconds(self) -> float:
         if self.span.finished:
             return self.span.duration_s
         return self.span.child_seconds()
-
-    @property
-    def serial_seconds(self) -> float:
-        """What a one-thread recovery of the same shards would have
-        cost: the sum of per-shard totals."""
-        if not self.shard_reports:
-            return self.total_seconds
-        return sum(r.total_seconds for r in self.shard_reports)
-
-    @property
-    def parallel_speedup(self) -> float:
-        if self.total_seconds <= 0.0:
-            return 1.0
-        return self.serial_seconds / self.total_seconds
 
     def phase_seconds(self, name: str) -> float:
         return sum(seconds for phase, seconds in self.phases if phase == name)
@@ -112,10 +74,6 @@ class RecoveryReport:
             "phases": dict(self.phases),
             "span": self.span.as_dict(),
             "tables": self.tables,
-            "shards": self.shards,
-            "serial_seconds": self.serial_seconds,
-            "parallel_speedup": self.parallel_speedup,
-            "per_shard": [r.as_dict() for r in self.shard_reports],
         }
         out.update((name, getattr(self, name)) for name in _COUNTERS)
         return out

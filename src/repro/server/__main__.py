@@ -25,7 +25,6 @@ from repro.server.server import ReproServer, ServerConfig
 def build_config(args: argparse.Namespace) -> ServerConfig:
     engine = EngineConfig(
         mode=DurabilityMode(args.mode),
-        shards=args.shards,
         extent_size=args.extent_size,
     )
     return ServerConfig(
@@ -69,9 +68,6 @@ def main(argv: Optional[list] = None) -> int:
         default="nvm",
         choices=[m.value for m in DurabilityMode],
         help="default durability mode for new tenants (default: nvm)",
-    )
-    parser.add_argument(
-        "--shards", type=int, default=1, help="default shards per tenant"
     )
     parser.add_argument(
         "--extent-size", type=int, default=8 * 1024 * 1024,

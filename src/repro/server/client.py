@@ -165,12 +165,9 @@ class ReproClient:
         self,
         name: str,
         *,
-        shards: Optional[int] = None,
         mode: Optional[str] = None,
     ) -> dict:
         body: dict = {"name": name}
-        if shards is not None:
-            body["shards"] = shards
         if mode is not None:
             body["mode"] = mode
         return self.call(Op.CREATE_TENANT, body)
@@ -205,12 +202,9 @@ class ReproClient:
         table: str,
         schema: Sequence[tuple],
         *,
-        partition_key: Optional[str] = None,
         tenant: Optional[str] = None,
     ) -> None:
-        body: dict = {"table": table, "schema": [list(c) for c in schema]}
-        if partition_key is not None:
-            body["partition_key"] = partition_key
+        body = {"table": table, "schema": [list(c) for c in schema]}
         self.call(Op.CREATE_TABLE, body, tenant=tenant)
 
     def drop_table(self, table: str, *, tenant: Optional[str] = None) -> None:

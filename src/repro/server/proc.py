@@ -36,7 +36,6 @@ def spawn_server(
     port: int,
     *,
     mode: str = "nvm",
-    shards: int = 1,
     workers: int = 8,
     rate_limit: Optional[float] = None,
     max_inflight: Optional[int] = None,
@@ -59,8 +58,6 @@ def spawn_server(
         str(port),
         "--mode",
         mode,
-        "--shards",
-        str(shards),
         "--workers",
         str(workers),
     ]

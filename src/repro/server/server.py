@@ -14,7 +14,7 @@ atomicity contract it keeps is in DESIGN.md, "Server and tenancy"):
   tenants run at once.
 * **inside a tick** requests run in arrival order, except that within
   a run of ``INSERT``/``QUERY``/``AGGREGATE`` the single-row inserts go
-  first, as one :meth:`~repro.core.Engine.insert_each` per table: they
+  first, as one :meth:`~repro.core.Database.insert_each` per table: they
   share a commit, and a read sees every insert of its tick. Any other
   op is a **barrier**, executed in place; nothing moves across it.
 * **back on the loop** admission is released and the response packed
@@ -40,7 +40,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from repro.core import DurabilityMode, Engine, EngineConfig
+from repro.core import Database, DurabilityMode, EngineConfig
 from repro.obs import get_registry
 from repro.obs.export import to_prometheus
 from repro.query.aggregate import aggregate
@@ -84,7 +84,7 @@ class ServerConfig:
     #: 0 = pick an ephemeral port (read it back from ``server.port``).
     port: int = 0
     #: Engine config template for the catalog and every tenant (a
-    #: tenant's recorded shard count / mode override it per namespace).
+    #: tenant's recorded mode overrides it per namespace).
     engine: EngineConfig = field(default_factory=EngineConfig)
     #: Worker threads executing ticks: how many tenants run at once.
     workers: int = 8
@@ -431,7 +431,7 @@ class ReproServer:
 
     @staticmethod
     def _insert_run(
-        engine: Engine, tick: list[_Queued], run: range, answers: list
+        engine: Database, tick: list[_Queued], run: range, answers: list
     ) -> None:
         """Answer the run's single-row INSERTs: one ``insert_each`` per table.
 
@@ -495,9 +495,10 @@ class ReproServer:
             raise ProtocolError(f"{op.name} body must be a dict, got {body!r}")
         assert self.catalog is not None
         if op is Op.CREATE_TENANT:
+            if body.get("shards", 1) != 1:
+                raise ProtocolError("a tenant is one engine: shards must be 1")
             return self.catalog.create_tenant(
                 body["name"],
-                shards=body.get("shards"),
                 mode=DurabilityMode(body["mode"]) if body.get("mode") else None,
             )
         if op is Op.DROP_TENANT:
@@ -520,6 +521,10 @@ class ReproServer:
                 return {"text": to_prometheus(get_registry())}
             return {"registry": get_registry().snapshot()}
         # -- data plane --------------------------------------------------
+        if op is Op.CREATE_TABLE and (extra := body.keys() - {"table", "schema"}):
+            raise ProtocolError(
+                f"CREATE_TABLE takes table and schema, not {sorted(extra)}"
+            )
         tenant = request.tenant
         engine = self.catalog.acquire(tenant)
         try:
@@ -528,14 +533,12 @@ class ReproServer:
             self.catalog.release(tenant)
 
     @staticmethod
-    def _tenant_op(engine: Engine, op: Op, body: dict):
+    def _tenant_op(engine: Database, op: Op, body: dict):
         if op is Op.CREATE_TABLE:
             schema = {
                 name: DataType(dtype) for name, dtype in body["schema"]
             }
-            engine.create_table(
-                body["table"], schema, partition_key=body.get("partition_key")
-            )
+            engine.create_table(body["table"], schema)
             return {}
         if op is Op.DROP_TABLE:
             engine.drop_table(body["table"])
@@ -582,8 +585,8 @@ class ReproServer:
     # ------------------------------------------------------------------
 
     def metrics_snapshot(self) -> dict:
-        """Process registry plus server-level state (mirrors the engine
-        facades' ``metrics_snapshot``)."""
+        """Process registry plus server-level state (mirrors
+        ``Database.metrics_snapshot``)."""
         out = {
             "registry": get_registry().snapshot(),
             "tenants": (

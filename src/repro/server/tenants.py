@@ -2,14 +2,14 @@
 
 Each tenant owns a private namespace directory —
 ``<root>/tenants/<name>/`` — holding a full
-:class:`~repro.core.Engine` with the tenant's recorded shard
-count. Tenants are fully isolated: separate durability state,
+:class:`~repro.core.Database` in the tenant's recorded durability
+mode. Tenants are fully isolated: separate durability state,
 separate table namespaces (two tenants may both have an ``orders``
 table), separate recovery.
 
 The catalog itself is dogfood: tenant rows live in a tiny ``Database``
 at ``<root>/_catalog/`` under the same durability mode as the tenants,
-so the mapping tenant → (shards, mode) survives restarts through the
+so the mapping tenant → mode survives restarts through the
 exact machinery the paper describes — after a crash the catalog is
 recovered first (instantly, on NVM), then every tenant namespace is
 reopened from it.
@@ -31,7 +31,6 @@ from collections import OrderedDict
 from dataclasses import replace
 from typing import Optional
 
-from repro.core import Engine, open_engine
 from repro.core.config import DurabilityMode, EngineConfig
 from repro.core.database import Database
 from repro.obs import get_registry
@@ -91,11 +90,9 @@ class TenantCatalog:
             raise ValueError("max_attached must be >= 1")
         self.max_attached = max_attached
         os.makedirs(os.path.join(root, _TENANT_ROOT), exist_ok=True)
-        # The catalog database is tiny; shrink its pmem extents and keep
-        # it single-shard whatever the tenant layout is.
+        # The catalog database is tiny; shrink its pmem extents.
         catalog_config = replace(
             self.engine_config,
-            shards=1,
             extent_size=min(self.engine_config.extent_size, 8 * 1024 * 1024),
         )
         self._db = Database(os.path.join(root, _CATALOG_DIR), catalog_config)
@@ -104,7 +101,7 @@ class TenantCatalog:
                 _TABLE,
                 {
                     "name": DataType.STRING,
-                    "shards": DataType.INT64,
+                    "shards": DataType.INT64,  # always 1: the on-disk layout
                     "mode": DataType.STRING,
                 },
             )
@@ -113,7 +110,7 @@ class TenantCatalog:
         # loop asks ``exists`` per request and must not run an engine
         # query (or wait for this lock) to find out.
         self._names = {row["name"] for row in self._db.query(_TABLE).rows()}
-        self._attached: "OrderedDict[str, Engine]" = OrderedDict()
+        self._attached: "OrderedDict[str, Database]" = OrderedDict()
         self._pins: dict[str, int] = {}
         #: Per-tenant recovery report dicts from the last attach.
         self.recovery_reports: dict[str, dict] = {}
@@ -124,9 +121,9 @@ class TenantCatalog:
     # ------------------------------------------------------------------
 
     def tenants(self) -> list[dict]:
-        """Every registered tenant as ``{"name", "shards", "mode"}``."""
+        """Every registered tenant as ``{"name", "mode"}``."""
         with self._lock:
-            rows = self._db.query(_TABLE).rows()
+            rows = self._db.query(_TABLE).rows(["name", "mode"])
         return sorted(rows, key=lambda row: row["name"])
 
     def tenant_names(self) -> list[str]:
@@ -139,7 +136,6 @@ class TenantCatalog:
         self,
         name: str,
         *,
-        shards: Optional[int] = None,
         mode: Optional[DurabilityMode] = None,
     ) -> dict:
         """Register a tenant and create its namespace directory.
@@ -153,20 +149,15 @@ class TenantCatalog:
                 f"invalid tenant name {name!r} (want [a-z0-9][a-z0-9_-]*, "
                 "max 64 chars)"
             )
-        shards = self.engine_config.shards if shards is None else int(shards)
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
         mode_value = (mode or self.engine_config.mode).value
         with self._lock:
             if self.exists(name):
                 raise TenantExists(f"tenant {name!r} already exists")
-            self._db.insert(
-                _TABLE, {"name": name, "shards": shards, "mode": mode_value}
-            )
+            self._db.insert(_TABLE, {"name": name, "shards": 1, "mode": mode_value})
             os.makedirs(tenant_dir(self.root, name), exist_ok=True)
             self._names.add(name)
         get_registry().counter("server_tenants_created_total").inc()
-        return {"name": name, "shards": shards, "mode": mode_value}
+        return {"name": name, "mode": mode_value}
 
     def drop_tenant(self, name: str, *, remove_data: bool = True) -> None:
         """Unregister a tenant; optionally delete its namespace."""
@@ -196,14 +187,7 @@ class TenantCatalog:
     # Attachment (lazy open + LRU cap)
     # ------------------------------------------------------------------
 
-    def _tenant_config(self, row: dict) -> EngineConfig:
-        return replace(
-            self.engine_config,
-            shards=int(row["shards"]),
-            mode=DurabilityMode(row["mode"]),
-        )
-
-    def _attach_locked(self, name: str) -> Engine:
+    def _attach_locked(self, name: str) -> Database:
         engine = self._attached.get(name)
         if engine is not None:
             self._attached.move_to_end(name)
@@ -211,7 +195,8 @@ class TenantCatalog:
         rows = self._db.query(_TABLE, Eq("name", name)).rows()
         if not rows:
             raise NoSuchTenant(f"no tenant {name!r}")
-        engine = open_engine(tenant_dir(self.root, name), self._tenant_config(rows[0]))
+        config = replace(self.engine_config, mode=DurabilityMode(rows[0]["mode"]))
+        engine = Database(tenant_dir(self.root, name), config)
         self._attached[name] = engine
         self.recovery_reports[name] = engine.last_recovery.as_dict()
         registry = get_registry()
@@ -236,7 +221,7 @@ class TenantCatalog:
             registry.counter("server_tenant_evictions_total").inc()
         registry.gauge("server_tenants_attached").set(len(self._attached))
 
-    def acquire(self, name: str) -> Engine:
+    def acquire(self, name: str) -> Database:
         """Attach (if needed) and pin a tenant's engine for one request."""
         with self._lock:
             if self._closed:
@@ -279,11 +264,16 @@ class TenantCatalog:
         (:data:`~repro.server.protocol.Op.RECOVERY`). With an LRU cap
         smaller than the tenant count the excess engines are evicted
         again right away, but their recovery still ran and its report
-        is still kept.
+        is still kept. A namespace in a layout ``Database`` refuses to
+        open stays detached: its own requests get that refusal, and the
+        other tenants still serve.
         """
         with self._lock:
             for name in self.tenant_names():
-                self._attach_locked(name)
+                try:
+                    self._attach_locked(name)
+                except ValueError:
+                    continue
             return dict(self.recovery_reports)
 
     def close(self) -> None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import os
 import threading
 
 import pytest
@@ -11,6 +13,7 @@ from repro.core.database import Database
 from repro.nvm.pool import PMemMode, PMemPool
 from repro.storage.delta import DeltaPartition
 from repro.storage.merge import fold_generation, freeze_plan
+from repro.storage.types import DataType
 
 SMALL_EXTENT = 2 * 1024 * 1024
 
@@ -76,6 +79,27 @@ def make_config(mode: DurabilityMode, **overrides) -> EngineConfig:
     return EngineConfig(**defaults)
 
 
+def tree(root: str) -> list[str]:
+    """Every path under ``root``, relative and sorted."""
+    return sorted(
+        os.path.relpath(os.path.join(at, name), root)
+        for at, dirs, files in os.walk(root)
+        for name in dirs + files
+    )
+
+
+def write_sharded_layout(path: str, mode: DurabilityMode) -> None:
+    """The layout the removed sharded engine left: ``shards.json`` and
+    one full engine directory per shard, holding rows."""
+    os.makedirs(path, exist_ok=True)
+    with open(os.path.join(path, "shards.json"), "w") as f:
+        json.dump({"shards": 1, "format": 1}, f)
+    db = Database(os.path.join(path, "shard-0000"), make_config(mode))
+    db.create_table("t", {"a": DataType.INT64})
+    db.insert("t", {"a": 1})
+    db.close()
+
+
 @pytest.fixture
 def nvm_db(tmp_path):
     db = Database(str(tmp_path / "db"), make_config(DurabilityMode.NVM))
@@ -103,10 +127,3 @@ def any_db(request, tmp_path):
     db = Database(str(tmp_path / "db"), make_config(request.param))
     yield db
     db.close()
-
-
-def cores_of(engine, table: str, keys=range(64)) -> list:
-    """The distinct single-shard cores behind an engine, found through
-    the protocol (``shard_for``) rather than by naming a class."""
-    cores = {id(core): core for core in (engine.shard_for(table, k) for k in keys)}
-    return list(cores.values())

@@ -15,7 +15,6 @@ import pytest
 
 from repro.core.config import DurabilityMode, EngineConfig
 from repro.core.database import Database
-from repro.core.sharding import ShardedEngine, partition_array, partition_of
 from repro.nvm.pool import PMemMode
 from repro.query.predicate import Eq
 from repro.storage.delta import DeltaPartition
@@ -338,6 +337,39 @@ def test_crash_after_publish_before_commit_rolls_back(tmp_path, mode):
     recovered.close()
 
 
+@pytest.mark.parametrize(
+    "mode", [DurabilityMode.NVM, DurabilityMode.LOG], ids=["nvm", "log"]
+)
+def test_batch_rolled_back_after_publish_stays_absent_after_a_crash(
+    tmp_path, monkeypatch, mode
+):
+    """A batch that fails after its rows were published aborts; a crash
+    after that keeps every committed batch and none of its rows."""
+    cfg = _cfg(mode, pmem_mode=PMemMode.STRICT)
+    path = str(tmp_path / "aborted")
+    db = Database(path, cfg)
+    db.create_table("t", SCHEMA)
+    before = _random_rows(7, 40)
+    db.insert_many("t", before)
+
+    def failing(table, refs):
+        raise OSError("injected: index upkeep failed after the publish")
+
+    monkeypatch.setattr(db, "_index_new_rows", failing)
+    with pytest.raises(OSError, match="injected"):
+        db.insert_many("t", _random_rows(8, 300))
+    monkeypatch.undo()
+    after = _random_rows(9, 25)
+    db.insert_many("t", after)
+    db.crash(seed=4)
+
+    recovered = Database(path, cfg)
+    got = recovered.query("t").rows()
+    assert sorted(got, key=repr) == sorted(before + after, key=repr)
+    assert recovered.verify() == []
+    recovered.close()
+
+
 # ----------------------------------------------------------------------
 # Coalescing: flushes scale with touched chunks, reads are not re-billed
 # ----------------------------------------------------------------------
@@ -384,47 +416,3 @@ def test_bulk_reads_do_not_recharge_nvm_traffic(tmp_path):
     assert stats.bytes_read == bytes_before
     assert stats.views_created == views_before
     db.close()
-
-
-# ----------------------------------------------------------------------
-# Sharding: numpy hash partitioning
-# ----------------------------------------------------------------------
-
-
-def test_partition_array_matches_scalar_partition_of():
-    ints = [0, 1, -5, 2**62, -(2**63), 17, 123456789]
-    floats = [0.0, -1.5, 3.140625, 1e300, -2.5]
-    mixed = [None, "abc", 5, 2.5, "", True, False]
-    for values in (ints, floats, mixed):
-        for nshards in (1, 3, 8):
-            expected = [partition_of(v, nshards) for v in values]
-            assert partition_array(values, nshards).tolist() == expected
-
-
-def test_sharded_insert_many_routes_like_scalar_inserts(tmp_path):
-    cfg = EngineConfig(
-        mode=DurabilityMode.NVM, shards=4, extent_size=SMALL_EXTENT
-    )
-    rows = _random_rows(9, 300)
-
-    batched = ShardedEngine(str(tmp_path / "batched"), cfg)
-    batched.create_table("t", SCHEMA)
-    assert batched.insert_many("t", rows) == len(rows)
-
-    scalar = ShardedEngine(str(tmp_path / "scalar"), cfg)
-    scalar.create_table("t", SCHEMA)
-    for row in rows:
-        scalar.insert("t", row)
-
-    assert batched.query("t").count == len(rows)
-    for shard_b, shard_s in zip(batched.shards, scalar.shards):
-        assert shard_b.query("t").count == shard_s.query("t").count
-    assert batched.verify() == []
-
-    # The batch survives a crash of every shard.
-    batched.crash(seed=5)
-    scalar.close()
-    reopened = ShardedEngine(str(tmp_path / "batched"), cfg)
-    assert reopened.query("t").count == len(rows)
-    assert reopened.verify() == []
-    reopened.close()

@@ -15,7 +15,6 @@ import pytest
 from repro.core.config import DurabilityMode
 from repro.core.database import Database
 from repro.core.nvm_catalog import PersistentCidStore, PersistentTidAllocator
-from repro.core.sharding import ShardedEngine
 from repro.query.predicate import Eq
 from repro.query.scan import scan
 from repro.storage.types import DataType
@@ -339,18 +338,6 @@ class TestGroupCommit:
             db.insert("t", {"a": i})
         assert db.stats()["wal"]["syncs"] - base == 2  # 8 commits / 4
         db.close()
-
-
-class TestShardedWriters:
-    def test_one_transaction_per_touched_shard(self, tmp_path):
-        engine = ShardedEngine(
-            str(tmp_path / "db"), make_config(DurabilityMode.NONE, shards=2)
-        )
-        engine.create_table("t", {"k": DataType.INT64})
-        engine.insert_many("t", [{"k": i} for i in range(40)])
-        assert engine.stats()["commits"] == 2
-        assert engine.query("t").count == 40
-        engine.close()
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,5 @@
 """Regression tests for crash-path bugs and maintenance-crash coverage.
 
-* The sharded engine must join in-flight fan-out workers *before*
-  crashing the shards (pre-fix: ``crash()`` shut the executor down with
-  ``wait=False`` afterwards, letting workers persist post-crash state).
 * A torn-tail LOG crash must not make post-recovery appends land after
   garbage where replay can never reach them (pre-fix: the writer
   reopened in append mode at the physical end of file).
@@ -12,91 +9,17 @@
 """
 
 import shutil
-import threading
 
 import pytest
 
 from tests.conftest import make_config
 from repro.core.config import DurabilityMode
 from repro.core.database import Database
-from repro.core.sharding import ShardedEngine, partition_of
 from repro.fault.inject import CrashPointInjector, SimulatedPowerFailure
-from repro.nvm.latency import set_persistence_hook
 from repro.nvm.pool import PMemMode
 from repro.storage.types import DataType
 
 SCHEMA = {"key": DataType.INT64, "note": DataType.STRING}
-
-
-class TestShardedCrashRace:
-    def test_crash_joins_inflight_fanout_workers(self, tmp_path):
-        """Crash mid-fan-out: ``crash()`` must wait for running workers.
-
-        A shard worker is stalled inside its commit fsync while the main
-        thread calls ``crash()``. Pre-fix, ``crash()`` returned without
-        joining it (executor shutdown used ``wait=False``, and only
-        after the shards were already crashed), so the release event
-        below would still be unset when ``crash()`` returned.
-        """
-        config = make_config(
-            DurabilityMode.LOG, shards=2, group_commit_size=1
-        )
-        engine = ShardedEngine(str(tmp_path / "db"), config)
-        engine.create_table("kv", SCHEMA)
-
-        entered = threading.Event()
-        release = threading.Event()
-
-        def stalling_hook(kind: str) -> None:
-            # Stall only shard fan-out workers at their commit fsync;
-            # the main thread (which runs crash()) never blocks here.
-            name = threading.current_thread().name
-            if kind == "wal_fsync" and name.startswith("shard"):
-                entered.set()
-                release.wait(timeout=10.0)
-
-        rows = [{"key": k, "note": f"n{k}"} for k in range(32)]
-
-        def run_batch() -> None:
-            try:
-                engine.insert_many("kv", rows)
-            except BaseException:  # noqa: BLE001 — power failure expected
-                pass
-
-        set_persistence_hook(stalling_hook)
-        try:
-            batch = threading.Thread(target=run_batch, daemon=True)
-            batch.start()
-            assert entered.wait(5.0), "no shard worker reached its fsync"
-            # Release the stalled worker only after crash() has started.
-            timer = threading.Timer(0.25, release.set)
-            timer.start()
-            try:
-                engine.crash()
-                assert release.is_set(), (
-                    "crash() returned while a fan-out worker was still "
-                    "writing shard state"
-                )
-            finally:
-                timer.cancel()
-        finally:
-            release.set()
-            set_persistence_hook(None)
-        batch.join(5.0)
-        assert not batch.is_alive()
-
-        recovered = ShardedEngine(str(tmp_path / "db"), config)
-        try:
-            assert recovered.verify() == []
-            found = {row["key"] for row in recovered.query("kv").rows()}
-            # each shard's sub-batch is atomic: fully there or fully not
-            for shard in range(2):
-                group = {
-                    r["key"] for r in rows if partition_of(r["key"], 2) == shard
-                }
-                assert found & group in (set(), group)
-        finally:
-            recovered.close()
 
 
 class TestTornTailRecoveryAppend:

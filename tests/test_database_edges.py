@@ -15,7 +15,7 @@ from repro.storage.types import DataType
 from repro.txn.errors import TooManyActiveTransactions
 from repro.wal.records import RecordTooLarge
 
-from tests.conftest import make_config
+from tests.conftest import make_config, tree, write_sharded_layout
 
 
 class TestSchemaCoercion:
@@ -308,6 +308,30 @@ class TestReopenSafety:
             db = Database(path, cfg)
             assert db.table_names == ["t"]
             db.close()
+
+    @pytest.mark.parametrize("mode", list(DurabilityMode), ids=lambda m: m.value)
+    def test_sharded_directory_is_refused(self, tmp_path, mode):
+        """A directory the removed sharded engine created holds its data
+        under ``shard-NNNN/``: opening it must fail, naming the manifest,
+        and never start an empty engine beside the old data."""
+        path = str(tmp_path / "db")
+        write_sharded_layout(path, mode)
+        files = tree(path)
+        with pytest.raises(ValueError, match="shards.json"):
+            Database(path, make_config(mode))
+        assert tree(path) == files
+
+    @pytest.mark.parametrize("mode", list(DurabilityMode), ids=lambda m: m.value)
+    def test_bare_shard_manifest_is_refused(self, tmp_path, mode):
+        """A manifest with no shard directory yet (the sharded engine
+        stopped between the two) is refused the same way."""
+        path = str(tmp_path / "db")
+        os.makedirs(path)
+        with open(os.path.join(path, "shards.json"), "w") as f:
+            f.write('{"shards": 2, "format": 1}')
+        with pytest.raises(ValueError, match="shards.json"):
+            Database(path, make_config(mode))
+        assert tree(path) == ["shards.json"]
 
     def test_log_mode_empty_directory(self, tmp_path):
         db = Database(str(tmp_path / "db"), make_config(DurabilityMode.LOG))

@@ -1,29 +1,26 @@
-"""The :class:`~repro.core.Engine` protocol, driven through
-``open_engine`` only.
-
-One body runs at every shard count and durability mode against a dict
-model: nothing here knows which class it got, which is the property the
-server, the crash sweep and the report CLI rely on.
+"""The whole :class:`~repro.core.Database` surface the server, the crash
+sweep and the report CLI use, driven against a dict model in both
+durable modes.
 """
 
 from __future__ import annotations
 
+import importlib
 import os
 
 import pytest
 
-from repro.core import DurabilityMode, EngineConfig, open_engine
+from repro.core import Database, DurabilityMode, EngineConfig
 from repro.query import Eq, Gt, IsNull, aggregate
 from repro.storage import DataType
 from repro.storage.table import unpack_rowref
 from repro.txn.errors import TooManyActiveTransactions
 from repro.wal.writer import RecordTooLarge
 
-from tests.conftest import cores_of, make_config
+from tests.conftest import make_config
 
 SCHEMA = {"id": DataType.INT64, "grp": DataType.STRING, "val": DataType.INT64}
 
-each_engine = pytest.mark.parametrize("shards", [1, 4])
 each_mode = pytest.mark.parametrize(
     "mode", [DurabilityMode.NVM, DurabilityMode.LOG], ids=lambda m: m.value
 )
@@ -42,10 +39,8 @@ def visible(engine, table="kv") -> dict:
 
 
 def change(engine, key, val=None):
-    """Update (or, with no ``val``, delete) one row in a transaction on
-    the core that owns it."""
-    db = engine.shard_for("kv", key)
-    with db.begin() as txn:
+    """Update (or, with no ``val``, delete) one row in a transaction."""
+    with engine.begin() as txn:
         owned = IsNull("id") if key is None else Eq("id", key)
         (ref,) = txn.query("kv", owned).refs()
         if val is None:
@@ -54,27 +49,26 @@ def change(engine, key, val=None):
             txn.update("kv", ref, {"val": val})
 
 
-@each_engine
 @each_mode
-def test_whole_protocol_against_a_model(tmp_path, shards, mode):
+def test_whole_protocol_against_a_model(tmp_path, mode):
     path = str(tmp_path / "eng")
-    engine = open_engine(path, make_config(mode, shards=shards))
+    engine = Database(path, make_config(mode))
     model: dict = {}
 
-    # -- DDL, with and without a partition key ---------------------------
+    # -- DDL ---------------------------------------------------------------
     engine.create_table("kv", SCHEMA)
-    engine.create_table("by_grp", SCHEMA, partition_key="grp")
-    with pytest.raises(ValueError, match="partition key"):
-        engine.create_table("bad", SCHEMA, partition_key="nope")
+    engine.create_table("by_grp", SCHEMA)
+    with pytest.raises(ValueError, match="already exists"):
+        engine.create_table("kv", SCHEMA)
     engine.create_index("kv", "id")
     assert engine.table_names == ["by_grp", "kv"]
     with pytest.raises(KeyError, match="no table"):
-        engine.shard_for("missing", 1)
+        engine.query("missing")
 
     # -- scalar and batch writes -----------------------------------------
     engine.insert("kv", row(1, 10))
     model[1] = 10
-    # A row that omits its partition-key column has a NULL key.
+    # A row that omits its key column has a NULL key.
     engine.insert("kv", {"grp": "null-key", "val": 5})
     model[None] = 5
     engine.insert_many("kv", [row(k, k * 10) for k in range(2, 40)])
@@ -90,12 +84,11 @@ def test_whole_protocol_against_a_model(tmp_path, shards, mode):
     # -- rejected rows are rejected alike, and leave nothing behind -------
     with pytest.raises(KeyError, match="unknown columns"):
         engine.insert("kv", {"id": 70, "nope": 1})
-    # One key, so one shard's sub-batch: all-or-nothing on any engine.
     with pytest.raises(TypeError, match="expected int"):
         engine.insert_many("kv", [row(71, 1), row(71, "not-an-int")])
     assert visible(engine) == model
 
-    # -- interactive transactions, on the owning core ---------------------
+    # -- interactive transactions ----------------------------------------
     change(engine, 3, -3)
     model[3] = -3
     change(engine, None, 6)
@@ -123,11 +116,10 @@ def test_whole_protocol_against_a_model(tmp_path, shards, mode):
     assert visible(engine) == model
     assert engine.verify() == []
 
-    # -- crash, then reopen with the default config: the directory, not
-    # the caller, says how many shards there are ---------------------------
+    # -- crash, then reopen -----------------------------------------------
     before = sorted(os.listdir(path))
-    engine.crash(seed=shards)
-    engine = open_engine(path, EngineConfig(mode=mode))
+    engine.crash(seed=1)
+    engine = Database(path, EngineConfig(mode=mode))
     assert sorted(os.listdir(path)) == before
     assert engine.verify() == []
     assert visible(engine) == model
@@ -135,7 +127,6 @@ def test_whole_protocol_against_a_model(tmp_path, shards, mode):
     assert len(engine.query("by_grp")) == 31
     report = engine.last_recovery
     assert report.total_seconds > 0
-    assert report.shards == shards
     assert report.tables == 2
 
     # -- and it is still an engine ----------------------------------------
@@ -151,52 +142,35 @@ def test_whole_protocol_against_a_model(tmp_path, shards, mode):
 
 
 @each_mode
-def test_one_shape_at_every_shard_count(tmp_path, mode):
-    """``stats()``, ``metrics_snapshot()`` and the recovery report answer
-    in one shape; a sharded engine's numbers are its shards' summed."""
-    shapes = {}
-    for shards in (1, 4):
-        path = str(tmp_path / f"s{shards}")
-        engine = open_engine(path, make_config(mode, shards=shards))
-        engine.create_table("kv", SCHEMA)
-        engine.insert_many("kv", [row(k, k) for k in range(100)])
-        engine.insert("kv", row(100, 100))
-        engine.close()
-        engine = open_engine(path, EngineConfig(mode=mode))
-        stats = engine.stats()
-        snapshot = engine.metrics_snapshot()
-        recovery = engine.last_recovery.as_dict()
-        shapes[shards] = (
-            set(stats),
-            set(stats["tables"]["kv"]),
-            set(snapshot),
-            set(snapshot["driver"]),
-            set(recovery),
-        )
-        assert stats["shards"] == recovery["shards"] == shards
-        table = stats["tables"]["kv"]
-        assert table["main_rows"] + table["delta_rows"] == 101
-        assert snapshot["recovery"].keys() == recovery.keys()
-        if shards > 1:
-            assert len(stats["per_shard"]) == len(recovery["per_shard"]) == shards
-            assert stats["last_cid"] == max(s["last_cid"] for s in stats["per_shard"])
-            assert recovery["serial_seconds"] == pytest.approx(
-                sum(r["total_seconds"] for r in recovery["per_shard"])
-            )
-            assert set(recovery["phases"]) == set(recovery["per_shard"][0]["phases"])
-        engine.close()
-    assert shapes[1] == shapes[4]
+def test_stats_and_recovery_report_agree(tmp_path, mode):
+    """``stats()``, ``metrics_snapshot()`` and the recovery report of a
+    reopened engine count the same rows and carry the same report."""
+    path = str(tmp_path / "eng")
+    engine = Database(path, make_config(mode))
+    engine.create_table("kv", SCHEMA)
+    engine.insert_many("kv", [row(k, k) for k in range(100)])
+    engine.insert("kv", row(100, 100))
+    engine.close()
+    engine = Database(path, EngineConfig(mode=mode))
+    stats = engine.stats()
+    snapshot = engine.metrics_snapshot()
+    recovery = engine.last_recovery.as_dict()
+    table = stats["tables"]["kv"]
+    assert table["main_rows"] + table["delta_rows"] == 101
+    assert stats["last_cid"] == engine.last_cid
+    assert snapshot["recovery"].keys() == recovery.keys()
+    assert snapshot["mode"] == stats["mode"] == recovery["mode"] == mode.value
+    engine.close()
 
 
-@each_engine
 @each_mode
-def test_insert_each_against_a_model(tmp_path, shards, mode):
+def test_insert_each_against_a_model(tmp_path, mode):
     """Per-row outcomes in input order; a rejected row never drags a
-    neighbour; the accepted rows of one core share one commit; a
+    neighbour; the accepted rows share one commit; a
     transaction that fails as a whole still answers row by row and
     leaves nothing behind; a crash recovers exactly the accepted rows."""
     path = str(tmp_path / "eng")
-    engine = open_engine(path, make_config(mode, shards=shards, txn_slots=2))
+    engine = Database(path, make_config(mode, txn_slots=2))
     engine.create_table("kv", SCHEMA)
     engine.create_index("kv", "id")
     model: dict = {}
@@ -209,9 +183,7 @@ def test_insert_each_against_a_model(tmp_path, shards, mode):
                 model[r.get("id")] = r["val"]
         assert visible(engine) == model
         assert engine.verify() == []
-        assert [core._manager.active_count for core in cores_of(engine, "kv")] == (
-            [0] * shards
-        )
+        assert engine._manager.active_count == 0
 
     # -- good, malformed and NULL-key rows in one call ---------------------
     rows = [row(k, k * 10) for k in range(40)]
@@ -220,21 +192,20 @@ def test_insert_each_against_a_model(tmp_path, shards, mode):
     rows[13] = {"grp": "null-key", "val": 13}
     commits = engine.stats()["commits"]
     outcomes = engine.insert_each("kv", rows)
-    assert engine.stats()["commits"] - commits == shards  # one per touched core
+    assert engine.stats()["commits"] - commits == 1
     for bad in (5, 9):
         with pytest.raises(type(outcomes[bad])) as alone:
             engine.insert("kv", rows[bad])
         assert str(alone.value) == str(outcomes[bad])
     assert [k for k, o in enumerate(outcomes) if isinstance(o, Exception)] == [5, 9]
     accept(rows, outcomes)
-    cids: dict = {}
-    for r, ref in zip(rows, outcomes):
-        if not isinstance(ref, Exception):
-            core = engine.shard_for("kv", r.get("id"))
-            is_delta, at = unpack_rowref(ref)
-            begin = int(core.table("kv").delta.mvcc.begin.to_numpy()[at])
-            cids.setdefault(id(core), set()).add(begin)
-    assert sorted(len(v) for v in cids.values()) == [1] * shards
+    begins = engine.table("kv").delta.mvcc.begin.to_numpy()
+    cids = {
+        int(begins[unpack_rowref(ref)[1]])
+        for ref in outcomes
+        if not isinstance(ref, Exception)
+    }
+    assert len(cids) == 1
 
     # -- no such table: every row's answer is insert's ---------------------
     outcomes = engine.insert_each("missing", rows[:3])
@@ -242,14 +213,11 @@ def test_insert_each_against_a_model(tmp_path, shards, mode):
     assert all("no table" in str(o) for o in outcomes)
     assert engine.insert_each("kv", []) == []
 
-    # -- the transaction fails as a whole: no slot on one core -------------
-    full = engine.shard_for("kv", 100)
-    held = [full.begin() for _ in range(2)]
+    # -- the transaction fails as a whole: no free slot --------------------
+    held = [engine.begin() for _ in range(2)]
     rows = [row(k, k) for k in range(100, 120)]
     outcomes = engine.insert_each("kv", rows)
-    for r, outcome in zip(rows, outcomes):
-        refused = engine.shard_for("kv", r["id"]) is full
-        assert isinstance(outcome, TooManyActiveTransactions) == refused
+    assert all(isinstance(o, TooManyActiveTransactions) for o in outcomes)
     for txn in held:
         txn.abort()
     accept(rows, outcomes)
@@ -259,8 +227,7 @@ def test_insert_each_against_a_model(tmp_path, shards, mode):
 
     # -- ... or the log refuses the group but takes each row alone ---------
     if mode is DurabilityMode.LOG:
-        for core in cores_of(engine, "kv"):
-            core._driver._wal._max_record_bytes = 512
+        engine._driver._wal._max_record_bytes = 512
         rows = [row(k, k, grp="g" * 40) for k in range(200, 240)]
         rows[7] = row(207, 7, grp="x" * 4096)
         outcomes = engine.insert_each("kv", rows)
@@ -271,8 +238,39 @@ def test_insert_each_against_a_model(tmp_path, shards, mode):
         accept(rows, outcomes)
 
     # -- crash: exactly the accepted rows ---------------------------------
-    engine.crash(seed=shards)
-    engine = open_engine(path, EngineConfig(mode=mode))
+    engine.crash(seed=1)
+    engine = Database(path, EngineConfig(mode=mode))
     assert visible(engine) == model
     assert engine.verify() == []
     engine.close()
+
+
+def test_the_facade_takes_no_shard_arguments(tmp_path):
+    """``EngineConfig`` has no shard count and ``create_table`` no
+    partition key: one ``Database`` is the whole engine."""
+    with pytest.raises(TypeError):
+        EngineConfig(shards=4)
+    engine = Database(str(tmp_path / "eng"), make_config(DurabilityMode.NVM))
+    with pytest.raises(TypeError):
+        engine.create_table("kv", SCHEMA, partition_key="id")
+    assert engine.table_names == []
+    engine.close()
+
+
+@pytest.mark.parametrize(
+    "cli,required",
+    [
+        ("repro.server.__main__", ["--path"]),
+        ("repro.fault.sweep", []),
+        ("repro.obs.report", []),
+    ],
+    ids=["server", "sweep", "report"],
+)
+def test_no_cli_takes_a_shard_count(tmp_path, capsys, cli, required):
+    main = importlib.import_module(cli).main
+    argv = [arg for flag in required for arg in (flag, str(tmp_path / "data"))]
+    with pytest.raises(SystemExit) as exited:
+        main(argv + ["--shards", "4"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --shards 4" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.core.sharding import partition_of
 from repro.fault.inject import CrashPointInjector, SimulatedPowerFailure
 from repro.fault.sweep import CrashSweep, SweepSettings, main
 from repro.fault.workloads import (
@@ -89,27 +88,13 @@ class TestWorkloads:
 
 
 class TestPendingGroups:
-    def test_sharded_batches_group_per_shard(self, tmp_path):
-        sweep = CrashSweep(
-            str(tmp_path), SweepSettings(mode="nvm", shards=4)
-        )
-        step = Step("insert_many", rows=tuple((k, f"n{k}") for k in range(16)))
-        groups = sweep._pending_groups(step)
-        assert sum(len(g) for g in groups) == 16
-        for group in groups:
-            assert len({partition_of(k, 4) for k in group}) == 1
-
     def test_single_engine_batch_is_one_group(self, tmp_path):
-        sweep = CrashSweep(
-            str(tmp_path), SweepSettings(mode="nvm", shards=1)
-        )
+        sweep = CrashSweep(str(tmp_path), SweepSettings(mode="nvm"))
         step = Step("insert_many", rows=((1, "a"), (2, "b")))
         assert sweep._pending_groups(step) == [{1: "a", 2: "b"}]
 
     def test_maintenance_and_idle_have_no_groups(self, tmp_path):
-        sweep = CrashSweep(
-            str(tmp_path), SweepSettings(mode="nvm", shards=4)
-        )
+        sweep = CrashSweep(str(tmp_path), SweepSettings(mode="nvm"))
         assert sweep._pending_groups(Step("merge")) == []
         assert sweep._pending_groups(None) == []
 
@@ -119,9 +104,7 @@ class TestChecker:
 
     @pytest.fixture
     def sweep_and_engine(self, tmp_path):
-        sweep = CrashSweep(
-            str(tmp_path / "sweep"), SweepSettings(mode="nvm", shards=1)
-        )
+        sweep = CrashSweep(str(tmp_path / "sweep"), SweepSettings(mode="nvm"))
         engine = sweep._open(str(tmp_path / "db"))
         engine.create_table(TABLE, SCHEMA)
         engine.insert(TABLE, {"key": 1, "note": "real"})
@@ -164,33 +147,27 @@ class TestChecker:
         assert sweep._check_state(engine, absent) == []
 
 
-#: (mode, shards, survivor_fraction) — all three drivers, single-engine
-#: and 4-shard, each survivor regime from the issue.
+#: (mode, survivor_fraction) — all three drivers, each survivor regime.
 SWEEP_CELLS = [
-    ("nvm", 1, 0.0),
-    ("nvm", 1, 0.5),
-    ("nvm", 1, 1.0),
-    ("nvm", 4, 0.0),
-    ("nvm", 4, 1.0),
-    ("log", 1, 0.0),
-    ("log", 1, 0.5),
-    ("log", 1, 1.0),
-    ("log", 4, 0.0),
-    ("log", 4, 1.0),
-    ("none", 1, 0.0),
+    ("nvm", 0.0),
+    ("nvm", 0.5),
+    ("nvm", 1.0),
+    ("log", 0.0),
+    ("log", 0.5),
+    ("log", 1.0),
+    ("none", 0.0),
 ]
 
 
 @pytest.mark.parametrize(
-    "mode,shards,survivor",
+    "mode,survivor",
     SWEEP_CELLS,
-    ids=[f"{m}-s{s}-f{f}" for m, s, f in SWEEP_CELLS],
+    ids=[f"{m}-f{f}" for m, f in SWEEP_CELLS],
 )
-def test_sweep_reports_zero_violations(tmp_path, mode, shards, survivor):
+def test_sweep_reports_zero_violations(tmp_path, mode, survivor):
     settings = SweepSettings(
         workload="batch",
         mode=mode,
-        shards=shards,
         survivor_fraction=survivor,
         sample=8,
         seed=11,
@@ -207,12 +184,8 @@ def test_sweep_reports_zero_violations(tmp_path, mode, shards, survivor):
     assert report["recovery"]["runs"] == report["points_swept"] + 1
 
 
-@pytest.mark.parametrize(
-    "mode,shards",
-    [("nvm", 1), ("nvm", 4), ("log", 1), ("log", 4)],
-    ids=["nvm-s1", "nvm-s4", "log-s1", "log-s4"],
-)
-def test_sweep_concurrent_workload(tmp_path, mode, shards):
+@pytest.mark.parametrize("mode", ["nvm", "log"])
+def test_sweep_concurrent_workload(tmp_path, mode):
     """Crash points land while several writer threads are in flight.
 
     Event counts are nondeterministic under concurrency (fsync
@@ -224,7 +197,6 @@ def test_sweep_concurrent_workload(tmp_path, mode, shards):
     settings = SweepSettings(
         workload="concurrent",
         mode=mode,
-        shards=shards,
         sample=8,
         seed=11,
     )
@@ -234,12 +206,8 @@ def test_sweep_concurrent_workload(tmp_path, mode, shards):
     assert report["crash_kinds_swept"]
 
 
-@pytest.mark.parametrize(
-    "mode,shards",
-    [("nvm", 1), ("log", 1)],
-    ids=["nvm", "log"],
-)
-def test_sweep_online_merge_workload(tmp_path, mode, shards):
+@pytest.mark.parametrize("mode", ["nvm", "log"])
+def test_sweep_online_merge_workload(tmp_path, mode):
     """Crash points land inside fold chunks and cutovers while writer
     threads race an online merge (``merge_mix`` steps).
 
@@ -251,7 +219,6 @@ def test_sweep_online_merge_workload(tmp_path, mode, shards):
     settings = SweepSettings(
         workload="online",
         mode=mode,
-        shards=shards,
         sample=8,
         seed=5,
     )
@@ -297,10 +264,6 @@ def test_sweep_replicated_workload(tmp_path, mode, ack):
 
 
 def test_replicated_workload_rejects_unshippable_cells(tmp_path):
-    with pytest.raises(ValueError, match="shards"):
-        CrashSweep(
-            str(tmp_path), SweepSettings(workload="replicated", shards=4)
-        )
     with pytest.raises(ValueError, match="shippable"):
         CrashSweep(
             str(tmp_path), SweepSettings(workload="replicated", mode="none")
@@ -348,8 +311,6 @@ def test_cli_writes_report_and_exits_zero(tmp_path, capsys):
             "3",
             "--modes",
             "log",
-            "--shards",
-            "1",
             "--out",
             str(out),
             "--root",

@@ -13,7 +13,6 @@ import pytest
 
 from repro.core.config import DurabilityMode
 from repro.core.database import Database
-from repro.core.sharding import ShardedEngine
 from repro.obs import MetricsRegistry, get_registry, set_registry
 from repro.obs import boundary
 from repro.obs.report import main as report_main
@@ -62,49 +61,6 @@ class TestRecoverySpans:
             coverage.append(span.child_seconds() / span.duration_s)
         assert max(coverage) >= 0.90
         db.close()
-
-    def test_sharded_nvm_span_tree(self, tmp_path):
-        """Acceptance: 4-shard recovery yields a grafted tree whose
-        per-shard phases account for each shard's wall time.
-
-        A shard's recovery is ~0.3 ms, of which ~20 µs falls between
-        its phases. A ratio bound shrinks with the phases and one
-        descheduling breaks it, so the bound is on the uncovered time
-        itself: under 0.5 ms per shard, in the best of three reopens."""
-        cfg = make_config(DurabilityMode.NVM, shards=4)
-        engine = ShardedEngine(str(tmp_path / "db"), cfg)
-        _load(engine, 4000)
-        engine.close()
-
-        uncovered = []
-        for _ in range(3):
-            engine = ShardedEngine(str(tmp_path / "db"), cfg)
-            report = engine.last_recovery
-            root = report.span
-            assert root is not None
-            assert root.name == "recovery:sharded:nvm"
-            assert root.finished
-            assert len(root.children) == 4
-            assert report.total_seconds == pytest.approx(root.duration_s)
-            for shard_span in root.children:
-                assert shard_span.name == "recovery:nvm"
-                phases = {c.name for c in shard_span.children}
-                assert phases == {
-                    "pool_open",
-                    "catalog_attach",
-                    "txn_fixup",
-                    "finalize",
-                }
-            uncovered.append(
-                [s.duration_s - s.child_seconds() for s in root.children]
-            )
-            # The grafted tree is JSON-able and renders one line per span.
-            data = report.as_dict()
-            assert len(data["span"]["children"]) == 4
-            assert root.render_tree().count("recovery:nvm") == 4
-            engine.close()
-        best = [min(shard) for shard in zip(*uncovered)]
-        assert max(best) < 0.5e-3, best
 
     def test_log_phases_present_and_timed(self, tmp_path):
         cfg = make_config(DurabilityMode.LOG)
@@ -205,19 +161,6 @@ class TestEngineTelemetry:
         assert snapshot["engine_checkpoint_seconds"]["count"] == 1
         db.close()
 
-    def test_fanout_histograms_labelled_by_op(self, tmp_path):
-        cfg = make_config(DurabilityMode.NVM, shards=4)
-        engine = ShardedEngine(str(tmp_path / "db"), cfg)
-        _load(engine)
-        engine.query("items")
-        snapshot = get_registry().snapshot()
-        for op in ("open", "insert_many", "query"):
-            exec_h = snapshot[f'shard_fanout_exec_seconds{{op="{op}"}}']
-            queue_h = snapshot[f'shard_fanout_queue_seconds{{op="{op}"}}']
-            assert exec_h["count"] == 4, op
-            assert queue_h["count"] == 4, op
-        engine.close()
-
     def test_metrics_snapshot_shapes(self, tmp_path):
         db = Database(str(tmp_path / "nvm"), make_config(DurabilityMode.NVM))
         _load(db, 20)
@@ -227,16 +170,6 @@ class TestEngineTelemetry:
         assert snap["recovery"]["mode"] == "nvm"
         json.dumps(snap, sort_keys=True, default=str)
         db.close()
-
-        cfg = make_config(DurabilityMode.LOG, shards=2)
-        engine = ShardedEngine(str(tmp_path / "sharded"), cfg)
-        _load(engine, 20)
-        snap = engine.metrics_snapshot()
-        assert snap["shards"] == 2
-        assert len(snap["per_shard"]) == 2
-        assert snap["driver"].keys() == snap["per_shard"][0].keys()
-        json.dumps(snap, sort_keys=True, default=str)
-        engine.close()
 
     def test_disabled_registry_keeps_engine_working(self, tmp_path):
         previous = set_registry(MetricsRegistry(enabled=False))
@@ -267,14 +200,12 @@ class TestReportCLI:
         assert "log_replay" in out
         assert "== top 5 counters ==" in out
 
-    def test_workload_text_sharded(self, capsys):
-        assert report_main(["--rows", "300", "--mode", "log", "--shards", "4"]) == 0
+    def test_workload_text_log(self, capsys):
+        assert report_main(["--rows", "300", "--mode", "log"]) == 0
         out = capsys.readouterr().out
-        assert "== log restart: 300 rows, 4 shard(s) ==" in out
-        assert out.count("recovery:log") == 4  # one tree per shard
-        # The counter summary a sharded report used to omit.
+        assert "== log restart: 300 rows ==" in out
+        assert out.count("recovery:log:") == 1  # one tree
         assert "rows_recovered=309" in out
-        assert "parallel_speedup=" in out
 
     def test_workload_json(self, capsys):
         assert (
@@ -311,7 +242,6 @@ class TestReportCLI:
             "configs": [
                 {
                     "mode": "nvm",
-                    "shards": 1,
                     "survivor_fraction": 0.0,
                     "points_swept": 10,
                     "points_total": 10,

@@ -10,12 +10,14 @@ import pytest
 
 import numpy as np
 
+from repro.core.config import DurabilityMode
+from repro.core.database import Database
 from repro.query.aggregate import (
+    _merge_state,
     aggregate,
     aggregate_partials,
     aggregate_scalar,
     finalize_partials,
-    merge_partials,
 )
 from repro.query.join import (
     anti_join,
@@ -32,7 +34,7 @@ from repro.storage.schema import Schema
 from repro.storage.table import Table
 from repro.storage.types import DataType
 
-from tests.conftest import merge_table
+from tests.conftest import make_config, merge_table
 
 SCHEMA = Schema.of(
     id=DataType.INT64,
@@ -168,19 +170,17 @@ class TestVectorizedAggregate:
             ) == aggregate_scalar(result, "sum", "score", group_by=group_by)
 
     def test_partials_merge_matches_whole(self, table):
-        """Partials of two disjoint scans merge to the full answer."""
+        """Partials of two disjoint scans, folded state by state, give the
+        full answer: the law a scan over main and delta relies on."""
         low = scan(table, snapshot_cid=10, predicate=In("id", range(0, 5)))
         high = scan(table, snapshot_cid=10, predicate=In("id", range(5, 20)))
         whole = scan(table, snapshot_cid=10)
         for func, column in ALL_AGGREGATES:
             for group_by in (None, "grade"):
-                merged = merge_partials(
-                    func,
-                    [
-                        aggregate_partials(low, func, column, group_by),
-                        aggregate_partials(high, func, column, group_by),
-                    ],
-                )
+                merged = aggregate_partials(low, func, column, group_by)
+                high_states = aggregate_partials(high, func, column, group_by)
+                for key, state in high_states.items():
+                    _merge_state(merged, key, func, state)
                 assert finalize_partials(
                     func, merged, group_by is not None
                 ) == aggregate_scalar(whole, func, column, group_by), (
@@ -451,48 +451,85 @@ class TestPredicateSatellites:
         assert before == after == [0, 2, 3, 7, 8]
 
 
-class TestShardedAggregate:
-    @pytest.fixture
-    def engine(self, tmp_path):
-        from repro.core.config import DurabilityMode, EngineConfig
-        from repro.core.sharding import ShardedEngine
+class _ModelRows:
+    """Row dicts behind the ``column``/``__len__`` shape that
+    ``aggregate_scalar`` reads."""
 
-        engine = ShardedEngine(
-            str(tmp_path / "shards"),
-            EngineConfig(mode=DurabilityMode.NONE, shards=4),
-        )
-        engine.create_table(
-            "t",
-            {
-                "id": DataType.INT64,
-                "grade": DataType.STRING,
-                "score": DataType.FLOAT64,
-                "points": DataType.INT64,
-            },
-        )
-        engine.bulk_insert(
-            "t",
-            [
-                {"id": i, "grade": g, "score": s, "points": p}
-                for i, g, s, p in ROWS
-            ]
-            + [
-                {"id": 100 + i, "grade": "d", "score": float(i), "points": i}
-                for i in range(20)
-            ],
-        )
-        yield engine
-        engine.close()
+    def __init__(self, rows):
+        self.rows = list(rows)
+
+    def __len__(self):
+        return len(self.rows)
+
+    def column(self, name):
+        return [row[name] for row in self.rows]
+
+
+ENGINE_SCHEMA = {
+    "id": DataType.INT64,
+    "grade": DataType.STRING,
+    "score": DataType.FLOAT64,
+    "points": DataType.INT64,
+}
+
+
+def _engine_rows():
+    rows = [
+        {"id": i, "grade": g, "score": s, "points": p} for i, g, s, p in ROWS
+    ]
+    rows += [
+        {"id": 100 + i, "grade": "d", "score": float(i), "points": i}
+        for i in range(20)
+    ]
+    return rows
+
+
+@pytest.fixture(scope="module", params=["nvm", "log"])
+def recovered(request, tmp_path_factory):
+    """An engine reopened after a crash, with its dict model. Before the
+    crash the table spanned a merged main and a delta, and both held an
+    updated and a deleted row."""
+    mode = DurabilityMode(request.param)
+    path = str(tmp_path_factory.mktemp(f"agg-{mode.value}") / "db")
+    config = make_config(mode)
+    rows = _engine_rows()
+    db = Database(path, config)
+    db.create_table("t", ENGINE_SCHEMA)
+    db.insert_many("t", rows[: len(ROWS)])
+    db.merge("t")
+    db.insert_many("t", rows[len(ROWS) :])
+    model = {row["id"]: dict(row) for row in rows}
+    with db.begin() as txn:
+        for row_id, changes in ((3, {"points": 99}), (105, {"score": None})):
+            (ref,) = txn.query("t", Eq("id", row_id)).refs()
+            txn.update("t", ref, changes)
+            model[row_id].update(changes)
+        for row_id in (5, 110):
+            (ref,) = txn.query("t", Eq("id", row_id)).refs()
+            txn.delete("t", ref)
+            del model[row_id]
+    db.crash(seed=7)
+    db = Database(path, config)
+    yield db, _ModelRows(model.values())
+    db.close()
+
+
+class TestRecoveredEngineAggregate:
+    """The kernels over an engine's own scan result, after recovery, give
+    what row-at-a-time folding of a dict model gives."""
+
+    def test_recovered_rows_match_the_model(self, recovered):
+        db, model = recovered
+        result = db.query("t")
+        got = sorted(zip(*(result.column(c) for c in ENGINE_SCHEMA)))
+        want = sorted(zip(*(model.column(c) for c in ENGINE_SCHEMA)))
+        assert got == want
+        assert db.verify() == []
 
     @pytest.mark.parametrize("func,column", ALL_AGGREGATES)
     @pytest.mark.parametrize("group_by", [None, "grade"])
-    def test_partial_merge_matches_row_shipping(
-        self, engine, func, column, group_by
-    ):
-        shipped = aggregate_scalar(
-            engine.query("t"), func, column, group_by=group_by
-        )
-        # A ShardedResult takes the partial-merge path.
+    def test_kernels_match_the_model(self, recovered, func, column, group_by):
+        db, model = recovered
         assert aggregate(
-            engine.query("t"), func, column, group_by=group_by
-        ) == shipped
+            db.query("t"), func, column, group_by=group_by
+        ) == aggregate_scalar(model, func, column, group_by=group_by)

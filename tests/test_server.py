@@ -8,6 +8,7 @@ multi-tenant durability oracle lives in ``tests/test_tenants.py``).
 
 from __future__ import annotations
 
+import os
 import shutil
 import sys
 import tempfile
@@ -15,7 +16,7 @@ import threading
 
 import pytest
 
-from repro.core import DurabilityMode, EngineConfig, open_engine
+from repro.core import Database, DurabilityMode, EngineConfig
 from repro.obs import get_registry
 from repro.query.predicate import Between, Eq, Gt
 from repro.server import protocol
@@ -27,7 +28,7 @@ from repro.server.tenants import tenant_dir
 from repro.storage.delta import DeltaPartition
 from repro.storage.main import MainPartition
 
-from tests.conftest import cores_of
+from tests.conftest import tree, write_sharded_layout
 
 HOST = "127.0.0.1"
 SCHEMA = [("id", "int64"), ("name", "string"), ("qty", "int64")]
@@ -124,9 +125,8 @@ def test_ddl_insert_query_aggregate(client):
     assert groups == {"n0": 4, "n1": 3, "n2": 3}
 
 
-@pytest.mark.parametrize("shards", [1, 2])
-def test_query_limit_decodes_only_the_rows_it_returns(client, monkeypatch, shards):
-    view = seed_tenant(client, rows=10_000, shards=shards)
+def test_query_limit_decodes_only_the_rows_it_returns(client, monkeypatch):
+    view = seed_tenant(client, rows=10_000)
     decoded = []
     for part in (MainPartition, DeltaPartition):
         decode = part.decode_column
@@ -165,13 +165,49 @@ def test_drop_table(client):
     assert err.value.status is Status.NO_SUCH_TABLE
 
 
-def test_sharded_tenant_over_the_wire(client):
-    client.create_tenant("wide", shards=2)
+@pytest.mark.parametrize(
+    "op,body",
+    [
+        (Op.CREATE_TENANT, {"name": "wide", "shards": 4}),
+        (Op.CREATE_TENANT, {"name": "wide", "shards": 0}),
+        (Op.CREATE_TENANT, {"name": "wide", "shards": "1"}),
+        (
+            Op.CREATE_TABLE,
+            {"table": "t", "schema": [list(c) for c in SCHEMA], "partition_key": "id"},
+        ),
+    ],
+    ids=[
+        "create_tenant-shards",
+        "create_tenant-shards-0",
+        "create_tenant-shards-str",
+        "create_table-partition_key",
+    ],
+)
+def test_sharding_over_the_wire_is_a_bad_request(served, client, op, body):
+    """A request for a sharded tenant or a partitioned table is refused
+    before anything changes: no catalog row, no directory, no table."""
+    client.create_tenant("acme")
+    assert client.tables(tenant="acme") == []  # attached: files exist
+    tenants = os.path.join(served.server.path, "tenants")
+    listed, files = client.list_tenants(), tree(tenants)
+    with pytest.raises(ServerError) as err:
+        client.call(op, body, tenant="acme" if op is Op.CREATE_TABLE else None)
+    assert err.value.status is Status.BAD_REQUEST
+    assert client.list_tenants() == listed
+    assert tree(tenants) == files
+    assert client.tables(tenant="acme") == []
+
+
+def test_one_shard_over_the_wire_is_one_engine(served, client):
+    """``shards: 1``, which older clients send, names the only layout
+    there is: the tenant opens as one engine."""
+    client.call(Op.CREATE_TENANT, {"name": "wide", "shards": 1})
+    assert client.list_tenants()["tenants"] == [{"name": "wide", "mode": "nvm"}]
     view = client.for_tenant("wide")
-    view.create_table("t", SCHEMA, partition_key="id")
+    view.create_table("t", SCHEMA)
     view.insert_many("t", [{"id": i, "name": "x", "qty": i} for i in range(20)])
-    assert view.aggregate("t", "count") == 20
     assert view.aggregate("t", "sum", column="qty") == sum(range(20))
+    assert "shards.json" not in os.listdir(tenant_dir(served.server.path, "wide"))
 
 
 def test_malformed_body_is_bad_request(client):
@@ -186,12 +222,12 @@ def test_malformed_body_is_bad_request(client):
     assert err.value.status is Status.BAD_REQUEST
 
 
-def active_transactions(served, tenant="acme", table="items") -> int:
-    """Transactions still open on the tenant's engine (every core)."""
+def active_transactions(served, tenant="acme") -> int:
+    """Transactions still open on the tenant's engine."""
     catalog = served.server.catalog
     engine = catalog.acquire(tenant)
     try:
-        return sum(c._manager.active_count for c in cores_of(engine, table))
+        return engine._manager.active_count
     finally:
         catalog.release(tenant)
 
@@ -413,28 +449,6 @@ def test_pipelined_inserts_share_commits_and_fsyncs_on_a_log_tenant(client):
     assert view.aggregate("items", "count", predicate=Gt("id", -1)) == 64
 
 
-def test_a_tick_on_a_sharded_tenant_matches_a_dict_model(served, client):
-    view = seed_tenant(client, rows=0, shards=4)
-    rows = [item(i) for i in range(64)]
-    rows[7] = {"id": "seven", "name": "bad", "qty": 7}  # rejected by its shard
-    rows[21] = {"name": "null-key", "qty": 21}  # NULL partition key: accepted
-    before = view.stats()["commits"]
-    responses = view.pipeline([busy_lane()] + [insert_req("items", r) for r in rows])[1:]
-    model = {}
-    for row, response in zip(rows, responses):
-        if row is rows[7]:
-            assert response.status is Status.BAD_REQUEST
-        else:
-            assert response.ok, response
-            model[row.get("id")] = row["qty"]
-    got = view.query("items", Eq("name", "null-key")) + view.query("items", Gt("id", -1))
-    assert {r["id"]: r["qty"] for r in got} == model
-    assert len(got) == len(model) == 63
-    # One transaction per tick and touched core, not one per row.
-    assert view.stats()["commits"] - before < 4 + 63
-    assert active_transactions(served) == 0
-
-
 # ----------------------------------------------------------------------
 # Admission control
 # ----------------------------------------------------------------------
@@ -503,33 +517,34 @@ def test_restart_recovers_tenants_in_process(tmp_path):
     with ServerThread(path) as thread:
         with ReproClient(HOST, thread.port) as client:
             assert client.list_tenants()["tenants"] == [
-                {"name": "acme", "shards": 1, "mode": "nvm"}
+                {"name": "acme", "mode": "nvm"}
             ]
             assert client.aggregate("items", "count", tenant="acme") == 25
             report = client.recovery_reports("acme")["acme"]
             assert report["total_seconds"] >= 0.0
 
 
-def test_sharded_tenant_reports_in_the_single_shard_shape(tmp_path):
-    """RECOVERY and STATS answer for a 4-shard tenant with the same keys
-    a single-shard one has, numbers summed over the shards."""
+@pytest.mark.parametrize("mode", ["nvm", "log"])
+def test_a_sharded_tenant_directory_is_refused_over_the_wire(tmp_path, mode):
+    """A tenant whose directory the removed sharded engine laid out does
+    not stop the server: its requests get a typed refusal, its files
+    stay as they were, and the other tenants serve."""
     path = str(tmp_path / "data")
     with ServerThread(path) as thread:
         with ReproClient(HOST, thread.port) as client:
-            seed_tenant(client, rows=25, shards=4, mode="log")
+            client.create_tenant("old", mode=mode)
+            seed_tenant(client, rows=5)
+    legacy = tenant_dir(path, "old")
+    write_sharded_layout(legacy, DurabilityMode(mode))
+    files = tree(legacy)
     with ServerThread(path) as thread:
         with ReproClient(HOST, thread.port) as client:
-            view = client.for_tenant("acme")
-            assert view.aggregate("items", "count") == 25
-            report = client.recovery_reports("acme")["acme"]
-            assert report["shards"] == len(report["per_shard"]) == 4
-            assert report["total_seconds"] > 0
-            assert report["phases"]["log_replay"] > 0
-            assert report["rows_recovered"] == 25
-            stats = view.stats()
-            table = stats["tables"]["items"]
-            assert table["main_rows"] + table["delta_rows"] == 25
-            assert stats["commits"] == sum(s["commits"] for s in stats["per_shard"])
+            with pytest.raises(ServerError) as err:
+                client.tables(tenant="old")
+            assert err.value.status is Status.BAD_REQUEST
+            assert "shards.json" in err.value.message
+            assert client.aggregate("items", "count", tenant="acme") == 5
+    assert tree(legacy) == files
 
 
 def test_stop_is_idempotent(tmp_path):
@@ -652,7 +667,7 @@ def test_sigkill_with_a_tick_unanswered_on_the_wire(mode):
         proc.terminate()
         proc.wait(timeout=30)
         config = EngineConfig(mode=DurabilityMode(mode), extent_size=8 * 1024 * 1024)
-        engine = open_engine(tenant_dir(base, "acme"), config)
+        engine = Database(tenant_dir(base, "acme"), config)
         try:
             assert engine.verify() == []
             assert len(engine.query("items")) == len(got)

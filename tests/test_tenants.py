@@ -15,7 +15,7 @@ import threading
 
 import pytest
 
-from repro.core.config import EngineConfig
+from repro.core.config import DurabilityMode, EngineConfig
 from repro.query.predicate import Eq
 from repro.server.client import ReproClient, wait_for_server
 from repro.server.proc import free_port, spawn_server
@@ -50,8 +50,8 @@ def test_create_list_exists(root):
     catalog = make_catalog(root)
     try:
         row = catalog.create_tenant("acme")
-        assert row == {"name": "acme", "shards": 1, "mode": "nvm"}
-        catalog.create_tenant("globex", shards=2)
+        assert row == {"name": "acme", "mode": "nvm"}
+        catalog.create_tenant("globex", mode=DurabilityMode.LOG)
         assert catalog.tenant_names() == ["acme", "globex"]
         assert catalog.exists("acme")
         assert not catalog.exists("initech")
@@ -84,21 +84,21 @@ def test_duplicate_create_rejected(root):
 
 def test_catalog_survives_restart(root):
     catalog = make_catalog(root)
-    catalog.create_tenant("acme", shards=2)
+    catalog.create_tenant("acme", mode=DurabilityMode.LOG)
     engine = catalog.acquire("acme")
-    engine.create_table("t", SCHEMA, partition_key="id")
+    engine.create_table("t", SCHEMA)
     engine.insert_many("t", [{"id": i, "val": "x"} for i in range(30)])
     catalog.release("acme")
     catalog.close()
 
     catalog = make_catalog(root)
     try:
-        assert catalog.tenants() == [{"name": "acme", "shards": 2, "mode": "nvm"}]
+        assert catalog.tenants() == [{"name": "acme", "mode": "log"}]
         reports = catalog.recover_all()
         assert "acme" in reports
         engine = catalog.acquire("acme")
-        # The recorded shard count (not the default) shaped the reopen.
-        assert engine.config.shards == 2
+        # The recorded mode (not the default) shaped the reopen.
+        assert engine.mode is DurabilityMode.LOG
         assert len(engine.query("t")) == 30
         catalog.release("acme")
     finally:
