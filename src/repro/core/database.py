@@ -27,6 +27,7 @@ Typical usage::
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
 from typing import Optional, Sequence, Union
@@ -277,20 +278,21 @@ class Database:
         return self._indexes[self.table(table_name).table_id]
 
     def drop_table(self, name: str) -> None:
-        """Durably drop a table (quiesced only).
+        """Durably drop a table: a cutover to nothing (see
+        :meth:`_untouched`); a later operation on it conflicts.
 
         On NVM the catalog entry is tombstoned with one atomic flags
         store, after which the table's memory returns to the pool; in
         LOG mode a drop record is synced to the log.
         """
-        if self._manager.active_count:
-            raise RuntimeError("cannot drop a table with active transactions")
-        table = self.table(name)
         # Not while a merge of it is in flight: both would retire the
         # generation the cutover replaces.
         with self._maint_lock:
-            del self._tables_by_name[name]
-            del self._tables_by_id[table.table_id]
+            table = self.table(name)
+            with self._untouched(table):
+                del self._tables_by_name[name]
+                del self._tables_by_id[table.table_id]
+                table.generation += 1  # refs read from it are stale
             indexes = self._indexes.pop(table.table_id, {})
             self._driver.on_table_dropped(table)
             self._driver.retire(*table.content, *indexes.values())
@@ -440,9 +442,9 @@ class Database:
         the table for longer than ``merge_cutover_timeout_s`` — the old
         generation stays live and the merge can simply be retried.
         """
-        table = self.table(table_name)
         t0 = time.perf_counter()
         with self._maint_lock:
+            table = self.table(table_name)
             self._driver.sweep_unreachable()
             with trace_phase("merge", table=table_name, online=online):
                 self._merge_table(table, online)
@@ -485,37 +487,8 @@ class Database:
                 on_chunk=self._merge_chunk_yield if online else None,
             )
             group_keys = self._group_keys_for(table, new_main)
-            # Cutover: wait for a moment when no transaction holds
-            # operations on the table (their rowrefs would dangle across
-            # the swap), bounded by the configured timeout. Commit and
-            # abort never take the gate, so such a transaction can end
-            # while we wait; online, the gate is released between
-            # attempts so foreground work keeps flowing.
-            deadline = time.monotonic() + cfg.merge_cutover_timeout_s
-            pause = 0.0005
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    # Nobody ever saw them: freed as these locals die.
-                    self._driver.retire(new_main, *group_keys.values())
-                    raise RuntimeError(
-                        f"merge cutover timed out on {table.name!r}: a "
-                        "transaction held operations on the table for the "
-                        "whole window; the merge was abandoned (retry later)"
-                    )
-                if held or gate.acquire_exclusive(remaining):
-                    held = True
-                    with self._manager._lock:
-                        if not self._ops_on_table(table):
-                            unlinked = self._cutover_locked(
-                                table, plan, new_main, group_keys
-                            )
-                            break
-                    if online:
-                        gate.release_exclusive()
-                        held = False
-                time.sleep(pause)
-                pause = min(pause * 2, 0.02)
+            with self._untouched(table, held, (new_main, *group_keys.values())):
+                unlinked = self._cutover_locked(table, plan, new_main, group_keys)
         finally:
             if held:
                 gate.release_exclusive()
@@ -523,6 +496,42 @@ class Database:
         # here): the old generation's memory may now come back, once
         # the last scan or probe holding it lets go.
         self._driver.retire(*unlinked)
+
+    @contextlib.contextmanager
+    def _untouched(self, table: Table, keep_gate=False, abandoned=()):
+        """Hold the table's gate (exclusive) and the commit lock once no
+        transaction holds operations on ``table`` (commit and abort never
+        take the gate); the gate is released between attempts unless the
+        caller holds it and keeps it. After ``merge_cutover_timeout_s``:
+        RuntimeError, and ``abandoned`` (nobody saw them) retired."""
+        gate = table.ops_gate
+        deadline = time.monotonic() + self.config.merge_cutover_timeout_s
+        pause = 0.0005
+        held = keep_gate
+        try:
+            while True:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    self._driver.retire(*abandoned)
+                    raise RuntimeError(
+                        f"cutover timed out on {table.name!r}: a transaction "
+                        "held operations on the table for the whole window; "
+                        "nothing changed (retry later)"
+                    )
+                if held or gate.acquire_exclusive(remaining):
+                    held = True
+                    with self._manager._lock:
+                        if not self._ops_on_table(table):
+                            yield
+                            return
+                    if not keep_gate:
+                        gate.release_exclusive()
+                        held = False
+                time.sleep(pause)
+                pause = min(pause * 2, 0.02)
+        finally:
+            if held and not keep_gate:
+                gate.release_exclusive()
 
     def _merge_chunk_yield(self) -> None:
         boundary.emit("merge_chunk")

@@ -170,11 +170,11 @@ class NvmDriver(DurabilityDriver):
     def attach_ship_log(self, wal: LogWriter) -> None:
         """Start mirroring every transaction into ``wal``.
 
-        The shipper calls this right after publishing the ship snapshot
-        (the one-link chain followers bootstrap from), with the engine
-        quiescent — so the log stream begins exactly at the snapshot's
-        state and every later operation is mirrored through the
-        manager's WAL hook.
+        The shipper calls this under the commit lock with no transaction
+        open, and reads ``last_cid`` in the same hold: every later
+        operation is mirrored through the manager's WAL hook, and the
+        ship snapshot, taken as of that ``last_cid``, reads any later
+        commit as in flight, so the stream begins exactly at its state.
         """
         self._ship_wal = wal
         self._db._manager._wal = wal
@@ -494,12 +494,8 @@ class LogDriver(VolatileDriver):
 
     def on_merge_complete(self, table: Table) -> None:
         # A checkpoint shrinks the replay tail but is not required for
-        # correctness (the merge record is). Best-effort: skip when
-        # transactions are active — an online merge does not quiesce.
-        try:
-            self.checkpoint()
-        except RuntimeError:
-            pass
+        # correctness (the merge record is).
+        self.checkpoint()
 
     @property
     def log_bytes_since_checkpoint(self) -> int:
@@ -513,11 +509,10 @@ class LogDriver(VolatileDriver):
 
         Only tables whose change token moved since their last segment
         are re-snapshotted; clean tables carry their existing segment
-        references forward through the new manifest.
+        references forward through the new manifest. An open transaction
+        has logged nothing: its group lands past the link's LSN, whole.
         """
         db = self._db
-        if db._manager.active_count:
-            raise RuntimeError("cannot checkpoint with active transactions")
         # Not beside DDL or a merge cutover: the link lists exactly the
         # tables, and the generations, that its LSN has below it.
         with db._maint_lock:

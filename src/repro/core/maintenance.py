@@ -14,9 +14,9 @@ back, and a merge that grows with main's size runs less often.
 The daemon does not poll. Work only becomes due when a commit lands
 (:meth:`MaintenanceDaemon.notify`) or a rest ends, so it sleeps on its
 event until the earliest rest end, after one pass at start for what a
-restart left over a threshold. A cutover that times out, or a
-checkpoint refused beside active transactions, raises ``RuntimeError``:
-it is counted and retried once its target has rested.
+restart left over a threshold. A cutover that times out raises
+``RuntimeError`` (a merge of a table dropped since it came due,
+``KeyError``): it is counted and retried once its target has rested.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.database import Database
 
 #: Bounds on a rest: one pathologically slow merge must not park
-#: maintenance for minutes, and a refusal that returns at once (a
-#: checkpoint beside an open transaction) must not spin the daemon.
+#: maintenance for minutes, and a writer that never goes idle must not
+#: spin the daemon through back-to-back checkpoints.
 _MIN_REST_S = 0.01
 _MAX_REST_S = 5.0
 
@@ -174,9 +174,9 @@ class MaintenanceDaemon:
         t0 = time.monotonic()
         try:
             run()
-        except RuntimeError:
+        except (RuntimeError, KeyError):
             # A cutover starved by a transaction holding operations, or
-            # a checkpoint beside active ones: retry after the rest.
+            # a table dropped since it came due: retry after the rest.
             registry.counter(f"maintenance_{action}_failures_total").inc()
         except BaseException:
             # A simulated power failure (or shutdown race) on the

@@ -45,6 +45,7 @@ from typing import Optional
 from repro.core import Database, DurabilityMode, EngineConfig
 from repro.fault.inject import CrashPointInjector, SimulatedPowerFailure
 from repro.fault.workloads import (
+    MIXES,
     SCHEMA,
     TABLE,
     WORKLOAD_NAMES,
@@ -86,6 +87,18 @@ AFTER_RECOVERY = (
     Step("delete", key=_AFTER + 1),
     Step("insert", rows=((_AFTER + 3, "after-4"),)),
 )
+
+
+def _write(txn, key: int, note: Optional[str]) -> None:
+    """One op on ``key``: a delete when ``note`` is None, else an update
+    of the live row or an insert of a fresh one."""
+    refs = txn.query(TABLE, Eq("key", key)).refs()
+    if note is None:
+        txn.delete(TABLE, refs[0])
+    elif refs:
+        txn.update(TABLE, refs[0], {"note": note})
+    else:
+        txn.insert(TABLE, {"key": key, "note": note})
 
 
 @dataclass
@@ -168,23 +181,15 @@ class CrashSweep:
             engine.bulk_insert(
                 TABLE, [{"key": k, "note": n} for k, n in step.rows]
             )
-        elif step.kind == "update":
+        elif step.kind in ("update", "delete"):
             # No abort-on-error handling on purpose: when the power
             # fails mid-transaction the process is gone; recovery, not
             # an except-block, must clean up.
             txn = engine.begin()
-            ref = txn.query(TABLE, Eq("key", step.key)).refs()[0]
-            txn.update(TABLE, ref, {"note": step.note})
+            _write(txn, step.key, step.note)
             txn.commit()
-        elif step.kind == "delete":
-            txn = engine.begin()
-            ref = txn.query(TABLE, Eq("key", step.key)).refs()[0]
-            txn.delete(TABLE, ref)
-            txn.commit()
-        elif step.kind == "concurrent_mix":
+        elif step.kind in MIXES:
             self._execute_concurrent(engine, step)
-        elif step.kind == "merge_mix":
-            self._execute_concurrent(engine, step, with_merge=True)
         elif step.kind == "merge":
             engine.merge(TABLE)
         elif step.kind == "checkpoint":
@@ -192,9 +197,7 @@ class CrashSweep:
         else:
             raise ValueError(f"unknown step kind {step.kind!r}")
 
-    def _execute_concurrent(
-        self, engine: Database, step: Step, with_merge: bool = False
-    ) -> None:
+    def _execute_concurrent(self, engine: Database, step: Step) -> None:
         """Run every (key, note) op of the step on its own thread.
 
         Each op is an independent autocommit transaction, so the crash
@@ -206,69 +209,68 @@ class CrashSweep:
         after every thread has stopped (the injector's breaker stays
         open, so no thread can persist anything past the cut).
 
-        ``with_merge`` additionally races an *online* merge on its own
-        thread, so crash points land inside fold chunks and the cutover
-        while writers are mid-commit. A cutover that times out (a writer
-        held operations on the table for the whole window) is a benign
-        outcome, not a failure — the merge is simply abandoned.
+        A ``merge_mix`` races an online merge on a thread of its own (a
+        cutover that times out is benign: the merge is abandoned), a
+        ``ckpt_mix`` a checkpoint that its first op's transaction
+        straddles: written before any thread starts, committed after all.
         """
         failures: list[BaseException] = []
         lock = threading.Lock()
+        side = {"merge_mix": lambda: engine.merge(TABLE),
+                "ckpt_mix": engine.checkpoint}.get(step.kind)
 
         def run_op(key: int, note: Optional[str]) -> None:
-            try:
-                # A racing online-merge cutover can invalidate the refs a
-                # transaction read (retryable conflict); retry the whole
-                # transaction like a client would.
-                for _ in range(8):
-                    txn = engine.begin()
-                    try:
-                        if note is None:
-                            ref = txn.query(TABLE, Eq("key", key)).refs()[0]
-                            txn.delete(TABLE, ref)
-                        else:
-                            refs = txn.query(TABLE, Eq("key", key)).refs()
-                            if refs:
-                                txn.update(TABLE, refs[0], {"note": note})
-                            else:
-                                txn.insert(TABLE, {"key": key, "note": note})
-                        txn.commit()
-                    except TransactionConflict:
-                        if txn.is_active:
-                            txn.abort()
-                        continue
-                    with lock:
-                        self._completed_ops.add(key)
-                    return
-            except SimulatedPowerFailure as exc:
+            # A racing online-merge cutover can invalidate the refs a
+            # transaction read (retryable conflict); retry the whole
+            # transaction like a client would.
+            for _ in range(8):
+                txn = engine.begin()
+                try:
+                    _write(txn, key, note)
+                    txn.commit()
+                except TransactionConflict:
+                    if txn.is_active:
+                        txn.abort()
+                    continue
                 with lock:
-                    failures.append(exc)
+                    self._completed_ops.add(key)
+                return
 
-        def run_merge() -> None:
+        def run_side() -> None:
             try:
-                engine.merge(TABLE)
+                side()
             except RuntimeError:
-                pass  # cutover starved out: abandoned, old generation live
+                pass  # a starved cutover, or a checkpoint without a log
+
+        def run(action, *args) -> None:
+            try:
+                action(*args)
             except SimulatedPowerFailure as exc:
                 with lock:
                     failures.append(exc)
 
+        rows, held = list(step.rows), None
+        if step.kind == "ckpt_mix":
+            held_key, note = rows.pop(0)
+            held = engine.begin()
+            _write(held, held_key, note)
         threads = [
             threading.Thread(
-                target=run_op, args=(key, note), name=f"sweep-writer-{key}"
+                target=run, args=(run_op, key, note), name=f"sweep-writer-{key}"
             )
-            for key, note in step.rows
+            for key, note in rows
         ]
-        if with_merge:
-            threads.append(
-                threading.Thread(target=run_merge, name="sweep-merger")
-            )
+        if side is not None:
+            threads.append(threading.Thread(target=run, args=(run_side,)))
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
         if failures:
             raise failures[0]
+        if held is not None:
+            held.commit()
+            self._completed_ops.add(held_key)
 
     # ------------------------------------------------------------------
     # One crash point
@@ -287,9 +289,9 @@ class CrashSweep:
         self._setup(engine)  # not injected: the baseline must exist
         shipper = follower = None
         if self.replicated:
-            # Attach before arming: the shipper needs a quiescent
-            # primary, and it adds no persistence events of its own, so
-            # crash-point numbering matches the unreplicated workload.
+            # Attach before arming: the attach adds no persistence
+            # events of its own, so crash-point numbering matches the
+            # unreplicated workload.
             shipper, follower = self._attach_replication(engine, path)
         oracle = Oracle(self.workload.baseline)
         # Keys whose concurrent op's commit() returned before the power
@@ -404,10 +406,9 @@ class CrashSweep:
         effects = step.effects()
         if not effects:
             return []
-        if step.kind in ("concurrent_mix", "merge_mix"):
+        if step.kind in MIXES:
             # Every op is its own autocommit transaction on its own
             # thread: per-key all-or-nothing, independent of the rest.
-            # (The merge racing a merge_mix step has no effects at all.)
             return [{key: note} for key, note in sorted(effects.items())]
         return [effects]
 

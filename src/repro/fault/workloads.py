@@ -26,7 +26,10 @@ from repro.storage.types import DataType
 TABLE = "kv"
 SCHEMA = {"key": DataType.INT64, "note": DataType.STRING}
 
-WORKLOAD_NAMES = ("ycsb", "batch", "maint", "concurrent", "online", "replicated")
+WORKLOAD_NAMES = (
+    "ycsb", "batch", "maint", "concurrent", "online", "replicated", "ckpt")
+#: Step kinds that run one autocommit transaction per op, on a thread each.
+MIXES = ("concurrent_mix", "merge_mix", "ckpt_mix")
 
 
 @dataclass(frozen=True)
@@ -39,29 +42,26 @@ class Step:
     independent autocommit operation on its own key — a fresh key is an
     insert, a live key an update, ``note is None`` a delete — so each
     pair forms its own atomicity group under crash injection.
+    ``merge_mix`` / ``ckpt_mix`` race a merge / checkpoint against them.
     """
 
     kind: str  # insert | insert_many | bulk | update | delete |
-    #            concurrent_mix | merge_mix | merge | checkpoint
+    #            concurrent_mix | merge_mix | ckpt_mix | merge | checkpoint
     rows: tuple = ()  # ((key, note), ...)
     key: int = -1
-    note: str = ""
+    note: Optional[str] = None  # None for a delete
 
     def effects(self) -> dict:
         """Post-state this step installs: key -> note (None = deleted).
 
         Empty for maintenance steps — merge and checkpoint must never
-        change logical contents, crash or no crash. ``merge_mix`` runs
-        an online merge *concurrently* with its ops; only the ops have
-        effects (the merge contributes none, as always).
+        change logical contents, crash or no crash, nor does the one a
+        ``merge_mix`` or ``ckpt_mix`` races against its ops.
         """
-        if self.kind in ("insert", "insert_many", "bulk", "concurrent_mix",
-                         "merge_mix"):
+        if self.kind in ("insert", "insert_many", "bulk", *MIXES):
             return dict(self.rows)
-        if self.kind == "update":
+        if self.kind in ("update", "delete"):
             return {self.key: self.note}
-        if self.kind == "delete":
-            return {self.key: None}
         return {}
 
 
@@ -143,8 +143,11 @@ class _Planner:
         self.live.remove(key)
         return Step("delete", key=key)
 
-    def concurrent_mix(self, inserts: int, updates: int, deletes: int) -> Step:
-        """One step of ``inserts + updates + deletes`` concurrent ops.
+    def concurrent_mix(
+        self, inserts: int, updates: int, deletes: int, kind="concurrent_mix"
+    ) -> Step:
+        """One step of ``inserts + updates + deletes`` concurrent ops
+        (``kind`` one of :data:`MIXES`).
 
         Targets are all-distinct keys, so the concurrent transactions
         never conflict with each other — each op's survival after a
@@ -159,14 +162,7 @@ class _Planner:
             rows.append((key, None))
         rows.extend(self.fresh_rows(inserts))
         self.rng.shuffle(rows)
-        return Step("concurrent_mix", rows=tuple(rows))
-
-    def merge_mix(self, inserts: int, updates: int, deletes: int) -> Step:
-        """Like :meth:`concurrent_mix`, plus an online merge racing the
-        ops on its own thread — crash points land inside the fold and
-        the cutover while writers are mid-commit."""
-        mix = self.concurrent_mix(inserts, updates, deletes)
-        return Step("merge_mix", rows=mix.rows)
+        return Step(kind, rows=tuple(rows))
 
 
 def make_workload(name: str, seed: int = 0) -> SweepWorkload:
@@ -238,12 +234,12 @@ def make_workload(name: str, seed: int = 0) -> SweepWorkload:
         initial = planner.fresh_rows(20)
         steps = [
             planner.insert_many(6),
-            planner.merge_mix(3, 2, 1),
+            planner.concurrent_mix(3, 2, 1, "merge_mix"),
             planner.concurrent_mix(2, 2, 1),
-            planner.merge_mix(2, 3, 2),
+            planner.concurrent_mix(2, 3, 2, "merge_mix"),
             planner.insert(),
             Step("merge"),
-            planner.merge_mix(3, 1, 1),
+            planner.concurrent_mix(3, 1, 1, "merge_mix"),
         ]
     elif name == "replicated":
         # Run under WAL shipping: the sweep kills the *primary* at every
@@ -264,6 +260,19 @@ def make_workload(name: str, seed: int = 0) -> SweepWorkload:
             planner.delete(),
             planner.concurrent_mix(2, 1, 1),
             planner.insert_many(3),
+        ]
+    elif name == "ckpt":
+        # Checkpoints beside open transactions: each ckpt_mix holds one
+        # written transaction open across the checkpoint it races.
+        initial = planner.fresh_rows(16)
+        steps = [
+            planner.insert_many(4),
+            planner.concurrent_mix(4, 3, 2, "ckpt_mix"),
+            planner.update(),
+            Step("merge"),
+            planner.concurrent_mix(3, 4, 2, "ckpt_mix"),
+            planner.delete(),
+            planner.concurrent_mix(4, 3, 2, "ckpt_mix"),
         ]
     else:
         raise ValueError(f"unknown workload {name!r} (have {WORKLOAD_NAMES})")

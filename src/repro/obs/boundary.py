@@ -29,25 +29,6 @@ from typing import Callable, Optional
 
 from repro.obs import metrics as _metrics
 
-#: The event kinds the engine emits today (new kinds need no
-#: registration — this tuple exists for documentation and for tests).
-KINDS = (
-    "flush",
-    "drain",
-    "wal_fsync",
-    "checkpoint_fsync",
-    # Online-merge boundaries: after each fold chunk, and immediately
-    # before the cutover publishes the new generation. Emitted in every
-    # durability mode (the fold runs the same everywhere).
-    "merge_chunk",
-    "merge_cutover",
-    # Incremental-checkpoint manifest publish: segments are durable
-    # (each passed a checkpoint_fsync) but the manifest that makes them
-    # the current restore chain has not yet been fsync'd/renamed. A
-    # crash here must fall back to the previous complete chain.
-    "manifest_publish",
-)
-
 EVENTS_TOTAL = "persistence_events_total"
 
 _hook: Optional[Callable[[str], None]] = None

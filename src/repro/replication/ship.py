@@ -31,11 +31,12 @@ Followers bootstrap from a checkpoint chain in the primary's ``ship/``
 directory: a LOG primary *pins* its current chain link there at attach
 (hard links — a later checkpoint's GC cannot pull the files away), an
 NVM primary publishes its attach-time pool snapshot there as a one-link
-chain. Either way the shipper requires a **quiescent** primary (no
-active transactions): the snapshot is not taken at a commit boundary
-(ROADMAP 5a). An NVM primary's would be read while active transactions
-write, and what they did before the ship log attached was never staged
-— their commit would ship as a group missing those operations.
+chain. A LOG attach runs beside open transactions: a transaction open
+across the pinned link's LSN stages its records and writes them past it
+as one group when it commits. An NVM attach refuses an open transaction
+(what it did before the ship log existed was never staged); it attaches
+the ship log and reads ``last_cid`` in one hold of the commit lock, and
+snapshots the pool as of that ``last_cid``.
 """
 
 from __future__ import annotations
@@ -85,11 +86,6 @@ class WalShipper:
         self.ack_mode = AckMode(ack_mode)
         self.ack_timeout_s = ack_timeout_s
         self._poll_interval_s = poll_interval_s
-        if primary._manager.active_count:
-            raise RuntimeError(
-                "attach the shipper to a quiescent primary: the bootstrap "
-                "snapshot is not taken at a commit boundary"
-            )
         driver = primary._driver
         #: Chain directory followers bootstrap from (None: no snapshot,
         #: the stream is the whole log from byte 0).
@@ -104,23 +100,31 @@ class WalShipper:
                 self.start_lsn = pinned.lsn
             self._nvm = False
         elif isinstance(driver, NvmDriver):
-            # Physical snapshot of the quiescent pool; the ship log
-            # begins exactly at its state (stream LSN 0).
-            shutil.rmtree(self._ship_dir, ignore_errors=True)
-            CheckpointChain(self._ship_dir).publish(
-                [snapshot_table(t) for t in primary._tables_by_id.values()],
-                {},
-                primary.last_cid,
-                0,
-                driver._catalog.next_table_id,
-            )
             self._log_path = driver.ship_log_path
-            if os.path.exists(self._log_path):
-                os.remove(self._log_path)  # stale stream from a past attach
-            # Async writer: the ship log is transport, not durability —
-            # the pool already made every operation durable.
-            self._wal = LogWriter(self._log_path, group_size=0)
-            driver.attach_ship_log(self._wal)
+            manager = primary._manager
+            # Not beside DDL or a merge cutover, as for a checkpoint link.
+            with primary._maint_lock:
+                with manager._lock:
+                    # The one refusal beside open transactions: an NVM
+                    # transaction stages nothing before the ship log exists.
+                    if manager.active_count:
+                        raise RuntimeError("NVM attach beside an open transaction")
+                    if os.path.exists(self._log_path):
+                        os.remove(self._log_path)  # a past attach's stream
+                    # Async: transport, not durability (that is the pool).
+                    self._wal = LogWriter(self._log_path, group_size=0)
+                    driver.attach_ship_log(self._wal)
+                    last_cid = manager.last_cid
+                # As of last_cid: a later commit ships whole in the ship log.
+                tables = primary._tables_by_id.values()
+                shutil.rmtree(self._ship_dir, ignore_errors=True)
+                CheckpointChain(self._ship_dir).publish(
+                    [snapshot_table(t, last_cid) for t in tables],
+                    {},
+                    last_cid,
+                    0,
+                    driver._catalog.next_table_id,
+                )
             self.start_lsn = 0
             self._nvm = True
         else:

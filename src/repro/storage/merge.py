@@ -79,10 +79,6 @@ class MergePlan:
     begin_cids: np.ndarray  # u64[n_survivors] at freeze
     end_cids: np.ndarray  # u64[n_survivors] at freeze
 
-    @property
-    def survivor_count(self) -> int:
-        return self.main_idx.size + self.delta_idx.size
-
 
 def survivor_mask(
     begin: np.ndarray,

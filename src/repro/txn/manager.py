@@ -84,8 +84,6 @@ class VolatileTidAllocator:
 class WalHook(Protocol):
     """Interface the WAL module implements to observe transactions."""
 
-    def log_insert(self, tid: int, table_id: int, values: Sequence[Value]) -> None: ...
-
     def log_insert_many(
         self,
         tid: int,
@@ -208,6 +206,7 @@ class TransactionManager:
             delta = table.delta
             encoded = delta.encode_columns(columns)
             with table.ops_gate.shared():
+                self._check_registered(table)
                 if table.delta is not delta:
                     delta = table.delta
                     encoded = delta.encode_columns(columns)
@@ -257,6 +256,7 @@ class TransactionManager:
         try:
             self._require_active(ctx)
             with table.ops_gate.shared():
+                self._check_registered(table)
                 self._check_generation(ctx, table, ref)
                 if not ctx.row_visible(table, ref):
                     self._count_conflict()
@@ -298,6 +298,17 @@ class TransactionManager:
                 ctx.note_invalidate(table.table_id, ref)
         finally:
             ctx.exit_op()
+
+    def _check_registered(self, table: Table) -> None:
+        """Reject a dropped table (under the shared gate): no commit,
+        abort, slot or log group then ever names one."""
+        try:
+            if self._table_lookup(table.table_id) is table:
+                return
+        except KeyError:
+            pass
+        self._count_conflict()
+        raise TransactionConflict(f"table {table.name} was dropped")
 
     def _check_generation(
         self, ctx: TransactionContext, table: Table, ref: int

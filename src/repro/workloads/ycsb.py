@@ -68,12 +68,6 @@ class YcsbResult:
             return 0.0
         return self.operations / self.elapsed_seconds
 
-    @property
-    def commits_per_second(self) -> float:
-        if self.elapsed_seconds == 0:
-            return 0.0
-        return self.commits / self.elapsed_seconds
-
 
 class YcsbDriver:
     """Loads and drives the YCSB-style table."""

@@ -98,6 +98,42 @@ class TestPendingGroups:
         assert sweep._pending_groups(Step("merge")) == []
         assert sweep._pending_groups(None) == []
 
+    def test_a_ckpt_mix_is_one_group_per_op(self, tmp_path):
+        sweep = CrashSweep(str(tmp_path), SweepSettings(mode="log"))
+        step = Step("ckpt_mix", rows=((1, "a"), (2, None)))
+        assert step.effects() == {1: "a", 2: None}
+        assert sweep._pending_groups(step) == [{1: "a"}, {2: None}]
+
+
+class TestCkptMix:
+    def test_first_op_is_open_across_the_checkpoint(self, tmp_path):
+        """The checkpoint a ``ckpt_mix`` races runs while its first op's
+        transaction is open, written but not committed; that op commits
+        after the checkpoint and is acknowledged like the others."""
+        sweep = CrashSweep(str(tmp_path / "sweep"), SweepSettings(mode="log"))
+        engine = sweep._open(str(tmp_path / "db"))
+        engine.create_table(TABLE, SCHEMA)
+        engine.insert_many(TABLE, [{"key": k, "note": "old"} for k in (1, 2)])
+        seen = []
+        checkpoint = engine.checkpoint
+
+        def observed_checkpoint():
+            held = [
+                ctx for ctx in engine._manager.active.values() if ctx.ops
+            ]
+            seen.append(len(held))
+            return checkpoint()
+
+        engine.checkpoint = observed_checkpoint
+        step = Step("ckpt_mix", rows=((1, "new"), (3, "fresh"), (2, None)))
+        sweep._execute(engine, step)
+        assert seen == [1]
+        assert sweep._completed_ops == {1, 2, 3}
+        assert engine._manager.active_count == 0
+        rows = engine.query(TABLE).rows()
+        assert {r["key"]: r["note"] for r in rows} == {1: "new", 3: "fresh"}
+        engine.close()
+
 
 class TestChecker:
     """The invariant checker must actually detect broken states."""
@@ -226,6 +262,23 @@ def test_sweep_online_merge_workload(tmp_path, mode):
     assert report["violations"] == []
     assert report["points_total"] > 0
     assert report["crash_kinds_swept"]
+
+
+@pytest.mark.parametrize("mode", ["log", "nvm"])
+def test_sweep_ckpt_workload(tmp_path, mode):
+    """Crash points land inside checkpoints raced against writer threads
+    while one transaction, already written, is open across each of them.
+    On NVM the checkpoint is refused at once and the steps are plain
+    concurrent writes around an open transaction."""
+    settings = SweepSettings(workload="ckpt", mode=mode, sample=8, seed=7)
+    report = CrashSweep(str(tmp_path), settings).run()
+    assert report["violations"] == []
+    assert report["points_total"] > 0
+    if mode == "log":
+        # One link per ckpt_mix, and one after each merge.
+        plan = make_workload("ckpt", 7).steps
+        links = sum(step.kind in ("ckpt_mix", "merge") for step in plan)
+        assert report["events_by_kind"]["manifest_publish"] == links
 
 
 REPLICATED_CELLS = [

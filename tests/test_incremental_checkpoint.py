@@ -14,6 +14,8 @@ import os
 import threading
 import time
 
+import pytest
+
 from repro.core.config import DurabilityMode
 from repro.core.database import Database
 from repro.obs import get_registry
@@ -208,31 +210,78 @@ class TestCheckpointScheduling:
         assert counter.value > before
         db.close()
 
-    def test_refused_checkpoint_is_retried_after_the_holder_aborts(
-        self, tmp_path
-    ):
-        """A checkpoint refused beside an open transaction is retried on
-        its rest deadline: the abort notifies nobody."""
+    def test_daemon_checkpoints_beside_an_open_transaction(self, tmp_path):
+        """The budget checkpoint does not wait for an open transaction: it
+        runs while the holder stays open, and no attempt fails."""
+        path = str(tmp_path / "db")
         cfg = make_config(DurabilityMode.LOG, checkpoint_max_replay_s=1e-9)
-        db = Database(str(tmp_path / "db"), cfg)
+        db = Database(path, cfg)
         db.create_table("t", ITEMS)
         registry = get_registry()
         failures = registry.counter("maintenance_checkpoint_failures_total")
         checkpoints = registry.counter("maintenance_checkpoints_total")
         holder = db.begin()
-        before = failures.value
+        holder.insert("t", {"id": 0, "name": "held"})
+        failed, done = failures.value, checkpoints.value
         db.insert("t", {"id": 1, "name": "a"})
-        deadline = time.monotonic() + 10.0
-        while failures.value == before and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert failures.value > before
-        done = checkpoints.value
-        holder.abort()
-        deadline = time.monotonic() + 10.0
-        while checkpoints.value == done and time.monotonic() < deadline:
-            time.sleep(0.01)
+        assert db._maintenance.wait_idle(timeout=10.0)
         assert checkpoints.value > done
+        assert failures.value == failed
         assert db._driver.log_bytes_since_checkpoint == 0
+        holder.commit()
+        assert db._maintenance.wait_idle(timeout=10.0)
+        assert db._driver.log_bytes_since_checkpoint == 0
+        db.crash()
+        db = Database(path, make_config(DurabilityMode.LOG))
+        assert sorted(db.query("t").column("id")) == [0, 1]
+        assert db.last_recovery.log_records_replayed == 0
+        assert db.verify() == []
+        db.close()
+
+    def test_a_writer_that_never_goes_idle_keeps_replay_bounded(
+        self, tmp_path
+    ):
+        """One transaction is open at every instant: the next begins and
+        writes before the last commits. The daemon still checkpoints, so
+        the log a restart replays stays within about one link's worth of
+        commits instead of growing with the run."""
+        path = str(tmp_path / "db")
+        cfg = make_config(DurabilityMode.LOG, checkpoint_max_replay_s=1e-9)
+        db = Database(path, cfg)
+        db.create_table("t", ITEMS)
+        checkpoints = get_registry().counter("maintenance_checkpoints_total")
+        before = checkpoints.value
+        commits = 300
+        pending: list[int] = []
+
+        def write() -> None:
+            txn = db.begin()
+            txn.insert("t", {"id": 0, "name": "w"})
+            for i in range(1, commits + 1):
+                following = db.begin()
+                following.insert("t", {"id": i, "name": "w"})
+                txn.commit()
+                pending.append(db._driver.log_bytes_since_checkpoint)
+                txn = following
+                time.sleep(0.001)  # a steady writer, not a burst
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        writer.join(60.0)
+        assert not writer.is_alive()
+        assert db._manager.active_count == 1
+        assert checkpoints.value - before >= 3
+        per_commit = db._driver._wal.lsn / commits
+        # Replay never covered more than a few dozen commits; with no
+        # checkpoint it would cover every commit of the run.
+        assert max(pending) < 0.25 * commits * per_commit
+        assert db._maintenance.wait_idle(timeout=10.0)
+        assert db._driver.log_bytes_since_checkpoint == 0
+        db.crash()
+        db = Database(path, make_config(DurabilityMode.LOG))
+        assert sorted(db.query("t").column("id")) == list(range(commits))
+        assert db.last_recovery.log_records_replayed == 0
+        assert db.verify() == []
         db.close()
 
     def test_daemon_off_without_thresholds(self, tmp_path):
@@ -261,6 +310,40 @@ class TestCheckpointScheduling:
 
 class TestCheckpointBesideWriters:
     """A checkpoint does not quiesce: commits may land while it runs."""
+
+    @pytest.mark.parametrize("outcome", ["commit", "abort", "open"])
+    def test_a_checkpoint_beside_an_open_transaction(self, tmp_path, outcome):
+        """The link is taken while a transaction that inserted and updated
+        is open; it writes more after the link, then commits, aborts, or
+        is still open at the crash. Its rows sit in the link uncommitted,
+        as after a crash, and the log past the link's LSN holds its group
+        whole or not at all."""
+        path = str(tmp_path / "db")
+        cfg = make_config(DurabilityMode.LOG)
+        db = Database(path, cfg)
+        db.create_table("t", ITEMS)
+        db.bulk_insert("t", [{"id": i, "name": "a"} for i in range(10)])
+        model = {i: "a" for i in range(10)}
+        txn = db.begin()
+        txn.insert("t", {"id": 100, "name": "new"})
+        txn.update("t", db.query("t", Eq("id", 3)).refs()[0], {"name": "b"})
+        db.checkpoint()
+        txn.insert("t", {"id": 101, "name": "late"})
+        db.insert("t", {"id": 200, "name": "beside"})
+        model[200] = "beside"
+        if outcome == "commit":
+            txn.commit()
+            model.update({100: "new", 101: "late", 3: "b"})
+        elif outcome == "abort":
+            txn.abort()
+        for _ in range(2):
+            db.crash()
+            db = Database(path, cfg)
+            result = db.query("t")
+            assert dict(zip(result.column("id"), result.column("name"))) == model
+            assert db.verify() == []
+            db.checkpoint()
+        db.close()
 
     def test_a_commit_during_the_snapshot_survives_the_next_link(
         self, tmp_path, monkeypatch

@@ -343,17 +343,19 @@ class TestMergeRecord:
     def test_log_replay_without_checkpoint(self, tmp_path):
         """After an online merge, a LOG restart with no checkpoint must
         replay the merge record at its log position — and land on the
-        merged layout with post-merge commits intact. A transaction held
-        open across the merge makes the checkpoint after it refuse."""
+        merged layout with post-merge commits intact. The power fails
+        between the merge record and the checkpoint that follows it."""
         config = make_config(DurabilityMode.LOG, group_commit_size=1)
         db = Database(str(tmp_path / "db"), config)
         expected = _build_mixed(db, rows=12)
-        holder = db.begin()
+
+        def commit_then_crash(table):
+            db.insert("kv", {"key": 500, "note": "post-merge"})
+            db.crash(seed=9)
+
+        db._driver.on_merge_complete = commit_then_crash
         db.merge("kv")
-        holder.commit()
-        db.insert("kv", {"key": 500, "note": "post-merge"})
         expected[500] = "post-merge"
-        db.crash(seed=9)
 
         recovered = Database(str(tmp_path / "db"), config)
         assert recovered.verify() == []

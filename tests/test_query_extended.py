@@ -1,5 +1,7 @@
 """Tests for ordering, joins, index range scans, auto-merge, drop table."""
 
+import sys
+import threading
 import time
 
 import pytest
@@ -10,6 +12,7 @@ from repro.query.join import anti_join, hash_join, semi_join
 from repro.query.predicate import Between, Eq, Ge, Gt, Le, Lt
 from repro.query.sort import order_by, top_k
 from repro.storage.types import DataType
+from repro.txn.errors import TransactionConflict
 
 from tests.conftest import make_config
 
@@ -235,13 +238,54 @@ class TestDropTable:
         with pytest.raises(KeyError):
             none_db.drop_table("ghost")
 
-    def test_drop_with_active_txn_rejected(self, none_db):
-        none_db.create_table("t", {"a": DataType.INT64})
-        txn = none_db.begin()
-        txn.insert("t", {"a": 1})
-        with pytest.raises(RuntimeError):
-            none_db.drop_table("t")
-        txn.abort()
+    def test_drop_waits_only_for_transactions_on_the_table(self, tmp_path):
+        """A drop is a cutover to nothing: a transaction holding operations
+        on the table times it out, and one on another table does not."""
+        config = make_config(DurabilityMode.NONE, merge_cutover_timeout_s=0.05)
+        db = Database(str(tmp_path / "db"), config)
+        db.create_table("t", {"a": DataType.INT64})
+        db.create_table("other", {"a": DataType.INT64})
+        holder = db.begin()
+        holder.insert("t", {"a": 1})
+        bystander = db.begin()
+        bystander.insert("other", {"a": 2})
+        with pytest.raises(RuntimeError, match="cutover timed out"):
+            db.drop_table("t")
+        assert db.table_names == ["other", "t"]
+        holder.abort()
+        db.drop_table("t")
+        bystander.commit()
+        assert db.table_names == ["other"]
+        assert db.query("other").column("a") == [2]
+        db.close()
+
+    @pytest.mark.parametrize("mode", [DurabilityMode.NVM, DurabilityMode.LOG])
+    def test_an_operation_after_the_drop_conflicts(self, tmp_path, mode):
+        """A transaction that read the table before the drop cannot write
+        it after: its insert and its delete raise a retryable conflict,
+        and nothing of it names the dropped table."""
+        path = str(tmp_path / "db")
+        db = Database(path, make_config(mode))
+        db.create_table("keep", {"a": DataType.INT64})
+        db.create_table("gone", {"a": DataType.INT64})
+        db.insert("gone", {"a": 1})
+        table = db.table("gone")
+        txn = db.begin()
+        ref = txn.query("gone").refs()[0]
+        txn.insert("keep", {"a": 7})
+        db.drop_table("gone")
+        assert table.generation == 1
+        with pytest.raises(TransactionConflict, match="dropped"):
+            db._manager.insert(txn.ctx, table, [2])
+        with pytest.raises(TransactionConflict, match="dropped"):
+            db._manager.invalidate(txn.ctx, table, ref)
+        txn.commit()
+        db.crash()
+        db = Database(path, make_config(mode))
+        assert db.table_names == ["keep"]
+        assert db.query("keep").column("a") == [7]
+        assert db.verify() == []
+        db.close()
 
     def test_recreate_after_drop(self, tmp_path):
         db = Database(str(tmp_path / "db"), make_config(DurabilityMode.NVM))
@@ -261,4 +305,127 @@ class TestDropTable:
         db.drop_table("t")
         db = db.restart()
         assert db.table_names == []
+        db.close()
+
+
+class _Arrival:
+    """A lock that says when a thread reached it."""
+
+    def __init__(self, lock):
+        self._lock = lock
+        self.reached = threading.Event()
+
+    def __enter__(self):
+        self.reached.set()
+        self._lock.acquire()
+
+    def __exit__(self, *exc):
+        self._lock.release()
+
+
+class TestDropRacingATransaction:
+    """The drop blocks on the maintenance lock past the point where it
+    used to check for open transactions; a transaction begins and
+    inserts into the table in that window. The engine must reopen with
+    every other table intact, whatever became of the transaction."""
+
+    @pytest.mark.parametrize("mode", [DurabilityMode.NVM, DurabilityMode.LOG])
+    @pytest.mark.parametrize("outcome", ["commit", "abort", "open"])
+    def test_reopens_after_the_race(self, tmp_path, mode, outcome):
+        path = str(tmp_path / "db")
+        # Short when the holder never ends: the drop gives up.
+        timeout = 0.2 if outcome == "open" else 10.0
+        db = Database(path, make_config(mode, merge_cutover_timeout_s=timeout))
+        db.create_table("keep", {"a": DataType.INT64})
+        db.create_table("gone", {"a": DataType.INT64})
+        db.insert("keep", {"a": 1})
+        db.insert("gone", {"a": 1})
+        arrival = db._maint_lock = _Arrival(db._maint_lock)
+        errors: list = []
+
+        def drop():
+            try:
+                db.drop_table("gone")
+            except RuntimeError as exc:
+                errors.append(exc)
+
+        dropper = threading.Thread(target=drop)
+        with arrival:
+            arrival.reached.clear()
+            dropper.start()
+            assert arrival.reached.wait(10.0)
+            txn = db.begin()
+            txn.insert("gone", {"a": 2})
+            txn.insert("keep", {"a": 2})
+        # Let the drop run on: it must wait for the transaction, or give
+        # up on it, rather than drop the table from under it.
+        dropper.join(0.5)
+        if outcome == "commit":
+            txn.commit()
+        elif outcome == "abort":
+            txn.abort()
+        dropper.join(30.0)
+        assert not dropper.is_alive()
+        if outcome == "open":
+            assert len(errors) == 1 and "cutover timed out" in str(errors[0])
+        else:
+            assert errors == []
+        db.crash()
+        db = Database(path, make_config(mode))
+        assert db.verify() == []
+        expected_keep = [1, 2] if outcome == "commit" else [1]
+        assert sorted(db.query("keep").column("a")) == expected_keep
+        if outcome == "open":
+            assert db.table_names == ["gone", "keep"]
+            assert db.query("gone").column("a") == [1]
+        else:
+            assert db.table_names == ["keep"]
+        db.insert("keep", {"a": 3})
+        db = db.restart()
+        assert sorted(db.query("keep").column("a")) == expected_keep + [3]
+        db.close()
+
+    @pytest.mark.parametrize("mode", [DurabilityMode.NVM, DurabilityMode.LOG])
+    def test_writers_racing_a_drop_leave_a_reopenable_engine(self, tmp_path, mode):
+        """Stress: writer threads (more than cores) insert into the table
+        while it is dropped, under a short switch interval. Each of their
+        transactions commits whole or raises; the drop completes, and the
+        engine reopens after a crash without the table."""
+        path = str(tmp_path / "db")
+        db = Database(path, make_config(mode))
+        db.create_table("keep", {"a": DataType.INT64})
+        db.create_table("gone", {"a": DataType.INT64})
+        started = threading.Barrier(5)
+
+        def write(i: int) -> None:
+            started.wait(10.0)
+            for n in range(150):
+                txn = db.begin()
+                try:
+                    txn.insert("keep", {"a": i * 1000 + n})
+                    txn.insert("gone", {"a": n})
+                    txn.commit()
+                except (KeyError, TransactionConflict):
+                    txn.abort()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            writers = [threading.Thread(target=write, args=(i,)) for i in range(4)]
+            for writer in writers:
+                writer.start()
+            started.wait(10.0)
+            time.sleep(0.01)
+            db.drop_table("gone")
+            for writer in writers:
+                writer.join(60.0)
+                assert not writer.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert db._manager.active_count == 0
+        assert db.verify() == []
+        db.crash()
+        db = Database(path, make_config(mode))
+        assert db.table_names == ["keep"]
+        assert db.verify() == []
         db.close()

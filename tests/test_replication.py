@@ -308,14 +308,79 @@ class TestBootstrap:
         shipper.close()
         db.close()
 
-    def test_quiescent_attach_enforced(self, tmp_path):
+    @pytest.mark.parametrize("checkpointed", [False, True])
+    def test_log_attach_beside_an_open_transaction(self, tmp_path, checkpointed):
+        """A LOG attach does not wait: the open transaction's records are
+        staged, so its commit ships past the pinned link as one group."""
         db = _log_db(tmp_path)
+        db.create_table("t", SCHEMA)
+        db.insert("t", {"id": 0, "v": "before"})
+        txn = db.begin()
+        txn.insert("t", {"id": 1, "v": "in-flight"})
+        txn.update("t", db.query("t", Eq("id", 0)).refs()[0], {"v": "moved"})
+        if checkpointed:
+            db.checkpoint()
+        shipper, (replica,) = _replicate(tmp_path, db, AckMode.SEMI_SYNC)
+        assert (shipper.start_lsn > 0) is checkpointed
+        assert shipper.sync_followers(timeout_s=10.0)
+        assert _rows(replica) == {0: "before"}
+        txn.insert("t", {"id": 2, "v": "after-attach"})
+        txn.commit()
+        assert shipper.sync_followers(timeout_s=10.0)
+        assert _rows(replica) == _rows(db) == {
+            0: "moved", 1: "in-flight", 2: "after-attach"
+        }
+        shipper.close()
+        db.close()
+
+    def test_nvm_attach_refuses_an_open_transaction(self, tmp_path):
+        """What an open NVM transaction did before the ship log existed
+        was never staged: the attach refuses, and leaves no ship log."""
+        db = Database(
+            str(tmp_path / "primary"), EngineConfig(mode=DurabilityMode.NVM)
+        )
         db.create_table("t", SCHEMA)
         txn = db.begin()
         txn.insert("t", {"id": 1, "v": "in-flight"})
-        with pytest.raises(RuntimeError, match="quiescent"):
+        with pytest.raises(RuntimeError, match="open transaction"):
             WalShipper(db, ack_mode=AckMode.SEMI_SYNC)
+        assert db._driver.wal is None
+        assert db._manager._wal is None
         txn.commit()
+        shipper, (replica,) = _replicate(tmp_path, db, AckMode.SEMI_SYNC)
+        assert shipper.sync_followers(timeout_s=10.0)
+        assert _rows(replica) == {1: "in-flight"}
+        shipper.close()
+        db.close()
+
+    def test_nvm_commit_during_the_attach_snapshot_ships(
+        self, tmp_path, monkeypatch
+    ):
+        """A commit that lands while the attach snapshots the pool is past
+        the snapshot's ``last_cid``: it reaches the follower through the
+        ship log, which is attached before the snapshot is taken."""
+        from repro.replication import ship
+
+        db = Database(
+            str(tmp_path / "primary"), EngineConfig(mode=DurabilityMode.NVM)
+        )
+        db.create_table("t", SCHEMA)
+        db.insert("t", {"id": 1, "v": "v1"})
+        real = ship.snapshot_table
+
+        def snapshot_then_commit(table, *args):
+            snapshot = real(table, *args)
+            monkeypatch.setattr(ship, "snapshot_table", real)
+            db.insert("t", {"id": 2, "v": "beside"})
+            return snapshot
+
+        monkeypatch.setattr(ship, "snapshot_table", snapshot_then_commit)
+        shipper, (replica,) = _replicate(tmp_path, db, AckMode.SEMI_SYNC)
+        db.insert("t", {"id": 3, "v": "v3"})
+        assert shipper.sync_followers(timeout_s=10.0)
+        assert _rows(db) == {1: "v1", 2: "beside", 3: "v3"}
+        assert _rows(replica) == _rows(db)
+        shipper.close()
         db.close()
 
     def test_none_mode_primary_rejected(self, tmp_path):
