@@ -101,7 +101,7 @@ class Transaction:
     def insert(self, table_name: str, row: dict) -> int:
         """Insert a {column: value} row; returns its rowref."""
         table = self._db.table(table_name)
-        ref = self._db._manager.insert_row(self.ctx, table, row)
+        ref = self._db._manager.insert(self.ctx, table, table.schema.validate_row(row))
         self._db._index_new_row(table, ref)
         return ref
 

@@ -25,6 +25,7 @@ import json
 import os
 import weakref
 from abc import ABC, abstractmethod
+from contextlib import ExitStack
 from typing import TYPE_CHECKING, Optional
 
 import time
@@ -147,12 +148,6 @@ class NvmDriver(DurabilityDriver):
         super().__init__(path, config)
         self._pool: Optional[PMemPool] = None
         self._catalog: Optional[NvmCatalog] = None
-        # Secondary "ship log": NVM durability needs no WAL, but WAL
-        # shipping needs a log stream to tail. When replication is
-        # attached (see repro.replication.WalShipper) a group_size=0
-        # writer mirrors every operation here purely for followers —
-        # the pmem pool stays the engine's own durability mechanism.
-        self._ship_wal: Optional[LogWriter] = None
 
     @property
     def pool_dir(self) -> str:
@@ -164,20 +159,26 @@ class NvmDriver(DurabilityDriver):
 
     @property
     def wal(self) -> Optional[LogWriter]:
-        """The shippable stream: the ship log when replication is on."""
-        return self._ship_wal
+        """The shippable stream: the *ship log* (see repro.replication.ship)
+        while a shipper is attached, else None."""
+        return self._db._manager._wal
 
-    def attach_ship_log(self, wal: LogWriter) -> None:
-        """Start mirroring every transaction into ``wal``.
-
-        The shipper calls this under the commit lock with no transaction
-        open, and reads ``last_cid`` in the same hold: every later
-        operation is mirrored through the manager's WAL hook, and the
-        ship snapshot, taken as of that ``last_cid``, reads any later
-        commit as in flight, so the stream begins exactly at its state.
-        """
-        self._ship_wal = wal
-        self._db._manager._wal = wal
+    def attach_ship_log(self, wal: Optional[LogWriter]) -> int:
+        """Mirror every transaction into ``wal`` (None: stop), close the
+        ship log it replaces and return ``last_cid``, all in one hold of
+        every ops gate (it waits for operations, not transactions) and
+        the commit lock; the caller holds ``_maint_lock``. A snapshot as
+        of that ``last_cid`` is where the stream begins."""
+        db, old = self._db, self.wal
+        with ExitStack() as gates:
+            for table in db._tables_by_id.values():
+                gates.enter_context(table.ops_gate.exclusive())
+            with db._manager._lock:
+                db._manager.attach_wal(wal)
+                last_cid = db._manager.last_cid
+        if old is not None and old is not wal:
+            old.close()
+        return last_cid
 
     @property
     def pool(self) -> Optional[PMemPool]:
@@ -236,8 +237,8 @@ class NvmDriver(DurabilityDriver):
     def create_table(self, name: str, schema: Schema) -> Table:
         table = Table.create(self._catalog.next_table_id, name, schema, self.backend)
         self._catalog.register_table(table, {})
-        if self._ship_wal is not None:
-            self._ship_wal.log_create_table(
+        if self.wal is not None:
+            self.wal.log_create_table(
                 table.table_id, name, schema.to_bytes()
             )
         return table
@@ -247,8 +248,8 @@ class NvmDriver(DurabilityDriver):
 
     def on_table_dropped(self, table: Table) -> None:
         self._catalog.mark_dropped(table.table_id)
-        if self._ship_wal is not None:
-            self._ship_wal.log_drop_table(table.table_id)
+        if self.wal is not None:
+            self.wal.log_drop_table(table.table_id)
 
     def retire(self, *structures) -> None:
         # The store that unlinked them is durable. Each structure is
@@ -273,8 +274,8 @@ class NvmDriver(DurabilityDriver):
         # The content descriptor swap is the durable cutover: one atomic
         # pointer store after the new generation's structures persist.
         self._catalog.publish_content(table, self._db._indexes[table.table_id])
-        if self._ship_wal is not None and plan is not None:
-            self._ship_wal.log_merge(
+        if self.wal is not None and plan is not None:
+            self.wal.log_merge(
                 table.table_id,
                 plan.watermark,
                 plan.main_mask,
@@ -282,21 +283,19 @@ class NvmDriver(DurabilityDriver):
             )
 
     def close(self) -> None:
-        if self._ship_wal is not None:
-            self._ship_wal.close()
-            self._ship_wal = None
+        if self.wal is not None:
+            self.wal.close()
         if self._pool is not None:
             self._pool.close(clean=True)
 
     def crash(self, survivor_fraction: float = 0.0, seed: Optional[int] = None) -> None:
         if self._pool is not None:
             self._pool.crash(survivor_fraction=survivor_fraction, seed=seed)
-        if self._ship_wal is not None:
+        if self.wal is not None:
             # The ship log is an ordinary file: it tears like the WAL.
-            self._ship_wal.crash(
+            self.wal.crash(
                 survivor_fraction=survivor_fraction, seed=seed, torn_tail=True
             )
-            self._ship_wal = None
 
     def extra_stats(self) -> dict:
         return {"nvm": {**self._pool.stats.snapshot(), **self._pool.space()}}

@@ -46,15 +46,18 @@ from repro.core import Database, DurabilityMode, EngineConfig
 from repro.fault.inject import CrashPointInjector, SimulatedPowerFailure
 from repro.fault.workloads import (
     MIXES,
+    REPLICATED,
     SCHEMA,
     TABLE,
     WORKLOAD_NAMES,
     Oracle,
     Step,
+    apply_effects,
     make_workload,
 )
 from repro.nvm.pool import PMemMode
 from repro.query.predicate import Eq
+from repro.replication import AckMode, Follower, WalShipper
 from repro.txn.errors import TransactionConflict
 
 #: Small extents keep per-point engine setup cheap (the default 64 MiB
@@ -70,7 +73,7 @@ class SweepSettings:
     sample: Optional[int] = None
     seed: int = 7
     extent_size: int = SWEEP_EXTENT
-    #: Ack mode for the ``replicated`` workload (async/semi_sync/quorum).
+    #: Ack mode for the replicated workloads (async/semi_sync/quorum).
     ack_mode: str = "semi_sync"
 
 
@@ -119,7 +122,7 @@ class CrashSweep:
         self.settings = settings
         self.workload = make_workload(settings.workload, settings.seed)
         self.mode = DurabilityMode(settings.mode)
-        self.replicated = settings.workload == "replicated"
+        self.replicated = settings.workload in REPLICATED
         if self.replicated and self.mode is DurabilityMode.NONE:
             raise ValueError("a NONE-mode engine has no shippable log to replicate")
         os.makedirs(root, exist_ok=True)
@@ -194,6 +197,15 @@ class CrashSweep:
             engine.merge(TABLE)
         elif step.kind == "checkpoint":
             engine.checkpoint()
+        elif step.kind == "hold":
+            self._held[step.rows] = txn = engine.begin()
+            for key, note in step.rows:
+                _write(txn, key, note)
+        elif step.kind in ("commit", "abort"):
+            getattr(self._held.pop(step.rows), step.kind)()
+        elif step.kind == "attach":
+            # A power failure inside it leaves no follower to check.
+            self._replication = self._attach_replication(engine)
         else:
             raise ValueError(f"unknown step kind {step.kind!r}")
 
@@ -287,12 +299,7 @@ class CrashSweep:
 
         engine = self._open(path)
         self._setup(engine)  # not injected: the baseline must exist
-        shipper = follower = None
-        if self.replicated:
-            # Attach before arming: the attach adds no persistence
-            # events of its own, so crash-point numbering matches the
-            # unreplicated workload.
-            shipper, follower = self._attach_replication(engine, path)
+        self._replication, self._held = None, {}
         oracle = Oracle(self.workload.baseline)
         # Keys whose concurrent op's commit() returned before the power
         # died: those acknowledgements are binding (sync commit), so
@@ -310,11 +317,14 @@ class CrashSweep:
                     executed.append(step)
             except SimulatedPowerFailure:
                 fired = True
-            if shipper is not None:
+            if self._replication is not None:
                 # The wire goes down with the primary: records the
                 # tailer had not shipped yet never reach the follower
                 # (the in-flight-bytes case promotion must tolerate).
-                shipper.stop()
+                try:
+                    self._replication[0].stop()
+                except SimulatedPowerFailure:
+                    fired = True  # at the closing fsync of the ship log
             # Cut the power while the injector is still armed: threads
             # that outlive the failing one keep hitting the open breaker
             # instead of quietly persisting post-crash state in the
@@ -325,10 +335,9 @@ class CrashSweep:
             )
 
         follower_problems: list = []
-        if follower is not None:
-            follower_problems = self._check_follower(
-                follower, oracle, executed
-            )
+        if self._replication is not None:
+            follower = self._replication[1]
+            follower_problems = self._check_follower(follower, oracle, executed)
 
         t0 = time.perf_counter()
         recovered = self._open(path)
@@ -427,11 +436,7 @@ class CrashSweep:
             mandatory = [g for g in groups if set(g) <= completed]
             groups = [g for g in groups if not set(g) <= completed]
             for group in mandatory:
-                for key, note in group.items():
-                    if note is None:
-                        committed.pop(key, None)
-                    else:
-                        committed[key] = note
+                apply_effects(committed, group)
         return committed, groups
 
     def _check_state(self, engine: Database, oracle: Oracle) -> list[str]:
@@ -442,8 +447,7 @@ class CrashSweep:
         else:
             committed, groups = self._oracle_expectation(oracle)
         found, problems = self._found_rows(engine)
-        kind = oracle.pending.kind if oracle.pending is not None else None
-        problems.extend(self._diff(found, committed, groups, kind))
+        problems.extend(self._diff(found, committed, groups, oracle.pending))
         return problems
 
     def _diff(
@@ -451,9 +455,10 @@ class CrashSweep:
         found: dict,
         committed: dict,
         groups: list[dict],
-        kind: Optional[str],
+        pending: Optional[Step],
     ) -> list[str]:
-        """Compare recovered rows against a shadow + optional groups."""
+        """Compare recovered rows against a shadow + optional groups (of
+        the step ``pending``)."""
         problems: list[str] = []
         expected = dict(committed)
         for index, group in enumerate(groups):
@@ -478,15 +483,11 @@ class CrashSweep:
             if len(verdicts) > 1:
                 problems.append(
                     f"atomicity violation: in-flight group {index} of "
-                    f"{kind} applied partially "
+                    f"{pending.kind} applied partially "
                     f"(keys {sorted(group)})"
                 )
             elif verdicts == {"applied"}:
-                for key, new in group.items():
-                    if new is None:
-                        expected.pop(key, None)
-                    else:
-                        expected[key] = new
+                apply_effects(expected, group)
 
         pending_keys = set()
         for group in groups:
@@ -508,12 +509,10 @@ class CrashSweep:
         return problems
 
     # ------------------------------------------------------------------
-    # Replication (the `replicated` workload)
+    # Replication (the `replicated` and `attach` workloads)
     # ------------------------------------------------------------------
 
-    def _attach_replication(self, engine: Database, path: str):
-        from repro.replication import Follower, WalShipper
-
+    def _attach_replication(self, engine: Database):
         shipper = WalShipper(
             engine,
             ack_mode=self.settings.ack_mode,
@@ -522,14 +521,11 @@ class CrashSweep:
             # sweep exists to check.
             ack_timeout_s=20.0,
         )
-        follower = shipper.add_follower(Follower(path + "-replica"))
+        follower = shipper.add_follower(Follower(engine.path + "-replica"))
         shipper.start()
-        # Barrier the attach-time backlog (the workload's baseline rows
-        # were committed before the shipper existed, so no ack mode ever
-        # waited on them). Production would not enable semi-sync either
-        # before the replica caught up; without this, an early crash
-        # point races the tailer over the baseline and the follower
-        # check reports rows no acknowledgement ever covered.
+        # Barrier the attach-time backlog (no ack mode waited on it), as
+        # production would before relying on the replica: else an early
+        # crash point races the tailer over rows no ack ever covered.
         if not shipper.sync_followers(timeout_s=20.0):
             raise RuntimeError("follower failed to apply the baseline")
         return shipper, follower
@@ -563,8 +559,6 @@ class CrashSweep:
         promotion lifecycle (fsync-on-open of the never-synced shipped
         tail included).
         """
-        from repro.replication import AckMode
-
         problems: list[str] = []
         promoted = follower.promote(self._promoted_config())
         try:
@@ -577,10 +571,7 @@ class CrashSweep:
                 diff = self._check_prefix(found, executed, oracle.pending)
             else:
                 committed, groups = self._oracle_expectation(oracle)
-                kind = (
-                    oracle.pending.kind if oracle.pending is not None else None
-                )
-                diff = self._diff(found, committed, groups, kind)
+                diff = self._diff(found, committed, groups, oracle.pending)
             problems.extend(f"follower: {p}" for p in diff)
             problems.extend(self._check_promoted_pin(promoted, found))
         finally:
@@ -597,21 +588,13 @@ class CrashSweep:
         shadow = dict(self.workload.baseline)
         shadows = [dict(shadow)]
         for step in steps:
-            for key, note in step.effects().items():
-                if note is None:
-                    shadow.pop(key, None)
-                else:
-                    shadow[key] = note
+            apply_effects(shadow, step.effects())
             shadows.append(dict(shadow))
         best: Optional[tuple[int, list[str]]] = None
         for k in range(len(steps), -1, -1):
             boundary = steps[k] if k < len(steps) else None
-            diff = self._diff(
-                found,
-                shadows[k],
-                self._pending_groups(boundary),
-                boundary.kind if boundary is not None else None,
-            )
+            groups = self._pending_groups(boundary)
+            diff = self._diff(found, shadows[k], groups, boundary)
             if not diff:
                 return []
             if best is None or len(diff) < len(best[1]):
@@ -642,12 +625,8 @@ class CrashSweep:
             if refound != found:
                 changed = {
                     k: (found.get(k), refound.get(k))
-                    for k in set(found) ^ set(refound)
-                    | {
-                        k
-                        for k in set(found) & set(refound)
-                        if found[k] != refound[k]
-                    }
+                    for k in set(found) | set(refound)
+                    if found.get(k) != refound.get(k)
                 }
                 problems.append(
                     "promoted: pre-crash state changed across the promoted "
@@ -759,9 +738,7 @@ def main(argv: Optional[list] = None) -> int:
         prog="python -m repro.fault.sweep",
         description="Exhaustive crash-point sweep over persistence boundaries.",
     )
-    parser.add_argument(
-        "--workload", default="ycsb", choices=sorted(WORKLOAD_NAMES)
-    )
+    parser.add_argument("--workload", default="ycsb", choices=sorted(WORKLOAD_NAMES))
     parser.add_argument(
         "--sample",
         type=int,
@@ -782,8 +759,8 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument(
         "--acks",
         default="semi_sync",
-        help="comma list of ack modes for the replicated workload "
-        "(async,semi_sync,quorum); ignored otherwise",
+        help="comma list of ack modes for the replicated and attach "
+        "workloads (async,semi_sync,quorum); ignored otherwise",
     )
     parser.add_argument("--out", default=None, help="write the JSON report here")
     parser.add_argument(
@@ -795,7 +772,7 @@ def main(argv: Optional[list] = None) -> int:
 
     modes = _csv(args.modes, str)
     survivors = _csv(args.survivors, float)
-    replicated = args.workload == "replicated"
+    replicated = args.workload in REPLICATED
     ack_modes = _csv(args.acks, str) if replicated else ["semi_sync"]
 
     configs = []

@@ -27,7 +27,9 @@ TABLE = "kv"
 SCHEMA = {"key": DataType.INT64, "note": DataType.STRING}
 
 WORKLOAD_NAMES = (
-    "ycsb", "batch", "maint", "concurrent", "online", "replicated", "ckpt")
+    "ycsb", "batch", "maint", "concurrent", "online", "replicated", "ckpt", "attach")
+#: Workloads with an ``attach`` step, which ships to a follower.
+REPLICATED = ("replicated", "attach")
 #: Step kinds that run one autocommit transaction per op, on a thread each.
 MIXES = ("concurrent_mix", "merge_mix", "ckpt_mix")
 
@@ -43,10 +45,13 @@ class Step:
     insert, a live key an update, ``note is None`` a delete — so each
     pair forms its own atomicity group under crash injection.
     ``merge_mix`` / ``ckpt_mix`` race a merge / checkpoint against them.
+    ``hold`` leaves its pairs' one transaction open for the ``commit`` or
+    ``abort`` step with the same ``rows`` (see :meth:`_Planner.hold`).
     """
 
     kind: str  # insert | insert_many | bulk | update | delete |
-    #            concurrent_mix | merge_mix | ckpt_mix | merge | checkpoint
+    #            concurrent_mix | merge_mix | ckpt_mix | merge | checkpoint |
+    #            hold | commit | abort | attach
     rows: tuple = ()  # ((key, note), ...)
     key: int = -1
     note: Optional[str] = None  # None for a delete
@@ -58,7 +63,7 @@ class Step:
         change logical contents, crash or no crash, nor does the one a
         ``merge_mix`` or ``ckpt_mix`` races against its ops.
         """
-        if self.kind in ("insert", "insert_many", "bulk", *MIXES):
+        if self.kind in ("insert", "insert_many", "bulk", "commit", *MIXES):
             return dict(self.rows)
         if self.kind in ("update", "delete"):
             return {self.key: self.note}
@@ -93,14 +98,18 @@ class Oracle:
         self.pending = step
 
     def commit_step(self) -> None:
-        step = self.pending
-        assert step is not None
-        for key, note in step.effects().items():
-            if note is None:
-                self.committed.pop(key, None)
-            else:
-                self.committed[key] = note
+        assert self.pending is not None
+        apply_effects(self.committed, self.pending.effects())
         self.pending = None
+
+
+def apply_effects(state: dict, effects: dict) -> None:
+    """Install ``effects`` (key -> note, None = deleted) into ``state``."""
+    for key, note in effects.items():
+        if note is None:
+            state.pop(key, None)
+        else:
+            state[key] = note
 
 
 class _Planner:
@@ -164,6 +173,12 @@ class _Planner:
         self.rng.shuffle(rows)
         return Step(kind, rows=tuple(rows))
 
+    def hold(self, inserts: int, updates: int, deletes: int) -> Step:
+        """An open transaction; its keys leave the plan (nothing waits on them)."""
+        step = self.concurrent_mix(inserts, updates, deletes, "hold")
+        self.live = [key for key in self.live if key not in dict(step.rows)]
+        return step
+
 
 def make_workload(name: str, seed: int = 0) -> SweepWorkload:
     """Build a named preset. Same (name, seed) -> identical plan."""
@@ -214,7 +229,7 @@ def make_workload(name: str, seed: int = 0) -> SweepWorkload:
         # Concurrent writers: each concurrent_mix step drives one
         # thread per op through the thread-safe commit pipeline, so
         # crash points land while several transactions are in flight at
-        # once; maintenance steps in between check that quiesced merge/
+        # once; maintenance steps in between check that merge and
         # checkpoint still hold up between concurrent bursts.
         initial = planner.fresh_rows(16)
         steps = [
@@ -242,8 +257,8 @@ def make_workload(name: str, seed: int = 0) -> SweepWorkload:
             planner.concurrent_mix(3, 1, 1, "merge_mix"),
         ]
     elif name == "replicated":
-        # Run under WAL shipping: the sweep kills the *primary* at every
-        # persistence boundary, promotes the follower, and verifies that
+        # Attach a follower, then run: the sweep kills the *primary* at
+        # every persistence boundary, promotes the follower, and verifies that
         # every acknowledged commit survived on it (per ack mode). A
         # serial spine keeps crash-point numbering deterministic; the
         # one concurrent burst exercises the ack barrier under racing
@@ -252,6 +267,7 @@ def make_workload(name: str, seed: int = 0) -> SweepWorkload:
         # (update/delete), merge.
         initial = planner.fresh_rows(12)
         steps = [
+            Step("attach"),
             planner.insert(),
             planner.insert_many(4),
             planner.update(),
@@ -273,6 +289,18 @@ def make_workload(name: str, seed: int = 0) -> SweepWorkload:
             planner.concurrent_mix(3, 4, 2, "ckpt_mix"),
             planner.delete(),
             planner.concurrent_mix(4, 3, 2, "ckpt_mix"),
+        ]
+    elif name == "attach":
+        # A follower attaches beside three open transactions: after it,
+        # one commits, one aborts and one is still open at the crash.
+        initial = planner.fresh_rows(12)
+        held = [planner.hold(2, 1, 1), planner.hold(1, 1, 1), planner.hold(2, 1, 0)]
+        steps = [
+            planner.insert_many(3), Step("merge"), *held, planner.update(),
+            Step("attach"),
+            planner.insert(), Step("commit", rows=held[0].rows),
+            planner.delete(), Step("abort", rows=held[1].rows),
+            Step("checkpoint"), planner.insert_many(3),
         ]
     else:
         raise ValueError(f"unknown workload {name!r} (have {WORKLOAD_NAMES})")

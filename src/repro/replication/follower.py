@@ -210,10 +210,7 @@ class Follower:
         dead primary shipped — a transaction whose commit record never
         arrived is part of that tail. Returns the opened database.
         """
-        self._stop_apply()
-        if self._log_file is not None and not self._log_file.closed:
-            self._log_file.flush()
-            self._log_file.close()
+        self.close()
         if config is None:
             config = EngineConfig(mode=DurabilityMode.LOG)
         elif config.mode is not DurabilityMode.LOG:

@@ -31,12 +31,12 @@ Followers bootstrap from a checkpoint chain in the primary's ``ship/``
 directory: a LOG primary *pins* its current chain link there at attach
 (hard links — a later checkpoint's GC cannot pull the files away), an
 NVM primary publishes its attach-time pool snapshot there as a one-link
-chain. A LOG attach runs beside open transactions: a transaction open
-across the pinned link's LSN stages its records and writes them past it
-as one group when it commits. An NVM attach refuses an open transaction
-(what it did before the ship log existed was never staged); it attaches
-the ship log and reads ``last_cid`` in one hold of the commit lock, and
-snapshots the pool as of that ``last_cid``.
+chain. Either attach runs beside open transactions, whose records are
+staged (by the LOG writer as they were written; into the ship log from
+their operations so far when it is wired) and ship as one group when
+they commit. The NVM attach wires the ship log and reads ``last_cid`` in
+one hold, then snapshots the pool as of it; a failed attach and
+:meth:`WalShipper.stop` unwire and close the ship log.
 """
 
 from __future__ import annotations
@@ -90,6 +90,7 @@ class WalShipper:
         #: Chain directory followers bootstrap from (None: no snapshot,
         #: the stream is the whole log from byte 0).
         self._ship_dir: Optional[str] = os.path.join(driver.path, "ship")
+        self._nvm = isinstance(driver, NvmDriver)
         if isinstance(driver, LogDriver):
             self._wal: LogWriter = driver.wal
             self._log_path = driver.log_path
@@ -98,39 +99,30 @@ class WalShipper:
                 self._ship_dir, self.start_lsn = None, 0
             else:
                 self.start_lsn = pinned.lsn
-            self._nvm = False
         elif isinstance(driver, NvmDriver):
             self._log_path = driver.ship_log_path
-            manager = primary._manager
             # Not beside DDL or a merge cutover, as for a checkpoint link.
             with primary._maint_lock:
-                with manager._lock:
-                    # The one refusal beside open transactions: an NVM
-                    # transaction stages nothing before the ship log exists.
-                    if manager.active_count:
-                        raise RuntimeError("NVM attach beside an open transaction")
-                    if os.path.exists(self._log_path):
-                        os.remove(self._log_path)  # a past attach's stream
-                    # Async: transport, not durability (that is the pool).
-                    self._wal = LogWriter(self._log_path, group_size=0)
-                    driver.attach_ship_log(self._wal)
-                    last_cid = manager.last_cid
-                # As of last_cid: a later commit ships whole in the ship log.
-                tables = primary._tables_by_id.values()
-                shutil.rmtree(self._ship_dir, ignore_errors=True)
-                CheckpointChain(self._ship_dir).publish(
-                    [snapshot_table(t, last_cid) for t in tables],
-                    {},
-                    last_cid,
-                    0,
-                    driver._catalog.next_table_id,
-                )
+                if os.path.exists(self._log_path):
+                    os.remove(self._log_path)  # a past attach's stream
+                # Async: transport, not durability (that is the pool).
+                self._wal = LogWriter(self._log_path, group_size=0)
+                try:
+                    last_cid = driver.attach_ship_log(self._wal)
+                    # As of last_cid: a later commit ships whole in the log.
+                    tables = primary._tables_by_id.values()
+                    snapshots = [snapshot_table(t, last_cid) for t in tables]
+                    shutil.rmtree(self._ship_dir, ignore_errors=True)
+                    CheckpointChain(self._ship_dir).publish(
+                        snapshots, {}, last_cid, 0, driver._catalog.next_table_id
+                    )
+                except Exception:
+                    driver.attach_ship_log(None)
+                    self._wal.close()
+                    raise
             self.start_lsn = 0
-            self._nvm = True
         else:
-            raise RuntimeError(
-                f"cannot ship from a {driver.mode.value!r} primary"
-            )
+            raise RuntimeError(f"cannot ship from a {driver.mode.value!r} primary")
         self.shipped_lsn = self.start_lsn
         self._followers: list[Follower] = []
         self._acked: dict[str, int] = {}
@@ -324,7 +316,8 @@ class WalShipper:
         """Stop shipping; release any commit waiting on an ack.
 
         Followers keep their queued records and may still be promoted;
-        the primary's commits no longer wait on replication.
+        the primary's commits no longer wait on replication, and an NVM
+        primary no longer mirrors them into its ship log.
         """
         self._stopped.set()
         self._wal.set_replication(None)
@@ -333,6 +326,10 @@ class WalShipper:
         if self._thread is not None:
             self._thread.join()
             self._thread = None
+        if self._nvm:
+            with self.primary._maint_lock:
+                if self.primary._driver.wal is self._wal:  # not a later one
+                    self.primary._driver.attach_ship_log(None)
 
     def close(self) -> None:
         self.stop()

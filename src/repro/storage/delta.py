@@ -123,10 +123,6 @@ class DeltaPartition:
         self.mvcc.begin.append(INFINITY_CID)  # publish point
         return row
 
-    def insert_row(self, values: Sequence[Value], tid: int) -> int:
-        """Encode and insert one row as uncommitted."""
-        return self.insert_encoded(self.encode_row(values), tid)
-
     def encode_columns(self, columns: Sequence[Sequence[Value]]) -> list:
         """Bulk dictionary-encode column-major values.
 

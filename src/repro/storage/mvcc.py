@@ -107,12 +107,6 @@ class MvccColumns:
         a cheap dirty token for incremental checkpoints."""
         return self._mutations
 
-    def append_uncommitted(self, tid: int) -> int:
-        """Add MVCC state for a freshly inserted (uncommitted) row."""
-        self.begin.append(INFINITY_CID)
-        self.end.append(INFINITY_CID)
-        return self.tid.append(tid)
-
     def extend_committed(
         self, begin_cids: np.ndarray, end_cids: np.ndarray
     ) -> None:

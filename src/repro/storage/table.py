@@ -13,7 +13,6 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from typing import Sequence
 
 import numpy as np
 
@@ -222,11 +221,6 @@ class Table:
     # ------------------------------------------------------------------
     # Writes (called by the transaction manager)
     # ------------------------------------------------------------------
-
-    def insert_uncommitted(self, values: Sequence[Value], tid: int) -> int:
-        """Insert a row as uncommitted; returns its packed row reference."""
-        index = self.delta.insert_row(values, tid)
-        return pack_rowref(True, index)
 
     def change_token(self) -> tuple:
         """Cheap fingerprint of this table's physical state.

@@ -19,6 +19,8 @@ import itertools
 import threading
 from typing import Callable, Optional, Protocol, Sequence
 
+import numpy as np
+
 from repro.storage.mvcc import INFINITY_CID, NO_TID
 from repro.storage.table import Table, pack_rowref, unpack_rowref
 from repro.storage.types import Value
@@ -135,9 +137,26 @@ class TransactionManager:
     def last_cid(self) -> int:
         return self._cids.last_cid
 
-    @property
-    def active_count(self) -> int:
-        return len(self.active)
+    def attach_wal(self, wal: Optional[WalHook]) -> None:
+        """Mirror every later operation into ``wal`` (None: stop), after
+        staging each open transaction's operations so far, so its commit
+        writes one whole group. The caller holds every ops gate
+        exclusively (no operation is half done) and the commit lock."""
+        if wal is not None:
+            for ctx in self.active.values():
+                for kind, table_id, ref in ctx.ops:
+                    if kind == OP_INVALIDATE:
+                        wal.log_invalidate(ctx.tid, table_id, ref)
+                        continue
+                    first, count = unpack_range_ref(ref)
+                    delta = self._table_lookup(table_id).delta
+                    rows = np.arange(first, first + count)
+                    columns = [
+                        delta.decode_column(c, rows)
+                        for c in range(len(delta.dictionaries))
+                    ]
+                    wal.log_insert_many(ctx.tid, table_id, first, columns)
+        self._wal = wal
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -241,10 +260,6 @@ class TransactionManager:
             return [pack_rowref(True, first + i) for i in range(n)]
         finally:
             ctx.exit_op()
-
-    def insert_row(self, ctx: TransactionContext, table: Table, row: dict) -> int:
-        """Insert one {column: value} row."""
-        return self.insert(ctx, table, table.schema.validate_row(row))
 
     def invalidate(self, ctx: TransactionContext, table: Table, ref: int) -> None:
         """Delete a visible row version (lock it and mark for end_cid).
@@ -399,10 +414,11 @@ class TransactionManager:
                 return None
             with self._lock:
                 cid = self._cids.last_cid + 1
-                if self._wal is not None:
+                wal = self._wal  # once: a stop() may unwire it before the barrier
+                if wal is not None:
                     # Durable point for the log-based engine (once the
                     # record reaches disk, per the group-commit policy).
-                    barrier_lsn = self._wal.append_commit(ctx.tid, cid)
+                    barrier_lsn = wal.append_commit(ctx.tid, cid)
                 # Durable point for the NVM engine: COMMITTING store.
                 self._txn_table.set_committing(ctx.slot, cid)
                 # The fix-ups are flushed, not fenced: ``cid`` is new,
@@ -418,7 +434,7 @@ class TransactionManager:
         finally:
             ctx.exit_op()
         if barrier_lsn is not None:
-            self._wal.commit_barrier(barrier_lsn)
+            wal.commit_barrier(barrier_lsn)
         return cid
 
     def abort(self, ctx: TransactionContext) -> None:

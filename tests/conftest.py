@@ -13,6 +13,8 @@ from repro.core.database import Database
 from repro.nvm.pool import PMemMode, PMemPool
 from repro.storage.delta import DeltaPartition
 from repro.storage.merge import fold_generation, freeze_plan
+from repro.storage.mvcc import NO_TID
+from repro.storage.table import pack_rowref
 from repro.storage.types import DataType
 
 SMALL_EXTENT = 2 * 1024 * 1024
@@ -71,6 +73,27 @@ def merge_table(table, backend) -> tuple:
     publishes."""
     new_main = fold_generation(table, freeze_plan(table), backend)
     return new_main, DeltaPartition.create(table.schema, backend)
+
+
+def place_rows(delta, rows, tid: int = 1, cid=None) -> int:
+    """Append ``rows`` (values in schema order) to ``delta`` the way
+    ``insert_many`` places them: ``tid``'s uncommitted inserts, or, with
+    ``cid`` (one, or one per row), committed at it. Returns the first
+    row's index."""
+    first = delta.row_count
+    if rows:
+        columns = [list(column) for column in zip(*rows)]
+        delta.insert_rows_encoded(delta.encode_columns(columns), tid)
+        if cid is not None:
+            delta.mvcc.set_begin_range(first, len(rows), cid)
+            delta.mvcc.set_tid_range(first, len(rows), NO_TID)
+    return first
+
+
+def commit_rows(table, rows, cid=1) -> list[int]:
+    """``rows`` committed at ``cid`` in ``table``'s delta; their rowrefs."""
+    first = place_rows(table.delta, rows, cid=cid)
+    return [pack_rowref(True, first + i) for i in range(len(rows))]
 
 
 def make_config(mode: DurabilityMode, **overrides) -> EngineConfig:

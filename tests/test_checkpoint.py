@@ -3,7 +3,7 @@
 import pytest
 
 from repro.storage.backend import VolatileBackend
-from repro.storage.mvcc import INFINITY_CID, NO_TID
+from repro.storage.mvcc import INFINITY_CID
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 from repro.storage.types import DataType
@@ -17,18 +17,18 @@ from repro.wal.checkpoint import (
     write_segment,
 )
 
+from tests.conftest import commit_rows, place_rows
+
 SCHEMA = Schema.of(id=DataType.INT64, name=DataType.STRING, amount=DataType.FLOAT64)
 
 
 def _populated_table(backend, rows=25):
     table = Table.create(3, "snap", SCHEMA, backend)
-    for i in range(rows):
-        ref = table.insert_uncommitted(
-            [i, f"name{i % 4}", None if i % 7 == 0 else i * 1.5], tid=1
-        )
-        mvcc, idx = table.mvcc_for(ref)
-        mvcc.set_begin(idx, 1 + i % 3)
-        mvcc.set_tid(idx, NO_TID)
+    commit_rows(
+        table,
+        [[i, f"name{i % 4}", None if i % 7 == 0 else i * 1.5] for i in range(rows)],
+        cid=[1 + i % 3 for i in range(rows)],
+    )
     return table
 
 
@@ -53,7 +53,7 @@ class TestSnapshotRestore:
         backend = VolatileBackend()
         table = _populated_table(backend)
         table.main, table.delta = merge_table(table, backend)
-        table.insert_uncommitted([99, "fresh", 1.0], tid=5)
+        place_rows(table.delta, [[99, "fresh", 1.0]], tid=5)
         snap = snapshot_table(table)
         restored = restore_table(snap, VolatileBackend())
         assert restored.main_row_count == 25
@@ -82,7 +82,7 @@ class TestSnapshotRestore:
         backend = VolatileBackend()
         t1 = _populated_table(backend, rows=5)
         t2 = Table.create(7, "other", Schema.of(x=DataType.INT64), backend)
-        t2.insert_uncommitted([1], tid=1)
+        place_rows(t2.delta, [[1]])
         path = str(tmp_path / "seg.ckpt")
         write_segment(path, [snapshot_table(t1), snapshot_table(t2)])
         loaded = read_segment(path)

@@ -102,7 +102,7 @@ class TestAllocators:
             THREADS,
             lambda i: [db.begin().abort() for _ in range(50)],
         )
-        assert db._manager.active_count == 0
+        assert len(db._manager.active) == 0
         db.begin().abort()  # slots all recycled
         db.close()
 

@@ -155,7 +155,7 @@ class TestRowValidation:
         any_db.create_table("t", {"a": DataType.INT64})
         with pytest.raises((TypeError, KeyError)):
             getattr(any_db, method)("t", payload)
-        assert any_db._manager.active_count == 0
+        assert len(any_db._manager.active) == 0
         assert any_db.query("t").count == 0
         assert any_db.verify() == []
 
@@ -179,7 +179,7 @@ class TestRowValidation:
         with pytest.raises(OSError, match="injected"):
             any_db.insert_many("t", [{"a": 1}, {"a": 2}])
         monkeypatch.undo()
-        assert (any_db._manager.active_count, any_db._manager.aborts) == (0, 1)
+        assert (len(any_db._manager.active), any_db._manager.aborts) == (0, 1)
         assert any_db.bulk_insert("t", [{"a": 3}]) == any_db.last_cid
         assert any_db.query("t").column("a") == [3]
         assert any_db.verify() == []
@@ -196,7 +196,7 @@ class TestRowValidation:
         with pytest.raises(SimulatedPowerFailure):
             none_db.insert("t", {"a": 1})
         monkeypatch.undo()
-        assert (none_db._manager.active_count, none_db._manager.aborts) == (1, 0)
+        assert (len(none_db._manager.active), none_db._manager.aborts) == (1, 0)
 
 
 class TestRecordTooLarge:
@@ -222,7 +222,7 @@ class TestRecordTooLarge:
         with pytest.raises(RecordTooLarge):
             db.insert("t", {"id": 2, "v": self.HUGE})
         assert db.verify() == []  # no row left locked
-        assert db._manager.active_count == 0
+        assert len(db._manager.active) == 0
         assert db._driver._wal._staged == {}
         assert db._driver._wal.flush_to_os() == size
         assert db.query("t").column("id") == [1]

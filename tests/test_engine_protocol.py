@@ -183,7 +183,7 @@ def test_insert_each_against_a_model(tmp_path, mode):
                 model[r.get("id")] = r["val"]
         assert visible(engine) == model
         assert engine.verify() == []
-        assert engine._manager.active_count == 0
+        assert len(engine._manager.active) == 0
 
     # -- good, malformed and NULL-key rows in one call ---------------------
     rows = [row(k, k * 10) for k in range(40)]

@@ -129,7 +129,7 @@ class TestCkptMix:
         sweep._execute(engine, step)
         assert seen == [1]
         assert sweep._completed_ops == {1, 2, 3}
-        assert engine._manager.active_count == 0
+        assert len(engine._manager.active) == 0
         rows = engine.query(TABLE).rows()
         assert {r["key"]: r["note"] for r in rows} == {1: "new", 3: "fresh"}
         engine.close()
@@ -314,6 +314,53 @@ def test_sweep_replicated_workload(tmp_path, mode, ack):
     assert report["points_total"] > 0
     assert report["ack_mode"] == ack
     assert report["crash_kinds_swept"]
+
+
+@pytest.mark.parametrize(
+    "mode,ack",
+    REPLICATED_CELLS,
+    ids=[f"{m}-{a}" for m, a in REPLICATED_CELLS],
+)
+def test_sweep_attach_workload(tmp_path, mode, ack):
+    """A follower attaches mid-run beside three open transactions (one
+    commits after it, one aborts, one is open at the crash); crash
+    points land before, inside and after the attach."""
+    settings = SweepSettings(
+        workload="attach", mode=mode, sample=10, seed=7, ack_mode=ack
+    )
+    report = CrashSweep(str(tmp_path), settings).run()
+    assert report["violations"] == []
+    assert report["points_total"] > 0
+    assert report["ack_mode"] == ack
+
+
+class TestAttachWorkload:
+    def test_the_attach_runs_beside_three_open_transactions(self, tmp_path):
+        sweep = CrashSweep(
+            str(tmp_path),
+            SweepSettings(workload="attach", mode="nvm", ack_mode="semi_sync"),
+        )
+        attach, seen = sweep._attach_replication, []
+
+        def observed_attach(engine):
+            active = engine._manager.active.values()
+            seen.append(sum(bool(ctx.ops) for ctx in active))
+            return attach(engine)
+
+        sweep._attach_replication = observed_attach
+        result, _ = sweep.run_point(None)
+        assert seen == [3]
+        assert result.problems == []
+
+    def test_hold_keys_leave_the_plan(self):
+        steps = make_workload("attach", 7).steps
+        held = {k for s in steps if s.kind == "hold" for k, _ in s.rows}
+        later = {s.key for s in steps if s.kind in ("update", "delete")}
+        assert held and not held & later
+        ends = [s for s in steps if s.kind in ("commit", "abort")]
+        assert [s.kind for s in ends] == ["commit", "abort"]
+        assert Step("abort", rows=ends[1].rows).effects() == {}
+        assert ends[0].effects() == dict(ends[0].rows)
 
 
 def test_replicated_workload_rejects_unshippable_cells(tmp_path):

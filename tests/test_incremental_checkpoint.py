@@ -269,7 +269,7 @@ class TestCheckpointScheduling:
         writer.start()
         writer.join(60.0)
         assert not writer.is_alive()
-        assert db._manager.active_count == 1
+        assert len(db._manager.active) == 1
         assert checkpoints.value - before >= 3
         per_commit = db._driver._wal.lsn / commits
         # Replay never covered more than a few dozen commits; with no

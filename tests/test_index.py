@@ -6,22 +6,17 @@ from repro.index.delta_index import VolatileDeltaIndex
 from repro.index.groupkey import GroupKeyIndex
 from repro.index.table_index import TableIndex
 from repro.storage.backend import NvmBackend, VolatileBackend
-from repro.storage.mvcc import NO_TID
 from repro.storage.schema import Schema
 from repro.storage.table import Table, unpack_rowref
 from repro.storage.types import DataType
 
-from tests.conftest import merge_table
+from tests.conftest import commit_rows, merge_table
 
 SCHEMA = Schema.of(k=DataType.INT64, v=DataType.STRING)
 
 
 def _commit(table, values, cid=1):
-    ref = table.insert_uncommitted(values, tid=1)
-    mvcc, idx = table.mvcc_for(ref)
-    mvcc.set_begin(idx, cid)
-    mvcc.set_tid(idx, NO_TID)
-    return ref
+    return commit_rows(table, [values], cid)[0]
 
 
 def _merged_table(backend, keys):

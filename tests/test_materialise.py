@@ -25,7 +25,7 @@ from repro.storage.mvcc import INFINITY_CID
 from repro.storage.schema import Schema
 from repro.storage.types import DataType
 
-from tests.conftest import make_config
+from tests.conftest import make_config, place_rows
 
 _FIXTURE_OK = dict(
     deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -185,8 +185,7 @@ _ALL_NULL_NAME = st.tuples(
 @settings(max_examples=60, **_FIXTURE_OK)
 def test_delta_decode_with_and_without_positions_agree(backend, rows, data):
     delta = DeltaPartition.create(SCHEMA, backend, chunk_capacity=4)
-    for row in rows:
-        delta.insert_row(list(row), tid=1)
+    place_rows(delta, rows)
     n = len(rows)
     picked = data.draw(st.lists(st.integers(0, n - 1), max_size=20)) if n else []
     positions = np.asarray(picked, dtype=np.int64)
@@ -209,8 +208,7 @@ def test_gather_rejects_a_crash_torn_tail(backend):
     """Code vectors run ahead of the begin vector when an insert tore;
     the published row count, not ``len(vector)``, bounds a gather."""
     delta = DeltaPartition.create(SCHEMA, backend)
-    delta.insert_row([1, "a", 1.0], tid=1)
-    delta.insert_row([2, "b", 2.0], tid=1)
+    place_rows(delta, [[1, "a", 1.0], [2, "b", 2.0]])
     for vector in delta.code_vectors:
         vector.extend(np.asarray([0, 0, 0], dtype=np.uint32))
     assert delta.row_count == 2 < len(delta.code_vectors[0])

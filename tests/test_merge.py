@@ -5,12 +5,11 @@ import pytest
 
 from repro.storage.backend import NvmBackend, VolatileBackend
 from repro.storage.merge import replay_merge
-from repro.storage.mvcc import NO_TID
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 from repro.storage.types import DataType
 
-from tests.conftest import merge_table
+from tests.conftest import commit_rows, merge_table, place_rows
 
 
 @pytest.fixture(params=["volatile", "nvm"])
@@ -23,12 +22,8 @@ def backend(request, pool):
 SCHEMA = Schema.of(id=DataType.INT64, tag=DataType.STRING)
 
 
-def _commit_row(table, values, cid, tid=1):
-    ref = table.insert_uncommitted(values, tid)
-    mvcc, idx = table.mvcc_for(ref)
-    mvcc.set_begin(idx, cid)
-    mvcc.set_tid(idx, NO_TID)
-    return ref
+def _commit_row(table, values, cid):
+    return commit_rows(table, [values], cid)[0]
 
 
 def _invalidate(table, ref, cid):
@@ -58,7 +53,7 @@ class TestMerge:
     def test_drops_uncommitted_garbage(self, backend):
         table = Table.create(1, "t", SCHEMA, backend)
         _commit_row(table, [1, "keep"], cid=1)
-        table.insert_uncommitted([2, "aborted"], tid=9)  # never committed
+        place_rows(table.delta, [[2, "aborted"]], tid=9)  # never committed
         table.main, table.delta = merge_table(table, backend)
         assert table.main_row_count == 1
         assert table.main.decode_column(1) == ["keep"]

@@ -6,13 +6,12 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.storage.backend import VolatileBackend
-from repro.storage.mvcc import NO_TID
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 from repro.storage.types import DataType
 from repro.query.scan import scan
 
-from tests.conftest import merge_table
+from tests.conftest import commit_rows, merge_table
 
 SCHEMA = Schema.of(k=DataType.INT64, s=DataType.STRING, f=DataType.FLOAT64)
 
@@ -44,11 +43,9 @@ def _build(rows, backend=None, table=None):
     for key, text, number, begin, end in rows:
         if end is not None and end < begin:
             begin, end = end, begin
-        ref = table.insert_uncommitted([key, text, number], tid=1)
-        mvcc, idx = table.mvcc_for(ref)
-        mvcc.set_begin(idx, begin)
-        mvcc.set_tid(idx, NO_TID)
+        (ref,) = commit_rows(table, [[key, text, number]], begin)
         if end is not None:
+            mvcc, idx = table.mvcc_for(ref)
             mvcc.set_end(idx, end)
     return backend, table
 

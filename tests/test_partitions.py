@@ -12,6 +12,8 @@ from repro.storage.schema import Schema
 from repro.storage.table import Table, pack_rowref, unpack_rowref
 from repro.storage.types import DataType
 
+from tests.conftest import place_rows
+
 
 @pytest.fixture(params=["volatile", "nvm"])
 def backend(request, pool):
@@ -36,10 +38,10 @@ class TestRowRef:
 
 
 class TestMvccColumns:
-    def test_append_uncommitted(self, backend):
-        mvcc = MvccColumns.create(backend)
-        row = mvcc.append_uncommitted(tid=7)
-        assert row == 0
+    def test_an_uncommitted_row(self, backend):
+        delta = DeltaPartition.create(SCHEMA, backend)
+        assert place_rows(delta, [[1, "x", 2.5]], tid=7) == 0
+        mvcc = delta.mvcc
         assert mvcc.get_begin(0) == INFINITY_CID
         assert mvcc.get_end(0) == INFINITY_CID
         assert mvcc.get_tid(0) == 7
@@ -56,7 +58,11 @@ class TestMvccColumns:
 
     def test_set_begin_end_tid(self, backend):
         mvcc = MvccColumns.create(backend)
-        mvcc.append_uncommitted(tid=3)
+        mvcc.extend_committed(
+            np.array([INFINITY_CID], dtype=np.uint64),
+            np.array([INFINITY_CID], dtype=np.uint64),
+        )
+        mvcc.set_tid(0, 3)
         mvcc.set_begin(0, 9)
         mvcc.set_end(0, 12)
         mvcc.set_tid(0, NO_TID)
@@ -68,8 +74,7 @@ class TestMvccColumns:
 class TestDeltaPartition:
     def test_insert_and_read(self, backend):
         delta = DeltaPartition.create(SCHEMA, backend)
-        row = delta.insert_row([1, "x", 2.5], tid=9)
-        assert row == 0
+        assert place_rows(delta, [[1, "x", 2.5]], tid=9) == 0
         assert delta.row_count == 1
         assert delta.decode_column(0, np.asarray([0]))[0] == 1
         assert delta.decode_column(1, np.asarray([0]))[0] == "x"
@@ -77,21 +82,21 @@ class TestDeltaPartition:
 
     def test_null_handling(self, backend):
         delta = DeltaPartition.create(SCHEMA, backend)
-        delta.insert_row([None, None, None], tid=1)
+        place_rows(delta, [[None, None, None]])
         assert delta.decode_column(0, np.asarray([0]))[0] is None
         assert delta.decode_column(1) == [None]
 
     def test_shared_dictionary_codes(self, backend):
         delta = DeltaPartition.create(SCHEMA, backend)
-        delta.insert_row([7, "same", 0.0], tid=1)
-        delta.insert_row([8, "same", 0.0], tid=1)
+        place_rows(delta, [[7, "same", 0.0]])
+        place_rows(delta, [[8, "same", 0.0]])
         codes = delta.column_codes(1)
         assert codes[0] == codes[1]
         assert len(delta.dictionaries[1]) == 1
 
     def test_crash_leftover_overwritten(self, backend):
         delta = DeltaPartition.create(SCHEMA, backend)
-        delta.insert_row([1, "a", 1.0], tid=1)
+        place_rows(delta, [[1, "a", 1.0]])
         # Simulate a torn insert: column vectors ahead of the begin vector.
         delta.code_vectors[0].append(42)
         delta.code_vectors[1].append(42)
@@ -99,8 +104,7 @@ class TestDeltaPartition:
         delta.mvcc.end.append(INFINITY_CID)
         delta.mvcc.tid.append(5)
         assert delta.row_count == 1  # publish never happened
-        row = delta.insert_row([2, "b", 2.0], tid=2)
-        assert row == 1
+        assert place_rows(delta, [[2, "b", 2.0]], tid=2) == 1
         assert delta.decode_column(0, np.asarray([1]))[0] == 2
         assert delta.decode_column(1, np.asarray([1]))[0] == "b"
 
@@ -224,7 +228,7 @@ class TestTable:
 
     def test_insert_and_get_row(self, backend):
         table = Table.create(1, "t", SCHEMA, backend)
-        ref = table.insert_uncommitted([1, "a", 0.5], tid=3)
+        ref = pack_rowref(True, place_rows(table.delta, [[1, "a", 0.5]], tid=3))
         assert unpack_rowref(ref) == (True, 0)
         assert table.get_row(ref) == [1, "a", 0.5]
         assert table.get_row_dict(ref) == {"id": 1, "name": "a", "score": 0.5}
@@ -236,7 +240,7 @@ class TestTable:
 
     def test_stats(self, backend):
         table = Table.create(1, "t", SCHEMA, backend)
-        table.insert_uncommitted([1, "a", 0.5], tid=3)
+        place_rows(table.delta, [[1, "a", 0.5]], tid=3)
         stats = table.stats()
         assert stats["delta_rows"] == 1
         assert stats["main_rows"] == 0

@@ -19,12 +19,11 @@ from repro.query.predicate import (
 )
 from repro.query.scan import scan
 from repro.storage.backend import VolatileBackend
-from repro.storage.mvcc import NO_TID
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 from repro.storage.types import DataType
 
-from tests.conftest import merge_table
+from tests.conftest import commit_rows, merge_table
 
 SCHEMA = Schema.of(id=DataType.INT64, grade=DataType.STRING, score=DataType.FLOAT64)
 
@@ -39,11 +38,7 @@ ROWS = [
 
 
 def _commit_all(table, rows, cid=1):
-    for values in rows:
-        ref = table.insert_uncommitted(list(values), tid=1)
-        mvcc, idx = table.mvcc_for(ref)
-        mvcc.set_begin(idx, cid)
-        mvcc.set_tid(idx, NO_TID)
+    commit_rows(table, rows, cid)
 
 
 @pytest.fixture(params=["delta_only", "merged", "split"])

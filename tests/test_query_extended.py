@@ -422,7 +422,7 @@ class TestDropRacingATransaction:
                 assert not writer.is_alive()
         finally:
             sys.setswitchinterval(interval)
-        assert db._manager.active_count == 0
+        assert len(db._manager.active) == 0
         assert db.verify() == []
         db.crash()
         db = Database(path, make_config(mode))

@@ -29,12 +29,11 @@ from repro.query.join import (
 from repro.query.predicate import Eq, Gt, In
 from repro.query.scan import scan
 from repro.storage.backend import VolatileBackend
-from repro.storage.mvcc import NO_TID
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 from repro.storage.types import DataType
 
-from tests.conftest import make_config, merge_table
+from tests.conftest import commit_rows, make_config, merge_table
 
 SCHEMA = Schema.of(
     id=DataType.INT64,
@@ -59,11 +58,7 @@ ROWS = [
 
 
 def _commit_all(table, rows, cid=1):
-    for values in rows:
-        ref = table.insert_uncommitted(list(values), tid=1)
-        mvcc, idx = table.mvcc_for(ref)
-        mvcc.set_begin(idx, cid)
-        mvcc.set_tid(idx, NO_TID)
+    commit_rows(table, rows, cid)
 
 
 def _build(layout, schema=SCHEMA, rows=ROWS, name="t", table_id=1):

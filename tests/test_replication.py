@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import errno
 import os
+import sys
+import threading
+import time
 
 import pytest
 
@@ -333,23 +337,101 @@ class TestBootstrap:
         shipper.close()
         db.close()
 
-    def test_nvm_attach_refuses_an_open_transaction(self, tmp_path):
-        """What an open NVM transaction did before the ship log existed
-        was never staged: the attach refuses, and leaves no ship log."""
+    @pytest.mark.parametrize("ack_mode", [AckMode.ASYNC, AckMode.SEMI_SYNC])
+    @pytest.mark.parametrize("outcome", ["commit", "abort", "open"])
+    def test_nvm_attach_beside_an_open_transaction(
+        self, tmp_path, outcome, ack_mode
+    ):
+        """The attach stages what an open transaction did before the ship
+        log existed: its commit ships it whole, its abort ships nothing,
+        and with it open at the crash the promoted follower equals the
+        recovered primary."""
+        path = str(tmp_path / "primary")
+        db = Database(path, EngineConfig(mode=DurabilityMode.NVM))
+        db.create_table("t", SCHEMA)
+        db.insert_many("t", [{"id": i, "v": f"v{i}"} for i in range(4)])
+        txn = db.begin()
+        txn.insert_many("t", [{"id": 10 + i, "v": f"open{i}"} for i in range(3)])
+        txn.update("t", db.query("t", Eq("id", 0)).refs()[0], {"v": "moved"})
+        txn.delete("t", db.query("t", Eq("id", 1)).refs()[0])
+        shipper, (replica,) = _replicate(tmp_path, db, ack_mode)
+        db.insert("t", {"id": 4, "v": "beside"})
+        txn.insert("t", {"id": 13, "v": "after-attach"})
+        if outcome == "commit":
+            txn.commit()
+        elif outcome == "abort":
+            txn.abort()
+        db.insert("t", {"id": 5, "v": "v5"})
+        assert shipper.sync_followers(timeout_s=10.0)
+        expected = {0: "v0", 1: "v1", 2: "v2", 3: "v3", 4: "beside", 5: "v5"}
+        if outcome == "commit":
+            del expected[1]
+            expected.update({0: "moved", 10: "open0", 11: "open1"})
+            expected.update({12: "open2", 13: "after-attach"})
+        shipper.stop()
+        if outcome == "open":
+            db.crash(seed=5)
+            db = Database(path, EngineConfig(mode=DurabilityMode.NVM))
+        promoted = replica.promote(
+            EngineConfig(mode=DurabilityMode.LOG, group_commit_size=1)
+        )
+        try:
+            assert _rows(promoted) == _rows(db) == expected
+            assert promoted.verify() == []
+        finally:
+            promoted.close()
+            replica.close()
+            db.close()
+
+    def test_nvm_attach_racing_writers(self, tmp_path):
+        """Four writers, each holding a transaction open across yields,
+        keep inserting and updating while the ship log is attached 22
+        times; at a 10 µs switch interval the follower of the last attach
+        still ends equal to the primary."""
         db = Database(
             str(tmp_path / "primary"), EngineConfig(mode=DurabilityMode.NVM)
         )
         db.create_table("t", SCHEMA)
-        txn = db.begin()
-        txn.insert("t", {"id": 1, "v": "in-flight"})
-        with pytest.raises(RuntimeError, match="open transaction"):
-            WalShipper(db, ack_mode=AckMode.SEMI_SYNC)
-        assert db._driver.wal is None
-        assert db._manager._wal is None
-        txn.commit()
-        shipper, (replica,) = _replicate(tmp_path, db, AckMode.SEMI_SYNC)
-        assert shipper.sync_followers(timeout_s=10.0)
-        assert _rows(replica) == {1: "in-flight"}
+        db.insert_many("t", [{"id": w, "v": "base"} for w in range(4)])
+        stop, errors = threading.Event(), []
+
+        def writer(w: int) -> None:
+            n = 0
+            try:
+                while not stop.is_set():
+                    with db.begin() as txn:
+                        txn.insert("t", {"id": 100 * (w + 1) + n, "v": "new"})
+                        time.sleep(0)
+                        ref = txn.query("t", Eq("id", w)).refs()[0]
+                        txn.update("t", ref, {"v": f"w{w}-{n}"})
+                    n += 1
+            except Exception as exc:  # reported below, not swallowed
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threads = [threading.Thread(target=writer, args=(w,)) for w in range(4)]
+        try:
+            for thread in threads:
+                thread.start()
+            time.sleep(0.05)
+            first = WalShipper(db, ack_mode=AckMode.ASYNC)
+            for _ in range(20):
+                time.sleep(0.002)
+                WalShipper(db, ack_mode=AckMode.ASYNC)
+            shipper, (replica,) = _replicate(tmp_path, db, AckMode.SEMI_SYNC)
+            time.sleep(0.1)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert first._wal._file.closed
+        assert shipper.sync_followers(timeout_s=20.0)
+        assert len(_rows(db)) > 8
+        assert _rows(replica) == _rows(db)
         shipper.close()
         db.close()
 
@@ -390,6 +472,88 @@ class TestBootstrap:
         )
         with pytest.raises(RuntimeError, match="cannot ship"):
             WalShipper(db)
+        db.close()
+
+
+class TestShipLogLifecycle:
+    """An NVM primary mirrors into its ship log exactly while a shipper
+    is attached: never before, never after, and never into two."""
+
+    def _nvm_db(self, tmp_path) -> Database:
+        db = Database(
+            str(tmp_path / "primary"), EngineConfig(mode=DurabilityMode.NVM)
+        )
+        db.create_table("t", SCHEMA)
+        db.insert("t", {"id": 0, "v": "v0"})
+        return db
+
+    def _unwired(self, db) -> bool:
+        return db._driver.wal is None and db._manager._wal is None
+
+    def test_stop_unwires_and_closes_the_ship_log(self, tmp_path):
+        db = self._nvm_db(tmp_path)
+        shipper, _ = _replicate(tmp_path, db, AckMode.ASYNC)
+        wal = shipper._wal
+        shipper.close()
+        assert self._unwired(db) and wal._file.closed
+        size = os.path.getsize(db._driver.ship_log_path)
+        db.insert_many("t", [{"id": i, "v": "x"} for i in range(1, 200)])
+        assert os.path.getsize(db._driver.ship_log_path) == size
+        db.close()
+
+    def test_a_failed_attach_leaves_no_ship_log_wired(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.replication import ship
+
+        db = self._nvm_db(tmp_path)
+
+        def no_space(*args):
+            raise OSError(errno.ENOSPC, "no space left on device")
+
+        monkeypatch.setattr(ship, "snapshot_table", no_space)
+        with pytest.raises(OSError):
+            WalShipper(db, ack_mode=AckMode.SEMI_SYNC)
+        assert self._unwired(db)
+        monkeypatch.undo()
+        txn = db.begin()
+        txn.insert("t", {"id": 1, "v": "open"})
+        shipper, (replica,) = _replicate(tmp_path, db, AckMode.SEMI_SYNC)
+        txn.commit()
+        assert shipper.sync_followers(timeout_s=10.0)
+        assert _rows(replica) == _rows(db) == {0: "v0", 1: "open"}
+        shipper.close()
+        db.close()
+
+    def test_a_reattach_closes_the_previous_ship_log(self, tmp_path):
+        db = self._nvm_db(tmp_path)
+        first = WalShipper(db, ack_mode=AckMode.ASYNC)
+        db.insert("t", {"id": 1, "v": "v1"})
+        second, (replica,) = _replicate(tmp_path, db, AckMode.SEMI_SYNC)
+        assert first._wal._file.closed
+        assert db._driver.wal is second._wal is db._manager._wal
+        first.close()  # no longer its ship log: leaves it wired
+        assert db._driver.wal is second._wal
+        db.insert("t", {"id": 2, "v": "v2"})
+        assert second.sync_followers(timeout_s=10.0)
+        assert _rows(replica) == _rows(db) == {0: "v0", 1: "v1", 2: "v2"}
+        second.close()
+        db.close()
+
+    def test_a_reattach_restages_an_open_transaction(self, tmp_path):
+        """What the first ship log staged goes with it: the second attach
+        stages the open transaction again from its operations."""
+        db = self._nvm_db(tmp_path)
+        first = WalShipper(db, ack_mode=AckMode.ASYNC)
+        txn = db.begin()
+        txn.insert("t", {"id": 1, "v": "open"})
+        second, (replica,) = _replicate(tmp_path, db, AckMode.SEMI_SYNC)
+        txn.update("t", db.query("t", Eq("id", 0)).refs()[0], {"v": "moved"})
+        txn.commit()
+        first.close()
+        assert second.sync_followers(timeout_s=10.0)
+        assert _rows(replica) == _rows(db) == {0: "moved", 1: "open"}
+        second.close()
         db.close()
 
 

@@ -227,7 +227,7 @@ def active_transactions(served, tenant="acme") -> int:
     catalog = served.server.catalog
     engine = catalog.acquire(tenant)
     try:
-        return engine._manager.active_count
+        return len(engine._manager.active)
     finally:
         catalog.release(tenant)
 

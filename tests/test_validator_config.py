@@ -6,10 +6,11 @@ from repro.core.config import EngineConfig
 from repro.nvm.latency import LatencyModel, NvmStats, busy_wait_ns
 from repro.recovery.validator import validate_database, validate_table
 from repro.storage.backend import VolatileBackend
-from repro.storage.mvcc import NO_TID
 from repro.storage.schema import Schema
 from repro.storage.table import Table
 from repro.storage.types import DataType
+
+from tests.conftest import commit_rows, place_rows
 
 SCHEMA = Schema.of(id=DataType.INT64)
 
@@ -17,10 +18,7 @@ SCHEMA = Schema.of(id=DataType.INT64)
 def _committed_table():
     backend = VolatileBackend()
     table = Table.create(1, "t", SCHEMA, backend)
-    ref = table.insert_uncommitted([1], tid=1)
-    mvcc, idx = table.mvcc_for(ref)
-    mvcc.set_begin(idx, 1)
-    mvcc.set_tid(idx, NO_TID)
+    commit_rows(table, [[1]])
     return table
 
 
@@ -50,7 +48,7 @@ class TestValidator:
     def test_invalidated_uncommitted_detected(self):
         backend = VolatileBackend()
         table = Table.create(1, "t", SCHEMA, backend)
-        table.insert_uncommitted([1], tid=0)
+        place_rows(table.delta, [[1]], tid=0)
         table.delta.mvcc.set_end(0, 1)
         problems = validate_table(table, last_cid=1)
         assert any("never committed" in p for p in problems)
@@ -65,7 +63,7 @@ class TestValidator:
         # Rolled-back rows (begin INF, tid 0) are expected and valid.
         backend = VolatileBackend()
         table = Table.create(1, "t", SCHEMA, backend)
-        table.insert_uncommitted([1], tid=0)
+        place_rows(table.delta, [[1]], tid=0)
         assert validate_table(table, last_cid=0) == []
 
 
