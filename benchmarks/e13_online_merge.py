@@ -50,12 +50,7 @@ def _merge_stall(rows: int, online: bool) -> dict:
     """
     with tempfile.TemporaryDirectory(prefix="e13-") as path:
         db = Database(
-            path,
-            config_for(
-                DurabilityMode.NONE,
-                merge_chunk_rows=65_536,
-                merge_cutover_timeout_s=30.0,
-            ),
+            path, config_for(DurabilityMode.NONE, merge_cutover_timeout_s=30.0)
         )
         db.create_table("orders", ORDERS_SCHEMA)
         for lo in range(0, rows, _LOAD_BATCH):

@@ -13,12 +13,16 @@ signals) fronts the engine:
   on the NVM driver, and 16 connections holding >= 0.7x what 2 do (a
   bigger tick, not a longer convoy). A LOG tenant at 2 connections is
   reported beside them.
-* **restart downtime as a client sees it** — load a tenant, SIGKILL the
-  server mid-service, restart it at once, and measure kill → first
-  successful response from a reconnecting client: process start +
-  catalog recovery + tenant recovery, not just replay wall time. Bar:
-  under one second for an NVM tenant, engine recovery a slice of it,
-  and every acked row present afterwards in both modes.
+* **restart downtime as a client sees it** — load two tenants whose
+  tables share a name, SIGKILL the server mid-service, restart it at
+  once, and measure kill → first successful response from a
+  reconnecting client: process start + catalog recovery + tenant
+  recovery, not just replay wall time. Each tenant's load ends with one
+  pipeline of single-row inserts, so the kill follows ticks whose rows
+  shared a commit. Bars: under one second in NVM mode, engine recovery
+  a slice of it; in both modes every row acked to a tenant is back in
+  that tenant, no tenant sees the other's rows, and each tenant's
+  request metrics are readable over the wire.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import tempfile
 import threading
 import time
 
+from repro.query.predicate import Eq
 from repro.server.client import ReproClient, wait_for_server
 from repro.server.proc import free_port, spawn_server
 from repro.server.protocol import Op
@@ -36,9 +41,15 @@ TITLE = "E15: aggregate served req/s vs pipelining connections"
 RESTART_TITLE = "E15: SIGKILL -> first successful response"
 
 TENANT = "bench"
+#: The restart act's tenants; each holds a table named ``TABLE``.
+TENANTS = ("acme", "globex")
 TABLE = "items"
 SCHEMA = [["id", "int64"], ["grp", "string"], ["qty", "int64"]]
 PIPELINE_DEPTH = 32
+#: Rows loaded into each restart tenant; the last ``PIPELINED_TAIL``
+#: of them as one pipeline.
+RESTART_ROWS = 10_000
+PIPELINED_TAIL = 50
 QUERY_EVERY = 5
 _HOST = "127.0.0.1"
 
@@ -59,10 +70,11 @@ def _stop(proc) -> None:
             proc.wait(timeout=30)
 
 
-def _create_table(port: int) -> None:
+def _create_tables(port: int, tenants=(TENANT,)) -> None:
     with ReproClient(_HOST, port) as admin:
-        admin.create_tenant(TENANT)
-        admin.create_table(TABLE, SCHEMA, tenant=TENANT)
+        for tenant in tenants:
+            admin.create_tenant(tenant)
+            admin.create_table(TABLE, SCHEMA, tenant=tenant)
 
 
 def _request(slot: int, n: int) -> tuple:
@@ -84,7 +96,7 @@ def _throughput(connections: int, requests_per_conn: int, mode: str) -> dict:
             base, port, mode=mode, max_inflight=2 * connections * PIPELINE_DEPTH
         )
         try:
-            _create_table(port)
+            _create_tables(port)
             ok = [0] * connections
             failed = [0] * connections
             barrier = threading.Barrier(connections + 1)
@@ -125,22 +137,33 @@ def _throughput(connections: int, requests_per_conn: int, mode: str) -> dict:
     }
 
 
+def _load_tenant(port: int, tenant: str, rows: int) -> int:
+    """Insert ``rows`` rows tagged with the tenant's name; returns how
+    many were acked. The last ``PIPELINED_TAIL`` go as one pipeline of
+    single-row inserts, which the server coalesces into ticks."""
+    load = [
+        {"id": i, "grp": f"{tenant}-g{i % 7}", "qty": i % 13} for i in range(rows)
+    ]
+    bulk, tail = load[:-PIPELINED_TAIL], load[-PIPELINED_TAIL:]
+    with ReproClient(_HOST, port, tenant=tenant) as client:
+        acked = sum(
+            client.insert_many(TABLE, bulk[lo : lo + 5000])
+            for lo in range(0, len(bulk), 5000)
+        )
+        window = [(Op.INSERT, {"table": TABLE, "row": row}) for row in tail]
+        return acked + sum(r.ok for r in client.pipeline(window))
+
+
 def _restart_downtime(rows: int, mode: str) -> dict:
-    """Load ``rows`` acked rows, SIGKILL, restart; seconds from the kill
-    to the first successful response, and the rows the tenant kept."""
+    """Load ``rows`` rows into each tenant, SIGKILL, restart; seconds
+    from the kill to the first successful response, and what each
+    tenant kept, saw of the other and counted over the wire."""
     with tempfile.TemporaryDirectory(prefix="e15-restart-") as base:
         port = free_port()
         proc = _start(base, port, mode=mode)
         try:
-            _create_table(port)
-            acked = 0
-            with ReproClient(_HOST, port, tenant=TENANT) as client:
-                while acked < rows:
-                    batch = [
-                        {"id": acked + i, "grp": f"g{(acked + i) % 7}", "qty": i % 13}
-                        for i in range(min(5000, rows - acked))
-                    ]
-                    acked += client.insert_many(TABLE, batch)
+            _create_tables(port, TENANTS)
+            acked = {tenant: _load_tenant(port, tenant, rows) for tenant in TENANTS}
 
             t_kill = time.monotonic()
             proc.kill()
@@ -150,18 +173,33 @@ def _restart_downtime(rows: int, mode: str) -> dict:
             downtime_s = time.monotonic() - t_kill
 
             with ReproClient(_HOST, port) as client:
-                recovered = client.aggregate(TABLE, "count", tenant=TENANT)
-                report = client.recovery_reports(TENANT)[TENANT]
+                lost = leaked = 0
+                for tenant, other in zip(TENANTS, reversed(TENANTS)):
+                    got = client.aggregate(TABLE, "count", tenant=tenant)
+                    lost += abs(acked[tenant] - got)
+                    foreign = Eq("grp", f"{other}-g0")
+                    leaked += client.query_full(TABLE, foreign, tenant=tenant)["count"]
+                reports = client.recovery_reports()
+                metered = {
+                    tenant
+                    for key in client.metrics()
+                    if key.startswith("server_requests_total")
+                    for tenant in TENANTS
+                    if f'tenant="{tenant}"' in key
+                }
         finally:
             _stop(proc)
     return {
         "table": RESTART_TITLE,
         "mode": mode,
-        "rows_acked": acked,
+        "tenants": len(TENANTS),
+        "rows_acked": sum(acked.values()),
         "downtime_s": downtime_s,
         "probe_wait_s": waited,
-        "engine_recovery_s": report.get("total_seconds", 0.0),
-        "rows_recovered": recovered,
+        "engine_recovery_s": sum(reports[t]["total_seconds"] for t in TENANTS),
+        "rows_lost": lost,
+        "rows_leaked": leaked,
+        "tenants_metered": len(metered),
     }
 
 
@@ -177,7 +215,7 @@ def run(quick: bool) -> list[dict]:
         for _ in range(repeats)
     ]
     rows_out.append(_throughput(2, requests, "log"))
-    rows_out += [_restart_downtime(20_000, mode) for mode in ("nvm", "log")]
+    rows_out += [_restart_downtime(RESTART_ROWS, mode) for mode in ("nvm", "log")]
     return rows_out
 
 
@@ -188,8 +226,12 @@ def check(rows: list[dict], quick: bool) -> None:
     for row in served:
         assert row["requests_failed"] == 0
         assert row["requests_ok"] == row["requests_sent"]
+    # Each tenant got back exactly its acked rows and only its own, and
+    # reports its requests, in both modes.
     for row in restarts.values():
-        assert row["rows_recovered"] == row["rows_acked"]
+        assert row["rows_acked"] == row["tenants"] * RESTART_ROWS
+        assert row["rows_lost"] == 0 and row["rows_leaked"] == 0
+        assert row["tenants_metered"] == row["tenants"]
     rate = {}
     for row in served:
         if row["mode"] == "nvm":

@@ -18,9 +18,9 @@ from __future__ import annotations
 import tempfile
 
 from repro.core import Database, DurabilityMode
-from repro.workloads.ycsb import YcsbConfig, YcsbDriver
 
 from benchmarks.harness import WAL_FSYNC_S, config_for
+from benchmarks.workloads import YcsbConfig, YcsbDriver
 
 TITLE = "E3: YCSB throughput by durability mode (400 records)"
 

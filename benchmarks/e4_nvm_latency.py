@@ -17,9 +17,9 @@ import tempfile
 
 from repro.core import Database, DurabilityMode
 from repro.nvm.latency import LatencyModel
-from repro.workloads.ycsb import YcsbConfig, YcsbDriver
 
 from benchmarks.harness import config_for
+from benchmarks.workloads import YcsbConfig, YcsbDriver
 
 TITLE = "E4: throughput vs simulated NVM write latency"
 SERIES = ("latency_multiplier", ["write_heavy_ops_s", "read_heavy_ops_s"])

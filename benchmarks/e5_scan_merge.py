@@ -26,9 +26,9 @@ import time
 
 from repro.core import Database, DurabilityMode
 from repro.query.predicate import Between, Eq
-from repro.workloads.generator import RowGenerator
 
 from benchmarks.harness import config_for, median_of
+from benchmarks.workloads import RowGenerator
 
 TITLE = "E5: scan latency vs delta fill"
 

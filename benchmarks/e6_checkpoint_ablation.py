@@ -16,9 +16,9 @@ import tempfile
 
 from repro.core import Database, DurabilityMode
 from repro.query.predicate import Eq
-from repro.workloads.generator import RowGenerator
 
 from benchmarks.harness import config_for, timed_open
+from benchmarks.workloads import RowGenerator
 
 TITLE = "E6: restart time vs transaction history"
 SERIES = ("committed_txns", ["log_only_s", "nvm_s"])

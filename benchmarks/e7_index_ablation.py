@@ -19,9 +19,9 @@ import time
 from repro.core import Database, DurabilityMode
 from repro.obs import get_registry
 from repro.query.predicate import Eq
-from repro.workloads.generator import RowGenerator
 
 from benchmarks.harness import config_for, timed_open
+from benchmarks.workloads import RowGenerator
 
 TITLE = "E7: cost of the volatile delta-index catch-up (NVM)"
 

@@ -16,9 +16,9 @@ import tempfile
 import time
 
 from repro.core import Database, DurabilityMode
-from repro.workloads.generator import RowGenerator
 
 from benchmarks.harness import config_for
+from benchmarks.workloads import RowGenerator
 
 TITLE = "E8: merge cost vs rows merged"
 SERIES = ("rows_merged", ["nvm_merge_s"])

@@ -15,7 +15,8 @@ from typing import Callable, Optional, Sequence
 
 from repro.core import Database, DurabilityMode, EngineConfig
 from repro.storage.types import DataType
-from repro.workloads.generator import WideRowGenerator
+
+from benchmarks.workloads import WideRowGenerator
 
 SMALL_EXTENT = 8 * 1024 * 1024
 
@@ -141,15 +142,17 @@ def render(entry, rows: Sequence[dict]) -> str:
     """An experiment's tables, then its figure series.
 
     Rows print under ``entry.TITLE``; a run of rows carrying a
-    ``"table"`` key prints as its own table under that title.
-    ``entry.SERIES``, if present, is ``(x column, [y columns])``.
+    ``"table"`` key prints as its own table under that title, and a
+    row's ``"span_tree"`` (a rendered recovery span) prints after the
+    tables. ``entry.SERIES``, if present, is ``(x column, [y columns])``.
     """
-    parts = []
+    parts, hidden = [], ("table", "span_tree")
     for title, group in itertools.groupby(
         rows, key=lambda row: row.get("table", entry.TITLE)
     ):
-        shown = [{k: v for k, v in row.items() if k != "table"} for row in group]
+        shown = [{k: v for k, v in row.items() if k not in hidden} for row in group]
         parts.append(format_table(shown, title=title))
+    parts += [row["span_tree"] for row in rows if "span_tree" in row]
     x, ys = getattr(entry, "SERIES", (None, ()))
     for y in ys:
         points = [row for row in rows if y in row]

@@ -22,7 +22,8 @@ import tempfile
 import time
 
 from repro import Database, DurabilityMode, EngineConfig, Eq
-from repro.workloads.orders import OrderEntryWorkload
+
+from order_entry import OrderEntryWorkload  # examples/order_entry.py
 
 
 def populate(path: str, config: EngineConfig, customers: int) -> Database:

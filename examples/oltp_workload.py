@@ -16,7 +16,8 @@ import sys
 import tempfile
 
 from repro import Database, DurabilityMode, EngineConfig, aggregate
-from repro.workloads.orders import OrderEntryWorkload
+
+from order_entry import OrderEntryWorkload  # examples/order_entry.py
 
 
 def main() -> None:

@@ -10,8 +10,9 @@ transaction profiles:
   (read only).
 
 This is the kind of enterprise workload the paper's introduction
-motivates; the instant-restart demo populates it and then pulls the
-plug.
+motivates: ``instant_restart.py`` populates it and then pulls the plug,
+and ``oltp_workload.py`` runs it through a merge and a restart. Both
+import it from beside them.
 """
 
 from __future__ import annotations
@@ -20,10 +21,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from repro.core.database import Database
-from repro.query.predicate import Eq
-from repro.storage.types import DataType
-from repro.txn.errors import TransactionConflict
+from repro import Database, DataType, Eq, TransactionConflict
 
 SCHEMAS = {
     "warehouses": {

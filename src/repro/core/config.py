@@ -51,17 +51,11 @@ class EngineConfig:
     #: to every fsync with a GIL-releasing sleep, so group commit's
     #: fsync amortisation is measurable on fast local disks (E12).
     wal_fsync_delay_s: float = 0.0
-    #: Transaction-table slots (max concurrent transactions).
-    txn_slots: int = 256
     #: Merge a table once its delta holds this many rows. Commits wake
     #: the background maintenance daemon, which runs the merge *online*
     #: (concurrently with readers and writers) and then rests the table
     #: for about twice the measured merge time. None: no automatic merge.
     auto_merge_rows: Optional[int] = None
-    #: Rows per fold chunk of the online merge. A ``merge_chunk``
-    #: persistence-boundary event fires and the GIL yields between
-    #: chunks, bounding how long the fold can starve foreground work.
-    merge_chunk_rows: int = 65536
     #: How long a merge cutover keeps retrying to find a moment with no
     #: transaction holding operations on the table before giving up
     #: (the merge is abandoned and retried later).
@@ -79,12 +73,8 @@ class EngineConfig:
             raise ValueError("group_commit_size must be >= 0")
         if self.wal_fsync_delay_s < 0:
             raise ValueError("wal_fsync_delay_s must be >= 0")
-        if self.txn_slots < 1:
-            raise ValueError("txn_slots must be >= 1")
         if self.auto_merge_rows is not None and self.auto_merge_rows < 1:
             raise ValueError("auto_merge_rows must be >= 1")
-        if self.merge_chunk_rows < 1:
-            raise ValueError("merge_chunk_rows must be >= 1")
         if self.merge_cutover_timeout_s <= 0:
             raise ValueError("merge_cutover_timeout_s must be > 0")
         if (

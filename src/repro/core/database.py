@@ -433,7 +433,7 @@ class Database:
         then cutover once no transaction holds operations on the table.
         ``online=True`` (the default) releases the operations gate
         between freeze and cutover, so the fold runs concurrently with
-        foreground work and yields at every ``merge_chunk_rows``
+        foreground work and yields at every ``MERGE_CHUNK_ROWS``
         boundary. ``online=False`` is the stop-the-world baseline
         experiment E13 compares against: the same code, keeping the
         gate for the whole rebuild.
@@ -483,7 +483,6 @@ class Database:
                 table,
                 plan,
                 self.backend,
-                chunk_rows=cfg.merge_chunk_rows,
                 on_chunk=self._merge_chunk_yield if online else None,
             )
             group_keys = self._group_keys_for(table, new_main)

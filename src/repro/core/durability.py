@@ -208,9 +208,7 @@ class NvmDriver(DurabilityDriver):
                 db.backend = self.backend
                 with report.phase("catalog_attach"):
                     if fresh:
-                        self._catalog = NvmCatalog.format(
-                            self._pool, self.backend, cfg.txn_slots
-                        )
+                        self._catalog = NvmCatalog.format(self._pool, self.backend)
                     else:
                         self._catalog = NvmCatalog.attach(self._pool, self.backend)
                     txn_table = self._txn_table = self._catalog.txn_table()
@@ -311,7 +309,7 @@ class VolatileDriver(DurabilityDriver):
         wal: Optional[LogWriter] = None,
     ) -> TransactionManager:
         return TransactionManager(
-            VolatileTxnTable(self.config.txn_slots),
+            VolatileTxnTable(),
             VolatileCidStore(last_cid),
             VolatileTidAllocator(),
             db._tables_by_id.__getitem__,  # no reference to db

@@ -149,14 +149,12 @@ class NvmCatalog:
     # ------------------------------------------------------------------
 
     @classmethod
-    def format(
-        cls, pool: PMemPool, backend: NvmBackend, txn_slots: int
-    ) -> "NvmCatalog":
+    def format(cls, pool: PMemPool, backend: NvmBackend) -> "NvmCatalog":
         """Create the root block on a fresh pool and publish it."""
         root = pool.allocate(_ROOT_BYTES)
         pool.write(root, b"\x00" * _ROOT_BYTES)
         pool.persist(root, _ROOT_BYTES)
-        txn_table = PersistentTxnTable.create(pool, txn_slots)
+        txn_table = PersistentTxnTable.create(pool)
         tables_vec = PVector.create(pool, np.uint64, chunk_capacity=64)
         pool.write_u64(root + _R_TXN_TABLE, txn_table.offset)
         pool.write_u64(root + _R_TABLES, tables_vec.offset)

@@ -306,6 +306,8 @@ class CrashSweep:
         # recovery must keep them even though the step never finished.
         self._completed_ops: set = set()
         executed: list[Step] = []
+        # Async cells: steps the follower was seen to apply in full.
+        settle, floor = AckMode(self.settings.ack_mode) is AckMode.ASYNC, 0
         fired = False
         injector = CrashPointInjector(crash_at=point)
         with injector:
@@ -315,6 +317,9 @@ class CrashSweep:
                     self._execute(engine, step)
                     oracle.commit_step()
                     executed.append(step)
+                    if settle and self._replication is not None:
+                        self._settle(engine)
+                        floor = len(executed)
             except SimulatedPowerFailure:
                 fired = True
             if self._replication is not None:
@@ -337,7 +342,9 @@ class CrashSweep:
         follower_problems: list = []
         if self._replication is not None:
             follower = self._replication[1]
-            follower_problems = self._check_follower(follower, oracle, executed)
+            follower_problems = self._check_follower(
+                follower, oracle, executed, floor
+            )
 
         t0 = time.perf_counter()
         recovered = self._open(path)
@@ -530,6 +537,17 @@ class CrashSweep:
             raise RuntimeError("follower failed to apply the baseline")
         return shipper, follower
 
+    def _settle(self, engine: Database) -> None:
+        """Wait until the follower applied the primary's durable frontier:
+        all of an NVM primary's ship log, the fsynced prefix of a LOG
+        primary's log. Async shipping reaches no further (a merge record
+        is never fsynced), and without the wait the tailer has usually
+        shipped nothing past the attach when the crash comes."""
+        wal = engine._driver.wal
+        target = wal.lsn if self.mode is DurabilityMode.NVM else wal.durable_lsn
+        if not self._replication[1].wait_for(target, timeout_s=20.0):
+            raise RuntimeError("follower failed to apply the durable frontier")
+
     def _promoted_config(self) -> EngineConfig:
         return EngineConfig(
             mode=DurabilityMode.LOG,
@@ -538,7 +556,7 @@ class CrashSweep:
         )
 
     def _check_follower(
-        self, follower, oracle: Oracle, executed: list[Step]
+        self, follower, oracle: Oracle, executed: list[Step], floor: int
     ) -> list[str]:
         """Promote the follower and hold it to its ack-mode contract.
 
@@ -550,8 +568,9 @@ class CrashSweep:
           history (bounded by the primary's fsync frontier at the cut):
           its state must equal the baseline plus the first k steps'
           effects plus an atomic subset of step k+1's groups, for some
-          k. Anything that matches no prefix is a consistency bug, not
-          mere staleness.
+          k at or past ``floor``, the steps it was seen to apply in
+          full. Anything that matches no such prefix is a consistency
+          bug, not mere staleness.
 
         Then the post-failover pin: the promoted engine takes a
         sync-committed write, crashes, and must recover it together
@@ -568,7 +587,7 @@ class CrashSweep:
             found, dups = self._found_rows(promoted)
             problems.extend(f"follower: {p}" for p in dups)
             if AckMode(self.settings.ack_mode) is AckMode.ASYNC:
-                diff = self._check_prefix(found, executed, oracle.pending)
+                diff = self._check_prefix(found, executed, oracle.pending, floor)
             else:
                 committed, groups = self._oracle_expectation(oracle)
                 diff = self._diff(found, committed, groups, oracle.pending)
@@ -579,9 +598,14 @@ class CrashSweep:
         return problems
 
     def _check_prefix(
-        self, found: dict, executed: list[Step], pending: Optional[Step]
+        self,
+        found: dict,
+        executed: list[Step],
+        pending: Optional[Step],
+        floor: int,
     ) -> list[str]:
-        """Async contract: the replica equals *some* commit prefix."""
+        """Async contract: the replica equals *some* commit prefix that
+        holds at least the first ``floor`` steps."""
         steps = list(executed)
         if pending is not None:
             steps.append(pending)
@@ -591,7 +615,7 @@ class CrashSweep:
             apply_effects(shadow, step.effects())
             shadows.append(dict(shadow))
         best: Optional[tuple[int, list[str]]] = None
-        for k in range(len(steps), -1, -1):
+        for k in range(len(steps), floor - 1, -1):
             boundary = steps[k] if k < len(steps) else None
             groups = self._pending_groups(boundary)
             diff = self._diff(found, shadows[k], groups, boundary)
@@ -813,6 +837,8 @@ def main(argv: Optional[list] = None) -> int:
                 f"[{mode} survivor={survivor}{acks_note}] "
                 f"swept {report['points_swept']}/{report['points_total']} "
                 f"points, {len(report['violations'])} violation(s), "
+                f"recovery mean {report['recovery']['mean_seconds'] * 1e3:.1f} ms "
+                f"max {report['recovery']['max_seconds'] * 1e3:.1f} ms, "
                 f"{report['elapsed_seconds']:.1f}s",
                 flush=True,
             )

@@ -11,10 +11,11 @@ The accounting substrate for the whole engine:
 * :mod:`repro.obs.boundary` — the persistence-boundary event stream
   (flush / drain / wal_fsync / checkpoint_fsync): one emission point
   feeding both the metrics registry and the fault-injection hook;
-* :mod:`repro.obs.export` — Prometheus-text and JSON serializers;
-* ``python -m repro.obs.report`` — CLI that runs an NVM-vs-LOG restart
-  workload (or replays a crash-sweep report) and prints the recovery
-  phase tree plus top counters.
+* :mod:`repro.obs.export` — Prometheus-text and JSON serializers.
+
+Experiment E2 (``python -m benchmarks --only E2``) prints each mode's
+recovery span tree, and ``python -m repro.fault.sweep`` each cell's
+recovery mean and max.
 """
 
 from repro.obs.export import to_json, to_prometheus

@@ -57,8 +57,10 @@ from repro.storage.types import NULL_CODE
 
 _INF = np.uint64(INFINITY_CID)
 
-#: Default fold chunk size (rows per merge_chunk boundary).
-DEFAULT_CHUNK_ROWS = 65536
+#: Rows per fold chunk. A ``merge_chunk`` persistence-boundary event
+#: fires and the GIL yields between chunks, bounding how long an online
+#: fold can starve foreground work.
+MERGE_CHUNK_ROWS = 65536
 
 
 @dataclass
@@ -218,7 +220,6 @@ def fold_generation(
     table: Table,
     plan: MergePlan,
     backend: Backend,
-    chunk_rows: Optional[int] = None,
     on_chunk: Optional[Callable[[], None]] = None,
 ) -> MainPartition:
     """Fold old main + frozen delta survivors into a new main partition.
@@ -226,14 +227,14 @@ def fold_generation(
     Entirely lock-free: every input is immutable once the plan exists —
     main codes, the delta code prefix ``[0, W)``, append-only
     dictionaries, and the plan's masks and MVCC copies. The remap runs
-    in ``chunk_rows`` bounded chunks; ``on_chunk`` fires between chunks
+    in ``MERGE_CHUNK_ROWS`` bounded chunks; ``on_chunk`` fires between chunks
     (the online merge emits a ``merge_chunk`` crash point and yields
     the GIL there). Until cutover publishes, nothing references the
     result — a crash anywhere in here recovers to the old generation.
     """
     main, delta = table.content
     schema = table.schema
-    chunk = chunk_rows or DEFAULT_CHUNK_ROWS
+    chunk = MERGE_CHUNK_ROWS
     n_main = plan.main_idx.size
     n_delta = plan.delta_idx.size
     new_dicts: list[SortedDictionary] = []

@@ -11,8 +11,8 @@ operation records (write-ahead undo/redo information). The slot's
   bounded by the number of in-flight transactions — the reason restart
   cost is independent of dataset size.
 
-:class:`VolatileTxnTable` is the DRAM twin used by the log-based
-baseline (its durability comes from the WAL instead).
+:class:`VolatileTxnTable` is the log-based baseline's slot cap; its
+durability comes from the WAL, so it keeps only the free slots.
 
 Layout::
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import struct
 import threading
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -73,7 +73,8 @@ _CHUNK_BYTES = 16 + _CHUNK_RECORDS * _RECORD_BYTES
 _C_NEXT = 0
 _C_COUNT = 8
 
-DEFAULT_SLOTS = 256
+#: Transaction-table slots: the most transactions open at once.
+TXN_SLOTS = 256
 
 
 class PersistentTxnTable:
@@ -96,8 +97,12 @@ class PersistentTxnTable:
         self._latch = threading.Lock()
 
     @classmethod
-    def create(cls, pool: PMemPool, slot_count: int = DEFAULT_SLOTS) -> "PersistentTxnTable":
-        """Allocate and zero a fresh transaction table."""
+    def create(
+        cls, pool: PMemPool, slot_count: Optional[int] = None
+    ) -> "PersistentTxnTable":
+        """Allocate and zero a fresh table of ``slot_count`` (by default
+        ``TXN_SLOTS``) slots."""
+        slot_count = slot_count or TXN_SLOTS
         nbytes = 64 + slot_count * _SLOT_BYTES
         offset = pool.allocate(nbytes)
         pool.write(offset, b"\x00" * nbytes)
@@ -263,22 +268,17 @@ class PersistentTxnTable:
 
 
 class VolatileTxnTable:
-    """DRAM transaction table for the log-based baseline.
+    """The slot cap of the LOG and NONE drivers.
 
-    Mirrors the persistent interface so the transaction manager is
-    agnostic; contents simply vanish with the process (the WAL carries
-    the durable information instead).
+    Their durability is the WAL, so a slot holds nothing: ``begin`` and
+    ``mark_free`` bound the open transactions as the persistent table
+    does, and the record and commit-point calls are no-ops, so the
+    transaction manager stays mode-blind.
     """
 
-    def __init__(self, slot_count: int = DEFAULT_SLOTS):
-        self.slot_count = slot_count
-        self._free = list(range(slot_count))
-        self._state = [SLOT_FREE] * slot_count
-        self._tid = [0] * slot_count
-        self._cid = [0] * slot_count
-        self._records: list[list[tuple[int, int, int]]] = [
-            [] for _ in range(slot_count)
-        ]
+    def __init__(self, slot_count: Optional[int] = None):
+        self.slot_count = slot_count or TXN_SLOTS
+        self._free = list(range(self.slot_count))
         self._latch = threading.Lock()
 
     def begin(self, tid: int) -> int:
@@ -287,41 +287,17 @@ class VolatileTxnTable:
                 raise TooManyActiveTransactions(
                     f"all {self.slot_count} transaction slots in use"
                 )
-            index = self._free.pop()
-        self._state[index] = SLOT_ACTIVE
-        self._tid[index] = tid
-        self._cid[index] = 0
-        self._records[index] = []
-        return index
+            return self._free.pop()
 
     def record(self, index: int, kind: int, table_id: int, rowref: int) -> None:
-        self._records[index].append((kind, table_id, rowref))
+        pass
 
     def unrecord(self, index: int) -> None:
-        self._records[index].pop()
+        pass
 
     def set_committing(self, index: int, cid: int) -> None:
-        self._cid[index] = cid
-        self._state[index] = SLOT_COMMITTING
+        pass
 
     def mark_free(self, index: int) -> None:
-        self._state[index] = SLOT_FREE
         with self._latch:
             self._free.append(index)
-
-    def state(self, index: int) -> int:
-        return self._state[index]
-
-    def tid(self, index: int) -> int:
-        return self._tid[index]
-
-    def cid(self, index: int) -> int:
-        return self._cid[index]
-
-    def records(self, index: int) -> list[tuple[int, int, int]]:
-        return list(self._records[index])
-
-    def in_flight(self) -> Iterator[tuple[int, int, int, int]]:
-        for i in range(self.slot_count):
-            if self._state[i] != SLOT_FREE:
-                yield i, self._state[i], self._tid[i], self._cid[i]

@@ -9,6 +9,7 @@ import pytest
 
 import benchmarks.__main__ as cli
 from benchmarks import EXPERIMENTS
+from benchmarks.harness import render
 
 
 def test_cli_runs_one_experiment(capsys, tmp_path):
@@ -68,3 +69,37 @@ def test_registry_matches_experiments_md():
     assert list(EXPERIMENTS) == headings + ["OBS"]
     for entry in EXPERIMENTS.values():
         assert entry.__doc__ and callable(entry.run) and callable(entry.check)
+
+
+def test_render_prints_span_trees_after_the_tables():
+    rows = [{"mode": "nvm", "total_s": 0.5, "span_tree": "nvm:\nrecovery:nvm: 1 ms"}]
+    text = render(_Entry(), rows)
+    table, tree = text.split("\nnvm:\n")
+    assert "total_s" in table and "span_tree" not in table
+    assert tree == "recovery:nvm: 1 ms"
+
+
+def test_e2_holds_each_phase_to_its_printed_tree():
+    """A phase the table reports but the tree lacks fails E2's check."""
+
+    def row(mode, phase, total_s, share):
+        tree = f"{mode}:\nrecovery: 1 ms\n└─ {phase}: 1 ms"
+        return {
+            "mode": mode,
+            "rows": 1,
+            "rows_recovered": 1,
+            "point_hits": 1,
+            "total_s": total_s,
+            f"{phase}_s": share * total_s,
+            "span_tree": tree,
+        }
+
+    rows = [
+        row("nvm", "pool_open", 0.001, 0.5),
+        row("log_replay", "log_replay", 1.0, 0.9),
+        row("log_checkpoint", "checkpoint_load", 0.1, 0.9),
+    ]
+    EXPERIMENTS["E2"].check(rows, quick=True)
+    rows[0]["catalog_attach_s"] = 0.0001
+    with pytest.raises(AssertionError):
+        EXPERIMENTS["E2"].check(rows, quick=True)

@@ -18,6 +18,7 @@ from repro.core.nvm_catalog import PersistentCidStore, PersistentTidAllocator
 from repro.query.predicate import Eq
 from repro.query.scan import scan
 from repro.storage.types import DataType
+from repro.txn import txn_table
 from repro.txn.errors import ConcurrentTransactionUse, TransactionConflict
 from repro.txn.manager import VolatileCidStore, VolatileTidAllocator
 
@@ -93,11 +94,9 @@ class TestAllocators:
         # And the persisted copy matches what re-attach would read.
         assert pool.read_u64(root) == THREADS * 100
 
-    def test_begin_abort_hammer_recycles_slots(self, tmp_path):
-        db = Database(
-            str(tmp_path / "db"),
-            make_config(DurabilityMode.NONE, txn_slots=THREADS * 2),
-        )
+    def test_begin_abort_hammer_recycles_slots(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(txn_table, "TXN_SLOTS", THREADS * 2)
+        db = Database(str(tmp_path / "db"), make_config(DurabilityMode.NONE))
         _hammer(
             THREADS,
             lambda i: [db.begin().abort() for _ in range(50)],

@@ -12,6 +12,7 @@ from repro.query.predicate import Eq
 from repro.replication import WalShipper
 from repro.storage.schema import ColumnDef, Schema, SchemaError
 from repro.storage.types import DataType
+from repro.txn import txn_table
 from repro.txn.errors import TooManyActiveTransactions
 from repro.wal.records import RecordTooLarge
 
@@ -103,10 +104,9 @@ class TestTransactionHandle:
             txn.abort()
         assert none_db.query("t").count == 0
 
-    def test_slot_exhaustion_at_engine_level(self, tmp_path):
-        db = Database(
-            str(tmp_path / "db"), make_config(DurabilityMode.NONE, txn_slots=3)
-        )
+    def test_slot_exhaustion_at_engine_level(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(txn_table, "TXN_SLOTS", 3)
+        db = Database(str(tmp_path / "db"), make_config(DurabilityMode.NONE))
         handles = [db.begin() for _ in range(3)]
         with pytest.raises(TooManyActiveTransactions):
             db.begin()
@@ -161,7 +161,7 @@ class TestRowValidation:
 
     def test_rejected_inserts_do_not_exhaust_txn_slots(self, any_db):
         any_db.create_table("t", {"a": DataType.INT64})
-        for _ in range(300):  # more than the default 256 txn_slots
+        for _ in range(300):  # more than the 256 transaction slots
             with pytest.raises(TypeError):
                 any_db.insert("t", {"a": "x"})
         any_db.insert("t", {"a": 1})

@@ -1,5 +1,5 @@
 """The whole :class:`~repro.core.Database` surface the server, the crash
-sweep and the report CLI use, driven against a dict model in both
+sweep and the benchmarks use, driven against a dict model in both
 durable modes.
 """
 
@@ -14,6 +14,7 @@ from repro.core import Database, DurabilityMode, EngineConfig
 from repro.query import Eq, Gt, IsNull, aggregate
 from repro.storage import DataType
 from repro.storage.table import unpack_rowref
+from repro.txn import txn_table
 from repro.txn.errors import TooManyActiveTransactions
 from repro.wal.writer import RecordTooLarge
 
@@ -164,13 +165,14 @@ def test_stats_and_recovery_report_agree(tmp_path, mode):
 
 
 @each_mode
-def test_insert_each_against_a_model(tmp_path, mode):
+def test_insert_each_against_a_model(tmp_path, mode, monkeypatch):
     """Per-row outcomes in input order; a rejected row never drags a
     neighbour; the accepted rows share one commit; a
     transaction that fails as a whole still answers row by row and
     leaves nothing behind; a crash recovers exactly the accepted rows."""
     path = str(tmp_path / "eng")
-    engine = Database(path, make_config(mode, txn_slots=2))
+    monkeypatch.setattr(txn_table, "TXN_SLOTS", 2)
+    engine = Database(path, make_config(mode))
     engine.create_table("kv", SCHEMA)
     engine.create_index("kv", "id")
     model: dict = {}
@@ -262,9 +264,8 @@ def test_the_facade_takes_no_shard_arguments(tmp_path):
     [
         ("repro.server.__main__", ["--path"]),
         ("repro.fault.sweep", []),
-        ("repro.obs.report", []),
     ],
-    ids=["server", "sweep", "report"],
+    ids=["server", "sweep"],
 )
 def test_no_cli_takes_a_shard_count(tmp_path, capsys, cli, required):
     main = importlib.import_module(cli).main

@@ -1,6 +1,7 @@
 """Tests for the crash-point sweep harness (``repro.fault``)."""
 
 import json
+import re
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.fault.workloads import (
     make_workload,
 )
 from repro.nvm.latency import get_persistence_hook, persistence_event
+from repro.txn.manager import TransactionManager
 
 
 class TestInjector:
@@ -352,6 +354,32 @@ class TestAttachWorkload:
         assert seen == [3]
         assert result.problems == []
 
+    @pytest.mark.parametrize("ack", ["async", "semi_sync"])
+    def test_a_follower_without_the_staged_transaction_is_caught(
+        self, tmp_path, monkeypatch, ack
+    ):
+        """An NVM attach that wires the ship log without staging the open
+        transactions loses the rows the held transaction wrote before
+        it; the async cell must catch that as surely as semi-sync."""
+        def wire_only(manager, wal):
+            manager._wal = wal
+
+        monkeypatch.setattr(TransactionManager, "attach_wal", wire_only)
+        settings = SweepSettings(workload="attach", mode="nvm", ack_mode=ack)
+        sweep = CrashSweep(str(tmp_path), settings)
+        result, _ = sweep.run_point(None)
+        assert any(p.startswith("follower: ") for p in result.problems)
+
+    def test_an_async_prefix_must_hold_every_step_seen_applied(self, tmp_path):
+        settings = SweepSettings(workload="attach", mode="nvm", ack_mode="async")
+        sweep = CrashSweep(str(tmp_path), settings)
+        first = Step("insert", rows=((10**6, "new"),))
+        baseline = dict(sweep.workload.baseline)
+        assert sweep._check_prefix(baseline, [first], None, floor=0) == []
+        assert sweep._check_prefix(baseline, [first], None, floor=1) != []
+        applied = {**baseline, 10**6: "new"}
+        assert sweep._check_prefix(applied, [first], None, floor=1) == []
+
     def test_hold_keys_leave_the_plan(self):
         steps = make_workload("attach", 7).steps
         held = {k for s in steps if s.kind == "hold" for k, _ in s.rows}
@@ -425,3 +453,12 @@ def test_cli_writes_report_and_exits_zero(tmp_path, capsys):
     assert cell["points_total"] > 0
     assert cell["recovery"]["runs"] >= 1
     assert "OK" in capsys.readouterr().out
+
+
+def test_cli_prints_each_cells_recovery_mean_and_max(tmp_path, capsys):
+    argv = ["--workload", "maint", "--sample", "2", "--modes", "log,nvm"]
+    assert main(argv + ["--root", str(tmp_path)]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if "swept" in line]
+    assert len(lines) == 2
+    for line in lines:
+        assert re.search(r"recovery mean \d+\.\d ms max \d+\.\d ms", line)

@@ -1,5 +1,5 @@
 """End-to-end observability: span-backed recovery, boundary counters,
-engine telemetry, and the report CLI.
+and engine telemetry.
 
 These are the acceptance tests for the observability subsystem: the
 recovery span tree must account for (nearly) all of the recovery wall
@@ -15,7 +15,6 @@ from repro.core.config import DurabilityMode
 from repro.core.database import Database
 from repro.obs import MetricsRegistry, get_registry, set_registry
 from repro.obs import boundary
-from repro.obs.report import main as report_main
 from repro.storage.types import DataType
 
 from tests.conftest import make_config
@@ -188,83 +187,3 @@ class TestEngineTelemetry:
             db.close()
         finally:
             set_registry(previous)
-
-
-class TestReportCLI:
-    def test_workload_text(self, capsys):
-        assert report_main(["--rows", "300", "--top", "5"]) == 0
-        out = capsys.readouterr().out
-        assert "== nvm restart: 300 rows" in out
-        assert "== log restart: 300 rows" in out
-        assert "pool_open" in out
-        assert "log_replay" in out
-        assert "== top 5 counters ==" in out
-
-    def test_workload_text_log(self, capsys):
-        assert report_main(["--rows", "300", "--mode", "log"]) == 0
-        out = capsys.readouterr().out
-        assert "== log restart: 300 rows ==" in out
-        assert out.count("recovery:log:") == 1  # one tree
-        assert "rows_recovered=309" in out
-
-    def test_workload_json(self, capsys):
-        assert (
-            report_main(["--rows", "200", "--mode", "nvm", "--format", "json"])
-            == 0
-        )
-        data = json.loads(capsys.readouterr().out)
-        (workload,) = data["workloads"]
-        assert workload["mode"] == "nvm"
-        assert workload["recovery"]["span"]["name"] == "recovery:nvm"
-        assert "persistence_events_total{kind=\"flush\"}" in data["registry"]
-
-    def test_workload_prometheus(self, capsys):
-        assert (
-            report_main(
-                ["--rows", "200", "--mode", "log", "--format", "prometheus"]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "# TYPE persistence_events_total counter" in out
-        assert "wal_records_total" in out
-
-    def test_cli_leaves_default_registry_untouched(self):
-        registry = get_registry()
-        report_main(["--rows", "100", "--mode", "nvm"])
-        assert get_registry() is registry
-
-    def test_replay_mode(self, tmp_path, capsys):
-        summary = {
-            "workload": "batch",
-            "seed": 7,
-            "total_violations": 0,
-            "configs": [
-                {
-                    "mode": "nvm",
-                    "survivor_fraction": 0.0,
-                    "points_swept": 10,
-                    "points_total": 10,
-                    "events_by_kind": {"flush": 8, "drain": 2},
-                    "recovery": {
-                        "runs": 10,
-                        "phases": {
-                            "pool_open": {
-                                "total_seconds": 0.01,
-                                "mean_seconds": 0.001,
-                                "max_seconds": 0.002,
-                            }
-                        },
-                    },
-                    "violations": [],
-                }
-            ],
-        }
-        path = tmp_path / "sweep.json"
-        path.write_text(json.dumps(summary))
-        assert report_main(["--replay", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "crash-point sweep: workload=batch" in out
-        assert "pool_open" in out
-        # Prometheus needs a live registry; replay mode has none.
-        assert report_main(["--replay", str(path), "--format", "prometheus"]) == 2

@@ -28,6 +28,7 @@ from repro.core.database import Database
 from repro.fault.inject import CrashPointInjector, SimulatedPowerFailure
 from repro.nvm.pool import PMemMode
 from repro.obs import boundary
+from repro.storage import merge
 from repro.query.predicate import Eq
 from repro.storage.types import DataType
 from repro.txn.errors import TransactionConflict
@@ -70,14 +71,12 @@ def _snapshot(db: Database) -> dict:
 class TestMidMergeConsistency:
     @RACED
     def test_scans_at_every_chunk_boundary_match_quiesced_state(
-        self, tmp_path, raced
+        self, tmp_path, raced, monkeypatch
     ):
         """The merge thread itself scans at each ``merge_chunk`` event;
         every scan must be element-equal to the quiesced result."""
-        db = Database(
-            str(tmp_path / "db"),
-            make_config(merge_chunk_rows=8, **raced),
-        )
+        monkeypatch.setattr(merge, "MERGE_CHUNK_ROWS", 8)
+        db = Database(str(tmp_path / "db"), make_config(**raced))
         expected = _build_mixed(db, rows=60)
         scans: list[dict] = []
 
@@ -98,13 +97,13 @@ class TestMidMergeConsistency:
         db.close()
 
     @RACED
-    def test_concurrent_reader_thread_sees_stable_state(self, tmp_path, raced):
+    def test_concurrent_reader_thread_sees_stable_state(
+        self, tmp_path, raced, monkeypatch
+    ):
         """A reader hammering scans from its own thread across the whole
         merge (fold *and* cutover) must never observe a torn state."""
-        db = Database(
-            str(tmp_path / "db"),
-            make_config(merge_chunk_rows=4, **raced),
-        )
+        monkeypatch.setattr(merge, "MERGE_CHUNK_ROWS", 4)
+        db = Database(str(tmp_path / "db"), make_config(**raced))
         expected = _build_mixed(db, rows=80)
         mismatches: list[dict] = []
         scan_count = [0]
@@ -142,13 +141,13 @@ class TestMidMergeConsistency:
 
 class TestConcurrentWritersDuringMerge:
     @RACED
-    def test_writers_race_explicit_online_merges(self, tmp_path, raced):
+    def test_writers_race_explicit_online_merges(
+        self, tmp_path, raced, monkeypatch
+    ):
         """Writer threads insert through repeated online merges; nothing
         committed may be lost and every insert must land exactly once."""
-        db = Database(
-            str(tmp_path / "db"),
-            make_config(merge_chunk_rows=4, **raced),
-        )
+        monkeypatch.setattr(merge, "MERGE_CHUNK_ROWS", 4)
+        db = Database(str(tmp_path / "db"), make_config(**raced))
         db.create_table("kv", SCHEMA)
         db.insert_many("kv", [{"key": k, "note": f"n{k}"} for k in range(40)])
         per_writer = 40
@@ -271,18 +270,39 @@ class TestGateHeldOrReleased:
         db.close()
 
 
+@pytest.mark.parametrize("chunk_rows, chunks", [(16, 8), (32, 4), (64, 2)])
+def test_the_fold_chunks_at_the_module_constant(
+    tmp_path, monkeypatch, chunk_rows, chunks
+):
+    """One ``merge_chunk`` boundary per column per ``MERGE_CHUNK_ROWS``
+    rows folded."""
+    monkeypatch.setattr(merge, "MERGE_CHUNK_ROWS", chunk_rows)
+    db = Database(str(tmp_path / "db"), make_config(DurabilityMode.NONE))
+    db.create_table("kv", SCHEMA)
+    db.insert_many("kv", [{"key": k, "note": f"n{k}"} for k in range(64)])
+    seen: list[str] = []
+    boundary.set_hook(seen.append)
+    try:
+        db.merge("kv")
+    finally:
+        boundary.set_hook(None)
+    assert seen.count("merge_chunk") == chunks
+    db.close()
+
+
 class TestMergeChunkCrashSweep:
     @pytest.mark.parametrize(
         "mode",
         [DurabilityMode.NVM, DurabilityMode.LOG],
         ids=lambda m: m.value,
     )
-    def test_every_chunk_and_cutover_boundary_is_safe(self, tmp_path, mode):
+    def test_every_chunk_and_cutover_boundary_is_safe(
+        self, tmp_path, mode, monkeypatch
+    ):
         """Kill the chunked online merge at every boundary it emits; the
         recovered state must equal the pre-merge committed state."""
-        config = make_config(
-            mode, group_commit_size=1, merge_chunk_rows=8
-        )
+        monkeypatch.setattr(merge, "MERGE_CHUNK_ROWS", 8)
+        config = make_config(mode, group_commit_size=1)
 
         db = Database(str(tmp_path / "count"), config)
         expected = _build_mixed(db, rows=40)

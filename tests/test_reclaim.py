@@ -40,6 +40,7 @@ from repro.fault.sweep import CrashSweep, SweepSettings
 from repro.nvm.errors import PoolCorruptError
 from repro.nvm.pool import CACHE_LINE, HEADER_SIZE, PMemMode, PMemPool
 from repro.query.predicate import Eq
+from repro.storage import merge
 from repro.storage.types import DataType
 from repro.txn.txn_table import _CHUNK_BYTES as UNDO_CHUNK_BYTES
 
@@ -438,8 +439,9 @@ class TestMergeGivesSpaceBack:
 
 
 class TestSweepAfterACrash:
-    def test_crashed_fold_is_collected_by_the_next_merge(self, tmp_path):
-        db = strict_db(tmp_path / "db", merge_chunk_rows=64)
+    def test_crashed_fold_is_collected_by_the_next_merge(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(merge, "MERGE_CHUNK_ROWS", 64)
+        db = strict_db(tmp_path / "db")
         db.create_table("t", SCHEMA)
         db.insert_many("t", rows_for(range(1000)))
         expected = db.query("t").rows()
@@ -780,11 +782,12 @@ TestLedger = LedgerMachine.TestCase
 # ----------------------------------------------------------------------
 
 
-def test_scans_and_inserts_race_merges_that_recycle(tmp_path):
+def test_scans_and_inserts_race_merges_that_recycle(tmp_path, monkeypatch):
     """Every merge frees a generation and the next one is built in it;
     a scan that raced the cutover must keep reading the one it pinned —
     never poison, never the newer rows written over it."""
-    db = strict_db(tmp_path / "db", merge_chunk_rows=64)
+    monkeypatch.setattr(merge, "MERGE_CHUNK_ROWS", 64)
+    db = strict_db(tmp_path / "db")
     db.create_table("t", SCHEMA)
     db.create_index("t", "k")
     db.insert_many("t", rows_for(range(400)))

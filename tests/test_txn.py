@@ -17,6 +17,7 @@ from repro.txn.manager import (
     VolatileCidStore,
     VolatileTidAllocator,
 )
+from repro.txn import txn_table as txn_table_module
 from repro.txn.txn_table import (
     OP_INVALIDATE,
     PersistentTxnTable,
@@ -36,7 +37,28 @@ def txn_table(request, pool):
     return PersistentTxnTable.create(pool, slot_count=8)
 
 
+#: What a slot holds: only the persistent table keeps it.
+persistent_only = pytest.mark.parametrize("txn_table", ["persistent"], indirect=True)
+
+
+def test_the_volatile_table_keeps_only_free_slots():
+    """LOG and NONE durability is the WAL: the record and commit-point
+    calls store nothing, and a slot comes back whatever was done in it."""
+    table = VolatileTxnTable(slot_count=1)
+    slot = table.begin(tid=1)
+    table.record(slot, OP_INVALIDATE, 1, 1)
+    table.unrecord(slot)
+    table.record(slot, OP_INVALIDATE, 1, 2)
+    table.set_committing(slot, cid=3)
+    with pytest.raises(TooManyActiveTransactions):
+        table.begin(tid=2)
+    table.mark_free(slot)
+    assert table.begin(tid=2) == slot
+    assert not hasattr(table, "records") and not hasattr(table, "in_flight")
+
+
 class TestTxnTables:
+    @persistent_only
     def test_begin_claims_active_slot(self, txn_table):
         slot = txn_table.begin(tid=5)
         assert txn_table.state(slot) == SLOT_ACTIVE
@@ -51,10 +73,21 @@ class TestTxnTables:
     def test_free_recycles_slot(self, txn_table):
         slot = txn_table.begin(tid=1)
         txn_table.mark_free(slot)
-        assert txn_table.state(slot) == SLOT_FREE
         again = txn_table.begin(tid=2)
         assert again == slot
 
+    @persistent_only
+    def test_free_marks_the_slot_free(self, txn_table):
+        slot = txn_table.begin(tid=1)
+        txn_table.mark_free(slot)
+        assert txn_table.state(slot) == SLOT_FREE
+
+    def test_the_default_cap_is_the_module_constant(self, pool, monkeypatch):
+        monkeypatch.setattr(txn_table_module, "TXN_SLOTS", 3)
+        for table in (VolatileTxnTable(), PersistentTxnTable.create(pool)):
+            assert table.slot_count == 3
+
+    @persistent_only
     def test_records_in_order(self, txn_table):
         slot = txn_table.begin(tid=1)
         expected = [(OP_INVALIDATE, 1, i) for i in range(70)]  # spans chunks
@@ -62,12 +95,14 @@ class TestTxnTables:
             txn_table.record(slot, kind, table_id, ref)
         assert txn_table.records(slot) == expected
 
+    @persistent_only
     def test_commit_point_recorded(self, txn_table):
         slot = txn_table.begin(tid=1)
         txn_table.set_committing(slot, cid=42)
         assert txn_table.state(slot) == SLOT_COMMITTING
         assert txn_table.cid(slot) == 42
 
+    @persistent_only
     def test_in_flight_lists_busy_slots(self, txn_table):
         a = txn_table.begin(tid=1)
         b = txn_table.begin(tid=2)
@@ -76,6 +111,7 @@ class TestTxnTables:
         assert flights[a] == (SLOT_ACTIVE, 1)
         assert flights[b] == (SLOT_COMMITTING, 2)
 
+    @persistent_only
     def test_new_transaction_resets_records(self, txn_table):
         slot = txn_table.begin(tid=1)
         txn_table.record(slot, OP_INVALIDATE, 1, 1)

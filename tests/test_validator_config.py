@@ -75,10 +75,6 @@ class TestEngineConfig:
         with pytest.raises(ValueError):
             EngineConfig(group_commit_size=-1).validated()
 
-    def test_bad_txn_slots(self):
-        with pytest.raises(ValueError):
-            EngineConfig(txn_slots=0).validated()
-
     @pytest.mark.parametrize(
         "option", ["persistent_dict_index", "persistent_delta_index"]
     )
@@ -104,6 +100,13 @@ class TestEngineConfig:
         ``checkpoint_max_replay_s`` and after every merge."""
         with pytest.raises(TypeError):
             EngineConfig(**{option: value})
+
+    @pytest.mark.parametrize("option", ["txn_slots", "merge_chunk_rows"])
+    def test_the_capacity_options_are_module_constants(self, option):
+        """The slot count is ``txn_table.TXN_SLOTS`` and the fold chunk
+        ``merge.MERGE_CHUNK_ROWS``; a config naming either fails loudly."""
+        with pytest.raises(TypeError):
+            EngineConfig(**{option: 8})
 
 
 class TestLatencyModel:

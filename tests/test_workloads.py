@@ -1,16 +1,31 @@
-"""Tests for workload generators and drivers."""
+"""Tests for the experiments' workloads (``benchmarks/workloads.py``)
+and the examples' order-entry workload (``examples/order_entry.py``)."""
 
+import os
 import random
+import runpy
+import subprocess
+import sys
 
 import pytest
 
+from benchmarks.workloads import (
+    YCSB_TABLE as TABLE,
+    RowGenerator,
+    WideRowGenerator,
+    YcsbConfig,
+    YcsbDriver,
+    zipf_int,
+)
 from repro.core.config import DurabilityMode
 from repro.core.database import Database
-from repro.workloads.generator import RowGenerator, WideRowGenerator, zipf_int
-from repro.workloads.orders import OrderEntryWorkload
-from repro.workloads.ycsb import TABLE, YcsbConfig, YcsbDriver
 
 from tests.conftest import make_config
+
+EXAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "examples")
+OrderEntryWorkload = runpy.run_path(os.path.join(EXAMPLES, "order_entry.py"))[
+    "OrderEntryWorkload"
+]
 
 
 class TestGenerators:
@@ -80,6 +95,19 @@ class TestYcsb:
         assert result.commits == 10
         db.close()
 
+    def test_same_seed_same_op_stream(self, tmp_path):
+        """A seed fixes every row the driver writes and every key it
+        reads, updates and inserts."""
+        tables = []
+        for run in ("a", "b"):
+            db = Database(str(tmp_path / run), make_config(DurabilityMode.NONE))
+            driver = YcsbDriver(db, YcsbConfig(records=30, seed=9, ops_per_txn=3))
+            driver.load()
+            driver.run(90)
+            tables.append(sorted(map(sorted, map(dict.items, db.query(TABLE).rows()))))
+            db.close()
+        assert tables[0] == tables[1]
+
 
 class TestOrderEntry:
     def test_populate_and_run(self, tmp_path):
@@ -120,6 +148,15 @@ class TestOrderEntry:
         assert db.query("orders").count == orders
         assert db.query("order_lines").count == lines
         db.close()
+
+    def test_the_examples_import_it_from_beside_them(self):
+        script = os.path.join(EXAMPLES, "oltp_workload.py")
+        env = {**os.environ, "PYTHONPATH": os.path.join(EXAMPLES, os.pardir, "src")}
+        done = subprocess.run(
+            [sys.executable, script, "20"], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert "order lines intact" in done.stdout
 
 
 class TestBenchUtils:
