@@ -1,7 +1,8 @@
 """E10 — bulk insert throughput: the vectorized batch write path.
 
 The batch write path replaces per-row work with per-batch work at every
-layer: one ``np.unique`` pass per column for dictionary encoding, one
+layer: one validation pass and one dictionary probe pass per column
+(only the misses appended, in one extend), one
 coalesced NVM flush per touched chunk (instead of one per cell), one
 batched WAL record per (txn, table), and one range store per delta
 chunk at commit. The paper's Figure 7 shape — logging cost dominating

@@ -5,15 +5,20 @@ insert workload (NVM mode, the mode with the highest persistence-event
 rate) must not regress by more than ~5% with the default metrics
 registry enabled, compared against ``MetricsRegistry(enabled=False)``.
 
-Enabled and disabled runs are interleaved in pairs and compared by the
-median of pairwise ratios, which cancels the machine drift that
-dominates wall-clock A/B comparisons at this timescale. The bar is
-looser than the 5% target so that it holds on noisy shared runners;
-the measured median is the table's last row.
+Two engines run side by side, one opened under each registry, and every
+batch goes to both in turn (the first of the two alternating), with the
+default registry switched to the engine's own before its batch. Each
+such pair of batches ran under the same host conditions, so its time
+ratio is free of the machine drift and the stalls that decided whole
+~20 ms runs timed one after the other; a run's ratio is the median over
+its batch pairs, and the table's last row is the median over runs. The
+bar is looser than the 5% target so that it holds on noisy shared
+runners.
 """
 
 from __future__ import annotations
 
+import os
 import statistics
 import tempfile
 import time
@@ -26,45 +31,52 @@ from benchmarks.harness import ORDERS_SCHEMA, config_for, order_rows
 TITLE = "OBS: metrics-enabled/disabled insert throughput (NVM, batch 64)"
 
 BATCH = 64
+ROWS = 10_000
 
 
-def _rows_per_second(rows: list[dict], enabled: bool) -> float:
-    previous = set_registry(MetricsRegistry(enabled=enabled))
+def _run(rows: list[dict]) -> dict:
+    """One run: ``rows`` into an enabled and a disabled engine, batch by
+    batch in turn."""
+    registries = [MetricsRegistry(enabled=True), MetricsRegistry(enabled=False)]
+    spent: list[list[float]] = [[], []]
+    previous = set_registry(registries[0])
     try:
         with tempfile.TemporaryDirectory(prefix="obs-") as path:
-            db = Database(path, config_for(DurabilityMode.NVM))
-            db.create_table("orders", ORDERS_SCHEMA)
-            start = time.perf_counter()
-            for lo in range(0, len(rows), BATCH):
-                db.insert_many("orders", rows[lo : lo + BATCH])
-            rate = len(rows) / (time.perf_counter() - start)
-            db.close()
+            dbs = []
+            for side, registry in enumerate(registries):
+                set_registry(registry)
+                config = config_for(DurabilityMode.NVM)
+                db = Database(os.path.join(path, str(side)), config)
+                db.create_table("orders", ORDERS_SCHEMA)
+                dbs.append(db)
+            for k, lo in enumerate(range(0, len(rows), BATCH)):
+                for side in (k % 2, 1 - k % 2):
+                    set_registry(registries[side])
+                    start = time.perf_counter()
+                    dbs[side].insert_many("orders", rows[lo : lo + BATCH])
+                    spent[side].append(time.perf_counter() - start)
+            for db, registry in zip(dbs, registries):
+                set_registry(registry)
+                db.close()
     finally:
         set_registry(previous)
-    return rate
+    enabled, disabled = spent
+    return {
+        "enabled_rows_s": len(rows) / sum(enabled),
+        "disabled_rows_s": len(rows) / sum(disabled),
+        "ratio": statistics.median(d / e for e, d in zip(enabled, disabled)),
+    }
 
 
 def run(quick: bool) -> list[dict]:
-    rows = order_rows(2_000 if quick else 4_000)
-    _rows_per_second(rows, True)  # warm up caches
-    _rows_per_second(rows, False)
-    rows_out = []
-    for pair in range(3 if quick else 7):
-        enabled = _rows_per_second(rows, True)
-        disabled = _rows_per_second(rows, False)
-        rows_out.append(
-            {
-                "pair": pair,
-                "enabled_rows_s": enabled,
-                "disabled_rows_s": disabled,
-                "ratio": enabled / disabled,
-            }
-        )
+    rows = order_rows(ROWS)
+    _run(rows[: ROWS // 10])  # warm up caches
+    rows_out = [{"run": n, **_run(rows)} for n in range(5 if quick else 9)]
     ratio = statistics.median(row["ratio"] for row in rows_out)
-    rows_out.append({"pair": "median", "ratio": ratio})
+    rows_out.append({"run": "median", "ratio": ratio})
     return rows_out
 
 
 def check(rows: list[dict], quick: bool) -> None:
-    # Target is <= 5% median overhead (measured ~3%).
+    # Target is <= 5% median overhead (measured 4-5% on a shared 2-core host).
     assert rows[-1]["ratio"] > 0.85

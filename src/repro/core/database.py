@@ -108,13 +108,17 @@ class Transaction:
     def insert_many(self, table_name: str, rows: Sequence[dict]) -> list[int]:
         """Insert many {column: value} rows as one vectorized batch.
 
-        The batch is dictionary-encoded column-wise, lands with one
-        coalesced NVM flush per touched chunk, and produces a single
-        WAL record. Returns the rowrefs in input order.
+        The batch is validated and dictionary-encoded column-wise, lands
+        with one coalesced NVM flush per touched chunk, and produces a
+        single WAL record. Returns the rowrefs in input order.
         """
+        columns = self._db.table(table_name).schema.validate_columns(rows)
+        return self._insert_columns(table_name, columns)
+
+    def _insert_columns(self, table_name: str, columns: list) -> list[int]:
+        """:meth:`insert_many` of a batch validated already, by column."""
         table = self._db.table(table_name)
-        value_rows = [table.schema.validate_row(row) for row in rows]
-        refs = self._db._manager.insert_many(self.ctx, table, value_rows)
+        refs = self._db._manager.insert_many(self.ctx, table, columns)
         self._db._index_new_rows(table, refs)
         return refs
 
@@ -397,25 +401,32 @@ class Database:
         """Independent single-row inserts sharing one commit.
 
         Returns, per row in input order, its rowref or the exception
-        ``insert(row)`` raises for it alone. A row that fails validation
-        is answered without a transaction; the rest commit as one. If
-        that transaction fails it left nothing behind (see
-        :meth:`_autocommit`), so each of its rows is inserted alone.
+        ``insert(row)`` raises for it alone. Each row is validated once;
+        a row that fails is answered without a transaction, and the rest
+        commit as one. If that transaction fails it left nothing behind
+        (see :meth:`_autocommit`), so each of its rows is inserted alone.
         """
         try:
-            validate = self.table(table_name).schema.validate_row
+            schema = self.table(table_name).schema
         except KeyError as exc:
             return [exc] * len(rows)
-        outcomes = each_outcome(validate, rows)
-        accepted = [
-            i for i, outcome in enumerate(outcomes)
-            if not isinstance(outcome, Exception)
-        ]
+        try:
+            columns = schema.validate_columns(rows)
+            outcomes, accepted = [None] * len(rows), range(len(rows))
+        except Exception:
+            outcomes = each_outcome(schema.validate_row, rows)
+            accepted = [
+                i for i, outcome in enumerate(outcomes)
+                if not isinstance(outcome, Exception)
+            ]
+            columns = [list(c) for c in zip(*(outcomes[i] for i in accepted))]
         if accepted:
-            batch = [rows[i] for i in accepted]
             try:
-                refs = self.insert_many(table_name, batch)
+                refs = self._autocommit(
+                    Transaction._insert_columns, table_name, columns
+                )[0]
             except Exception:
+                batch = [rows[i] for i in accepted]
                 refs = each_outcome(lambda row: self.insert(table_name, row), batch)
             for i, ref in zip(accepted, refs):
                 outcomes[i] = ref

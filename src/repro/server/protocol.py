@@ -71,6 +71,9 @@ PROTOCOL_VERSION = 1
 #: attack), never a legitimate request.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
+#: Deepest list/dict nesting on the wire, far beyond any shape exchanged.
+MAX_VALUE_DEPTH = 100
+
 _HEADER = struct.Struct("<II")
 _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
@@ -209,11 +212,14 @@ def _need(buf: bytes, offset: int, n: int) -> None:
         raise ProtocolError("truncated value payload")
 
 
-def decode_value(buf: bytes, offset: int = 0):
-    """Decode one tagged value; returns ``(value, next_offset)``."""
+def decode_value(buf: bytes, offset: int = 0, depth: int = 0):
+    """Decode one tagged value; returns ``(value, next_offset)``. Lists
+    and dicts nesting deeper than :data:`MAX_VALUE_DEPTH` are refused."""
     _need(buf, offset, 1)
     tag = buf[offset]
     offset += 1
+    if tag in (_T_LIST, _T_DICT) and depth >= MAX_VALUE_DEPTH:
+        raise ProtocolError(f"value nested deeper than {MAX_VALUE_DEPTH}")
     if tag == _T_NULL:
         return None, offset
     if tag == _T_TRUE:
@@ -245,7 +251,7 @@ def decode_value(buf: bytes, offset: int = 0):
         offset += 4
         items = []
         for _ in range(n):
-            item, offset = decode_value(buf, offset)
+            item, offset = decode_value(buf, offset, depth + 1)
             items.append(item)
         return items, offset
     if tag == _T_DICT:
@@ -254,10 +260,10 @@ def decode_value(buf: bytes, offset: int = 0):
         offset += 4
         mapping = {}
         for _ in range(n):
-            key, offset = decode_value(buf, offset)
+            key, offset = decode_value(buf, offset, depth + 1)
             if not isinstance(key, (str, int, float, bool)) and key is not None:
                 raise ProtocolError("dict keys must be scalar")
-            item, offset = decode_value(buf, offset)
+            item, offset = decode_value(buf, offset, depth + 1)
             mapping[key] = item
         return mapping, offset
     raise ProtocolError(f"unknown value tag {tag}")
@@ -515,6 +521,7 @@ __all__: List[str] = [
     "FRAME_HEADER_BYTES",
     "FrameDecoder",
     "MAX_FRAME_BYTES",
+    "MAX_VALUE_DEPTH",
     "Op",
     "PROTOCOL_VERSION",
     "ProtocolError",

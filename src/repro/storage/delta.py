@@ -132,13 +132,15 @@ class DeltaPartition:
         array per column.
         """
         if columns and all(len(column) == 1 for column in columns):
-            # One row: a probe per column, no ``np.unique`` and scatter.
+            # One row: a probe per column, no batch arrays and scatter.
             row = self.encode_row([column[0] for column in columns])
             return [np.array([code], dtype=_CODE_DTYPE) for code in row]
         encoded = []
         for dictionary, column in zip(self.dictionaries, columns):
-            n = len(column)
-            codes = np.full(n, NULL_CODE, dtype=_CODE_DTYPE)
+            if None not in column:
+                encoded.append(dictionary.codes_for_insert(column).astype(_CODE_DTYPE))
+                continue
+            codes = np.full(len(column), NULL_CODE, dtype=_CODE_DTYPE)
             present = [i for i, v in enumerate(column) if v is not None]
             if present:
                 values = [column[i] for i in present]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import threading
+from itertools import compress, count, repeat
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -331,65 +332,46 @@ class UnsortedDictionary:
     def codes_for_insert(self, values: Sequence) -> np.ndarray:
         """Codes for a batch of non-null values, appending new ones.
 
-        A single ``np.unique`` pass replaces per-value probes: each
-        distinct value is looked up once, and all missing values are
-        appended with one vector ``extend`` — in first-occurrence order,
-        so the resulting dictionary is identical to what a loop of
-        :meth:`code_for_insert` would have produced.
+        Probe first, sort never: one binary search of the run for every
+        numeric value, one pass of the tail over what it missed, and the
+        misses — de-duplicated in first-occurrence order — appended with
+        one vector ``extend``. The dictionary is what a loop of
+        :meth:`code_for_insert` would have left, but for NaN: every NaN
+        of one batch shares one new code.
         """
-        n = len(values)
-        if n == 0:
-            return np.empty(0, dtype=np.uint64)
         with self._insert_lock:
-            return self._codes_for_insert_locked(values)
-
-    def _codes_for_insert_locked(self, values: Sequence) -> np.ndarray:
-        if self.dtype is DataType.STRING:
-            arr = np.asarray(values, dtype=object)
-        else:
-            arr = np.asarray(
-                values,
-                dtype=np.int64 if self.dtype is DataType.INT64 else np.float64,
-            )
-        uniques, first_pos, inverse = np.unique(
-            arr, return_index=True, return_inverse=True
-        )
-        codes = np.empty(len(uniques), dtype=np.uint64)
-        hit = np.zeros(len(uniques), dtype=bool)
-        self._ensure_lookup()
-        run, run_codes, tail = self._lookup
-        if run.size:
-            # One binary search of the run for every distinct value;
-            # only what it misses is probed in the tail.
-            at = np.minimum(run.searchsorted(uniques), run.size - 1)
-            hit = run[at] == uniques
-            codes[hit] = run_codes[at[hit]]
-        missing: list[tuple[int, int, object]] = []
-        rest = np.flatnonzero(~hit)
-        for i, value in zip(rest.tolist(), uniques[rest].tolist()):
-            code = tail.get(value)
-            if code is None:
-                missing.append((int(first_pos[i]), i, value))
-            else:
-                codes[i] = code
-        if missing:
-            missing.sort()  # np.unique sorts by value; restore insert order
-            base = len(self.values)
+            self._ensure_lookup()
+            run, run_codes, tail = self._lookup
+            codes = np.empty(len(values), dtype=np.int64)
+            probe = np.arange(len(values))
             if self.dtype is DataType.STRING:
-                raws = np.fromiter(
-                    (self._backend.put_str(v) for _, _, v in missing),
-                    dtype=np.uint64,
-                    count=len(missing),
-                )
+                keys = values
             else:
-                raws = np.asarray(
-                    [v for _, _, v in missing], dtype=_STORAGE_DTYPE[self.dtype]
-                )
-            self.values.extend(raws)
-            for code, (_, i, value) in enumerate(missing, start=base):
-                codes[i] = code
-                tail[value] = code
-        return codes[inverse.reshape(-1)]
+                arr = np.asarray(values, dtype=_STORAGE_DTYPE[self.dtype])
+                if run.size:
+                    at = np.minimum(run.searchsorted(arr), run.size - 1)
+                    hit = run[at] == arr
+                    codes[hit] = run_codes[at[hit]]
+                    probe = np.flatnonzero(~hit)
+                keys = arr[probe].tolist()
+            found = np.fromiter(map(tail.get, keys, repeat(-1)), np.int64, len(keys))
+            codes[probe] = found
+            missed = found < 0
+            if missed.any():
+                miss, misses = probe[missed], list(compress(keys, missed.tolist()))
+                if self.dtype is DataType.FLOAT64 and np.isnan(arr[miss]).any():
+                    nan = float("nan")  # a dict matches NaN by identity only
+                    misses = [nan if v != v else v for v in misses]
+                new = dict(zip(dict.fromkeys(misses), count(len(self.values))))
+                if self.dtype is DataType.STRING:
+                    put_str = self._backend.put_str
+                    raws = np.fromiter(map(put_str, new), np.uint64, len(new))
+                else:
+                    raws = np.asarray(list(new), dtype=_STORAGE_DTYPE[self.dtype])
+                self.values.extend(raws)
+                tail.update(new)
+                codes[miss] = list(map(new.__getitem__, misses))
+            return codes.view(np.uint64)
 
 
 class SortedDictionary:

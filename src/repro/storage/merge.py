@@ -357,9 +357,9 @@ def rebuild_tail_delta(
     Runs inside the cutover critical section — no concurrent appends,
     and no transaction holds operations on the table, so every tail row
     is resolved (``tid == NO_TID``). Row order and values are preserved
-    and the batch re-encode (`codes_for_insert`, first-occurrence code
-    order) is deterministic, which is what lets LOG replay rebuild the
-    identical tail from the merge record. Tail refs shift down by
+    and the batch re-encode (`codes_for_insert`: first-occurrence codes,
+    one for all the tail's NaNs) is deterministic, so LOG replay rebuilds
+    the identical tail from the merge record. Tail refs shift down by
     ``watermark``; no live undo record references them (see above), so
     the shift is invisible.
     """

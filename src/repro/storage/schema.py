@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.storage.types import DataType, Value, type_from_tag, type_tag
 
@@ -102,6 +103,20 @@ class Schema:
         if unknown:
             raise KeyError(f"unknown columns {sorted(unknown)}")
         return [c.dtype.validate(row.get(c.name)) for c in self.columns]
+
+    def validate_columns(self, rows: Sequence[dict]) -> list[list[Value]]:
+        """:meth:`validate_row` for a batch, by column: one comprehension
+        and one check of the types held per column, which takes a column
+        of its exact stored type and NULL as it is. Any other batch goes
+        through :meth:`validate_row` row by row, raising what it raises."""
+        if set(map(type, rows)) <= {dict} and set().union(*rows) <= self._index.keys():
+            columns = [[row.get(name) for row in rows] for name, _, _ in self._checks]
+            if all(
+                {exact, type(None)}.issuperset(map(type, column))
+                for column, (_, exact, _) in zip(columns, self._checks)
+            ):
+                return columns
+        return [list(column) for column in zip(*map(self.validate_row, rows))]
 
     # ------------------------------------------------------------------
     # Serialisation

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Protocol, Sequence
 import numpy as np
 
 from repro.storage.mvcc import INFINITY_CID, NO_TID
-from repro.storage.table import Table, pack_rowref, unpack_rowref
+from repro.storage.table import _DELTA_BIT, Table, unpack_rowref
 from repro.storage.types import Value
 from repro.txn.context import TransactionContext, TxnState
 from repro.txn.errors import TransactionAborted, TransactionConflict
@@ -187,15 +187,15 @@ class TransactionManager:
         A thin wrapper over :meth:`insert_many`, so the scalar and batch
         write paths can never diverge semantically.
         """
-        return self.insert_many(ctx, table, [list(values)])[0]
+        return self.insert_many(ctx, table, [[value] for value in values])[0]
 
     def insert_many(
         self,
         ctx: TransactionContext,
         table: Table,
-        rows: Sequence[Sequence[Value]],
+        columns: Sequence[Sequence[Value]],
     ) -> list[int]:
-        """Insert a batch of rows (values in schema order); returns rowrefs.
+        """Insert a batch given by column (in schema order); returns rowrefs.
 
         The vectorized write path: columns are bulk dictionary-encoded,
         appended with one coalesced extend per vector, and the whole
@@ -208,12 +208,9 @@ class TransactionManager:
         ctx.enter_op()
         try:
             self._require_active(ctx)
-            if not rows:
+            n = len(columns[0])
+            if not n:
                 return []
-            n = len(rows)
-            columns = [
-                [row[c] for row in rows] for c in range(len(table.schema))
-            ]
             # Dictionary encoding happens outside the append reservation
             # (each dictionary takes its own insert lock): codes are
             # position-independent, only row placement needs the latch.
@@ -257,7 +254,8 @@ class TransactionManager:
                         raise
                 ctx.note_insert_range(table.table_id, first, n)
                 ctx.note_table_generation(table)
-            return [pack_rowref(True, first + i) for i in range(n)]
+            start = _DELTA_BIT | first  # a delta rowref
+            return list(range(start, start + n))
         finally:
             ctx.exit_op()
 

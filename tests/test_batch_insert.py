@@ -10,14 +10,21 @@ chunk, one WAL record per (txn, table).
 from __future__ import annotations
 
 import random
+import sys
 
+import numpy as np
 import pytest
 
 from repro.core.config import DurabilityMode, EngineConfig
 from repro.core.database import Database
-from repro.nvm.pool import PMemMode
+from repro.nvm.pool import PMemMode, PMemPool
 from repro.query.predicate import Eq
+from repro.storage import table as storage_table
+from repro.storage.backend import NvmBackend, VolatileBackend
 from repro.storage.delta import DeltaPartition
+from repro.storage.dictionary import UnsortedDictionary
+from repro.storage.schema import Schema
+from repro.storage.types import NULL_CODE
 from repro.storage.types import DataType
 from repro.txn.manager import TransactionManager
 from repro.wal.reader import read_log
@@ -91,7 +98,7 @@ def test_insert_many_equals_n_inserts(tmp_path, mode):
         assert d_batch.values_list() == d_row.values_list()
     # So the stored image is the same vector for vector: the rows (with
     # their NULLs and repeats) took the one-row encoder on one side and
-    # ``np.unique`` on the other.
+    # the batch encoder on the other.
     for ci in range(len(SCHEMA)):
         assert (
             bt.delta.column_codes(ci).tolist() == rt.delta.column_codes(ci).tolist()
@@ -416,3 +423,206 @@ def test_bulk_reads_do_not_recharge_nvm_traffic(tmp_path):
     assert stats.bytes_read == bytes_before
     assert stats.views_created == views_before
     db.close()
+
+
+# ----------------------------------------------------------------------
+# A batch pays per batch: validated by column, encoded by column
+# ----------------------------------------------------------------------
+
+
+def _count_everywhere(monkeypatch, owner, name):
+    """Wrap ``owner.name``, and every ``repro`` module's own binding of
+    the same function, in one function that counts its calls in
+    ``.count``."""
+    fn = getattr(owner, name)
+
+    def calls(*args, **kwargs):
+        calls.count += 1
+        return fn(*args, **kwargs)
+
+    calls.count = 0
+    monkeypatch.setattr(owner, name, calls)
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("repro") and getattr(module, name, None) is fn:
+            monkeypatch.setattr(module, name, calls)
+    return calls
+
+
+@pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
+def test_a_well_formed_batch_makes_no_per_row_call(tmp_path, mode, monkeypatch):
+    """512 rows, NULLs and repeats included: no row is validated, no
+    value is encoded and no rowref is packed one at a time."""
+    db = Database(str(tmp_path / "db"), _cfg(mode))
+    db.create_table("t", SCHEMA)
+    db.insert_many("t", _random_rows(3, 64))
+    rows = _random_rows(4, 512)
+    counters = [
+        _count_everywhere(monkeypatch, Schema, "validate_row"),
+        _count_everywhere(monkeypatch, UnsortedDictionary, "code_for_insert"),
+        _count_everywhere(monkeypatch, storage_table, "pack_rowref"),
+    ]
+    refs = db.insert_many("t", rows)
+    assert [c.count for c in counters] == [0, 0, 0]
+    assert len(refs) == 512 and db.query("t").count == 576
+    assert db.table("t").get_row(refs[-1]) == list(rows[-1].values())
+    # The counters do count: a scalar insert validates and encodes.
+    db.insert("t", {"id": 1, "name": "one", "score": None})
+    assert [c.count for c in counters[:2]] == [1, 2]
+    db.close()
+
+
+def _row_major(schema: Schema, rows):
+    """What ``insert_many`` validated with before it went by column."""
+    return [schema.validate_row(row) for row in rows]
+
+
+def _raised(fn, *args):
+    with pytest.raises(Exception) as caught:
+        fn(*args)
+    return type(caught.value), str(caught.value)
+
+
+_GOOD = [{"id": i, "name": f"n{i}", "score": i / 4} for i in range(12)]
+
+
+def _with(at: dict, base=_GOOD) -> list:
+    rows = [dict(row) for row in base]
+    for i, row in at.items():
+        rows[i] = row
+    return rows
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        _with({4: {"id": 4, "colour": "red"}}),
+        _with({6: {"id": True, "name": "t"}}),
+        _with({2: {"id": 2, "score": "2.5"}}),
+        _with({5: ["id", "name"]}),
+        _with({8: None}),
+        # Two bad rows in different columns: the first row is named,
+        # though its bad column comes after the other row's.
+        _with({3: {"id": 3, "score": "x"}, 7: {"id": "7"}}),
+        _with({3: {"score": [1.0]}, 7: {"zzz": 1}}),
+    ],
+    ids=[
+        "unknown-column",
+        "bool-in-int64",
+        "str-in-float64",
+        "list-row",
+        "none-row",
+        "two-bad-rows",
+        "bad-value-before-unknown-key",
+    ],
+)
+def test_a_rejected_batch_raises_what_the_row_loop_raises(tmp_path, rows):
+    schema = Schema.of(**SCHEMA)
+    want = _raised(_row_major, schema, rows)
+    assert _raised(schema.validate_columns, rows) == want
+    db = Database(str(tmp_path / "db"), _cfg(DurabilityMode.NONE))
+    db.create_table("t", SCHEMA)
+    assert _raised(db.insert_many, "t", rows) == want
+    assert db.query("t").count == 0 and not db._manager.active
+    db.close()
+
+
+def test_a_coerced_batch_is_the_row_loop_by_column():
+    """An int in FLOAT64 and a subclass of a column's type take the row
+    loop: the same values of the same types, returned by column."""
+
+    class Int(int):
+        pass
+
+    schema = Schema.of(**SCHEMA)
+    rows = _with({1: {"id": Int(1), "score": 3}, 9: {"name": None}})
+    columns = schema.validate_columns(rows)
+    want = [list(column) for column in zip(*_row_major(schema, rows))]
+    assert columns == want
+    assert [type(v) for v in columns[2]] == [type(v) for v in want[2]]
+    assert type(columns[2][1]) is float and type(columns[0][1]) is Int
+
+
+@pytest.mark.parametrize("rows", [[], [{}], [{}] * 3, _GOOD])
+def test_exact_types_come_back_as_they_are(rows):
+    schema = Schema.of(**SCHEMA)
+    columns = schema.validate_columns(rows)
+    assert len(columns) == len(SCHEMA)
+    for column, name in zip(columns, SCHEMA):
+        assert len(column) == len(rows)
+        assert all(got is row.get(name) for got, row in zip(column, rows))
+
+
+def test_insert_each_validates_each_row_once(tmp_path, monkeypatch):
+    """A served tick's rows: validated once on the all-valid path (by
+    column, or row by row when one needs coercing), and a mixed tick
+    keeps its per-row outcomes."""
+    db = Database(str(tmp_path / "db"), _cfg(DurabilityMode.NVM))
+    db.create_table("t", SCHEMA)
+    by_row = _count_everywhere(monkeypatch, Schema, "validate_row")
+    by_column = _count_everywhere(monkeypatch, Schema, "validate_columns")
+
+    refs = db.insert_each("t", _GOOD)
+    assert (by_row.count, by_column.count) == (0, 1)
+    coerced = _with({5: {"id": 105, "score": 5}})
+    by_column.count = 0
+    db.insert_each("t", coerced)
+    assert (by_row.count, by_column.count) == (len(coerced), 1)
+
+    mixed = _with({2: {"id": "2"}, 6: {"id": 6, "bad": 1}})
+    outcomes = db.insert_each("t", mixed)
+    for i, outcome in enumerate(outcomes):
+        if i in (2, 6):
+            assert _raised(Schema.of(**SCHEMA).validate_row, mixed[i]) == (
+                type(outcome),
+                str(outcome),
+            )
+        else:
+            assert db.table("t").get_row(outcome) == [
+                mixed[i].get(name) for name in SCHEMA
+            ]
+    assert len(refs) == len(_GOOD)
+    assert db.query("t").count == 2 * len(_GOOD) + len(mixed) - 2
+    db.close()
+
+
+@pytest.mark.parametrize("backend", ["volatile", "nvm"])
+def test_delta_encodes_null_bearing_columns_as_row_by_row(tmp_path, backend):
+    """Columns with NULLs, all NULLs and none encode to the codes and
+    dictionaries that one row at a time gives, NULLs as NULL_CODE."""
+    pool = None
+    if backend == "nvm":
+        pool = PMemPool.create(str(tmp_path / "pool"), extent_size=SMALL_EXTENT)
+    schema = Schema.of(
+        a=DataType.INT64, b=DataType.STRING, c=DataType.FLOAT64, d=DataType.INT64
+    )
+    columns = [
+        [None, 5, 5, None, -1, 7, None, 5],
+        ["x", None, "y", "x", None, "", "y", None],
+        [None] * 8,
+        [3, 1, 4, 1, 5, 9, 2, 6],
+    ]
+
+    def delta():
+        backend = VolatileBackend() if pool is None else NvmBackend(pool)
+        return DeltaPartition.create(schema, backend)
+
+    batch, single = delta(), delta()
+    encoded = batch.encode_columns(columns)
+    by_row = [single.encode_row(list(row)) for row in zip(*columns)]
+    for ci, codes in enumerate(encoded):
+        assert codes.dtype == np.uint32
+        assert codes.tolist() == [row[ci] for row in by_row]
+        assert [
+            v is None for v in columns[ci]
+        ] == (codes == NULL_CODE).tolist()
+        assert (
+            batch.dictionaries[ci].values_list()
+            == single.dictionaries[ci].values_list()
+        )
+    assert batch.dictionaries[0].values_list() == [5, -1, 7]
+    assert len(batch.dictionaries[2]) == 0
+    # A second batch reuses the codes the first one assigned.
+    again = batch.encode_columns([col[::-1] for col in columns])
+    assert [c.tolist() for c in again] == [c[::-1].tolist() for c in encoded]
+    if pool is not None:
+        pool.close()

@@ -82,7 +82,9 @@ _VALUES = {
         [0.0, -0.0, math.inf, -math.inf, math.nan, 1.5, 5e-324]
     )
     | st.floats(),
-    DataType.STRING: st.sampled_from(["", "\x00", "a", "a\x00", "ü", "日本"])
+    DataType.STRING: st.sampled_from(
+        ["", "\x00", "a", "a\x00", "ü", "日本", "\U0001d11e"]
+    )
     | st.text(max_size=3),
 }
 
@@ -112,7 +114,7 @@ class LookupModel(RuleBasedStateMachine):
 
     @rule(data=st.data())
     def codes_for_insert(self, data):
-        values = data.draw(st.lists(_VALUES[self.dtype], max_size=8))
+        values = data.draw(st.lists(_VALUES[self.dtype], max_size=64))
         got = self.dictionary.codes_for_insert(values)
         assert got.tolist() == (self.oracle.codes_for_insert(values) if values else [])
 
@@ -209,6 +211,14 @@ class TestRun:
         assert d.code_of(float("nan")) is None
         assert d.code_for_insert(float("nan")) == 2
         assert d.codes_for_insert([float("nan"), 1.0]).tolist() == [3, 0]
+
+    def test_the_nans_of_one_batch_share_one_new_code(self):
+        d = UnsortedDictionary.create(DataType.FLOAT64, VolatileBackend())
+        nan = float("nan")
+        batch = [nan, -0.0, nan, 0.0, float("nan")]
+        assert d.codes_for_insert(batch).tolist() == [0, 1, 0, 1, 0]
+        assert d.codes_for_insert([nan, 0.0]).tolist() == [2, 1]
+        assert list(map(repr, d.values_list())) == ["nan", "-0.0", "nan"]
 
     @pytest.mark.parametrize("dtype", [DataType.INT64, DataType.FLOAT64])
     def test_a_probe_does_not_cast_the_run(self, dtype):

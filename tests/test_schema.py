@@ -173,3 +173,43 @@ class TestValidateRowFastPath:
             self.SCHEMA.validate_row({"id": True})
         with pytest.raises(TypeError, match="expected float, got bool"):
             self.SCHEMA.validate_row({"score": False})
+
+
+_known_rows = st.fixed_dictionaries(
+    {},
+    optional={
+        "id": st.none() | st.integers(-(2**70), 2**70),
+        "name": st.none() | st.text(max_size=3),
+        "score": st.none() | st.floats(allow_nan=False),
+    },
+)
+
+
+class TestValidateColumns:
+    """A batch validated by column is the row loop, transposed: the same
+    values of the same types, or the same error from the same row."""
+
+    SCHEMA = TestValidateRowFastPath.SCHEMA
+
+    def _row_loop(self, rows):
+        try:
+            values = [_validate_row_before(self.SCHEMA, row) for row in rows]
+        except Exception as exc:
+            return type(exc), str(exc)
+        columns = [[row[i] for row in values] for i in range(len(self.SCHEMA))]
+        return [[(type(v), v) for v in column] for column in columns]
+
+    def _by_column(self, rows):
+        try:
+            columns = self.SCHEMA.validate_columns(rows)
+        except Exception as exc:
+            return type(exc), str(exc)
+        return [[(type(v), v) for v in column] for column in columns]
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        rows=st.lists(_known_rows, max_size=8)
+        | st.lists(_known_rows | _rows, max_size=6)
+    )
+    def test_same_columns_and_same_errors_as_the_row_loop(self, rows):
+        assert self._by_column(rows) == self._row_loop(rows)

@@ -8,8 +8,10 @@ multi-tenant durability oracle lives in ``tests/test_tenants.py``).
 
 from __future__ import annotations
 
+import logging
 import os
 import shutil
+import struct
 import sys
 import tempfile
 import threading
@@ -87,6 +89,24 @@ def test_garbage_frame_drops_connection(served):
         client._sock.sendall(b"\xff" * 64)
         with pytest.raises((ConnectionError, OSError)):
             client.call(Op.PING, {})
+
+
+def test_a_deeply_nested_body_is_a_counted_protocol_error(served, capfd, caplog):
+    """A 25 KB PING of 5,000 nested one-element lists drops only its own
+    connection, as a protocol error: counted, with nothing logged or
+    printed, while another connection keeps being served."""
+    rejected = get_registry().counter("server_rejected_total", reason="protocol_error")
+    before = rejected.value
+    body = (bytes([7]) + struct.pack("<I", 1)) * 5000 + bytes([0])
+    payload = bytes([Op.PING]) + struct.pack("<IH", 1, 0) + body
+    with ReproClient(HOST, served.port) as other, ReproClient(HOST, served.port) as bad:
+        bad._sock.sendall(protocol.encode_frame(payload))
+        with pytest.raises((ConnectionError, OSError)):
+            bad.call(Op.PING, {})
+        assert other.ping()
+    assert rejected.value == before + 1
+    assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+    assert capfd.readouterr().err == ""
 
 
 def test_data_op_without_tenant_rejected(client):

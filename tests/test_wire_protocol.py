@@ -35,6 +35,7 @@ from repro.server.protocol import (
     FRAME_HEADER_BYTES,
     FrameDecoder,
     MAX_FRAME_BYTES,
+    MAX_VALUE_DEPTH,
     Op,
     PROTOCOL_VERSION,
     ProtocolError,
@@ -125,6 +126,28 @@ def test_invalid_utf8_string_rejected():
     bad = bytes([5]) + struct.pack("<I", 2) + b"\xff\xfe"
     with pytest.raises(ProtocolError, match="UTF-8"):
         decode_value(bad)
+
+
+def _nested_lists(depth: int) -> bytes:
+    """``depth`` one-element lists around a NULL, encoded by hand: the
+    recursive encoder cannot build the deepest ones."""
+    return (bytes([7]) + struct.pack("<I", 1)) * depth + bytes([0])
+
+
+def test_nesting_up_to_the_cap_decodes():
+    value = decode_body(_nested_lists(MAX_VALUE_DEPTH))
+    for _ in range(MAX_VALUE_DEPTH):
+        (value,) = value
+    assert value is None
+
+
+@pytest.mark.parametrize("depth", [MAX_VALUE_DEPTH + 1, 5000])
+def test_nesting_beyond_the_cap_is_a_protocol_error(depth):
+    with pytest.raises(ProtocolError, match="nested deeper"):
+        decode_body(_nested_lists(depth))
+    as_dict = (bytes([8]) + struct.pack("<I", 1) + bytes([0])) * depth + bytes([0])
+    with pytest.raises(ProtocolError, match="nested deeper"):
+        decode_body(as_dict)
 
 
 def test_truncated_value_rejected_at_every_prefix():
