@@ -10,9 +10,10 @@ The vectorized kernels never materialise per-row python values:
   group, non-null values per group);
 * a grouped ``sum``/``avg`` gathers each row's value through its code
   and adds it into its group: one weighted ``bincount`` for FLOAT64,
-  an exact int64 scatter-add for INT64 (float weights would round past
-  2**53); ungrouped, it is sum(count(code) * decode(code)) over the
-  codes present — one decode per *distinct value*, not per row;
+  an int64 scatter-add per 32-bit half for INT64, exact as python ints
+  (float weights round past 2**53); ungrouped, it is sum(count(code) *
+  decode(code)) over the codes present — one decode per *distinct
+  value*, not per row;
 * ``min``/``max`` reduce to code extremes: directly on the main
   partition (the sorted dictionary preserves value order) and through a
   one-off rank table, or the present codes' values, on the delta's
@@ -215,16 +216,24 @@ def _grouped_sums(
 
     ``gids``/``vcodes`` are the non-null rows' group ids and value
     codes, ``values`` the dictionary's values in code order. FLOAT64 is
-    one weighted ``bincount``; INT64 is an int64 scatter-add, exact
-    where float weights would round past 2**53. Both cost O(rows),
-    whatever the number of groups or distinct values.
+    one weighted ``bincount``; INT64 is an int64 scatter-add per half
+    (:func:`_exact`), exact where float weights would round past 2**53.
+    Both cost O(rows), whatever the number of groups or distinct values.
     """
-    row_values = values[vcodes]
     if dtype is DataType.INT64:
-        sums = np.zeros(n_groups, dtype=np.int64)
-        np.add.at(sums, gids, row_values)
-        return sums
-    return np.bincount(gids, weights=row_values, minlength=n_groups)
+        high, low = np.zeros((2, n_groups), dtype=np.int64)
+        for sums, half in ((high, values >> 32), (low, values & 0xFFFFFFFF)):
+            np.add.at(sums, gids, half[vcodes])
+        return _exact(high, low)
+    return np.bincount(gids, weights=values[vcodes], minlength=n_groups)
+
+
+def _exact(high, low) -> list:
+    """INT64 sums from int64 sums of each value's signed high and
+    unsigned low 32 bits (each exact up to 2**31 rows), recombined as
+    python ints: exact past 2**63, where one int64 sum wraps."""
+    high, low = np.atleast_1d(high).tolist(), np.atleast_1d(low).tolist()
+    return [(h << 32) + lo for h, lo in zip(high, low)]
 
 
 def _grouped_extremes(
@@ -306,7 +315,13 @@ def _accumulate_total(
         present = np.flatnonzero(counts)
         if func in ("sum", "avg"):
             values = dictionary.decode_array(present)
-            total = _scalar(counts[present] @ values, dtype)
+            weights = counts[present]
+            if dtype is DataType.INT64:
+                (total,) = _exact(
+                    weights @ (values >> 32), weights @ (values & 0xFFFFFFFF)
+                )
+            else:
+                total = float(weights @ values)
             _merge_state(states, TOTAL, func, (n, total))
             continue
         decoded = _decode_codes(dictionary, present, dtype)

@@ -1,10 +1,10 @@
 """Hash joins between scan results, executed over dictionary codes.
 
-A single-pass equi-join: the right input's dictionaries assign each
-distinct key value a compact id (one decode per *distinct value*), the
-left input probes that map, and the matched (left, right) row-index
-pairs are produced with a sort + binary-search kernel — no per-row
-python loop and no row dicts until the caller materialises them.
+A single-pass equi-join: the right input assigns each distinct key
+value its rows hold a compact id (one decode per code held), the left
+input probes that map, and the matched (left, right) row-index pairs
+are produced with a sort + binary-search kernel — no per-row python
+loop and no row dicts until the caller materialises them.
 Inputs are visibility-filtered scan results, so the join sees exactly
 one snapshot. NULL keys never join (SQL semantics).
 
@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.query.scan import ScanResult
+from repro.storage.dictionary import used_codes
 
 #: Key-id sentinels: NULL keys and keys absent from the right side.
 _NULL_ID = -2
@@ -35,36 +36,42 @@ _MISS_ID = -1
 def _key_ids(
     result: ScanResult, key: str, id_map: dict, grow: bool
 ) -> np.ndarray:
-    """Map each result row's key to a compact id (decode per distinct).
+    """Map each result row's key to a compact id (decode per distinct
+    code the rows hold, found by counting).
 
-    With ``grow`` new values are assigned fresh ids (build side);
-    without, unknown values map to ``_MISS_ID`` (probe side). NULL rows
-    always map to ``_NULL_ID``.
+    Python's ``==`` on the decoded values assigns ids: NaN joins
+    nothing, an int and a float match only when exactly equal. With
+    ``grow`` new values get fresh ids (build side); without, unknown
+    values map to ``_MISS_ID`` (probe side). NULL rows map to ``_NULL_ID``.
     """
     parts = []
     for codes, dictionary, null_code, _sorted in result.column_codes(key):
-        if codes.size == 0:
-            parts.append(np.empty(0, dtype=np.int64))
-            continue
         n_values = len(dictionary)
-        # Translate dictionary codes -> join ids via a small table
-        # (one entry per distinct value; the trailing slot is NULL).
-        table = np.empty(n_values + 1, dtype=np.int64)
-        values = dictionary.values_array()
-        if values.dtype != object:
-            values = values.tolist()
-        for code, value in enumerate(values):
-            if grow:
-                table[code] = id_map.setdefault(value, len(id_map))
-            else:
-                table[code] = id_map.get(value, _MISS_ID)
-        table[n_values] = _NULL_ID
+        used = used_codes(codes, n_values)
+        values = dictionary.decode_array(used).tolist()
+        if grow:
+            ids = [id_map.setdefault(v, len(id_map)) for v in values]
+        else:
+            ids = [id_map.get(v, _MISS_ID) for v in values]
+        # Code -> id through a table; the trailing slot is NULL, and a
+        # slot no row holds is never read.
+        table = np.full(n_values + 1, _NULL_ID, dtype=np.int64)
+        table[used] = ids
         local = codes.astype(np.int64)
         local[local == int(null_code)] = n_values
         parts.append(table[local])
-    if len(parts) == 1:
-        return parts[0]
-    return np.concatenate(parts)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _probe_ids(
+    left: ScanResult, right: ScanResult, left_key: str,
+    right_key: Optional[str],
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(left ids, right ids)`` over one id map of the keys the right
+    rows hold: a left id >= 0 has a match."""
+    id_map: dict = {}
+    r_ids = _key_ids(right, right_key or left_key, id_map, grow=True)
+    return _key_ids(left, left_key, id_map, grow=False), r_ids
 
 
 def _match_pairs(
@@ -127,37 +134,31 @@ class JoinResult:
         table's name when the two values differ (the historical
         contract of :func:`hash_join`).
         """
-        left_names = (
+        left = (
             list(left_columns)
             if left_columns is not None
             else self.left.table.schema.names
         )
-        right_names = (
+        right = (
             list(right_columns)
             if right_columns is not None
             else self.right.table.schema.names
         )
-        left_cols = [
-            (name, self.left.gather_column(name, self.left_rows))
-            for name in left_names
-        ]
-        right_cols = [
-            (name, self.right.gather_column(name, self.right_rows))
-            for name in right_names
-        ]
-        taken = set(left_names)
+        taken = set(left)
         right_table = self.right.table.name
-        out = []
-        for i in range(len(self)):
-            merged = {name: values[i] for name, values in left_cols}
-            for name, values in right_cols:
-                value = values[i]
-                if name in taken:
-                    if merged[name] != value:
-                        merged[f"{right_table}.{name}"] = value
-                else:
-                    merged[name] = value
-            out.append(merged)
+        names = left + [f"{right_table}.{n}" if n in taken else n for n in right]
+        left_values = [self.left.gather_column(n, self.left_rows) for n in left]
+        right_values = [self.right.gather_column(n, self.right_rows) for n in right]
+        out = [dict(zip(names, row)) for row in zip(*left_values, *right_values)]
+        # A right name that a left name takes keeps its prefixed key
+        # only where the two values differ.
+        for name, values in zip(right, right_values):
+            if name in taken:
+                prefixed = f"{right_table}.{name}"
+                mine = left_values[left.index(name)]
+                for row, a, b in zip(out, mine, values):
+                    if a == b:
+                        del row[prefixed]
         return out
 
 
@@ -168,11 +169,9 @@ def join(
     right_key: Optional[str] = None,
 ) -> JoinResult:
     """Inner equi-join on ``left_key = right_key``; lazy result."""
-    right_key = right_key or left_key
-    id_map: dict = {}
-    r_ids = _key_ids(right, right_key, id_map, grow=True)
-    l_ids = _key_ids(left, left_key, id_map, grow=False)
-    left_rows, right_rows = _match_pairs(l_ids, r_ids)
+    left_rows, right_rows = _match_pairs(
+        *_probe_ids(left, right, left_key, right_key)
+    )
     return JoinResult(left, right, left_rows, right_rows)
 
 
@@ -253,36 +252,13 @@ def _left_rows_at(left: ScanResult, indices: np.ndarray) -> list[dict]:
     ] if indices.size else []
 
 
-def _membership(
-    left: ScanResult, right: ScanResult, left_key: str,
-    right_key: Optional[str],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-left-row (ids, matched) for semi/anti joins.
-
-    The id map spans the right *dictionary*, which can hold values with
-    no visible right row; membership therefore checks ids against the
-    right's actual row ids, not the map.
-    """
-    right_key = right_key or left_key
-    id_map: dict = {}
-    r_ids = _key_ids(right, right_key, id_map, grow=True)
-    l_ids = _key_ids(left, left_key, id_map, grow=False)
-    if not id_map:
-        return l_ids, np.zeros(l_ids.size, dtype=bool)
-    present = np.zeros(len(id_map), dtype=bool)
-    valid = r_ids >= 0
-    present[r_ids[valid]] = True
-    safe = np.where(l_ids >= 0, l_ids, 0)
-    return l_ids, (l_ids >= 0) & present[safe]
-
-
 def semi_join(
     left: ScanResult, right: ScanResult, left_key: str,
     right_key: Optional[str] = None,
 ) -> list[dict]:
     """Rows of ``left`` having at least one match in ``right``."""
-    _, matched = _membership(left, right, left_key, right_key)
-    return _left_rows_at(left, np.nonzero(matched)[0])
+    l_ids, _ = _probe_ids(left, right, left_key, right_key)
+    return _left_rows_at(left, np.flatnonzero(l_ids >= 0))
 
 
 def anti_join(
@@ -290,5 +266,5 @@ def anti_join(
     right_key: Optional[str] = None,
 ) -> list[dict]:
     """Rows of ``left`` with no match in ``right`` (NULL keys kept out)."""
-    l_ids, matched = _membership(left, right, left_key, right_key)
-    return _left_rows_at(left, np.nonzero((l_ids != _NULL_ID) & ~matched)[0])
+    l_ids, _ = _probe_ids(left, right, left_key, right_key)
+    return _left_rows_at(left, np.flatnonzero(l_ids == _MISS_ID))

@@ -36,16 +36,16 @@ def pack(codes: np.ndarray, bits: int) -> np.ndarray:
     positions = np.arange(count, dtype=np.uint64) * _U64(bits)
     word_idx = positions >> _U64(6)
     offsets = positions & _U64(63)
-    low = codes << offsets
-    np.bitwise_or.at(words, word_idx, low)
-    # Codes straddling a word boundary spill their high bits into the
-    # next word.
+    # A word's codes are contiguous: OR each run into its word, the run
+    # starting at the first code whose offset is below ``bits``.
+    starts = np.flatnonzero(offsets < _U64(bits))
+    words[word_idx[starts]] = np.bitwise_or.reduceat(codes << offsets, starts)
+    # A code straddling a word boundary spills its high bits into the
+    # next word; at most one code spills into any word.
     spill = (offsets + _U64(bits)) > _U64(64)
     if spill.any():
-        s_codes = codes[spill]
-        s_off = offsets[spill]
-        high = s_codes >> (_U64(64) - s_off)
-        np.bitwise_or.at(words, word_idx[spill] + _U64(1), high)
+        high = codes[spill] >> (_U64(64) - offsets[spill])
+        words[word_idx[spill] + _U64(1)] |= high
     return words
 
 

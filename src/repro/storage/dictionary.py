@@ -101,6 +101,12 @@ def _value_blocks(dictionary) -> Iterator[tuple[int, int]]:
 SMALL_DECODE = 8
 
 
+def used_codes(codes: np.ndarray, n_values: int) -> np.ndarray:
+    """Sorted distinct codes below ``n_values`` (NULL is never one), by
+    counting: a ``bincount`` is linear where a unique would sort."""
+    return np.flatnonzero(np.bincount(codes[codes < n_values]))
+
+
 def decode_values(dictionary, codes: np.ndarray, null_code: int) -> tuple:
     """``codes`` as ``(values, null_mask)`` arrays: an undefined numeric
     placeholder at NULL slots, ``None`` in an object (STRING) array."""

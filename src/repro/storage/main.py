@@ -22,7 +22,8 @@ from repro.storage.vector import VectorLike, one_chunk
 
 
 class MainColumn:
-    """One dictionary-compressed, bit-packed main column."""
+    """One dictionary-compressed, bit-packed main column; ``codes``, the
+    unpacked cache, comes from a merge's build and never from an attach."""
 
     def __init__(
         self,
@@ -30,13 +31,14 @@ class MainColumn:
         words: VectorLike,
         bits: int,
         row_count: int,
+        codes: Optional[np.ndarray] = None,
     ):
         self.dictionary = dictionary
         self.words = words
         self.bits = bits
         self._row_count = row_count
-        self._codes_cache: Optional[np.ndarray] = None
-        self._positional_calls = 0
+        self._codes_cache = codes
+        self._gathered = 0  # rows charged to positional gathers
 
     @property
     def null_code(self) -> int:
@@ -56,13 +58,14 @@ class MainColumn:
 
         While the column is still packed, a request for a small share of
         it unpacks just those positions from the words: after a restart
-        a point read costs O(result), not O(main). One such call costs
-        about what unpacking 2k rows does, so once the calls add up to a
-        full unpack the column is unpacked and later requests gather.
+        a point read costs O(result), not O(main). Each such call is
+        charged its rows, and at least 2k (what a call's fixed cost
+        buys in unpacked rows); once the charges reach the row count the
+        column is unpacked and later requests gather from it.
         """
         if self._codes_cache is None and len(rows) * 8 < self._row_count:
-            self._positional_calls += 1
-            if self._positional_calls * 2048 < self._row_count:
+            self._gathered += max(len(rows), 2048)
+            if self._gathered < self._row_count:
                 rows = checked_indices(rows, self._row_count)
                 return bitpack.unpack_at(self.words.take, self.bits, rows)
         return self.codes()[rows]
@@ -97,7 +100,9 @@ class MainPartition:
         """Persist a new main from per-column codes and MVCC state.
 
         ``code_columns`` use each column's local NULL code
-        (``len(dictionary)``) for NULLs.
+        (``len(dictionary)``) for NULLs. Each column keeps its uint32
+        codes as its unpacked cache (4 B a row in DRAM), so reads over a
+        merged main, and the next merge, gather instead of unpacking.
         """
         row_count = len(begin_cids)
         columns = []
@@ -105,12 +110,13 @@ class MainPartition:
             if len(codes) != row_count:
                 raise ValueError("ragged main build")
             bits = bitpack.bits_needed(len(dictionary))
-            words = bitpack.pack(np.asarray(codes, dtype=np.uint32), bits)
+            codes = np.asarray(codes, dtype=np.uint32)
+            words = bitpack.pack(codes, bits)
             # Main is immutable: one chunk sized to it wastes no space.
             words_vec = backend.make_vector(np.uint64, one_chunk(int(words.size)))
             if words.size:
                 words_vec.extend(words)
-            columns.append(MainColumn(dictionary, words_vec, bits, row_count))
+            columns.append(MainColumn(dictionary, words_vec, bits, row_count, codes))
         # ``end`` and ``tid`` read as "live, unlocked" until a delete or
         # update stores into one of their ~8,192-row chunks (64 KiB).
         chunks = max(-(-row_count // 8192), 1)

@@ -49,7 +49,7 @@ import numpy as np
 from repro.obs import trace_phase
 from repro.storage.backend import Backend
 from repro.storage.delta import DeltaPartition
-from repro.storage.dictionary import SortedDictionary
+from repro.storage.dictionary import SortedDictionary, used_codes
 from repro.storage.main import MainPartition
 from repro.storage.mvcc import INFINITY_CID, NO_TID
 from repro.storage.table import Table
@@ -189,12 +189,6 @@ def plan_from_masks(
     )
 
 
-def _used_codes(codes: np.ndarray, n_values: int) -> np.ndarray:
-    """Sorted distinct codes below ``n_values`` (NULL is never one), by
-    counting: a ``bincount`` is linear where a unique would sort."""
-    return np.flatnonzero(np.bincount(codes[codes < n_values]))
-
-
 def _translate_table(
     used: np.ndarray,
     used_values: np.ndarray,
@@ -250,8 +244,8 @@ def fold_generation(
             # Surviving value domain: the used codes of each source by
             # counting, one decode per used code, and one merge of main's
             # sorted run with the delta's values.
-            used_main = _used_codes(src_main, len(main_col.dictionary))
-            used_delta = _used_codes(src_delta, len(delta.dictionaries[ci]))
+            used_main = used_codes(src_main, len(main_col.dictionary))
+            used_delta = used_codes(src_delta, len(delta.dictionaries[ci]))
             vals_main = main_col.dictionary.decode_array(used_main)
             vals_delta = delta.dictionaries[ci].decode_array(used_delta)
             domain = _sorted_domain(vals_main, vals_delta)

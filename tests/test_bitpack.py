@@ -1,7 +1,10 @@
 """Unit tests for the bit-packing codec."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.storage import bitpack
 
@@ -84,3 +87,47 @@ class TestRoundtrip:
             assert bitpack.pack(codes, bits).size == bitpack.packed_word_count(
                 count, bits
             )
+
+
+# Main words are durable (on NVM, and in checkpoints): the packed format
+# is fixed to the bit. Each digest covers ``pack`` of seeded codes at
+# every count in ``_PINNED_COUNTS``, concatenated.
+_PINNED_COUNTS = (0, 1, 63, 64, 65, 4099)
+_PINNED_SHA256 = {
+    1: "8cef0922e42e342998863bf8ea1de20ac93b6acf3253e61329097f4fb7c66e70",
+    6: "3e251e57206ca9573e8455f48862b5826876bb39ca00c5a892c76809b5d6817c",
+    17: "fe3130b9d685ba60df7b57254c3345ca9158562c3633181e1198771f0cccd359",
+    31: "e32a51b00d3b3fb11ada20dc6915f4d7a88f72e9cc5392c0c798d4b2cca779d6",
+    32: "f30ff5ba6f1739c7f91c70f195551c56908b23057a52f3b209fcd2deda3a4b37",
+}
+
+
+class TestPackedFormat:
+    @pytest.mark.parametrize("bits", sorted(_PINNED_SHA256))
+    def test_pack_output_is_pinned(self, bits):
+        digest = hashlib.sha256()
+        for count in _PINNED_COUNTS:
+            rng = np.random.default_rng([bits, count])
+            codes = rng.integers(0, 2**bits, size=count).astype(np.uint32)
+            words = bitpack.pack(codes, bits)
+            assert words.size == bitpack.packed_word_count(count, bits)
+            digest.update(words.tobytes())
+        assert digest.hexdigest() == _PINNED_SHA256[bits]
+
+    @given(data=st.data(), bits=st.integers(1, 32), count=st.integers(0, 300))
+    def test_round_trip_through_unpack_and_unpack_at(self, data, bits, count):
+        codes = np.asarray(
+            data.draw(st.lists(st.integers(0, 2**bits - 1), min_size=count, max_size=count)),
+            dtype=np.uint32,
+        )
+        words = bitpack.pack(codes, bits)
+        np.testing.assert_array_equal(bitpack.unpack(words, bits, count), codes)
+        rows = np.asarray(
+            data.draw(st.lists(st.integers(0, max(count - 1, 0)), max_size=20))
+            if count
+            else [],
+            dtype=np.int64,
+        )
+        np.testing.assert_array_equal(
+            bitpack.unpack_at(words.__getitem__, bits, rows), codes[rows]
+        )

@@ -14,13 +14,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.config import DurabilityMode
 from repro.core.database import Database
-from repro.query.predicate import Eq
+from repro.query.join import hash_join
+from repro.query.predicate import Between, Eq
 from repro.query.scan import ScanResult
 from repro.storage import bitpack
 from repro.storage.backend import NvmBackend, VolatileBackend
 from repro.storage.delta import DeltaPartition
 from repro.storage.dictionary import SMALL_DECODE, SortedDictionary
-from repro.storage.main import MainPartition
+from repro.storage.main import MainColumn, MainPartition
 from repro.storage.mvcc import INFINITY_CID
 from repro.storage.schema import Schema
 from repro.storage.types import DataType
@@ -123,6 +124,16 @@ def test_unpack_at_equals_unpack(bits):
 SCHEMA = Schema.of(id=DataType.INT64, name=DataType.STRING, score=DataType.FLOAT64)
 
 
+def _reopened(main: MainPartition) -> MainPartition:
+    """``main`` as an attach sees it: the same words, nothing unpacked
+    (a merge's build hands each column the codes it packed)."""
+    columns = [
+        MainColumn(c.dictionary, c.words, c.bits, main.row_count)
+        for c in main.columns
+    ]
+    return MainPartition(main.schema, columns, main.mvcc, main.row_count)
+
+
 def test_main_column_gathers_before_and_after_unpacking(backend):
     n = 7000
     names = [f"n{i % 11}" for i in range(n)]
@@ -138,8 +149,10 @@ def test_main_column_gathers_before_and_after_unpacking(backend):
         np.asarray([i % 3 for i in range(n)], dtype=np.uint32),  # 2 = NULL
     ]
     cids = np.ones(n, dtype=np.uint64)
-    main = MainPartition.build(
-        SCHEMA, backend, dictionaries, codes, cids, cids * INFINITY_CID
+    main = _reopened(
+        MainPartition.build(
+            SCHEMA, backend, dictionaries, codes, cids, cids * INFINITY_CID
+        )
     )
     rows = np.asarray([n - 1, 0, 7, 7, 64, 128])
     with pytest.raises(IndexError):
@@ -164,6 +177,57 @@ def test_main_column_gathers_before_and_after_unpacking(backend):
         np.testing.assert_array_equal(nulls, cold_arrays[c][1])
         np.testing.assert_array_equal(values[~nulls], cold_arrays[c][0][~nulls])
         assert [None if m else v for v, m in zip(values.tolist(), nulls)] == cold[c]
+
+
+@pytest.mark.parametrize(
+    "mode", [DurabilityMode.LOG, DurabilityMode.NVM], ids=["volatile", "nvm"]
+)
+def test_a_merged_main_is_born_unpacked(tmp_path, mode):
+    db = Database(str(tmp_path), make_config(mode))
+    db.create_table("t", {"id": DataType.INT64, "grp": DataType.STRING})
+    rows = [{"id": i, "grp": f"g{i % 13}"} for i in range(3000)]
+    db.insert_many("t", rows)
+    db.merge("t")
+    main = db.table("t").main
+    assert all(c._codes_cache is not None for c in main.columns)
+    for column in main.columns:
+        np.testing.assert_array_equal(
+            column.codes(),
+            bitpack.unpack(column.words.view(), column.bits, main.row_count),
+        )
+    db = db.restart()
+    assert all(c._codes_cache is None for c in db.table("t").main.columns)
+    assert db.query("t").rows() == rows
+    db.close()
+
+
+def test_positional_gathers_are_charged_by_rows(backend):
+    """A reopened column answers one-row gathers from its words for
+    about ``n / 2048`` calls; gathers of ``n / 10`` rows add up to a
+    full unpack by the tenth call."""
+    n = 100_000
+    dictionary = SortedDictionary.build(DataType.INT64, backend, list(range(n)))
+    codes = np.arange(n, dtype=np.uint32)[::-1].copy()
+    cids = np.ones(n, dtype=np.uint64)
+    schema = Schema.of(a=DataType.INT64)
+
+    def calls_until_unpacked(size: int) -> int:
+        main = _reopened(
+            MainPartition.build(
+                schema, backend, [dictionary], [codes], cids, cids * INFINITY_CID
+            )
+        )
+        column = main.columns[0]
+        rng = np.random.default_rng(size)
+        for call in range(1, n):
+            rows = rng.integers(0, n, size)
+            np.testing.assert_array_equal(column.codes_at(rows), codes[rows])
+            if column._codes_cache is not None:
+                return call
+        raise AssertionError("never unpacked")
+
+    assert calls_until_unpacked(1) == -(-n // 2048)
+    assert calls_until_unpacked(n // 10) == 10
 
 
 # ----------------------------------------------------------------------
@@ -306,6 +370,33 @@ def test_first_point_read_after_reopen_decodes_its_own_strings(
     for key in range(0, n, n // 100):
         assert db.query("t", Eq("id", key)).column("grp") == [f"g{key % 97}"]
     assert grp._array is not None and name._array is None
+    db.close()
+
+
+def test_string_key_join_after_reopen_decodes_what_it_holds(
+    tmp_path, monkeypatch
+):
+    """A join decodes the key codes its rows hold, not the key's whole
+    main dictionary: 20 probe rows against 200 build rows of a 50k-row
+    STRING column read a few hundred blobs."""
+    n = 50_000
+    db = Database(str(tmp_path), make_config(DurabilityMode.NVM))
+    db.create_table("t", {"id": DataType.INT64, "name": DataType.STRING})
+    db.create_table("u", {"name": DataType.STRING, "qty": DataType.INT64})
+    db.insert_many("t", [{"id": i, "name": f"n{i:06d}"} for i in range(n)])
+    db.insert_many("u", [{"name": f"n{i * 7:06d}", "qty": i} for i in range(20)])
+    db.merge("t")
+    db.merge("u")
+    db = db.restart()
+    calls = []
+    get_str = NvmBackend.get_str
+    monkeypatch.setattr(
+        NvmBackend, "get_str", lambda self, h: calls.append(h) or get_str(self, h)
+    )
+    rows = hash_join(db.query("u"), db.query("t", Between("id", 0, 199)), "name")
+    assert sorted(row["qty"] for row in rows) == list(range(20))
+    assert all(row["name"] == f"n{row['id']:06d}" for row in rows)
+    assert len(calls) < 1_000
     db.close()
 
 

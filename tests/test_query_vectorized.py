@@ -6,9 +6,12 @@ results element-for-element equal to the row-at-a-time implementations
 placement, and physical layout (delta-only / merged / split).
 """
 
+import math
+
 import pytest
 
 import numpy as np
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.config import DurabilityMode
 from repro.core.database import Database
@@ -226,6 +229,31 @@ class TestSumKernels:
         assert aggregate(result, "sum", "i", group_by="g") == want
         assert aggregate(result, "sum", "i") == sum(big)
         assert aggregate_scalar(result, "sum", "i", group_by="g") == want
+
+    @pytest.mark.parametrize(
+        "big",
+        [[2**62, 2**62, 2**63 - 1, 1], [-(2**63), -(2**63), -(2**63), 5]],
+        ids=["above", "below"],
+    )
+    def test_int64_sums_do_not_wrap_past_2_63(self, layout, big):
+        # Each group's sum, each partition's in a split, and the total
+        # leave int64: the answer is python's exact sum, as
+        # aggregate_scalar's.
+        groups = [0, 0, 1, 1]
+        table = _bulk_table(layout, [groups, big, [0.0] * 4])
+        result = scan(table, snapshot_cid=10)
+        want = {0: big[0] + big[1], 1: big[2] + big[3]}
+        assert aggregate(result, "sum", "i", group_by="g") == want
+        assert aggregate(result, "sum", "i") == sum(big)
+        assert aggregate(result, "avg", "i", group_by="g") == {
+            g: total / 2 for g, total in want.items()
+        }
+        assert aggregate(result, "avg", "i") == sum(big) / 4
+        for group_by in (None, "g"):
+            for func in ("sum", "avg"):
+                assert aggregate(result, func, "i", group_by) == aggregate_scalar(
+                    result, func, "i", group_by
+                )
 
     @pytest.mark.parametrize("distinct", [41_000, 42_000])
     def test_grouped_sum_either_side_of_a_dense_cap(self, layout, distinct):
@@ -528,3 +556,82 @@ class TestRecoveredEngineAggregate:
         assert aggregate(
             db.query("t"), func, column, group_by=group_by
         ) == aggregate_scalar(model, func, column, group_by=group_by)
+
+
+# ----------------------------------------------------------------------
+# Join kernels against the scalar reference, key edge cases included
+# ----------------------------------------------------------------------
+
+_KEYS = {
+    DataType.INT64: [0, 1, -1, 7, 2**53, 2**53 + 1, 2**63 - 1, -(2**63)],
+    DataType.FLOAT64: [
+        0.0, -0.0, 1.0, -1.0, 7.0, math.nan, math.inf,
+        2.0**53, 2.0**53 + 2, 2.0**63, -(2.0**63),
+    ],
+    DataType.STRING: ["", "a", "b", "ab", "\u00e9"],
+}
+_KEY_TYPES = [
+    (DataType.INT64, DataType.INT64),
+    (DataType.FLOAT64, DataType.FLOAT64),
+    (DataType.INT64, DataType.FLOAT64),
+    (DataType.FLOAT64, DataType.INT64),
+    (DataType.STRING, DataType.STRING),
+]
+_LAYOUTS = st.sampled_from(["delta_only", "merged", "split"])
+
+
+def _multiset(rows):
+    """Rows as a sorted list of their ``(key, value)`` sequences: equal
+    multisets of rows, each with the same key order."""
+    return sorted(repr(list(row.items())) for row in rows)
+
+
+def _key_rows(dtype):
+    """Rows ``(key, v)``, the keys from a few of ``dtype``'s edge keys so
+    that they meet often; ``v`` collides by name with the other side's,
+    equal or not by value."""
+    pool = st.lists(st.sampled_from(_KEYS[dtype]), min_size=1, max_size=4)
+    return pool.flatmap(
+        lambda keys: st.lists(
+            st.tuples(st.none() | st.sampled_from(keys), st.integers(0, 2)),
+            max_size=12,
+        )
+    )
+
+
+_JOIN_CASE = st.sampled_from(_KEY_TYPES).flatmap(
+    lambda types: st.tuples(
+        st.just(types), _key_rows(types[0]), _key_rows(types[1]), _LAYOUTS, _LAYOUTS
+    )
+)
+_F, _I = DataType.FLOAT64, DataType.INT64
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_JOIN_CASE)
+@example(case=((_F, _F), [(math.nan, 0), (-0.0, 1)], [(math.nan, 0), (0.0, 0)],
+               "split", "merged"))
+@example(case=((_I, _F), [(2**53 + 1, 0), (2**53, 1)], [(2.0**53, 1), (None, 0)],
+               "merged", "delta_only"))
+def test_joins_equal_the_scalar_join(case):
+    """NULL never joins, NaN joins nothing, ``-0.0 == 0.0``, an int and
+    a float key match only when exactly equal, and a colliding right
+    column keeps its prefixed key only where the values differ."""
+    (l_type, r_type), l_rows, r_rows, l_layout, r_layout = case
+    l_schema = Schema.of(id=DataType.INT64, k=l_type, v=DataType.INT64)
+    r_schema = Schema.of(k=r_type, v=DataType.INT64, w=DataType.STRING)
+    l_rows = [(i, k, v) for i, (k, v) in enumerate(l_rows)]
+    r_rows = [(k, v, f"w{v}") for k, v in r_rows]
+    left = scan(_build(l_layout, l_schema, l_rows, "l", 1), snapshot_cid=10)
+    right = scan(_build(r_layout, r_schema, r_rows, "r", 2), snapshot_cid=10)
+    want = hash_join_scalar(left, right, "k")
+    assert _multiset(hash_join(left, right, "k")) == _multiset(want)
+    matched = {row["id"] for row in want}
+    assert _multiset(semi_join(left, right, "k")) == _multiset(
+        row for row in left.rows() if row["id"] in matched
+    )
+    assert _multiset(anti_join(left, right, "k")) == _multiset(
+        row
+        for row in left.rows()
+        if row["k"] is not None and row["id"] not in matched
+    )

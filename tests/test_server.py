@@ -145,6 +145,19 @@ def test_ddl_insert_query_aggregate(client):
     assert groups == {"n0": 4, "n1": 3, "n2": 3}
 
 
+def test_a_sum_past_int64_is_an_error_not_a_wrapped_number(client):
+    client.create_tenant("acme")
+    view = client.for_tenant("acme")
+    view.create_table("t", [("g", "int64"), ("v", "int64")])
+    view.insert_many("t", [{"g": 0, "v": 2**62}, {"g": 0, "v": 2**62}])
+    for group_by in (None, "g"):
+        with pytest.raises(ServerError) as failed:
+            view.aggregate("t", "sum", column="v", group_by=group_by)
+        assert failed.value.status is not Status.OK
+        assert "int64" in failed.value.message
+    assert view.aggregate("t", "avg", column="v") == 2.0**62
+
+
 def test_query_limit_decodes_only_the_rows_it_returns(client, monkeypatch):
     view = seed_tenant(client, rows=10_000)
     decoded = []
