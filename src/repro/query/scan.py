@@ -27,24 +27,36 @@ class ScanResult:
     content at any moment, and a result must keep decoding the
     generation its positions index into. Old generations are immutable
     once superseded, so late materialisation stays correct.
+
+    The rows come as two position arrays, or as two boolean masks that
+    become positions on first use, so a count never computes them.
     """
 
     def __init__(
         self,
         table: Table,
-        main_positions: np.ndarray,
-        delta_positions: np.ndarray,
+        main_rows: np.ndarray,
+        delta_rows: np.ndarray,
         content=None,
     ):
         self.table = table
         self.main_part, self.delta_part = (
             content if content is not None else table.content
         )
-        self.main_positions = main_positions
-        self.delta_positions = delta_positions
+        self._rows = (main_rows, delta_rows)
+
+    def positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """Positions of the result rows in main and in delta."""
+        rows = self._rows
+        if rows[0].dtype == bool:
+            rows = self._rows = (np.flatnonzero(rows[0]), np.flatnonzero(rows[1]))
+        return rows
 
     def __len__(self) -> int:
-        return self.main_positions.size + self.delta_positions.size
+        main, delta = self._rows
+        if main.dtype == bool:
+            return int(np.count_nonzero(main)) + int(np.count_nonzero(delta))
+        return main.size + delta.size
 
     @property
     def count(self) -> int:
@@ -56,22 +68,22 @@ class ScanResult:
         Packed with numpy arithmetic (one OR of the delta bit) instead
         of a per-element comprehension.
         """
-        main = np.asarray(self.main_positions, dtype=np.uint64)
-        delta = np.asarray(self.delta_positions, dtype=np.uint64) | np.uint64(
-            _DELTA_BIT
-        )
+        main, delta = self.positions()
+        main = np.asarray(main, dtype=np.uint64)
+        delta = np.asarray(delta, dtype=np.uint64) | np.uint64(_DELTA_BIT)
         return np.concatenate([main, delta]).tolist()
 
     def head(self, n: int) -> "ScanResult":
         """The first ``n`` rows (main block first), same generation."""
-        main = self.main_positions[:n]
-        delta = self.delta_positions[: n - main.size]
+        main, delta = self.positions()
+        main = main[:n]
+        delta = delta[: n - main.size]
         return ScanResult(self.table, main, delta, (self.main_part, self.delta_part))
 
     def column(self, name: str) -> list:
         """One column's values for the result rows (empty partitions not asked)."""
         col = self.table.schema.column_index(name)
-        main, delta = self.main_positions, self.delta_positions
+        main, delta = self.positions()
         out = self.main_part.decode_column(col, main) if main.size else []
         if delta.size:
             out += self.delta_part.decode_column(col, delta)
@@ -87,7 +99,7 @@ class ScanResult:
         matches :meth:`column`: main block first, then delta.
         """
         col = self.table.schema.column_index(name)
-        main, delta = self.main_positions, self.delta_positions
+        main, delta = self.positions()
         if not main.size:
             return self.delta_part.column_array(col, delta)
         main_arrays = self.main_part.column_array(col, main)
@@ -108,14 +120,15 @@ class ScanResult:
         """
         col = self.table.schema.column_index(name)
         main_col = self.main_part.columns[col]
+        main, delta = self.positions()
         yield (
-            main_col.codes_at(self.main_positions),
+            main_col.codes_at(main),
             main_col.dictionary,
             main_col.null_code,
             True,
         )
         yield (
-            self.delta_part.codes_at(col, self.delta_positions),
+            self.delta_part.codes_at(col, delta),
             self.delta_part.dictionaries[col],
             NULL_CODE,
             False,
@@ -131,14 +144,15 @@ class ScanResult:
         """
         indices = np.asarray(indices, dtype=np.int64)
         col = self.table.schema.column_index(name)
-        split = self.main_positions.size
+        main, delta = self.positions()
+        split = main.size
         in_main = indices < split
         out = np.empty(indices.size, dtype=object)
         if in_main.any():
-            rows = self.main_positions[indices[in_main]]
+            rows = main[indices[in_main]]
             out[in_main] = self.main_part.decode_column(col, rows)
         if not in_main.all():
-            rows = self.delta_positions[indices[~in_main] - split]
+            rows = delta[indices[~in_main] - split]
             out[~in_main] = self.delta_part.decode_column(col, rows)
         return out.tolist()
 
@@ -221,12 +235,7 @@ def _masked_scan(
         delta_mask = _clamped_and(
             delta_mask, predicate.eval_delta(delta, table.schema)
         )
-    return ScanResult(
-        table,
-        np.nonzero(main_mask)[0],
-        np.nonzero(delta_mask)[0],
-        content=content,
-    )
+    return ScanResult(table, main_mask, delta_mask, content=content)
 
 
 def _clamped_and(mask: np.ndarray, other: np.ndarray) -> np.ndarray:

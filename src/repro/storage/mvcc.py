@@ -54,8 +54,9 @@ def _cache_counters():
 class MvccColumns:
     """The begin/end/tid vectors for one partition.
 
-    Scans evaluate visibility against a *DRAM cache* of the begin/end
-    vectors rather than re-copying them out of the (possibly NVM-backed)
+    Scans evaluate visibility against a cache of the all-visible
+    watermark and, for snapshots outside it, DRAM copies of the
+    begin/end vectors, rather than re-reading the (possibly NVM-backed)
     vectors on every scan. The cache is stamped with
     ``(mutation count, row count)``:
 
@@ -78,7 +79,7 @@ class MvccColumns:
         # conflict-check-then-set must be atomic under concurrent
         # writers. Holders never take another lock inside.
         self.lock = threading.Lock()
-        # (stamp, begin array, end array, watermark_lo, watermark_hi)
+        # (stamp, watermark_lo, watermark_hi, begin/end arrays or None)
         self._vis_cache: Optional[tuple] = None
         self._mutations = 0
 
@@ -201,19 +202,17 @@ class MvccColumns:
         tid = np.array(self.tid.to_numpy()[:rows], dtype=np.uint64)
         return begin, end, tid
 
-    def _visibility_arrays(self) -> tuple:
-        """DRAM copies of begin/end plus the all-visible watermark.
+    def _visibility(self) -> tuple:
+        """``(stamp, watermark_lo, watermark_hi, arrays)``, cached.
 
-        Cache-hit scans touch no vector at all (zero NVM read traffic);
-        misses copy both vectors once and compute the watermark:
-        every snapshot ``S`` with ``max(begin) <= S < min(end)`` sees
-        every row, which is the steady state of a merged main partition
-        (all begins committed, all ends at infinity). Hits and misses
-        are exported as ``mvcc_cache_hits_total`` /
-        ``mvcc_cache_misses_total``.
-
-        The returned arrays are shared with the cache — callers must not
-        mutate them.
+        Every snapshot ``S`` with ``max(begin) <= S < min(end)`` sees
+        every row: the steady state of a merged main partition (all
+        begins committed, all ends at infinity). A miss reads both
+        extremes in place over the vectors' views; ``arrays``, DRAM
+        copies of begin/end for per-row compares, stay ``None`` until a
+        snapshot falls outside the watermark. Cache hits touch no vector
+        at all (zero NVM read traffic). Hits and misses are exported as
+        ``mvcc_cache_hits_total`` / ``mvcc_cache_misses_total``.
         """
         stamp = (self._mutations, len(self.begin))
         cache = self._vis_cache
@@ -222,15 +221,9 @@ class MvccColumns:
             hits.inc()
             return cache
         misses.inc()
-        begin = self.begin.to_numpy()
-        end = self.end.to_numpy()[: begin.size]
-        if begin.size:
-            watermark_lo = int(begin.max())
-            watermark_hi = int(end.min())
-        else:
-            watermark_lo = watermark_hi = 0
-        cache = (stamp, begin, end, watermark_lo, watermark_hi)
-        self._vis_cache = cache
+        lo = _extreme(self.begin, stamp[1], np.maximum.reduce, 0)
+        hi = _extreme(self.end, stamp[1], np.minimum.reduce, INFINITY_CID)
+        self._vis_cache = cache = (stamp, lo, hi, None)
         return cache
 
     def visible_mask(self, snapshot_cid: int) -> np.ndarray:
@@ -241,9 +234,26 @@ class MvccColumns:
         The mask is always a fresh array (callers AND predicates into it
         in place); the begin/end sources come from the visibility cache.
         """
-        _, begin, end, watermark_lo, watermark_hi = self._visibility_arrays()
+        cache = (_, rows), watermark_lo, watermark_hi, arrays = self._visibility()
         if watermark_lo <= snapshot_cid < watermark_hi:
             # All-visible watermark: no per-row compares needed.
-            return np.ones(begin.size, dtype=bool)
+            return np.ones(rows, dtype=bool)
+        if arrays is None:
+            arrays = self.begin.to_numpy()[:rows], self.end.to_numpy()[:rows]
+            # One store of the whole tuple: a racing scan sees the old
+            # tuple or this one, never arrays beside another stamp.
+            self._vis_cache = cache[:3] + (arrays,)
+        begin, end = arrays
         s = np.uint64(snapshot_cid)
         return (begin <= s) & (end > s)
+
+
+def _extreme(vector: VectorLike, rows: int, reduce, empty: int) -> int:
+    """``reduce`` over the first ``rows`` elements, read in place."""
+    parts = []
+    for view in vector.iter_views():
+        if rows <= 0:
+            break
+        parts.append(reduce(view[:rows]))
+        rows -= view.size
+    return int(reduce(parts)) if parts else empty

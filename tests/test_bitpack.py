@@ -4,9 +4,13 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from repro.nvm.pool import PMemPool
+from repro.nvm.pvector import PVector
 from repro.storage import bitpack
+
+from tests.conftest import SMALL_EXTENT
 
 
 class TestBitsNeeded:
@@ -130,4 +134,46 @@ class TestPackedFormat:
         )
         np.testing.assert_array_equal(
             bitpack.unpack_at(words.__getitem__, bits, rows), codes[rows]
+        )
+
+
+@pytest.fixture(scope="module")
+def module_pool(tmp_path_factory):
+    pool = PMemPool.create(
+        str(tmp_path_factory.mktemp("pool")), extent_size=SMALL_EXTENT
+    )
+    yield pool
+    pool.close()
+
+
+class TestGroupKernel:
+    """``unpack`` reads whole 64-code groups (``bits`` words each) and
+    sends a shorter tail through ``unpack_at``: both agree with ``pack``
+    at every width and around every group edge, whatever holds the words."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        bits=st.integers(1, 32),
+        count=st.sampled_from([0, 1, 63, 64, 65, 127, 128, 129, 4097])
+        | st.integers(0, 300),
+        seed=st.integers(0, 2**32 - 1),
+        top=st.booleans(),
+        chunk=st.integers(1, 9),
+    )
+    def test_unpack_is_pack_inverse_and_unpack_at(
+        self, module_pool, bits, count, seed, top, chunk
+    ):
+        rng = np.random.default_rng(seed)
+        low = (1 << bits) - 1 if top else 0  # all-ones codes set every bit
+        codes = rng.integers(low, 2**bits, size=count).astype(np.uint32)
+        words = bitpack.pack(codes, bits)
+        stored = PVector.create(module_pool, np.uint64, chunk_capacity=chunk)
+        stored.extend(words)
+        through_chunks = stored.view()  # a copy over the chunks, read-only
+        assert not through_chunks.flags.writeable
+        rows = np.arange(count)
+        for source in (words, through_chunks):
+            np.testing.assert_array_equal(bitpack.unpack(source, bits, count), codes)
+        np.testing.assert_array_equal(
+            bitpack.unpack_at(stored.take, bits, rows), codes
         )

@@ -6,14 +6,22 @@ rollback, and merge must invalidate it — a scan may never see a stale
 mask — and a repeated read-only scan must cost zero NVM vector reads.
 """
 
+import sys
 import threading
+import time
+
+import numpy as np
+import pytest
 
 from repro.core.config import DurabilityMode
 from repro.core.database import Database
 from repro.obs import get_registry
 from repro.query.aggregate import aggregate
 from repro.query.predicate import Gt
+from repro.nvm.pvector import PVector
+from repro.storage.mvcc import INFINITY_CID, MvccColumns, _extreme
 from repro.storage.types import DataType
+from repro.storage.vector import VolatileVector
 
 from tests.conftest import make_config
 
@@ -165,18 +173,24 @@ class TestZeroReadTraffic:
 
 
 class TestWatermark:
-    def test_merged_main_takes_all_visible_path(self, none_db):
+    def test_merged_main_takes_all_visible_path(self, none_db, monkeypatch):
         none_db.create_table("t", SCHEMA)
         none_db.bulk_insert("t", [{"k": i, "g": "a"} for i in range(100)])
         none_db.merge("t")
-        table = none_db.table("t")
-        mvcc = table.main.mvcc
+        mvcc = none_db.table("t").main.mvcc
+
+        def no_copy():
+            raise AssertionError("begin/end copied on the all-visible path")
+
+        # At or above the merge horizon the watermark answers: every row
+        # visible, and no begin/end copy is made to learn it ...
+        monkeypatch.setattr(mvcc.begin, "to_numpy", no_copy)
+        monkeypatch.setattr(mvcc.end, "to_numpy", no_copy)
         mask = mvcc.visible_mask(none_db.last_cid)
         assert mask.all() and mask.size == 100
-        # The watermark span covers every snapshot at or above the
-        # merge horizon; below it, per-row compares still apply.
-        _, _, _, lo, hi = mvcc._visibility_arrays()
-        assert lo <= none_db.last_cid < hi
+        # ... below it, per-row compares still apply.
+        monkeypatch.undo()
+        assert not mvcc.visible_mask(0).any()
 
     def test_mask_is_fresh_not_cached_storage(self, none_db):
         """Callers AND into the returned mask in place; a second call
@@ -188,3 +202,78 @@ class TestWatermark:
         mask[:] = False
         again = mvcc.visible_mask(none_db.last_cid)
         assert again.all()
+
+    def test_threads_racing_a_miss_below_the_watermark(self, monkeypatch):
+        """Every round invalidates the cache; then the threads miss
+        together at a snapshot below the watermark, where each builds or
+        takes the begin/end arrays. Each must get a correct mask of its
+        own."""
+        rows, threads, rounds = 4096, 4, 60
+        begin, end = VolatileVector(np.uint64), VolatileVector(np.uint64)
+        begin.extend(np.arange(1, rows + 1, dtype=np.uint64))
+        end.extend(np.full(rows, INFINITY_CID, dtype=np.uint64))
+        mvcc = MvccColumns(begin, end, VolatileVector(np.uint64))
+        snapshot = rows // 2  # below max(begin): per-row compares
+        copy = begin.to_numpy
+
+        def slow_copy():
+            time.sleep(0.001)  # every scanner misses before one publishes
+            return copy()
+
+        monkeypatch.setattr(begin, "to_numpy", slow_copy)
+        barrier = threading.Barrier(threads + 1)
+        masks: list = [None] * threads
+
+        def scanner(i: int) -> None:
+            for _ in range(rounds):
+                barrier.wait()
+                try:
+                    masks[i] = mvcc.visible_mask(snapshot)
+                except Exception as exc:  # fails the main thread's compare
+                    masks[i] = exc
+                barrier.wait()
+
+        workers = [threading.Thread(target=scanner, args=(i,)) for i in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        for worker in workers:
+            worker.start()
+        try:
+            for r in range(rounds):
+                mvcc.set_end(r, snapshot)  # row r now ended at the snapshot
+                expected = (copy() <= snapshot) & (end.to_numpy() > snapshot)
+                barrier.wait()
+                barrier.wait()
+                for mask in masks:
+                    np.testing.assert_array_equal(mask, expected)
+                masks[0][:] = False  # fresh: no other thread's mask changes
+                assert all(mask.sum() == expected.sum() for mask in masks[1:])
+        except BaseException:
+            barrier.abort()  # release the scanners, then report
+            raise
+        finally:
+            sys.setswitchinterval(interval)
+            for worker in workers:
+                worker.join(timeout=10)
+        assert not any(worker.is_alive() for worker in workers)
+
+    @pytest.mark.parametrize("chunk", [7, 4096])
+    def test_watermark_read_in_place_equals_the_copy(self, pool, chunk):
+        rows = 1000
+        rng = np.random.default_rng(chunk)
+        begin = PVector.create(pool, np.uint64, chunk_capacity=chunk)
+        begin.extend(rng.integers(1, 10**6, size=rows, dtype=np.uint64))
+        # A merged main's end: chunks never stored to read as the fill.
+        end = PVector.create(pool, np.uint64, chunk_capacity=chunk, fill=INFINITY_CID)
+        end.extend(np.broadcast_to(np.uint64(INFINITY_CID), rows + 5))
+        for row in (3, 500):
+            end.set(row, 10**7 + row)
+        end.set(rows + 2, 1)  # a torn tail past the begin vector's rows
+        for n in (0, 1, chunk, rows):
+            assert _extreme(begin, n, np.maximum.reduce, 0) == (
+                int(begin.to_numpy()[:n].max()) if n else 0
+            )
+            assert _extreme(end, n, np.minimum.reduce, INFINITY_CID) == (
+                int(end.to_numpy()[:n].min()) if n else INFINITY_CID
+            )
+        assert _extreme(end, rows, np.minimum.reduce, INFINITY_CID) == 10**7 + 3
