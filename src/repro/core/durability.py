@@ -461,6 +461,8 @@ class LogDriver(VolatileDriver):
         tmp = self.meta_path + ".tmp"
         with open(tmp, "w") as f:
             json.dump(meta, f)
+            f.flush()
+            os.fsync(f.fileno())  # else a power loss can publish it empty
         os.replace(tmp, self.meta_path)
 
     def create_table(self, name: str, schema: Schema) -> Table:

@@ -1,14 +1,11 @@
 """The binary wire protocol: CRC-framed requests and responses.
 
-Frames reuse the discipline proven in :mod:`repro.wal.reader`: a
-little-endian ``(length, crc32)`` header followed by ``length`` payload
-bytes, with a hard size cap so a garbage length prefix is rejected
-instead of allocated::
-
-    +----------+----------+------------------------+
-    | length   | crc32    | payload (length bytes) |
-    | u32 LE   | u32 LE   |                        |
-    +----------+----------+------------------------+
+Frames are :mod:`repro.frame`'s, the code :mod:`repro.wal.reader`
+reads the log with, capped at :data:`MAX_FRAME_BYTES`. A truncated
+frame waits for more bytes; an oversized length prefix, a CRC mismatch
+or a malformed payload raises :class:`ProtocolError` (a
+:class:`~repro.frame.FrameError`): the server drops the connection,
+the client surfaces the error.
 
 Request payloads::
 
@@ -29,24 +26,18 @@ The protocol is versioned: a connection opens with a :data:`Op.HELLO`
 carrying :data:`PROTOCOL_VERSION`; the server rejects other versions
 with :data:`Status.WRONG_VERSION` and every non-HELLO request on a
 un-greeted session with :data:`Status.NEED_HELLO`.
-
-Decoding is defensive end to end: truncated frames simply wait for more
-bytes (:class:`FrameDecoder` is a streaming parser), while oversized
-length prefixes, CRC mismatches, and malformed payloads raise
-:class:`ProtocolError` — the server drops the connection, the client
-surfaces the error.
 """
 
 from __future__ import annotations
 
 import struct
-import zlib
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
+from repro import frame
 from repro.query.predicate import (
     And,
     Between,
@@ -74,16 +65,15 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 #: Deepest list/dict nesting on the wire, far beyond any shape exchanged.
 MAX_VALUE_DEPTH = 100
 
-_HEADER = struct.Struct("<II")
 _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
 _U32 = struct.Struct("<I")
 _U16 = struct.Struct("<H")
 
-FRAME_HEADER_BYTES = _HEADER.size
+FRAME_HEADER_BYTES = frame.HEADER_BYTES
 
 
-class ProtocolError(Exception):
+class ProtocolError(frame.FrameError):
     """Malformed frame or payload; the connection cannot continue."""
 
 
@@ -284,57 +274,17 @@ def decode_body(buf: bytes, offset: int = 0):
 
 def encode_frame(payload: bytes) -> bytes:
     """Wrap a payload in the ``(length, crc32)`` header."""
-    if len(payload) > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"payload of {len(payload)} bytes exceeds the "
-            f"{MAX_FRAME_BYTES}-byte frame cap"
-        )
-    return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+    return frame.encode(payload, MAX_FRAME_BYTES, ProtocolError)
 
 
-class FrameDecoder:
-    """Streaming frame parser: feed bytes, iterate complete payloads.
+class FrameDecoder(frame.FrameDecoder):
+    """:class:`repro.frame.FrameDecoder` at the wire's cap, raising
+    :class:`ProtocolError`."""
 
-    Truncated frames are not an error — the decoder waits for more
-    bytes (that is what request pipelining over TCP looks like: frames
-    arrive interleaved with segment boundaries anywhere). Oversized
-    length prefixes and CRC mismatches *are* errors: the stream can
-    never recover, so :meth:`frames` raises :class:`ProtocolError`.
-    """
+    error = ProtocolError
 
     def __init__(self, max_frame_bytes: int = MAX_FRAME_BYTES):
-        self._buffer = bytearray()
-        self._max = max_frame_bytes
-
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered but not yet decoded into a full frame."""
-        return len(self._buffer)
-
-    def feed(self, data: bytes) -> None:
-        self._buffer.extend(data)
-
-    def frames(self) -> Iterator[bytes]:
-        """Yield every complete payload buffered so far."""
-        buffer = self._buffer
-        pos = 0
-        try:
-            while len(buffer) - pos >= FRAME_HEADER_BYTES:
-                length, crc = _HEADER.unpack_from(buffer, pos)
-                if length > self._max:
-                    raise ProtocolError(
-                        f"frame length {length} exceeds the {self._max}-byte cap"
-                    )
-                if len(buffer) - pos < FRAME_HEADER_BYTES + length:
-                    break  # truncated: wait for more bytes
-                start = pos + FRAME_HEADER_BYTES
-                payload = bytes(buffer[start : start + length])
-                if zlib.crc32(payload) != crc:
-                    raise ProtocolError("frame CRC mismatch")
-                pos = start + length
-                yield payload
-        finally:
-            del buffer[:pos]
+        super().__init__(max_frame_bytes)
 
 
 # ----------------------------------------------------------------------

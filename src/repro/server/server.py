@@ -626,8 +626,6 @@ def _failure(exc: Exception) -> tuple[Status, str]:
         return Status.BAD_REQUEST, str(exc)
     if isinstance(exc, (TenantError, TransactionConflict)):
         return Status.CONFLICT, str(exc)
-    if isinstance(exc, ProtocolError):
-        return Status.BAD_REQUEST, str(exc)
     if isinstance(exc, KeyError):
         message = str(exc.args[0]) if exc.args else str(exc)
         if "no table" in message:

@@ -366,7 +366,9 @@ class UnsortedDictionary:
             if missed.any():
                 miss, misses = probe[missed], list(compress(keys, missed.tolist()))
                 if self.dtype is DataType.FLOAT64 and np.isnan(arr[miss]).any():
-                    nan = float("nan")  # a dict matches NaN by identity only
+                    # A dict matches NaN by identity only: the batch's
+                    # NaNs share its first, bits and all.
+                    nan = next(v for v in misses if v != v)
                     misses = [nan if v != v else v for v in misses]
                 new = dict(zip(dict.fromkeys(misses), count(len(self.values))))
                 if self.dtype is DataType.STRING:

@@ -13,7 +13,7 @@ the only on-disk snapshot format, so a checkpoint rewrites only the
 tables that changed:
 
 * ``seg-%08d.ckpt`` — a *segment* holding the snapshots of the tables
-  dirty at one checkpoint (``_write_table`` bodies under a header+CRC);
+  dirty at one checkpoint (``_write_table`` bodies in one CRC frame);
 * ``manifest-%08d.ckpt`` — the chain head: last_cid/lsn/next_table_id
   plus ``(table_id, segment_seq)`` for every live table. The manifest
   lists exactly the current tables — a table absent from it is dropped,
@@ -36,12 +36,14 @@ import io
 import os
 import shutil
 import struct
-import zlib
+from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
+from repro import frame
+from repro.frame import FrameDecoder, FrameError
 from repro.nvm.latency import persistence_event
 from repro.storage.backend import Backend
 from repro.storage.delta import DeltaPartition
@@ -50,7 +52,7 @@ from repro.storage.main import MainColumn, MainPartition
 from repro.storage.mvcc import INFINITY_CID, MvccColumns, NO_TID
 from repro.storage.schema import Schema
 from repro.storage.table import Table
-from repro.storage.types import DataType
+from repro.wal.records import _decode_column, _encode_column
 
 @dataclass
 class MainColumnSnapshot:
@@ -179,48 +181,27 @@ def restore_table(snapshot: TableSnapshot, backend: Backend) -> Table:
 # ----------------------------------------------------------------------
 
 
-def _write_values(out: io.BytesIO, dtype: DataType, values: list) -> None:
-    out.write(struct.pack("<Q", len(values)))
-    if dtype is DataType.INT64:
-        out.write(np.asarray(values, dtype=np.int64).tobytes())
-    elif dtype is DataType.FLOAT64:
-        out.write(np.asarray(values, dtype=np.float64).tobytes())
-    else:
-        for value in values:
-            raw = value.encode("utf-8")
-            out.write(struct.pack("<I", len(raw)))
-            out.write(raw)
-
-
-def _read_values(buf: memoryview, pos: int, dtype: DataType) -> tuple[list, int]:
-    (count,) = struct.unpack_from("<Q", buf, pos)
-    pos += 8
-    if dtype is DataType.INT64:
-        arr = np.frombuffer(buf[pos : pos + count * 8], dtype=np.int64)
-        return [int(v) for v in arr], pos + count * 8
-    if dtype is DataType.FLOAT64:
-        arr = np.frombuffer(buf[pos : pos + count * 8], dtype=np.float64)
-        return [float(v) for v in arr], pos + count * 8
-    values = []
-    for _ in range(count):
-        (length,) = struct.unpack_from("<I", buf, pos)
-        pos += 4
-        values.append(bytes(buf[pos : pos + length]).decode("utf-8"))
-        pos += length
-    return values, pos
-
-
 def _write_array(out: io.BytesIO, arr: np.ndarray) -> None:
     out.write(struct.pack("<Q", arr.size))
     out.write(np.ascontiguousarray(arr).tobytes())
 
 
-def _read_array(buf: memoryview, pos: int, dtype) -> tuple[np.ndarray, int]:
+def _read_array(buf: bytes, pos: int, dtype) -> tuple[np.ndarray, int]:
     (count,) = struct.unpack_from("<Q", buf, pos)
     pos += 8
-    itemsize = np.dtype(dtype).itemsize
-    arr = np.frombuffer(buf[pos : pos + count * itemsize], dtype=dtype).copy()
-    return arr, pos + count * itemsize
+    arr = np.frombuffer(buf, dtype=dtype, count=count, offset=pos).copy()
+    return arr, pos + arr.nbytes
+
+
+def _write_dict(out: io.BytesIO, values: list) -> None:
+    """A dictionary's values: count, then the log's column codec."""
+    out.write(struct.pack("<Q", len(values)))
+    out.write(_encode_column(values, len(values)))
+
+
+def _read_dict(buf: bytes, pos: int) -> tuple[tuple, int]:
+    (count,) = struct.unpack_from("<Q", buf, pos)
+    return _decode_column(buf, pos + 8, count)
 
 
 def _write_table(out: io.BytesIO, snap: TableSnapshot) -> None:
@@ -229,49 +210,48 @@ def _write_table(out: io.BytesIO, snap: TableSnapshot) -> None:
     out.write(name_raw)
     out.write(struct.pack("<I", len(snap.schema_blob)))
     out.write(snap.schema_blob)
-    schema = snap.schema
     out.write(struct.pack("<Q", snap.main_row_count))
-    for col_def, col in zip(schema, snap.main_columns):
+    for col in snap.main_columns:
         out.write(struct.pack("<Q", col.bits))
         _write_array(out, col.words)
-        _write_values(out, col_def.dtype, col.dict_values)
+        _write_dict(out, col.dict_values)
     _write_array(out, snap.main_begin)
     _write_array(out, snap.main_end)
     out.write(struct.pack("<Q", snap.delta_row_count))
-    for col_def, dcol in zip(schema, snap.delta_columns):
+    for dcol in snap.delta_columns:
         _write_array(out, dcol.codes)
-        _write_values(out, col_def.dtype, dcol.dict_values)
+        _write_dict(out, dcol.dict_values)
     _write_array(out, snap.delta_begin)
     _write_array(out, snap.delta_end)
 
 
-def _read_table(buf: memoryview, pos: int) -> tuple[TableSnapshot, int]:
+def _read_table(buf: bytes, pos: int) -> tuple[TableSnapshot, int]:
     table_id, name_len = struct.unpack_from("<QH", buf, pos)
     pos += 10
-    name = bytes(buf[pos : pos + name_len]).decode("utf-8")
+    name = buf[pos : pos + name_len].decode("utf-8")
     pos += name_len
     (blob_len,) = struct.unpack_from("<I", buf, pos)
     pos += 4
-    schema_blob = bytes(buf[pos : pos + blob_len])
+    schema_blob = buf[pos : pos + blob_len]
     pos += blob_len
     schema = Schema.from_bytes(schema_blob)
     (main_rows,) = struct.unpack_from("<Q", buf, pos)
     pos += 8
     main_cols = []
-    for col_def in schema:
+    for _ in schema:
         (bits,) = struct.unpack_from("<Q", buf, pos)
         pos += 8
         words, pos = _read_array(buf, pos, np.uint64)
-        values, pos = _read_values(buf, pos, col_def.dtype)
+        values, pos = _read_dict(buf, pos)
         main_cols.append(MainColumnSnapshot(values, bits, words))
     main_begin, pos = _read_array(buf, pos, np.uint64)
     main_end, pos = _read_array(buf, pos, np.uint64)
     (delta_rows,) = struct.unpack_from("<Q", buf, pos)
     pos += 8
     delta_cols = []
-    for col_def in schema:
+    for _ in schema:
         codes, pos = _read_array(buf, pos, np.uint32)
-        values, pos = _read_values(buf, pos, col_def.dtype)
+        values, pos = _read_dict(buf, pos)
         delta_cols.append(DeltaColumnSnapshot(values, codes))
     delta_begin, pos = _read_array(buf, pos, np.uint64)
     delta_end, pos = _read_array(buf, pos, np.uint64)
@@ -287,11 +267,16 @@ def _read_table(buf: memoryview, pos: int) -> tuple[TableSnapshot, int]:
 # The checkpoint chain
 # ----------------------------------------------------------------------
 
+#: A segment or manifest file is one :mod:`repro.frame` frame whose
+#: payload opens with the magic and the fixed fields, so the CRC covers
+#: every byte a reader uses. The cap is the frame's u32 length bound.
+CHECKPOINT_MAX_BYTES = 2**32 - 1
+
 _SEG_MAGIC = 0x48595243_4B534547  # "HYRCKSEG"
 _MAN_MAGIC = 0x48595243_4B4D414E  # "HYRCKMAN"
 
-_SEG_HEADER = struct.Struct("<QQI")  # magic | table_count | body_crc
-_MAN_HEADER = struct.Struct("<QQQQQI")  # magic|cid|lsn|next_id|entries|crc
+_SEG_HEADER = struct.Struct("<QQ")  # magic | table_count
+_MAN_HEADER = struct.Struct("<QQQQQ")  # magic | cid | lsn | next_id | entries
 _MAN_ENTRY = struct.Struct("<QQ")  # table_id | segment_seq
 
 CHAIN_DIRNAME = "checkpoints"
@@ -317,6 +302,45 @@ def _parse_seq(filename: str, prefix: str) -> Optional[int]:
     return int(digits) if digits.isdigit() else None
 
 
+def _publish(path: str, payload: bytes, boundary: str) -> int:
+    """Write ``payload`` to ``path`` as one frame, crash-atomically: a
+    tmp file, the ``boundary`` persistence event, fsync, rename. Returns
+    the bytes written."""
+    data = frame.encode(payload, CHECKPOINT_MAX_BYTES)
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as f:
+        f.write(data)
+        f.flush()
+        persistence_event(boundary)
+        os.fsync(f.fileno())
+    os.replace(tmp, path)
+    return len(data)
+
+
+def _load(path: str, magic: int, kind: str, parse: Callable[[bytes], tuple]):
+    """Read the one-frame file at ``path`` and ``parse(payload) ->
+    (result, end)`` it. A short frame, a CRC mismatch, a foreign magic,
+    bytes ``parse`` cannot read and bytes past ``end`` or past the frame
+    all raise :class:`~repro.frame.FrameError`."""
+    decoder = FrameDecoder(CHECKPOINT_MAX_BYTES)
+    with open(path, "rb") as f:
+        decoder.feed(f.read())
+    with closing(decoder.frames()) as frames:
+        payload = next(frames, None)
+    if payload is None:
+        raise FrameError(f"{path} ends inside its frame", frame.SHORT, 0)
+    if payload[:8] != struct.pack("<Q", magic):
+        raise FrameError(f"{path} is not a checkpoint {kind}", frame.PAYLOAD, 0)
+    try:
+        result, end = parse(payload)
+    except frame.PARSE_ERRORS as exc:
+        raise FrameError(f"{path} does not parse: {exc}", frame.PAYLOAD, 0) from None
+    if end != len(payload) or decoder.pending_bytes:
+        at = frame.HEADER_BYTES + end
+        raise FrameError(f"{path} has trailing bytes", frame.PAYLOAD, at)
+    return result
+
+
 def write_segment(path: str, snapshots: list[TableSnapshot]) -> int:
     """Write one segment atomically; returns bytes written.
 
@@ -326,37 +350,25 @@ def write_segment(path: str, snapshots: list[TableSnapshot]) -> int:
     file the next GC removes.
     """
     body = io.BytesIO()
+    body.write(_SEG_HEADER.pack(_SEG_MAGIC, len(snapshots)))
     for snap in snapshots:
         _write_table(body, snap)
-    body_bytes = body.getvalue()
-    header = _SEG_HEADER.pack(_SEG_MAGIC, len(snapshots), zlib.crc32(body_bytes))
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(header)
-        f.write(body_bytes)
-        f.flush()
-        persistence_event("checkpoint_fsync")
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
-    return len(header) + len(body_bytes)
+    return _publish(path, body.getvalue(), "checkpoint_fsync")
+
+
+def _parse_segment(payload: bytes) -> tuple[dict[int, TableSnapshot], int]:
+    _, table_count = _SEG_HEADER.unpack_from(payload, 0)
+    snapshots: dict[int, TableSnapshot] = {}
+    pos = _SEG_HEADER.size
+    for _ in range(table_count):
+        snap, pos = _read_table(payload, pos)
+        snapshots[snap.table_id] = snap
+    return snapshots, pos
 
 
 def read_segment(path: str) -> dict[int, TableSnapshot]:
     """Load and validate one segment: ``{table_id: snapshot}``."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    magic, table_count, crc = _SEG_HEADER.unpack_from(raw, 0)
-    if magic != _SEG_MAGIC:
-        raise ValueError(f"{path} is not a checkpoint segment")
-    body = memoryview(raw)[_SEG_HEADER.size :]
-    if zlib.crc32(body) != crc:
-        raise ValueError(f"{path} failed CRC validation")
-    snapshots: dict[int, TableSnapshot] = {}
-    pos = 0
-    for _ in range(table_count):
-        snap, pos = _read_table(body, pos)
-        snapshots[snap.table_id] = snap
-    return snapshots
+    return _load(path, _SEG_MAGIC, "segment", _parse_segment)
 
 
 def write_manifest(
@@ -373,42 +385,22 @@ def write_manifest(
     swept there leaves the previous manifest current and every segment
     written for this checkpoint as unreferenced (GC-able) garbage.
     """
-    body = b"".join(
-        _MAN_ENTRY.pack(table_id, seg_seq)
-        for table_id, seg_seq in sorted(entries.items())
-    )
-    header = _MAN_HEADER.pack(
-        _MAN_MAGIC, last_cid, lsn, next_table_id, len(entries), zlib.crc32(body)
-    )
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(header)
-        f.write(body)
-        f.flush()
-        persistence_event("manifest_publish")
-        os.fsync(f.fileno())
-    os.replace(tmp, path)
-    return len(header) + len(body)
+    header = _MAN_HEADER.pack(_MAN_MAGIC, last_cid, lsn, next_table_id, len(entries))
+    body = b"".join(_MAN_ENTRY.pack(*entry) for entry in sorted(entries.items()))
+    return _publish(path, header + body, "manifest_publish")
+
+
+def _parse_manifest(payload: bytes) -> tuple[tuple, int]:
+    _, last_cid, lsn, next_table_id, count = _MAN_HEADER.unpack_from(payload, 0)
+    end = _MAN_HEADER.size + count * _MAN_ENTRY.size
+    entries = dict(_MAN_ENTRY.iter_unpack(payload[_MAN_HEADER.size : end]))
+    return (last_cid, lsn, next_table_id, entries), end
 
 
 def read_manifest(path: str) -> tuple[int, int, int, dict[int, int]]:
     """Load and validate a manifest: (last_cid, lsn, next_table_id,
     {table_id: segment_seq})."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    magic, last_cid, lsn, next_table_id, entry_count, crc = _MAN_HEADER.unpack_from(
-        raw, 0
-    )
-    if magic != _MAN_MAGIC:
-        raise ValueError(f"{path} is not a checkpoint manifest")
-    body = memoryview(raw)[_MAN_HEADER.size :]
-    if zlib.crc32(body) != crc:
-        raise ValueError(f"{path} failed CRC validation")
-    entries: dict[int, int] = {}
-    for i in range(entry_count):
-        table_id, seg_seq = _MAN_ENTRY.unpack_from(body, i * _MAN_ENTRY.size)
-        entries[table_id] = seg_seq
-    return last_cid, lsn, next_table_id, entries
+    return _load(path, _MAN_MAGIC, "manifest", _parse_manifest)
 
 
 @dataclass
@@ -475,7 +467,7 @@ class CheckpointChain:
                 last_cid, lsn, next_table_id, mapping = read_manifest(
                     self._path(_manifest_name(seq))
                 )
-            except (OSError, ValueError, struct.error):
+            except (OSError, FrameError):
                 continue
             yield ChainState(seq, last_cid, lsn, next_table_id, mapping)
 
@@ -506,7 +498,7 @@ class CheckpointChain:
                     segment = read_segment(seg_path)
                     bytes_read += os.path.getsize(seg_path)
                     snapshots += [segment[t] for t in by_segment[seg_seq]]
-            except (OSError, ValueError, KeyError, struct.error):
+            except (OSError, FrameError, KeyError):
                 continue
             return state, snapshots, bytes_read
         return None
@@ -592,13 +584,12 @@ class CheckpointChain:
         """
         seqs = self.manifest_seqs()
         kept, dropped = seqs[:keep_manifests], seqs[keep_manifests:]
-        referenced: set[int] = set()
-        for seq in kept:
-            try:
-                _, _, _, mapping = read_manifest(self._path(_manifest_name(seq)))
-            except (OSError, ValueError, struct.error):
-                continue
-            referenced.update(mapping.values())
+        referenced = {
+            seg
+            for state in self._manifests()
+            if state.seq in kept
+            for seg in state.mapping.values()
+        }
         doomed = [_manifest_name(seq) for seq in dropped]
         doomed += [
             name

@@ -4,7 +4,7 @@ Records are decoded from a fixed-size sliding window rather than a
 whole-file slurp, so recovering a multi-gigabyte log needs O(chunk)
 memory no matter how large the log grew between checkpoints.
 
-Two reading modes share the frame parser:
+Two reading modes share :class:`repro.frame.FrameDecoder`:
 
 * :class:`LogScan` / :func:`read_log` — the recovery scan: iterate until
   the first incomplete or CRC-failing frame and stop, exposing *where*
@@ -20,11 +20,11 @@ Two reading modes share the frame parser:
 from __future__ import annotations
 
 import os
-import struct
 import time
-import zlib
 from typing import Callable, Iterator, Optional
 
+from repro import frame
+from repro.frame import FrameDecoder, FrameError
 from repro.wal.records import MAX_RECORD_BYTES, LogRecord, decode_payload
 
 __all__ = [
@@ -39,14 +39,13 @@ __all__ = [
 #: Read granularity of the sliding window.
 CHUNK_SIZE = 256 * 1024
 
-_HEADER = struct.Struct("<II")
-
-#: ``LogScan.stop_reason`` values.
+#: ``LogScan.stop_reason`` values; the last three are the
+#: :class:`~repro.frame.FrameError` reasons of the frame it stopped at.
 STOP_MISSING = "missing"  # the log file does not exist
 STOP_EOF = "eof"  # clean EOF exactly at a frame boundary
-STOP_SHORT = "short"  # the file ends inside a frame (truncated tail)
-STOP_CRC = "crc"  # a complete-looking frame failed its CRC
-STOP_OVERSIZE = "oversize"  # length prefix beyond MAX_RECORD_BYTES
+STOP_SHORT = frame.SHORT  # the file ends inside a frame (truncated tail)
+STOP_CRC = frame.CRC  # a complete-looking frame failed its CRC
+STOP_OVERSIZE = frame.OVERSIZE  # length prefix beyond MAX_RECORD_BYTES
 
 
 class LogScan:
@@ -60,13 +59,10 @@ class LogScan:
       to ``start_lsn`` when nothing decoded). A recovery that truncates
       the torn tail truncates to exactly this offset; a tailer resumes
       from it.
-    * ``stop_reason`` — ``None`` while iterating, then one of ``"eof"``
-      (clean end at a frame boundary), ``"short"`` (file ends inside a
-      frame), ``"crc"``, ``"oversize"`` (garbage length prefix), or
-      ``"missing"``. Only ``"eof"``/``"missing"`` mean the log is whole;
-      everything else is a torn tail — or, on a *live* log, a frame the
-      writer has not finished flushing yet (:func:`tail_log` retries
-      exactly these).
+    * ``stop_reason`` — ``None`` while iterating, then a ``STOP_*``
+      value. Only ``"eof"``/``"missing"`` mean the log is whole; the
+      rest is a torn tail — or, on a *live* log, a frame the writer has
+      not finished flushing yet (:func:`tail_log` retries exactly these).
 
     With ``decode=False`` iteration yields the raw (CRC-checked)
     payload bytes instead of decoded records — the replayer routes
@@ -93,51 +89,25 @@ class LogScan:
         if not os.path.exists(self.path):
             self.stop_reason = STOP_MISSING
             return
+        decoder = FrameDecoder(MAX_RECORD_BYTES, self.start_lsn)
+        pos = self.start_lsn  # LSN just past the last intact frame
         with open(self.path, "rb") as f:
             f.seek(self.start_lsn)
-            buffer = bytearray()
-            base = self.start_lsn  # absolute LSN of buffer[0]
-            pos = self.start_lsn  # absolute LSN of the next frame
-            eof = False
-
-            def fill(need: int) -> bool:
-                """Grow the buffer until ``need`` bytes follow ``pos``."""
-                nonlocal eof
-                while not eof and len(buffer) - (pos - base) < need:
-                    chunk = f.read(CHUNK_SIZE)
-                    if chunk:
-                        buffer.extend(chunk)
-                    else:
-                        eof = True
-                return len(buffer) - (pos - base) >= need
-
-            while True:
-                if not fill(_HEADER.size):
-                    # Nothing after the last frame is a clean end; a
-                    # few stray bytes are a truncated header.
-                    at_boundary = len(buffer) - (pos - base) == 0
-                    self.stop_reason = STOP_EOF if at_boundary else STOP_SHORT
+            while chunk := f.read(CHUNK_SIZE):
+                decoder.feed(chunk)
+                try:
+                    for payload in decoder.frames():
+                        pos += frame.HEADER_BYTES + len(payload)
+                        self.last_good_lsn = pos
+                        yield (decode_payload(payload) if self.decode else payload), pos
+                except FrameError as exc:
+                    if exc.reason == frame.PAYLOAD:
+                        raise  # a CRC-valid record that does not parse
+                    self.stop_reason = exc.reason
                     return
-                length, crc = _HEADER.unpack_from(buffer, pos - base)
-                if length > MAX_RECORD_BYTES:
-                    self.stop_reason = STOP_OVERSIZE
-                    return
-                if not fill(_HEADER.size + length):
-                    self.stop_reason = STOP_SHORT
-                    return
-                start = pos - base + _HEADER.size
-                payload = bytes(buffer[start : start + length])
-                if zlib.crc32(payload) != crc:
-                    self.stop_reason = STOP_CRC
-                    return
-                pos += _HEADER.size + length
-                self.last_good_lsn = pos
-                yield (decode_payload(payload) if self.decode else payload), pos
-                # Slide the window: drop consumed bytes once a chunk's
-                # worth has accumulated (amortised O(1) per byte).
-                if pos - base >= CHUNK_SIZE:
-                    del buffer[: pos - base]
-                    base = pos
+        # Nothing after the last frame is a clean end; anything else is
+        # a frame the file ends inside.
+        self.stop_reason = STOP_SHORT if decoder.pending_bytes else STOP_EOF
 
 
 def read_log(path: str, start_lsn: int = 0) -> LogScan:

@@ -1,13 +1,10 @@
 """Binary log record formats.
 
-Every record is framed as::
-
-    u32 payload_length | u32 crc32(payload) | payload
-
-where the payload starts with a u8 record type. The CRC detects the torn
-tail a crash leaves behind; replay stops at the first bad frame. Values
-are serialised self-describingly (kind byte per value), so replay does
-not need the schema in hand to parse a record.
+Every record is one :mod:`repro.frame` frame whose payload starts with
+a u8 record type. The CRC detects the torn tail a crash leaves behind;
+replay stops at the first bad frame. Values are serialised
+self-describingly (a kind byte per column), so replay does not need the
+schema in hand to parse a record.
 
 No record names a transaction: its operation records sit in the file
 directly before its commit record (``wal/writer.py`` writes such a
@@ -18,12 +15,13 @@ the commit record carries the commit id.
 from __future__ import annotations
 
 import struct
-import zlib
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
+from repro import frame
+from repro.frame import FrameDecoder, FrameError
 from repro.storage.types import Value
 
 TYPE_INSERT = 1
@@ -36,16 +34,13 @@ TYPE_DROP_TABLE = 6
 TYPE_INSERT_MANY = 7
 TYPE_MERGE = 8
 
-#: Hard bound on a single frame's payload, shared by both ends of the
-#: log: the reader treats any length prefix beyond it as torn-tail
-#: garbage (without the cap a corrupt length could make it buffer an
-#: arbitrarily large slice of the file before the CRC rejects it), and
-#: the writer therefore must never produce a larger frame — it splits
-#: oversized batches and rejects unsplittable records at append time.
+#: The log's frame cap, shared by both ends: the reader takes a longer
+#: length prefix for torn-tail garbage, so the writer never writes one —
+#: it splits oversized batches and refuses unsplittable records.
 MAX_RECORD_BYTES = 64 * 1024 * 1024
 
 
-class RecordTooLarge(ValueError):
+class RecordTooLarge(FrameError):
     """A single record's frame would exceed :data:`MAX_RECORD_BYTES`.
 
     Raised at append time, before the transaction is acknowledged: a
@@ -138,53 +133,6 @@ LogRecord = Union[
 ]
 
 
-def _encode_values(values: Sequence[Value]) -> bytes:
-    parts = [struct.pack("<H", len(values))]
-    for value in values:
-        if value is None:
-            parts.append(struct.pack("<B", _KIND_NULL))
-        elif isinstance(value, bool):
-            raise TypeError("bool values are not loggable")
-        elif isinstance(value, int):
-            parts.append(struct.pack("<Bq", _KIND_INT, value))
-        elif isinstance(value, float):
-            parts.append(struct.pack("<Bd", _KIND_FLOAT, value))
-        elif isinstance(value, str):
-            raw = value.encode("utf-8")
-            parts.append(struct.pack("<BI", _KIND_STR, len(raw)))
-            parts.append(raw)
-        else:
-            raise TypeError(f"unsupported value type {type(value).__name__}")
-    return b"".join(parts)
-
-
-def _decode_values(payload: bytes, pos: int) -> tuple[tuple, int]:
-    (count,) = struct.unpack_from("<H", payload, pos)
-    pos += 2
-    values = []
-    for _ in range(count):
-        (kind,) = struct.unpack_from("<B", payload, pos)
-        pos += 1
-        if kind == _KIND_NULL:
-            values.append(None)
-        elif kind == _KIND_INT:
-            (v,) = struct.unpack_from("<q", payload, pos)
-            values.append(v)
-            pos += 8
-        elif kind == _KIND_FLOAT:
-            (v,) = struct.unpack_from("<d", payload, pos)
-            values.append(v)
-            pos += 8
-        elif kind == _KIND_STR:
-            (length,) = struct.unpack_from("<I", payload, pos)
-            pos += 4
-            values.append(payload[pos : pos + length].decode("utf-8"))
-            pos += length
-        else:
-            raise ValueError(f"bad value kind {kind}")
-    return tuple(values), pos
-
-
 def _encode_column(values: Sequence[Value], n: int) -> bytes:
     """Serialise one column: null bitmap + kind byte + packed values."""
     null_mask = np.fromiter((v is None for v in values), dtype=bool, count=n)
@@ -220,13 +168,11 @@ def _decode_column(payload: bytes, pos: int, n: int) -> tuple[tuple, int]:
     pos += bitmap_bytes
     (kind,) = struct.unpack_from("<B", payload, pos)
     pos += 1
-    out: list = [None] * n
-    present = np.nonzero(~null_mask)[0].tolist()
-    k = len(present)
+    k = n - int(np.count_nonzero(null_mask))
     if kind == _KIND_NULL:
         if k:
             raise ValueError("null column kind with non-null rows")
-        return tuple(out), pos
+        return (None,) * n, pos
     if kind == _KIND_INT:
         vals = np.frombuffer(payload, dtype="<i8", count=k, offset=pos).tolist()
         pos += 8 * k
@@ -242,7 +188,10 @@ def _decode_column(payload: bytes, pos: int, n: int) -> tuple[tuple, int]:
             pos += length
     else:
         raise ValueError(f"bad column kind {kind}")
-    for i, v in zip(present, vals):
+    if k == n:
+        return tuple(vals), pos
+    out: list = [None] * n
+    for i, v in zip(np.flatnonzero(~null_mask).tolist(), vals):
         out[i] = v
     return tuple(out), pos
 
@@ -292,10 +241,9 @@ def _decode_cell(payload: bytes, pos: int) -> tuple[tuple, int]:
 
 def _payload(record: LogRecord) -> bytes:
     if isinstance(record, InsertRecord):
-        return (
-            struct.pack("<BQQ", TYPE_INSERT, record.tid, record.table_id)
-            + _encode_values(record.values)
-        )
+        return struct.pack(
+            "<BQQH", TYPE_INSERT, record.tid, record.table_id, len(record.values)
+        ) + b"".join(map(_encode_cell, record.values))
     if isinstance(record, InsertManyRecord):
         n = record.row_count
         if any(len(col) != n for col in record.columns):
@@ -349,14 +297,15 @@ def _payload(record: LogRecord) -> bytes:
     raise TypeError(f"unknown record {record!r}")
 
 
-def frame_payload(payload: bytes) -> bytes:
-    """Frame one payload for appending to a log: length, CRC, body."""
-    return struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+def frame_payload(payload: bytes, cap: int = MAX_RECORD_BYTES) -> bytes:
+    """Frame one payload for appending to a log: length, CRC, body. A
+    payload over ``cap`` raises :class:`RecordTooLarge`."""
+    return frame.encode(payload, cap, RecordTooLarge)
 
 
-def encode_record(record: LogRecord) -> bytes:
+def encode_record(record: LogRecord, cap: int = MAX_RECORD_BYTES) -> bytes:
     """Frame a record for appending to the log."""
-    return frame_payload(_payload(record))
+    return frame_payload(_payload(record), cap)
 
 
 def peek_payload(payload: bytes) -> tuple[int, int, int]:
@@ -383,64 +332,70 @@ def peek_payload(payload: bytes) -> tuple[int, int, int]:
 
 
 def decode_payload(payload: bytes) -> LogRecord:
-    """Parse one (already CRC-checked) payload."""
-    (rtype,) = struct.unpack_from("<B", payload, 0)
-    if rtype == TYPE_INSERT:
-        tid, table_id = struct.unpack_from("<QQ", payload, 1)
-        values, _ = _decode_values(payload, 17)
-        return InsertRecord(tid, table_id, values)
-    if rtype == TYPE_INSERT_MANY:
-        table_id, first_row, n, ncols = struct.unpack_from(
-            "<QQIH", payload, 1
-        )
-        pos = 23
-        columns = []
-        for _ in range(ncols):
-            if n == 1:
-                col, pos = _decode_cell(payload, pos)
-            else:
-                col, pos = _decode_column(payload, pos, n)
-            columns.append(col)
-        return InsertManyRecord(table_id, first_row, tuple(columns))
-    if rtype == TYPE_INVALIDATE:
-        table_id, ref = struct.unpack_from("<QQ", payload, 1)
-        return InvalidateRecord(table_id, ref)
-    if rtype == TYPE_COMMIT:
-        (cid,) = struct.unpack_from("<Q", payload, 1)
-        return CommitRecord(cid)
-    if rtype == TYPE_CREATE_TABLE:
-        table_id, name_len = struct.unpack_from("<QH", payload, 1)
-        pos = 11
-        name = payload[pos : pos + name_len].decode("utf-8")
-        pos += name_len
-        (blob_len,) = struct.unpack_from("<I", payload, pos)
-        pos += 4
-        return CreateTableRecord(table_id, name, payload[pos : pos + blob_len])
-    if rtype == TYPE_DROP_TABLE:
-        (table_id,) = struct.unpack_from("<Q", payload, 1)
-        return DropTableRecord(table_id)
-    if rtype == TYPE_MERGE:
-        table_id, watermark, n_main, n_delta = struct.unpack_from(
-            "<QQQQ", payload, 1
-        )
-        pos = 33
-        main_bytes = (n_main + 7) // 8
-        delta_bytes = (n_delta + 7) // 8
-
-        def unpack_mask(offset: int, count: int, nbytes: int) -> tuple:
-            bits = np.unpackbits(
-                np.frombuffer(payload, np.uint8, count=nbytes, offset=offset),
-                count=count,
+    """Parse one (already CRC-checked) payload; bytes that do not parse
+    raise :class:`~repro.frame.FrameError`."""
+    try:
+        (rtype,) = struct.unpack_from("<B", payload, 0)
+        if rtype == TYPE_INSERT:
+            tid, table_id, count = struct.unpack_from("<QQH", payload, 1)
+            pos = 19
+            values = []
+            for _ in range(count):
+                (value,), pos = _decode_cell(payload, pos)
+                values.append(value)
+            return InsertRecord(tid, table_id, tuple(values))
+        if rtype == TYPE_INSERT_MANY:
+            table_id, first_row, n, ncols = struct.unpack_from("<QQIH", payload, 1)
+            pos = 23
+            columns = []
+            for _ in range(ncols):
+                if n == 1:
+                    col, pos = _decode_cell(payload, pos)
+                else:
+                    col, pos = _decode_column(payload, pos, n)
+                columns.append(col)
+            return InsertManyRecord(table_id, first_row, tuple(columns))
+        if rtype == TYPE_INVALIDATE:
+            table_id, ref = struct.unpack_from("<QQ", payload, 1)
+            return InvalidateRecord(table_id, ref)
+        if rtype == TYPE_COMMIT:
+            (cid,) = struct.unpack_from("<Q", payload, 1)
+            return CommitRecord(cid)
+        if rtype == TYPE_CREATE_TABLE:
+            table_id, name_len = struct.unpack_from("<QH", payload, 1)
+            pos = 11
+            name = payload[pos : pos + name_len].decode("utf-8")
+            pos += name_len
+            (blob_len,) = struct.unpack_from("<I", payload, pos)
+            pos += 4
+            return CreateTableRecord(table_id, name, payload[pos : pos + blob_len])
+        if rtype == TYPE_DROP_TABLE:
+            (table_id,) = struct.unpack_from("<Q", payload, 1)
+            return DropTableRecord(table_id)
+        if rtype == TYPE_MERGE:
+            table_id, watermark, n_main, n_delta = struct.unpack_from(
+                "<QQQQ", payload, 1
             )
-            return tuple(bits.astype(bool).tolist())
+            pos = 33
+            main_bytes = (n_main + 7) // 8
+            delta_bytes = (n_delta + 7) // 8
 
-        return MergeRecord(
-            table_id,
-            watermark,
-            unpack_mask(pos, n_main, main_bytes),
-            unpack_mask(pos + main_bytes, n_delta, delta_bytes),
-        )
-    raise ValueError(f"bad record type {rtype}")
+            def unpack_mask(offset: int, count: int, nbytes: int) -> tuple:
+                bits = np.unpackbits(
+                    np.frombuffer(payload, np.uint8, count=nbytes, offset=offset),
+                    count=count,
+                )
+                return tuple(bits.astype(bool).tolist())
+
+            return MergeRecord(
+                table_id,
+                watermark,
+                unpack_mask(pos, n_main, main_bytes),
+                unpack_mask(pos + main_bytes, n_delta, delta_bytes),
+            )
+        raise ValueError(f"bad record type {rtype}")
+    except frame.PARSE_ERRORS as exc:
+        raise FrameError(f"undecodable log record: {exc}") from None
 
 
 def decode_record(buffer: bytes, pos: int) -> tuple[LogRecord, int] | None:
@@ -449,14 +404,15 @@ def decode_record(buffer: bytes, pos: int) -> tuple[LogRecord, int] | None:
     Returns (record, next_pos), or None when the frame is truncated or
     fails its CRC — the torn tail of a crashed log.
     """
-    if pos + 8 > len(buffer):
+    # Feed this frame only: the length in its header bounds the copy.
+    head = buffer[pos : pos + frame.HEADER_BYTES]
+    length = frame.HEADER.unpack(head)[0] if len(head) == frame.HEADER_BYTES else 0
+    decoder = FrameDecoder(MAX_RECORD_BYTES, pos)
+    decoder.feed(buffer[pos : pos + frame.HEADER_BYTES + length])
+    try:
+        payload = next(decoder.frames(), None)
+    except FrameError:
         return None
-    length, crc = struct.unpack_from("<II", buffer, pos)
-    start = pos + 8
-    end = start + length
-    if end > len(buffer):
+    if payload is None:
         return None
-    payload = buffer[start:end]
-    if zlib.crc32(payload) != crc:
-        return None
-    return decode_payload(payload), end
+    return decode_payload(payload), pos + frame.HEADER_BYTES + len(payload)

@@ -54,8 +54,6 @@ from repro.wal.records import (
     encode_record,
 )
 
-_FRAME_HEADER = 8  # u32 length | u32 crc32
-
 
 class LogWriter:
     """Appends framed records to the log file."""
@@ -165,14 +163,7 @@ class LogWriter:
 
     def _write(self, record: LogRecord) -> int:
         """Append one framed record; returns its end-LSN."""
-        frame = encode_record(record)
-        if len(frame) - _FRAME_HEADER > self._max_record_bytes:
-            raise RecordTooLarge(
-                f"record frame of {len(frame) - _FRAME_HEADER} payload bytes "
-                f"exceeds the replayable bound of {self._max_record_bytes}; "
-                "the reader would reject it as torn-tail garbage"
-            )
-        return self._append([frame])
+        return self._append([encode_record(record, self._max_record_bytes)])
 
     def _append(self, frames: list[bytes], commit: bool = False) -> int:
         """Write ``frames`` back to back under one lock hold, so nothing
@@ -333,20 +324,16 @@ class LogWriter:
     def _frame_insert_many(
         self, table_id: int, first_row: int, columns: tuple
     ) -> list[bytes]:
-        frame = encode_record(InsertManyRecord(table_id, first_row, columns))
-        if len(frame) - _FRAME_HEADER <= self._max_record_bytes:
-            return [frame]
-        rows = len(columns[0]) if columns else 0
-        if rows <= 1:
-            # Unsplittable: one row alone busts the frame bound. The
+        record = InsertManyRecord(table_id, first_row, columns)
+        try:
+            return [encode_record(record, self._max_record_bytes)]
+        except RecordTooLarge:
+            # One row alone busts the frame bound: unsplittable. The
             # transaction fails before its data could become
             # unreplayable.
-            raise RecordTooLarge(
-                f"a single row of table {table_id} encodes to "
-                f"{len(frame) - _FRAME_HEADER} payload bytes, beyond the "
-                f"replayable bound of {self._max_record_bytes}"
-            )
-        half = rows // 2
+            if record.row_count <= 1:
+                raise
+        half = record.row_count // 2
         return self._frame_insert_many(
             table_id, first_row, tuple(col[:half] for col in columns)
         ) + self._frame_insert_many(
