@@ -291,6 +291,10 @@ class MetricsRegistry:
 
     def _instrument(self, name: str, kind: str, factory, labels: dict):
         key = _label_key(labels)
+        # An existing series is served without the lock (entries are never removed).
+        instrument = self._families.get(name, {}).get(key)
+        if instrument is not None and instrument.kind == kind:
+            return instrument
         with self._lock:
             family = self._families.setdefault(name, {})
             have = self._kinds.setdefault(name, kind)
@@ -298,11 +302,9 @@ class MetricsRegistry:
                 raise ValueError(
                     f"metric {name!r} already registered as {have}, not {kind}"
                 )
-            instrument = family.get(key)
-            if instrument is None:
-                instrument = factory()
-                family[key] = instrument
-            return instrument
+            if key not in family:
+                family[key] = factory()
+            return family[key]
 
     def counter(self, name: str, **labels) -> Counter:
         if not self.enabled:

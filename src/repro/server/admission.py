@@ -108,8 +108,8 @@ class AdmissionController:
         """Try to admit one request; returns a rejection reason or None.
 
         On admission the tenant's inflight count is already
-        incremented — the caller *must* pair every successful ``admit``
-        with exactly one :meth:`release`.
+        incremented — the caller *must* release every successful
+        ``admit`` exactly once.
         """
         registry = get_registry()
         bucket = self._bucket(tenant)
@@ -131,14 +131,15 @@ class AdmissionController:
         registry.gauge("server_inflight", tenant=tenant).add(1)
         return None
 
-    def release(self, tenant: str) -> None:
+    def release(self, tenant: str, n: int = 1) -> None:
+        """Answer ``n`` of the tenant's admitted requests at once."""
         with self._lock:
-            count = self._inflight.get(tenant, 0)
-            if count <= 1:
+            count = self._inflight.get(tenant, 0) - n
+            if count <= 0:
                 self._inflight.pop(tenant, None)
             else:
-                self._inflight[tenant] = count - 1
-        get_registry().gauge("server_inflight", tenant=tenant).add(-1)
+                self._inflight[tenant] = count
+        get_registry().gauge("server_inflight", tenant=tenant).add(-n)
 
     def inflight(self, tenant: str) -> int:
         with self._lock:

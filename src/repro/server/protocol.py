@@ -5,7 +5,10 @@ reads the log with, capped at :data:`MAX_FRAME_BYTES`. A truncated
 frame waits for more bytes; an oversized length prefix, a CRC mismatch
 or a malformed payload raises :class:`ProtocolError` (a
 :class:`~repro.frame.FrameError`): the server drops the connection,
-the client surfaces the error.
+the client surfaces the error. Payloads are parsed without bounds
+checks — a short read fails as ``IndexError`` or ``struct.error`` —
+and the public decoders turn every parse failure into
+:class:`ProtocolError` at one point, :func:`_parser`.
 
 Request payloads::
 
@@ -30,10 +33,10 @@ un-greeted session with :data:`Status.NEED_HELLO`.
 
 from __future__ import annotations
 
+import functools
 import struct
-from dataclasses import dataclass
 from enum import IntEnum
-from typing import List, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -68,7 +71,6 @@ MAX_VALUE_DEPTH = 100
 _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
 _U32 = struct.Struct("<I")
-_U16 = struct.Struct("<H")
 
 FRAME_HEADER_BYTES = frame.HEADER_BYTES
 
@@ -151,120 +153,144 @@ _T_DICT = 8
 _I64_MIN = -(2**63)
 _I64_MAX = 2**63 - 1
 
+_TAG_I64 = struct.Struct("<Bq")
+_TAG_F64 = struct.Struct("<Bd")
+_TAG_U32 = struct.Struct("<BI")
+
 
 def encode_value(value, out: Optional[bytearray] = None) -> bytearray:
-    """Append one value's tagged encoding to ``out`` (created if None)."""
+    """Append one value's tagged encoding to ``out`` (created if None).
+
+    The exact built-in types take one ``type(...) is`` test each; numpy
+    scalars, tuples, subclasses and the rest fall back to ``isinstance``.
+    """
     if out is None:
         out = bytearray()
-    if value is None:
-        out.append(_T_NULL)
-    elif value is True:
-        out.append(_T_TRUE)
-    elif value is False:
-        out.append(_T_FALSE)
-    elif isinstance(value, (int, np.integer)):
-        value = int(value)
+    kind = type(value)
+    if kind is str:
+        data = value.encode("utf-8")
+        out += _TAG_U32.pack(_T_STR, len(data))
+        out += data
+    elif kind is int:
         if not _I64_MIN <= value <= _I64_MAX:
             raise ProtocolError(f"integer out of int64 range: {value}")
-        out.append(_T_INT)
-        out += _I64.pack(value)
-    elif isinstance(value, (float, np.floating)):
-        out.append(_T_FLOAT)
-        out += _F64.pack(float(value))
-    elif isinstance(value, str):
-        data = value.encode("utf-8")
-        out.append(_T_STR)
-        out += _U32.pack(len(data))
-        out += data
-    elif isinstance(value, (bytes, bytearray, memoryview)):
-        data = bytes(value)
-        out.append(_T_BYTES)
-        out += _U32.pack(len(data))
-        out += data
-    elif isinstance(value, (list, tuple)):
-        out.append(_T_LIST)
-        out += _U32.pack(len(value))
+        out += _TAG_I64.pack(_T_INT, value)
+    elif kind is dict:
+        out += _TAG_U32.pack(_T_DICT, len(value))
+        for key, item in value.items():
+            if type(key) is str:  # the usual key, written in place
+                data = key.encode("utf-8")
+                out += _TAG_U32.pack(_T_STR, len(data))
+                out += data
+            else:
+                encode_value(key, out)
+            encode_value(item, out)
+    elif kind is list:
+        out += _TAG_U32.pack(_T_LIST, len(value))
         for item in value:
             encode_value(item, out)
+    elif value is None:
+        out.append(_T_NULL)
+    elif kind is bool:
+        out.append(_T_TRUE if value else _T_FALSE)
+    elif kind is float:
+        out += _TAG_F64.pack(_T_FLOAT, value)
+    elif isinstance(value, (int, np.integer)):
+        encode_value(int(value), out)
+    elif isinstance(value, (float, np.floating)):
+        out += _TAG_F64.pack(_T_FLOAT, float(value))
+    elif isinstance(value, str):
+        encode_value(str(value), out)
+    elif isinstance(value, (bytes, bytearray, memoryview)):
+        data = bytes(value)
+        out += _TAG_U32.pack(_T_BYTES, len(data))
+        out += data
+    elif isinstance(value, (list, tuple)):
+        encode_value(list(value), out)
     elif isinstance(value, dict):
-        out.append(_T_DICT)
-        out += _U32.pack(len(value))
-        for key, item in value.items():
-            encode_value(key, out)
-            encode_value(item, out)
+        encode_value(dict(value), out)
     else:
         raise ProtocolError(f"unencodable value type {type(value).__name__}")
     return out
 
 
-def _need(buf: bytes, offset: int, n: int) -> None:
-    if offset + n > len(buf):
-        raise ProtocolError("truncated value payload")
-
-
-def decode_value(buf: bytes, offset: int = 0, depth: int = 0):
+def _decode(buf: bytes, offset: int = 0, depth: int = 0):
     """Decode one tagged value; returns ``(value, next_offset)``. Lists
-    and dicts nesting deeper than :data:`MAX_VALUE_DEPTH` are refused."""
-    _need(buf, offset, 1)
+    and dicts nesting deeper than :data:`MAX_VALUE_DEPTH` are refused.
+    A read past the end fails as ``IndexError``/``struct.error``."""
     tag = buf[offset]
     offset += 1
-    if tag in (_T_LIST, _T_DICT) and depth >= MAX_VALUE_DEPTH:
-        raise ProtocolError(f"value nested deeper than {MAX_VALUE_DEPTH}")
-    if tag == _T_NULL:
-        return None, offset
-    if tag == _T_TRUE:
-        return True, offset
-    if tag == _T_FALSE:
-        return False, offset
-    if tag == _T_INT:
-        _need(buf, offset, 8)
-        return _I64.unpack_from(buf, offset)[0], offset + 8
-    if tag == _T_FLOAT:
-        _need(buf, offset, 8)
-        return _F64.unpack_from(buf, offset)[0], offset + 8
-    if tag in (_T_STR, _T_BYTES):
-        _need(buf, offset, 4)
-        n = _U32.unpack_from(buf, offset)[0]
-        offset += 4
-        _need(buf, offset, n)
-        data = bytes(buf[offset : offset + n])
-        offset += n
+    if tag <= _T_TRUE:  # NULL, FALSE, TRUE are tags 0, 1, 2
+        return (None, False, True)[tag], offset
+    if tag == _T_STR or tag == _T_BYTES:
+        end = offset + 4 + _U32.unpack_from(buf, offset)[0]
+        if end > len(buf):
+            raise ProtocolError("truncated value payload")
         if tag == _T_BYTES:
-            return data, offset
-        try:
-            return data.decode("utf-8"), offset
-        except UnicodeDecodeError as exc:
-            raise ProtocolError(f"invalid UTF-8 string payload: {exc}") from None
-    if tag == _T_LIST:
-        _need(buf, offset, 4)
+            return bytes(buf[offset + 4 : end]), end
+        return str(buf[offset + 4 : end], "utf-8"), end
+    if tag == _T_INT:
+        return _I64.unpack_from(buf, offset)[0], offset + 8
+    if tag == _T_DICT or tag == _T_LIST:
+        if depth >= MAX_VALUE_DEPTH:
+            raise ProtocolError(f"value nested deeper than {MAX_VALUE_DEPTH}")
         n = _U32.unpack_from(buf, offset)[0]
         offset += 4
-        items = []
-        for _ in range(n):
-            item, offset = decode_value(buf, offset, depth + 1)
-            items.append(item)
-        return items, offset
-    if tag == _T_DICT:
-        _need(buf, offset, 4)
-        n = _U32.unpack_from(buf, offset)[0]
-        offset += 4
+        depth += 1
+        if tag == _T_LIST:
+            items = []
+            for _ in range(n):
+                item, offset = _decode(buf, offset, depth)
+                items.append(item)
+            return items, offset
         mapping = {}
         for _ in range(n):
-            key, offset = decode_value(buf, offset, depth + 1)
-            if not isinstance(key, (str, int, float, bool)) and key is not None:
-                raise ProtocolError("dict keys must be scalar")
-            item, offset = decode_value(buf, offset, depth + 1)
-            mapping[key] = item
+            if buf[offset] == _T_STR:  # the usual key, read in place
+                end = offset + 5 + _U32.unpack_from(buf, offset + 1)[0]
+                if end > len(buf):
+                    raise ProtocolError("truncated value payload")
+                key = str(buf[offset + 5 : end], "utf-8")
+                offset = end
+            else:
+                key, offset = _decode(buf, offset, depth)
+                if isinstance(key, (bytes, list, dict)):
+                    raise ProtocolError("dict keys must be scalar")
+            mapping[key], offset = _decode(buf, offset, depth)
         return mapping, offset
+    if tag == _T_FLOAT:
+        return _F64.unpack_from(buf, offset)[0], offset + 8
     raise ProtocolError(f"unknown value tag {tag}")
 
 
-def decode_body(buf: bytes, offset: int = 0):
+def _parser(parse):
+    """The one point where a payload that does not parse becomes a
+    :class:`ProtocolError`: ``parse`` reads freely and lets a short
+    read fail as ``IndexError``/``struct.error``."""
+
+    @functools.wraps(parse)
+    def checked(*args, **kwargs):
+        try:
+            return parse(*args, **kwargs)
+        except ProtocolError:
+            raise
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"invalid UTF-8 string payload: {exc}") from None
+        except frame.PARSE_ERRORS as exc:
+            raise ProtocolError(f"truncated value payload: {exc}") from None
+
+    return checked
+
+
+def _body(buf: bytes, offset: int = 0):
     """Decode a payload's body, requiring every byte to be consumed."""
-    value, end = decode_value(buf, offset)
+    value, end = _decode(buf, offset, 0)
     if end != len(buf):
         raise ProtocolError(f"{len(buf) - end} trailing bytes after body")
     return value
+
+
+decode_value = _parser(_decode)
+decode_body = _parser(_body)
 
 
 # ----------------------------------------------------------------------
@@ -292,18 +318,20 @@ class FrameDecoder(frame.FrameDecoder):
 # ----------------------------------------------------------------------
 
 _MAX_TENANT_BYTES = 2**16 - 1
+_REQUEST_HEAD = struct.Struct("<BIH")  # opcode, request id, tenant length
+_RESPONSE_HEAD = struct.Struct("<BIB")  # opcode, request id, status
+_OPS = {int(op): op for op in Op}
+_STATUSES = {int(status): status for status in Status}
 
 
-@dataclass(frozen=True)
-class Request:
+class Request(NamedTuple):
     op: Op
     request_id: int
     tenant: str
     body: object
 
 
-@dataclass(frozen=True)
-class Response:
+class Response(NamedTuple):
     op: Op
     request_id: int
     status: Status
@@ -319,55 +347,38 @@ def pack_request(op: Op, request_id: int, tenant: str, body) -> bytes:
     name = tenant.encode("utf-8")
     if len(name) > _MAX_TENANT_BYTES:
         raise ProtocolError("tenant name too long")
-    payload = bytearray()
-    payload.append(int(op))
-    payload += _U32.pack(request_id & 0xFFFFFFFF)
-    payload += _U16.pack(len(name))
+    payload = bytearray(_REQUEST_HEAD.pack(op, request_id & 0xFFFFFFFF, len(name)))
     payload += name
-    encode_value(body, payload)
-    return encode_frame(bytes(payload))
+    return encode_frame(encode_value(body, payload))
 
 
+@_parser
 def unpack_request(payload: bytes) -> Request:
-    _need(payload, 0, 1 + 4 + 2)
-    try:
-        op = Op(payload[0])
-    except ValueError:
-        raise ProtocolError(f"unknown opcode {payload[0]}") from None
-    request_id = _U32.unpack_from(payload, 1)[0]
-    name_len = _U16.unpack_from(payload, 5)[0]
-    _need(payload, 7, name_len)
-    try:
-        tenant = payload[7 : 7 + name_len].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ProtocolError(f"invalid tenant name: {exc}") from None
-    body = decode_body(payload, 7 + name_len)
-    return Request(op, request_id, tenant, body)
+    op = _OPS.get(payload[0])
+    if op is None:
+        raise ProtocolError(f"unknown opcode {payload[0]}")
+    _, request_id, name_len = _REQUEST_HEAD.unpack_from(payload)
+    # A cut name leaves no byte for the body's tag: a short read.
+    tenant = str(payload[7 : 7 + name_len], "utf-8")
+    return Request(op, request_id, tenant, _body(payload, 7 + name_len))
 
 
 def pack_response(op: Op, request_id: int, status: Status, body) -> bytes:
     """One response as a complete frame (header + payload)."""
-    payload = bytearray()
-    payload.append(int(op))
-    payload += _U32.pack(request_id & 0xFFFFFFFF)
-    payload.append(int(status))
-    encode_value(body, payload)
-    return encode_frame(bytes(payload))
+    payload = bytearray(_RESPONSE_HEAD.pack(op, request_id & 0xFFFFFFFF, status))
+    return encode_frame(encode_value(body, payload))
 
 
+@_parser
 def unpack_response(payload: bytes) -> Response:
-    _need(payload, 0, 1 + 4 + 1)
-    try:
-        op = Op(payload[0])
-    except ValueError:
-        raise ProtocolError(f"unknown opcode {payload[0]}") from None
-    request_id = _U32.unpack_from(payload, 1)[0]
-    try:
-        status = Status(payload[5])
-    except ValueError:
-        raise ProtocolError(f"unknown status {payload[5]}") from None
-    body = decode_body(payload, 6)
-    return Response(op, request_id, status, body)
+    op = _OPS.get(payload[0])
+    if op is None:
+        raise ProtocolError(f"unknown opcode {payload[0]}")
+    _, request_id, code = _RESPONSE_HEAD.unpack_from(payload)
+    status = _STATUSES.get(code)
+    if status is None:
+        raise ProtocolError(f"unknown status {code}")
+    return Response(op, request_id, status, _body(payload, 6))
 
 
 # ----------------------------------------------------------------------
@@ -464,28 +475,3 @@ def _part(data) -> Predicate:
     if predicate is None:
         raise ProtocolError("nested predicate may not be None")
     return predicate
-
-
-__all__: List[str] = [
-    "ADMIN_OPS",
-    "FRAME_HEADER_BYTES",
-    "FrameDecoder",
-    "MAX_FRAME_BYTES",
-    "MAX_VALUE_DEPTH",
-    "Op",
-    "PROTOCOL_VERSION",
-    "ProtocolError",
-    "Request",
-    "Response",
-    "Status",
-    "decode_body",
-    "decode_value",
-    "encode_frame",
-    "encode_value",
-    "pack_request",
-    "pack_response",
-    "predicate_from_wire",
-    "predicate_to_wire",
-    "unpack_request",
-    "unpack_response",
-]

@@ -17,11 +17,11 @@ atomicity contract it keeps is in DESIGN.md, "Server and tenancy"):
   first, as one :meth:`~repro.core.Database.insert_each` per table: they
   share a commit, and a read sees every insert of its tick. Any other
   op is a **barrier**, executed in place; nothing moves across it.
-* **back on the loop** admission is released and the response packed
-  per request; a connection gets its share of a tick in one socket
-  write. Its read loop awaits ``drain()`` before reading more, so a
-  client that stops reading its answers stops being read from — and
-  never stalls a lane.
+* **back on the loop** admission is released once per tenant per tick
+  and the responses packed; a connection gets its share of a tick in
+  one socket write. Its read loop awaits ``drain()`` before reading
+  more, so a client that stops reading its answers stops being read
+  from — and never stalls a lane.
 
 Shutdown is a graceful drain: stop accepting, fail new requests with
 ``SHUTTING_DOWN``, wait (bounded) for the lanes to empty, then close
@@ -36,6 +36,7 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -73,6 +74,7 @@ _READ_CHUNK = 256 * 1024
 _UNKNOWN_TENANT = "?"
 #: Ops a tick may reorder among themselves; every other op is a barrier.
 _COMMUTING = frozenset({Op.INSERT, Op.QUERY, Op.AGGREGATE})
+_OP_LABELS = {op: op.name.lower() for op in Op}
 _TICK_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
 
@@ -284,7 +286,7 @@ class ReproServer:
         else:
             label = _UNKNOWN_TENANT
         get_registry().counter(
-            "server_requests_total", tenant=label, op=request.op.name.lower()
+            "server_requests_total", tenant=label, op=_OP_LABELS[request.op]
         ).inc()
         if request.op is Op.HELLO:
             conn.write(self._hello_response(conn, request))
@@ -368,10 +370,11 @@ class ReproServer:
             except Exception as exc:  # the tick itself died unexpectedly
                 died = Status.INTERNAL, f"{type(exc).__name__}: {exc}"
                 answers = [died] * len(tick)
+            admitted = Counter(q.admitted for q in tick if q.admitted is not None)
+            for label, n in admitted.items():
+                self._admission.release(label, n)
             frames: dict[_Connection, list[bytes]] = {}
             for queued, (status, body) in zip(tick, answers):
-                if queued.admitted is not None:
-                    self._admission.release(queued.admitted)
                 request = queued.request
                 try:
                     frame = protocol.pack_response(
@@ -473,7 +476,7 @@ class ReproServer:
     def _execute(self, request: Request, submitted: float):
         """Worker-side execution: returns ``(status, body)``."""
         registry = get_registry()
-        op_label = request.op.name.lower()
+        op_label = _OP_LABELS[request.op]
         registry.histogram("server_queue_seconds", op=op_label).observe(
             time.perf_counter() - submitted
         )

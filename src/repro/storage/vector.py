@@ -9,6 +9,7 @@ code is written once and runs on either.
 
 from __future__ import annotations
 
+import threading
 from typing import Iterator, Optional, Protocol, runtime_checkable
 
 import numpy as np
@@ -57,7 +58,9 @@ class VolatileVector:
     """Growable DRAM array with the :class:`VectorLike` interface.
 
     Backed by an over-allocated numpy buffer (amortised O(1) appends),
-    exactly like the delta vectors of a DRAM-resident engine.
+    exactly like the delta vectors of a DRAM-resident engine. Growth moves
+    it; an in-place store (a commit stamping ``begin``/``end`` from its own
+    thread) holds the same lock, so it never lands in the buffer left behind.
     """
 
     _INITIAL_CAPACITY = 64
@@ -66,6 +69,7 @@ class VolatileVector:
         self._dtype = np.dtype(dtype)
         self._buf = np.empty(self._INITIAL_CAPACITY, dtype=self._dtype)
         self._size = 0
+        self._move_lock = threading.Lock()
 
     @property
     def dtype(self) -> np.dtype:
@@ -83,10 +87,10 @@ class VolatileVector:
         needed = self._size + extra
         if needed <= self._buf.size:
             return
-        new_cap = max(self._buf.size * 2, needed)
-        grown = np.empty(new_cap, dtype=self._dtype)
-        grown[: self._size] = self._buf[: self._size]
-        self._buf = grown
+        grown = np.empty(max(self._buf.size * 2, needed), dtype=self._dtype)
+        with self._move_lock:
+            grown[: self._size] = self._buf[: self._size]
+            self._buf = grown
 
     def append(self, value) -> int:
         """Append one element; returns its index."""
@@ -117,7 +121,8 @@ class VolatileVector:
         """Overwrite an element."""
         if index >= self._size:
             raise IndexError(f"set({index}) beyond size {self._size}")
-        self._buf[index] = value
+        with self._move_lock:
+            self._buf[index] = value
 
     def set_range(
         self, start: int, values: np.ndarray, fence: bool = True
@@ -129,7 +134,8 @@ class VolatileVector:
                 f"set_range([{start}, {start + values.size})) beyond "
                 f"size {self._size}"
             )
-        self._buf[start : start + values.size] = values
+        with self._move_lock:
+            self._buf[start : start + values.size] = values
 
     def to_numpy(self) -> np.ndarray:
         """Copy of the live contents."""

@@ -10,6 +10,7 @@ import random
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from repro.core.config import DurabilityMode
@@ -17,6 +18,7 @@ from repro.core.database import Database
 from repro.core.nvm_catalog import PersistentCidStore, PersistentTidAllocator
 from repro.query.predicate import Eq
 from repro.query.scan import scan
+from repro.storage import vector as vector_module
 from repro.storage.types import DataType
 from repro.txn import txn_table
 from repro.txn.errors import ConcurrentTransactionUse, TransactionConflict
@@ -443,3 +445,83 @@ def test_first_read_after_restart_races_an_insert_of_a_fresh_value(tmp_path):
     assert sorted(unindexed.column("v")) == [-2, -1]
     assert dictionary.values_list().count(999) == 1
     db.close()
+
+
+class TestVolatileVectorGrowth:
+    """A DRAM vector grows by copying into a new buffer and swapping it
+    in; a commit stamps ``begin``/``end`` from another thread without
+    the delta's write lock. A stamp that lands in the old buffer after
+    the copy is lost, and the committed row stays invisible."""
+
+    @staticmethod
+    def _store_during_growth(monkeypatch, store):
+        """Grow a full vector with ``store`` fired, on another thread,
+        right after the old buffer was copied and before the swap."""
+
+        class Grown(np.ndarray):
+            def __setitem__(self, index, value):
+                super().__setitem__(index, value)
+                if fire:  # the copy is done: race the swap
+                    racer = threading.Thread(target=store, args=(vec,))
+                    fire.clear()
+                    racer.start()
+                    racer.join(timeout=0.3)  # blocks while growth excludes it
+                    racers.append(racer)
+
+        class HookedNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def empty(shape, dtype):
+                return np.empty(shape, dtype).view(Grown)
+
+        fire, racers = [True], []
+        vec = vector_module.VolatileVector(np.uint64)
+        vec.extend(np.full(vec._INITIAL_CAPACITY, 7, dtype=np.uint64))
+        monkeypatch.setattr(vector_module, "np", HookedNumpy())
+        vec.append(7)  # past capacity: grows
+        assert racers, "growth never copied"
+        for racer in racers:
+            racer.join(timeout=10)
+            assert not racer.is_alive()
+        return vec
+
+    def test_set_racing_growth_is_kept(self, monkeypatch):
+        vec = self._store_during_growth(monkeypatch, lambda v: v.set(3, 99))
+        assert int(vec.get(3)) == 99
+
+    def test_set_range_racing_growth_is_kept(self, monkeypatch):
+        vec = self._store_during_growth(
+            monkeypatch, lambda v: v.set_range(10, np.array([5, 6], np.uint64))
+        )
+        assert [int(vec.get(10)), int(vec.get(11))] == [5, 6]
+
+    def test_stamps_racing_batch_appends_all_land(self):
+        """Stress: one thread appends in batches while three (more than
+        the cores) stamp every slot as soon as it exists; none is lost."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                vec, n, k = vector_module.VolatileVector(np.uint64), 20_000, 3
+
+                def stamp(first):
+                    for i in range(first, n, k):
+                        while i >= len(vec):
+                            pass
+                        vec.set(i, i + 1)
+
+                stampers = [
+                    threading.Thread(target=stamp, args=(j,)) for j in range(k)
+                ]
+                for t in stampers:
+                    t.start()
+                for _ in range(0, n, 50):
+                    vec.extend(np.zeros(50, np.uint64))
+                for t in stampers:
+                    t.join(timeout=60)
+                    assert not t.is_alive()
+                assert np.array_equal(vec.to_numpy(), np.arange(1, n + 1))
+        finally:
+            sys.setswitchinterval(interval)

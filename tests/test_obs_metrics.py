@@ -136,8 +136,35 @@ class TestRegistry:
     def test_kind_conflict_raises(self):
         registry = MetricsRegistry()
         registry.counter("dual")
+        registry.gauge("level", tenant="t")
         with pytest.raises(ValueError, match="already registered"):
             registry.gauge("dual")
+        # The existing series is found without the lock; its kind decides.
+        with pytest.raises(ValueError, match="already registered"):
+            registry.histogram("level", tenant="t")
+        assert registry.families() == {"dual": "counter", "level": "gauge"}
+
+    def test_existing_series_is_served_without_the_lock(self):
+        registry = MetricsRegistry()
+        made = [
+            registry.counter("c_total", op="x"),
+            registry.gauge("g", tenant="t"),
+            registry.histogram("h_seconds"),
+        ]
+
+        class Untouchable:
+            def __enter__(self):
+                raise AssertionError("lookup of an existing series took the lock")
+
+            def __exit__(self, *exc):
+                return False
+
+        registry._lock = Untouchable()
+        assert [
+            registry.counter("c_total", op="x"),
+            registry.gauge("g", tenant="t"),
+            registry.histogram("h_seconds"),
+        ] == made
 
     def test_concurrent_create_and_inc(self):
         """Racing registrations of one series never drop increments."""

@@ -528,6 +528,65 @@ def test_inflight_quota_rejects_pileups(tmp_path):
             assert count == 500 * statuses.count(Status.OK)
 
 
+def test_admission_is_released_per_tick(tmp_path, monkeypatch):
+    """A pipelined burst split over several ticks is released per tick:
+    the inflight count and the ``server_inflight`` gauge return to 0, and
+    the cap still refuses while a tick holds its requests."""
+    config = ServerConfig(max_inflight=4, workers=2)
+    with ServerThread(str(tmp_path / "data"), config) as thread:
+        server = thread.server
+        with ReproClient(HOST, thread.port) as client:
+            seed_tenant(client, rows=0)
+            admission = server._admission
+            gauge = get_registry().gauge("server_inflight", tenant="acme")
+            base = gauge.value  # the registry is the process's
+            assert admission.inflight("acme") == 0
+            held, release = threading.Event(), threading.Event()
+            run_tick, releases = server._run_tick, []
+            admission_release = admission.release
+
+            def counted(tenant, n=1):
+                releases.append((tenant, n))
+                admission_release(tenant, n)
+
+            def gated(key, tick):
+                if key == "acme" and not held.is_set():
+                    held.set()
+                    assert release.wait(10)
+                return run_tick(key, tick)
+
+            monkeypatch.setattr(server, "_run_tick", gated)
+            monkeypatch.setattr(admission, "release", counted)
+            tick_h = get_registry().histogram("server_tick_requests")
+            ticks_before = tick_h.count
+
+            def insert(i):
+                row = {"id": i, "name": "x", "qty": i}
+                return client._send_raw(
+                    Op.INSERT, {"table": "items", "row": row}, "acme"
+                )
+
+            first = insert(0)
+            assert held.wait(10)  # tick 1 holds one admitted request
+            ids = [insert(i) for i in range(1, 7)]
+            # Dispatch is in arrival order: the last refusal being back
+            # means the three admitted requests before it are queued.
+            refused = [client._recv_response(i).status for i in ids[3:]]
+            assert refused == [Status.TOO_MANY_INFLIGHT] * 3
+            assert admission.inflight("acme") == 4 and gauge.value == base + 4
+            release.set()
+            answered = [client._recv_response(i) for i in [first] + ids[:3]]
+            assert all(r.ok for r in answered)
+            assert tick_h.count - ticks_before == 2
+            assert releases == [("acme", 1), ("acme", 3)]  # one per tick
+            assert admission.inflight("acme") == 0 and gauge.value == base
+            # The cap is whole again: a burst of four is admitted in full.
+            again = client.pipeline([(Op.TABLES, {})] * 4, tenant="acme")
+            assert [r.status for r in again] == [Status.OK] * 4
+            assert client.aggregate("items", "count", tenant="acme") == 4
+            assert admission.inflight("acme") == 0 and gauge.value == base
+
+
 def test_admin_ops_bypass_admission(tmp_path):
     config = ServerConfig(rate_limit=1.0, burst=1.0)
     with ServerThread(str(tmp_path / "data"), config) as thread:
