@@ -46,7 +46,7 @@ from repro.obs import boundary, get_registry, trace_phase
 from repro.query.predicate import Predicate
 from repro.query.scan import ScanResult, scan
 from repro.recovery.report import RecoveryReport
-from repro.storage.schema import ColumnDef, Schema
+from repro.storage.schema import Batch, ColumnDef, Schema
 from repro.storage.table import Table, unpack_rowref
 from repro.storage.merge import (
     MergePlan,
@@ -105,8 +105,8 @@ class Transaction:
         self._db._index_new_row(table, ref)
         return ref
 
-    def insert_many(self, table_name: str, rows: Sequence[dict]) -> list[int]:
-        """Insert many {column: value} rows as one vectorized batch.
+    def insert_many(self, table_name: str, rows: Batch) -> list[int]:
+        """Insert {column: value} rows or {column: list} columns as one batch.
 
         The batch is validated and dictionary-encoded column-wise, lands
         with one coalesced NVM flush per touched chunk, and produces a
@@ -387,7 +387,7 @@ class Database:
         """Autocommit single-row insert; returns the rowref."""
         return self._autocommit(Transaction.insert, table_name, row)[0]
 
-    def insert_many(self, table_name: str, rows: Sequence[dict]) -> list[int]:
+    def insert_many(self, table_name: str, rows: Batch) -> list[int]:
         """Autocommit batched insert (one transaction); returns rowrefs."""
         return self._autocommit(Transaction.insert_many, table_name, rows)[0]
 

@@ -25,6 +25,9 @@ from __future__ import annotations
 
 import socket
 import time
+from array import array
+from contextlib import suppress
+from itertools import chain
 from typing import Optional, Sequence
 
 from repro.query.predicate import Predicate
@@ -55,6 +58,27 @@ class Rejected(ServerError):
 
 
 _REJECTIONS = (Status.RATE_LIMITED, Status.TOO_MANY_INFLIGHT)
+
+
+def _columns(rows: list) -> Optional[dict]:
+    """``rows`` as ``{name: column}`` when all are dicts holding the same
+    keys, at least one (a column carries the row count), else None: a
+    missing key and one holding None differ for a name the table lacks.
+    A column of exact ints within int64 packs as ``'q'``, one of exact
+    floats as ``'d'``; the rest stay lists."""
+    if not all(isinstance(row, dict) for row in rows):
+        return None
+    names = dict.fromkeys(chain.from_iterable(rows))  # first-seen order
+    if not names or any(len(row) != len(names) for row in rows):
+        return None
+    columns = {}
+    for name in names:
+        column = columns[name] = [row[name] for row in rows]
+        kinds = set(map(type, column))
+        with suppress(OverflowError):  # an int past int64 stays in the list
+            if kinds in ({int}, {float}):
+                columns[name] = array("q" if int in kinds else "d", column)
+    return columns
 
 
 class ReproClient:
@@ -225,8 +249,11 @@ class ReproClient:
     def insert_many(
         self, table: str, rows: Sequence[dict], *, tenant: Optional[str] = None
     ) -> int:
+        rows = list(rows)  # by column where :func:`_columns` can
+        columns = _columns(rows)
+        batch = {"rows": rows} if columns is None else {"columns": columns}
         return self.call(
-            Op.INSERT_MANY, {"table": table, "rows": list(rows)}, tenant=tenant
+            Op.INSERT_MANY, {"table": table, **batch}, tenant=tenant
         )["count"]
 
     def query(

@@ -22,8 +22,10 @@ Response payloads::
 (:func:`encode_value` / :func:`decode_value`) — NULL, bool, int64,
 float64, UTF-8 string, bytes, list, and dict cover every request and
 result shape the engine exchanges, including metrics snapshots and
-recovery span trees. Errors carry a human-readable message string as
-their body and a non-zero :class:`Status` code.
+recovery span trees; a packed int64/float64 column decodes to a list
+(a server older than it drops the connection). Errors carry a
+human-readable message string as their body and a non-zero
+:class:`Status` code.
 
 The protocol is versioned: a connection opens with a :data:`Op.HELLO`
 carrying :data:`PROTOCOL_VERSION`; the server rejects other versions
@@ -33,6 +35,7 @@ un-greeted session with :data:`Status.NEED_HELLO`.
 
 from __future__ import annotations
 
+import array
 import functools
 import struct
 from enum import IntEnum
@@ -149,6 +152,10 @@ _T_STR = 5
 _T_BYTES = 6
 _T_LIST = 7
 _T_DICT = 8
+_T_PACKED = 9  # u8 kind ('q' int64 / 'd' float64) | u32 count | count x 8 bytes LE
+#: A packed column's kind byte -> its dtype, and an ndarray's dtype -> kind.
+_PACKED = {ord("q"): "<i8", ord("d"): "<f8"}
+_KINDS = {np.dtype(np.int64): ord("q"), np.dtype(np.float64): ord("d")}
 
 _I64_MIN = -(2**63)
 _I64_MAX = 2**63 - 1
@@ -156,6 +163,7 @@ _I64_MAX = 2**63 - 1
 _TAG_I64 = struct.Struct("<Bq")
 _TAG_F64 = struct.Struct("<Bd")
 _TAG_U32 = struct.Struct("<BI")
+_TAG_PACKED = struct.Struct("<BBI")
 
 
 def encode_value(value, out: Optional[bytearray] = None) -> bytearray:
@@ -163,6 +171,7 @@ def encode_value(value, out: Optional[bytearray] = None) -> bytearray:
 
     The exact built-in types take one ``type(...) is`` test each; numpy
     scalars, tuples, subclasses and the rest fall back to ``isinstance``.
+    A 1-D int64/float64 ``array.array`` or ndarray is a packed column.
     """
     if out is None:
         out = bytearray()
@@ -209,6 +218,12 @@ def encode_value(value, out: Optional[bytearray] = None) -> bytearray:
         encode_value(list(value), out)
     elif isinstance(value, dict):
         encode_value(dict(value), out)
+    elif isinstance(value, array.array) and value.typecode in "qd":
+        encode_value(np.asarray(value), out)
+    elif isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype in _KINDS:
+        kind = _KINDS[value.dtype]
+        out += _TAG_PACKED.pack(_T_PACKED, kind, len(value))
+        out += value.astype(_PACKED[kind], copy=False).tobytes()
     else:
         raise ProtocolError(f"unencodable value type {type(value).__name__}")
     return out
@@ -259,6 +274,12 @@ def _decode(buf: bytes, offset: int = 0, depth: int = 0):
         return mapping, offset
     if tag == _T_FLOAT:
         return _F64.unpack_from(buf, offset)[0], offset + 8
+    if tag == _T_PACKED:
+        dtype = _PACKED.get(buf[offset])
+        if dtype is None:
+            raise ProtocolError(f"unknown packed column kind {buf[offset]}")
+        n = _U32.unpack_from(buf, offset + 1)[0]  # a short column: ValueError
+        return np.frombuffer(buf, dtype, n, offset + 5).tolist(), offset + 5 + 8 * n
     raise ProtocolError(f"unknown value tag {tag}")
 
 

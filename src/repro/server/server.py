@@ -555,11 +555,13 @@ class ReproServer:
             # Only a body no tick can coalesce gets here; it fails.
             return _insert_body(engine.insert(body["table"], body["row"]))
         if op is Op.INSERT_MANY:
-            rows = body["rows"]
-            if not isinstance(rows, list):
-                raise ProtocolError("INSERT_MANY rows must be a list")
-            engine.insert_many(body["table"], rows)
-            return {"count": len(rows)}
+            shape = dict if "columns" in body else list
+            batch = body["columns" if shape is dict else "rows"]
+            if not isinstance(batch, shape) or shape is dict and not all(
+                isinstance(column, list) for column in batch.values()
+            ):
+                raise ProtocolError("INSERT_MANY: a list of rows or a dict of lists")
+            return {"count": len(engine.insert_many(body["table"], batch))}
         if op is Op.QUERY:
             predicate = protocol.predicate_from_wire(body.get("predicate"))
             result = engine.query(body["table"], predicate)

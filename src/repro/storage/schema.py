@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence, Union
 
 from repro.storage.types import DataType, Value, type_from_tag, type_tag
+
+Batch = Union[Sequence[dict], Mapping[str, Sequence]]
 
 
 class SchemaError(ValueError):
@@ -104,19 +106,33 @@ class Schema:
             raise KeyError(f"unknown columns {sorted(unknown)}")
         return [c.dtype.validate(row.get(c.name)) for c in self.columns]
 
-    def validate_columns(self, rows: Sequence[dict]) -> list[list[Value]]:
-        """:meth:`validate_row` for a batch, by column: one comprehension
-        and one check of the types held per column, which takes a column
-        of its exact stored type and NULL as it is. Any other batch goes
-        through :meth:`validate_row` row by row, raising what it raises."""
+    def validate_columns(self, rows: Batch) -> list[list[Value]]:
+        """:meth:`validate_row` for a batch of rows or of ``{name: list}``
+        columns, by column: one check of the types held per column, which
+        takes a column of its exact stored type and NULL as it is. Any
+        other batch goes through :meth:`validate_row` row by row (columns
+        transposed), raising what it raises, at the same row."""
+        if isinstance(rows, Mapping):
+            lengths = set(map(len, rows.values()))
+            if len(lengths) > 1:
+                raise SchemaError(f"columns of unequal lengths {sorted(lengths)}")
+            n = lengths.pop() if lengths else 0
+            columns = [rows.get(name, [None] * n) for name, _, _ in self._checks]
+            if rows.keys() <= self._index.keys() and self._exact(columns):
+                return columns
+            rows = [dict(zip(rows, row)) for row in zip(*rows.values())]
         if set(map(type, rows)) <= {dict} and set().union(*rows) <= self._index.keys():
             columns = [[row.get(name) for row in rows] for name, _, _ in self._checks]
-            if all(
-                {exact, type(None)}.issuperset(map(type, column))
-                for column, (_, exact, _) in zip(columns, self._checks)
-            ):
+            if self._exact(columns):
                 return columns
         return [list(column) for column in zip(*map(self.validate_row, rows))]
+
+    def _exact(self, columns: list) -> bool:
+        """Every column a list of its exact stored type and NULL only."""
+        return all(
+            type(column) is list and {exact, type(None)}.issuperset(map(type, column))
+            for column, (_, exact, _) in zip(columns, self._checks)
+        )
 
     # ------------------------------------------------------------------
     # Serialisation

@@ -23,7 +23,7 @@ from repro.storage import table as storage_table
 from repro.storage.backend import NvmBackend, VolatileBackend
 from repro.storage.delta import DeltaPartition
 from repro.storage.dictionary import UnsortedDictionary
-from repro.storage.schema import Schema
+from repro.storage.schema import Schema, SchemaError
 from repro.storage.types import NULL_CODE
 from repro.storage.types import DataType
 from repro.txn.manager import TransactionManager
@@ -550,6 +550,99 @@ def test_exact_types_come_back_as_they_are(rows):
     for column, name in zip(columns, SCHEMA):
         assert len(column) == len(rows)
         assert all(got is row.get(name) for got, row in zip(column, rows))
+
+
+def _by_column(rows: list) -> dict:
+    """Rows that share their keys, as a ``{name: column}`` mapping."""
+    return {name: [row[name] for row in rows] for name in rows[0]}
+
+
+def _outcome(fn, *args):
+    try:
+        columns = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return columns, [[type(v) for v in column] for column in columns]
+
+
+_FULL = [{"id": i, "name": f"n{i}", "score": i / 4} for i in range(12)]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        _FULL,
+        [{"id": i, "name": None} for i in range(5)],
+        [dict(row, colour="red") for row in _FULL],
+        [dict(row, colour=None) for row in _FULL],
+        _with({6: {"id": True, "name": "t", "score": 1.0}}, _FULL),
+        _with({2: {"id": 2, "name": "n", "score": "2.5"}}, _FULL),
+        _with({3: {"id": 3, "name": "n", "score": 3}}, _FULL),
+        _with(
+            {
+                3: {"id": 3, "name": 1, "score": "x"},
+                7: {"id": "7", "name": "n", "score": 1.0},
+            },
+            _FULL,
+        ),
+        [],
+    ],
+    ids=[
+        "exact",
+        "missing-column",
+        "unknown-column",
+        "unknown-column-of-nulls",
+        "bool-in-int64",
+        "str-in-float64",
+        "int-in-float64",
+        "two-bad-rows",
+        "empty",
+    ],
+)
+def test_a_column_mapping_is_validated_as_its_rows(tmp_path, rows):
+    """``{name: column}`` answers what the rows answer: the same columns
+    of the same types, or the same error; and inserts the same rows."""
+    schema = Schema.of(**SCHEMA)
+    mapping = _by_column(rows) if rows else {}
+    want = _outcome(schema.validate_columns, rows)
+    assert _outcome(schema.validate_columns, mapping) == want
+    db = Database(str(tmp_path / "db"), _cfg(DurabilityMode.NVM))
+    db.create_table("rows", SCHEMA)
+    db.create_table("columns", SCHEMA)
+    outcomes = []
+    for table, batch in (("rows", rows), ("columns", mapping)):
+        try:
+            outcomes.append(len(db.insert_many(table, batch)))
+        except Exception as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
+    assert db.query("columns").rows() == db.query("rows").rows()
+    db.close()
+
+
+def test_a_column_mapping_inside_a_transaction(tmp_path):
+    db = Database(str(tmp_path / "db"), _cfg(DurabilityMode.LOG))
+    db.create_table("t", SCHEMA)
+    with db.begin() as txn:
+        refs = txn.insert_many("t", {"id": [1, 2], "score": [0.5, None]})
+        assert len(refs) == 2
+    assert db.query("t").rows() == [
+        {"id": 1, "name": None, "score": 0.5},
+        {"id": 2, "name": None, "score": None},
+    ]
+    db.close()
+
+
+def test_unequal_columns_are_refused_before_anything_lands(tmp_path):
+    schema = Schema.of(**SCHEMA)
+    with pytest.raises(SchemaError, match="unequal lengths"):
+        schema.validate_columns({"id": [1, 2], "name": ["a"]})
+    db = Database(str(tmp_path / "db"), _cfg(DurabilityMode.NVM))
+    db.create_table("t", SCHEMA)
+    with pytest.raises(SchemaError):
+        db.insert_many("t", {"id": [1, 2, 3], "score": [1.0]})
+    assert db.query("t").count == 0 and not db._manager.active
+    db.close()
 
 
 def test_insert_each_validates_each_row_once(tmp_path, monkeypatch):

@@ -1,5 +1,8 @@
 """The volatile delta index as one sorted run plus a dict tail.
 
+A batch that reaches its share of the run folds into it; a smaller one
+goes to the tail.
+
 Checked against the structure it replaced (a plain code -> positions
 multimap, kept here as the oracle), through the engine's restart
 catch-up, under threads racing the run's publication, through an index
@@ -22,7 +25,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core.config import DurabilityMode
 from repro.core.database import Database
-from repro.index.delta_index import VolatileDeltaIndex
+from repro.index.delta_index import FOLD_SHARE, VolatileDeltaIndex
 from repro.index.table_index import TableIndex
 from repro.obs import MetricsRegistry, set_registry
 from repro.query.predicate import Between, Eq, IsNull
@@ -54,7 +57,8 @@ class OracleDeltaIndex:
 
 
 # A few codes, the NULL code, and (for lookups) codes never registered.
-_CODES = st.sampled_from([0, 1, 2, 3, 5, 8, NULL_CODE])
+_CODE_VALUES = [0, 1, 2, 3, 5, 8, NULL_CODE]
+_CODES = st.sampled_from(_CODE_VALUES)
 _PROBES = st.sampled_from([0, 1, 2, 3, 4, 5, 8, 13, NULL_CODE - 1, NULL_CODE])
 _BATCHES = st.lists(_CODES, max_size=12)
 
@@ -75,12 +79,20 @@ class RunPlusTailModel(RuleBasedStateMachine):
         self.oracle.add(code, self.rows)
         self.rows += 1
 
-    @rule(codes=_BATCHES)
-    def add_many(self, codes):
-        batch = np.asarray(codes, dtype=np.uint32)
+    def _add_many(self, batch):
         self.index.add_many(batch, self.rows)
         self.oracle.add_many(batch, self.rows)
-        self.rows += len(codes)
+        self.rows += len(batch)
+
+    @rule(codes=_BATCHES)
+    def add_many(self, codes):
+        self._add_many(np.asarray(codes, dtype=np.uint32))
+
+    @rule(size=st.integers(1, 400), seed=st.integers(0, 2**16))
+    def add_large_batch(self, size, seed):
+        """A batch big enough to fold into the run it follows."""
+        rng = np.random.default_rng(seed)
+        self._add_many(rng.choice(np.array(_CODE_VALUES, np.uint32), size))
 
     @rule(codes=_BATCHES)
     def refill(self, codes):
@@ -102,6 +114,13 @@ class RunPlusTailModel(RuleBasedStateMachine):
     def entry_counts_match(self):
         assert self.index.entry_count() == self.oracle.entry_count()
 
+    @invariant()
+    def the_run_is_sorted_and_below_the_tail(self):
+        codes, positions, tail = self.index._state
+        assert (np.diff(codes.astype(np.int64)) >= 0).all()
+        top = int(positions.max()) if positions.size else -1
+        assert all(p > top for ps in tail.values() for p in ps)
+
 
 TestRunPlusTailModel = RunPlusTailModel.TestCase
 TestRunPlusTailModel.settings = settings(
@@ -110,16 +129,81 @@ TestRunPlusTailModel.settings = settings(
 
 
 class TestRun:
-    def test_first_batch_builds_the_run_and_later_ones_the_tail(self):
+    def test_batches_and_rows_look_up_in_position_order(self):
         index = VolatileDeltaIndex()
         index.add_many(np.array([4, 1, 4, NULL_CODE], dtype=np.uint32), 10)
         index.add_many(np.array([1, 4], dtype=np.uint32), 14)
         index.add(4, 16)
-        assert len(index._run[0]) == 4
+        assert index.entry_count() == 7
         assert index.lookup(4).tolist() == [10, 12, 15, 16]
         assert index.lookup(1).tolist() == [11, 14]
         assert index.lookup(NULL_CODE).tolist() == [13]
         assert index.lookup(7).tolist() == []
+
+    def test_a_small_batch_into_a_large_run_leaves_the_run_alone(self):
+        """A batch of ≤ 64 rows into a 100k run goes to the tail: the
+        run's arrays are the same objects, not a copy."""
+        n = 100_000
+        index = VolatileDeltaIndex()
+        index.add_many((np.arange(n) % 997).astype(np.uint32), 0)
+        codes, positions, _ = index._state
+        for first in range(n, n + 10 * 64, 64):
+            index.add_many(np.full(64, 5, np.uint32), first)
+            assert index._state[0] is codes and index._state[1] is positions
+        assert index.lookup(5).tolist()[-3:] == [n + 637, n + 638, n + 639]
+        assert index.entry_count() == n + 640
+
+    def test_the_tail_folds_before_it_reaches_its_share_of_the_run(self):
+        index = VolatileDeltaIndex()
+        index.add_many(np.zeros(1600, np.uint32), 0)
+        rows = 1600
+        for _ in range(40):
+            index.add_many(np.array([1, 2, 1], np.uint32), rows)
+            rows += 3
+            assert index._tail_rows < FOLD_SHARE * index._state[0].size
+        assert index._state[0].size > 1600, "no batch folded"
+        assert index.entry_count() == rows
+        assert index.lookup(1).size == 80 and index.lookup(2).size == 40
+
+    def test_readers_racing_folds_see_a_prefix(self):
+        """Probes racing batches that fold and batches that go to the
+        tail see, per code, a prefix of its final positions: never a row
+        twice (in the run and the tail) nor a gap."""
+        rng = np.random.default_rng(11)
+        sizes = [256] + [8, 40, 3, 24, 64] * 40
+        batches = [rng.integers(0, 4, size).astype(np.uint32) for size in sizes]
+        codes = np.concatenate(batches)
+        expected = {c: np.flatnonzero(codes == c).tolist() for c in (0, 3)}
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                index = VolatileDeltaIndex()
+                done, seen = threading.Event(), []
+
+                def probe():
+                    while not done.is_set():
+                        for code, want in expected.items():
+                            got = index.lookup(code).tolist()
+                            if got != want[: len(got)]:
+                                seen.append((code, got))
+
+                reader = threading.Thread(target=probe)
+                reader.start()
+                try:
+                    first = 0
+                    for batch in batches:
+                        index.add_many(batch, first)
+                        first += batch.size
+                finally:
+                    done.set()
+                    reader.join(timeout=10)
+                assert not reader.is_alive()
+                assert seen == []
+                for code, want in expected.items():
+                    assert index.lookup(code).tolist() == want
+        finally:
+            sys.setswitchinterval(previous)
 
     def test_a_probe_does_not_cast_the_run(self):
         # ``searchsorted`` with a python int against a uint32 run
@@ -310,7 +394,7 @@ class TestRestartCatchUp:
                 sys.setswitchinterval(previous)
             assert not reader.is_alive()
             assert wrong == []
-            assert index.delta_index._run is not None
+            assert index.delta_index._state[0].size == 2000
             assert db.query("t", Eq("k", 3)).count == 100
         finally:
             db.close()

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import struct
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -234,6 +235,67 @@ def test_wire_unpack_is_total_over_flipped_messages(bit):
     _total(
         protocol.unpack_response,
         _flip(_WIRE_RESPONSE, bit % (8 * len(_WIRE_RESPONSE))),
+        ProtocolError,
+    )
+
+
+_PACKED_REQUEST = protocol.pack_request(
+    Op.INSERT_MANY,
+    9,
+    "acme",
+    {
+        "table": "t",
+        "columns": {
+            "id": array("q", [1, -2, 2**63 - 1]),
+            "x": array("d", [ODD_NAN, -0.0]),
+        },
+    },
+)[frame.HEADER_BYTES :]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    kind=st.integers(0, 255),
+    count=st.integers(0, 2**32 - 1),
+    rest=st.binary(max_size=80),
+)
+def test_a_packed_column_is_total_over_arbitrary_bytes(kind, count, rest):
+    """Any kind byte, any count, any bytes after: a list of ``count``
+    values read from exactly ``8 * count`` bytes, or ``ProtocolError``."""
+    data = bytes([protocol._T_PACKED, kind]) + struct.pack("<I", count) + rest
+    value = _total(protocol.decode_body, data, ProtocolError)
+    if value is not None:
+        assert kind in b"qd" and len(rest) == 8 * count and len(value) == count
+        assert {type(v) for v in value} <= {int if kind == ord("q") else float}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.binary(max_size=120))
+def test_a_packed_tag_before_junk_is_total(data):
+    _total(protocol.decode_body, bytes([protocol._T_PACKED]) + data, ProtocolError)
+
+
+def test_a_packed_column_cut_anywhere_is_refused():
+    """Every prefix of a packed column — in its kind, its count or its
+    values — is a ``ProtocolError``, and so is an unknown kind."""
+    whole = bytes(protocol.encode_value(array("d", [ODD_NAN, -0.0, 2.5])))
+    assert [_bits(v) for v in protocol.decode_body(whole)] == [
+        _bits(ODD_NAN), _bits(-0.0), _bits(2.5)
+    ]
+    for cut in range(len(whole)):
+        with pytest.raises(ProtocolError):
+            protocol.decode_body(whole[:cut])
+    for kind in set(range(256)) - set(b"qd"):
+        with pytest.raises(ProtocolError, match="packed column kind"):
+            protocol.decode_body(whole[:1] + bytes([kind]) + whole[2:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(bit=st.integers(0, 10**6))
+def test_wire_unpack_is_total_over_flipped_packed_columns(bit):
+    _total(
+        protocol.unpack_request,
+        _flip(_PACKED_REQUEST, bit % (8 * len(_PACKED_REQUEST))),
         ProtocolError,
     )
 

@@ -117,7 +117,7 @@ class TestDeltaIndex:
         assert delta_index.entry_count() == 0
         # The next batch still builds the run.
         delta_index.add_many(np.array([3, 1, 3], dtype=np.uint32), 0)
-        assert delta_index._run is not None
+        assert delta_index._state[0].size == 3
         assert delta_index.lookup(3).tolist() == [0, 2]
 
 

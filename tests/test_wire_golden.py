@@ -10,6 +10,7 @@ must also decode back to the value it carried, floats compared by bits.
 
 from __future__ import annotations
 
+import array
 import collections
 import enum
 import hashlib
@@ -219,3 +220,74 @@ def test_float_bits_survive_exactly():
     for value in (_QUIET_NAN_PAYLOAD, _NEGATIVE_NAN, _NAN_HIGH_PAYLOAD, -0.0):
         payload = pack_response(Op.PING, 1, Status.OK, value)[frame.HEADER_BYTES :]
         assert payload[-8:] == struct.pack("<d", value)
+
+
+# ----------------------------------------------------------------------
+# Packed numeric columns: a second corpus, pinned apart from the first
+# ----------------------------------------------------------------------
+
+#: 1-D int64/float64 ``array.array`` and ndarray values, each sent as one
+#: packed column: empty, the int64 bounds, NaN payload bits, signed zero,
+#: infinities, and an ``INSERT_MANY`` columns body as the client builds it.
+PACKED_BODIES = [
+    array.array("q"),
+    array.array("d"),
+    array.array("q", [0, -1, 2**63 - 1, -(2**63), 123456789]),
+    array.array(
+        "d",
+        [1.5, -0.0, 0.0, float("inf"), float("-inf"), _QUIET_NAN_PAYLOAD,
+         _NEGATIVE_NAN, _NAN_HIGH_PAYLOAD],
+    ),
+    np.arange(-3, 4, dtype=np.int64),
+    np.array([_NAN_HIGH_PAYLOAD, -0.0, 2.5], dtype=np.float64),
+    np.empty(0, dtype=np.int64),
+    [array.array("q", [7]), np.array([0.25])],
+    {
+        "table": "t",
+        "columns": {
+            "id": array.array("q", range(5)),
+            "name": ["a", None, "𝄞", "", "e"],
+            "qty": array.array("d", [0.5, -0.0, _QUIET_NAN_PAYLOAD, 1e300, 3.0]),
+        },
+    },
+]
+
+PACKED_REQUESTS = [
+    (Op.INSERT_MANY, 3000 + i, "acme", body) for i, body in enumerate(PACKED_BODIES)
+]
+
+#: sha256 over every packed-column request frame.
+PACKED_GOLDEN_SHA256 = "f916bffac5540609227db970654441e2856a3c9d7e5123722e953b5d604b6c95"
+
+
+def _canonical_packed(value):
+    """What the wire gives back for a value holding packed columns."""
+    if isinstance(value, (array.array, np.ndarray)):
+        return [_canonical(v) for v in value]
+    if isinstance(value, list):
+        return [_canonical_packed(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _canonical_packed(v) for k, v in value.items()}
+    return _canonical(value)
+
+
+def test_packed_corpus_bytes_are_pinned():
+    frames = [pack_request(*r) for r in PACKED_REQUESTS]
+    assert hashlib.sha256(b"".join(frames)).hexdigest() == PACKED_GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("index", range(len(PACKED_REQUESTS)))
+def test_packed_frames_decode_back_to_lists(index):
+    op, request_id, tenant, body = PACKED_REQUESTS[index]
+    payload = pack_request(op, request_id, tenant, body)[frame.HEADER_BYTES :]
+    assert _same(unpack_request(payload).body, _canonical_packed(body))
+
+
+def test_a_packed_column_is_eight_bytes_a_value():
+    """``u8 tag | u8 kind | u32 count | count x 8 bytes LE``."""
+    for value, kind, raw in [
+        (array.array("q", [1, -2]), b"q", struct.pack("<2q", 1, -2)),
+        (np.array([-0.0, 2.5]), b"d", struct.pack("<2d", -0.0, 2.5)),
+    ]:
+        body = pack_response(Op.PING, 1, Status.OK, value)[frame.HEADER_BYTES + 6 :]
+        assert body == bytes([9]) + kind + struct.pack("<I", 2) + raw
