@@ -30,7 +30,7 @@ from __future__ import annotations
 import contextlib
 import os
 import threading
-from typing import Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import time
 
@@ -46,7 +46,7 @@ from repro.obs import boundary, get_registry, trace_phase
 from repro.query.predicate import Predicate
 from repro.query.scan import ScanResult, scan
 from repro.recovery.report import RecoveryReport
-from repro.storage.schema import Batch, ColumnDef, Schema
+from repro.storage.schema import Batch, ColumnDef, Schema, SchemaError
 from repro.storage.table import Table, unpack_rowref
 from repro.storage.merge import (
     MergePlan,
@@ -64,6 +64,9 @@ SchemaLike = Union[Schema, dict]
 def _coerce_schema(schema: SchemaLike) -> Schema:
     if isinstance(schema, Schema):
         return schema
+    if not isinstance(schema, Mapping):
+        kind = type(schema).__name__
+        raise SchemaError(f"a schema is a {{column: DataType}} dict, not {kind}")
     return Schema([ColumnDef(name, dtype) for name, dtype in schema.items()])
 
 
@@ -254,6 +257,12 @@ class Database:
             if name in self._tables_by_name:
                 raise ValueError(f"table {name!r} already exists")
             table = self._driver.create_table(name, schema)
+            # Logged before it is registered: no commit on it can
+            # reach the log ahead of its definition.
+            if self._manager._wal is not None:
+                self._manager._wal.log_create_table(
+                    table.table_id, name, schema.to_bytes()
+                )
             self._register(table, {})
         return table
 
@@ -266,7 +275,9 @@ class Database:
             if column in self._indexes[table.table_id]:
                 raise ValueError(f"index on {table_name}.{column} already exists")
             index = self._build_index(table, column)
-            self._driver.on_index_created(table)
+            self._driver.publish(table)
+            if self._manager._wal is not None:
+                self._manager._wal.log_create_index(table.table_id, column)
         return index
 
     def _build_index(self, table: Table, column: str) -> TableIndex:
@@ -286,8 +297,8 @@ class Database:
         :meth:`_untouched`); a later operation on it conflicts.
 
         On NVM the catalog entry is tombstoned with one atomic flags
-        store, after which the table's memory returns to the pool; in
-        LOG mode a drop record is synced to the log.
+        store, after which the table's memory returns to the pool; a
+        drop record is synced to the log, where there is one.
         """
         # Not while a merge of it is in flight: both would retire the
         # generation the cutover replaces.
@@ -299,6 +310,8 @@ class Database:
                 table.generation += 1  # refs read from it are stale
             indexes = self._indexes.pop(table.table_id, {})
             self._driver.on_table_dropped(table)
+            if self._manager._wal is not None:
+                self._manager._wal.log_drop_table(table.table_id)
             self._driver.retire(*table.content, *indexes.values())
 
     # ------------------------------------------------------------------
@@ -609,7 +622,14 @@ class Database:
         table.publish_content(new_main, new_delta)
         table.generation += 1
         with trace_phase("publish"):
-            self._driver.on_merge(table, plan)
+            self._driver.publish(table)
+            # Replay reaches this record with exactly the MVCC state the
+            # fold saw (no commit lands inside this section), so it
+            # repeats the fold from the masks.
+            if self._manager._wal is not None:
+                self._manager._wal.log_merge(
+                    table.table_id, plan.watermark, plan.main_mask, plan.delta_mask
+                )
         return (*old_content, *old_indexes.values())
 
     def checkpoint(self) -> int:

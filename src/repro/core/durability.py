@@ -11,17 +11,18 @@ encapsulates *how* state survives (or doesn't survive) a restart:
 * :class:`NoneDriver` — DRAM only; nothing survives (the overhead floor).
 
 The facade calls a driver at well-defined hook points (open, DDL,
-merge publication, checkpoint, close, crash) and never branches on the
-durability mode itself; row writes reach the log only through the
-transaction manager's WAL hook. Drivers hold the mode's
-resources (pool, catalog, WAL handle) and are responsible for releasing
-them — including on a *failed* open, so a corrupt directory never leaks
-mmap handles.
+content publication, checkpoint, close, crash) and never branches on the
+durability mode itself. DDL reaches the log the way rows do: through
+the transaction manager's WAL hook (:attr:`DurabilityDriver.wal` — LOG's
+writer, NVM's ship log while a shipper is attached, else none), where
+the facade writes each DDL record once; a driver's DDL hooks only keep
+its own storage in step. Drivers hold the mode's resources (pool,
+catalog, WAL handle) and are responsible for releasing them — including
+on a *failed* open, so a corrupt directory never leaks mmap handles.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import weakref
 from abc import ABC, abstractmethod
@@ -79,35 +80,47 @@ class DurabilityDriver(ABC):
         """Attach/recover durable state; wire the engine's backend and
         transaction manager; register recovered tables on ``db``."""
 
+    @property
+    def wal(self) -> Optional[LogWriter]:
+        """The log rows and DDL records reach: the transaction manager's
+        WAL hook (LOG's writer; NVM's ship log while a shipper is
+        attached, see repro.replication.ship), else None."""
+        return self._db._manager._wal
+
     def close(self) -> None:
         """Orderly shutdown (mark clean / sync)."""
+        if self.wal is not None:
+            self.wal.close()
 
     def crash(self, survivor_fraction: float = 0.0, seed: Optional[int] = None) -> None:
         """Simulate a power failure (unflushed state is lost)."""
+        if self.wal is not None:
+            # ``survivor_fraction`` plays the same role as for the pmem
+            # pool: the share of not-yet-durable (un-fsynced) bytes the
+            # hardware happened to write back before power died. The
+            # tail is always left torn (garbage past the survivors), the
+            # adversarial case recovery must parse through.
+            self.wal.crash(
+                survivor_fraction=survivor_fraction, seed=seed, torn_tail=True
+            )
 
     # -- DDL hooks -----------------------------------------------------
 
     @abstractmethod
     def create_table(self, name: str, schema: Schema) -> Table:
-        """Create a table on this driver's backend; make the definition
-        durable; return it (the facade registers it)."""
-
-    def on_index_created(self, table: Table) -> None:
-        """Durably declare a new secondary index."""
+        """Create a table on this driver's backend and return it (the
+        facade logs and registers it)."""
 
     def on_table_dropped(self, table: Table) -> None:
-        """Durably drop a table (called after facade deregistration)."""
+        """Drop a table from this driver's storage (called after facade
+        deregistration)."""
 
-    def on_merge(self, table: Table, plan=None) -> None:
-        """Durably publish a freshly merged generation.
-
-        Called inside the cutover critical section, right after the
-        in-memory swap: no commit can interleave, so the durable image
-        transitions atomically from the old layout to the new one.
-        ``plan`` is the :class:`~repro.storage.merge.MergePlan` the fold
-        ran from (the LOG driver serialises its masks so replay can
-        repeat the merge deterministically).
-        """
+    def publish(self, table: Table) -> None:
+        """Make ``table``'s current content and index map durable in
+        this driver's storage: after a new index, and after a merge
+        cutover — inside its critical section, right after the
+        in-memory swap, so no commit can interleave and the durable
+        image moves from the old layout to the new one atomically."""
 
     def on_merge_complete(self, table: Table) -> None:
         """Post-cutover housekeeping, called outside every lock."""
@@ -156,12 +169,6 @@ class NvmDriver(DurabilityDriver):
     @property
     def ship_log_path(self) -> str:
         return os.path.join(self.path, "ship.log")
-
-    @property
-    def wal(self) -> Optional[LogWriter]:
-        """The shippable stream: the *ship log* (see repro.replication.ship)
-        while a shipper is attached, else None."""
-        return self._db._manager._wal
 
     def attach_ship_log(self, wal: Optional[LogWriter]) -> int:
         """Mirror every transaction into ``wal`` (None: stop), close the
@@ -235,19 +242,15 @@ class NvmDriver(DurabilityDriver):
     def create_table(self, name: str, schema: Schema) -> Table:
         table = Table.create(self._catalog.next_table_id, name, schema, self.backend)
         self._catalog.register_table(table, {})
-        if self.wal is not None:
-            self.wal.log_create_table(
-                table.table_id, name, schema.to_bytes()
-            )
         return table
 
-    def on_index_created(self, table: Table) -> None:
+    def publish(self, table: Table) -> None:
+        # The content descriptor swap is the durable cutover: one atomic
+        # pointer store after the new structures persist.
         self._catalog.publish_content(table, self._db._indexes[table.table_id])
 
     def on_table_dropped(self, table: Table) -> None:
         self._catalog.mark_dropped(table.table_id)
-        if self.wal is not None:
-            self.wal.log_drop_table(table.table_id)
 
     def retire(self, *structures) -> None:
         # The store that unlinked them is durable. Each structure is
@@ -268,32 +271,15 @@ class NvmDriver(DurabilityDriver):
                 reachable += self._db._table_blocks(table)
             self._pool.sweep(reachable)
 
-    def on_merge(self, table: Table, plan=None) -> None:
-        # The content descriptor swap is the durable cutover: one atomic
-        # pointer store after the new generation's structures persist.
-        self._catalog.publish_content(table, self._db._indexes[table.table_id])
-        if self.wal is not None and plan is not None:
-            self.wal.log_merge(
-                table.table_id,
-                plan.watermark,
-                plan.main_mask,
-                plan.delta_mask,
-            )
-
     def close(self) -> None:
-        if self.wal is not None:
-            self.wal.close()
+        super().close()
         if self._pool is not None:
             self._pool.close(clean=True)
 
     def crash(self, survivor_fraction: float = 0.0, seed: Optional[int] = None) -> None:
         if self._pool is not None:
             self._pool.crash(survivor_fraction=survivor_fraction, seed=seed)
-        if self.wal is not None:
-            # The ship log is an ordinary file: it tears like the WAL.
-            self.wal.crash(
-                survivor_fraction=survivor_fraction, seed=seed, torn_tail=True
-            )
+        super().crash(survivor_fraction, seed)  # the ship log tears like the WAL
 
     def extra_stats(self) -> dict:
         return {"nvm": {**self._pool.stats.snapshot(), **self._pool.space()}}
@@ -316,7 +302,7 @@ class VolatileDriver(DurabilityDriver):
             wal=wal,
         )
 
-    def _allocate_table(self, name: str, schema: Schema) -> Table:
+    def create_table(self, name: str, schema: Schema) -> Table:
         table_id = self._next_table_id
         self._next_table_id += 1
         return Table.create(table_id, name, schema, self.backend)
@@ -334,9 +320,6 @@ class NoneDriver(VolatileDriver):
         db._manager = self._volatile_manager(db)
         return RecoveryReport(mode="none")
 
-    def create_table(self, name: str, schema: Schema) -> Table:
-        return self._allocate_table(name, schema)
-
 
 class LogDriver(VolatileDriver):
     """Classic durability: WAL with group commit plus checkpoints."""
@@ -345,7 +328,6 @@ class LogDriver(VolatileDriver):
 
     def __init__(self, path: str, config: EngineConfig):
         super().__init__(path, config)
-        self._wal: Optional[LogWriter] = None
         # Checkpoint state: the chain directory, the live table_id ->
         # segment-sequence mapping of the current manifest, and the
         # change token each mapped table had when its segment was
@@ -358,15 +340,6 @@ class LogDriver(VolatileDriver):
     @property
     def log_path(self) -> str:
         return os.path.join(self.path, "wal.log")
-
-    @property
-    def wal(self) -> Optional[LogWriter]:
-        """The live log writer (the shippable stream for replication)."""
-        return self._wal
-
-    @property
-    def meta_path(self) -> str:
-        return os.path.join(self.path, "meta.json")
 
     def open(self, db: "Database") -> RecoveryReport:
         self._engine = weakref.ref(db)
@@ -388,16 +361,18 @@ class LogDriver(VolatileDriver):
                 # would be unreachable to every future replay, or adopted
                 # by the dead group.
                 self._drop_torn_tail(replayed.lsn)
-                self._wal = LogWriter(
+                wal = LogWriter(
                     self.log_path,
                     self.config.group_commit_size,
                     fsync_delay_s=self.config.wal_fsync_delay_s,
                 )
                 db._manager = self._volatile_manager(
-                    db, last_cid=replayed.last_cid, wal=self._wal
+                    db, last_cid=replayed.last_cid, wal=wal
                 )
             with report.phase("index_rebuild"):
-                self._rebuild_declared_indexes(db)
+                for table_id, columns in replayed.indexes.items():
+                    for column in columns:
+                        db._build_index(db._tables_by_id[table_id], column)
             report.tables = len(db._tables_by_id)
         return report
 
@@ -438,59 +413,6 @@ class LogDriver(VolatileDriver):
                 f.flush()
                 os.fsync(f.fileno())
 
-    def _rebuild_declared_indexes(self, db: "Database") -> None:
-        """Recreate the (volatile) indexes declared in meta.json."""
-        if not os.path.exists(self.meta_path):
-            return
-        with open(self.meta_path) as f:
-            meta = json.load(f)
-        for table_name, columns in meta.get("indexes", {}).items():
-            if table_name in db._tables_by_name:
-                for column in columns:
-                    db._build_index(db.table(table_name), column)
-
-    def _save_meta(self) -> None:
-        db = self._db
-        meta = {
-            "indexes": {
-                db._tables_by_id[tid].name: sorted(cols)
-                for tid, cols in db._indexes.items()
-                if cols
-            }
-        }
-        tmp = self.meta_path + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump(meta, f)
-            f.flush()
-            os.fsync(f.fileno())  # else a power loss can publish it empty
-        os.replace(tmp, self.meta_path)
-
-    def create_table(self, name: str, schema: Schema) -> Table:
-        table = self._allocate_table(name, schema)
-        self._wal.log_create_table(table.table_id, name, schema.to_bytes())
-        return table
-
-    def on_index_created(self, table: Table) -> None:
-        self._save_meta()
-
-    def on_table_dropped(self, table: Table) -> None:
-        self._wal.log_drop_table(table.table_id)
-        self._save_meta()
-
-    def on_merge(self, table: Table, plan=None) -> None:
-        # One merge record makes the cutover replayable: it sits after
-        # every commit whose effects the fold consumed (the cutover's
-        # critical section excludes commits), so replay reaches it with
-        # exactly the MVCC state the fold saw and can repeat the fold
-        # deterministically from the serialised masks.
-        if plan is not None:
-            self._wal.log_merge(
-                table.table_id,
-                plan.watermark,
-                plan.main_mask,
-                plan.delta_mask,
-            )
-
     def on_merge_complete(self, table: Table) -> None:
         # A checkpoint shrinks the replay tail but is not required for
         # correctness (the merge record is).
@@ -499,9 +421,7 @@ class LogDriver(VolatileDriver):
     @property
     def log_bytes_since_checkpoint(self) -> int:
         """WAL bytes a restart right now would have to replay."""
-        if self._wal is None:
-            return 0
-        return max(0, self._wal.lsn - self._last_checkpoint_lsn)
+        return max(0, self.wal.lsn - self._last_checkpoint_lsn)
 
     def checkpoint(self) -> int:
         """Publish one link of the chain; returns bytes written.
@@ -522,13 +442,14 @@ class LogDriver(VolatileDriver):
             # rewrites the table instead of carrying forward, under a
             # later LSN, a segment that lacks the commit.
             tokens = {tid: table.change_token() for tid, table in live.items()}
+            indexes = {tid: list(db._indexes[tid]) for tid in live}
             # A commit logs its group and stamps its rows under the commit
             # lock: read there, the LSN passes no group left unstamped, and
             # the snapshots drop every stamp past ``last_cid``.
             with db._manager._lock:
-                lsn = self._wal.lsn
+                lsn = self.wal.lsn
                 last_cid = db._manager.last_cid
-            self._wal.sync()
+            self.wal.sync()
             registry = get_registry()
             dirty = [
                 table
@@ -548,6 +469,7 @@ class LogDriver(VolatileDriver):
                 last_cid,
                 lsn,
                 self._next_table_id,
+                indexes,
             )
             self._segment_map = state.mapping
             for table_id in dirty_ids:
@@ -564,35 +486,19 @@ class LogDriver(VolatileDriver):
             )
             return written
 
-    def close(self) -> None:
-        if self._wal is not None:
-            self._wal.close()
-
-    def crash(self, survivor_fraction: float = 0.0, seed: Optional[int] = None) -> None:
-        if self._wal is not None:
-            # ``survivor_fraction`` plays the same role as for the pmem
-            # pool: the share of not-yet-durable (un-fsynced) bytes the
-            # hardware happened to write back before power died. The
-            # tail is always left torn (garbage past the survivors), the
-            # adversarial case recovery must parse through.
-            self._wal.crash(
-                survivor_fraction=survivor_fraction, seed=seed, torn_tail=True
-            )
-
     def extra_stats(self) -> dict:
+        wal = self.wal
         return {
             "wal": {
-                "records": self._wal.records_written,
-                "syncs": self._wal.syncs,
-                "bytes": self._wal.bytes_written,
-                "commits_acked": self._wal.commits_acked,
-                "commits_durable": self._wal.commits_durable,
+                "records": wal.records_written,
+                "syncs": wal.syncs,
+                "bytes": wal.bytes_written,
+                "commits_acked": wal.commits_acked,
+                "commits_durable": wal.commits_durable,
                 # Async-commit visibility/durability gap: transactions
                 # acknowledged to the client whose commit record has not
                 # yet been fsynced (bounded loss window on power failure).
-                "ack_durability_gap": (
-                    self._wal.commits_acked - self._wal.commits_durable
-                ),
+                "ack_durability_gap": wal.commits_acked - wal.commits_durable,
             },
             "checkpoint": {
                 "last_lsn": self._last_checkpoint_lsn,

@@ -6,7 +6,9 @@ Three O(data) phases, timed separately for experiment E2:
    ``checkpoints/`` chain into fresh DRAM structures;
 2. **log_replay** — re-execute the log tail through :class:`LogReplayer`;
 3. **index_rebuild** — performed by the engine afterwards (group-key and
-   delta indexes are volatile here).
+   delta indexes are volatile here), for the columns
+   :attr:`LogReplayer.indexes` declares: the manifest's declarations
+   plus the log tail's ``CREATE_INDEX`` records.
 
 There is one replayer. :func:`recover_log` feeds it the log tail in
 bounded batches; a replication follower's apply loop
@@ -46,6 +48,7 @@ from repro.wal.checkpoint import ChainState, CheckpointChain, restore_table
 from repro.wal.reader import LogScan
 from repro.wal.records import (
     TYPE_COMMIT,
+    TYPE_CREATE_INDEX,
     TYPE_CREATE_TABLE,
     TYPE_DROP_TABLE,
     TYPE_INSERT_MANY,
@@ -97,6 +100,8 @@ class LogReplayer:
         self.checkpoint_bytes = 0
         #: Manifest the tables were restored from (None without one).
         self.chain_state: Optional[ChainState] = None
+        #: table_id -> the index columns declared on it, in order.
+        self.indexes: dict[int, list[str]] = {}
         if checkpoint_dir is not None:
             loaded = CheckpointChain(checkpoint_dir).load()
             if loaded is not None:
@@ -105,6 +110,7 @@ class LogReplayer:
                 self.last_cid = state.last_cid
                 self.next_table_id = state.next_table_id
                 self.lsn = state.lsn
+                self.indexes = {t: list(c) for t, c in state.indexes.items()}
                 for snapshot in snapshots:
                     table = restore_table(snapshot, backend)
                     self.tables[table.table_id] = table
@@ -169,9 +175,13 @@ class LogReplayer:
             self.tables[table_id] = table
             self.names[record.name] = table
             self.next_table_id = max(self.next_table_id, table_id + 1)
+        elif rtype == TYPE_CREATE_INDEX:
+            column = decode_payload(payload).column
+            self.indexes.setdefault(table_id, []).append(column)
         elif rtype == TYPE_DROP_TABLE:
             # Whatever is still queued for the table dies with it.
             self._queues.pop(table_id, None)
+            self.indexes.pop(table_id, None)
             dropped = self.tables.pop(table_id, None)
             if dropped is not None:
                 self.names.pop(dropped.name, None)
@@ -239,7 +249,7 @@ def recover_log(
 ) -> LogReplayer:
     """Rebuild database state from the checkpoint chain + log tail.
 
-    Returns the drained replayer: ``tables``, ``last_cid``,
+    Returns the drained replayer: ``tables``, ``indexes``, ``last_cid``,
     ``next_table_id``, ``touched``, ``start_lsn`` (where replay began)
     and ``lsn`` (just past the last complete group — the offset a torn
     tail is truncated to). Pass ``report`` to record the phases under an

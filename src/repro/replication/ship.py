@@ -24,19 +24,20 @@ hatch.
 Primaries without a WAL (the NVM engine) replicate through a *ship
 log*: a secondary ``group_size=0`` :class:`~repro.wal.writer.LogWriter`
 the shipper creates and wires as the transaction manager's WAL hook, so
-every operation is mirrored into a shippable stream while the pmem pool
-remains the primary's own durability mechanism.
+every operation and DDL record is mirrored into a shippable stream while
+the pmem pool remains the primary's own durability mechanism.
 
 Followers bootstrap from a checkpoint chain in the primary's ``ship/``
 directory: a LOG primary *pins* its current chain link there at attach
 (hard links — a later checkpoint's GC cannot pull the files away), an
-NVM primary publishes its attach-time pool snapshot there as a one-link
-chain. Either attach runs beside open transactions, whose records are
-staged (by the LOG writer as they were written; into the ship log from
-their operations so far when it is wired) and ship as one group when
-they commit. The NVM attach wires the ship log and reads ``last_cid`` in
-one hold, then snapshots the pool as of it; a failed attach and
-:meth:`WalShipper.stop` unwire and close the ship log.
+NVM primary publishes its attach-time pool snapshot, with its index
+declarations, there as a one-link chain. Either attach runs beside open
+transactions, whose records are staged (by the LOG writer as they were
+written; into the ship log from their operations so far when it is
+wired) and ship as one group when they commit. The NVM attach wires
+the ship log and reads ``last_cid`` in one hold, then snapshots the pool
+as of it; a failed attach and :meth:`WalShipper.stop` unwire and close
+the ship log.
 """
 
 from __future__ import annotations
@@ -112,9 +113,11 @@ class WalShipper:
                     # As of last_cid: a later commit ships whole in the log.
                     tables = primary._tables_by_id.values()
                     snapshots = [snapshot_table(t, last_cid) for t in tables]
+                    next_id = driver._catalog.next_table_id
+                    indexes = {t: list(ix) for t, ix in primary._indexes.items()}
                     shutil.rmtree(self._ship_dir, ignore_errors=True)
                     CheckpointChain(self._ship_dir).publish(
-                        snapshots, {}, last_cid, 0, driver._catalog.next_table_id
+                        snapshots, {}, last_cid, 0, next_id, indexes
                     )
                 except Exception:
                     driver.attach_ship_log(None)

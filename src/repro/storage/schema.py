@@ -101,6 +101,9 @@ class Schema:
                 v if (v := get(name)) is None or type(v) is exact else check(v)
                 for name, exact, check in self._checks
             ]
+        if not isinstance(row, Mapping):
+            kind = type(row).__name__
+            raise SchemaError(f"a row is a {{column: value}} dict, not {kind}")
         unknown = set(row) - set(self._index)
         if unknown:
             raise KeyError(f"unknown columns {sorted(unknown)}")

@@ -15,10 +15,12 @@ tables that changed:
 * ``seg-%08d.ckpt`` — a *segment* holding the snapshots of the tables
   dirty at one checkpoint (``_write_table`` bodies in one CRC frame);
 * ``manifest-%08d.ckpt`` — the chain head: last_cid/lsn/next_table_id
-  plus ``(table_id, segment_seq)`` for every live table. The manifest
-  lists exactly the current tables — a table absent from it is dropped,
-  no tombstones needed — so restore reads the newest manifest and
-  composes the referenced segments.
+  plus ``(table_id, segment_seq)`` and the declared index columns for
+  every live table. The manifest lists exactly the current tables — a
+  table absent from it is dropped, no tombstones needed — so restore
+  reads the newest manifest and composes the referenced segments. It is
+  rewritten whole at every link, so a declaration never rides on a
+  carried segment.
 
 Publish order makes the chain crash-atomic: segments are written and
 fsync'd first (an unreferenced segment is harmless garbage), then the
@@ -38,7 +40,7 @@ import shutil
 import struct
 from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -377,29 +379,43 @@ def write_manifest(
     lsn: int,
     next_table_id: int,
     entries: dict[int, int],
+    indexes: Mapping[int, Sequence[str]] = {},
 ) -> int:
     """Atomically publish a chain manifest; returns bytes written.
+
+    The ``(table_id, segment_seq)`` entries are followed, entry by
+    entry, by the table's declared index columns (``indexes``), so the
+    older layout, entries only, ends where these are read: it does not
+    load (a manifest of no tables reads the same in both).
 
     The rename below is the chain's commit point: the
     ``manifest_publish`` boundary fires before the fsync, so a crash
     swept there leaves the previous manifest current and every segment
     written for this checkpoint as unreferenced (GC-able) garbage.
     """
-    header = _MAN_HEADER.pack(_MAN_MAGIC, last_cid, lsn, next_table_id, len(entries))
-    body = b"".join(_MAN_ENTRY.pack(*entry) for entry in sorted(entries.items()))
-    return _publish(path, header + body, "manifest_publish")
+    ordered = sorted(entries.items())
+    body = io.BytesIO()
+    body.write(_MAN_HEADER.pack(_MAN_MAGIC, last_cid, lsn, next_table_id, len(ordered)))
+    body.writelines(_MAN_ENTRY.pack(*entry) for entry in ordered)
+    for table_id, _ in ordered:
+        _write_dict(body, list(indexes.get(table_id, ())))
+    return _publish(path, body.getvalue(), "manifest_publish")
 
 
 def _parse_manifest(payload: bytes) -> tuple[tuple, int]:
     _, last_cid, lsn, next_table_id, count = _MAN_HEADER.unpack_from(payload, 0)
-    end = _MAN_HEADER.size + count * _MAN_ENTRY.size
-    entries = dict(_MAN_ENTRY.iter_unpack(payload[_MAN_HEADER.size : end]))
-    return (last_cid, lsn, next_table_id, entries), end
+    pos = _MAN_HEADER.size + count * _MAN_ENTRY.size
+    entries = dict(_MAN_ENTRY.iter_unpack(payload[_MAN_HEADER.size : pos]))
+    indexes = {}
+    for table_id in entries:
+        columns, pos = _read_dict(payload, pos)
+        indexes[table_id] = list(columns)
+    return (last_cid, lsn, next_table_id, entries, indexes), pos
 
 
-def read_manifest(path: str) -> tuple[int, int, int, dict[int, int]]:
+def read_manifest(path: str) -> tuple:
     """Load and validate a manifest: (last_cid, lsn, next_table_id,
-    {table_id: segment_seq})."""
+    {table_id: segment_seq}, {table_id: declared index columns})."""
     return _load(path, _MAN_MAGIC, "manifest", _parse_manifest)
 
 
@@ -413,6 +429,8 @@ class ChainState:
     next_table_id: int
     #: table_id -> sequence of the segment holding its snapshot.
     mapping: dict[int, int] = field(default_factory=dict)
+    #: table_id -> its declared index columns.
+    indexes: dict[int, list[str]] = field(default_factory=dict)
 
 
 class CheckpointChain:
@@ -464,12 +482,10 @@ class CheckpointChain:
         """
         for seq in self.manifest_seqs():
             try:
-                last_cid, lsn, next_table_id, mapping = read_manifest(
-                    self._path(_manifest_name(seq))
-                )
+                fields = read_manifest(self._path(_manifest_name(seq)))
             except (OSError, FrameError):
                 continue
-            yield ChainState(seq, last_cid, lsn, next_table_id, mapping)
+            yield ChainState(seq, *fields)
 
     def state(self) -> Optional[ChainState]:
         """Decode the newest readable manifest (no segment I/O)."""
@@ -549,6 +565,7 @@ class CheckpointChain:
         last_cid: int,
         lsn: int,
         next_table_id: int,
+        indexes: Mapping[int, Sequence[str]] = {},
     ) -> tuple[ChainState, int]:
         """Write one incremental checkpoint; returns (new state, bytes).
 
@@ -568,11 +585,11 @@ class CheckpointChain:
             )
             for snap in dirty_snapshots:
                 mapping[snap.table_id] = seq
-        bytes_written += write_manifest(
-            self._path(_manifest_name(seq)), last_cid, lsn, next_table_id, mapping
-        )
+        declared = {t: list(indexes.get(t, ())) for t in mapping}
+        fields = (last_cid, lsn, next_table_id, mapping, declared)
+        bytes_written += write_manifest(self._path(_manifest_name(seq)), *fields)
         self._collect_garbage(keep_manifests=2)
-        return ChainState(seq, last_cid, lsn, next_table_id, mapping), bytes_written
+        return ChainState(seq, *fields), bytes_written
 
     def _collect_garbage(self, keep_manifests: int) -> None:
         """Drop superseded manifests and unreferenced segments.

@@ -33,6 +33,7 @@ TYPE_CREATE_TABLE = 5
 TYPE_DROP_TABLE = 6
 TYPE_INSERT_MANY = 7
 TYPE_MERGE = 8
+TYPE_CREATE_INDEX = 9
 
 #: The log's frame cap, shared by both ends: the reader takes a longer
 #: length prefix for torn-tail garbage, so the writer never writes one —
@@ -104,6 +105,12 @@ class DropTableRecord:
 
 
 @dataclass(frozen=True)
+class CreateIndexRecord:
+    table_id: int
+    column: str
+
+
+@dataclass(frozen=True)
 class MergeRecord:
     """One online-merge cutover: enough to repeat the fold at replay.
 
@@ -129,6 +136,7 @@ LogRecord = Union[
     CommitRecord,
     CreateTableRecord,
     DropTableRecord,
+    CreateIndexRecord,
     MergeRecord,
 ]
 
@@ -279,6 +287,12 @@ def _payload(record: LogRecord) -> bytes:
         )
     if isinstance(record, DropTableRecord):
         return struct.pack("<BQ", TYPE_DROP_TABLE, record.table_id)
+    if isinstance(record, CreateIndexRecord):
+        column = record.column.encode("utf-8")
+        return (
+            struct.pack("<BQH", TYPE_CREATE_INDEX, record.table_id, len(column))
+            + column
+        )
     if isinstance(record, MergeRecord):
         main = np.asarray(record.main_mask, dtype=bool)
         delta = np.asarray(record.delta_mask, dtype=bool)
@@ -325,6 +339,7 @@ def peek_payload(payload: bytes) -> tuple[int, int, int]:
         TYPE_INVALIDATE,
         TYPE_CREATE_TABLE,
         TYPE_DROP_TABLE,
+        TYPE_CREATE_INDEX,
         TYPE_MERGE,
     ):
         return rtype, word, 0
@@ -372,6 +387,10 @@ def decode_payload(payload: bytes) -> LogRecord:
         if rtype == TYPE_DROP_TABLE:
             (table_id,) = struct.unpack_from("<Q", payload, 1)
             return DropTableRecord(table_id)
+        if rtype == TYPE_CREATE_INDEX:
+            table_id, name_len = struct.unpack_from("<QH", payload, 1)
+            column = payload[11 : 11 + name_len].decode("utf-8")
+            return CreateIndexRecord(table_id, column)
         if rtype == TYPE_MERGE:
             table_id, watermark, n_main, n_delta = struct.unpack_from(
                 "<QQQQ", payload, 1

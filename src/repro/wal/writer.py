@@ -43,6 +43,7 @@ from repro.storage.types import Value
 from repro.wal.records import (
     MAX_RECORD_BYTES,
     CommitRecord,
+    CreateIndexRecord,
     CreateTableRecord,
     DropTableRecord,
     InsertManyRecord,
@@ -368,6 +369,10 @@ class LogWriter:
 
     def log_drop_table(self, table_id: int) -> None:
         self._write(DropTableRecord(table_id))
+        self.sync()  # DDL is always durable immediately
+
+    def log_create_index(self, table_id: int, column: str) -> None:
+        self._write(CreateIndexRecord(table_id, column))
         self.sync()  # DDL is always durable immediately
 
     def close(self) -> None:

@@ -641,6 +641,11 @@ def test_unequal_columns_are_refused_before_anything_lands(tmp_path):
     db.create_table("t", SCHEMA)
     with pytest.raises(SchemaError):
         db.insert_many("t", {"id": [1, 2, 3], "score": [1.0]})
+    for rows in (["id"], [["id", "name"]], [5], [{"id": 1}, "id"]):
+        with pytest.raises(SchemaError, match="a row is a"):
+            db.insert_many("t", rows)
+    with pytest.raises(SchemaError, match="a row is a"):
+        db.insert("t", ["id"])
     assert db.query("t").count == 0 and not db._manager.active
     db.close()
 

@@ -103,8 +103,9 @@ class TestSnapshotRestore:
 
     def test_corrupt_manifest_rejected(self, tmp_path):
         path = str(tmp_path / "manifest.ckpt")
-        write_manifest(path, 1, 0, 8, {3: 0, 7: 0})
-        assert read_manifest(path) == (1, 0, 8, {3: 0, 7: 0})
+        write_manifest(path, 1, 0, 8, {3: 0, 7: 0}, {3: ["id", "v"]})
+        want = (1, 0, 8, {3: 0, 7: 0}, {3: ["id", "v"], 7: []})
+        assert read_manifest(path) == want
         with open(path, "r+b") as f:
             f.seek(50)
             f.write(b"\xff\xff")

@@ -17,6 +17,7 @@ from repro.core.config import DurabilityMode
 from repro.core.database import Database
 from repro.fault.inject import CrashPointInjector, SimulatedPowerFailure
 from repro.nvm.pool import PMemMode
+from repro.query.predicate import Eq
 from repro.storage.types import DataType
 
 SCHEMA = {"key": DataType.INT64, "note": DataType.STRING}
@@ -193,3 +194,95 @@ class TestCrashDuringCheckpoint:
         with pytest.raises(RuntimeError):
             db.checkpoint()
         db.close()
+
+
+# ----------------------------------------------------------------------
+# Index declarations
+# ----------------------------------------------------------------------
+
+
+class TestIndexDeclarationsSurviveCrashes:
+    @pytest.mark.parametrize(
+        "mode", [DurabilityMode.NVM, DurabilityMode.LOG], ids=lambda m: m.value
+    )
+    def test_every_point_inside_create_index(self, tmp_path, mode):
+        """After the reopen the index is there exactly when
+        ``create_index`` returned, and it answers as a scan does."""
+        config = _maintenance_config(mode)
+        db, expected = _build(str(tmp_path / "count"), config)
+        with CrashPointInjector() as counter:
+            db.create_index("kv", "key")
+        total = counter.events
+        db.close()
+        assert total > 0
+
+        for point in range(1, total + 2):  # the last one crashes after it
+            path = str(tmp_path / f"pt{point}")
+            db, expected = _build(path, config)
+            with CrashPointInjector(crash_at=point):
+                try:
+                    db.create_index("kv", "key")
+                    returned = True
+                except SimulatedPowerFailure:
+                    returned = False
+            db.crash(survivor_fraction=0.0, seed=point)
+            assert returned == (point > total)
+            recovered = Database(path, config)
+            assert recovered.verify() == [], f"invariants broken at point {point}"
+            declared = list(recovered.indexes_on("kv"))
+            assert declared == (["key"] if returned else []), f"at point {point}"
+            found = {r["key"]: r["note"] for r in recovered.query("kv").rows()}
+            assert found == expected
+            for key, note in expected.items():
+                rows = recovered.query("kv", Eq("key", key)).rows()
+                assert rows == [{"key": key, "note": note}]
+            recovered.close()
+            shutil.rmtree(path, ignore_errors=True)
+
+    def test_an_index_on_a_clean_table_rides_the_next_link(self, tmp_path):
+        """Checkpoint, index the table the link left clean, checkpoint
+        again: the second link carries the table's segment forward and
+        still declares the index."""
+        config = _maintenance_config(DurabilityMode.LOG)
+        path = str(tmp_path / "db")
+        db, expected = _build(path, config)
+        db.checkpoint()
+        segments = dict(db._driver._segment_map)
+        db.create_index("kv", "key")
+        db.checkpoint()
+        assert db._driver._segment_map == segments  # carried, not rewritten
+        db.crash(seed=3)
+        recovered = Database(path, config)
+        try:
+            assert recovered.last_recovery.log_records_replayed == 0
+            assert list(recovered.indexes_on("kv")) == ["key"]
+            assert recovered.query("kv", Eq("key", 2)).rows() == [
+                {"key": 2, "note": expected[2]}
+            ]
+        finally:
+            recovered.close()
+
+    @pytest.mark.parametrize(
+        "mode", [DurabilityMode.NVM, DurabilityMode.LOG], ids=lambda m: m.value
+    )
+    def test_a_recreated_table_has_none_of_the_dropped_ones_indexes(
+        self, tmp_path, mode
+    ):
+        config = _maintenance_config(mode)
+        path = str(tmp_path / "db")
+        db, _ = _build(path, config)
+        db.create_index("kv", "key")
+        db.create_index("kv", "note")
+        if mode is DurabilityMode.LOG:
+            db.checkpoint()  # the declarations are in the manifest too
+        db.drop_table("kv")
+        db.create_table("kv", SCHEMA)
+        db.insert("kv", {"key": 1, "note": "new"})
+        assert db.indexes_on("kv") == {}
+        db.crash(seed=4)
+        recovered = Database(path, config)
+        try:
+            assert recovered.indexes_on("kv") == {}
+            assert recovered.query("kv").rows() == [{"key": 1, "note": "new"}]
+        finally:
+            recovered.close()

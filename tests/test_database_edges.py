@@ -51,6 +51,8 @@ class TestSchemaCoercion:
         records_before = wal.records_written if wal is not None else None
         with pytest.raises(SchemaError, match="decimal"):
             db.create_table("t", {"a": "decimal"})
+        with pytest.raises(SchemaError, match="a schema is a"):
+            db.create_table("t", [("a", DataType.INT64)])
         assert db.table_names == ["keep"]
         if wal is not None:
             assert wal.records_written == records_before
@@ -212,7 +214,7 @@ class TestRecordTooLarge:
         db = Database(str(tmp_path / "db"), cfg)
         db.create_table("t", self.SCHEMA)
         # Shrink the bound instead of allocating 64 MiB rows.
-        db._driver._wal._max_record_bytes = 512
+        db._driver.wal._max_record_bytes = 512
         return db, cfg
 
     def test_rejection_leaves_nothing_behind(self, tmp_path):
@@ -223,8 +225,8 @@ class TestRecordTooLarge:
             db.insert("t", {"id": 2, "v": self.HUGE})
         assert db.verify() == []  # no row left locked
         assert len(db._manager.active) == 0
-        assert db._driver._wal._staged == {}
-        assert db._driver._wal.flush_to_os() == size
+        assert db._driver.wal._staged == {}
+        assert db._driver.wal.flush_to_os() == size
         assert db.query("t").column("id") == [1]
         db.close()
 

@@ -229,7 +229,7 @@ def test_insert_each_against_a_model(tmp_path, mode, monkeypatch):
 
     # -- ... or the log refuses the group but takes each row alone ---------
     if mode is DurabilityMode.LOG:
-        engine._driver._wal._max_record_bytes = 512
+        engine._driver.wal._max_record_bytes = 512
         rows = [row(k, k, grp="g" * 40) for k in range(200, 240)]
         rows[7] = row(207, 7, grp="x" * 4096)
         outcomes = engine.insert_each("kv", rows)

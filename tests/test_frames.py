@@ -26,6 +26,7 @@ from repro.storage.schema import Schema
 from repro.storage.table import Table
 from repro.wal.checkpoint import (
     CheckpointChain,
+    chain_dir,
     read_manifest,
     read_segment,
     snapshot_table,
@@ -35,6 +36,7 @@ from repro.wal.checkpoint import (
 from repro.wal.reader import read_log
 from repro.wal.records import (
     CommitRecord,
+    CreateIndexRecord,
     CreateTableRecord,
     DropTableRecord,
     InsertManyRecord,
@@ -157,6 +159,7 @@ _RECORDS: list[LogRecord] = [
     CommitRecord(12),
     CreateTableRecord(4, "orders", SCHEMA.to_bytes()),
     DropTableRecord(4),
+    CreateIndexRecord(4, "amount"),
     MergeRecord(3, 10, (True, False, True), (False,) * 9),
 ]
 
@@ -425,6 +428,35 @@ class TestCheckpointHeaderCoverage:
                 f.write(data + b"\x00")
             reader(path)
 
+    def test_a_manifest_without_index_declarations_is_not_read(self, tmp_path):
+        """The layout before the manifest held declarations (entries
+        only) ends where they are read: restore replays the whole log."""
+        path = str(tmp_path / "db")
+        config = EngineConfig(mode=DurabilityMode.LOG)
+        db = Database(path, config)
+        db.create_table("t", {"id": DataType.INT64})
+        db.create_index("t", "id")
+        db.insert_many("t", [{"id": i} for i in range(5)])
+        db.checkpoint()
+        db.close()
+        state = CheckpointChain(chain_dir(path)).state()
+        manifest = os.path.join(chain_dir(path), f"manifest-{state.seq:08d}.ckpt")
+        fields = (state.last_cid, state.lsn, state.next_table_id, len(state.mapping))
+        older = struct.pack("<QQQQQ", 0x48595243_4B4D414E, *fields) + b"".join(
+            struct.pack("<QQ", *entry) for entry in state.mapping.items()
+        )
+        with open(manifest, "wb") as f:
+            f.write(frame.encode(older, 1 << 20))
+        with pytest.raises(FrameError, match="does not parse"):
+            read_manifest(manifest)
+        db = Database(path, config)
+        try:
+            assert db.last_recovery.checkpoint_bytes == 0
+            assert db.query("t").count == 5
+            assert list(db.indexes_on("t")) == ["id"]
+        finally:
+            db.close()
+
     def test_a_payload_with_bytes_past_its_fields_is_corruption(self, tmp_path):
         path = str(tmp_path / "manifest.ckpt")
         header = struct.pack("<QQQQQ", 0x48595243_4B4D414E, 1, 2, 3, 0)
@@ -481,36 +513,22 @@ def test_every_datatype_round_trips(tmp_path, path_taken):
 
 
 # ----------------------------------------------------------------------
-# LOG index declarations are durable before they are published
+# A LOG index declaration is durable once create_index returns
 # ----------------------------------------------------------------------
 
 
-def test_index_declarations_are_fsynced_before_the_rename(tmp_path, monkeypatch):
+def test_an_index_declaration_survives_losing_every_unsynced_byte(tmp_path):
+    """The declaration is a synced log record: a crash that keeps none
+    of the unsynced bytes reopens with the index."""
     path = str(tmp_path / "db")
-    db = Database(path, EngineConfig(mode=DurabilityMode.LOG))
+    config = EngineConfig(mode=DurabilityMode.LOG, group_commit_size=0)
+    db = Database(path, config)
     db.create_table("t", {"id": DataType.INT64})
-    calls = []
-    real_fsync, real_replace = os.fsync, os.replace
-
-    def fsync(fd):
-        calls.append(("fsync", os.fstat(fd).st_ino))
-        real_fsync(fd)
-
-    def replace(src, dst):
-        calls.append(("replace", os.stat(src).st_ino, os.path.basename(dst)))
-        real_replace(src, dst)
-
-    monkeypatch.setattr(os, "fsync", fsync)
-    monkeypatch.setattr(os, "replace", replace)
     db.create_index("t", "id")
-    monkeypatch.undo()
-    renames = [i for i, c in enumerate(calls) if c[0] == "replace" and c[2] == "meta.json"]
-    assert renames, calls
-    inode = calls[renames[0]][1]
-    assert ("fsync", inode) in calls[: renames[0]]
-    db.close()
-    db = Database(path, EngineConfig(mode=DurabilityMode.LOG))
+    db.crash(survivor_fraction=0)
+    db = Database(path, config)
     try:
+        assert list(db.indexes_on("t")) == ["id"]
         assert db.query("t").count == 0
     finally:
         db.close()

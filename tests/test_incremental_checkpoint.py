@@ -271,7 +271,7 @@ class TestCheckpointScheduling:
         assert not writer.is_alive()
         assert len(db._manager.active) == 1
         assert checkpoints.value - before >= 3
-        per_commit = db._driver._wal.lsn / commits
+        per_commit = db._driver.wal.lsn / commits
         # Replay never covered more than a few dozen commits; with no
         # checkpoint it would cover every commit of the run.
         assert max(pending) < 0.25 * commits * per_commit

@@ -317,7 +317,7 @@ class TestEveryPrefixIsConsistent:
 
         def mark(db):
             state = {n: _rows(db.query(n)) for n in db.table_names}
-            trace.append((db._driver._wal.lsn, state))
+            trace.append((db._driver.wal.lsn, state))
 
         source = str(tmp_path / "source")
         _mixed_workload(source, mark=mark)
@@ -623,7 +623,7 @@ class TestEdgeCases:
         db.bulk_insert("t", [{"id": i, "name": "x"} for i in range(12)])
         txn = db.begin()
         txn.insert("t", {"id": 999, "name": "ghost"})
-        db._driver._wal.sync()  # nothing of it is in the file to sync
+        db._driver.wal.sync()  # nothing of it is in the file to sync
         db.crash()
         db = Database(path, cfg)
         assert db.last_recovery.txns_rolled_back == 0  # REDO-only

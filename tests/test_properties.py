@@ -13,6 +13,7 @@ from repro.storage.types import DataType
 from repro.storage.vector import VolatileVector
 from repro.wal.records import (
     CommitRecord,
+    CreateIndexRecord,
     CreateTableRecord,
     InsertManyRecord,
     InsertRecord,
@@ -218,6 +219,9 @@ _column_values = st.one_of(st.none(), st.integers(-(2**63), 2**63 - 1))
             st.integers(0, 2**32),
             st.text(min_size=1, max_size=20),
             st.binary(max_size=50),
+        ),
+        st.builds(
+            CreateIndexRecord, st.integers(0, 2**32), st.text(min_size=1, max_size=20)
         ),
     )
 )

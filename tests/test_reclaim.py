@@ -506,7 +506,7 @@ class TestSweepAfterACrash:
 
 class _InsideThePublish(CrashPointInjector):
     """``crash_at=k``: the power fails at the k-th persistence event
-    after the first ``merge_cutover`` — inside ``on_merge``, between
+    after the first ``merge_cutover`` — inside ``publish``, between
     the in-memory swap and the durable one."""
 
     def __init__(self, crash_at=None):
@@ -519,7 +519,7 @@ class _InsideThePublish(CrashPointInjector):
         super().__call__(kind)
 
 
-#: ``on_merge`` writes three descriptors and swaps one pointer: at most
+#: ``publish`` writes three descriptors and swaps one pointer: at most
 #: four allocations and four persists, two events each.
 PUBLISH_EVENTS = 16
 
@@ -543,20 +543,20 @@ def _first_failure_inside_a_publish(root):
 
 def test_freeing_before_the_publish_fails_the_sweep(tmp_path, monkeypatch):
     """The planted early free: give the old generation back *before*
-    ``on_merge`` has made the new content pointer durable. A power
+    ``publish`` has made the new content pointer durable. A power
     failure in between recovers a catalog that points into freed —
     poisoned, soon recycled — memory, and the sweep must say so."""
     monkeypatch.setattr("repro.fault.sweep.CrashPointInjector", _InsideThePublish)
     assert _first_failure_inside_a_publish(tmp_path / "engine") is None
 
-    publish = NvmDriver.on_merge
+    publish = NvmDriver.publish
     cutover = Database._cutover_locked
 
-    def free_then_publish(self, table, plan=None):
+    def free_then_publish(self, table):
         blocks = [b for part in self._about_to_unlink for b in part.blocks()]
         for block in blocks:
             self._pool.free(*block)
-        publish(self, table, plan)
+        publish(self, table)
 
     def cutover_remembering_the_old(self, table, plan, new_main, group_keys):
         self._driver._about_to_unlink = (
@@ -566,7 +566,7 @@ def test_freeing_before_the_publish_fails_the_sweep(tmp_path, monkeypatch):
         cutover(self, table, plan, new_main, group_keys)
         return ()  # already freed: nothing left to retire
 
-    monkeypatch.setattr(NvmDriver, "on_merge", free_then_publish)
+    monkeypatch.setattr(NvmDriver, "publish", free_then_publish)
     monkeypatch.setattr(Database, "_cutover_locked", cutover_remembering_the_old)
     died_at = _first_failure_inside_a_publish(tmp_path / "mutant")
     assert died_at is not None, "the sweep cannot see an early free"

@@ -614,11 +614,6 @@ class TestPromotion:
             promoted.close()
             replica.close()
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="index declarations ride neither the chain nor the stream: "
-        "LOG keeps them in meta.json, an NVM ship log records none",
-    )
     @pytest.mark.parametrize(
         "mode", [DurabilityMode.LOG, DurabilityMode.NVM], ids=lambda m: m.value
     )
@@ -646,6 +641,37 @@ class TestPromotion:
             promoted.close()
             replica.close()
 
+    @pytest.mark.parametrize(
+        "mode", [DurabilityMode.LOG, DurabilityMode.NVM], ids=lambda m: m.value
+    )
+    def test_an_index_declared_after_the_attach_is_kept(self, tmp_path, mode):
+        """The declaration reaches the follower in the stream, not the
+        attach snapshot, and the promoted engine probes with it."""
+        db = Database(
+            str(tmp_path / "primary"), EngineConfig(mode=mode, group_commit_size=1)
+        )
+        db.create_table("t", SCHEMA)
+        db.create_table("u", SCHEMA)
+        db.create_index("u", "v")
+        for i in range(8):
+            db.insert("t", {"id": i, "v": f"v{i}"})
+        shipper, (replica,) = _replicate(tmp_path, db, AckMode.SEMI_SYNC)
+        db.create_index("t", "v")
+        db.create_index("t", "id")
+        db.insert("t", {"id": 8, "v": "v8"})
+        shipper.stop()
+        db.crash(seed=6)
+        promoted = replica.promote(
+            EngineConfig(mode=DurabilityMode.LOG, group_commit_size=1)
+        )
+        try:
+            assert list(promoted.indexes_on("t")) == ["v", "id"]
+            assert list(promoted.indexes_on("u")) == ["v"]
+            assert promoted.query("t", Eq("id", 8)).rows() == [{"id": 8, "v": "v8"}]
+        finally:
+            promoted.close()
+            replica.close()
+
     def test_promote_from_chain_then_crash_restart(self, tmp_path):
         db = _log_db(tmp_path)
         db.create_table("t", SCHEMA)
@@ -668,6 +694,43 @@ class TestPromotion:
         finally:
             promoted.close()
             replica.close()
+
+
+def _record_types(path: str) -> list[int]:
+    from repro.wal.reader import LogScan
+
+    return [payload[0] for payload, _ in LogScan(path, decode=False)]
+
+
+@pytest.mark.parametrize(
+    "mode", [DurabilityMode.LOG, DurabilityMode.NVM], ids=lambda m: m.value
+)
+def test_a_fixed_script_writes_one_record_per_step(tmp_path, mode):
+    """Create, insert, index, merge, drop: the log (LOG) and the ship
+    log (NVM) hold the same records, once each, in the script's order."""
+    from repro.wal import records as r
+
+    db = Database(str(tmp_path / "primary"), EngineConfig(mode=mode))
+    shipper = WalShipper(db) if mode is DurabilityMode.NVM else None
+    db.create_table("t", SCHEMA)
+    db.insert_many("t", [{"id": i, "v": f"v{i}"} for i in range(10)])
+    db.create_index("t", "id")
+    db.merge("t")
+    db.drop_table("t")
+    if shipper is not None:
+        shipper.close()
+        path = db._driver.ship_log_path
+    else:
+        path = db._driver.log_path
+    db.close()
+    assert _record_types(path) == [
+        r.TYPE_CREATE_TABLE,
+        r.TYPE_INSERT_MANY,
+        r.TYPE_COMMIT,
+        r.TYPE_CREATE_INDEX,
+        r.TYPE_MERGE,
+        r.TYPE_DROP_TABLE,
+    ]
 
 
 class TestApplyLoop:

@@ -1,9 +1,11 @@
 """Unit tests for schemas and data types."""
 
+from collections.abc import Mapping
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.storage.schema import ColumnDef, Schema
+from repro.storage.schema import ColumnDef, Schema, SchemaError
 from repro.storage.types import DataType
 
 
@@ -92,7 +94,11 @@ class TestSchema:
 def _validate_row_before(schema: Schema, row) -> list:
     """``Schema.validate_row`` as it stood before the per-schema checks
     were precomputed — the oracle: two sets per row, an Enum-dispatching
-    ``validate`` per cell."""
+    ``validate`` per cell — plus the one rule added since: a row that is
+    not a mapping is refused as such, with no other error first."""
+    if not isinstance(row, Mapping):
+        kind = type(row).__name__
+        raise SchemaError(f"a row is a {{column: value}} dict, not {kind}")
     unknown = set(row) - set(schema._index)
     if unknown:
         raise KeyError(f"unknown columns {sorted(unknown)}")

@@ -253,6 +253,15 @@ def test_malformed_body_is_bad_request(client):
             Op.QUERY, {"table": "t", "predicate": ["bogus", "a", 1]}, tenant="acme"
         )
     assert err.value.status is Status.BAD_REQUEST
+    client.for_tenant("acme").create_table("t", SCHEMA)
+    internal = get_registry().counter("server_internal_errors_total")
+    before = internal.value
+    for rows in (["id"], [["id", "name"]], [5]):
+        with pytest.raises(ServerError) as err:
+            client.call(Op.INSERT_MANY, {"table": "t", "rows": rows}, tenant="acme")
+        assert err.value.status is Status.BAD_REQUEST, err.value.message
+    assert internal.value == before
+    assert client.for_tenant("acme").query("t") == []
 
 
 def active_transactions(served, tenant="acme") -> int:

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from repro.wal.reader import count_records, read_log
 from repro.wal.records import (
     CommitRecord,
+    CreateIndexRecord,
     CreateTableRecord,
     InsertManyRecord,
     InsertRecord,
@@ -34,6 +35,7 @@ RECORDS = [
     InvalidateRecord(2, (1 << 63) | 17),
     CommitRecord(9),
     CreateTableRecord(4, "tbl", b"\x01\x02schema"),
+    CreateIndexRecord(4, "colümn"),
 ]
 
 
